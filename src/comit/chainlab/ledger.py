@@ -82,7 +82,7 @@ class Ledger:
         self.params = params
         self.height = 0
         self._utxos: dict[Outpoint, Utxo] = {}
-        self._mempool: list[tuple[bytes, Transaction]] = []
+        self._mempool: dict[bytes, Transaction] = {}  # submission order
         self._mempool_spends: dict[Outpoint, bytes] = {}
         self._mempool_outputs: dict[Outpoint, TxOut] = {}
         self._spent: dict[Outpoint, bytes] = {}  # confirmed spends
@@ -117,10 +117,10 @@ class Ledger:
         return self._utxo_value
 
     def mempool_txids(self) -> list[bytes]:
-        return [t for t, _ in self._mempool]
+        return list(self._mempool)
 
     def in_mempool(self, tx_id: bytes) -> bool:
-        return any(t == tx_id for t, _ in self._mempool)
+        return tx_id in self._mempool
 
     def spendable_by(self, pubkey: bytes) -> list[tuple[Outpoint, int]]:
         """Confirmed PayToKey outputs owned by pubkey and not already claimed
@@ -180,7 +180,7 @@ class Ledger:
         if in_value - out_value < self.params.tx_fee:
             raise TxRejected(Reject.FEE_TOO_LOW)
 
-        self._mempool.append((tx_id, tx))
+        self._mempool[tx_id] = tx
         for txin in tx.inputs:
             self._mempool_spends[txin.outpoint] = tx_id
         for i, txout in enumerate(tx.outputs):
@@ -219,7 +219,7 @@ class Ledger:
             progress = True
             while progress:
                 progress = False
-                for tx_id, tx in list(self._mempool):
+                for tx_id, tx in list(self._mempool.items()):
                     if not self._eligible(tx_id, tx, height):
                         continue
                     in_value = sum(self._utxos[i.outpoint].amount for i in tx.inputs)
@@ -237,7 +237,7 @@ class Ledger:
                         self._utxos[op] = Utxo(txout.amount, txout.script, height)
                         self._utxo_value += txout.amount
                     self.burned += in_value - out_value
-                    self._mempool.remove((tx_id, tx))
+                    del self._mempool[tx_id]
                     block_txids.append(tx_id)
                     block_txs.append(tx)
                     progress = True

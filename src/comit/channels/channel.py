@@ -18,7 +18,14 @@ punishable, so no funds are stranded.
 
 The per-state invalidation key is HMAC(party revocation seed, n); its hash
 goes into the revocation branches of that party's commitment n. Keys for
-the current state are never revealed.
+the current state are never revealed, and every key below it is.
+
+A Channel retains the current state, the history of signed states (the
+balances and HTLCs of each n, which breach handling needs) and the one
+close transaction it has put in flight. Signed commitment transactions are
+not kept: signing is a deterministic HMAC and a txid excludes witnesses, so
+commitment n is rebuilt from state n, byte for byte, when it is broadcast
+or seen on chain.
 """
 
 from __future__ import annotations
@@ -163,13 +170,10 @@ def open_channel(
     fund_b: int,
     csv_delay: int = 6,
     dust_limit: int = 0,
-    mine: bool = True,
 ) -> "Channel":
     """Fund and open a channel. The funding fee is paid by party_a.
 
-    With mine=True (default) one block is mined so the channel comes back
-    in phase OPEN; otherwise it is OPENING until process_block sees the
-    funding confirmation.
+    One block is mined, so the channel comes back in phase OPEN.
     """
     if csv_delay < 1:
         raise ValueError("csv_delay must be >= 1")
@@ -231,12 +235,10 @@ def open_channel(
     # Commitment 0 is signed before the funding tx goes anywhere near the
     # chain, so neither party can strand the other's deposit.
     ledger.submit_tx(funding)
-    channel._emit("funding-submitted", txid=digest.hex())
-    if mine:
-        for summary in ledger.mine_blocks(1):
-            channel.process_block(summary)
-        if channel.phase is not ChannelPhase.OPEN:
-            raise ChannelError("funding did not confirm")
+    for summary in ledger.mine_blocks(1):
+        channel.process_block(summary)
+    if channel.phase is not ChannelPhase.OPEN:
+        raise ChannelError("funding did not confirm")
     return channel
 
 
@@ -264,15 +266,12 @@ class Channel:
         # Revocation hashes use one fixed function of the chain's set.
         self.revocation_fn = sorted(ledger.params.hash_fns, key=lambda f: f.value)[0]
         self.state = CommitmentState(0, initial_balance_a, initial_balance_b, ())
-        self.events: list[dict] = []
         self._htlc_seq = 0
         self._pending_state: Optional[CommitmentState] = None
-        self._layouts: dict[tuple[str, int], _Layout] = {}
-        self._commitment_index: dict[bytes, tuple[str, int]] = {}
-        self._state_history: dict[int, CommitmentState] = {0: self.state}
-        self._revealed: dict[tuple[str, int], bytes] = {}
-        self._preimages: dict[int, bytes] = {}
-        self._closing_txid: Optional[bytes] = None
+        self._state_history: dict[int, CommitmentState] = {}
+        # (txid, broadcaster side, commitment number) of the close tx in
+        # flight; the side is None for the cooperative close.
+        self._closing: Optional[tuple[bytes, Optional[str], int]] = None
         self._frozen = False  # set once any close tx is in flight
         self.closed_by: Optional[str] = None
         self.closed_commitment: Optional[int] = None
@@ -314,10 +313,6 @@ class Channel:
                 return h
         raise UnknownHtlc(f"htlc {htlc_id}")
 
-    def preimage_of(self, htlc_id: int) -> Optional[bytes]:
-        """Preimage learned through an off-chain fulfill of this HTLC."""
-        return self._preimages.get(htlc_id)
-
     def recorded_states(self) -> dict[int, CommitmentState]:
         """Every commitment state this channel has signed, keyed by number.
 
@@ -327,9 +322,6 @@ class Channel:
 
     def channel_id(self) -> str:
         return self.funding_outpoint.short()
-
-    def _emit(self, kind: str, **fields) -> None:
-        self.events.append({"kind": kind, "channel": self.channel_id(), **fields})
 
     # --- revocation keys -------------------------------------------------------
 
@@ -341,7 +333,11 @@ class Channel:
         return hash_digest(self.revocation_fn, self.revocation_key(side, n))
 
     def revealed_key(self, side: str, n: int) -> Optional[bytes]:
-        return self._revealed.get((side, n))
+        """The key commit_update revealed for `side`'s commitment n: every
+        state below the current one is revoked, no other is."""
+        if 0 <= n < self.state.commitment_number:
+            return self.revocation_key(side, n)
+        return None
 
     # --- commitment construction ------------------------------------------------
 
@@ -416,12 +412,11 @@ class Channel:
         )
 
     def _build_commitments(self, state: CommitmentState) -> None:
-        n = state.commitment_number
+        """Both parties sign both commitments of `state`; building them is
+        what refuses an unbuildable state. Only the state is recorded."""
         for side in ("a", "b"):
-            layout = self._build_for_side(side, state)
-            self._layouts[(side, n)] = layout
-            self._commitment_index[layout.tx_id] = (side, n)
-        self._state_history[n] = state
+            self._build_for_side(side, state)
+        self._state_history[state.commitment_number] = state
 
     # --- two-phase update ---------------------------------------------------
 
@@ -449,9 +444,6 @@ class Channel:
         being replaced. Only now is the old state revoked."""
         if self._pending_state is None:
             raise StalePhase("no update proposed")
-        old_n = self.state.commitment_number
-        for side in ("a", "b"):
-            self._revealed[(side, old_n)] = self.revocation_key(side, old_n)
         self.state = self._pending_state
         self._pending_state = None
         self.update_count += 1
@@ -503,13 +495,6 @@ class Channel:
             htlcs=self.state.htlcs + (h,),
         )
         self._apply_update(new_state)
-        self._emit(
-            "htlc-added",
-            htlc_id=h.htlc_id,
-            offerer=side,
-            amount=amount,
-            expiry=expiry_height,
-        )
         return h.htlc_id
 
     def fulfill_htlc(self, htlc_id: int, preimage: bytes) -> None:
@@ -525,9 +510,6 @@ class Channel:
             htlcs=tuple(x for x in self.state.htlcs if x.htlc_id != htlc_id),
         )
         self._apply_update(new_state)
-        # The fulfilling update itself hands the preimage to the offerer.
-        self._preimages[htlc_id] = preimage
-        self._emit("htlc-fulfilled", htlc_id=htlc_id, amount=h.amount)
 
     def fail_htlc(self, htlc_id: int) -> None:
         self._require_open()
@@ -539,7 +521,6 @@ class Channel:
             htlcs=tuple(x for x in self.state.htlcs if x.htlc_id != htlc_id),
         )
         self._apply_update(new_state)
-        self._emit("htlc-failed", htlc_id=htlc_id, amount=h.amount)
 
     # --- closing ------------------------------------------------------------
 
@@ -571,10 +552,9 @@ class Channel:
             inputs=(TxIn(self.funding_outpoint, witness),), outputs=skeleton.outputs
         )
         self.ledger.submit_tx(tx)
-        self._closing_txid = digest
+        self._closing = (digest, None, self.state.commitment_number)
         self.phase = ChannelPhase.COOPERATIVE_CLOSING
         self._frozen = True
-        self._emit("cooperative-close-submitted", txid=digest.hex())
         return tx
 
     def unilateral_close(
@@ -584,47 +564,42 @@ class Channel:
         how a cheat is staged; honest callers leave it at the latest."""
         side = self.side_of(party)
         n = self.state.commitment_number if commitment_number is None else commitment_number
-        layout = self._layouts.get((side, n))
-        if layout is None:
+        state = self._state_history.get(n)
+        if state is None:
             raise ValueError(f"no commitment {n} for side {side}")
+        layout = self._build_for_side(side, state)
         self.ledger.submit_tx(layout.tx)
+        self._closing = (layout.tx_id, side, n)
         self._frozen = True
-        self._emit("unilateral-close-submitted", by=side, commitment=n, txid=layout.tx_id.hex())
         return layout.tx
 
     # --- on-chain observation -------------------------------------------------
 
-    def process_block(self, summary: BlockSummary) -> list[dict]:
+    def process_block(self, summary: BlockSummary) -> None:
         """Advance channel phase from what this block confirmed."""
-        new_events: list[dict] = []
-
-        def note(kind: str, **fields) -> None:
-            self._emit(kind, height=summary.height, **fields)
-            new_events.append(self.events[-1])
-
         if self.phase is ChannelPhase.OPENING:
             if self.funding_outpoint.txid in summary.txids:
                 self.phase = ChannelPhase.OPEN
-                note("opened", capacity=self.capacity)
 
         for outpoint, spender in summary.spent:
             if outpoint == self.funding_outpoint:
                 self._frozen = True
-                if spender == self._closing_txid:
+                # The mempool admits one spend of the funding outpoint at a
+                # time, so one in-flight record identifies any close.
+                if self._closing is None or spender != self._closing[0]:
+                    continue
+                _, side, n = self._closing
+                if side is None:
                     self.phase = ChannelPhase.SETTLED
-                    note("cooperatively-closed")
-                elif spender in self._commitment_index:
-                    side, n = self._commitment_index[spender]
-                    self.closed_by = side
-                    self.closed_commitment = n
-                    self.closed_height = summary.height
-                    self._register_closed_outputs(side, n)
-                    if n < self.state.commitment_number:
-                        self.phase = ChannelPhase.BREACHED
-                        note("breach-detected", by=side, commitment=n)
-                    else:
-                        self.phase = ChannelPhase.UNILATERAL_CLOSED
-                        note("unilaterally-closed", by=side, commitment=n)
+                    continue
+                self.closed_by = side
+                self.closed_commitment = n
+                self.closed_height = summary.height
+                self._register_closed_outputs(side, n)
+                if n < self.state.commitment_number:
+                    self.phase = ChannelPhase.BREACHED
+                else:
+                    self.phase = ChannelPhase.UNILATERAL_CLOSED
             elif outpoint in self._unresolved:
                 self._unresolved.discard(outpoint)
 
@@ -633,12 +608,10 @@ class Channel:
             and not self._unresolved
         ):
             self.phase = ChannelPhase.SETTLED
-            note("settled")
-        return new_events
 
     def _register_closed_outputs(self, side: str, n: int) -> None:
-        layout = self._layouts[(side, n)]
         state = self._state_history[n]
+        layout = self._build_for_side(side, state)
         outs: list[ClosedOutput] = []
         if layout.self_index is not None:
             outs.append(
@@ -714,7 +687,6 @@ class Channel:
             inputs=(TxIn(out.outpoint, witness),), outputs=skeleton.outputs
         )
         self.ledger.submit_tx(tx)
-        self._emit("delayed-sweep-submitted", by=side, txid=txid(tx).hex())
         return tx
 
     def build_htlc_claim(
@@ -744,7 +716,6 @@ class Channel:
             inputs=(TxIn(out.outpoint, witness),), outputs=skeleton.outputs
         )
         self.ledger.submit_tx(tx)
-        self._emit("htlc-claim-submitted", htlc_id=htlc_id, txid=txid(tx).hex())
         return tx
 
     def build_htlc_refund(self, party: ChannelParty, htlc_id: int) -> Transaction:
@@ -768,7 +739,6 @@ class Channel:
             inputs=(TxIn(out.outpoint, witness),), outputs=skeleton.outputs
         )
         self.ledger.submit_tx(tx)
-        self._emit("htlc-refund-submitted", htlc_id=htlc_id, txid=txid(tx).hex())
         return tx
 
     def punish_breach(self, honest_party: ChannelParty) -> Transaction:
@@ -811,5 +781,4 @@ class Channel:
             outputs=skeleton.outputs,
         )
         self.ledger.submit_tx(tx)
-        self._emit("justice-submitted", against=self.closed_by, txid=txid(tx).hex())
         return tx

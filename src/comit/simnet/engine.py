@@ -66,7 +66,6 @@ from ..crp import OnionPacket
 from ..swap import (
     ForwardRejected,
     Invoice,
-    PaymentAttempt,
     RouteMismatch,
     TimelockPolicy,
     check_delivery,
@@ -142,7 +141,6 @@ class PayRt:
     fail_reason: str = ""
     cost: int = 0
     invoice: Optional[Invoice] = None
-    attempt: Optional[PaymentAttempt] = None
     hops: list[HopLive] = field(default_factory=list)
     packet: Optional[OnionPacket] = None
     peeled: dict = field(default_factory=dict)  # hop index -> (payload, next packet)
@@ -253,7 +251,7 @@ class Engine:
             ledger = self.ledgers[spec.chain_id]
             channel = open_channel(
                 ledger, pa, pb, spec.fund_a, spec.fund_b,
-                csv_delay=spec.csv_delay, dust_limit=spec.dust_limit, mine=True,
+                csv_delay=spec.csv_delay, dust_limit=spec.dust_limit,
             )
             rt = ChanRt(
                 idx=idx,
@@ -620,7 +618,6 @@ class Engine:
         except RouteMismatch as exc:
             self._finish(p, "refunded", f"bad-route: {exc}")
             return
-        p.attempt = attempt
         p.cost = attempt.cost
 
         rt = self._chan(route.hops[0].chain_id, spec.sender, first_hop_actor)

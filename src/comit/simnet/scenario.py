@@ -218,6 +218,18 @@ class _Diags:
         self.errors.append(f"constraint-violation: {where}: {msg}")
 
 
+def _str_keys(obj: dict, where: str, d: _Diags) -> list[str]:
+    """The string keys of `obj`, sorted; any other key is a parse error
+    (JSON cannot produce one, but a dict source can)."""
+    keys = []
+    for key in obj:
+        if isinstance(key, str):
+            keys.append(key)
+        else:
+            d.parse(where, f"key {key!r} is not a string")
+    return sorted(keys)
+
+
 def _get_int(
     obj: dict,
     key: str,
@@ -309,7 +321,7 @@ def _parse_chain(i: int, obj: Any, actor_names: set, d: _Diags) -> Optional[Chai
     if not isinstance(raw_gen, dict):
         d.parse(f"{where}.genesis", "expected an object mapping actor to amount")
     else:
-        for actor in sorted(raw_gen):
+        for actor in _str_keys(raw_gen, f"{where}.genesis", d):
             if actor not in actor_names:
                 d.unknown(f"{where}.genesis.{actor}", f"no actor named {actor!r}")
                 continue
@@ -363,7 +375,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         "seed", "max_ticks", "chains", "mining", "actors", "channels",
         "quotes", "payments", "faults", "closes", "name", "comment",
     }
-    for key in sorted(doc):
+    for key in _str_keys(doc, "document", d):
         if key not in known_sections:
             d.unknown(key, "not a scenario section")
 
@@ -409,7 +421,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     if not isinstance(mining, dict):
         d.parse("mining", "expected an object mapping chain_id to interval")
     else:
-        for cid in sorted(mining):
+        for cid in _str_keys(mining, "mining", d):
             if cid not in by_chain:
                 d.unknown(f"mining.{cid}", f"no chain named {cid!r}")
                 continue

@@ -1,6 +1,10 @@
-import pytest
+import random
 
-from comit.chainlab import ChainParams, HashFnId, KeyPair, Ledger, PayToKey, hash_digest
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from comit.chainlab import ChainParams, HashFnId, KeyPair, Ledger, PayToKey, hash_digest, txid
 from comit.channels import (
     AmountBelowDust,
     BadPreimage,
@@ -40,11 +44,9 @@ def conserved(ledger):
 
 
 def mine_and_watch(ledger, ch, blocks=1):
-    out = []
     for _ in range(blocks):
         for summary in ledger.mine_blocks(1):
-            out += ch.process_block(summary)
-    return out
+            ch.process_block(summary)
 
 
 def add(ch, offerer, amount, expiry=50, fn=HashFnId.SHA256, secret=b"s" * 32):
@@ -74,7 +76,7 @@ def test_open_requires_funds(rng):
         open_channel(ledger, alice, bob, 500, 0)
 
 
-def test_htlc_fulfill_moves_balance_and_reveals_preimage(rng):
+def test_htlc_fulfill_moves_balance(rng):
     _, ch, alice, bob = make_world(rng)
     hid, secret = add(ch, alice, 1_000)
     assert ch.balance_of(alice) == 9_000
@@ -84,7 +86,6 @@ def test_htlc_fulfill_moves_balance_and_reveals_preimage(rng):
     assert ch.balance_of(alice) == 9_000
     assert ch.balance_of(bob) == 6_000
     assert ch.pending_htlcs == ()
-    assert ch.preimage_of(hid) == secret
     assert ch.commitment_number == 2
 
 
@@ -338,4 +339,72 @@ def test_fees_accounted_on_close_paths(rng):
     # fee comes out of alice's output first
     assert wallet(ledger, alice) == before_a + 8_000 - 10
     assert wallet(ledger, bob) == before_b + 7_000
+    assert conserved(ledger)
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "fulfil", "fail"]),
+        st.booleans(),  # offerer is alice
+        st.integers(1, 3_000),  # amount
+        st.integers(0, 2**16),  # which pending HTLC to resolve
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(steps=STEPS, fee=st.integers(1, 5), data=st.data())
+def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
+    # Commitments are not stored: a broadcast of state n and its on-chain
+    # classification both rebuild commitment n from the recorded state.
+    ledger, ch, alice, bob = make_world(random.Random(0xC0211), fee=fee)
+    secrets = {}
+    for kind, by_alice, amount, pick in steps:
+        if kind == "add":
+            offerer = alice if by_alice else bob
+            if ch.balance_of(offerer) < amount:
+                continue
+            secret = len(secrets).to_bytes(32, "big")
+            hid, _ = add(ch, offerer, amount, secret=secret)
+            secrets[hid] = secret
+        elif ch.pending_htlcs:
+            h = ch.pending_htlcs[pick % len(ch.pending_htlcs)]
+            if kind == "fulfil":
+                ch.fulfill_htlc(h.htlc_id, secrets[h.htlc_id])
+            else:
+                ch.fail_htlc(h.htlc_id)
+    assume(ch.commitment_number > 0)
+    n = data.draw(st.integers(0, ch.commitment_number - 1), label="revoked n")
+    cheater, honest = data.draw(st.sampled_from([(alice, bob), (bob, alice)]), label="cheater")
+    side = ch.side_of(cheater)
+    state = ch.recorded_states()[n]
+    mine = state.balance_a if side == "a" else state.balance_b
+    theirs = state.balance_b if side == "a" else state.balance_a
+    in_htlcs = sum(h.amount for h in state.htlcs)
+    # The cheater pays the commitment fee; justice pays one more.
+    assume(mine >= fee and mine - fee + in_htlcs > fee)
+
+    before = wallet(ledger, honest)
+    ch.unilateral_close(cheater, commitment_number=n)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.BREACHED
+    assert (ch.closed_by, ch.closed_commitment) == (side, n)
+    expected = []
+    if mine - fee > 0:
+        expected.append(("delayed", side, mine - fee, None))
+    if theirs > 0:
+        expected.append(("direct", ch.side_of(honest), theirs, None))
+    expected += [("htlc", h.offerer_side, h.amount, h) for h in state.htlcs]
+    assert [(o.kind, o.owner_side, o.amount, o.htlc) for o in ch.closed_outputs] == expected
+    for o in ch.closed_outputs:
+        assert ledger.utxo(o.outpoint).amount == o.amount
+
+    justice = txid(ch.punish_breach(honest))
+    mine_and_watch(ledger, ch)
+    revocable = [o for o in ch.closed_outputs if o.kind != "direct"]
+    assert revocable
+    assert all(ledger.spender_of(o.outpoint) == justice for o in revocable)
+    assert ch.phase is ChannelPhase.SETTLED
+    assert wallet(ledger, honest) == before + theirs + sum(o.amount for o in revocable) - fee
     assert conserved(ledger)

@@ -87,6 +87,17 @@ def test_validate_flags_unknown_section_and_bad_types():
     _, errors = validate_scenario(doc)
     assert any("wormholes" in e for e in errors)
     assert any("seed" in e and e.startswith("parse-error:") for e in errors)
+    # A dict source can carry keys JSON never produces; sorting them
+    # together with strings must not raise.
+    doc = minimal_doc()
+    doc[7] = 1
+    doc["chains"][0]["genesis"][8] = 1
+    doc["mining"] = {"main": 1, 9: 1}
+    scenario, errors = validate_scenario(doc)
+    assert scenario is None
+    assert "parse-error: document: key 7 is not a string" in errors
+    assert "parse-error: chains[0].genesis: key 8 is not a string" in errors
+    assert "parse-error: mining: key 9 is not a string" in errors
 
 
 def test_validate_unknown_references():
