@@ -6,6 +6,8 @@ from .quotes import AmountOverflow, RateQuote, backward_apply
 from .identity import NodeKey, verify_node_mac
 from .gossip import ChannelEndpoint, GossipState, LpAdvert, make_advert, verify_advert
 from .graph import (
+    FINAL_DELTA,
+    HOP_DELTA,
     ChannelGraph,
     Edge,
     HopSpec,
@@ -45,6 +47,8 @@ __all__ = [
     "Route",
     "HopSpec",
     "find_route",
+    "FINAL_DELTA",
+    "HOP_DELTA",
     "compute_hop_amounts",
     "NoRouteFound",
     "RouteTooLong",

@@ -34,6 +34,12 @@ class RouteTooLong(Exception):
 
 MAX_ROUTE_HOPS = 20
 
+# Expiry ladder, in blocks: the payee gets FINAL_DELTA blocks of safety
+# margin and every forwarder one HOP_DELTA step between its incoming and
+# outgoing HTLC.
+FINAL_DELTA = 6
+HOP_DELTA = 6
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -152,8 +158,6 @@ def find_route(
     *,
     required_hash_fn: Optional[HashFnId] = None,
     max_hops: int = MAX_ROUTE_HOPS,
-    final_delta: int = 6,
-    hop_delta: int = 6,
 ) -> Route:
     if amount_out < 1:
         raise ValueError("amount_out must be >= 1")
@@ -240,7 +244,7 @@ def find_route(
             asset=edge.asset,
             amount=amounts[i],
             fee=fees[i],
-            expiry_delta=final_delta + (count - 1 - i) * hop_delta,
+            expiry_delta=FINAL_DELTA + (count - 1 - i) * HOP_DELTA,
             quote=quotes_used[i],
         )
         for i, edge in enumerate(path)

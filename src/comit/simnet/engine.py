@@ -56,18 +56,17 @@ from ..crp import (
     GossipState,
     NoRouteFound,
     NodeKey,
+    OnionPacket,
     RateQuote,
     find_route,
     make_advert,
     onion_peel,
 )
 from ..crp.onion import OnionError
-from ..crp import OnionPacket
 from ..swap import (
     ForwardRejected,
     Invoice,
     RouteMismatch,
-    TimelockPolicy,
     check_delivery,
     check_forward,
     make_invoice,
@@ -77,8 +76,6 @@ from .scenario import PaymentSpec, Scenario
 
 # An HTLC this close to expiry (in blocks) goes on-chain.
 URGENT_BLOCKS = 2
-
-POLICY = TimelockPolicy()
 
 
 def derived_rng(seed: int, *parts) -> random.Random:
@@ -142,8 +139,6 @@ class PayRt:
     cost: int = 0
     invoice: Optional[Invoice] = None
     hops: list[HopLive] = field(default_factory=list)
-    packet: Optional[OnionPacket] = None
-    peeled: dict = field(default_factory=dict)  # hop index -> (payload, next packet)
     started_tick: int = -1
     resolved_tick: int = -1
 
@@ -619,42 +614,14 @@ class Engine:
             self._finish(p, "refunded", f"bad-route: {exc}")
             return
         p.cost = attempt.cost
-
-        rt = self._chan(route.hops[0].chain_id, spec.sender, first_hop_actor)
-        if rt is None or rt.channel.phase is not ChannelPhase.OPEN:
-            self._finish(p, "refunded", "no-channel")
-            return
-        gate = self._gate(spec.sender, first_hop_actor)
-        if gate is not None:
-            self._finish(p, "refunded", "peer-unavailable")
-            return
-        try:
-            htlc_id = rt.channel.add_htlc(
-                rt.parties[spec.sender],
-                attempt.cost,
-                invoice.hash_fn,
-                invoice.payment_hash,
-                attempt.expiries[0],
-            )
-        except (ChannelError, ValueError) as exc:
-            self._finish(p, "refunded", f"first-hop: {exc}")
-            return
-        hop = HopLive(
-            chan=rt,
-            htlc_id=htlc_id,
-            amount=attempt.cost,
-            expiry=attempt.expiries[0],
-            offerer=spec.sender,
-            receiver=first_hop_actor,
-            asset=route.hops[0].asset,
-            chain_id=route.hops[0].chain_id,
+        reason = self._offer(
+            p, spec.sender, first_hop_actor, route.hops[0].chain_id,
+            attempt.cost, attempt.expiries[0], attempt.packet,
         )
-        p.hops.append(hop)
-        self.hop_by_htlc[(rt.idx, htlc_id)] = (pidx, 0)
-        p.packet = attempt.packet
-        self._schedule(self.tick + 1, "hop-offer", pidx, 0)
+        if reason is not None:
+            self._finish(p, "refunded", reason)
 
-    def _ev_hop_offer(self, pidx: int, i: int) -> None:
+    def _ev_hop_offer(self, pidx: int, i: int, packet: OnionPacket) -> None:
         p = self.payments[pidx]
         if p.status != "pending" or p.hops[i].resolved:
             return
@@ -663,21 +630,19 @@ class Engine:
             return  # on-chain resolution has taken over
         if not self._online(hop.receiver):
             self._hit_faults(hop.receiver, "crash")
-            self._schedule(self._recovery(hop.receiver), "hop-offer", pidx, i)
+            self._schedule(self._recovery(hop.receiver), "hop-offer", pidx, i, packet)
             return
         recv = self.actors[hop.receiver]
 
-        if i not in p.peeled:
-            try:
-                p.peeled[i] = onion_peel(p.packet, recv.node_key)
-            except OnionError:
-                self._start_fail(p, i, "bad-onion")
-                return
-        payload, next_packet = p.peeled[i]
+        try:
+            payload, next_packet = onion_peel(packet, recv.node_key)
+        except OnionError:
+            self._start_fail(p, i, "bad-onion")
+            return
         height = self.ledgers[hop.chain_id].height
-        htlc = hop.chan.channel.htlc(hop.htlc_id)
 
         if payload.next_node is None:
+            htlc = hop.chan.channel.htlc(hop.htlc_id)
             invoice = recv.invoices.get(htlc.payment_hash)
             secret = recv.secrets.get(htlc.payment_hash)
             if invoice is None or secret is None:
@@ -707,46 +672,49 @@ class Engine:
             self._start_fail(p, i, "no-quote")
             return
         try:
-            check_forward(payload, hop.amount, hop.expiry, height, quote, POLICY)
+            check_forward(payload, hop.amount, hop.expiry, height, quote)
         except ForwardRejected as exc:
             self._start_fail(p, i, exc.reason)
-            return
-        rt = self._chan(payload.chain_id, hop.receiver, next_name)
-        if rt is None or rt.channel.phase is not ChannelPhase.OPEN:
-            self._start_fail(p, i, "no-channel")
-            return
-        gate = self._gate(next_name)
-        if gate is not None:
-            self._start_fail(p, i, "peer-unavailable")
             return
         # one block of propagation allowance: the next node inspects this
         # HTLC a tick later, after its chain may have mined once more
         out_expiry = self.ledgers[payload.chain_id].height + payload.expiry_delta + 1
+        reason = self._offer(
+            p, hop.receiver, next_name, payload.chain_id,
+            payload.amount_to_forward, out_expiry, next_packet,
+        )
+        if reason is not None:
+            self._start_fail(p, i, reason)
+
+    def _offer(
+        self, p: PayRt, offerer: str, receiver: str, chain_id: str,
+        amount: int, expiry: int, packet: OnionPacket,
+    ) -> Optional[str]:
+        """Add the payment's next HTLC and send `packet` along with it.
+
+        Returns why the offer could not be made, or None once the receiver's
+        hop-offer is scheduled."""
+        i = len(p.hops)
+        rt = self._chan(chain_id, offerer, receiver)
+        if rt is None or rt.channel.phase is not ChannelPhase.OPEN:
+            return "no-channel"
+        if self._gate(receiver) is not None:
+            return "peer-unavailable"
         try:
             htlc_id = rt.channel.add_htlc(
-                rt.parties[hop.receiver],
-                payload.amount_to_forward,
-                htlc.hash_fn,
-                htlc.payment_hash,
-                out_expiry,
+                rt.parties[offerer], amount, p.invoice.hash_fn,
+                p.invoice.payment_hash, expiry,
             )
         except (ChannelError, ValueError) as exc:
-            self._start_fail(p, i, f"forward: {exc}")
-            return
-        nxt = HopLive(
-            chan=rt,
-            htlc_id=htlc_id,
-            amount=payload.amount_to_forward,
-            expiry=out_expiry,
-            offerer=hop.receiver,
-            receiver=next_name,
-            asset=payload.asset,
-            chain_id=payload.chain_id,
-        )
-        p.hops.append(nxt)
-        self.hop_by_htlc[(rt.idx, htlc_id)] = (pidx, i + 1)
-        p.packet = next_packet
-        self._schedule(self.tick + 1, "hop-offer", pidx, i + 1)
+            return f"{'first-hop' if i == 0 else 'forward'}: {exc}"
+        p.hops.append(HopLive(
+            chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
+            offerer=offerer, receiver=receiver,
+            asset=self.chain_assets[chain_id], chain_id=chain_id,
+        ))
+        self.hop_by_htlc[(rt.idx, htlc_id)] = (p.idx, i)
+        self._schedule(self.tick + 1, "hop-offer", p.idx, i, packet)
+        return None
 
     def _start_fail(self, p: PayRt, i: int, reason: str) -> None:
         p.fail_reason = p.fail_reason or reason

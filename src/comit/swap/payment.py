@@ -1,30 +1,30 @@
-"""Turning a route into hop-by-hop HTLCs and driving them to settlement.
+"""Turning a route into hop-by-hop HTLC terms, and the per-hop admission rules.
 
-The per-hop admission rules live in check_forward / check_delivery so the
-same logic serves both the synchronous driver here and an event-driven
-harness. A forwarding node accepts an HTLC only if the sender priced it
-with the node's own advertised quote, the incoming amount covers the
-outgoing amount plus the node's margin, and the incoming expiry leaves at
-least one ladder step more headroom than the outgoing one. Expiries are
-absolute block heights on each hop's own chain.
+prepare_attempt fixes a payment attempt's amounts, expiries and onion;
+check_forward and check_delivery decide whether a node accepts an HTLC.
+The HTLCs themselves are offered, settled and failed by the event-driven
+simulator (`comit.simnet`), which calls these rules at every hop. A
+forwarding node accepts an HTLC only if the sender priced it with the
+node's own advertised quote, the incoming amount covers the outgoing amount
+plus the node's margin, and the incoming expiry leaves at least one
+HOP_DELTA step more headroom than the outgoing one. Expiries are absolute
+block heights on each hop's own chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
-from ..channels import Channel, ChannelParty
 from ..crp import (
+    HOP_DELTA,
     HopPayload,
-    NodeKey,
     OnionPacket,
     RateQuote,
     Route,
     backward_apply,
     compute_hop_amounts,
     onion_create,
-    onion_peel,
     payloads_for_route,
 )
 from .invoice import Invoice
@@ -45,19 +45,6 @@ class ForwardRejected(PaymentError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
         self.detail = detail
-
-
-@dataclass(frozen=True)
-class TimelockPolicy:
-    """Expiry ladder: the payee gets final_delta blocks of safety margin and
-    every forwarder one hop_delta step between incoming and outgoing."""
-
-    final_delta: int = 6
-    hop_delta: int = 6
-
-    def __post_init__(self) -> None:
-        if self.final_delta < 1 or self.hop_delta < 1:
-            raise ValueError("timelock deltas must be >= 1")
 
 
 def stack_expiries(route: Route, chain_heights: Mapping[str, int]) -> list[int]:
@@ -120,7 +107,6 @@ def check_forward(
     incoming_expiry: int,
     incoming_height: int,
     quote: Optional[RateQuote],
-    policy: TimelockPolicy,
 ) -> None:
     """Would an honest forwarder accept this? Raises ForwardRejected if not."""
     if payload.next_node is None:
@@ -133,11 +119,9 @@ def check_forward(
             "insufficient-margin", f"incoming {incoming_amount} < due {due}"
         )
     headroom = incoming_expiry - incoming_height
-    if headroom < payload.expiry_delta + policy.hop_delta:
-        raise ForwardRejected(
-            "expiry-too-tight",
-            f"{headroom} blocks left, need {payload.expiry_delta + policy.hop_delta}",
-        )
+    need = payload.expiry_delta + HOP_DELTA
+    if headroom < need:
+        raise ForwardRejected("expiry-too-tight", f"{headroom} blocks left, need {need}")
 
 
 def check_delivery(
@@ -165,121 +149,3 @@ def check_delivery(
         )
     if incoming_expiry <= incoming_height:
         raise ForwardRejected("expiry-too-tight", "already expired")
-
-
-@dataclass(frozen=True)
-class HopChannel:
-    """The channel carrying one hop, with each end's channel identity."""
-
-    channel: Channel
-    offerer: ChannelParty  # upstream side
-    receiver: ChannelParty  # downstream side
-
-
-@dataclass(frozen=True)
-class HopExecution:
-    node: bytes  # routing pubkey of the receiving end
-    chain_id: str
-    htlc_id: int
-    amount: int
-    expiry_height: int
-
-
-@dataclass
-class PaymentResult:
-    settled: bool
-    preimage: Optional[bytes] = None
-    failed_at: Optional[bytes] = None  # routing pubkey of the refusing node
-    reason: Optional[str] = None
-    executions: list[HopExecution] = field(default_factory=list)
-    fees_paid: int = 0
-
-
-def dispatch_payment(
-    attempt: PaymentAttempt,
-    hops: Sequence[HopChannel],
-    node_keys: Mapping[bytes, NodeKey],
-    quotes: Mapping[bytes, Mapping[tuple[str, str], RateQuote]],
-    secrets: Mapping[bytes, bytes],
-    policy: TimelockPolicy = TimelockPolicy(),
-    forward_gate: Optional[Callable[[bytes, HopPayload], Optional[str]]] = None,
-) -> PaymentResult:
-    """Drive an attempt hop by hop while everyone stays responsive.
-
-    `secrets` is the payee's store (payment_hash -> preimage); `forward_gate`
-    may return a refusal reason for a given (node, payload) to model an
-    uncooperative forwarder. A refusal fails the HTLCs back in order; the
-    sender only ever loses anything if the payment settles, and then exactly
-    the routed cost.
-    """
-    route = attempt.route
-    invoice = attempt.invoice
-    if len(hops) != len(route.hops):
-        raise ValueError("one HopChannel per route hop required")
-    for hop, hc in zip(route.hops, hops):
-        params = hc.channel.ledger.params
-        if params.chain_id != hop.chain_id or params.asset_id != hop.asset:
-            raise RouteMismatch(
-                f"channel on {params.chain_id}/{params.asset_id} cannot carry "
-                f"hop on {hop.chain_id}/{hop.asset}"
-            )
-
-    result = PaymentResult(settled=False)
-
-    def unwind(failed_at: bytes, reason: str) -> PaymentResult:
-        for ex, hc in zip(reversed(result.executions), reversed(hops[: len(result.executions)])):
-            hc.channel.fail_htlc(ex.htlc_id)
-        result.failed_at = failed_at
-        result.reason = reason
-        return result
-
-    packet: Optional[OnionPacket] = attempt.packet
-    carry_amount = attempt.amounts[0][0]
-    carry_expiry = attempt.expiries[0]
-
-    for i, (hop, hc) in enumerate(zip(route.hops, hops)):
-        htlc_id = hc.channel.add_htlc(
-            hc.offerer, carry_amount, invoice.hash_fn, invoice.payment_hash, carry_expiry
-        )
-        result.executions.append(
-            HopExecution(hop.node, hop.chain_id, htlc_id, carry_amount, carry_expiry)
-        )
-        payload, packet = onion_peel(packet, node_keys[hop.node])
-        height = hc.channel.ledger.height
-
-        if payload.next_node is None:
-            if i != len(route.hops) - 1:
-                return unwind(hop.node, "not-terminal")
-            try:
-                check_delivery(payload, invoice, carry_amount, carry_expiry, height)
-            except ForwardRejected as e:
-                return unwind(hop.node, e.reason)
-            preimage = secrets.get(invoice.payment_hash)
-            if preimage is None:
-                return unwind(hop.node, "unknown-payment")
-            for ex, back in zip(reversed(result.executions), reversed(hops)):
-                back.channel.fulfill_htlc(ex.htlc_id, preimage)
-            result.settled = True
-            result.preimage = preimage
-            result.fees_paid = attempt.cost - invoice.amount
-            return result
-
-        if i == len(route.hops) - 1:
-            return unwind(hop.node, "route-exhausted")
-        if forward_gate is not None:
-            refusal = forward_gate(hop.node, payload)
-            if refusal is not None:
-                return unwind(hop.node, refusal)
-        nxt = route.hops[i + 1]
-        quote = quotes.get(hop.node, {}).get((hop.asset, nxt.asset))
-        try:
-            check_forward(payload, carry_amount, carry_expiry, height, quote, policy)
-        except ForwardRejected as e:
-            return unwind(hop.node, e.reason)
-        if payload.next_node != nxt.node:
-            return unwind(hop.node, "wrong-next-node")
-        carry_amount = payload.amount_to_forward
-        # one block of propagation allowance so the next check is not
-        # already eroded by the block mined while the offer travels
-        carry_expiry = hops[i + 1].channel.ledger.height + payload.expiry_delta + 1
-    raise AssertionError("unreachable: onion must terminate on the last hop")

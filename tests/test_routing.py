@@ -58,9 +58,7 @@ def test_flat_fee_chain_totals():
 
 
 def test_expiry_ladder_decreases_toward_recipient():
-    route = find_route(
-        simple_graph(), nid("S"), nid("R"), 1000, "coin", final_delta=6, hop_delta=6
-    )
+    route = find_route(simple_graph(), nid("S"), nid("R"), 1000, "coin")
     assert [h.expiry_delta for h in route.hops] == [18, 12, 6]
 
 

@@ -300,8 +300,9 @@ def test_crash_delays_but_does_not_lose_payment():
     assert report["violations"] == []
 
 
-def test_drop_gossip_leaves_sender_without_routes():
-    doc = {
+def forward_doc() -> dict:
+    """ann pays beth 2000 coin through lp, which charges a fee of 1."""
+    return {
         "seed": 3,
         "max_ticks": 60,
         "chains": [
@@ -331,8 +332,13 @@ def test_drop_gossip_leaves_sender_without_routes():
             {"at_tick": 5, "sender": "ann", "recipient": "beth",
              "amount": 2000, "asset": "coin"}
         ],
-        "faults": [{"kind": "drop-gossip", "actor": "ann", "at_tick": 0}],
+        "faults": [],
     }
+
+
+def test_drop_gossip_leaves_sender_without_routes():
+    doc = forward_doc()
+    doc["faults"] = [{"kind": "drop-gossip", "actor": "ann", "at_tick": 0}]
     report = run_doc(doc)
     pay = report["payments"][0]
     assert pay["status"] == "refunded"
@@ -340,6 +346,26 @@ def test_drop_gossip_leaves_sender_without_routes():
     # without the fault the same payment settles
     doc["faults"] = []
     assert run_doc(doc)["payments"][0]["status"] == "settled"
+
+
+def test_crashed_forwarder_gets_the_requeued_hop_offer():
+    doc = forward_doc()
+    # A block every 3 ticks: none is mined while lp is down, so the delayed
+    # forward keeps the expiry headroom it had on time.
+    doc["chains"][0]["block_interval"] = 3
+    clean = run_doc(doc)["payments"][0]
+    assert clean["status"] == "settled"
+    # The first HTLC is offered at tick 5 and its hop-offer reaches lp at
+    # tick 6, when lp goes down; the offer, onion packet included, waits.
+    doc["faults"] = [{"kind": "crash", "actor": "lp", "at_tick": 6, "duration": 2}]
+    report = run_doc(doc)
+    pay = report["payments"][0]
+    assert pay["status"] == "settled" and pay["reason"] == "fulfilled"
+    assert pay["cost"] == clean["cost"] == 2001
+    assert pay["hops"] == 2
+    assert pay["resolved_tick"] > clean["resolved_tick"]
+    assert report["faults"][0]["applied"] >= 1
+    assert report["violations"] == []
 
 
 def test_broadcast_revoked_without_gain_is_a_noop():

@@ -1,20 +1,28 @@
-"""End-to-end hash-locked payments over real channels."""
+"""Payment terms, the hop admission rules, and payments priced by them.
+
+The HTLCs of a payment are driven by the simulator, so the end-to-end cases
+here run small line scenarios through `comit.simnet`."""
 
 from dataclasses import replace
 
 import pytest
 
-from comit.chainlab import ChainParams, HashFnId, Ledger, hash_digest
-from comit.channels import ChannelParty, open_channel
-from comit.crp import ChannelGraph, Edge, NodeKey, RateQuote, find_route
+from comit.chainlab import HashFnId, hash_digest
+from comit.crp import (
+    HOP_DELTA,
+    ChannelGraph,
+    Edge,
+    NodeKey,
+    RateQuote,
+    backward_apply,
+    find_route,
+)
+from comit.simnet import run_scenario, validate_scenario
 from comit.swap import (
     ForwardRejected,
-    HopChannel,
     RouteMismatch,
-    TimelockPolicy,
     check_delivery,
     check_forward,
-    dispatch_payment,
     make_invoice,
     prepare_attempt,
     stack_expiries,
@@ -25,44 +33,25 @@ S3 = HashFnId.SHA3_256
 
 
 class Line:
-    """A path of nodes joined by funded channels, one per hop.
+    """A sender's view of a path of nodes joined by one channel per hop.
 
     hops: list of (chain_id, asset, quote-for-receiving-node-or-None).
-    Node 0 is the sender; node i receives hop i.
+    Node 0 is the sender; node i receives hop i. Every chain is at height 0.
     """
 
     def __init__(self, rng, hops, fund=300_000, fns=frozenset({S256, S3})):
         self.rng = rng
-        self.node_keys = [NodeKey.generate(rng) for _ in range(len(hops) + 1)]
-        self.ids = [k.pubkey for k in self.node_keys]
-        parties = [(ChannelParty.generate(rng), ChannelParty.generate(rng)) for _ in hops]
-        genesis = {}
-        chain_asset = {}
-        for (chain_id, asset, _), (off, recv) in zip(hops, parties):
-            chain_asset.setdefault(chain_id, asset)
-            genesis.setdefault(chain_id, []).extend(
-                [(off.pubkey, 10**9), (recv.pubkey, 10**9)]
-            )
-        self.ledgers = {
-            chain_id: Ledger(ChainParams(chain_id, chain_asset[chain_id], fns), coins)
-            for chain_id, coins in genesis.items()
-        }
-        self.hop_channels = []
-        self.quotes = {}
-        edges = []
-        for i, ((chain_id, asset, quote), (off, recv)) in enumerate(zip(hops, parties)):
-            ch = open_channel(self.ledgers[chain_id], off, recv, fund, fund)
-            self.hop_channels.append(HopChannel(ch, off, recv))
-            edges.append(Edge(self.ids[i], self.ids[i + 1], chain_id, asset, fund))
+        self.ids = [NodeKey.generate(rng).pubkey for _ in range(len(hops) + 1)]
+        self.graph = ChannelGraph(
+            {chain_id: fns for chain_id, _, _ in hops},
+            [
+                Edge(self.ids[i], self.ids[i + 1], chain_id, asset, fund)
+                for i, (chain_id, asset, _) in enumerate(hops)
+            ],
+        )
+        for i, (_, _, quote) in enumerate(hops):
             if quote is not None:
-                self.quotes.setdefault(self.ids[i + 1], {})[
-                    (quote.asset_in, quote.asset_out)
-                ] = quote
-        chain_fns = {cid: led.params.hash_fns for cid, led in self.ledgers.items()}
-        self.graph = ChannelGraph(chain_fns, edges)
-        for node, table in self.quotes.items():
-            for q in table.values():
-                self.graph.add_quote(node, q)
+                self.graph.add_quote(self.ids[i + 1], quote)
 
     @property
     def sender(self):
@@ -73,36 +62,60 @@ class Line:
         return self.ids[-1]
 
     def heights(self):
-        return {cid: led.height for cid, led in self.ledgers.items()}
+        return {chain_id: 0 for chain_id in self.graph.chain_fns}
 
-    def keymap(self):
-        return {k.pubkey: k for k in self.node_keys}
 
-    def pay(self, invoice, secret, route=None, gate=None):
-        route = route or find_route(
-            self.graph,
-            self.sender,
-            self.recipient,
-            invoice.amount,
-            invoice.asset,
-            required_hash_fn=invoice.hash_fn,
-        )
-        attempt = prepare_attempt(invoice, route, self.heights(), self.rng)
-        result = dispatch_payment(
-            attempt,
-            self.hop_channels,
-            self.keymap(),
-            self.quotes,
-            {invoice.payment_hash: secret},
-            forward_gate=gate,
-        )
-        return attempt, result
+def run_line(fees, amount, self_fee=None):
+    """Pay `amount` coin from user ann to rey along a line of channels on one
+    chain, as a scenario. fees[k] is the flat coin->coin fee of forwarding
+    LP k + 1. With self_fee, rey is an LP quoting coin->coin to itself at
+    that flat fee; otherwise rey is a business."""
+    lps = [f"lp{k + 1}" for k in range(len(fees))]
+    names = ["ann", *lps, "rey"]
+    fee_of = dict(zip(lps, fees))
+    if self_fee is not None:
+        fee_of["rey"] = self_fee
+    doc = {
+        "seed": 5,
+        "max_ticks": 80,
+        "chains": [
+            {"chain_id": "main", "asset": "coin", "hash_fns": ["SHA256"],
+             "genesis": {name: 250_000 for name in names}}
+        ],
+        "actors": [
+            {"name": "ann", "kind": "user"},
+            *({"name": lp, "kind": "lp"} for lp in lps),
+            {"name": "rey", "kind": "business" if self_fee is None else "lp"},
+        ],
+        "channels": [
+            {"chain_id": "main", "party_a": a, "party_b": b,
+             "fund_a": 100_000, "fund_b": 100_000}
+            for a, b in zip(names, names[1:])
+        ],
+        "quotes": [
+            {"node": node, "asset_in": "coin", "asset_out": "coin",
+             "rate_num": 1, "rate_den": 1, "base_fee": fee, "fee_ppm": 0}
+            for node, fee in fee_of.items()
+        ],
+        "payments": [
+            {"at_tick": 10, "sender": "ann", "recipient": "rey",
+             "amount": amount, "asset": "coin"}
+        ],
+        "faults": [],
+    }
+    scenario, errors = validate_scenario(doc)
+    assert errors == [], errors
+    report = run_scenario(scenario)
+    assert report["violations"] == []
+    return report
 
-    def balances(self):
-        return [
-            (hc.channel.balance_of(hc.offerer), hc.channel.balance_of(hc.receiver))
-            for hc in self.hop_channels
-        ]
+
+def net_flows(report):
+    """Per actor: (settled in, settled out) in coin."""
+    return {
+        name: (info["settled_in"].get("coin", 0), info["settled_out"].get("coin", 0))
+        for name, info in report["actors"].items()
+    }
 
 
 def flat(base_fee):
@@ -134,116 +147,19 @@ def test_stack_expiries_uses_each_hops_chain_height(rng):
         stack_expiries(route, {"x": 100, "y": 100})
 
 
-def test_single_hop_settles(rng):
-    line = Line(rng, [("main", "coin", None)])
-    invoice, secret = make_invoice(rng, line.recipient, 10_000, "coin", S256)
-    before = line.balances()
-    attempt, result = line.pay(invoice, secret)
-    assert result.settled and result.preimage == secret
-    assert result.fees_paid == 0
-    after = line.balances()
-    assert after[0][0] == before[0][0] - 10_000
-    assert after[0][1] == before[0][1] + 10_000
-
-
-def test_three_hops_pay_each_forwarder_its_fee(rng):
-    line = Line(
-        rng,
-        [("main", "coin", flat(5)), ("main", "coin", flat(5)), ("main", "coin", None)],
-    )
-    invoice, secret = make_invoice(rng, line.recipient, 1000, "coin", S256)
-    before = line.balances()
-    attempt, result = line.pay(invoice, secret)
-    assert result.settled
-    assert [e.amount for e in result.executions] == [1010, 1005, 1000]
-    assert result.fees_paid == 10
-    after = line.balances()
-    deltas = [(a2 - a1, b2 - b1) for (a1, b1), (a2, b2) in zip(before, after)]
-    assert deltas == [(-1010, 1010), (-1005, 1005), (-1000, 1000)]
-    for (a, b), hc in zip(after, line.hop_channels):
-        assert a + b == hc.channel.capacity
-
-
-def test_cross_chain_conversion_settles(rng):
-    quote = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000)
-    line = Line(rng, [("x", "xcoin", quote), ("y", "ycoin", None)])
-    invoice, secret = make_invoice(rng, line.recipient, 10_000, "ycoin", S256)
-    before = line.balances()
-    attempt, result = line.pay(invoice, secret)
-    assert result.settled
-    assert [e.amount for e in result.executions] == [1010, 10_000]
-    assert [e.chain_id for e in result.executions] == ["x", "y"]
-    after = line.balances()
-    # the LP banks 1010 xcoin on one chain and parts with 10000 ycoin on the other
-    assert after[0][1] - before[0][1] == 1010
-    assert after[1][0] - before[1][0] == -10_000
-    assert result.fees_paid == attempt.cost - 10_000
-
-
-def test_refusal_unwinds_every_hop(rng):
-    line = Line(
-        rng,
-        [("main", "coin", flat(5)), ("main", "coin", flat(5)), ("main", "coin", None)],
-    )
-    invoice, secret = make_invoice(rng, line.recipient, 1000, "coin", S256)
-    before = line.balances()
-    refuser = line.ids[2]
-
-    def gate(node, payload):
-        return "refused" if node == refuser else None
-
-    attempt, result = line.pay(invoice, secret, gate=gate)
-    assert not result.settled
-    assert result.failed_at == refuser
-    assert result.reason == "refused"
-    assert line.balances() == before
-    assert all(hc.channel.pending_htlcs == () for hc in line.hop_channels)
-
-
-def test_missing_secret_unwinds(rng):
-    line = Line(rng, [("main", "coin", None)])
-    invoice, _ = make_invoice(rng, line.recipient, 500, "coin", S256)
-    before = line.balances()
-    route = find_route(line.graph, line.sender, line.recipient, 500, "coin")
-    attempt = prepare_attempt(invoice, route, line.heights(), line.rng)
-    result = dispatch_payment(attempt, line.hop_channels, line.keymap(), line.quotes, {})
-    assert not result.settled and result.reason == "unknown-payment"
-    assert line.balances() == before
-
-
-def test_requoted_forwarder_rejects(rng):
-    quote = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000)
-    line = Line(rng, [("x", "xcoin", quote), ("y", "ycoin", None)])
-    invoice, secret = make_invoice(rng, line.recipient, 10_000, "ycoin", S256)
-    route = find_route(line.graph, line.sender, line.recipient, 10_000, "ycoin")
-    # the LP re-prices after the route was built: stale pricing is refused
-    line.quotes[line.ids[1]][("xcoin", "ycoin")] = RateQuote(
-        "xcoin", "ycoin", 10, 1, fee_ppm=20_000
-    )
-    before = line.balances()
-    attempt, result = line.pay(invoice, secret, route=route)
-    assert not result.settled and result.reason == "quote-mismatch"
-    assert line.balances() == before
-
-
-def test_stale_expiry_headroom_rejected(rng):
-    quote = RateQuote("xcoin", "ycoin", 10, 1)
-    line = Line(rng, [("x", "xcoin", quote), ("y", "ycoin", None)])
-    invoice, secret = make_invoice(rng, line.recipient, 1000, "ycoin", S256)
-    route = find_route(line.graph, line.sender, line.recipient, 1000, "ycoin")
-    attempt = prepare_attempt(invoice, route, line.heights(), line.rng)
-    # expiries age past the propagation pad while the attempt waits
-    line.ledgers["x"].mine_blocks(2)
-    result = dispatch_payment(
-        attempt,
-        line.hop_channels,
-        line.keymap(),
-        line.quotes,
-        {invoice.payment_hash: secret},
-    )
-    assert not result.settled
-    assert result.reason == "expiry-too-tight"
-    assert result.failed_at == line.ids[1]
+def test_three_hops_pay_each_forwarder_its_fee():
+    report = run_line([5, 5], 1000)
+    pay = report["payments"][0]
+    assert pay["status"] == "settled" and pay["hops"] == 3
+    assert pay["cost"] == 1010
+    flows = net_flows(report)
+    assert flows == {
+        "ann": (0, 1010), "lp1": (1010, 1005), "lp2": (1005, 1000), "rey": (1000, 0)
+    }
+    # with free transactions the balances move by exactly the settled flows
+    for name, info in report["actors"].items():
+        gained = flows[name][0] - flows[name][1]
+        assert info["final"]["coin"] - info["initial"]["coin"] == gained
 
 
 def test_prepare_rejects_wrong_route(rng):
@@ -258,50 +174,56 @@ def test_prepare_rejects_wrong_route(rng):
         prepare_attempt(invoice2, route, line.heights(), line.rng)
 
 
-def test_recipient_self_quote_margin_lands_with_recipient(rng):
-    line = Line(rng, [("main", "coin", flat(3)), ("main", "coin", None)])
-    selfq = flat(7)
-    line.graph.add_quote(line.recipient, selfq)
-    invoice, secret = make_invoice(rng, line.recipient, 1000, "coin", S256)
-    before = line.balances()
-    attempt, result = line.pay(invoice, secret)
-    assert result.settled
-    assert [e.amount for e in result.executions] == [1010, 1007]
-    after = line.balances()
-    assert after[1][1] - before[1][1] == 1007  # invoice amount plus own margin
-    assert result.fees_paid == 10
+def test_recipient_self_quote_margin_lands_with_recipient():
+    report = run_line([3], 1000, self_fee=7)
+    pay = report["payments"][0]
+    assert pay["status"] == "settled" and pay["cost"] == 1010
+    # the hop into rey carries the invoice amount plus rey's own margin
+    assert net_flows(report)["rey"] == (1007, 0)
+    rey = report["actors"]["rey"]
+    assert rey["final"]["coin"] - rey["initial"]["coin"] == 1007
 
 
 def test_random_lines_settle_and_conserve(rng):
     for trial in range(6):
-        hop_count = rng.randint(1, 4)
-        hops = [
-            ("main", "coin", flat(rng.randint(0, 9)) if i < hop_count - 1 else None)
-            for i in range(hop_count)
-        ]
-        line = Line(rng, hops)
+        fees = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
         amount = rng.randint(100, 50_000)
-        invoice, secret = make_invoice(rng, line.recipient, amount, "coin", S256)
-        before = line.balances()
-        attempt, result = line.pay(invoice, secret)
-        assert result.settled, (trial, result.reason)
-        after = line.balances()
-        for (a1, b1), (a2, b2) in zip(before, after):
-            assert a1 + b1 == a2 + b2
+        report = run_line(fees, amount)
+        pay = report["payments"][0]
+        assert pay["status"] == "settled", (trial, pay["reason"])
+        assert pay["cost"] == amount + sum(fees)
+        flows = net_flows(report)
+        for name, info in report["actors"].items():
+            gained = flows[name][0] - flows[name][1]
+            assert info["final"]["coin"] - info["initial"]["coin"] == gained
         # sender pays exactly the quoted cost, the payee gains the amount
-        assert before[0][0] - after[0][0] == attempt.cost
-        assert after[-1][1] - before[-1][1] == amount
+        assert flows["ann"] == (0, pay["cost"])
+        assert flows["rey"] == (amount, 0)
 
 
 def test_check_helpers_reject_misuse(rng):
-    line = Line(rng, [("main", "coin", None)])
-    invoice, secret = make_invoice(rng, line.recipient, 1000, "coin", S256)
+    quote = flat(5)
+    line = Line(rng, [("main", "coin", quote), ("main", "coin", None)])
+    invoice, _ = make_invoice(rng, line.recipient, 1000, "coin", S256)
     route = find_route(line.graph, line.sender, line.recipient, 1000, "coin")
     attempt = prepare_attempt(invoice, route, line.heights(), line.rng)
-    terminal = attempt.payloads[-1]
-    policy = TimelockPolicy()
+    forward, terminal = attempt.payloads
+    due, _ = backward_apply(quote, forward.amount_to_forward)
+    need = forward.expiry_delta + HOP_DELTA
+    # priced with the forwarder's quote, margin covered, one ladder step spare
+    check_forward(forward, due, 1 + need, 1, quote)
     with pytest.raises(ForwardRejected, match="not-a-forward"):
-        check_forward(terminal, 1000, 50, 1, RateQuote.identity("coin"), policy)
+        check_forward(terminal, 1000, 50, 1, RateQuote.identity("coin"))
+    with pytest.raises(ForwardRejected, match="quote-mismatch"):
+        check_forward(forward, due, 50, 1, None)
+    # the LP re-priced after the route was built: stale pricing is refused
+    with pytest.raises(ForwardRejected, match="quote-mismatch"):
+        check_forward(forward, due, 50, 1, flat(6))
+    with pytest.raises(ForwardRejected, match="insufficient-margin"):
+        check_forward(forward, due - 1, 50, 1, quote)
+    # the incoming expiry aged past the ladder step while the offer waited
+    with pytest.raises(ForwardRejected, match="expiry-too-tight"):
+        check_forward(forward, due, need, 1, quote)
     with pytest.raises(ForwardRejected, match="amount-mismatch"):
         check_delivery(terminal, replace(invoice, amount=2000), 2000, 50, 1)
     with pytest.raises(ForwardRejected, match="wrong-asset"):
