@@ -201,6 +201,41 @@ def test_random_lines_settle_and_conserve(rng):
         assert flows["rey"] == (amount, 0)
 
 
+def cross_chain_attempt(rng, quote, amount):
+    """A fresh attempt paying `amount` ycoin through one LP converting xcoin
+    on chain x to ycoin on chain y with `quote`."""
+    line = Line(rng, [("x", "xcoin", quote), ("y", "ycoin", None)])
+    invoice, _ = make_invoice(rng, line.recipient, amount, "ycoin", S256)
+    route = find_route(line.graph, line.sender, line.recipient, amount, "ycoin")
+    return prepare_attempt(invoice, route, line.heights(), line.rng)
+
+
+def test_requoted_forwarder_rejects(rng):
+    quote = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000)
+    attempt = cross_chain_attempt(rng, quote, 10_000)
+    forward = attempt.payloads[0]
+    incoming = attempt.amounts[0][0]
+    expiry = attempt.expiries[0]
+    check_forward(forward, incoming, expiry, 0, quote)
+    # the LP re-prices after the route was built: stale pricing is refused
+    requoted = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=20_000)
+    with pytest.raises(ForwardRejected, match="quote-mismatch"):
+        check_forward(forward, incoming, expiry, 0, requoted)
+
+
+def test_stale_expiry_headroom_rejected(rng):
+    quote = RateQuote("xcoin", "ycoin", 10, 1)
+    attempt = cross_chain_attempt(rng, quote, 1000)
+    forward = attempt.payloads[0]
+    incoming = attempt.amounts[0][0]
+    expiry = attempt.expiries[0]
+    # the propagation pad absorbs the one block mined while the offer travels
+    check_forward(forward, incoming, expiry, 1, quote)
+    # expiries age past the propagation pad while the attempt waits
+    with pytest.raises(ForwardRejected, match="expiry-too-tight"):
+        check_forward(forward, incoming, expiry, 2, quote)
+
+
 def test_check_helpers_reject_misuse(rng):
     quote = flat(5)
     line = Line(rng, [("main", "coin", quote), ("main", "coin", None)])
@@ -216,14 +251,8 @@ def test_check_helpers_reject_misuse(rng):
         check_forward(terminal, 1000, 50, 1, RateQuote.identity("coin"))
     with pytest.raises(ForwardRejected, match="quote-mismatch"):
         check_forward(forward, due, 50, 1, None)
-    # the LP re-priced after the route was built: stale pricing is refused
-    with pytest.raises(ForwardRejected, match="quote-mismatch"):
-        check_forward(forward, due, 50, 1, flat(6))
     with pytest.raises(ForwardRejected, match="insufficient-margin"):
         check_forward(forward, due - 1, 50, 1, quote)
-    # the incoming expiry aged past the ladder step while the offer waited
-    with pytest.raises(ForwardRejected, match="expiry-too-tight"):
-        check_forward(forward, due, need, 1, quote)
     with pytest.raises(ForwardRejected, match="amount-mismatch"):
         check_delivery(terminal, replace(invoice, amount=2000), 2000, 50, 1)
     with pytest.raises(ForwardRejected, match="wrong-asset"):
