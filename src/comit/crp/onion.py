@@ -235,7 +235,8 @@ def _stream(key: bytes, n: int) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    assert len(a) == len(b), "xor of unequal lengths"
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def _hop_secrets(session_key: bytes, hop_pubkeys: Sequence[bytes]) -> tuple[list, list]:

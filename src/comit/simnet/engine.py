@@ -94,11 +94,12 @@ class ActorState:
     wallet: dict[str, KeyPair] = field(default_factory=dict)  # chain -> key
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     invoices: dict[bytes, Invoice] = field(default_factory=dict)
-    scan: dict[str, int] = field(default_factory=dict)  # chain -> scanned height
+    scan: dict[str, int] = field(default_factory=dict)  # chain -> revelations learned
     settled_in: dict[str, int] = field(default_factory=dict)
     settled_out: dict[str, int] = field(default_factory=dict)
     fees: dict[str, int] = field(default_factory=dict)  # asset -> fees authorized
-    crash_windows: list[tuple[int, int]] = field(default_factory=list)
+    channels: list[ChanRt] = field(default_factory=list)  # in channel-index order
+    faults: list[int] = field(default_factory=list)  # indices into Scenario.faults
     invoice_rng: Optional[random.Random] = None
 
     def bump(self, counter: dict[str, int], asset: str, amount: int) -> None:
@@ -114,6 +115,9 @@ class ChanRt:
     parties: dict[str, ChannelParty]
     spent: set = field(default_factory=set)  # outpoints already targeted
 
+    def peer(self, name: str) -> str:
+        return self.names[0] if self.names[1] == name else self.names[1]
+
 
 @dataclass
 class HopLive:
@@ -123,8 +127,6 @@ class HopLive:
     expiry: int
     offerer: str
     receiver: str
-    asset: str
-    chain_id: str
     resolved: str = ""  # fulfilled|failed|claimed|refunded|justice
     scheduled: bool = False
 
@@ -167,8 +169,9 @@ class Engine:
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
         self.pending_txs: dict[bytes, _TxMeta] = {}
-        # public on-chain preimage revelations: chain -> [(height, hash, preimage)]
-        self.revealed: dict[str, list[tuple[int, bytes, bytes]]] = {}
+        # public on-chain preimage revelations, in confirmation order:
+        # chain -> [(hash, preimage)]
+        self.revealed: dict[str, list[tuple[bytes, bytes]]] = {}
         self.gossip_converged_tick = -1
         self._build_world()
 
@@ -215,6 +218,7 @@ class Engine:
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
             self.revealed[c.chain_id] = []
+        self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
         for q in sc.quotes:
@@ -256,6 +260,9 @@ class Engine:
                 parties={spec.party_a: pa, spec.party_b: pb},
             )
             self.channels.append(rt)
+            self.chans_on[spec.chain_id].append(rt)
+            self.actors[spec.party_a].channels.append(rt)
+            self.actors[spec.party_b].channels.append(rt)
             a, b = sorted((spec.party_a, spec.party_b))
             self.chan_between[(spec.chain_id, a, b)] = rt
             # the funding tx fee is authorized by party_a
@@ -263,9 +270,10 @@ class Engine:
             self.actors[spec.party_a].bump(
                 self.actors[spec.party_a].fees, asset, ledger.params.tx_fee
             )
-        for name in self.actors:
-            for cid in self.ledgers:
-                self.actors[name].scan[cid] = self.ledgers[cid].height
+        for actor in self.actors.values():
+            actor.scan = {cid: 0 for cid in self.ledgers}
+        for i, f in enumerate(sc.faults):
+            self.actors[f.actor].faults.append(i)
 
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
         self.hop_by_htlc: dict[tuple[int, int], tuple[int, int]] = {}
@@ -279,34 +287,27 @@ class Engine:
     def _note(self, metric: str, n: int = 1) -> None:
         self.metrics[metric] = self.metrics.get(metric, 0) + n
 
+    def _active(self, name: str, kind: str, tick: Optional[int] = None) -> list[int]:
+        """Indices of `name`'s `kind` faults whose window holds `tick` (now)."""
+        t = self.tick if tick is None else tick
+        faults = self.sc.faults
+        return [
+            i for i in self.actors[name].faults
+            if faults[i].kind == kind and faults[i].at_tick <= t < faults[i].until_tick
+        ]
+
     def _hit_faults(self, name: str, kind: str) -> None:
-        for i, f in enumerate(self.sc.faults):
-            if f.actor == name and f.kind == kind and f.at_tick <= self.tick < f.until_tick:
-                self.fault_hits[i] += 1
+        for i in self._active(name, kind):
+            self.fault_hits[i] += 1
 
     def _online(self, name: str, tick: Optional[int] = None) -> bool:
-        t = self.tick if tick is None else tick
-        return not any(a <= t < b for a, b in self.actors[name].crash_windows)
+        return not self._active(name, "crash", tick)
 
     def _recovery(self, name: str) -> int:
         t = self.tick
-        while not self._online(name, t):
-            t = max(b for a, b in self.actors[name].crash_windows if a <= t < b)
+        while crashes := self._active(name, "crash", t):
+            t = max(self.sc.faults[i].until_tick for i in crashes)
         return t
-
-    def _fault_active(self, name: str, kind: str) -> bool:
-        return any(
-            f.actor == name and f.kind == kind and f.at_tick <= self.tick < f.until_tick
-            for f in self.sc.faults
-        )
-
-    def _stall_until(self, name: str) -> int:
-        return min(
-            f.until_tick
-            for f in self.sc.faults
-            if f.actor == name and f.kind == "stall-secret"
-            and f.at_tick <= self.tick < f.until_tick
-        )
 
     def _gate(self, *names: str) -> Optional[int]:
         """Can these actors exchange messages right now?
@@ -332,10 +333,11 @@ class Engine:
         if retry is not None:
             return retry
         for n in names:
-            if self._fault_active(n, "stall-secret"):
+            stalls = self._active(n, "stall-secret")
+            if stalls:
                 self._hit_faults(n, "stall-secret")
                 self._note("stall_blocks")
-                until = self._stall_until(n)
+                until = min(self.sc.faults[i].until_tick for i in stalls)
                 if until >= self.sc.max_ticks:
                     return -1
                 retry = max(retry or 0, until)
@@ -363,14 +365,24 @@ class Engine:
         p.reason = reason
         p.resolved_tick = self.tick
 
+    def _resolve_hop(self, p: PayRt, i: int, outcome: str, reason: str) -> None:
+        """Record how hop i ended. A fulfilled or claimed hop moves its
+        amount from offerer to receiver; hop 0 ends the payment."""
+        hop = p.hops[i]
+        hop.resolved = outcome
+        settled = outcome in ("fulfilled", "claimed")
+        if settled:
+            asset = self.chain_assets[hop.chan.chain_id]
+            recv, off = self.actors[hop.receiver], self.actors[hop.offerer]
+            recv.bump(recv.settled_in, asset, hop.amount)
+            off.bump(off.settled_out, asset, hop.amount)
+        if i == 0:
+            self._finish(p, "settled" if settled else "refunded", reason)
+
     # --- run loop ---------------------------------------------------------------
 
     def run(self) -> None:
         sc = self.sc
-        for a in sc.actors:
-            for f in sc.faults:
-                if f.kind == "crash" and f.actor == a.name:
-                    self.actors[a.name].crash_windows.append((f.at_tick, f.until_tick))
         self._bootstrap_gossip()
         for i, p in enumerate(sc.payments):
             self._schedule(p.at_tick, "payment-start", i)
@@ -419,18 +431,14 @@ class Engine:
             actor = self.actors[name]
             if actor.kind != "lp":
                 continue
-            endpoints = []
-            for rt in self.channels:
-                if name not in rt.names:
-                    continue
-                peer = rt.names[0] if rt.names[1] == name else rt.names[1]
-                endpoints.append(
-                    ChannelEndpoint(
-                        chain_id=rt.chain_id,
-                        peer=self.actors[peer].node_key.pubkey,
-                        capacity=rt.channel.balance_of(rt.parties[name]),
-                    )
+            endpoints = [
+                ChannelEndpoint(
+                    chain_id=rt.chain_id,
+                    peer=self.actors[rt.peer(name)].node_key.pubkey,
+                    capacity=rt.channel.balance_of(rt.parties[name]),
                 )
+                for rt in actor.channels
+            ]
             quotes = [
                 self.quote_table[name][pair]
                 for pair in sorted(self.quote_table.get(name, {}))
@@ -445,7 +453,7 @@ class Engine:
                 continue
             skip = False
             for n in (a, b):
-                if self._fault_active(n, "drop-gossip"):
+                if self._active(n, "drop-gossip"):
                     self._hit_faults(n, "drop-gossip")
                     self._note("gossip_drops")
                     skip = True
@@ -475,34 +483,28 @@ class Engine:
             if self.tick % self.intervals[cid] != 0:
                 continue
             summary = self.ledgers[cid].mine_blocks(1)[0]
-            for rt in self.channels:
-                if rt.chain_id == cid:
-                    rt.channel.process_block(summary)
+            for rt in self.chans_on[cid]:
+                rt.channel.process_block(summary)
             for tx_id in summary.txids:
                 meta = self.pending_txs.pop(tx_id, None)
                 if meta is not None:
-                    self._confirmed(meta, summary.height)
+                    self._confirmed(meta)
 
-    def _confirmed(self, meta: _TxMeta, height: int) -> None:
+    def _confirmed(self, meta: _TxMeta) -> None:
         actor = self.actors[meta.actor]
         asset = self.chain_assets[meta.chain_id]
         if meta.fee:
             actor.bump(actor.fees, asset, meta.fee)
         if meta.kind == "claim":
-            self.revealed[meta.chain_id].append((height, meta.payment_hash, meta.preimage))
+            self.revealed[meta.chain_id].append((meta.payment_hash, meta.preimage))
             self._resolve_onchain(meta, "claimed")
         elif meta.kind == "refund":
             self._resolve_onchain(meta, "refunded")
         elif meta.kind == "justice":
-            rt = self.channels[meta.chan_idx]
-            for (cidx, htlc_id), (pidx, i) in sorted(self.hop_by_htlc.items()):
-                if cidx != meta.chan_idx:
-                    continue
-                hop = self.payments[pidx].hops[i]
-                if not hop.resolved:
-                    hop.resolved = "justice"
-                    if i == 0:
-                        self._finish(self.payments[pidx], "refunded", "breach-punished")
+            for (cidx, _), (pidx, i) in sorted(self.hop_by_htlc.items()):
+                p = self.payments[pidx]
+                if cidx == meta.chan_idx and not p.hops[i].resolved:
+                    self._resolve_hop(p, i, "justice", "breach-punished")
 
     def _resolve_onchain(self, meta: _TxMeta, outcome: str) -> None:
         key = (meta.chan_idx, meta.htlc_id)
@@ -510,20 +512,10 @@ class Engine:
             return
         pidx, i = self.hop_by_htlc[key]
         p = self.payments[pidx]
-        hop = p.hops[i]
-        if hop.resolved:
+        if p.hops[i].resolved:
             return
-        hop.resolved = outcome
-        if outcome == "claimed":
-            recv = self.actors[hop.receiver]
-            off = self.actors[hop.offerer]
-            recv.bump(recv.settled_in, hop.asset, hop.amount)
-            off.bump(off.settled_out, hop.asset, hop.amount)
-            if i == 0:
-                self._finish(p, "settled", "claimed-on-chain")
-        else:
-            if i == 0:
-                self._finish(p, "refunded", p.fail_reason or "expired")
+        reason = "claimed-on-chain" if outcome == "claimed" else p.fail_reason or "expired"
+        self._resolve_hop(p, i, outcome, reason)
 
     # --- event handlers -----------------------------------------------------------
 
@@ -573,14 +565,13 @@ class Engine:
         graph = ChannelGraph.from_adverts(
             sender.gossip.advert_set(), self.chain_fns, self.chain_assets
         )
-        for rt in self.channels:
-            if spec.sender not in rt.names or rt.channel.phase is not ChannelPhase.OPEN:
+        for rt in sender.channels:
+            if rt.channel.phase is not ChannelPhase.OPEN:
                 continue
-            peer = rt.names[0] if rt.names[1] == spec.sender else rt.names[1]
             graph.add_edge(
                 Edge(
                     src=sender.node_key.pubkey,
-                    dst=self.actors[peer].node_key.pubkey,
+                    dst=self.actors[rt.peer(spec.sender)].node_key.pubkey,
                     chain_id=rt.chain_id,
                     asset=self.chain_assets[rt.chain_id],
                     capacity=rt.channel.balance_of(rt.parties[spec.sender]),
@@ -639,7 +630,8 @@ class Engine:
         except OnionError:
             self._start_fail(p, i, "bad-onion")
             return
-        height = self.ledgers[hop.chain_id].height
+        in_chain = hop.chan.chain_id
+        height = self.ledgers[in_chain].height
 
         if payload.next_node is None:
             htlc = hop.chan.channel.htlc(hop.htlc_id)
@@ -658,7 +650,7 @@ class Engine:
             return
 
         # forward
-        if self._fault_active(hop.receiver, "refuse-forward"):
+        if self._active(hop.receiver, "refuse-forward"):
             self._hit_faults(hop.receiver, "refuse-forward")
             self._note("refusals")
             self._start_fail(p, i, "refused-forward")
@@ -667,7 +659,9 @@ class Engine:
         if next_name is None:
             self._start_fail(p, i, "unknown-next-node")
             return
-        quote = self.quote_table.get(hop.receiver, {}).get((hop.asset, payload.asset))
+        quote = self.quote_table.get(hop.receiver, {}).get(
+            (self.chain_assets[in_chain], payload.asset)
+        )
         if quote is None:
             self._start_fail(p, i, "no-quote")
             return
@@ -710,7 +704,6 @@ class Engine:
         p.hops.append(HopLive(
             chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
             offerer=offerer, receiver=receiver,
-            asset=self.chain_assets[chain_id], chain_id=chain_id,
         ))
         self.hop_by_htlc[(rt.idx, htlc_id)] = (p.idx, i)
         self._schedule(self.tick + 1, "hop-offer", p.idx, i, packet)
@@ -747,13 +740,8 @@ class Engine:
             hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
         except ChannelError:
             return
-        hop.resolved = "fulfilled"
-        off = self.actors[hop.offerer]
-        recv.bump(recv.settled_in, hop.asset, hop.amount)
-        off.bump(off.settled_out, hop.asset, hop.amount)
-        off.secrets[p.invoice.payment_hash] = preimage
-        if i == 0:
-            self._finish(p, "settled", "fulfilled")
+        self.actors[hop.offerer].secrets[p.invoice.payment_hash] = preimage
+        self._resolve_hop(p, i, "fulfilled", "fulfilled")
 
     def _ev_fail_hop(self, pidx: int, i: int) -> None:
         p = self.payments[pidx]
@@ -773,9 +761,7 @@ class Engine:
             hop.chan.channel.fail_htlc(hop.htlc_id)
         except ChannelError:
             return
-        hop.resolved = "failed"
-        if i == 0:
-            self._finish(p, "refunded", p.fail_reason or "failed")
+        self._resolve_hop(p, i, "failed", p.fail_reason or "failed")
 
     def _ev_close(self, cidx: int) -> None:
         spec = self.sc.closes[cidx]
@@ -803,7 +789,7 @@ class Engine:
         candidates = (
             [self.channels[fault.channel]]
             if fault.channel is not None
-            else [rt for rt in self.channels if cheater in rt.names]
+            else self.actors[cheater].channels
         )
         best: Optional[tuple[int, ChanRt, int]] = None
         for rt in candidates:
@@ -840,11 +826,10 @@ class Engine:
             if not self._online(name):
                 continue
             for cid in sorted(self.ledgers):
-                height = self.ledgers[cid].height
-                for h, payment_hash, preimage in self.revealed[cid]:
-                    if actor.scan[cid] < h <= height:
-                        actor.secrets.setdefault(payment_hash, preimage)
-                actor.scan[cid] = height
+                revealed = self.revealed[cid]
+                for payment_hash, preimage in revealed[actor.scan[cid]:]:
+                    actor.secrets.setdefault(payment_hash, preimage)
+                actor.scan[cid] = len(revealed)
 
     def _cascade(self) -> None:
         """Propagate hop resolutions upstream, whatever mix of cooperative
@@ -877,8 +862,8 @@ class Engine:
             if not self._online(name):
                 continue
             actor = self.actors[name]
-            for rt in self.channels:
-                if name not in rt.names or rt.channel.phase is not ChannelPhase.OPEN:
+            for rt in actor.channels:
+                if rt.channel.phase is not ChannelPhase.OPEN:
                     continue
                 party = rt.parties[name]
                 side = rt.channel.side_of(party)
@@ -904,10 +889,8 @@ class Engine:
             if not self._online(name):
                 continue
             actor = self.actors[name]
-            stalling = self._fault_active(name, "stall-secret")
-            for rt in self.channels:
-                if name not in rt.names:
-                    continue
+            stalling = bool(self._active(name, "stall-secret"))
+            for rt in actor.channels:
                 ch = rt.channel
                 if ch.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED):
                     continue
@@ -993,9 +976,7 @@ class Engine:
                 )
             funding_value = 0
             channel_value = 0
-            for rt in self.channels:
-                if rt.chain_id != cid:
-                    continue
+            for rt in self.chans_on[cid]:
                 ch = rt.channel
                 if not led.is_unspent(ch.funding_outpoint):
                     continue
@@ -1030,9 +1011,7 @@ class Engine:
             led = self.ledgers[cid]
             asset = self.chain_assets[cid]
             add(asset, sum(a for _, a in led.spendable_by(actor.wallet[cid].pubkey)))
-        for rt in self.channels:
-            if name not in rt.names:
-                continue
+        for rt in actor.channels:
             asset = self.chain_assets[rt.chain_id]
             led = self.ledgers[rt.chain_id]
             if led.is_unspent(rt.channel.funding_outpoint):

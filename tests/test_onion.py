@@ -24,7 +24,7 @@ from comit.crp import (
     onion_peel,
     payloads_for_route,
 )
-from comit.crp.onion import decode_payload, encode_payload
+from comit.crp.onion import _xor, decode_payload, encode_payload
 
 from conftest import GOLDEN
 
@@ -207,3 +207,12 @@ def test_frozen_wire_vectors():
         _, packet = onion_peel(packet, key)
         wires.append(packet.serialize().hex())
     assert wires == lines
+
+
+def test_xor_matches_bytewise_reference(seeded):
+    rng = seeded(0x0C0)
+    for n in (0, 1, 32, 168, 3360, 3528):
+        a, b = rng.randbytes(n), rng.randbytes(n)
+        assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+    # leading zero bytes survive the integer round trip
+    assert _xor(b"\x00\x01", b"\x00\x03") == b"\x00\x02"

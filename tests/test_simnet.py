@@ -288,6 +288,20 @@ def test_stall_secret_forces_on_chain_resolution():
     assert ann["final"]["coin"] + ann["fees_authorized"]["coin"] == 50000
     assert report["violations"] == []
 
+    # Two overlapping stalls: the settle waits for the shorter one to end,
+    # then for the longer one; the HTLC nears expiry first, ann closes, the
+    # stalling lp does not claim on-chain, and ann refunds.
+    doc["faults"] = [
+        {"kind": "stall-secret", "actor": "lp", "at_tick": 3, "until_tick": 12},
+        {"kind": "stall-secret", "actor": "lp", "at_tick": 4, "until_tick": 8},
+    ]
+    report = run_doc(doc)
+    pay = report["payments"][0]
+    assert (pay["status"], pay["reason"]) == ("refunded", "expired")
+    assert report["metrics"]["stall_blocks"] == 2
+    assert [f["applied"] for f in report["faults"]] == [3, 1]
+    assert report["violations"] == []
+
 
 def test_crash_delays_but_does_not_lose_payment():
     doc = minimal_doc()
@@ -297,6 +311,16 @@ def test_crash_delays_but_does_not_lose_payment():
     assert pay["status"] == "settled"
     assert pay["resolved_tick"] >= 7  # could not finish before recovery
     assert report["faults"][0]["applied"] >= 1
+    assert report["violations"] == []
+
+    # A second crash window, 6-11, overlaps the first, 3-7: the payment
+    # waits through both, and only the window active at tick 4 is hit.
+    doc["faults"].append({"kind": "crash", "actor": "lp", "at_tick": 6, "duration": 5})
+    report = run_doc(doc)
+    pay = report["payments"][0]
+    assert pay["status"] == "settled"
+    assert pay["started_tick"] == 11
+    assert [f["applied"] for f in report["faults"]] == [1, 0]
     assert report["violations"] == []
 
 
