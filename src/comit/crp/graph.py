@@ -6,22 +6,42 @@ asset into the next hop's asset), and the final hop applies the
 recipient's self-pair quote when it advertises one, an identity/zero-fee
 quote otherwise.
 
-Because conversion rates can shrink an amount as a path grows, path cost
-is not monotone in path length and shortest-path relaxations are unsound
-here. find_route therefore enumerates simple paths depth-first from the
-recipient with exact pruning (hash-function intersection emptiness, edge
-capacity, the 64-bit amount cap, the hop cap) and returns the admissible
-path minimizing (cost, hop count, lexicographic node ids).
+A path is admissible when every forwarder quotes its conversion, the hash
+functions of its chains intersect (and hold required_hash_fn, if given),
+no amount leaves the 64-bit range or exceeds its edge's capacity, and it
+has at most max_hops hops. find_route returns the admissible simple path
+least in the total order (cost, hop count, receiving nodes from the first
+hop on, chain ids read from the recipient back). The last component only
+orders paths through the same nodes over parallel channels; it is the
+order in which a depth-first walk back from the recipient over the sorted
+edges_into lists would meet them.
+
+A conversion rate can shrink an amount, so cost is not monotone in path
+length and shortest-path relaxation is unsound. The search is best-first
+instead: it grows partial paths backward from the recipient, takes them in
+order of a lower bound on the (cost, hops) of any completion, and stops
+once that bound passes the best complete path. The bound prices assets.
+Given prices p > 0 with rate_num/rate_den <= p_in/p_out for every quote in
+the graph, backward_apply never lowers amount * p: the exact conversion
+keeps it and the ceilings and fees only raise it. A partial path whose
+first hop carries `amount` of `asset` therefore completes at a cost of at
+least amount * p(asset) / max(p). price_vector finds such prices exactly;
+they exist unless a cycle of quotes multiplies an amount by more than 1.
+Without them the bound is 0 and the same loop takes every admissible path.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import insort
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from fractions import Fraction
+from itertools import count
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..chainlab import HashFnId
 from .gossip import LpAdvert
-from .quotes import AmountOverflow, RateQuote, backward_apply
+from .quotes import AmountOverflow, RateQuote, backward_apply, ceil_div
 
 
 class NoRouteFound(Exception):
@@ -89,6 +109,37 @@ class Route:
         return tuple(h.node for h in self.hops)
 
 
+def _edge_order(edge: Edge) -> tuple[bytes, str, str]:
+    return (edge.src, edge.chain_id, edge.asset)
+
+
+def price_vector(quotes: Iterable[RateQuote]) -> Optional[dict[str, Fraction]]:
+    """Exact prices p, the largest 1, for the assets the quotes name, with
+    rate_num/rate_den <= p[asset_in]/p[asset_out] for every quote.
+
+    None when there are none, which is when some cycle of quotes
+    multiplies an amount by more than 1. Bellman-Ford over assets, in
+    products rather than sums: each quote lets p[asset_out] fall to
+    p[asset_in] / rate, and a relaxation still pending after one round per
+    asset can only come from such a cycle.
+    """
+    rates: dict[tuple[str, str], Fraction] = {}
+    for q in quotes:
+        pair = (q.asset_in, q.asset_out)
+        rates[pair] = max(rates.get(pair, 0), Fraction(q.rate_num, q.rate_den))
+    prices = {asset: Fraction(1) for pair in rates for asset in pair}
+    for _ in range(len(prices) + 1):
+        settled = True
+        for (asset_in, asset_out), rate in rates.items():
+            if prices[asset_out] > prices[asset_in] / rate:
+                prices[asset_out] = prices[asset_in] / rate
+                settled = False
+        if settled:
+            top = max(prices.values(), default=Fraction(1))
+            return {asset: p / top for asset, p in prices.items()}
+    return None
+
+
 class ChannelGraph:
     def __init__(
         self,
@@ -98,6 +149,8 @@ class ChannelGraph:
     ):
         self.chain_fns = dict(chain_fns)
         self._edges: dict[tuple[bytes, bytes, str], Edge] = {}
+        # dst -> the edges into it, in _edge_order
+        self._into: dict[bytes, list[Edge]] = {}
         self.quotes: dict[bytes, dict[tuple[str, str], RateQuote]] = {}
         if quotes:
             for node in quotes:
@@ -107,15 +160,20 @@ class ChannelGraph:
 
     def add_edge(self, edge: Edge) -> None:
         """Insert or replace the edge for (src, dst, chain)."""
-        self._edges[(edge.src, edge.dst, edge.chain_id)] = edge
+        key = (edge.src, edge.dst, edge.chain_id)
+        into = self._into.setdefault(edge.dst, [])
+        if key in self._edges:
+            into.remove(self._edges[key])
+        self._edges[key] = edge
+        insort(into, edge, key=_edge_order)
 
     def add_quote(self, node: bytes, quote: RateQuote) -> None:
         self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
 
     def edges_into(self, node: bytes) -> list[Edge]:
-        found = [e for e in self._edges.values() if e.dst == node]
-        found.sort(key=lambda e: (e.src, e.chain_id, e.asset))
-        return found
+        """The edges into `node`, sorted by (src, chain_id, asset). The list
+        is the graph's own index: read it, do not change it."""
+        return self._into.get(node, [])
 
     def node_quote(self, node: bytes, asset_in: str, asset_out: str) -> Optional[RateQuote]:
         return self.quotes.get(node, {}).get((asset_in, asset_out))
@@ -149,6 +207,30 @@ class ChannelGraph:
         return graph
 
 
+class _Partial(NamedTuple):
+    """A path grown backward from the recipient; `edge` is its first hop.
+
+    The root, with no edge, is the empty path at the recipient."""
+
+    head: bytes  # the node the path starts from
+    edge: Optional[Edge]
+    amount: int  # what the first hop carries
+    fee: int
+    quote: RateQuote
+    fns: frozenset  # hash functions every chain of the path offers
+    visited: frozenset
+    length: int
+    rest: Optional["_Partial"]  # the path after the first hop
+
+    def hops(self) -> list["_Partial"]:
+        """The path's hops, first to last, each as the path it starts."""
+        out, path = [], self
+        while path.edge is not None:
+            out.append(path)
+            path = path.rest
+        return out
+
+
 def find_route(
     graph: ChannelGraph,
     sender: bytes,
@@ -169,85 +251,72 @@ def find_route(
     self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
         asset_out
     )
+    prices = price_vector(q for table in graph.quotes.values() for q in table.values())
+    # No quote constrains an unquoted asset, so it takes the top price, 1.
+    # Without a price vector every price is 0, and so is the bound.
+    unquoted = Fraction(0) if prices is None else Fraction(1)
+    prices = prices or {}
+
     best: Optional[tuple] = None
-
-    def consider(path, amounts, fees, quotes_used):
-        nonlocal best
-        key = (amounts[0], len(path), tuple(e.dst for e in path))
-        if best is None or key < best[0]:
-            best = (key, tuple(path), tuple(amounts), tuple(fees), tuple(quotes_used))
-
-    def extend(head, path, amounts, fees, quotes_used, fn_set, visited):
-        if head == sender:
-            consider(path, amounts, fees, quotes_used)
-            return
-        if len(path) >= max_hops:
-            return
-        first_asset = path[0].asset
+    best_path: Optional[_Partial] = None
+    root = _Partial(recipient, None, amount_out, 0, self_quote, frozenset(HashFnId),
+                    frozenset(), 0, None)
+    heap: list = [((0, 0), 0, root)]
+    order = count(1)
+    while heap:
+        bound, _, path = heapq.heappop(heap)
+        if best is not None and bound > best[:2]:
+            break
+        head = path.head
         for edge in graph.edges_into(head):
-            if edge.src in visited:
+            if edge.src in path.visited:
                 continue
-            quote = graph.node_quote(head, edge.asset, first_asset)
+            if path.edge is None:
+                quote = self_quote if edge.asset == asset_out else None
+            else:
+                quote = graph.node_quote(head, edge.asset, path.edge.asset)
             if quote is None:
                 continue
-            fns = fn_set & graph.chain_fns.get(edge.chain_id, frozenset())
+            fns = path.fns & graph.chain_fns.get(edge.chain_id, frozenset())
             if not fns or (required_hash_fn is not None and required_hash_fn not in fns):
                 continue
             try:
-                amount, fee = backward_apply(quote, amounts[0])
+                amount, fee = backward_apply(quote, path.amount)
             except AmountOverflow:
                 continue
             if amount > edge.capacity:
                 continue
-            extend(
-                edge.src,
-                [edge] + path,
-                [amount] + amounts,
-                [fee] + fees,
-                [quote] + quotes_used,
-                fns,
-                visited | {edge.src},
-            )
+            grown = _Partial(edge.src, edge, amount, fee, quote, fns,
+                             path.visited | {head, edge.src}, path.length + 1, path)
+            if edge.src == sender:
+                hops = grown.hops()
+                key = (amount, grown.length, tuple(h.edge.dst for h in hops),
+                       tuple(h.edge.chain_id for h in reversed(hops)))
+                if best is None or key < best:
+                    best, best_path = key, grown
+            elif grown.length < max_hops:
+                price = prices.get(edge.asset, unquoted)
+                bound = (ceil_div(amount * price.numerator, price.denominator),
+                         grown.length + 1)
+                if best is None or bound <= best[:2]:
+                    heapq.heappush(heap, (bound, next(order), grown))
 
-    for edge in graph.edges_into(recipient):
-        if edge.asset != asset_out:
-            continue
-        fns = graph.chain_fns.get(edge.chain_id, frozenset())
-        if not fns or (required_hash_fn is not None and required_hash_fn not in fns):
-            continue
-        try:
-            amount, fee = backward_apply(self_quote, amount_out)
-        except AmountOverflow:
-            continue
-        if amount > edge.capacity:
-            continue
-        extend(
-            edge.src,
-            [edge],
-            [amount],
-            [fee],
-            [self_quote],
-            fns,
-            {recipient, edge.src},
-        )
-
-    if best is None:
+    if best_path is None:
         raise NoRouteFound(
             f"no admissible path delivering {amount_out} {asset_out}"
         )
-    _, path, amounts, fees, quotes_used = best
-    count = len(path)
+    chosen = best_path.hops()
     hops = tuple(
         HopSpec(
-            node=edge.dst,
-            chain_id=edge.chain_id,
-            asset=edge.asset,
-            amount=amounts[i],
-            fee=fees[i],
-            expiry_delta=FINAL_DELTA + (count - 1 - i) * HOP_DELTA,
-            quote=quotes_used[i],
+            node=h.edge.dst,
+            chain_id=h.edge.chain_id,
+            asset=h.edge.asset,
+            amount=h.amount,
+            fee=h.fee,
+            expiry_delta=FINAL_DELTA + (len(chosen) - 1 - i) * HOP_DELTA,
+            quote=h.quote,
         )
-        for i, edge in enumerate(path)
+        for i, h in enumerate(chosen)
     )
     return Route(sender=sender, hops=hops)
 

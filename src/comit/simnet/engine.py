@@ -276,6 +276,10 @@ class Engine:
             self.actors[f.actor].faults.append(i)
 
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
+        # The payments _cascade may still act on, by index. One enters with
+        # its first hop and leaves for good once it is terminal with every
+        # hop resolved: no hop is ever added to a payment that is not pending.
+        self.live: dict[int, PayRt] = {}
         self.hop_by_htlc: dict[tuple[int, int], tuple[int, int]] = {}
 
     # --- shared machinery -----------------------------------------------------
@@ -411,7 +415,8 @@ class Engine:
     def _outstanding(self) -> bool:
         if self.queue or self.pending_txs:
             return True
-        if any(p.status == "pending" for p in self.payments):
+        # a pending payment without hops still has its payment-start queued
+        if any(p.status == "pending" for p in self.live.values()):
             return True
         for rt in self.channels:
             phase = rt.channel.phase
@@ -706,6 +711,7 @@ class Engine:
             offerer=offerer, receiver=receiver,
         ))
         self.hop_by_htlc[(rt.idx, htlc_id)] = (p.idx, i)
+        self.live[p.idx] = p
         self._schedule(self.tick + 1, "hop-offer", p.idx, i, packet)
         return None
 
@@ -834,10 +840,10 @@ class Engine:
     def _cascade(self) -> None:
         """Propagate hop resolutions upstream, whatever mix of cooperative
         and on-chain steps produced them."""
-        for p in self.payments:
-            if p.status != "pending" and not any(
-                not h.resolved for h in p.hops
-            ):
+        for idx in sorted(self.live):
+            p = self.live[idx]
+            if p.status != "pending" and all(h.resolved for h in p.hops):
+                del self.live[idx]
                 continue
             for i in range(len(p.hops) - 1):
                 hop, down = p.hops[i], p.hops[i + 1]

@@ -1,29 +1,38 @@
 """Route finding over the channel graph.
 
-The randomized check re-derives the best route with an independent
-brute-force enumerator (exact Fraction arithmetic, no code shared with
-the implementation's backward search) and compares keys, amounts and
-fees.
+Two oracles check find_route. An independent brute-force enumerator (exact
+Fraction arithmetic, no code shared with the implementation) re-derives
+the best route's key, amounts and fees. reference_find_route, the
+exhaustive depth-first search find_route replaced, must return the very
+same Route on random meshes with and without a price vector.
 """
 
 import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from comit.chainlab import HashFnId
 from comit.crp import (
+    FINAL_DELTA,
+    HOP_DELTA,
+    AmountOverflow,
     ChannelEndpoint,
     ChannelGraph,
     Edge,
+    HopSpec,
     NodeKey,
     NoRouteFound,
     RateQuote,
+    Route,
+    backward_apply,
     compute_hop_amounts,
     find_route,
     make_advert,
 )
+from comit.crp.graph import MAX_ROUTE_HOPS, price_vector
 
 MAX = 2**64 - 1
 S256 = HashFnId.SHA256
@@ -403,3 +412,291 @@ def test_graph_from_adverts(rng):
     route = find_route(g, user.pubkey, lp2.pubkey, 100, "coin")
     assert route.nodes() == (lp1.pubkey, lp2.pubkey)
     assert route.cost == 102
+
+
+# --- the exhaustive depth-first search, kept as the reference ----------------
+
+
+def reference_find_route(
+    graph: ChannelGraph,
+    sender: bytes,
+    recipient: bytes,
+    amount_out: int,
+    asset_out: str,
+    *,
+    required_hash_fn: Optional[HashFnId] = None,
+    max_hops: int = MAX_ROUTE_HOPS,
+) -> Route:
+    if amount_out < 1:
+        raise ValueError("amount_out must be >= 1")
+    if sender == recipient:
+        raise ValueError("sender and recipient must differ")
+    if not 1 <= max_hops <= MAX_ROUTE_HOPS:
+        raise ValueError(f"max_hops must be in 1..{MAX_ROUTE_HOPS}")
+
+    self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
+        asset_out
+    )
+    best: Optional[tuple] = None
+
+    def consider(path, amounts, fees, quotes_used):
+        nonlocal best
+        key = (amounts[0], len(path), tuple(e.dst for e in path))
+        if best is None or key < best[0]:
+            best = (key, tuple(path), tuple(amounts), tuple(fees), tuple(quotes_used))
+
+    def extend(head, path, amounts, fees, quotes_used, fn_set, visited):
+        if head == sender:
+            consider(path, amounts, fees, quotes_used)
+            return
+        if len(path) >= max_hops:
+            return
+        first_asset = path[0].asset
+        for edge in graph.edges_into(head):
+            if edge.src in visited:
+                continue
+            quote = graph.node_quote(head, edge.asset, first_asset)
+            if quote is None:
+                continue
+            fns = fn_set & graph.chain_fns.get(edge.chain_id, frozenset())
+            if not fns or (required_hash_fn is not None and required_hash_fn not in fns):
+                continue
+            try:
+                amount, fee = backward_apply(quote, amounts[0])
+            except AmountOverflow:
+                continue
+            if amount > edge.capacity:
+                continue
+            extend(
+                edge.src,
+                [edge] + path,
+                [amount] + amounts,
+                [fee] + fees,
+                [quote] + quotes_used,
+                fns,
+                visited | {edge.src},
+            )
+
+    for edge in graph.edges_into(recipient):
+        if edge.asset != asset_out:
+            continue
+        fns = graph.chain_fns.get(edge.chain_id, frozenset())
+        if not fns or (required_hash_fn is not None and required_hash_fn not in fns):
+            continue
+        try:
+            amount, fee = backward_apply(self_quote, amount_out)
+        except AmountOverflow:
+            continue
+        if amount > edge.capacity:
+            continue
+        extend(
+            edge.src,
+            [edge],
+            [amount],
+            [fee],
+            [self_quote],
+            fns,
+            {recipient, edge.src},
+        )
+
+    if best is None:
+        raise NoRouteFound(
+            f"no admissible path delivering {amount_out} {asset_out}"
+        )
+    _, path, amounts, fees, quotes_used = best
+    count = len(path)
+    hops = tuple(
+        HopSpec(
+            node=edge.dst,
+            chain_id=edge.chain_id,
+            asset=edge.asset,
+            amount=amounts[i],
+            fee=fees[i],
+            expiry_delta=FINAL_DELTA + (count - 1 - i) * HOP_DELTA,
+            quote=quotes_used[i],
+        )
+        for i, edge in enumerate(path)
+    )
+    return Route(sender=sender, hops=hops)
+
+
+def random_mesh(rng, priced):
+    """Sender S and recipient R on a ring of 3..12 LPs with chords.
+
+    Links run channels on one or more of two or three chains, and two chains
+    may share an asset. With `priced`, every quote rate is at most
+    p_in/p_out for a per-asset price p, often exactly, so price_vector finds
+    prices; without it rates are free and conversion cycles usually gain.
+
+    Half the meshes are flat, like the benchmark's: every LP quotes one
+    table with a fee of 3 for converting and none for forwarding, S pays in a0
+    on c0 and R is paid in a1 on c1, so that routes converting at different
+    LPs tie on cost, and the search meets the tied routes in another order
+    than the chain tie-break sorts them.
+    """
+    flat = rng.random() < 0.5
+    chains = [f"c{i}" for i in range(rng.randint(2, 3))]
+    chain_fns = {
+        c: frozenset(rng.choice([[S256], [S256, S3], [S256, B2], [S3]])) for c in chains
+    }
+    chain_assets = {c: rng.choice(["a0", "a1", "a2"]) for c in chains}
+    if flat:
+        chain_assets.update(c0="a0", c1="a1")
+    assets = sorted(set(chain_assets.values()))
+    price = {a: 1 if flat else rng.randint(1, 4) for a in assets}
+    lps = [nid(f"L{i:02d}") for i in range(rng.randint(3, 12))]
+    links = {(lps[i], lps[(i + 1) % len(lps)]) for i in range(len(lps))}
+    links |= {tuple(rng.sample(lps, 2)) for _ in range(rng.randint(0, len(lps)))}
+    links |= {(nid("S"), lp) for lp in rng.sample(lps, rng.randint(1, 3))}
+    links |= {(lp, nid("R")) for lp in rng.sample(lps, rng.randint(1, 3))}
+    if rng.random() < 0.2:
+        links.add((nid("S"), nid("R")))
+    edges = []
+    for u, v in sorted(links):
+        if flat and nid("S") in (u, v):
+            on = ["c0"]
+        elif flat and nid("R") in (u, v):
+            on = ["c1"]
+        else:
+            on = rng.sample(chains, rng.randint(1, 2))
+        for c in on:
+            for a, b in ((u, v), (v, u)):
+                cap = rng.choice([2_000, 50_000, 10**6, 10**6])
+                edges.append(Edge(a, b, c, chain_assets[c], cap))
+    g = ChannelGraph(chain_fns, edges)
+
+    def quote(a_in, a_out):
+        if priced:
+            k = rng.randint(1, 3)
+            num, den = price[a_in] * k, price[a_out] * (k + rng.choice([0, 0, 1 - flat]))
+        else:
+            num, den = rng.randint(1, 4), rng.randint(1, 4)
+        if flat:
+            return RateQuote(a_in, a_out, num, den, 0 if a_in == a_out else 3)
+        return RateQuote(a_in, a_out, num, den, rng.choice([0, 1, 2, 5]),
+                         rng.choice([0, 1_000, 20_000]))
+
+    def table():
+        return [quote(a_in, a_out) for a_in in assets for a_out in assets
+                if rng.random() < 0.9]
+
+    shared = table()
+    for lp in lps:
+        for q in shared if flat else table():
+            g.add_quote(lp, q)
+    if rng.random() < 0.3:
+        a = rng.choice(assets)
+        g.add_quote(nid("R"), quote(a, a))
+    return g, sorted({e.asset for e in g.edges_into(nid("R"))})
+
+
+def test_route_search_matches_reference_search():
+    rng = random.Random(0xB0B0)
+    found = {True: 0, False: 0}
+    bounded = {True: 0, False: 0}
+    for trial in range(300):
+        priced = trial % 2 == 0
+        g, assets = random_mesh(rng, priced)
+        bounded[priced] += price_vector(
+            q for table in g.quotes.values() for q in table.values()
+        ) is not None
+        args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
+        kwargs = dict(
+            required_hash_fn=rng.choice([None, None, S256, S3]),
+            max_hops=rng.choice([2, 3, 4, 6, MAX_ROUTE_HOPS]),
+        )
+        try:
+            expected = reference_find_route(*args, **kwargs)
+        except NoRouteFound:
+            with pytest.raises(NoRouteFound):
+                find_route(*args, **kwargs)
+            continue
+        assert find_route(*args, **kwargs) == expected, f"trial {trial}"
+        found[priced] += 1
+    # every priced mesh has a price vector, most free ones a gaining cycle
+    assert bounded[True] == 150 and bounded[False] < 50
+    assert min(found.values()) >= 60
+
+
+def test_parallel_channel_tie_goes_to_least_chain_ids_from_recipient():
+    """S -> L1 -> L2 -> R where L1 -> L2 runs on chains c1 (asset a) and c2
+    (asset b). The b channel carries less, so its partial path is searched
+    first, but both routes cost the same over the same nodes: the tie goes
+    to c1, the least chain id read from the recipient back."""
+    fns = {c: frozenset({S256}) for c in ("c0", "c1", "c2", "c3")}
+    g = ChannelGraph(
+        fns,
+        [
+            Edge(nid("S"), nid("L1"), "c0", "z", 10**6),
+            Edge(nid("L1"), nid("L2"), "c1", "a", 10**6),
+            Edge(nid("L1"), nid("L2"), "c2", "b", 10**6),
+            Edge(nid("L2"), nid("R"), "c3", "out", 10**6),
+        ],
+    )
+    g.add_quote(nid("L2"), RateQuote("a", "out", 1, 1, base_fee=5))
+    g.add_quote(nid("L2"), RateQuote("b", "out", 1, 1))
+    g.add_quote(nid("L1"), RateQuote("z", "a", 1, 1))
+    g.add_quote(nid("L1"), RateQuote("z", "b", 1, 1, base_fee=5))
+    route = find_route(g, nid("S"), nid("R"), 1000, "out")
+    assert [h.chain_id for h in route.hops] == ["c0", "c1", "c3"]
+    assert route.cost == 1005
+    assert route == reference_find_route(g, nid("S"), nid("R"), 1000, "out")
+
+
+def test_edges_into_follows_replacement_and_late_edges():
+    fns = {"x": frozenset({S256}), "y": frozenset({S256})}
+    g = ChannelGraph(
+        fns,
+        [
+            Edge(nid("B"), nid("R"), "y", "coin", 10),
+            Edge(nid("A"), nid("R"), "x", "coin", 10),
+            Edge(nid("B"), nid("R"), "x", "coin", 10),
+        ],
+    )
+    assert [(e.src, e.chain_id) for e in g.edges_into(nid("R"))] == [
+        (nid("A"), "x"), (nid("B"), "x"), (nid("B"), "y"),
+    ]
+    g.add_edge(Edge(nid("B"), nid("R"), "x", "coin", 99))
+    assert [(e.src, e.chain_id, e.capacity) for e in g.edges_into(nid("R"))] == [
+        (nid("A"), "x", 10), (nid("B"), "x", 99), (nid("B"), "y", 10),
+    ]
+    with pytest.raises(NoRouteFound):
+        find_route(g, nid("S"), nid("R"), 5, "coin")
+    # an edge added after a search is seen by the next one
+    g.add_edge(Edge(nid("S"), nid("R"), "y", "coin", 10))
+    assert [e.src for e in g.edges_into(nid("R"))][-1] == nid("S")
+    assert find_route(g, nid("S"), nid("R"), 5, "coin").nodes() == (nid("R"),)
+    assert g.edges_into(nid("GHOST")) == []
+
+
+def test_price_vector_is_exact():
+    # a cycle whose rates multiply to exactly 1 has prices
+    prices = price_vector([RateQuote("x", "y", 2, 1), RateQuote("y", "x", 1, 2)])
+    assert prices == {"x": Fraction(1), "y": Fraction(1, 2)}
+    assert price_vector([RateQuote("x", "x", 1, 1), RateQuote("x", "x", 3, 4)]) == {
+        "x": Fraction(1)
+    }
+    assert price_vector([]) == {}
+    # a hair above 1 has none, and neither has a gaining self-quote
+    hair = RateQuote("y", "x", 1_000_001, 2_000_000)
+    assert price_vector([RateQuote("x", "y", 2, 1), hair]) is None
+    assert price_vector([RateQuote("x", "x", 1_000_001, 1_000_000)]) is None
+
+
+def test_gaining_cycle_searches_every_path():
+    """L1 and L2 quote x -> y at 2/1 and y -> x a hair above 1/2: no price
+    vector, so the bound is off and every path is taken."""
+    fns = {"cx": frozenset({S256}), "cy": frozenset({S256})}
+    edges = [Edge(nid("S"), nid("L1"), "cx", "x", 10**6)]
+    for u, v in (("L1", "L2"), ("L2", "L1")):
+        edges += [Edge(nid(u), nid(v), c, c[1], 10**6) for c in ("cx", "cy")]
+    edges += [Edge(nid(lp), nid("R"), "cx", "x", 10**6) for lp in ("L1", "L2")]
+    g = ChannelGraph(fns, edges)
+    for lp in ("L1", "L2"):
+        g.add_quote(nid(lp), RateQuote("x", "y", 2, 1, base_fee=1))
+        g.add_quote(nid(lp), RateQuote("y", "x", 1_000_001, 2_000_000, base_fee=1))
+        g.add_quote(nid(lp), RateQuote("x", "x", 1, 1, base_fee=3))
+    assert price_vector(q for t in g.quotes.values() for q in t.values()) is None
+    for amount in (1, 7, 1000, 250_000):
+        route = find_route(g, nid("S"), nid("R"), amount, "x")
+        assert route == reference_find_route(g, nid("S"), nid("R"), amount, "x")
