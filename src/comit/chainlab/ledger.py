@@ -116,9 +116,6 @@ class Ledger:
     def total_utxo_value(self) -> int:
         return self._utxo_value
 
-    def mempool_txids(self) -> list[bytes]:
-        return list(self._mempool)
-
     def in_mempool(self, tx_id: bytes) -> bool:
         return tx_id in self._mempool
 

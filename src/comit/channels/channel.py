@@ -11,10 +11,10 @@ each one:
   * carries one output per pending HTLC: Or(HtlcScript(...), HashLock(
     rev_hash_n, other)), so stale HTLCs are also forfeit after revocation.
 
-Updates are two-phase: propose_update signs both n+1 commitments, then
-commit_update reveals both parties' invalidation keys for n. A crash
-between the phases leaves both n and n+1 broadcastable and neither
-punishable, so no funds are stranded.
+Updates are two-phase: propose_update records state n+1 once both
+commitments of it would have an output, then commit_update reveals both
+parties' invalidation keys for n. A crash between the phases leaves both n
+and n+1 broadcastable and neither punishable, so no funds are stranded.
 
 The per-state invalidation key is HMAC(party revocation seed, n); its hash
 goes into the revocation branches of that party's commitment n. Keys for
@@ -22,10 +22,10 @@ the current state are never revealed, and every key below it is.
 
 A Channel retains the current state, the history of signed states (the
 balances and HTLCs of each n, which breach handling needs) and the one
-close transaction it has put in flight. Signed commitment transactions are
-not kept: signing is a deterministic HMAC and a txid excludes witnesses, so
-commitment n is rebuilt from state n, byte for byte, when it is broadcast
-or seen on chain.
+close transaction it has put in flight. A transaction is built and signed
+only when it is broadcast: signing is a deterministic HMAC and the ledger
+checks signatures on submission, so building commitment n from state n in
+unilateral_close gives the transaction both parties agreed on.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from enum import Enum
 from typing import Optional
 
 from ..chainlab import (
+    DIGEST_SIZE,
     HashFnId,
     HashLock,
     HtlcScript,
@@ -133,6 +134,14 @@ class Htlc:
     payment_hash: bytes
     expiry_height: int
 
+    def __post_init__(self) -> None:
+        # Refuse what no commitment output could carry, so a channel never
+        # records an HTLC it could not close on.
+        if len(self.payment_hash) != DIGEST_SIZE:
+            raise ValueError("payment_hash must be 32 bytes")
+        if self.amount < 0 or self.expiry_height < 0:
+            raise ValueError("htlc amount and expiry must be >= 0")
+
 
 @dataclass(frozen=True)
 class CommitmentState:
@@ -143,23 +152,32 @@ class CommitmentState:
 
 
 @dataclass(frozen=True)
-class _Layout:
-    """One party's signed commitment tx plus its output map."""
-
-    tx: Transaction
-    tx_id: bytes
-    self_index: Optional[int]
-    other_index: Optional[int]
-    htlc_indices: dict  # htlc_id -> output index
-
-
-@dataclass(frozen=True)
 class ClosedOutput:
     outpoint: Outpoint
     amount: int
     kind: str  # "delayed" | "direct" | "htlc"
     owner_side: str
     htlc: Optional[Htlc]
+
+
+def _signed(
+    outpoints, outputs, keys, preimages=(), branch: Optional[int] = None
+) -> Transaction:
+    """The transaction spending `outpoints` into `outputs`, every input
+    carrying one witness: each key's signature over the txid, the
+    preimages and the Or branch."""
+    skeleton = Transaction(
+        inputs=tuple(TxIn(op) for op in outpoints), outputs=tuple(outputs)
+    )
+    digest = txid(skeleton)
+    witness = Witness(
+        signatures=tuple(key.sign(digest) for key in keys),
+        preimages=tuple(preimages),
+        branch_selector=branch,
+    )
+    return Transaction(
+        inputs=tuple(TxIn(op, witness) for op in outpoints), outputs=skeleton.outputs
+    )
 
 
 def open_channel(
@@ -269,9 +287,9 @@ class Channel:
         self._htlc_seq = 0
         self._pending_state: Optional[CommitmentState] = None
         self._state_history: dict[int, CommitmentState] = {}
-        # (txid, broadcaster side, commitment number) of the close tx in
-        # flight; the side is None for the cooperative close.
-        self._closing: Optional[tuple[bytes, Optional[str], int]] = None
+        # (txid, broadcaster side, commitment number, its ClosedOutputs) of
+        # the close tx in flight; the side is None for the cooperative close.
+        self._closing: Optional[tuple[bytes, Optional[str], int, list[ClosedOutput]]] = None
         self._frozen = False  # set once any close tx is in flight
         self.closed_by: Optional[str] = None
         self.closed_commitment: Optional[int] = None
@@ -279,7 +297,7 @@ class Channel:
         self.closed_outputs: list[ClosedOutput] = []
         self._unresolved: set[Outpoint] = set()
         self.update_count = 0
-        self._build_commitments(self.state)
+        self._record_state(self.state)
 
     # --- identity helpers ----------------------------------------------------
 
@@ -320,9 +338,6 @@ class Channel:
         one of them is a breach the counterparty can punish."""
         return dict(self._state_history)
 
-    def channel_id(self) -> str:
-        return self.funding_outpoint.short()
-
     # --- revocation keys -------------------------------------------------------
 
     def revocation_key(self, side: str, n: int) -> bytes:
@@ -341,87 +356,64 @@ class Channel:
 
     # --- commitment construction ------------------------------------------------
 
-    def _build_for_side(self, side: str, state: CommitmentState) -> _Layout:
-        me = self.party(side)
+    def _commitment(
+        self, side: str, state: CommitmentState
+    ) -> tuple[Transaction, list[ClosedOutput]]:
+        """`side`'s signed commitment for `state`, and what each of its
+        outputs pays, in output order."""
         other = self.other(side)
-        n = state.commitment_number
         my_balance = state.balance_a if side == "a" else state.balance_b
         other_balance = state.balance_b if side == "a" else state.balance_a
         # Broadcaster pays the mining fee out of its own delayed output,
         # clipped so a poor broadcaster can still build (the ledger will
         # refuse an underpaying broadcast instead).
         fee = min(self.ledger.params.tx_fee, my_balance)
-        rev_hash = self.revocation_hash(side, n)
+        rev_hash = self.revocation_hash(side, state.commitment_number)
+        revoke = HashLock(self.revocation_fn, rev_hash, other.pubkey)
         outputs: list[TxOut] = []
-        self_index = other_index = None
+        pays: list[tuple[str, str, Optional[Htlc]]] = []  # kind, owner, htlc
         if my_balance - fee > 0:
-            self_index = len(outputs)
-            outputs.append(
-                TxOut(
-                    my_balance - fee,
-                    Or(
-                        TimeLockRel(self.csv_delay, me.pubkey),
-                        HashLock(self.revocation_fn, rev_hash, other.pubkey),
-                    ),
-                )
-            )
+            delayed = Or(TimeLockRel(self.csv_delay, self.party(side).pubkey), revoke)
+            outputs.append(TxOut(my_balance - fee, delayed))
+            pays.append(("delayed", side, None))
         if other_balance > 0:
-            other_index = len(outputs)
             outputs.append(TxOut(other_balance, PayToKey(other.pubkey)))
-        htlc_indices: dict[int, int] = {}
+            pays.append(("direct", "b" if side == "a" else "a", None))
         for h in sorted(state.htlcs, key=lambda h: h.htlc_id):
-            receiver = self.other(h.offerer_side)
-            offerer = self.party(h.offerer_side)
-            htlc_indices[h.htlc_id] = len(outputs)
-            outputs.append(
-                TxOut(
-                    h.amount,
-                    Or(
-                        HtlcScript(
-                            h.hash_fn,
-                            h.payment_hash,
-                            receiver.pubkey,
-                            offerer.pubkey,
-                            h.expiry_height,
-                        ),
-                        HashLock(self.revocation_fn, rev_hash, other.pubkey),
-                    ),
-                )
+            receiver, offerer = self.other(h.offerer_side), self.party(h.offerer_side)
+            script = HtlcScript(
+                h.hash_fn, h.payment_hash, receiver.pubkey, offerer.pubkey, h.expiry_height
             )
+            outputs.append(TxOut(h.amount, Or(script, revoke)))
+            pays.append(("htlc", h.offerer_side, h))
         if not outputs:
             raise ChannelError("commitment would have no outputs")
-        skeleton = Transaction(
-            inputs=(TxIn(self.funding_outpoint),), outputs=tuple(outputs)
+        tx = _signed(
+            (self.funding_outpoint,), outputs, (self.party_a.keypair, self.party_b.keypair)
         )
-        digest = txid(skeleton)
-        witness = Witness(
-            signatures=(
-                self.party_a.keypair.sign(digest),
-                self.party_b.keypair.sign(digest),
-            )
-        )
-        tx = Transaction(
-            inputs=(TxIn(self.funding_outpoint, witness),), outputs=skeleton.outputs
-        )
-        return _Layout(
-            tx=tx,
-            tx_id=digest,
-            self_index=self_index,
-            other_index=other_index,
-            htlc_indices=htlc_indices,
-        )
+        tx_id = txid(tx)
+        return tx, [
+            ClosedOutput(Outpoint(tx_id, i), out.amount, kind, owner, h)
+            for i, (out, (kind, owner, h)) in enumerate(zip(outputs, pays))
+        ]
 
-    def _build_commitments(self, state: CommitmentState) -> None:
-        """Both parties sign both commitments of `state`; building them is
-        what refuses an unbuildable state. Only the state is recorded."""
-        for side in ("a", "b"):
-            self._build_for_side(side, state)
+    def _record_state(self, state: CommitmentState) -> None:
+        """Refuse `state` exactly when `_commitment` would for either side,
+        then record it; nothing is built or signed. A commitment is empty
+        only with no HTLCs and one balance at 0, when the fee takes all of
+        the other balance (which is then the capacity)."""
+        if (
+            not state.htlcs
+            and min(state.balance_a, state.balance_b) == 0
+            and max(state.balance_a, state.balance_b) <= self.ledger.params.tx_fee
+        ):
+            raise ChannelError("commitment would have no outputs")
         self._state_history[state.commitment_number] = state
 
     # --- two-phase update ---------------------------------------------------
 
     def propose_update(self, new_state: CommitmentState) -> None:
-        """Phase one: both parties sign the next commitment."""
+        """Phase one: both parties agree on the next commitment."""
         self._require_open()
         if self._pending_state is not None:
             raise StalePhase("an update is already proposed")
@@ -436,7 +428,7 @@ class Channel:
             raise ValueError("state does not conserve channel capacity")
         if new_state.balance_a < 0 or new_state.balance_b < 0:
             raise ValueError("negative balance")
-        self._build_commitments(new_state)
+        self._record_state(new_state)
         self._pending_state = new_state
 
     def commit_update(self) -> None:
@@ -479,15 +471,15 @@ class Channel:
         balance = self.state.balance_a if side == "a" else self.state.balance_b
         if balance < amount:
             raise InsufficientBalance(f"balance {balance} < htlc {amount}")
-        self._htlc_seq += 1
         h = Htlc(
-            htlc_id=self._htlc_seq,
+            htlc_id=self._htlc_seq + 1,
             offerer_side=side,
             amount=amount,
             hash_fn=hash_fn,
             payment_hash=payment_hash,
             expiry_height=expiry_height,
         )
+        self._htlc_seq = h.htlc_id
         new_state = CommitmentState(
             commitment_number=self.state.commitment_number + 1,
             balance_a=self.state.balance_a - (amount if side == "a" else 0),
@@ -538,21 +530,11 @@ class Channel:
             outputs.append(TxOut(self.state.balance_b - fee_b, PayToKey(self.party_b.pubkey)))
         if not outputs:
             raise ChannelError("close would have no outputs")
-        skeleton = Transaction(
-            inputs=(TxIn(self.funding_outpoint),), outputs=tuple(outputs)
-        )
-        digest = txid(skeleton)
-        witness = Witness(
-            signatures=(
-                self.party_a.keypair.sign(digest),
-                self.party_b.keypair.sign(digest),
-            )
-        )
-        tx = Transaction(
-            inputs=(TxIn(self.funding_outpoint, witness),), outputs=skeleton.outputs
+        tx = _signed(
+            (self.funding_outpoint,), outputs, (self.party_a.keypair, self.party_b.keypair)
         )
         self.ledger.submit_tx(tx)
-        self._closing = (digest, None, self.state.commitment_number)
+        self._closing = (txid(tx), None, self.state.commitment_number, [])
         self.phase = ChannelPhase.COOPERATIVE_CLOSING
         self._frozen = True
         return tx
@@ -567,11 +549,11 @@ class Channel:
         state = self._state_history.get(n)
         if state is None:
             raise ValueError(f"no commitment {n} for side {side}")
-        layout = self._build_for_side(side, state)
-        self.ledger.submit_tx(layout.tx)
-        self._closing = (layout.tx_id, side, n)
+        tx, outs = self._commitment(side, state)
+        self.ledger.submit_tx(tx)
+        self._closing = (txid(tx), side, n, outs)
         self._frozen = True
-        return layout.tx
+        return tx
 
     # --- on-chain observation -------------------------------------------------
 
@@ -588,14 +570,16 @@ class Channel:
                 # time, so one in-flight record identifies any close.
                 if self._closing is None or spender != self._closing[0]:
                     continue
-                _, side, n = self._closing
+                _, side, n, outs = self._closing
                 if side is None:
                     self.phase = ChannelPhase.SETTLED
                     continue
                 self.closed_by = side
                 self.closed_commitment = n
                 self.closed_height = summary.height
-                self._register_closed_outputs(side, n)
+                self.closed_outputs = outs
+                # "direct" pays a bare key; nothing of the channel's remains to do.
+                self._unresolved = {o.outpoint for o in outs if o.kind != "direct"}
                 if n < self.state.commitment_number:
                     self.phase = ChannelPhase.BREACHED
                 else:
@@ -609,54 +593,11 @@ class Channel:
         ):
             self.phase = ChannelPhase.SETTLED
 
-    def _register_closed_outputs(self, side: str, n: int) -> None:
-        state = self._state_history[n]
-        layout = self._build_for_side(side, state)
-        outs: list[ClosedOutput] = []
-        if layout.self_index is not None:
-            outs.append(
-                ClosedOutput(
-                    Outpoint(layout.tx_id, layout.self_index),
-                    layout.tx.outputs[layout.self_index].amount,
-                    "delayed",
-                    side,
-                    None,
-                )
-            )
-        if layout.other_index is not None:
-            outs.append(
-                ClosedOutput(
-                    Outpoint(layout.tx_id, layout.other_index),
-                    layout.tx.outputs[layout.other_index].amount,
-                    "direct",
-                    "b" if side == "a" else "a",
-                    None,
-                )
-            )
-        for h in state.htlcs:
-            idx = layout.htlc_indices[h.htlc_id]
-            outs.append(
-                ClosedOutput(
-                    Outpoint(layout.tx_id, idx),
-                    layout.tx.outputs[idx].amount,
-                    "htlc",
-                    h.offerer_side,
-                    h,
-                )
-            )
-        self.closed_outputs = outs
-        # "direct" pays a bare key; nothing of the channel's remains to do.
-        self._unresolved = {o.outpoint for o in outs if o.kind != "direct"}
-
     # --- post-close spends ------------------------------------------------------
 
-    def _claim_fee(self, amount: int) -> int:
-        fee = self.ledger.params.tx_fee
-        if amount <= fee:
-            raise ChannelError(f"output {amount} cannot pay fee {fee}")
-        return fee
-
     def _closed_output(self, kind: str, htlc_id: Optional[int] = None) -> ClosedOutput:
+        if self.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED, ChannelPhase.SETTLED):
+            raise StalePhase(self.phase.value)
         for o in self.closed_outputs:
             if o.kind != kind:
                 continue
@@ -665,81 +606,54 @@ class Channel:
             return o
         raise ChannelError(f"no {kind} output on the confirmed commitment")
 
-    def build_delayed_sweep(self, party: ChannelParty) -> Transaction:
-        """Closer sweeps its own delayed output; valid csv_delay blocks after
-        the commitment confirmed, parked in the mempool until then."""
-        if self.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED, ChannelPhase.SETTLED):
-            raise StalePhase(self.phase.value)
-        side = self.side_of(party)
-        if side != self.closed_by:
-            raise ChannelError("only the broadcaster has a delayed output")
-        out = self._closed_output("delayed")
-        fee = self._claim_fee(out.amount)
-        skeleton = Transaction(
-            inputs=(TxIn(out.outpoint),),
-            outputs=(TxOut(out.amount - fee, PayToKey(party.pubkey)),),
-        )
-        digest = txid(skeleton)
-        witness = Witness(
-            signatures=(party.keypair.sign(digest),), branch_selector=0
-        )
-        tx = Transaction(
-            inputs=(TxIn(out.outpoint, witness),), outputs=skeleton.outputs
+    def _claim(
+        self,
+        party: ChannelParty,
+        outs: list[ClosedOutput],
+        preimages: tuple[bytes, ...] = (),
+        branch: int = 0,
+    ) -> Transaction:
+        """Spend `outs` to `party`'s key in one transaction paying one fee."""
+        total = sum(o.amount for o in outs)
+        fee = self.ledger.params.tx_fee
+        if total <= fee:
+            raise ChannelError(f"output {total} cannot pay fee {fee}")
+        tx = _signed(
+            [o.outpoint for o in outs],
+            (TxOut(total - fee, PayToKey(party.pubkey)),),
+            (party.keypair,),
+            preimages,
+            branch,
         )
         self.ledger.submit_tx(tx)
         return tx
+
+    def build_delayed_sweep(self, party: ChannelParty) -> Transaction:
+        """Closer sweeps its own delayed output; valid csv_delay blocks after
+        the commitment confirmed, parked in the mempool until then."""
+        out = self._closed_output("delayed")
+        if self.side_of(party) != self.closed_by:
+            raise ChannelError("only the broadcaster has a delayed output")
+        return self._claim(party, [out])
 
     def build_htlc_claim(
         self, party: ChannelParty, htlc_id: int, preimage: bytes
     ) -> Transaction:
         """HTLC receiver claims an on-chain HTLC output with the preimage."""
-        if self.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED, ChannelPhase.SETTLED):
-            raise StalePhase(self.phase.value)
         out = self._closed_output("htlc", htlc_id)
         h = out.htlc
         if self.side_of(party) == h.offerer_side:
             raise ChannelError("offerer cannot claim; use the refund branch")
         if hash_digest(h.hash_fn, preimage) != h.payment_hash:
             raise BadPreimage(f"htlc {htlc_id}")
-        fee = self._claim_fee(out.amount)
-        skeleton = Transaction(
-            inputs=(TxIn(out.outpoint),),
-            outputs=(TxOut(out.amount - fee, PayToKey(party.pubkey)),),
-        )
-        digest = txid(skeleton)
-        witness = Witness(
-            signatures=(party.keypair.sign(digest),),
-            preimages=(preimage,),
-            branch_selector=0,
-        )
-        tx = Transaction(
-            inputs=(TxIn(out.outpoint, witness),), outputs=skeleton.outputs
-        )
-        self.ledger.submit_tx(tx)
-        return tx
+        return self._claim(party, [out], (preimage,))
 
     def build_htlc_refund(self, party: ChannelParty, htlc_id: int) -> Transaction:
         """HTLC offerer takes the refund branch; parked until expiry."""
-        if self.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED, ChannelPhase.SETTLED):
-            raise StalePhase(self.phase.value)
         out = self._closed_output("htlc", htlc_id)
-        h = out.htlc
-        if self.side_of(party) != h.offerer_side:
+        if self.side_of(party) != out.htlc.offerer_side:
             raise ChannelError("only the offerer can refund")
-        fee = self._claim_fee(out.amount)
-        skeleton = Transaction(
-            inputs=(TxIn(out.outpoint),),
-            outputs=(TxOut(out.amount - fee, PayToKey(party.pubkey)),),
-        )
-        digest = txid(skeleton)
-        witness = Witness(
-            signatures=(party.keypair.sign(digest),), branch_selector=0
-        )
-        tx = Transaction(
-            inputs=(TxIn(out.outpoint, witness),), outputs=skeleton.outputs
-        )
-        self.ledger.submit_tx(tx)
-        return tx
+        return self._claim(party, [out])
 
     def punish_breach(self, honest_party: ChannelParty) -> Transaction:
         """Claim every revocable output of the cheater's stale commitment
@@ -752,11 +666,8 @@ class Channel:
             ):
                 raise WindowExpired("revocable outputs already swept")
             raise StalePhase(self.phase.value)
-        side = self.side_of(honest_party)
-        if side == self.closed_by:
+        if self.side_of(honest_party) == self.closed_by:
             raise ChannelError("the cheater cannot punish itself")
-        n = self.closed_commitment
-        key = self.revocation_key(self.closed_by, n)
         targets = [
             o
             for o in self.closed_outputs
@@ -764,21 +675,5 @@ class Channel:
         ]
         if not targets:
             raise WindowExpired("revocable outputs already swept")
-        total = sum(o.amount for o in targets)
-        fee = self._claim_fee(total)
-        skeleton = Transaction(
-            inputs=tuple(TxIn(o.outpoint) for o in targets),
-            outputs=(TxOut(total - fee, PayToKey(honest_party.pubkey)),),
-        )
-        digest = txid(skeleton)
-        witness = Witness(
-            signatures=(honest_party.keypair.sign(digest),),
-            preimages=(key,),
-            branch_selector=1,
-        )
-        tx = Transaction(
-            inputs=tuple(TxIn(o.outpoint, witness) for o in targets),
-            outputs=skeleton.outputs,
-        )
-        self.ledger.submit_tx(tx)
-        return tx
+        key = self.revocation_key(self.closed_by, self.closed_commitment)
+        return self._claim(honest_party, targets, (key,), branch=1)

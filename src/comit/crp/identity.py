@@ -31,11 +31,13 @@ def _raw_public(private: X25519PrivateKey) -> bytes:
 class NodeKey:
     seed: bytes
     pubkey: bytes = field(init=False)
+    _private: X25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.seed) != 32:
             raise ValueError("node seed must be 32 bytes")
         private = X25519PrivateKey.from_private_bytes(self.seed)
+        object.__setattr__(self, "_private", private)
         object.__setattr__(self, "pubkey", _raw_public(private))
         _NODE_KEYRING[self.pubkey] = self.seed
 
@@ -43,11 +45,8 @@ class NodeKey:
     def generate(cls, rng) -> "NodeKey":
         return cls(rng.randbytes(32))
 
-    def private(self) -> X25519PrivateKey:
-        return X25519PrivateKey.from_private_bytes(self.seed)
-
     def exchange(self, peer_public: bytes) -> bytes:
-        return self.private().exchange(X25519PublicKey.from_public_bytes(peer_public))
+        return self._private.exchange(X25519PublicKey.from_public_bytes(peer_public))
 
     def sign(self, data: bytes) -> bytes:
         return hmac.new(self.seed, data, hashlib.sha256).digest()

@@ -25,10 +25,6 @@ class Invoice:
         if not self.asset:
             raise ValueError("asset must be non-empty")
 
-    @property
-    def payment_id(self) -> str:
-        return self.payment_hash[:8].hex()
-
 
 def make_invoice(
     rng, recipient: bytes, amount: int, asset: str, hash_fn: HashFnId

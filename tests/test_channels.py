@@ -8,6 +8,7 @@ from comit.chainlab import ChainParams, HashFnId, KeyPair, Ledger, PayToKey, has
 from comit.channels import (
     AmountBelowDust,
     BadPreimage,
+    ChannelError,
     ChannelPhase,
     ChannelParty,
     InsufficientBalance,
@@ -15,6 +16,7 @@ from comit.channels import (
     PendingHtlcs,
     StalePhase,
     UnknownHtlc,
+    Htlc,
     UnsupportedHashFunction,
     WindowExpired,
     open_channel,
@@ -108,6 +110,12 @@ def test_htlc_validation_errors(rng):
         add(ch, alice, 5)
     with pytest.raises(ValueError):
         add(ch, alice, 100, expiry=ledger.height)  # not in the future
+    for size in (31, 33):  # no commitment could carry this HTLC
+        with pytest.raises(ValueError):
+            ch.add_htlc(alice, 100, HashFnId.SHA256, b"h" * size, 50)
+    assert ch.state == CommitmentState(0, 10_000, 5_000, ())
+    with pytest.raises(ValueError):  # nor can a directly proposed state hold one
+        Htlc(1, "a", -5, HashFnId.SHA256, b"h" * 32, 50)
     hid, secret = add(ch, alice, 100)
     with pytest.raises(BadPreimage):
         ch.fulfill_htlc(hid, b"wrong" * 8)
@@ -408,3 +416,111 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
     assert ch.phase is ChannelPhase.SETTLED
     assert wallet(ledger, honest) == before + theirs + sum(o.amount for o in revocable) - fee
     assert conserved(ledger)
+
+
+def test_updates_sign_nothing_and_a_close_signs_once_per_party(rng, monkeypatch):
+    # Signing is deferred to broadcast: no update builds a transaction.
+    ledger, ch, alice, bob = make_world(rng)
+    signs = []
+    sign = KeyPair.sign
+
+    def counted(self, digest):
+        signs.append(self.pubkey)
+        return sign(self, digest)
+
+    monkeypatch.setattr(KeyPair, "sign", counted)
+    for i in range(100):
+        hid, secret = add(ch, alice if i % 2 else bob, 10, secret=i.to_bytes(32, "big"))
+        if i % 3:
+            ch.fulfill_htlc(hid, secret)
+        else:
+            ch.fail_htlc(hid)
+    assert ch.update_count == 200
+    assert signs == []
+    ch.unilateral_close(alice)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
+    assert sorted(signs) == sorted([alice.pubkey, bob.pubkey])
+
+
+def refused_by_builder(ch, state):
+    for side in ("a", "b"):
+        try:
+            ch._commitment(side, state)
+        except ChannelError:
+            return True
+    return False
+
+
+UPDATES = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "fulfil", "fail"]),
+        st.booleans(),  # offerer is a
+        st.integers(1, 4),  # quarters of the offerer's balance to offer
+        st.integers(0, 2**16),  # which pending HTLC to resolve
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    fund_a=st.integers(1, 60),
+    fund_b=st.integers(1, 60),
+    fee_over_capacity=st.integers(-3, 3) | st.integers(-120, 30),
+    steps=UPDATES,
+    keep_htlcs=st.booleans(),
+    data=st.data(),
+)
+def test_update_refused_exactly_when_a_commitment_has_no_outputs(
+    fund_a, fund_b, fee_over_capacity, steps, keep_htlcs, data
+):
+    # Oracle: the commitment builder itself, which propose_update does not run.
+    # The fee is drawn around the capacity, where refusals start.
+    fee = max(0, fund_a + fund_b + fee_over_capacity)
+    _, ch, _, _ = make_world(random.Random(0x5161), fee=fee, fund_a=fund_a, fund_b=fund_b)
+    payment_hash = hash_digest(HashFnId.SHA256, b"s" * 32)
+    next_id = 0
+
+    def propose(state):
+        refused = refused_by_builder(ch, state)
+        try:
+            ch.propose_update(state)
+        except ChannelError:
+            assert refused
+            assert ch.commitment_number == state.commitment_number - 1
+            return
+        assert not refused
+        ch.commit_update()
+        assert ch.state == state
+
+    for kind, by_a, quarters, pick in steps:
+        s = ch.state
+        if kind == "add":
+            side = "a" if by_a else "b"
+            balance = s.balance_a if by_a else s.balance_b
+            if balance == 0:
+                continue
+            amount = max(1, balance * quarters // 4)
+            next_id += 1
+            h = Htlc(next_id, side, amount, HashFnId.SHA256, payment_hash, 50)
+            propose(CommitmentState(
+                s.commitment_number + 1,
+                s.balance_a - (amount if by_a else 0),
+                s.balance_b - (0 if by_a else amount),
+                s.htlcs + (h,),
+            ))
+        elif s.htlcs:
+            h = s.htlcs[pick % len(s.htlcs)]
+            to_a = (h.offerer_side == "a") == (kind == "fail")
+            propose(CommitmentState(
+                s.commitment_number + 1,
+                s.balance_a + (h.amount if to_a else 0),
+                s.balance_b + (0 if to_a else h.amount),
+                tuple(x for x in s.htlcs if x is not h),
+            ))
+    s = ch.state
+    htlcs = s.htlcs if keep_htlcs else ()
+    pool = ch.capacity - sum(h.amount for h in htlcs)
+    to_a = data.draw(st.sampled_from([0, pool]) | st.integers(0, pool), label="final balance_a")
+    propose(CommitmentState(s.commitment_number + 1, to_a, pool - to_a, htlcs))
