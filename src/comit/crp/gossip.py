@@ -6,6 +6,12 @@ invalid signatures are dropped (and counted), and each node remembers what
 every peer has already seen so deltas stay small and flooding terminates.
 On a connected topology every origin reaches every node in at most
 diameter rounds.
+
+`GossipState.version` counts the adverts a node has installed: it rises
+exactly when the store changes, on a fresher advert, and never on a stale,
+duplicate or badly signed one. Two peers that have just exchanged hold
+nothing the other lacks, so while neither version moves another exchange
+would send nothing, and a driver may skip it.
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ class GossipState:
         self.own_pubkey = own_pubkey
         self.adverts: dict[bytes, LpAdvert] = {}
         self.invalid_dropped = 0
+        self.version = 0  # adverts installed so far
         # peer id -> origin -> newest timestamp the peer is known to hold
         self._peer_known: dict[bytes, dict[bytes, int]] = {}
 
@@ -108,12 +115,11 @@ class GossipState:
             return
         self._merge(advert)
 
-    def _merge(self, advert: LpAdvert) -> bool:
+    def _merge(self, advert: LpAdvert) -> None:
         have = self.adverts.get(advert.node_pubkey)
         if have is None or advert.timestamp > have.timestamp:
             self.adverts[advert.node_pubkey] = advert
-            return True
-        return False
+            self.version += 1
 
     def advert_set(self) -> list[LpAdvert]:
         return [self.adverts[k] for k in sorted(self.adverts)]

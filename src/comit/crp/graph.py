@@ -28,6 +28,24 @@ first hop carries `amount` of `asset` therefore completes at a cost of at
 least amount * p(asset) / max(p). price_vector finds such prices exactly;
 they exist unless a cycle of quotes multiplies an amount by more than 1.
 Without them the bound is 0 and the same loop takes every admissible path.
+
+The graph is the sender's public view, shared by every sender that holds
+the same adverts; find_route never changes it. The sender's own channels
+come in as `own_edges`, a read-only overlay applied by add_edge's rule: an
+own edge replaces the graph's edge for its (sender, dst, chain), and a graph
+edge from the sender with no own edge stays. A path that reaches the sender
+is complete, so the overlay only ever supplies first hops: an expansion at
+`head` looks up the sender's edges into it by key instead of scanning.
+
+Each expansion prices one more hop once per asset: the quote and
+backward_apply depend only on `head`, the asset and the path's amount, not
+on which edge carries the hop. The sender's edges are taken first, since
+each completes a route and may lower the best one. Every other edge in an
+asset grows a partial path with that same amount and one more hop, so all
+of them share one bound, (ceil(amount * p(asset)), length + 2). Once that
+bound passes the best route, none of them could be pushed, and the whole
+asset is skipped without pricing or growing a path. This is the same test
+the push makes, taken once per asset rather than once per edge.
 """
 
 from __future__ import annotations
@@ -237,6 +255,7 @@ def find_route(
     recipient: bytes,
     amount_out: int,
     asset_out: str,
+    own_edges: Iterable[Edge] = (),
     *,
     required_hash_fn: Optional[HashFnId] = None,
     max_hops: int = MAX_ROUTE_HOPS,
@@ -247,6 +266,12 @@ def find_route(
         raise ValueError("sender and recipient must differ")
     if not 1 <= max_hops <= MAX_ROUTE_HOPS:
         raise ValueError(f"max_hops must be in 1..{MAX_ROUTE_HOPS}")
+    # dst -> chain -> the sender's own edge; a later one replaces an earlier
+    own: dict[bytes, dict[str, Edge]] = {}
+    for edge in own_edges:
+        if edge.src != sender:
+            raise ValueError("own edges must start at the sender")
+        own.setdefault(edge.dst, {})[edge.chain_id] = edge
 
     self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
         asset_out
@@ -256,6 +281,31 @@ def find_route(
     # Without a price vector every price is 0, and so is the bound.
     unquoted = Fraction(0) if prices is None else Fraction(1)
     prices = prices or {}
+
+    def priced(path: _Partial, asset: str) -> Optional[tuple[RateQuote, int, int]]:
+        """The quote, amount and fee of one more hop in `asset` in front of
+        `path`, or None when no quote or amount admits it."""
+        if path.edge is None:
+            quote = self_quote if asset == asset_out else None
+        else:
+            quote = graph.node_quote(path.head, asset, path.edge.asset)
+        if quote is None:
+            return None
+        try:
+            amount, fee = backward_apply(quote, path.amount)
+        except AmountOverflow:
+            return None
+        return quote, amount, fee
+
+    def grow(path: _Partial, edge: Edge, step: tuple) -> Optional[_Partial]:
+        quote, amount, fee = step
+        fns = path.fns & graph.chain_fns.get(edge.chain_id, frozenset())
+        if not fns or (required_hash_fn is not None and required_hash_fn not in fns):
+            return None
+        if amount > edge.capacity:
+            return None
+        return _Partial(edge.src, edge, amount, fee, quote, fns,
+                        path.visited | {path.head, edge.src}, path.length + 1, path)
 
     best: Optional[tuple] = None
     best_path: Optional[_Partial] = None
@@ -268,38 +318,54 @@ def find_route(
         if best is not None and bound > best[:2]:
             break
         head = path.head
+        steps: dict[str, Optional[tuple]] = {}  # asset -> priced(path, asset)
+
+        # The sender's edges into head: the overlay's, then the graph's on
+        # the other chains (an edge on a chain that chain_fns does not name
+        # is never admissible). Each completes a route.
+        mine = own.get(head, {})
+        firsts = list(mine.values())
+        for chain_id in graph.chain_fns:
+            edge = graph._edges.get((sender, head, chain_id))
+            if edge is not None and chain_id not in mine:
+                firsts.append(edge)
+        for edge in firsts:
+            if edge.asset not in steps:
+                steps[edge.asset] = priced(path, edge.asset)
+            step = steps[edge.asset]
+            grown = grow(path, edge, step) if step else None
+            if grown is None:
+                continue
+            hops = grown.hops()
+            key = (grown.amount, grown.length, tuple(h.edge.dst for h in hops),
+                   tuple(h.edge.chain_id for h in reversed(hops)))
+            if best is None or key < best:
+                best, best_path = key, grown
+
+        if path.length + 1 >= max_hops:
+            continue
+        # asset -> (step, bound) of one more hop, None once that bound
+        # passes the best route: best no longer moves in this loop
+        ahead: dict[str, Optional[tuple]] = {}
         for edge in graph.edges_into(head):
-            if edge.src in path.visited:
+            if edge.src == sender or edge.src in path.visited:
                 continue
-            if path.edge is None:
-                quote = self_quote if edge.asset == asset_out else None
-            else:
-                quote = graph.node_quote(head, edge.asset, path.edge.asset)
-            if quote is None:
+            asset = edge.asset
+            if asset not in ahead:
+                step = steps[asset] if asset in steps else priced(path, asset)
+                ahead[asset] = None
+                if step is not None:
+                    price = prices.get(asset, unquoted)
+                    bound = (ceil_div(step[1] * price.numerator, price.denominator),
+                             path.length + 2)
+                    if best is None or bound <= best[:2]:
+                        ahead[asset] = (step, bound)
+            if ahead[asset] is None:
                 continue
-            fns = path.fns & graph.chain_fns.get(edge.chain_id, frozenset())
-            if not fns or (required_hash_fn is not None and required_hash_fn not in fns):
-                continue
-            try:
-                amount, fee = backward_apply(quote, path.amount)
-            except AmountOverflow:
-                continue
-            if amount > edge.capacity:
-                continue
-            grown = _Partial(edge.src, edge, amount, fee, quote, fns,
-                             path.visited | {head, edge.src}, path.length + 1, path)
-            if edge.src == sender:
-                hops = grown.hops()
-                key = (amount, grown.length, tuple(h.edge.dst for h in hops),
-                       tuple(h.edge.chain_id for h in reversed(hops)))
-                if best is None or key < best:
-                    best, best_path = key, grown
-            elif grown.length < max_hops:
-                price = prices.get(edge.asset, unquoted)
-                bound = (ceil_div(amount * price.numerator, price.denominator),
-                         grown.length + 1)
-                if best is None or bound <= best[:2]:
-                    heapq.heappush(heap, (bound, next(order), grown))
+            step, bound = ahead[asset]
+            grown = grow(path, edge, step)
+            if grown is not None:
+                heapq.heappush(heap, (bound, next(order), grown))
 
     if best_path is None:
         raise NoRouteFound(

@@ -42,7 +42,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 from .graph import Route, RouteTooLong, compute_hop_amounts
-from .identity import NodeKey
+from .identity import NodeKey, _raw_public
 from .quotes import RateQuote
 
 MAX_HOPS = 20
@@ -210,19 +210,11 @@ def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
 
 def _mul(scalar: bytes, point: bytes) -> bytes:
     """X25519 scalar multiplication via the key-exchange primitive."""
-    return X25519PrivateKey.from_private_bytes(scalar).exchange(
-        X25519PublicKey.from_public_bytes(point)
-    )
+    return _exchange(X25519PrivateKey.from_private_bytes(scalar), point)
 
 
-def _pub(scalar: bytes) -> bytes:
-    from cryptography.hazmat.primitives import serialization
-
-    return (
-        X25519PrivateKey.from_private_bytes(scalar)
-        .public_key()
-        .public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-    )
+def _exchange(key: X25519PrivateKey, point: bytes) -> bytes:
+    return key.exchange(X25519PublicKey.from_public_bytes(point))
 
 
 def _kdf(kind: bytes, secret: bytes) -> bytes:
@@ -239,20 +231,24 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def _hop_secrets(session_key: bytes, hop_pubkeys: Sequence[bytes]) -> tuple[list, list]:
-    """Shared secret and the ephemeral (blinded) pubkey seen at each hop."""
-    alphas = [_pub(session_key)]
+def _hop_secrets(
+    session: X25519PrivateKey, alpha: bytes, hop_pubkeys: Sequence[bytes]
+) -> list[bytes]:
+    """The shared secret of each hop. `alpha` is the session's public key;
+    hop i sees it blinded by the factors of hops 0..i-1, so no hop after the
+    last needs one."""
     secrets = []
     blinds: list[bytes] = []
     for i, hop_pub in enumerate(hop_pubkeys):
-        s = _mul(session_key, hop_pub)
+        s = _exchange(session, hop_pub)
         for b in blinds:
             s = _mul(b, s)
         secrets.append(s)
-        b = hashlib.sha256(alphas[i] + s).digest()
-        blinds.append(b)
-        alphas.append(_mul(b, alphas[i]))
-    return secrets, alphas[: len(hop_pubkeys)]
+        if i + 1 < len(hop_pubkeys):
+            b = hashlib.sha256(alpha + s).digest()
+            blinds.append(b)
+            alpha = _mul(b, alpha)
+    return secrets
 
 
 def onion_create(
@@ -274,7 +270,9 @@ def onion_create(
         raise ValueError("one payload per hop required")
 
     session_key = session_rng.randbytes(32)
-    secrets, _ = _hop_secrets(session_key, hop_pubkeys)
+    session = X25519PrivateKey.from_private_bytes(session_key)
+    ephemeral = _raw_public(session)
+    secrets = _hop_secrets(session, ephemeral, hop_pubkeys)
 
     # Filler: the garbage that peeling shifts into the tail at each hop,
     # precomputed so the final hop's MAC still verifies.
@@ -294,7 +292,7 @@ def onion_create(
             blob = blob[: BLOB_SIZE - len(filler)] + filler
         tag = hmac.new(_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
 
-    return OnionPacket(version=VERSION, ephemeral=_pub(session_key), blob=blob, tag=tag)
+    return OnionPacket(version=VERSION, ephemeral=ephemeral, blob=blob, tag=tag)
 
 
 def onion_peel(

@@ -54,6 +54,7 @@ from ..crp import (
     ChannelGraph,
     Edge,
     GossipState,
+    LpAdvert,
     NoRouteFound,
     NodeKey,
     OnionPacket,
@@ -114,6 +115,8 @@ class ChanRt:
     channel: Channel
     parties: dict[str, ChannelParty]
     spent: set = field(default_factory=set)  # outpoints already targeted
+    # the parties' gossip versions after their last exchange
+    gossiped: tuple[int, int] = (-1, -1)
 
     def peer(self, name: str) -> str:
         return self.names[0] if self.names[1] == name else self.names[1]
@@ -173,6 +176,8 @@ class Engine:
         # chain -> [(hash, preimage)]
         self.revealed: dict[str, list[tuple[bytes, bytes]]] = {}
         self.gossip_converged_tick = -1
+        # advert ids -> (the adverts, their ChannelGraph); filled by _graph
+        self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
         self._build_world()
 
     # --- construction -------------------------------------------------------
@@ -465,10 +470,15 @@ class Engine:
             if skip:
                 continue
             ga, gb = self.actors[a].gossip, self.actors[b].gossip
+            # After an exchange each side knows the other holds all it has,
+            # so until either installs an advert another one sends nothing.
+            if rt.gossiped == (ga.version, gb.version):
+                continue
             delta = ga.gossip_step(gb.own_pubkey, [])
             back = gb.gossip_step(ga.own_pubkey, delta)
             if back:
                 ga.gossip_step(gb.own_pubkey, back)
+            rt.gossiped = (ga.version, gb.version)
         if self.gossip_converged_tick < 0:
             origins = {
                 a.gossip.own_pubkey
@@ -567,28 +577,25 @@ class Engine:
         recipient.invoices[invoice.payment_hash] = invoice
         p.invoice = invoice
 
-        graph = ChannelGraph.from_adverts(
-            sender.gossip.advert_set(), self.chain_fns, self.chain_assets
-        )
-        for rt in sender.channels:
-            if rt.channel.phase is not ChannelPhase.OPEN:
-                continue
-            graph.add_edge(
-                Edge(
-                    src=sender.node_key.pubkey,
-                    dst=self.actors[rt.peer(spec.sender)].node_key.pubkey,
-                    chain_id=rt.chain_id,
-                    asset=self.chain_assets[rt.chain_id],
-                    capacity=rt.channel.balance_of(rt.parties[spec.sender]),
-                )
+        own_edges = [
+            Edge(
+                src=sender.node_key.pubkey,
+                dst=self.actors[rt.peer(spec.sender)].node_key.pubkey,
+                chain_id=rt.chain_id,
+                asset=self.chain_assets[rt.chain_id],
+                capacity=rt.channel.balance_of(rt.parties[spec.sender]),
             )
+            for rt in sender.channels
+            if rt.channel.phase is ChannelPhase.OPEN
+        ]
         try:
             route = find_route(
-                graph,
+                self._graph(sender.gossip.advert_set()),
                 sender.node_key.pubkey,
                 recipient.node_key.pubkey,
                 spec.amount,
                 spec.asset,
+                own_edges,
                 required_hash_fn=fn,
             )
         except NoRouteFound:
@@ -616,6 +623,16 @@ class Engine:
         )
         if reason is not None:
             self._finish(p, "refunded", reason)
+
+    def _graph(self, adverts: list[LpAdvert]) -> ChannelGraph:
+        """The public graph of an advert set, built once and shared by every
+        sender holding that set. Keyed on the adverts' identities; the entry
+        keeps them alive, so an id is never reused while it is a key."""
+        key = tuple(map(id, adverts))
+        if key not in self.graphs:
+            graph = ChannelGraph.from_adverts(adverts, self.chain_fns, self.chain_assets)
+            self.graphs[key] = (adverts, graph)
+        return self.graphs[key][1]
 
     def _ev_hop_offer(self, pidx: int, i: int, packet: OnionPacket) -> None:
         p = self.payments[pidx]

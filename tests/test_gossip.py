@@ -55,12 +55,24 @@ def test_freshest_timestamp_wins_regardless_of_arrival_order(rng):
     state = GossipState(c.pubkey)
     state.gossip_step(b.pubkey, [newer, older])
     assert state.adverts[a.pubkey].timestamp == 20
+    assert state.version == 1  # the stale one installed nothing
 
     state2 = GossipState(c.pubkey)
     state2.gossip_step(b.pubkey, [older])
+    assert state2.version == 1
     state2.gossip_step(b.pubkey, [newer])
     assert state2.adverts[a.pubkey].timestamp == 20
     assert state2.adverts[a.pubkey].endpoints[0].capacity == 111
+    assert state2.version == 2
+    # version moves only when an advert is installed
+    forged = replace(sample_advert(a, b, timestamp=30), signature=bytes(32))
+    for incoming in ([older], [newer], [forged]):
+        state2.gossip_step(b.pubkey, incoming)
+        assert state2.version == 2
+    state2.insert_local(forged)
+    assert state2.version == 2 and state2.invalid_dropped == 2
+    state2.insert_local(sample_advert(a, b, timestamp=21))
+    assert state2.version == 3
 
 
 def _run_rounds(keys, states, neighbors, rounds):

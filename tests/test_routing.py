@@ -618,6 +618,62 @@ def test_route_search_matches_reference_search():
     assert min(found.values()) >= 60
 
 
+def test_own_edge_overlay_matches_reference_on_a_copy():
+    """The sender's own edges, passed to find_route over a shared graph,
+    route exactly as if add_edge had put them into a copy of it: they
+    replace some advertised edges from S, leave others in place and add
+    channels on chains the graph has no S edge on. The shared graph is
+    left as it was."""
+    rng = random.Random(0x0E1A)
+    nodes = [nid(f"L{i:02d}") for i in range(12)] + [nid("R"), nid("S")]
+    firsts = {"own": 0, "advertised": 0}
+    for trial in range(300):
+        g, assets = random_mesh(rng, priced=trial % 2 == 0)
+        before = {n: list(g.edges_into(n)) for n in nodes}
+        advertised = [e for n in nodes for e in before[n] if e.src == nid("S")]
+        chain_asset = {e.chain_id: e.asset for n in nodes for e in before[n]}
+        own = []
+        for e in advertised:
+            if rng.random() < 0.5:  # replace it; otherwise leave it out
+                own.append(Edge(e.src, e.dst, e.chain_id, e.asset,
+                                rng.choice([500, 2_000, 50_000, 10**6])))
+        for dst in rng.sample(nodes[:-1], rng.randint(1, 3)):
+            taken = {e.chain_id for e in before[dst] if e.src == nid("S")}
+            free = sorted(set(g.chain_fns) - taken)
+            if free:  # a parallel chain, or a channel the adverts do not show
+                c = rng.choice(free)
+                own.append(Edge(nid("S"), dst, c, chain_asset.get(c, "a0"), 10**6))
+        rng.shuffle(own)
+        copy = ChannelGraph(g.chain_fns, [e for n in nodes for e in before[n]], g.quotes)
+        for e in own:
+            copy.add_edge(e)
+        args = (nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
+        kwargs = dict(
+            required_hash_fn=rng.choice([None, None, S256, S3]),
+            max_hops=rng.choice([2, 3, 4, 6, MAX_ROUTE_HOPS]),
+        )
+        try:
+            expected = reference_find_route(copy, *args, **kwargs)
+        except NoRouteFound:
+            with pytest.raises(NoRouteFound):
+                find_route(g, *args, own, **kwargs)
+        else:
+            route = find_route(g, *args, own, **kwargs)
+            assert route == expected, f"trial {trial}"
+            first = route.hops[0]
+            mine = any((e.dst, e.chain_id) == (first.node, first.chain_id) for e in own)
+            firsts["own" if mine else "advertised"] += 1
+        assert {n: g.edges_into(n) for n in nodes} == before, f"trial {trial}"
+    assert min(firsts.values()) >= 40, firsts
+
+
+def test_own_edges_must_start_at_the_sender():
+    g = simple_graph()
+    with pytest.raises(ValueError):
+        find_route(g, nid("S"), nid("R"), 10, "coin",
+                   [Edge(nid("L1"), nid("L2"), "main", "coin", 10**6)])
+
+
 def test_parallel_channel_tie_goes_to_least_chain_ids_from_recipient():
     """S -> L1 -> L2 -> R where L1 -> L2 runs on chains c1 (asset a) and c2
     (asset b). The b channel carries less, so its partial path is searched

@@ -6,6 +6,9 @@ from importlib import resources
 
 import pytest
 
+import comit.crp.graph as graph_mod
+import comit.simnet.engine as engine_mod
+from comit.crp import ChannelGraph, GossipState
 from comit.simnet import run_scenario, validate_scenario
 from comit.simnet.cli import main
 from comit.simnet.report import report_json
@@ -516,3 +519,107 @@ def test_cli_demo_runs_bundled_scenario(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["payments"][0]["status"] == "settled"
     assert report["violations"] == []
+
+
+# ---------------------------------------------------------------- scaling
+
+
+def star_doc(users: int) -> dict:
+    """`users` users and four businesses, each with one channel to a single
+    LP; one payment per user to a business, four a tick once gossip is
+    done."""
+    us = [f"u{i:04d}" for i in range(users)]
+    bz = [f"b{i}" for i in range(4)]
+    links = [(n, "hub") for n in us + bz]
+    genesis = {n: 100_000 for n in us + bz}
+    genesis["hub"] = 100_000 * len(links)
+    return {
+        "seed": 11,
+        "max_ticks": 6 + users // 4 + 100,
+        "chains": [{"chain_id": "main", "asset": "coin", "hash_fns": ["SHA256"],
+                    "genesis": genesis}],
+        "actors": ([{"name": u, "kind": "user"} for u in us]
+                   + [{"name": "hub", "kind": "lp"}]
+                   + [{"name": b, "kind": "business"} for b in bz]),
+        "channels": [{"chain_id": "main", "party_a": a, "party_b": b,
+                      "fund_a": 100_000, "fund_b": 100_000} for a, b in links],
+        "quotes": [{"node": "hub", "asset_in": "coin", "asset_out": "coin",
+                    "rate_num": 1, "rate_den": 1, "base_fee": 1, "fee_ppm": 1000}],
+        "payments": [{"at_tick": 6 + i // 4, "sender": u, "recipient": bz[i % 4],
+                      "amount": 100 + 7 * i, "asset": "coin"}
+                     for i, u in enumerate(us)],
+    }
+
+
+def routing_counts(monkeypatch, doc: dict) -> dict:
+    """Run `doc` and count the routing work: graph builds, the distinct
+    advert sets they were built from, backward_apply calls and partial
+    paths grown inside find_route, routes found, and the ticks gossip_step
+    ran in."""
+    counts = {"builds": 0, "sets": set(), "applies": 0, "paths": 0, "routes": 0,
+              "gossip_ticks": set(), "searching": False}
+    build = ChannelGraph.from_adverts.__func__
+
+    def from_adverts(cls, adverts, *args):
+        counts["builds"] += 1
+        counts["sets"].add(tuple((a.node_pubkey, a.timestamp) for a in adverts))
+        return build(cls, adverts, *args)
+
+    apply = graph_mod.backward_apply
+
+    def backward_apply(*args):
+        counts["applies"] += counts["searching"]
+        return apply(*args)
+
+    make = graph_mod._Partial
+
+    def partial(*args):
+        counts["paths"] += 1
+        return make(*args)
+
+    search = engine_mod.find_route
+
+    def find_route(*args, **kwargs):
+        counts["searching"] = True
+        try:
+            route = search(*args, **kwargs)
+        finally:
+            counts["searching"] = False
+        counts["routes"] += 1
+        return route
+
+    step = GossipState.gossip_step
+
+    def gossip_step(self, *args):
+        counts["gossip_ticks"].add(engine.tick)
+        return step(self, *args)
+
+    scenario, errors = validate_scenario(doc)
+    assert errors == []
+    engine = engine_mod.Engine(scenario)
+    with monkeypatch.context() as m:
+        m.setattr(ChannelGraph, "from_adverts", classmethod(from_adverts))
+        m.setattr(graph_mod, "backward_apply", backward_apply)
+        m.setattr(graph_mod, "_Partial", partial)
+        m.setattr(engine_mod, "find_route", find_route)
+        m.setattr(GossipState, "gossip_step", gossip_step)
+        engine.run()
+    assert engine.violations == []
+    assert all(p.status == "settled" for p in engine.payments)
+    counts["converged"] = engine.gossip_converged_tick
+    return counts
+
+
+def test_star_routing_work_does_not_grow_with_users(monkeypatch):
+    """Exact counts, not timings: one graph per advert set, the same
+    pricing work and the same partial paths per route, and no gossip once
+    every store is converged, at 20 users as at 80."""
+    per_route = []
+    for users in (20, 80):
+        counts = routing_counts(monkeypatch, star_doc(users))
+        assert counts["routes"] == users
+        assert counts["builds"] == len(counts["sets"]) == 1
+        per_route.append((counts["applies"] / users, counts["paths"] / users))
+        assert counts["converged"] >= 0
+        assert max(counts["gossip_ticks"]) <= counts["converged"] + 1
+    assert per_route[0] == per_route[1], per_route
