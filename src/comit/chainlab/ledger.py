@@ -86,6 +86,8 @@ class Ledger:
         self._mempool_spends: dict[Outpoint, bytes] = {}
         self._mempool_outputs: dict[Outpoint, TxOut] = {}
         self._spent: dict[Outpoint, bytes] = {}  # confirmed spends
+        # PayToKey owner -> its unspent outpoints, in insertion order
+        self._owned: dict[bytes, dict[Outpoint, None]] = {}
         self.burned = 0
         self.confirmed_tx_count = 0
         gen_txid = hashlib.sha256(b"genesis/" + params.chain_id.encode()).digest()
@@ -93,13 +95,23 @@ class Ledger:
         for i, (owner, amount) in enumerate(genesis):
             if amount <= 0 or amount > MAX_AMOUNT:
                 raise ValueError("genesis amount out of range")
-            op = Outpoint(gen_txid, i)
-            self._utxos[op] = Utxo(amount, PayToKey(owner), 0)
+            self._add_utxo(Outpoint(gen_txid, i), Utxo(amount, PayToKey(owner), 0))
             total += amount
         if total > MAX_AMOUNT:
             raise ValueError("genesis total out of range")
         self.genesis_total = total
         self._utxo_value = total
+
+    def _add_utxo(self, op: Outpoint, utxo: Utxo) -> None:
+        self._utxos[op] = utxo
+        if isinstance(utxo.script, PayToKey):
+            self._owned.setdefault(utxo.script.pubkey, {})[op] = None
+
+    def _pop_utxo(self, op: Outpoint) -> Utxo:
+        utxo = self._utxos.pop(op)
+        if isinstance(utxo.script, PayToKey):
+            del self._owned[utxo.script.pubkey][op]
+        return utxo
 
     # --- queries -----------------------------------------------------------
 
@@ -123,11 +135,9 @@ class Ledger:
         """Confirmed PayToKey outputs owned by pubkey and not already claimed
         by a mempool transaction, largest first."""
         found = [
-            (op, u.amount)
-            for op, u in self._utxos.items()
-            if isinstance(u.script, PayToKey)
-            and u.script.pubkey == pubkey
-            and op not in self._mempool_spends
+            (op, self._utxos[op].amount)
+            for op in self._owned.get(pubkey, ())
+            if op not in self._mempool_spends
         ]
         found.sort(key=lambda item: (-item[1], item[0].txid, item[0].index))
         return found
@@ -223,7 +233,7 @@ class Ledger:
                     out_value = sum(o.amount for o in tx.outputs)
                     for txin in tx.inputs:
                         op = txin.outpoint
-                        utxo = self._utxos.pop(op)
+                        utxo = self._pop_utxo(op)
                         self._utxo_value -= utxo.amount
                         self._spent[op] = tx_id
                         del self._mempool_spends[op]
@@ -231,7 +241,7 @@ class Ledger:
                     for i, txout in enumerate(tx.outputs):
                         op = Outpoint(tx_id, i)
                         self._mempool_outputs.pop(op, None)
-                        self._utxos[op] = Utxo(txout.amount, txout.script, height)
+                        self._add_utxo(op, Utxo(txout.amount, txout.script, height))
                         self._utxo_value += txout.amount
                     self.burned += in_value - out_value
                     del self._mempool[tx_id]

@@ -17,7 +17,7 @@ would send nothing, and a driver may skip it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .identity import NodeKey, verify_node_mac
@@ -44,6 +44,13 @@ class LpAdvert:
     quotes: tuple[RateQuote, ...]
     timestamp: int
     signature: bytes
+    # What the signature covers, built once per advert, so that the many
+    # nodes verifying one advert object do not each rebuild it.
+    signing_bytes: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        body = advert_signing_bytes(self.node_pubkey, self.endpoints, self.quotes, self.timestamp)
+        object.__setattr__(self, "signing_bytes", body)
 
 
 def _short_str(s: str) -> bytes:
@@ -78,23 +85,18 @@ def make_advert(
     quotes: Sequence[RateQuote],
     timestamp: int,
 ) -> LpAdvert:
-    endpoints = tuple(endpoints)
-    quotes = tuple(quotes)
-    body = advert_signing_bytes(node_key.pubkey, endpoints, quotes, timestamp)
-    return LpAdvert(
+    unsigned = LpAdvert(
         node_pubkey=node_key.pubkey,
-        endpoints=endpoints,
-        quotes=quotes,
+        endpoints=tuple(endpoints),
+        quotes=tuple(quotes),
         timestamp=timestamp,
-        signature=node_key.sign(body),
+        signature=b"",
     )
+    return replace(unsigned, signature=node_key.sign(unsigned.signing_bytes))
 
 
 def verify_advert(advert: LpAdvert) -> bool:
-    body = advert_signing_bytes(
-        advert.node_pubkey, advert.endpoints, advert.quotes, advert.timestamp
-    )
-    return verify_node_mac(advert.node_pubkey, body, advert.signature)
+    return verify_node_mac(advert.node_pubkey, advert.signing_bytes, advert.signature)
 
 
 class GossipState:

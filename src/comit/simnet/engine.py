@@ -77,6 +77,8 @@ from .scenario import PaymentSpec, Scenario
 
 # An HTLC this close to expiry (in blocks) goes on-chain.
 URGENT_BLOCKS = 2
+# Phases of a channel closed on-chain whose outputs are not all resolved.
+CLOSED_ON_CHAIN = (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
 
 
 def derived_rng(seed: int, *parts) -> random.Random:
@@ -100,7 +102,8 @@ class ActorState:
     settled_out: dict[str, int] = field(default_factory=dict)
     fees: dict[str, int] = field(default_factory=dict)  # asset -> fees authorized
     channels: list[ChanRt] = field(default_factory=list)  # in channel-index order
-    faults: list[int] = field(default_factory=list)  # indices into Scenario.faults
+    # fault kind -> indices into Scenario.faults
+    faults: dict[str, list[int]] = field(default_factory=dict)
     invoice_rng: Optional[random.Random] = None
 
     def bump(self, counter: dict[str, int], asset: str, amount: int) -> None:
@@ -178,6 +181,14 @@ class Engine:
         self.gossip_converged_tick = -1
         # advert ids -> (the adverts, their ChannelGraph); filled by _graph
         self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
+        # Housekeeping indexes (see _housekeeping): chain -> heap of
+        # (HTLC expiry, channel index), the channels that may hold an urgent
+        # HTLC, the channels closed on-chain and not yet settled, and the
+        # actors with revelations they have not read.
+        self.expiring: dict[str, list[tuple[int, int]]] = {}
+        self.hot: set[int] = set()
+        self.closed: set[int] = set()
+        self.unread: set[str] = set()
         self._build_world()
 
     # --- construction -------------------------------------------------------
@@ -223,6 +234,7 @@ class Engine:
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
             self.revealed[c.chain_id] = []
+            self.expiring[c.chain_id] = []
         self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
@@ -278,7 +290,7 @@ class Engine:
         for actor in self.actors.values():
             actor.scan = {cid: 0 for cid in self.ledgers}
         for i, f in enumerate(sc.faults):
-            self.actors[f.actor].faults.append(i)
+            self.actors[f.actor].faults.setdefault(f.kind, []).append(i)
 
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
         # The payments _cascade may still act on, by index. One enters with
@@ -298,12 +310,12 @@ class Engine:
 
     def _active(self, name: str, kind: str, tick: Optional[int] = None) -> list[int]:
         """Indices of `name`'s `kind` faults whose window holds `tick` (now)."""
+        mine = self.actors[name].faults.get(kind)
+        if not mine:
+            return []
         t = self.tick if tick is None else tick
         faults = self.sc.faults
-        return [
-            i for i in self.actors[name].faults
-            if faults[i].kind == kind and faults[i].at_tick <= t < faults[i].until_tick
-        ]
+        return [i for i in mine if faults[i].at_tick <= t < faults[i].until_tick]
 
     def _hit_faults(self, name: str, kind: str) -> None:
         for i in self._active(name, kind):
@@ -459,37 +471,55 @@ class Engine:
     def _gossip_round(self) -> None:
         for rt in self.channels:
             a, b = rt.names
-            if not (self._online(a) and self._online(b)):
-                continue
-            skip = False
-            for n in (a, b):
-                if self._active(n, "drop-gossip"):
-                    self._hit_faults(n, "drop-gossip")
-                    self._note("gossip_drops")
-                    skip = True
-            if skip:
-                continue
-            ga, gb = self.actors[a].gossip, self.actors[b].gossip
-            # After an exchange each side knows the other holds all it has,
-            # so until either installs an advert another one sends nothing.
-            if rt.gossiped == (ga.version, gb.version):
-                continue
-            delta = ga.gossip_step(gb.own_pubkey, [])
-            back = gb.gossip_step(ga.own_pubkey, delta)
-            if back:
-                ga.gossip_step(gb.own_pubkey, back)
-            rt.gossiped = (ga.version, gb.version)
-        if self.gossip_converged_tick < 0:
-            origins = {
-                a.gossip.own_pubkey
-                for a in self.actors.values()
-                if a.kind == "lp" and a.gossip.adverts
-            }
-            if all(
-                origins <= set(actor.gossip.adverts)
-                for actor in self.actors.values()
+            actor_a, actor_b = self.actors[a], self.actors[b]
+            # Neither party has news for the other while both versions are
+            # what they were after their last exchange. Without a
+            # drop-gossip fault at either end, the online and drop checks of
+            # _gossip_channel have no side effects, so this test may come first.
+            if (
+                rt.gossiped == (actor_a.gossip.version, actor_b.gossip.version)
+                and "drop-gossip" not in actor_a.faults
+                and "drop-gossip" not in actor_b.faults
             ):
-                self.gossip_converged_tick = self.tick
+                continue
+            self._gossip_channel(rt)
+        self._note_convergence()
+
+    def _gossip_channel(self, rt: ChanRt) -> None:
+        """One gossip exchange between the channel's parties, unless one is
+        offline or dropping gossip, or neither has news for the other."""
+        a, b = rt.names
+        if not (self._online(a) and self._online(b)):
+            return
+        skip = False
+        for n in (a, b):
+            if self._active(n, "drop-gossip"):
+                self._hit_faults(n, "drop-gossip")
+                self._note("gossip_drops")
+                skip = True
+        if skip:
+            return
+        ga, gb = self.actors[a].gossip, self.actors[b].gossip
+        # After an exchange each side knows the other holds all it has,
+        # so until either installs an advert another one sends nothing.
+        if rt.gossiped == (ga.version, gb.version):
+            return
+        delta = ga.gossip_step(gb.own_pubkey, [])
+        back = gb.gossip_step(ga.own_pubkey, delta)
+        if back:
+            ga.gossip_step(gb.own_pubkey, back)
+        rt.gossiped = (ga.version, gb.version)
+
+    def _note_convergence(self) -> None:
+        if self.gossip_converged_tick >= 0:
+            return
+        origins = {
+            a.gossip.own_pubkey
+            for a in self.actors.values()
+            if a.kind == "lp" and a.gossip.adverts
+        }
+        if all(origins <= set(actor.gossip.adverts) for actor in self.actors.values()):
+            self.gossip_converged_tick = self.tick
 
     # --- mining and confirmation tracking ----------------------------------------
 
@@ -498,8 +528,15 @@ class Engine:
             if self.tick % self.intervals[cid] != 0:
                 continue
             summary = self.ledgers[cid].mine_blocks(1)[0]
+            if not summary.txids:
+                continue  # process_block is a no-op on every channel
             for rt in self.chans_on[cid]:
                 rt.channel.process_block(summary)
+                # process_block is the only place these phases are set
+                if rt.channel.phase in CLOSED_ON_CHAIN:
+                    self.closed.add(rt.idx)
+                else:
+                    self.closed.discard(rt.idx)
             for tx_id in summary.txids:
                 meta = self.pending_txs.pop(tx_id, None)
                 if meta is not None:
@@ -512,6 +549,7 @@ class Engine:
             actor.bump(actor.fees, asset, meta.fee)
         if meta.kind == "claim":
             self.revealed[meta.chain_id].append((meta.payment_hash, meta.preimage))
+            self.unread.update(self.actors)
             self._resolve_onchain(meta, "claimed")
         elif meta.kind == "refund":
             self._resolve_onchain(meta, "refunded")
@@ -728,6 +766,7 @@ class Engine:
             offerer=offerer, receiver=receiver,
         ))
         self.hop_by_htlc[(rt.idx, htlc_id)] = (p.idx, i)
+        heapq.heappush(self.expiring[chain_id], (expiry, rt.idx))
         self.live[p.idx] = p
         self._schedule(self.tick + 1, "hop-offer", p.idx, i, packet)
         return None
@@ -838,13 +877,42 @@ class Engine:
     # --- per-tick housekeeping -----------------------------------------------------
 
     def _housekeeping(self) -> None:
+        """Learn revealed preimages, cascade hop resolutions, force-close
+        near expiry and spend closed outputs.
+
+        Each step keeps the rule and the visiting order (sorted actor names,
+        then the actor's channels in index order) of a scan over every actor
+        and channel, but visits only what an index says may act:
+
+        - `_learn_from_chains` reads `unread`, the actors with revelations
+          they have not read; for any other actor the scan learns nothing.
+        - `_cascade` reads `live`, the payments with an HTLC out.
+        - `_protect` reads `expiring`, one heap of (expiry, channel) per
+          chain pushed by `_offer`, into `hot`. An HTLC is urgent from the
+          height its expiry comes within URGENT_BLOCKS, and heights only
+          rise, so every open channel with an urgent HTLC is hot; a hot
+          channel leaves once it is not open or holds no urgent HTLC, and
+          a channel that is neither would make the scan do nothing.
+        - `_sweep_closed` reads `closed`, kept by `_mine` after each
+          `process_block`, the only place a channel is closed on-chain or
+          settled.
+        """
         self._learn_from_chains()
         self._cascade()
         self._protect()
         self._sweep_closed()
 
+    def _by_party(self, idxs: set[int]) -> dict[str, list[ChanRt]]:
+        """Each party's channels among `idxs`, in channel-index order."""
+        found: dict[str, list[ChanRt]] = {}
+        for idx in sorted(idxs):
+            rt = self.channels[idx]
+            for name in rt.names:
+                found.setdefault(name, []).append(rt)
+        return found
+
     def _learn_from_chains(self) -> None:
-        for name in sorted(self.actors):
+        for name in sorted(self.unread):
             actor = self.actors[name]
             if not self._online(name):
                 continue
@@ -853,6 +921,7 @@ class Engine:
                 for payment_hash, preimage in revealed[actor.scan[cid]:]:
                     actor.secrets.setdefault(payment_hash, preimage)
                 actor.scan[cid] = len(revealed)
+            self.unread.discard(name)
 
     def _cascade(self) -> None:
         """Propagate hop resolutions upstream, whatever mix of cooperative
@@ -881,111 +950,125 @@ class Engine:
     def _protect(self) -> None:
         """Force-close when an HTLC gets too close to expiry to keep waiting
         for cooperation."""
-        for name in sorted(self.actors):
-            if not self._online(name):
+        limit = {cid: led.height + URGENT_BLOCKS for cid, led in self.ledgers.items()}
+        for cid, heap in self.expiring.items():
+            while heap and heap[0][0] <= limit[cid]:
+                self.hot.add(heapq.heappop(heap)[1])
+
+        def urgent(rt: ChanRt) -> bool:
+            return rt.channel.phase is ChannelPhase.OPEN and any(
+                h.expiry_height <= limit[rt.chain_id] for h in rt.channel.pending_htlcs
+            )
+
+        self.hot = {idx for idx in self.hot if urgent(self.channels[idx])}
+        for name, chans in sorted(self._by_party(self.hot).items()):
+            if self._online(name):
+                for rt in chans:
+                    self._protect_channel(name, rt)
+
+    def _protect_channel(self, name: str, rt: ChanRt) -> None:
+        """`name` force-closes the open channel `rt` if it holds an urgent
+        HTLC that `name` offered or knows the preimage of."""
+        actor = self.actors[name]
+        party = rt.parties[name]
+        side = rt.channel.side_of(party)
+        close = False
+        for h in sorted(rt.channel.pending_htlcs, key=lambda h: h.htlc_id):
+            remaining = h.expiry_height - self.ledgers[rt.chain_id].height
+            if remaining > URGENT_BLOCKS:
                 continue
-            actor = self.actors[name]
-            for rt in actor.channels:
-                if rt.channel.phase is not ChannelPhase.OPEN:
-                    continue
-                party = rt.parties[name]
-                side = rt.channel.side_of(party)
-                close = False
-                for h in sorted(rt.channel.pending_htlcs, key=lambda h: h.htlc_id):
-                    remaining = h.expiry_height - self.ledgers[rt.chain_id].height
-                    if remaining > URGENT_BLOCKS:
-                        continue
-                    if h.offerer_side == side:
-                        close = True  # refund on-chain once expired
-                    elif h.payment_hash in actor.secrets:
-                        close = True  # claim on-chain before expiry
-                if close:
-                    try:
-                        tx = rt.channel.unilateral_close(party)
-                    except (ChannelError, TxRejected, ValueError):
-                        continue
-                    self._note("urgent_closes")
-                    self._track(rt.chain_id, tx, "commit", name)
+            if h.offerer_side == side:
+                close = True  # refund on-chain once expired
+            elif h.payment_hash in actor.secrets:
+                close = True  # claim on-chain before expiry
+        if close:
+            try:
+                tx = rt.channel.unilateral_close(party)
+            except (ChannelError, TxRejected, ValueError):
+                return
+            self._note("urgent_closes")
+            self._track(rt.chain_id, tx, "commit", name)
 
     def _sweep_closed(self) -> None:
-        for name in sorted(self.actors):
+        for name, chans in sorted(self._by_party(self.closed).items()):
             if not self._online(name):
                 continue
-            actor = self.actors[name]
             stalling = bool(self._active(name, "stall-secret"))
-            for rt in actor.channels:
-                ch = rt.channel
-                if ch.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED):
-                    continue
-                led = self.ledgers[rt.chain_id]
-                party = rt.parties[name]
-                side = ch.side_of(party)
+            for rt in chans:
+                self._sweep_channel(name, rt, stalling)
 
-                if ch.phase is ChannelPhase.BREACHED and side != ch.closed_by:
-                    outs = [
-                        o.outpoint
-                        for o in ch.closed_outputs
-                        if o.kind in ("delayed", "htlc") and led.is_unspent(o.outpoint)
-                        and o.outpoint not in rt.spent
-                    ]
-                    if outs:
-                        try:
-                            tx = ch.punish_breach(party)
-                        except (ChannelError, TxRejected):
-                            continue
-                        rt.spent.update(outs)
-                        self._note("justice_txs")
-                        self._track(
-                            rt.chain_id, tx, "justice", name, chan_idx=rt.idx
-                        )
-                    continue
+    def _sweep_channel(self, name: str, rt: ChanRt, stalling: bool) -> None:
+        """`name`'s spends of the closed channel `rt`'s outputs: justice on
+        a breach, else its matured delayed output and HTLC claims and refunds."""
+        actor = self.actors[name]
+        ch = rt.channel
+        led = self.ledgers[rt.chain_id]
+        party = rt.parties[name]
+        side = ch.side_of(party)
 
-                for out in ch.closed_outputs:
-                    if out.outpoint in rt.spent or not led.is_unspent(out.outpoint):
+        if ch.phase is ChannelPhase.BREACHED and side != ch.closed_by:
+            outs = [
+                o.outpoint
+                for o in ch.closed_outputs
+                if o.kind in ("delayed", "htlc") and led.is_unspent(o.outpoint)
+                and o.outpoint not in rt.spent
+            ]
+            if outs:
+                try:
+                    tx = ch.punish_breach(party)
+                except (ChannelError, TxRejected):
+                    return
+                rt.spent.update(outs)
+                self._note("justice_txs")
+                self._track(rt.chain_id, tx, "justice", name, chan_idx=rt.idx)
+            return
+
+        for out in ch.closed_outputs:
+            if out.outpoint in rt.spent or not led.is_unspent(out.outpoint):
+                continue
+            if out.kind == "delayed":
+                if (
+                    side == ch.closed_by
+                    and out.owner_side == side
+                    and led.height >= ch.closed_height + ch.csv_delay
+                ):
+                    try:
+                        tx = ch.build_delayed_sweep(party)
+                    except (ChannelError, TxRejected):
                         continue
-                    if out.kind == "delayed":
-                        if (
-                            side == ch.closed_by
-                            and out.owner_side == side
-                            and led.height >= ch.closed_height + ch.csv_delay
-                        ):
-                            try:
-                                tx = ch.build_delayed_sweep(party)
-                            except (ChannelError, TxRejected):
-                                continue
-                            rt.spent.add(out.outpoint)
-                            self._track(rt.chain_id, tx, "sweep", name)
-                    elif out.kind == "htlc":
-                        h = out.htlc
-                        if h.offerer_side != side and h.payment_hash in actor.secrets:
-                            if stalling:
-                                self._hit_faults(name, "stall-secret")
-                                continue
-                            try:
-                                tx = ch.build_htlc_claim(
-                                    party, h.htlc_id, actor.secrets[h.payment_hash]
-                                )
-                            except (ChannelError, TxRejected):
-                                continue
-                            rt.spent.add(out.outpoint)
-                            self._note("onchain_claims")
-                            self._track(
-                                rt.chain_id, tx, "claim", name,
-                                chan_idx=rt.idx, htlc_id=h.htlc_id,
-                                preimage=actor.secrets[h.payment_hash],
-                                payment_hash=h.payment_hash,
-                            )
-                        elif h.offerer_side == side and led.height >= h.expiry_height:
-                            try:
-                                tx = ch.build_htlc_refund(party, h.htlc_id)
-                            except (ChannelError, TxRejected):
-                                continue
-                            rt.spent.add(out.outpoint)
-                            self._note("onchain_refunds")
-                            self._track(
-                                rt.chain_id, tx, "refund", name,
-                                chan_idx=rt.idx, htlc_id=h.htlc_id,
-                            )
+                    rt.spent.add(out.outpoint)
+                    self._track(rt.chain_id, tx, "sweep", name)
+            elif out.kind == "htlc":
+                h = out.htlc
+                if h.offerer_side != side and h.payment_hash in actor.secrets:
+                    if stalling:
+                        self._hit_faults(name, "stall-secret")
+                        continue
+                    try:
+                        tx = ch.build_htlc_claim(
+                            party, h.htlc_id, actor.secrets[h.payment_hash]
+                        )
+                    except (ChannelError, TxRejected):
+                        continue
+                    rt.spent.add(out.outpoint)
+                    self._note("onchain_claims")
+                    self._track(
+                        rt.chain_id, tx, "claim", name,
+                        chan_idx=rt.idx, htlc_id=h.htlc_id,
+                        preimage=actor.secrets[h.payment_hash],
+                        payment_hash=h.payment_hash,
+                    )
+                elif h.offerer_side == side and led.height >= h.expiry_height:
+                    try:
+                        tx = ch.build_htlc_refund(party, h.htlc_id)
+                    except (ChannelError, TxRejected):
+                        continue
+                    rt.spent.add(out.outpoint)
+                    self._note("onchain_refunds")
+                    self._track(
+                        rt.chain_id, tx, "refund", name,
+                        chan_idx=rt.idx, htlc_id=h.htlc_id,
+                    )
 
     # --- invariants ------------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 
+import comit.crp.gossip as gossip_mod
 from comit.crp import (
     ChannelEndpoint,
     GossipState,
@@ -35,6 +36,37 @@ def test_tampered_advert_rejected(rng):
     assert not verify_advert(replace(advert, signature=bytes(32)))
     forged = replace(advert, quotes=(RateQuote("acoin", "bcoin", 200, 1),))
     assert not verify_advert(forged)
+
+
+def test_signing_bytes_built_once_per_advert(rng, monkeypatch):
+    """Verifying one advert at many nodes builds its signing bytes once,
+    when the advert is made; a copy with a tampered field builds its own
+    and is still rejected."""
+    a, b = NodeKey.generate(rng), NodeKey.generate(rng)
+    advert = sample_advert(a, b, timestamp=9)
+    build = gossip_mod.advert_signing_bytes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(gossip_mod, "advert_signing_bytes", counting)
+    nodes = [GossipState(NodeKey.generate(rng).pubkey) for _ in range(20)]
+    for node in nodes:
+        node.gossip_step(b.pubkey, [advert])
+        assert node.adverts == {a.pubkey: advert}
+    assert calls == []
+    for field, value in (("timestamp", 10), ("endpoints", ()),
+                         ("quotes", (RateQuote("acoin", "bcoin", 200, 1),))):
+        tampered = replace(advert, **{field: value})
+        assert tampered.signing_bytes != advert.signing_bytes
+        assert not verify_advert(tampered)
+        assert nodes[0].gossip_step(b.pubkey, [tampered]) == []
+    assert len(calls) == 3
+    assert nodes[0].invalid_dropped == 3 and nodes[0].adverts == {a.pubkey: advert}
+    assert advert.signing_bytes == build(advert.node_pubkey, advert.endpoints,
+                                         advert.quotes, advert.timestamp)
 
 
 def test_invalid_adverts_dropped_and_counted(rng):

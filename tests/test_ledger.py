@@ -266,3 +266,74 @@ def test_random_transfer_storm_conserves_value(rng):
     ledger.mine_blocks(3)
     assert conserved(ledger)
     assert ledger.burned > 0
+
+
+def scanning_spendable_by(ledger: Ledger, pubkey: bytes):
+    """The scan `spendable_by` replaced, over every UTXO; the oracle for its
+    owner index."""
+    found = [
+        (op, u.amount)
+        for op, u in ledger._utxos.items()
+        if isinstance(u.script, PayToKey)
+        and u.script.pubkey == pubkey
+        and op not in ledger._mempool_spends
+    ]
+    found.sort(key=lambda item: (-item[1], item[0].txid, item[0].index))
+    return found
+
+
+def test_owner_index_matches_a_scan_of_every_utxo(seeded):
+    """Random submits (chained on unconfirmed outputs, some to timelocked
+    scripts), double-spends and mining: `spendable_by` equals the full
+    scan for every owner after every step."""
+    for seed in range(6):
+        rng = seeded(seed)
+        keys = [KeyPair.generate(rng) for _ in range(4)]
+        ledger = Ledger(params(fee=1), [(k.pubkey, 5_000) for k in keys * 2])
+        locked = []  # (owner, outpoint, amount) of TimeLockRel outputs
+        for _ in range(150):
+            who = rng.choice(keys)
+            coins = ledger.spendable_by(who.pubkey)
+            roll = rng.random()
+            if roll < 0.25 or not coins:
+                ledger.mine_blocks(rng.randint(1, 2))
+            elif roll < 0.35:
+                # a double-spend of an outpoint already spent in the mempool
+                owners = {PayToKey(k.pubkey): k for k in keys}
+                taken = [
+                    (op, owners[ledger.utxo(op).script])
+                    for op in ledger._mempool_spends
+                    if ledger.is_unspent(op) and ledger.utxo(op).script in owners
+                ]
+                if taken:
+                    op, owner = rng.choice(taken)
+                    with pytest.raises(TxRejected) as err:
+                        ledger.submit_tx(spend(owner, [op], [(1, PayToKey(owner.pubkey))]))
+                    assert err.value.reason == Reject.CONFLICT
+            elif roll < 0.45 and locked:
+                owner, op, amount = locked.pop(rng.randrange(len(locked)))
+                if amount > 1:
+                    ledger.submit_tx(spend(owner, [op], [(amount - 1, PayToKey(owner.pubkey))]))
+            else:
+                picked = coins[: rng.randint(1, min(3, len(coins)))]
+                total = sum(a for _, a in picked)
+                if total < 3:
+                    continue
+                dest = rng.choice(keys)
+                pay = rng.randrange(1, total - 1)
+                locks = rng.random() < 0.2
+                script = TimeLockRel(1, dest.pubkey) if locks else PayToKey(dest.pubkey)
+                outs = [(pay, script)]
+                if total - pay - 1:
+                    outs.append((total - pay - 1, PayToKey(who.pubkey)))
+                tx = spend(who, [op for op, _ in picked], outs)
+                tx_id = ledger.submit_tx(tx)
+                if locks:
+                    locked.append((dest, Outpoint(tx_id, 0), pay))
+                # spend the change while it is still unconfirmed
+                if len(outs) == 2 and rng.random() < 0.3 and total - pay - 1 > 1:
+                    ledger.submit_tx(spend(who, [Outpoint(tx_id, 1)],
+                                           [(total - pay - 2, PayToKey(who.pubkey))]))
+            for k in keys:
+                assert ledger.spendable_by(k.pubkey) == scanning_spendable_by(ledger, k.pubkey)
+        assert conserved(ledger)

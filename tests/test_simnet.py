@@ -2,16 +2,20 @@
 
 import copy
 import json
+import random
 from importlib import resources
 
 import pytest
 
 import comit.crp.graph as graph_mod
 import comit.simnet.engine as engine_mod
+from comit.channels import Channel, ChannelPhase
 from comit.crp import ChannelGraph, GossipState
 from comit.simnet import run_scenario, validate_scenario
 from comit.simnet.cli import main
-from comit.simnet.report import report_json
+from comit.simnet.report import build_report, report_json
+from test_acceptance import random_scenario
+from test_mesh_faults import CORPUS_SEED, MESHES, mesh_doc
 
 
 def minimal_doc() -> dict:
@@ -555,9 +559,13 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
     """Run `doc` and count the routing work: graph builds, the distinct
     advert sets they were built from, backward_apply calls and partial
     paths grown inside find_route, routes found, and the ticks gossip_step
-    ran in."""
+    ran in. Count the housekeeping work too: process_block calls on blocks
+    that confirm nothing, side_of calls made by _protect and _sweep_closed,
+    _active calls outside _gossip_round, and the ticks it ran in inside."""
     counts = {"builds": 0, "sets": set(), "applies": 0, "paths": 0, "routes": 0,
-              "gossip_ticks": set(), "searching": False}
+              "gossip_ticks": set(), "searching": False, "step": None,
+              "empty_blocks": 0, "housekeeping_sides": 0, "active": 0,
+              "gossip_active_ticks": set()}
     build = ChannelGraph.from_adverts.__func__
 
     def from_adverts(cls, adverts, *args):
@@ -594,6 +602,39 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
         counts["gossip_ticks"].add(engine.tick)
         return step(self, *args)
 
+    def watched(name):
+        run_step = getattr(engine_mod.Engine, name)
+
+        def step(self):
+            counts["step"] = name
+            try:
+                return run_step(self)
+            finally:
+                counts["step"] = None
+
+        return step
+
+    process = Channel.process_block
+
+    def process_block(self, summary):
+        counts["empty_blocks"] += not summary.txids
+        return process(self, summary)
+
+    side_of = Channel.side_of
+
+    def counted_side_of(self, party):
+        counts["housekeeping_sides"] += counts["step"] in ("_protect", "_sweep_closed")
+        return side_of(self, party)
+
+    active = engine_mod.Engine._active
+
+    def counted_active(self, *args):
+        if counts["step"] == "_gossip_round":
+            counts["gossip_active_ticks"].add(self.tick)
+        else:
+            counts["active"] += 1
+        return active(self, *args)
+
     scenario, errors = validate_scenario(doc)
     assert errors == []
     engine = engine_mod.Engine(scenario)
@@ -603,6 +644,11 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
         m.setattr(graph_mod, "_Partial", partial)
         m.setattr(engine_mod, "find_route", find_route)
         m.setattr(GossipState, "gossip_step", gossip_step)
+        for name in ("_protect", "_sweep_closed", "_gossip_round"):
+            m.setattr(engine_mod.Engine, name, watched(name))
+        m.setattr(Channel, "process_block", process_block)
+        m.setattr(Channel, "side_of", counted_side_of)
+        m.setattr(engine_mod.Engine, "_active", counted_active)
         engine.run()
     assert engine.violations == []
     assert all(p.status == "settled" for p in engine.payments)
@@ -613,13 +659,133 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
 def test_star_routing_work_does_not_grow_with_users(monkeypatch):
     """Exact counts, not timings: one graph per advert set, the same
     pricing work and the same partial paths per route, and no gossip once
-    every store is converged, at 20 users as at 80."""
+    every store is converged, at 20 users as at 80. Housekeeping touches
+    only what changed: no channel looks at a block that confirmed nothing,
+    _protect and _sweep_closed find no channel to act on, and fault
+    lookups happen per payment, not per actor and tick."""
     per_route = []
     for users in (20, 80):
         counts = routing_counts(monkeypatch, star_doc(users))
         assert counts["routes"] == users
         assert counts["builds"] == len(counts["sets"]) == 1
-        per_route.append((counts["applies"] / users, counts["paths"] / users))
+        per_route.append((counts["applies"] / users, counts["paths"] / users,
+                          counts["active"] / users))
         assert counts["converged"] >= 0
         assert max(counts["gossip_ticks"]) <= counts["converged"] + 1
+        assert max(counts["gossip_active_ticks"]) <= counts["converged"] + 1
+        assert counts["empty_blocks"] == 0
+        assert counts["housekeeping_sides"] == 0
     assert per_route[0] == per_route[1], per_route
+
+
+# ---------------------------------------------------------------- housekeeping oracle
+
+
+class ScanningEngine(engine_mod.Engine):
+    """The engine with its per-tick steps scanning every actor, channel and
+    fault: the oracle the indexed steps must match byte for byte. Only what
+    is visited differs; what a visit does is the engine's own code."""
+
+    def _active(self, name, kind, tick=None):
+        t = self.tick if tick is None else tick
+        return [
+            i for i, f in enumerate(self.sc.faults)
+            if f.actor == name and f.kind == kind and f.at_tick <= t < f.until_tick
+        ]
+
+    def _mine(self):
+        for cid in sorted(self.ledgers):
+            if self.tick % self.intervals[cid] != 0:
+                continue
+            summary = self.ledgers[cid].mine_blocks(1)[0]
+            for rt in self.chans_on[cid]:
+                rt.channel.process_block(summary)
+            for tx_id in summary.txids:
+                meta = self.pending_txs.pop(tx_id, None)
+                if meta is not None:
+                    self._confirmed(meta)
+
+    def _learn_from_chains(self):
+        for name in sorted(self.actors):
+            actor = self.actors[name]
+            if not self._online(name):
+                continue
+            for cid in sorted(self.ledgers):
+                revealed = self.revealed[cid]
+                for payment_hash, preimage in revealed[actor.scan[cid]:]:
+                    actor.secrets.setdefault(payment_hash, preimage)
+                actor.scan[cid] = len(revealed)
+
+    def _gossip_round(self):
+        for rt in self.channels:
+            self._gossip_channel(rt)
+        self._note_convergence()
+
+    def _protect(self):
+        for name in sorted(self.actors):
+            if not self._online(name):
+                continue
+            for rt in self.actors[name].channels:
+                if rt.channel.phase is ChannelPhase.OPEN:
+                    self._protect_channel(name, rt)
+
+    def _sweep_closed(self):
+        for name in sorted(self.actors):
+            if not self._online(name):
+                continue
+            stalling = bool(self._active(name, "stall-secret"))
+            for rt in self.actors[name].channels:
+                if rt.channel.phase in engine_mod.CLOSED_ON_CHAIN:
+                    self._sweep_channel(name, rt, stalling)
+
+
+def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
+    """`doc`'s report text and metrics from ScanningEngine and Engine."""
+    out = []
+    for cls in (ScanningEngine, engine_mod.Engine):
+        scenario, errors = validate_scenario(doc)
+        assert errors == [], errors
+        engine = cls(scenario)
+        engine.run()
+        out.append((report_json(build_report(engine)), engine.metrics))
+    return out
+
+
+def test_indexed_housekeeping_matches_full_scans():
+    """Byte-identical reports from the indexed per-tick steps and from full
+    scans, on the bundled scenarios, the first 100 acceptance-corpus
+    scenarios, the multi-fault meshes, a fault-free mesh and a star."""
+    docs = [
+        json.loads((resources.files("comit.simnet") / "scenarios" / name).read_text())
+        for name in sorted(
+            p.name for p in (resources.files("comit.simnet") / "scenarios").iterdir()
+            if p.name.endswith(".json")
+        )
+    ]
+    rng = random.Random(0xACCE97)
+    docs += [random_scenario(rng) for _ in range(100)]
+    rng = random.Random(CORPUS_SEED)
+    docs += [mesh_doc(rng) for _ in range(MESHES)]
+    # The tenth mesh of seed 20: a business claims on-chain while the LP
+    # upstream of it is crashed, and the LP learns the preimage once back.
+    rng = random.Random(20)
+    docs.append([mesh_doc(rng) for _ in range(10)][-1])
+    # Both ends of one channel are down when its HTLC turns urgent; the
+    # first one back closes it, to claim (recipient) or to refund (sender).
+    for ann, lp in ((40, 20), (20, 40)):
+        doc = minimal_doc()
+        doc["faults"] = [{"kind": "crash", "actor": "ann", "at_tick": 5, "duration": ann},
+                         {"kind": "crash", "actor": "lp", "at_tick": 5, "duration": lp}]
+        docs.append(doc)
+    docs.append({**mesh_doc(random.Random(5)), "faults": []})
+    docs.append(star_doc(12))
+    seen = {}
+    for i, doc in enumerate(docs):
+        (scanned, metrics), (indexed, _) = scanned_and_indexed(doc)
+        assert indexed == scanned, i
+        for k, v in metrics.items():
+            seen[k] = seen.get(k, 0) + v
+    # the runs reach every path the indexes decide
+    for metric in ("urgent_closes", "justice_txs", "onchain_claims", "onchain_refunds",
+                   "gossip_drops", "stall_blocks", "crash_requeues"):
+        assert seen.get(metric, 0) > 0, (metric, seen)
