@@ -45,7 +45,13 @@ asset grows a partial path with that same amount and one more hop, so all
 of them share one bound, (ceil(amount * p(asset)), length + 2). Once that
 bound passes the best route, none of them could be pushed, and the whole
 asset is skipped without pricing or growing a path. This is the same test
-the push makes, taken once per asset rather than once per edge.
+the push makes, taken once per asset rather than once per edge. The graph
+also indexes the edges into each node by asset, so every asset's bound is
+settled before any edge is scanned, and when no asset admits a hop the
+edges into `head` are not scanned at all: a hub's hundreds of edges cost
+nothing once the best route is found. An asset is priced only where a
+scan would price it, when the sender's edges carry it or some edge of it
+comes from a node the path may still take.
 """
 
 from __future__ import annotations
@@ -169,6 +175,8 @@ class ChannelGraph:
         self._edges: dict[tuple[bytes, bytes, str], Edge] = {}
         # dst -> the edges into it, in _edge_order
         self._into: dict[bytes, list[Edge]] = {}
+        # dst -> asset -> the edges into dst that carry it, in no order
+        self._assets_into: dict[bytes, dict[str, list[Edge]]] = {}
         self.quotes: dict[bytes, dict[tuple[str, str], RateQuote]] = {}
         if quotes:
             for node in quotes:
@@ -180,10 +188,14 @@ class ChannelGraph:
         """Insert or replace the edge for (src, dst, chain)."""
         key = (edge.src, edge.dst, edge.chain_id)
         into = self._into.setdefault(edge.dst, [])
+        assets = self._assets_into.setdefault(edge.dst, {})
         if key in self._edges:
-            into.remove(self._edges[key])
+            old = self._edges[key]
+            into.remove(old)
+            assets[old.asset].remove(old)
         self._edges[key] = edge
         insort(into, edge, key=_edge_order)
+        assets.setdefault(edge.asset, []).append(edge)
 
     def add_quote(self, node: bytes, quote: RateQuote) -> None:
         self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
@@ -192,6 +204,12 @@ class ChannelGraph:
         """The edges into `node`, sorted by (src, chain_id, asset). The list
         is the graph's own index: read it, do not change it."""
         return self._into.get(node, [])
+
+    def assets_into(self, node: bytes) -> Mapping[str, list[Edge]]:
+        """asset -> the edges into `node` that carry it, in no set order.
+        An asset may map to no edge once its last edge was replaced. The
+        index is the graph's own: read it, do not change it."""
+        return self._assets_into.get(node, {})
 
     def node_quote(self, node: bytes, asset_in: str, asset_out: str) -> Optional[RateQuote]:
         return self.quotes.get(node, {}).get((asset_in, asset_out))
@@ -344,28 +362,34 @@ def find_route(
 
         if path.length + 1 >= max_hops:
             continue
-        # asset -> (step, bound) of one more hop, None once that bound
-        # passes the best route: best no longer moves in this loop
-        ahead: dict[str, Optional[tuple]] = {}
+        # asset -> (step, bound) of one more hop, for every asset that an
+        # edge the path can take carries and whose bound does not pass the
+        # best route: best no longer moves below. An asset has at most one
+        # edge per chain from each node the path cannot take, so the search
+        # for one it can take stops within that many.
+        visited = path.visited
+        ahead: dict[str, tuple] = {}
+        for asset, carriers in graph.assets_into(head).items():
+            for edge in carriers:
+                if edge.src != sender and edge.src not in visited:
+                    break
+            else:
+                continue
+            step = steps[asset] if asset in steps else priced(path, asset)
+            if step is not None:
+                price = prices.get(asset, unquoted)
+                bound = (ceil_div(step[1] * price.numerator, price.denominator),
+                         path.length + 2)
+                if best is None or bound <= best[:2]:
+                    ahead[asset] = (step, bound)
+        if not ahead:
+            continue
         for edge in graph.edges_into(head):
-            if edge.src == sender or edge.src in path.visited:
-                continue
-            asset = edge.asset
-            if asset not in ahead:
-                step = steps[asset] if asset in steps else priced(path, asset)
-                ahead[asset] = None
-                if step is not None:
-                    price = prices.get(asset, unquoted)
-                    bound = (ceil_div(step[1] * price.numerator, price.denominator),
-                             path.length + 2)
-                    if best is None or bound <= best[:2]:
-                        ahead[asset] = (step, bound)
-            if ahead[asset] is None:
-                continue
-            step, bound = ahead[asset]
-            grown = grow(path, edge, step)
-            if grown is not None:
-                heapq.heappush(heap, (bound, next(order), grown))
+            if edge.asset in ahead and edge.src != sender and edge.src not in visited:
+                step, bound = ahead[edge.asset]
+                grown = grow(path, edge, step)
+                if grown is not None:
+                    heapq.heappush(heap, (bound, next(order), grown))
 
     if best_path is None:
         raise NoRouteFound(

@@ -1,8 +1,11 @@
-"""Layered routing packets: round trips, size invariance, tamper detection."""
+"""Layered routing packets: round trips, size invariance, tamper detection,
+and the sender's key schedule against the re-blinding one it replaced."""
 
+import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from comit.chainlab import HashFnId
 from comit.crp import (
@@ -24,7 +27,18 @@ from comit.crp import (
     onion_peel,
     payloads_for_route,
 )
-from comit.crp.onion import _xor, decode_payload, encode_payload
+import comit.crp.onion as onion_mod
+from comit.crp.onion import (
+    _L,
+    _as_key,
+    _clamp,
+    _exchange,
+    _hop_secrets,
+    _mul,
+    _xor,
+    decode_payload,
+    encode_payload,
+)
 
 from conftest import GOLDEN
 
@@ -216,3 +230,110 @@ def test_xor_matches_bytewise_reference(seeded):
         assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
     # leading zero bytes survive the integer round trip
     assert _xor(b"\x00\x01", b"\x00\x03") == b"\x00\x02"
+
+
+# --- key schedule ------------------------------------------------------------
+
+
+def reference_hop_secrets(session, alpha, hop_pubkeys):
+    """The shared secret of each hop. `alpha` is the session's public key;
+    hop i sees it blinded by the factors of hops 0..i-1, so no hop after the
+    last needs one."""
+    secrets = []
+    blinds: list[bytes] = []
+    for i, hop_pub in enumerate(hop_pubkeys):
+        s = _exchange(session, hop_pub)
+        for b in blinds:
+            s = _mul(b, s)
+        secrets.append(s)
+        if i + 1 < len(hop_pubkeys):
+            b = hashlib.sha256(alpha + s).digest()
+            blinds.append(b)
+            alpha = _mul(b, alpha)
+    return secrets
+
+
+def reference_schedule(session_key, hop_pubkeys):
+    """Ephemerals and secrets by re-blinding every secret, the oracle of the
+    running-scalar schedule. Each ephemeral after the first is the one
+    before it blinded as a forwarding hop blinds it."""
+    session = X25519PrivateKey.from_private_bytes(session_key)
+    alpha = onion_mod._raw_public(session)
+    secrets = reference_hop_secrets(session, alpha, hop_pubkeys)
+    ephemerals = [alpha]
+    for s in secrets[:-1]:
+        ephemerals.append(_mul(hashlib.sha256(ephemerals[-1] + s).digest(), ephemerals[-1]))
+    return ephemerals, secrets
+
+
+def schedules(seed):
+    """(session key, hop keys) for 1..20 hops, fresh keys for each length."""
+    rng = random.Random(seed)
+    for hops in range(1, 21):
+        keys = [NodeKey.generate(rng).pubkey for _ in range(hops)]
+        yield rng.randbytes(32), keys
+
+
+@pytest.mark.parametrize("seed", [0x5C4, 0x5C5, 0x5C6])
+def test_key_schedule_matches_reblinding_reference(seed):
+    for session_key, keys in schedules(seed):
+        assert _hop_secrets(session_key, keys) == reference_schedule(session_key, keys)
+
+
+@pytest.mark.parametrize("keyless", ["every", "alternate"])
+def test_fallback_for_a_scalar_with_no_key_matches_reference(monkeypatch, keyless):
+    """Residues with no key are about 2**-125 of all, so force them: at
+    every hop the schedule is the reference's own; at alternate hops the
+    pending blinds are applied and then dropped once a key is found."""
+    calls = []
+
+    def as_key(k):
+        calls.append(k)
+        return None if keyless == "every" or len(calls) % 2 else _as_key(k)
+
+    monkeypatch.setattr(onion_mod, "_as_key", as_key)
+    for session_key, keys in schedules(0xFA11):
+        assert _hop_secrets(session_key, keys) == reference_schedule(session_key, keys)
+    assert calls
+
+
+def test_as_key_gives_a_key_for_either_sign_of_the_residue(seeded):
+    assert _as_key(2**255 % _L) is None
+    rng = seeded(0xA5)
+    for _ in range(2000):
+        r = rng.randrange(1, _L)
+        key = _as_key(r)
+        assert key is not None and len(key) == 32
+        assert _clamp(key) % _L in (r, _L - r)
+        assert _clamp(key) == int.from_bytes(key, "little")
+
+
+@pytest.mark.parametrize("hops", range(1, 7))
+def test_onion_create_makes_one_key_and_one_exchange_per_hop(monkeypatch, hops, seeded):
+    rng = seeded(0x0C + hops)
+    keys = [NodeKey.generate(rng) for _ in range(hops)]
+    counts = {"from_private_bytes": 0, "exchange": 0}
+
+    class CountedKey:
+        def __init__(self, key):
+            self._key = key
+
+        def exchange(self, peer):
+            counts["exchange"] += 1
+            return self._key.exchange(peer)
+
+        def public_key(self):
+            return self._key.public_key()
+
+    class CountedPrivateKey:
+        @staticmethod
+        def from_private_bytes(data):
+            counts["from_private_bytes"] += 1
+            return CountedKey(X25519PrivateKey.from_private_bytes(data))
+
+    monkeypatch.setattr(onion_mod, "X25519PrivateKey", CountedPrivateKey)
+    payloads = flat_payloads(keys)
+    packet = onion_create([k.pubkey for k in keys], rng, payloads)
+    assert counts == {"from_private_bytes": hops, "exchange": hops}
+    monkeypatch.undo()
+    assert peel_all(packet, keys) == payloads

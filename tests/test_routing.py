@@ -32,6 +32,7 @@ from comit.crp import (
     find_route,
     make_advert,
 )
+import comit.crp.graph as graph_mod
 from comit.crp.graph import MAX_ROUTE_HOPS, price_vector
 
 MAX = 2**64 - 1
@@ -723,6 +724,48 @@ def test_edges_into_follows_replacement_and_late_edges():
     assert [e.src for e in g.edges_into(nid("R"))][-1] == nid("S")
     assert find_route(g, nid("S"), nid("R"), 5, "coin").nodes() == (nid("R"),)
     assert g.edges_into(nid("GHOST")) == []
+    # the asset index follows too, a replacement that moves an edge's asset
+    g.add_edge(Edge(nid("A"), nid("R"), "x", "gold", 10))
+    assert {a: sorted(es, key=lambda e: (e.src, e.chain_id))
+            for a, es in g.assets_into(nid("R")).items() if es} == {
+        "coin": [e for e in g.edges_into(nid("R")) if e.asset == "coin"],
+        "gold": [Edge(nid("A"), nid("R"), "x", "gold", 10)],
+    }
+    assert g.assets_into(nid("GHOST")) == {}
+
+
+def test_search_prices_no_asset_only_the_paths_own_nodes_carry(monkeypatch):
+    """S -x- L1 -y- L2 -z- R, both ways. Into L2 only R's edge carries z,
+    and into L1 only L2's carries y: both come from the path being grown,
+    so although L2 quotes z -> z and L1 y -> y, the search prices three
+    hops, one per hop of the route, and scans no edge into L1."""
+    fns = {c: frozenset({S256}) for c in ("cx", "cy", "cz")}
+    edges = []
+    for u, v, c in (("S", "L1", "cx"), ("L1", "L2", "cy"), ("L2", "R", "cz")):
+        edges += [Edge(nid(u), nid(v), c, c[1], 10**6), Edge(nid(v), nid(u), c, c[1], 10**6)]
+    g = ChannelGraph(fns, edges)
+    g.add_quote(nid("L1"), RateQuote("x", "y", 1, 1, base_fee=1))
+    g.add_quote(nid("L1"), RateQuote("y", "y", 1, 1))
+    g.add_quote(nid("L2"), RateQuote("y", "z", 1, 1, base_fee=1))
+    g.add_quote(nid("L2"), RateQuote("z", "z", 1, 1))
+    applies, scanned = [], []
+    apply, into = graph_mod.backward_apply, ChannelGraph.edges_into
+
+    def counted_apply(*args):
+        applies.append(args)
+        return apply(*args)
+
+    def counted_into(self, node):
+        scanned.append(node)
+        return into(self, node)
+
+    monkeypatch.setattr(graph_mod, "backward_apply", counted_apply)
+    monkeypatch.setattr(ChannelGraph, "edges_into", counted_into)
+    route = find_route(g, nid("S"), nid("R"), 100, "z")
+    assert route.nodes() == (nid("L1"), nid("L2"), nid("R"))
+    assert route.cost == 102
+    assert len(applies) == 3
+    assert scanned == [nid("R"), nid("L2")]
 
 
 def test_price_vector_is_exact():

@@ -557,12 +557,13 @@ def star_doc(users: int) -> dict:
 
 def routing_counts(monkeypatch, doc: dict) -> dict:
     """Run `doc` and count the routing work: graph builds, the distinct
-    advert sets they were built from, backward_apply calls and partial
-    paths grown inside find_route, routes found, and the ticks gossip_step
-    ran in. Count the housekeeping work too: process_block calls on blocks
-    that confirm nothing, side_of calls made by _protect and _sweep_closed,
-    _active calls outside _gossip_round, and the ticks it ran in inside."""
-    counts = {"builds": 0, "sets": set(), "applies": 0, "paths": 0, "routes": 0,
+    advert sets they were built from, backward_apply calls, partial paths
+    grown and edges_into items visited inside find_route, routes found, and
+    the ticks gossip_step ran in. Count the housekeeping work too:
+    process_block calls on blocks that confirm nothing, side_of calls made
+    by _protect and _sweep_closed, _active calls outside _gossip_round, and
+    the ticks it ran in inside."""
+    counts = {"builds": 0, "sets": set(), "applies": 0, "paths": 0, "edges": 0, "routes": 0,
               "gossip_ticks": set(), "searching": False, "step": None,
               "empty_blocks": 0, "housekeeping_sides": 0, "active": 0,
               "gossip_active_ticks": set()}
@@ -578,6 +579,13 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
     def backward_apply(*args):
         counts["applies"] += counts["searching"]
         return apply(*args)
+
+    into = ChannelGraph.edges_into
+
+    def edges_into(self, node):
+        edges = into(self, node)
+        counts["edges"] += len(edges) * counts["searching"]
+        return edges
 
     make = graph_mod._Partial
 
@@ -642,6 +650,7 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
         m.setattr(ChannelGraph, "from_adverts", classmethod(from_adverts))
         m.setattr(graph_mod, "backward_apply", backward_apply)
         m.setattr(graph_mod, "_Partial", partial)
+        m.setattr(ChannelGraph, "edges_into", edges_into)
         m.setattr(engine_mod, "find_route", find_route)
         m.setattr(GossipState, "gossip_step", gossip_step)
         for name in ("_protect", "_sweep_closed", "_gossip_round"):
@@ -658,7 +667,7 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
 
 def test_star_routing_work_does_not_grow_with_users(monkeypatch):
     """Exact counts, not timings: one graph per advert set, the same
-    pricing work and the same partial paths per route, and no gossip once
+    pricing work, partial paths and edges visited per route, and no gossip once
     every store is converged, at 20 users as at 80. Housekeeping touches
     only what changed: no channel looks at a block that confirmed nothing,
     _protect and _sweep_closed find no channel to act on, and fault
@@ -669,7 +678,7 @@ def test_star_routing_work_does_not_grow_with_users(monkeypatch):
         assert counts["routes"] == users
         assert counts["builds"] == len(counts["sets"]) == 1
         per_route.append((counts["applies"] / users, counts["paths"] / users,
-                          counts["active"] / users))
+                          counts["edges"] / users, counts["active"] / users))
         assert counts["converged"] >= 0
         assert max(counts["gossip_ticks"]) <= counts["converged"] + 1
         assert max(counts["gossip_active_ticks"]) <= counts["converged"] + 1
