@@ -37,7 +37,6 @@ WIRE_IDS = {
     HashFnId.SHA3_256: 2,
     HashFnId.BLAKE2B_256: 3,
 }
-FROM_WIRE = {v: k for k, v in WIRE_IDS.items()}
 
 
 def hash_digest(fn_id: HashFnId, data: bytes) -> bytes:

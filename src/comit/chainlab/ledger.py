@@ -73,7 +73,6 @@ class Utxo:
 class BlockSummary:
     height: int
     txids: tuple[bytes, ...]
-    confirmed: tuple[Transaction, ...]
     spent: tuple[tuple[Outpoint, bytes], ...]  # (outpoint, spender txid)
 
 
@@ -219,7 +218,6 @@ class Ledger:
         for _ in range(count):
             height = self.height + 1
             block_txids: list[bytes] = []
-            block_txs: list[Transaction] = []
             block_spent: list[tuple[Outpoint, bytes]] = []
             # Fixpoint over the mempool in submission order: confirming a
             # parent can make a same-block child eligible.
@@ -246,13 +244,11 @@ class Ledger:
                     self.burned += in_value - out_value
                     del self._mempool[tx_id]
                     block_txids.append(tx_id)
-                    block_txs.append(tx)
                     progress = True
             self.height = height
             summary = BlockSummary(
                 height=height,
                 txids=tuple(block_txids),
-                confirmed=tuple(block_txs),
                 spent=tuple(block_spent),
             )
             summaries.append(summary)

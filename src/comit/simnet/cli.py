@@ -68,35 +68,23 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        scenario, errors = load_scenario(args.scenario)
-        if errors:
-            for e in errors:
-                print(e, file=sys.stderr)
-            return 1
-        print(f"ok: {args.scenario} ({len(scenario.payments)} payments, "
-              f"{len(scenario.channels)} channels, {len(scenario.chains)} chains)")
-        return 0
-
-    if args.command == "run":
-        scenario, errors = load_scenario(args.scenario)
-        if errors:
-            for e in errors:
-                print(e, file=sys.stderr)
+    if args.command == "demo":
+        names = _demo_names()
+        if args.name not in names:
+            print(f"unknown demo {args.name!r}; available: {', '.join(names)}", file=sys.stderr)
             return 2
-        return _execute(scenario, args.seed, args.report, args.format)
-
-    # demo
-    names = _demo_names()
-    if args.name not in names:
-        print(f"unknown demo {args.name!r}; available: {', '.join(names)}", file=sys.stderr)
-        return 2
-    text = (resources.files("comit.simnet") / "scenarios" / f"{args.name}.json").read_bytes()
-    scenario, errors = validate_scenario(text)
+        text = (resources.files("comit.simnet") / "scenarios" / f"{args.name}.json").read_bytes()
+        scenario, errors = validate_scenario(text)
+    else:
+        scenario, errors = load_scenario(args.scenario)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
-        return 2
+        return 1 if args.command == "validate" else 2
+    if args.command == "validate":
+        print(f"ok: {args.scenario} ({len(scenario.payments)} payments, "
+              f"{len(scenario.channels)} channels, {len(scenario.chains)} chains)")
+        return 0
     return _execute(scenario, args.seed, args.report, args.format)
 
 

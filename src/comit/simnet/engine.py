@@ -98,6 +98,7 @@ class ActorState:
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     invoices: dict[bytes, Invoice] = field(default_factory=dict)
     scan: dict[str, int] = field(default_factory=dict)  # chain -> revelations learned
+    initial: dict[str, int] = field(default_factory=dict)  # asset -> genesis coins
     settled_in: dict[str, int] = field(default_factory=dict)
     settled_out: dict[str, int] = field(default_factory=dict)
     fees: dict[str, int] = field(default_factory=dict)  # asset -> fees authorized
@@ -225,10 +226,11 @@ class Engine:
                 block_interval=c.mining_interval,
                 tx_fee=c.tx_fee,
             )
-            coins = [
-                (self.actors[name].wallet[c.chain_id].pubkey, amount)
-                for name, amount in c.genesis
-            ]
+            coins = []
+            for name, amount in c.genesis:
+                actor = self.actors[name]
+                coins.append((actor.wallet[c.chain_id].pubkey, amount))
+                actor.bump(actor.initial, c.asset, amount)
             self.ledgers[c.chain_id] = Ledger(params, coins)
             self.intervals[c.chain_id] = c.mining_interval
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
@@ -1131,14 +1133,6 @@ class Engine:
                         if h.offerer_side == side
                     ),
                 )
-        return totals
-
-    def initial_balances(self, name: str) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for c in self.sc.chains:
-            for actor, amount in c.genesis:
-                if actor == name:
-                    totals[c.asset] = totals.get(c.asset, 0) + amount
         return totals
 
 

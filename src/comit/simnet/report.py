@@ -36,10 +36,9 @@ def build_report(engine: Engine) -> dict:
     actors = {}
     for name in sorted(engine.actors):
         actor = engine.actors[name]
-        initial = engine.initial_balances(name)
         final = engine.final_balances(name)
         honest = name not in faulty
-        ok = _no_loss(initial, final, actor.settled_in, actor.settled_out, actor.fees)
+        ok = _no_loss(actor.initial, final, actor.settled_in, actor.settled_out, actor.fees)
         if honest and not ok:
             violations.append(
                 f"no-honest-loss: actor {name!r} ended below its entitled balance"
@@ -47,7 +46,7 @@ def build_report(engine: Engine) -> dict:
         actors[name] = {
             "kind": actor.kind,
             "honest": honest,
-            "initial": dict(sorted(initial.items())),
+            "initial": dict(sorted(actor.initial.items())),
             "final": dict(sorted(final.items())),
             "settled_in": dict(sorted(actor.settled_in.items())),
             "settled_out": dict(sorted(actor.settled_out.items())),

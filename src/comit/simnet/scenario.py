@@ -12,16 +12,25 @@ diagnostics so the CLI can show everything wrong with a file at once. Each
 diagnostic is prefixed with its class: `parse-error` (not JSON / wrong shape),
 `unknown-reference` (a name that resolves to nothing), or
 `constraint-violation` (a value outside its legal range).
+
+Every value the engine packs into a fixed-width field is bounded here, so
+no accepted scenario fails on one: genesis amounts, each chain's genesis
+total, and a quote's `rate_num`, `rate_den` and `base_fee` are at most
+2**64 - 1 (u64, `MAX_AMOUNT`), a channel's `csv_delay` at most 2**32 - 1
+(u32), and `fee_ppm` at most 999,999.
+
+`Scenario.digest` hashes the specs themselves, so every field of every spec,
+plus `seed` and `max_ticks`, is part of a report's `scenario_digest`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Optional, Union
 
-from ..chainlab import HashFnId
+from ..chainlab import MAX_AMOUNT, HashFnId
 
 ACTOR_KINDS = ("business", "lp", "user")
 FAULT_KINDS = (
@@ -38,6 +47,7 @@ FAR_FUTURE = 2**31
 
 MAX_SEED = 2**64 - 1
 MAX_ID_BYTES = 31  # chain and asset ids must fit the onion payload fields
+MAX_CSV_DELAY = 2**32 - 1  # a relative timelock is a u32 in the script bytes
 DEFAULT_MAX_TICKS = 500
 
 
@@ -117,89 +127,20 @@ class Scenario:
     faults: tuple[FaultSpec, ...]
     closes: tuple[CloseSpec, ...]
 
-    def chain(self, chain_id: str) -> ChainSpec:
-        for c in self.chains:
-            if c.chain_id == chain_id:
-                return c
-        raise KeyError(chain_id)
-
-    def actor(self, name: str) -> ActorSpec:
-        for a in self.actors:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
-    def canonical(self) -> dict:
-        """A plain-data form that pins every field, for hashing and logging."""
-        return {
-            "seed": self.seed,
-            "max_ticks": self.max_ticks,
-            "chains": [
-                {
-                    "chain_id": c.chain_id,
-                    "asset": c.asset,
-                    "hash_fns": [f.value for f in c.hash_fns],
-                    "mining_interval": c.mining_interval,
-                    "tx_fee": c.tx_fee,
-                    "genesis": {actor: amt for actor, amt in c.genesis},
-                }
-                for c in self.chains
-            ],
-            "actors": [{"name": a.name, "kind": a.kind} for a in self.actors],
-            "channels": [
-                {
-                    "chain_id": ch.chain_id,
-                    "party_a": ch.party_a,
-                    "party_b": ch.party_b,
-                    "fund_a": ch.fund_a,
-                    "fund_b": ch.fund_b,
-                    "csv_delay": ch.csv_delay,
-                    "dust_limit": ch.dust_limit,
-                }
-                for ch in self.channels
-            ],
-            "quotes": [
-                {
-                    "node": q.node,
-                    "asset_in": q.asset_in,
-                    "asset_out": q.asset_out,
-                    "rate_num": q.rate_num,
-                    "rate_den": q.rate_den,
-                    "base_fee": q.base_fee,
-                    "fee_ppm": q.fee_ppm,
-                }
-                for q in self.quotes
-            ],
-            "payments": [
-                {
-                    "at_tick": p.at_tick,
-                    "sender": p.sender,
-                    "recipient": p.recipient,
-                    "amount": p.amount,
-                    "asset": p.asset,
-                    "hash_fn": p.hash_fn.value if p.hash_fn else None,
-                }
-                for p in self.payments
-            ],
-            "faults": [
-                {
-                    "kind": f.kind,
-                    "actor": f.actor,
-                    "at_tick": f.at_tick,
-                    "until_tick": f.until_tick,
-                    "duration": f.duration,
-                    "channel": f.channel,
-                }
-                for f in self.faults
-            ],
-            "closes": [
-                {"at_tick": c.at_tick, "channel": c.channel} for c in self.closes
-            ],
-        }
-
     def digest(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
+        blob = json.dumps(self, sort_keys=True, default=_plain).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _plain(obj: Any) -> Any:
+    """json's `default` hook for `Scenario.digest`: a spec is its fields, a
+    hash function its name, and a chain's genesis an actor -> amount object,
+    so every field of every spec is in the digest without being listed."""
+    if isinstance(obj, HashFnId):
+        return obj.value
+    if isinstance(obj, ChainSpec):
+        return {**vars(obj), "genesis": dict(obj.genesis)}
+    return vars(obj)
 
 
 class _Diags:
@@ -273,12 +214,22 @@ def _get_str(
     return v
 
 
-def _get_list(obj: dict, key: str, where: str, d: _Diags) -> list:
-    v = obj.get(key, [])
-    if not isinstance(v, list):
-        d.parse(f"{where}.{key}", f"expected a list, got {type(v).__name__}")
-        return []
-    return v
+def _entries(doc: dict, section: str, d: _Diags, need: str = "") -> Iterator[tuple[str, dict]]:
+    """Walk the list `doc[section]`, yielding (where, entry) for each
+    object in it; any other entry is a parse error. With `need`, an empty
+    list is one too."""
+    items = doc.get(section, [])
+    if not isinstance(items, list):
+        d.parse(f"document.{section}", f"expected a list, got {type(items).__name__}")
+        items = []
+    if need and not items:
+        d.parse(section, f"at least one {need} is required")
+    for i, obj in enumerate(items):
+        where = f"{section}[{i}]"
+        if isinstance(obj, dict):
+            yield where, obj
+        else:
+            d.parse(where, "expected an object")
 
 
 def _id_ok(value: str, where: str, d: _Diags) -> bool:
@@ -288,11 +239,7 @@ def _id_ok(value: str, where: str, d: _Diags) -> bool:
     return True
 
 
-def _parse_chain(i: int, obj: Any, actor_names: set, d: _Diags) -> Optional[ChainSpec]:
-    where = f"chains[{i}]"
-    if not isinstance(obj, dict):
-        d.parse(where, "expected an object")
-        return None
+def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> Optional[ChainSpec]:
     chain_id = _get_str(obj, "chain_id", where, d)
     asset = _get_str(obj, "asset", where, d)
     if chain_id is not None:
@@ -331,17 +278,19 @@ def _parse_chain(i: int, obj: Any, actor_names: set, d: _Diags) -> Optional[Chai
                     f"{where}.genesis.{actor}", f"amount must be a positive integer, got {amt!r}"
                 )
                 continue
+            if amt > MAX_AMOUNT:
+                d.constraint(f"{where}.genesis.{actor}", f"must be <= {MAX_AMOUNT}, got {amt}")
+                continue
             genesis.append((actor, amt))
+        total = sum(amt for _, amt in genesis)
+        if total > MAX_AMOUNT:
+            d.constraint(f"{where}.genesis", f"total must be <= {MAX_AMOUNT}, got {total}")
     if chain_id is None or asset is None or not fns or interval is None or tx_fee is None:
         return None
     return ChainSpec(chain_id, asset, tuple(fns), interval, tx_fee, tuple(genesis))
 
 
-def _parse_actor(i: int, obj: Any, d: _Diags) -> Optional[ActorSpec]:
-    where = f"actors[{i}]"
-    if not isinstance(obj, dict):
-        d.parse(where, "expected an object")
-        return None
+def _parse_actor(where: str, obj: dict, d: _Diags) -> Optional[ActorSpec]:
     name = _get_str(obj, "name", where, d)
     kind = _get_str(obj, "kind", where, d)
     if kind is not None and kind not in ACTOR_KINDS:
@@ -385,15 +334,12 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     # Actors first: nearly everything else refers to them by name.
     actors: list[ActorSpec] = []
     actor_names: set = set()
-    raw_actors = _get_list(doc, "actors", "document", d)
-    if not raw_actors:
-        d.parse("actors", "at least one actor is required")
-    for i, obj in enumerate(raw_actors):
-        spec = _parse_actor(i, obj, d)
+    for where, obj in _entries(doc, "actors", d, need="actor"):
+        spec = _parse_actor(where, obj, d)
         if spec is None:
             continue
         if spec.name in actor_names:
-            d.constraint(f"actors[{i}].name", f"duplicate actor {spec.name!r}")
+            d.constraint(f"{where}.name", f"duplicate actor {spec.name!r}")
             continue
         actor_names.add(spec.name)
         actors.append(spec)
@@ -401,15 +347,12 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
 
     chains: list[ChainSpec] = []
     chain_ids: set = set()
-    raw_chains = _get_list(doc, "chains", "document", d)
-    if not raw_chains:
-        d.parse("chains", "at least one chain is required")
-    for i, obj in enumerate(raw_chains):
-        spec = _parse_chain(i, obj, actor_names, d)
+    for where, obj in _entries(doc, "chains", d, need="chain"):
+        spec = _parse_chain(where, obj, actor_names, d)
         if spec is None:
             continue
         if spec.chain_id in chain_ids:
-            d.constraint(f"chains[{i}].chain_id", f"duplicate chain {spec.chain_id!r}")
+            d.constraint(f"{where}.chain_id", f"duplicate chain {spec.chain_id!r}")
             continue
         chain_ids.add(spec.chain_id)
         chains.append(spec)
@@ -430,25 +373,18 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
                 d.constraint(f"mining.{cid}", f"interval must be an integer >= 1, got {interval!r}")
                 continue
             old = by_chain[cid]
-            new = ChainSpec(
-                old.chain_id, old.asset, old.hash_fns, interval, old.tx_fee, old.genesis
-            )
-            by_chain[cid] = new
-            chains[chains.index(old)] = new
+            by_chain[cid] = replace(old, mining_interval=interval)
+            chains[chains.index(old)] = by_chain[cid]
 
     channels: list[ChannelSpec] = []
     seen_pairs: set = set()
-    for i, obj in enumerate(_get_list(doc, "channels", "document", d)):
-        where = f"channels[{i}]"
-        if not isinstance(obj, dict):
-            d.parse(where, "expected an object")
-            continue
+    for where, obj in _entries(doc, "channels", d):
         cid = _get_str(obj, "chain_id", where, d)
         pa = _get_str(obj, "party_a", where, d)
         pb = _get_str(obj, "party_b", where, d)
         fund_a = _get_int(obj, "fund_a", where, d, lo=0)
         fund_b = _get_int(obj, "fund_b", where, d, lo=0)
-        csv = _get_int(obj, "csv_delay", where, d, default=6, lo=1)
+        csv = _get_int(obj, "csv_delay", where, d, default=6, lo=1, hi=MAX_CSV_DELAY)
         dust = _get_int(obj, "dust_limit", where, d, default=0, lo=0)
         ok = None not in (cid, pa, pb, fund_a, fund_b, csv, dust)
         if cid is not None and cid not in by_chain:
@@ -493,17 +429,13 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
                 )
 
     quotes: list[QuoteSpec] = []
-    for i, obj in enumerate(_get_list(doc, "quotes", "document", d)):
-        where = f"quotes[{i}]"
-        if not isinstance(obj, dict):
-            d.parse(where, "expected an object")
-            continue
+    for where, obj in _entries(doc, "quotes", d):
         node = _get_str(obj, "node", where, d)
         a_in = _get_str(obj, "asset_in", where, d)
         a_out = _get_str(obj, "asset_out", where, d)
-        num = _get_int(obj, "rate_num", where, d, lo=1)
-        den = _get_int(obj, "rate_den", where, d, lo=1)
-        base = _get_int(obj, "base_fee", where, d, default=0, lo=0)
+        num = _get_int(obj, "rate_num", where, d, lo=1, hi=MAX_AMOUNT)
+        den = _get_int(obj, "rate_den", where, d, lo=1, hi=MAX_AMOUNT)
+        base = _get_int(obj, "base_fee", where, d, default=0, lo=0, hi=MAX_AMOUNT)
         ppm = _get_int(obj, "fee_ppm", where, d, default=0, lo=0, hi=999_999)
         ok = None not in (node, a_in, a_out, num, den, base, ppm)
         if node is not None and node not in actor_names:
@@ -531,11 +463,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             lp_peers.setdefault(ch.party_b, set()).add(ch.party_a)
 
     payments: list[PaymentSpec] = []
-    for i, obj in enumerate(_get_list(doc, "payments", "document", d)):
-        where = f"payments[{i}]"
-        if not isinstance(obj, dict):
-            d.parse(where, "expected an object")
-            continue
+    for where, obj in _entries(doc, "payments", d):
         at_tick = _get_int(obj, "at_tick", where, d, lo=0)
         sender = _get_str(obj, "sender", where, d)
         recipient = _get_str(obj, "recipient", where, d)
@@ -571,11 +499,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             payments.append(PaymentSpec(at_tick, sender, recipient, amount, asset, fn))
 
     faults: list[FaultSpec] = []
-    for i, obj in enumerate(_get_list(doc, "faults", "document", d)):
-        where = f"faults[{i}]"
-        if not isinstance(obj, dict):
-            d.parse(where, "expected an object")
-            continue
+    for where, obj in _entries(doc, "faults", d):
         kind = _get_str(obj, "kind", where, d)
         actor = _get_str(obj, "actor", where, d)
         at_tick = _get_int(obj, "at_tick", where, d, lo=0)
@@ -612,11 +536,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         faults.append(FaultSpec(kind, actor, at_tick, until, duration, chan))
 
     closes: list[CloseSpec] = []
-    for i, obj in enumerate(_get_list(doc, "closes", "document", d)):
-        where = f"closes[{i}]"
-        if not isinstance(obj, dict):
-            d.parse(where, "expected an object")
-            continue
+    for where, obj in _entries(doc, "closes", d):
         at_tick = _get_int(obj, "at_tick", where, d, lo=0)
         chan = _get_int(obj, "channel", where, d, lo=0, hi=max(len(channels) - 1, 0))
         if None in (at_tick, chan):

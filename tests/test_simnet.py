@@ -1,6 +1,7 @@
 """End-to-end tests for the scenario engine, report, and command line."""
 
 import copy
+import dataclasses
 import json
 import random
 from importlib import resources
@@ -9,9 +10,20 @@ import pytest
 
 import comit.crp.graph as graph_mod
 import comit.simnet.engine as engine_mod
+from comit.chainlab import HashFnId
 from comit.channels import Channel, ChannelPhase
 from comit.crp import ChannelGraph, GossipState
-from comit.simnet import run_scenario, validate_scenario
+from comit.simnet import (
+    ActorSpec,
+    ChainSpec,
+    ChannelSpec,
+    CloseSpec,
+    FaultSpec,
+    PaymentSpec,
+    QuoteSpec,
+    run_scenario,
+    validate_scenario,
+)
 from comit.simnet.cli import main
 from comit.simnet.report import build_report, report_json
 from test_acceptance import random_scenario
@@ -59,11 +71,30 @@ def run_doc(doc):
     return run_scenario(scenario)
 
 
-def demo_report(name: str) -> dict:
+def demo_scenario(name: str):
     path = resources.files("comit.simnet") / "scenarios" / f"{name}.json"
     scenario, errors = validate_scenario(path.read_bytes())
     assert errors == []
-    return run_scenario(scenario)
+    return scenario
+
+
+def demo_report(name: str) -> dict:
+    return run_scenario(demo_scenario(name))
+
+
+def line_doc() -> dict:
+    """minimal_doc plus a user bob behind lp, and ann paying bob through lp."""
+    doc = minimal_doc()
+    doc["actors"].append({"name": "bob", "kind": "user"})
+    doc["chains"][0]["genesis"]["bob"] = 50000
+    doc["channels"].append(
+        {"chain_id": "main", "party_a": "lp", "party_b": "bob", "fund_a": 20000, "fund_b": 20000}
+    )
+    doc["quotes"] = [
+        {"node": "lp", "asset_in": "coin", "asset_out": "coin", "rate_num": 1, "rate_den": 1}
+    ]
+    doc["payments"][0]["recipient"] = "bob"
+    return doc
 
 
 # ---------------------------------------------------------------- validation
@@ -133,6 +164,59 @@ def test_validate_constraint_violations():
     _, errors = validate_scenario(doc)
     assert len(errors) >= 3
     assert all(e.startswith("constraint-violation:") for e in errors)
+    # Values the engine packs into fixed-width fields: u64 amounts, genesis
+    # totals, rates and fees, and a u32 csv_delay.
+    u64 = 2**64 - 1
+    over = [
+        (("chains", 0, "genesis", "ann"), u64 + 1, "chains[0].genesis.ann: must be <= {u64}"),
+        (("chains", 0, "genesis", "ann"), u64 - 99999, "chains[0].genesis: total must be <= {u64}"),
+        (("quotes", 0, "rate_num"), u64 + 1, "quotes[0].rate_num: must be <= {u64}"),
+        (("quotes", 0, "rate_den"), u64 + 1, "quotes[0].rate_den: must be <= {u64}"),
+        (("quotes", 0, "base_fee"), u64 + 1, "quotes[0].base_fee: must be <= {u64}"),
+        (("channels", 0, "csv_delay"), 2**32, "channels[0].csv_delay: must be <= 4294967295"),
+    ]
+    for (*path, key), value, want in over:
+        doc = line_doc()
+        obj = doc
+        for step in path:
+            obj = obj[step]
+        obj[key] = value
+        scenario, errors = validate_scenario(doc)
+        assert scenario is None
+        assert any(e.startswith("constraint-violation: " + want.format(u64=u64)) for e in errors)
+        assert all(e.startswith("constraint-violation:") for e in errors)
+
+
+@pytest.mark.parametrize(
+    "limit",
+    ["rates", "genesis-total", "csv-delay-breach"],
+)
+def test_value_limits_validate_and_run(limit):
+    doc = line_doc()
+    if limit == "rates":
+        doc["quotes"][0].update(rate_num=2**64 - 1, rate_den=2**64 - 1)
+    elif limit == "genesis-total":
+        doc["chains"][0]["genesis"]["ann"] = 2**64 - 1 - 100000
+    else:
+        doc["channels"][0]["csv_delay"] = 2**32 - 1
+        doc["faults"] = [
+            {"kind": "broadcast-revoked", "actor": "ann", "at_tick": 8, "channel": 0}
+        ]
+    report = run_doc(doc)
+    assert report["violations"] == []
+    assert report["payments"][0]["status"] in ("settled", "refunded")
+
+
+@pytest.mark.parametrize(
+    "section", ["actors", "chains", "channels", "quotes", "payments", "faults", "closes"]
+)
+def test_validate_non_object_section_entry(section):
+    doc = line_doc()
+    doc.setdefault(section, []).append(["not", "an", "object"])
+    i = len(doc[section]) - 1
+    scenario, errors = validate_scenario(doc)
+    assert scenario is None
+    assert errors == [f"parse-error: {section}[{i}]: expected an object"]
 
 
 def test_validate_genesis_must_cover_funding():
@@ -202,6 +286,65 @@ def test_seed_changes_digest_but_not_outcome():
     r2 = run_doc(doc)
     assert r1["scenario_digest"] != r2["scenario_digest"]
     assert r1["payments"][0]["status"] == r2["payments"][0]["status"] == "settled"
+
+
+DEMO_DIGESTS = {
+    "breach-punish": "0e6ce1d9b0c2264d65c7c79b0677e0052eb6fa2427ed6a7056188386b8b12eb2",
+    "cross-chain-2lp": "b81bb12acd5d3e98c03f6416e8580fa83f13d0639b849951199204b32fcc84ab",
+    "refund-cascade": "cef9b7fd03f7ffebeb7dd95f9e59a731bed62a3ac093a04d1a694cc36b2b741d",
+    "single-hop": "707d86c672b77f9a29183c91d6b07a1990ff7dfe118bda1e3336a950e7aebe96",
+}
+
+
+def test_demo_scenario_digests_are_pinned():
+    for name, digest in DEMO_DIGESTS.items():
+        assert demo_scenario(name).digest() == digest, name
+        assert demo_report(name)["scenario_digest"] == digest, name
+
+
+def _other(value):
+    """A value of the same shape as `value` that differs from it."""
+    if isinstance(value, HashFnId):
+        return next(fn for fn in HashFnId if fn is not value)
+    if isinstance(value, tuple):
+        assert value
+        return value[:-1]
+    if value is None:
+        return 1
+    return value + (1 if isinstance(value, int) else "x")
+
+
+def test_digest_covers_every_spec_field():
+    sections = {
+        "chains": ChainSpec,
+        "actors": ActorSpec,
+        "channels": ChannelSpec,
+        "quotes": QuoteSpec,
+        "payments": PaymentSpec,
+        "faults": FaultSpec,
+        "closes": CloseSpec,
+    }
+    seen = set()
+    for name in DEMO_DIGESTS:
+        sc = demo_scenario(name)
+        sc = dataclasses.replace(sc, closes=sc.closes + (CloseSpec(at_tick=5, channel=0),))
+        base = sc.digest()
+        for field in ("seed", "max_ticks"):
+            changed = dataclasses.replace(sc, **{field: getattr(sc, field) + 1})
+            assert changed.digest() != base, field
+        for section in sections:
+            specs = getattr(sc, section)
+            for i, spec in enumerate(specs):
+                for f in dataclasses.fields(spec):
+                    new = dataclasses.replace(spec, **{f.name: _other(getattr(spec, f.name))})
+                    changed = dataclasses.replace(
+                        sc, **{section: specs[:i] + (new,) + specs[i + 1:]}
+                    )
+                    assert changed.digest() != base, (name, section, i, f.name)
+                    seen.add((section, f.name))
+    # the demos (plus the added close) replaced every field of every spec
+    for section, spec_cls in sections.items():
+        assert {(section, f.name) for f in dataclasses.fields(spec_cls)} <= seen
 
 
 # ------------------------------------------------------------ demo behavior
