@@ -120,6 +120,10 @@ class Ledger:
     def is_unspent(self, outpoint: Outpoint) -> bool:
         return outpoint in self._utxos
 
+    def is_spendable(self, outpoint: Outpoint) -> bool:
+        """Confirmed, unspent and not claimed by a mempool transaction."""
+        return outpoint in self._utxos and outpoint not in self._mempool_spends
+
     def spender_of(self, outpoint: Outpoint) -> Optional[bytes]:
         """Txid of the confirmed transaction that consumed the outpoint."""
         return self._spent.get(outpoint)
@@ -131,12 +135,11 @@ class Ledger:
         return tx_id in self._mempool
 
     def spendable_by(self, pubkey: bytes) -> list[tuple[Outpoint, int]]:
-        """Confirmed PayToKey outputs owned by pubkey and not already claimed
-        by a mempool transaction, largest first."""
+        """The spendable PayToKey outputs owned by pubkey, largest first."""
         found = [
             (op, self._utxos[op].amount)
             for op in self._owned.get(pubkey, ())
-            if op not in self._mempool_spends
+            if self.is_spendable(op)
         ]
         found.sort(key=lambda item: (-item[1], item[0].txid, item[0].index))
         return found

@@ -22,10 +22,12 @@ the current state are never revealed, and every key below it is.
 
 A Channel retains the current state, the history of signed states (the
 balances and HTLCs of each n, which breach handling needs) and the one
-close transaction it has put in flight. A transaction is built and signed
-only when it is broadcast: signing is a deterministic HMAC and the ledger
-checks signatures on submission, so building commitment n from state n in
-unilateral_close gives the transaction both parties agreed on.
+close transaction it has put in flight. It keeps no record of what is spent:
+it reads that from its ledger, so process_block must see each block right
+after it is mined. A transaction is built and signed only when it is
+broadcast: signing is a deterministic HMAC and the ledger checks signatures
+on submission, so building commitment n from state n in unilateral_close
+gives the transaction both parties agreed on.
 """
 
 from __future__ import annotations
@@ -295,8 +297,6 @@ class Channel:
         self.closed_commitment: Optional[int] = None
         self.closed_height: Optional[int] = None
         self.closed_outputs: list[ClosedOutput] = []
-        self._unresolved: set[Outpoint] = set()
-        self.update_count = 0
         self._record_state(self.state)
 
     # --- identity helpers ----------------------------------------------------
@@ -438,7 +438,6 @@ class Channel:
             raise StalePhase("no update proposed")
         self.state = self._pending_state
         self._pending_state = None
-        self.update_count += 1
 
     def _apply_update(self, new_state: CommitmentState) -> None:
         self.propose_update(new_state)
@@ -578,20 +577,24 @@ class Channel:
                 self.closed_commitment = n
                 self.closed_height = summary.height
                 self.closed_outputs = outs
-                # "direct" pays a bare key; nothing of the channel's remains to do.
-                self._unresolved = {o.outpoint for o in outs if o.kind != "direct"}
                 if n < self.state.commitment_number:
                     self.phase = ChannelPhase.BREACHED
                 else:
                     self.phase = ChannelPhase.UNILATERAL_CLOSED
-            elif outpoint in self._unresolved:
-                self._unresolved.discard(outpoint)
 
         if (
             self.phase in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
-            and not self._unresolved
+            and not self._unspent_outputs()
         ):
             self.phase = ChannelPhase.SETTLED
+
+    def _unspent_outputs(self) -> list[ClosedOutput]:
+        """The closed outputs still unspent on chain, "direct" ones aside:
+        those pay a bare key, so nothing of the channel's remains to do."""
+        return [
+            o for o in self.closed_outputs
+            if o.kind != "direct" and self.ledger.is_unspent(o.outpoint)
+        ]
 
     # --- post-close spends ------------------------------------------------------
 
@@ -668,11 +671,7 @@ class Channel:
             raise StalePhase(self.phase.value)
         if self.side_of(honest_party) == self.closed_by:
             raise ChannelError("the cheater cannot punish itself")
-        targets = [
-            o
-            for o in self.closed_outputs
-            if o.kind in ("delayed", "htlc") and o.outpoint in self._unresolved
-        ]
+        targets = self._unspent_outputs()
         if not targets:
             raise WindowExpired("revocable outputs already swept")
         key = self.revocation_key(self.closed_by, self.closed_commitment)

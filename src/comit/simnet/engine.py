@@ -23,6 +23,11 @@ whose HTLC is still pending near expiry force-closes to refund on-chain, and
 a party detecting a revoked broadcast punishes it immediately. Timelocked
 sweeps and refunds are submitted only once mature so they can never squat on
 a contested outpoint ahead of a justice transaction.
+
+Every channel transaction goes on chain through `_broadcast`, and what is
+spent is read from the ledger alone. A close or breach that meets a close in
+flight (its funding outpoint no longer spendable) or that the chain refuses
+is a no-op.
 """
 
 from __future__ import annotations
@@ -118,7 +123,6 @@ class ChanRt:
     names: tuple[str, str]  # (party_a actor, party_b actor)
     channel: Channel
     parties: dict[str, ChannelParty]
-    spent: set = field(default_factory=set)  # outpoints already targeted
     # the parties' gossip versions after their last exchange
     gossiped: tuple[int, int] = (-1, -1)
 
@@ -370,8 +374,27 @@ class Engine:
         a, b = sorted((x, y))
         return self.chan_between.get((chain_id, a, b))
 
+    def _closable(self, rt: ChanRt) -> bool:
+        """`rt` is open with no close in flight: its funding is still spendable."""
+        return self.ledgers[rt.chain_id].is_spendable(rt.channel.funding_outpoint)
+
     def _heights(self) -> dict[str, int]:
         return {cid: self.ledgers[cid].height for cid in self.ledgers}
+
+    def _broadcast(
+        self, rt: ChanRt, actor: str, kind: str, build, *args, note: str = "", **meta
+    ) -> bool:
+        """`actor` puts a transaction of channel `rt` on chain: `build(*args)`
+        builds it and submits it to the ledger. Returns False, noting and
+        tracking nothing, when the channel or the ledger refuses it."""
+        try:
+            tx = build(*args)
+        except (ChannelError, TxRejected, ValueError):
+            return False
+        if note:
+            self._note(note)
+        self._track(rt.chain_id, tx, kind, actor, **meta)
+        return True
 
     def _track(self, chain_id: str, tx: Transaction, meta_kind: str, actor: str, **extra) -> None:
         led = self.ledgers[chain_id]
@@ -817,9 +840,8 @@ class Engine:
             return
         gate = self._gate(hop.receiver, hop.offerer)
         if gate is not None:
-            if gate >= 0:
-                hop.scheduled = True
-                self._schedule(gate, "fail-hop", pidx, i)
+            hop.scheduled = True
+            self._schedule(gate, "fail-hop", pidx, i)
             return
         try:
             hop.chan.channel.fail_htlc(hop.htlc_id)
@@ -835,14 +857,12 @@ class Engine:
         a, b = rt.names
         gate = self._gate(a, b)
         if gate is not None:
-            if gate >= 0:
-                self._schedule(gate, "close", cidx)
+            self._schedule(gate, "close", cidx)
             return
         if rt.channel.pending_htlcs:
             self._schedule(self.tick + 1, "close", cidx)
             return
-        tx = rt.channel.cooperative_close()
-        self._track(rt.chain_id, tx, "coop", a)
+        self._broadcast(rt, a, "coop", rt.channel.cooperative_close)
 
     def _ev_breach(self, fidx: int) -> None:
         fault = self.sc.faults[fidx]
@@ -850,14 +870,11 @@ class Engine:
         if not self._online(cheater):
             self._schedule(self._recovery(cheater), "breach", fidx)
             return
-        candidates = (
-            [self.channels[fault.channel]]
-            if fault.channel is not None
-            else self.actors[cheater].channels
-        )
+        mine = self.actors[cheater].channels
+        candidates = mine if fault.channel is None else [self.channels[fault.channel]]
         best: Optional[tuple[int, ChanRt, int]] = None
         for rt in candidates:
-            if rt.channel.phase is not ChannelPhase.OPEN:
+            if not self._closable(rt):
                 continue
             side = rt.channel.side_of(rt.parties[cheater])
             current = rt.channel.balance_of(rt.parties[cheater])
@@ -867,14 +884,15 @@ class Engine:
                 bal = state.balance_a if side == "a" else state.balance_b
                 if bal > current and (best is None or bal - current > best[0]):
                     best = (bal - current, rt, n)
-        if best is None:
-            self._note("breach_noops")
-            return
-        _, rt, n = best
-        self.fault_hits[fidx] += 1
-        self._note("breach_broadcasts")
-        tx = rt.channel.unilateral_close(rt.parties[cheater], commitment_number=n)
-        self._track(rt.chain_id, tx, "commit", cheater)
+        if best is not None:
+            _, rt, n = best
+            if self._broadcast(
+                rt, cheater, "commit", rt.channel.unilateral_close, rt.parties[cheater], n,
+                note="breach_broadcasts",
+            ):
+                self.fault_hits[fidx] += 1
+                return
+        self._note("breach_noops")
 
     # --- per-tick housekeeping -----------------------------------------------------
 
@@ -969,27 +987,23 @@ class Engine:
                     self._protect_channel(name, rt)
 
     def _protect_channel(self, name: str, rt: ChanRt) -> None:
-        """`name` force-closes the open channel `rt` if it holds an urgent
-        HTLC that `name` offered or knows the preimage of."""
-        actor = self.actors[name]
+        """`name` force-closes the open channel `rt` if no close is in flight
+        and it holds an urgent HTLC that `name` offered (to refund on-chain
+        once expired) or knows the preimage of (to claim it before expiry)."""
+        if not self._closable(rt):
+            return
         party = rt.parties[name]
         side = rt.channel.side_of(party)
-        close = False
-        for h in sorted(rt.channel.pending_htlcs, key=lambda h: h.htlc_id):
-            remaining = h.expiry_height - self.ledgers[rt.chain_id].height
-            if remaining > URGENT_BLOCKS:
-                continue
-            if h.offerer_side == side:
-                close = True  # refund on-chain once expired
-            elif h.payment_hash in actor.secrets:
-                close = True  # claim on-chain before expiry
-        if close:
-            try:
-                tx = rt.channel.unilateral_close(party)
-            except (ChannelError, TxRejected, ValueError):
-                return
-            self._note("urgent_closes")
-            self._track(rt.chain_id, tx, "commit", name)
+        secrets = self.actors[name].secrets
+        height = self.ledgers[rt.chain_id].height
+        if any(
+            h.expiry_height - height <= URGENT_BLOCKS
+            and (h.offerer_side == side or h.payment_hash in secrets)
+            for h in rt.channel.pending_htlcs
+        ):
+            self._broadcast(
+                rt, name, "commit", rt.channel.unilateral_close, party, note="urgent_closes"
+            )
 
     def _sweep_closed(self) -> None:
         for name, chans in sorted(self._by_party(self.closed).items()):
@@ -1009,24 +1023,16 @@ class Engine:
         side = ch.side_of(party)
 
         if ch.phase is ChannelPhase.BREACHED and side != ch.closed_by:
-            outs = [
-                o.outpoint
-                for o in ch.closed_outputs
-                if o.kind in ("delayed", "htlc") and led.is_unspent(o.outpoint)
-                and o.outpoint not in rt.spent
-            ]
-            if outs:
-                try:
-                    tx = ch.punish_breach(party)
-                except (ChannelError, TxRejected):
-                    return
-                rt.spent.update(outs)
-                self._note("justice_txs")
-                self._track(rt.chain_id, tx, "justice", name, chan_idx=rt.idx)
+            if any(o.kind != "direct" and led.is_spendable(o.outpoint)
+                   for o in ch.closed_outputs):
+                self._broadcast(
+                    rt, name, "justice", ch.punish_breach, party,
+                    note="justice_txs", chan_idx=rt.idx,
+                )
             return
 
         for out in ch.closed_outputs:
-            if out.outpoint in rt.spent or not led.is_unspent(out.outpoint):
+            if not led.is_spendable(out.outpoint):
                 continue
             if out.kind == "delayed":
                 if (
@@ -1034,42 +1040,23 @@ class Engine:
                     and out.owner_side == side
                     and led.height >= ch.closed_height + ch.csv_delay
                 ):
-                    try:
-                        tx = ch.build_delayed_sweep(party)
-                    except (ChannelError, TxRejected):
-                        continue
-                    rt.spent.add(out.outpoint)
-                    self._track(rt.chain_id, tx, "sweep", name)
+                    self._broadcast(rt, name, "sweep", ch.build_delayed_sweep, party)
             elif out.kind == "htlc":
                 h = out.htlc
                 if h.offerer_side != side and h.payment_hash in actor.secrets:
                     if stalling:
                         self._hit_faults(name, "stall-secret")
                         continue
-                    try:
-                        tx = ch.build_htlc_claim(
-                            party, h.htlc_id, actor.secrets[h.payment_hash]
-                        )
-                    except (ChannelError, TxRejected):
-                        continue
-                    rt.spent.add(out.outpoint)
-                    self._note("onchain_claims")
-                    self._track(
-                        rt.chain_id, tx, "claim", name,
-                        chan_idx=rt.idx, htlc_id=h.htlc_id,
-                        preimage=actor.secrets[h.payment_hash],
-                        payment_hash=h.payment_hash,
+                    preimage = actor.secrets[h.payment_hash]
+                    self._broadcast(
+                        rt, name, "claim", ch.build_htlc_claim, party, h.htlc_id, preimage,
+                        note="onchain_claims", chan_idx=rt.idx, htlc_id=h.htlc_id,
+                        preimage=preimage, payment_hash=h.payment_hash,
                     )
                 elif h.offerer_side == side and led.height >= h.expiry_height:
-                    try:
-                        tx = ch.build_htlc_refund(party, h.htlc_id)
-                    except (ChannelError, TxRejected):
-                        continue
-                    rt.spent.add(out.outpoint)
-                    self._note("onchain_refunds")
-                    self._track(
-                        rt.chain_id, tx, "refund", name,
-                        chan_idx=rt.idx, htlc_id=h.htlc_id,
+                    self._broadcast(
+                        rt, name, "refund", ch.build_htlc_refund, party, h.htlc_id,
+                        note="onchain_refunds", chan_idx=rt.idx, htlc_id=h.htlc_id,
                     )
 
     # --- invariants ------------------------------------------------------------------

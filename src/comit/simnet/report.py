@@ -93,7 +93,7 @@ def build_report(engine: Engine) -> dict:
                 "party_a": rt.names[0],
                 "party_b": rt.names[1],
                 "phase": rt.channel.phase.value,
-                "updates": rt.channel.update_count,
+                "updates": rt.channel.commitment_number,
                 "closed_by": rt.channel.closed_by or "",
             }
         )

@@ -152,7 +152,7 @@ def test_many_updates_still_two_onchain_txs(rng):
             ch.fail_htlc(hid)
         else:
             ch.fulfill_htlc(hid, secret)
-    assert ch.update_count == 80
+    assert ch.commitment_number == 80
     ch.cooperative_close()
     mine_and_watch(ledger, ch)
     assert ledger.confirmed_tx_count == 2
@@ -435,7 +435,7 @@ def test_updates_sign_nothing_and_a_close_signs_once_per_party(rng, monkeypatch)
             ch.fulfill_htlc(hid, secret)
         else:
             ch.fail_htlc(hid)
-    assert ch.update_count == 200
+    assert ch.commitment_number == 200
     assert signs == []
     ch.unilateral_close(alice)
     mine_and_watch(ledger, ch)

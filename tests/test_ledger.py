@@ -67,6 +67,20 @@ def test_genesis_and_simple_transfer(world):
     assert conserved(ledger)
 
 
+def test_is_spendable_means_confirmed_unspent_and_unclaimed(world):
+    ledger, alice, bob = world
+    (op, _), = ledger.spendable_by(alice.pubkey)
+    assert ledger.is_spendable(op)
+    tx = spend(alice, [op], [(1_000, PayToKey(bob.pubkey))])
+    ledger.submit_tx(tx)
+    out = Outpoint(txid(tx), 0)
+    assert ledger.is_unspent(op) and not ledger.is_spendable(op)  # claimed by the mempool
+    assert not ledger.is_spendable(out)  # not confirmed yet
+    ledger.mine_blocks(1)
+    assert not ledger.is_spendable(op)
+    assert ledger.is_spendable(out)
+
+
 def test_double_spend_rejected_in_mempool_and_confirmed(world):
     ledger, alice, bob = world
     (op, _), = ledger.spendable_by(alice.pubkey)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import random
 from importlib import resources
@@ -550,6 +551,91 @@ def test_broadcast_revoked_without_gain_is_a_noop():
     assert report["metrics"].get("breach_noops", 0) == 1
     assert report["channels"][0]["phase"] == "open"
     assert report["violations"] == []
+
+
+def _close_at_breach(doc: dict) -> None:
+    doc["closes"] = [{"at_tick": 10, "channel": 0}]
+
+
+def _second_breach(doc: dict) -> None:
+    doc["faults"].append(dict(doc["faults"][0]))
+
+
+def _breach_below_fee(doc: dict) -> None:
+    doc["chains"][0]["tx_fee"] = 5
+    doc["channels"][0].update(fund_a=3, fund_b=100)
+    doc["payments"][0]["amount"] = 3
+
+
+@pytest.mark.parametrize(
+    "edit, noops, broadcasts, applied",
+    [
+        # the close meets the revoked commitment in the mempool: dropped
+        (_close_at_breach, 0, 1, [1]),
+        # the second breach finds its channel's close in flight
+        (_second_breach, 1, 1, [1, 0]),
+        # the ledger refuses a revoked commitment that cannot pay the fee
+        (_breach_below_fee, 1, 0, [0]),
+    ],
+    ids=["close-at-breach", "second-breach", "breach-below-fee"],
+)
+def test_close_or_breach_that_cannot_broadcast_is_a_noop(edit, noops, broadcasts, applied):
+    doc = json.loads(
+        (resources.files("comit.simnet") / "scenarios" / "breach-punish.json").read_text()
+    )
+    edit(doc)
+    report = run_doc(doc)
+    assert report["violations"] == []
+    assert report["metrics"].get("breach_noops", 0) == noops
+    assert report["metrics"].get("breach_broadcasts", 0) == broadcasts
+    assert [f["applied"] for f in report["faults"]] == applied
+
+
+def race_doc(rng: random.Random) -> dict:
+    """An acceptance-corpus world with 1-3 scheduled closes and 0-2 revoked
+    broadcasts at ticks 2-30, on chains mining every 1-4 ticks, so closes
+    and breaches meet each other in flight."""
+    doc = random_scenario(rng)
+    chans = doc["channels"]
+    doc["closes"] = [
+        {"at_tick": rng.randint(2, 30), "channel": rng.randrange(len(chans))}
+        for _ in range(rng.randint(1, 3))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        c = rng.randrange(len(chans))
+        doc["faults"].append({
+            "kind": "broadcast-revoked",
+            "actor": chans[c][rng.choice(("party_a", "party_b"))],
+            "at_tick": rng.randint(2, 30),
+            "channel": c,
+        })
+    for chain in doc["chains"]:
+        chain["block_interval"] = rng.randint(1, 4)
+    # a CSV of 6 on a chain mining every 4 ticks can outlast the corpus's 120
+    doc["max_ticks"] = 400
+    return doc
+
+
+# Before broadcasts learned to meet a close in flight, this corpus raised on
+# six documents: TxRejected on 11 and 184 (a second revoked broadcast met the
+# first in the mempool) and StalePhase on 92, 168, 220 and 231 (a cooperative
+# close met a revoked commitment). RACE_DIGEST pins the reports of all the
+# others as they were then.
+RACE_SEED, RACE_DOCS = 2, 300
+RACE_RAISED = {11, 92, 168, 184, 220, 231}
+RACE_DIGEST = "38b31cc95daf90abfb77bec720d67c425505b292e5f826b901a4481d297aa5c4"
+
+
+def test_close_and_breach_races_end_cleanly():
+    rng = random.Random(RACE_SEED)
+    digest = hashlib.sha256()
+    for i in range(RACE_DOCS):
+        report = run_doc(race_doc(rng))
+        assert report["violations"] == [], i
+        assert all(p["status"] in ("settled", "refunded") for p in report["payments"]), i
+        if i not in RACE_RAISED:
+            digest.update(report_json(report).encode())
+    assert digest.hexdigest() == RACE_DIGEST
 
 
 def test_mining_interval_slows_chain():
