@@ -292,7 +292,6 @@ class Channel:
         # (txid, broadcaster side, commitment number, its ClosedOutputs) of
         # the close tx in flight; the side is None for the cooperative close.
         self._closing: Optional[tuple[bytes, Optional[str], int, list[ClosedOutput]]] = None
-        self._frozen = False  # set once any close tx is in flight
         self.closed_by: Optional[str] = None
         self.closed_commitment: Optional[int] = None
         self.closed_height: Optional[int] = None
@@ -324,6 +323,12 @@ class Channel:
     @property
     def pending_htlcs(self) -> tuple[Htlc, ...]:
         return self.state.htlcs
+
+    @property
+    def closing(self) -> bool:
+        """The ledger does not offer the funding outpoint as spendable: a
+        close of the channel is in flight or confirmed."""
+        return not self.ledger.is_spendable(self.funding_outpoint)
 
     def htlc(self, htlc_id: int) -> Htlc:
         for h in self.state.htlcs:
@@ -444,7 +449,7 @@ class Channel:
         self.commit_update()
 
     def _require_open(self) -> None:
-        if self.phase is not ChannelPhase.OPEN or self._frozen:
+        if self.phase is not ChannelPhase.OPEN or self.closing:
             raise StalePhase(f"channel is {self.phase.value}")
 
     # --- HTLC operations -------------------------------------------------------
@@ -535,7 +540,6 @@ class Channel:
         self.ledger.submit_tx(tx)
         self._closing = (txid(tx), None, self.state.commitment_number, [])
         self.phase = ChannelPhase.COOPERATIVE_CLOSING
-        self._frozen = True
         return tx
 
     def unilateral_close(
@@ -551,7 +555,6 @@ class Channel:
         tx, outs = self._commitment(side, state)
         self.ledger.submit_tx(tx)
         self._closing = (txid(tx), side, n, outs)
-        self._frozen = True
         return tx
 
     # --- on-chain observation -------------------------------------------------
@@ -564,7 +567,6 @@ class Channel:
 
         for outpoint, spender in summary.spent:
             if outpoint == self.funding_outpoint:
-                self._frozen = True
                 # The mempool admits one spend of the funding outpoint at a
                 # time, so one in-flight record identifies any close.
                 if self._closing is None or spender != self._closing[0]:

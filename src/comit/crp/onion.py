@@ -56,19 +56,18 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
-from .graph import Route, RouteTooLong, compute_hop_amounts
+from .graph import MAX_ROUTE_HOPS, Route, RouteTooLong, compute_hop_amounts
 from .identity import NodeKey, _raw_public
 from .quotes import RateQuote
 
-MAX_HOPS = 20
 PAYLOAD_SIZE = 136
 SLOT_SIZE = PAYLOAD_SIZE + 32
-BLOB_SIZE = MAX_HOPS * SLOT_SIZE
+BLOB_SIZE = MAX_ROUTE_HOPS * SLOT_SIZE
 PACKET_SIZE = 1 + 32 + BLOB_SIZE + 32
 VERSION = 0
 
 _ZERO32 = b"\x00" * 32
-_ID_CAP = 31
+ID_CAP = 31  # bytes of a chain or asset id in a payload
 
 
 class OnionError(Exception):
@@ -136,14 +135,14 @@ class OnionPacket:
 
 def _pack_id(value: str) -> bytes:
     raw = value.encode()
-    if len(raw) > _ID_CAP:
-        raise PayloadOverflow(f"identifier {value!r} exceeds {_ID_CAP} bytes")
-    return struct.pack("<B", len(raw)) + raw + b"\x00" * (_ID_CAP - len(raw))
+    if len(raw) > ID_CAP:
+        raise PayloadOverflow(f"identifier {value!r} exceeds {ID_CAP} bytes")
+    return struct.pack("<B", len(raw)) + raw + b"\x00" * (ID_CAP - len(raw))
 
 
 def _unpack_id(data: bytes) -> str:
     n = data[0]
-    if n > _ID_CAP:
+    if n > ID_CAP:
         raise InvalidPacket("corrupt identifier length")
     return data[1 : 1 + n].decode()
 
@@ -314,8 +313,8 @@ def onion_create(
     count = len(hop_pubkeys)
     if count == 0:
         raise ValueError("route must have at least one hop")
-    if count > MAX_HOPS:
-        raise RouteTooLong(f"{count} hops > {MAX_HOPS}")
+    if count > MAX_ROUTE_HOPS:
+        raise RouteTooLong(f"{count} hops > {MAX_ROUTE_HOPS}")
     if len(payloads) != count:
         raise ValueError("one payload per hop required")
 

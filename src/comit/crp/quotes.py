@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_AMOUNT = 2**64 - 1
+from ..chainlab import MAX_AMOUNT
+
 PPM = 1_000_000
 
 

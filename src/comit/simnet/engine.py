@@ -36,7 +36,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..chainlab import (
     ChainParams,
@@ -175,7 +175,9 @@ class Engine:
         self.sc = scenario
         self.tick = 0
         self._seq = 0
-        self.queue: list[tuple[int, int, str, tuple]] = []
+        # (tick, seq, handler, args); the unique seq keeps insertion order
+        # within a tick, so the heap never compares handlers
+        self.queue: list[tuple[int, int, Callable, tuple]] = []
         self.violations: list[str] = []
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
@@ -186,12 +188,9 @@ class Engine:
         self.gossip_converged_tick = -1
         # advert ids -> (the adverts, their ChannelGraph); filled by _graph
         self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
-        # Housekeeping indexes (see _housekeeping): chain -> heap of
-        # (HTLC expiry, channel index), the channels that may hold an urgent
-        # HTLC, the channels closed on-chain and not yet settled, and the
-        # actors with revelations they have not read.
-        self.expiring: dict[str, list[tuple[int, int]]] = {}
-        self.hot: set[int] = set()
+        # Housekeeping indexes (see _housekeeping), besides `live`: the
+        # channels closed on-chain and not yet settled, and the actors with
+        # revelations they have not read.
         self.closed: set[int] = set()
         self.unread: set[str] = set()
         self._build_world()
@@ -240,7 +239,6 @@ class Engine:
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
             self.revealed[c.chain_id] = []
-            self.expiring[c.chain_id] = []
         self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
@@ -302,13 +300,15 @@ class Engine:
         # The payments _cascade may still act on, by index. One enters with
         # its first hop and leaves for good once it is terminal with every
         # hop resolved: no hop is ever added to a payment that is not pending.
+        # Only _offer adds an HTLC, and every fulfil or fail of one resolves
+        # its hop at once, so the HTLCs of the open channels are exactly the
+        # unresolved hops of the live payments.
         self.live: dict[int, PayRt] = {}
-        self.hop_by_htlc: dict[tuple[int, int], tuple[int, int]] = {}
 
     # --- shared machinery -----------------------------------------------------
 
-    def _schedule(self, tick: int, kind: str, *args) -> None:
-        heapq.heappush(self.queue, (max(tick, self.tick + 1), self._seq, kind, args))
+    def _schedule(self, tick: int, handler: Callable, *args) -> None:
+        heapq.heappush(self.queue, (max(tick, self.tick + 1), self._seq, handler, args))
         self._seq += 1
 
     def _note(self, metric: str, n: int = 1) -> None:
@@ -374,10 +374,6 @@ class Engine:
         a, b = sorted((x, y))
         return self.chan_between.get((chain_id, a, b))
 
-    def _closable(self, rt: ChanRt) -> bool:
-        """`rt` is open with no close in flight: its funding is still spendable."""
-        return self.ledgers[rt.chain_id].is_spendable(rt.channel.funding_outpoint)
-
     def _heights(self) -> dict[str, int]:
         return {cid: self.ledgers[cid].height for cid in self.ledgers}
 
@@ -431,12 +427,12 @@ class Engine:
         sc = self.sc
         self._bootstrap_gossip()
         for i, p in enumerate(sc.payments):
-            self._schedule(p.at_tick, "payment-start", i)
+            self._schedule(p.at_tick, self._ev_payment_start, i)
         for i, f in enumerate(sc.faults):
             if f.kind == "broadcast-revoked":
-                self._schedule(f.at_tick, "breach", i)
+                self._schedule(f.at_tick, self._ev_breach, i)
         for i, c in enumerate(sc.closes):
-            self._schedule(c.at_tick, "close", i)
+            self._schedule(c.at_tick, self._ev_close, i)
         self._check_conservation("setup")
 
         while self.tick < sc.max_ticks and self._outstanding():
@@ -455,17 +451,17 @@ class Engine:
                 self.violations.append(f"payment {p.idx} never reached a terminal state")
 
     def _outstanding(self) -> bool:
-        if self.queue or self.pending_txs:
+        """Whether an event, a transaction, a channel or a payment may still
+        act. A cooperative close stays in `pending_txs` until the block that
+        settles it, a channel closed on-chain and not settled is in `closed`,
+        and an open channel's HTLCs are the unresolved hops of `live`."""
+        if self.queue or self.pending_txs or self.closed:
             return True
         # a pending payment without hops still has its payment-start queued
-        if any(p.status == "pending" for p in self.live.values()):
-            return True
-        for rt in self.channels:
-            phase = rt.channel.phase
-            if phase in (ChannelPhase.OPENING, ChannelPhase.COOPERATIVE_CLOSING,
-                         ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED):
-                return True
-            if phase is ChannelPhase.OPEN and rt.channel.pending_htlcs:
+        for p in self.live.values():
+            if p.status == "pending" or any(
+                not h.resolved and h.chan.channel.phase is ChannelPhase.OPEN for h in p.hops
+            ):
                 return True
         if self.gossip_converged_tick < 0 and self.tick < 3 * len(self.sc.actors) + 3:
             return True
@@ -579,36 +575,28 @@ class Engine:
         elif meta.kind == "refund":
             self._resolve_onchain(meta, "refunded")
         elif meta.kind == "justice":
-            for (cidx, _), (pidx, i) in sorted(self.hop_by_htlc.items()):
-                p = self.payments[pidx]
-                if cidx == meta.chan_idx and not p.hops[i].resolved:
-                    self._resolve_hop(p, i, "justice", "breach-punished")
+            for _, p, i in self._live_hops(meta.chan_idx):
+                self._resolve_hop(p, i, "justice", "breach-punished")
+
+    def _live_hops(self, chan_idx: int) -> list[tuple[int, PayRt, int]]:
+        """(HTLC id, payment, hop index) of each unresolved hop on channel
+        `chan_idx`, in HTLC-id order."""
+        found = [(h.htlc_id, p, i) for p in self.live.values() for i, h in enumerate(p.hops)
+                 if h.chan.idx == chan_idx and not h.resolved]
+        return sorted(found, key=lambda f: f[0])
 
     def _resolve_onchain(self, meta: _TxMeta, outcome: str) -> None:
-        key = (meta.chan_idx, meta.htlc_id)
-        if key not in self.hop_by_htlc:
-            return
-        pidx, i = self.hop_by_htlc[key]
-        p = self.payments[pidx]
-        if p.hops[i].resolved:
-            return
-        reason = "claimed-on-chain" if outcome == "claimed" else p.fail_reason or "expired"
-        self._resolve_hop(p, i, outcome, reason)
+        for htlc_id, p, i in self._live_hops(meta.chan_idx):
+            if htlc_id == meta.htlc_id:
+                reason = "claimed-on-chain" if outcome == "claimed" else p.fail_reason or "expired"
+                self._resolve_hop(p, i, outcome, reason)
 
     # --- event handlers -----------------------------------------------------------
 
     def _drain_events(self) -> None:
-        handlers = {
-            "payment-start": self._ev_payment_start,
-            "hop-offer": self._ev_hop_offer,
-            "settle-hop": self._ev_settle_hop,
-            "fail-hop": self._ev_fail_hop,
-            "close": self._ev_close,
-            "breach": self._ev_breach,
-        }
         while self.queue and self.queue[0][0] <= self.tick:
-            _, _, kind, args = heapq.heappop(self.queue)
-            handlers[kind](*args)
+            _, _, handler, args = heapq.heappop(self.queue)
+            handler(*args)
 
     def _default_hash_fn(self, asset: str) -> HashFnId:
         sets = [
@@ -628,7 +616,7 @@ class Engine:
         for name in (spec.sender, spec.recipient):
             if not self._online(name):
                 self._hit_faults(name, "crash")
-                self._schedule(self._recovery(name), "payment-start", pidx)
+                self._schedule(self._recovery(name), self._ev_payment_start, pidx)
                 return
         p.started_tick = self.tick
 
@@ -706,7 +694,7 @@ class Engine:
             return  # on-chain resolution has taken over
         if not self._online(hop.receiver):
             self._hit_faults(hop.receiver, "crash")
-            self._schedule(self._recovery(hop.receiver), "hop-offer", pidx, i, packet)
+            self._schedule(self._recovery(hop.receiver), self._ev_hop_offer, pidx, i, packet)
             return
         recv = self.actors[hop.receiver]
 
@@ -731,7 +719,7 @@ class Engine:
                 self._start_fail(p, i, exc.reason)
                 return
             hop.scheduled = True
-            self._schedule(self.tick + 1, "settle-hop", pidx, i)
+            self._schedule(self.tick + 1, self._ev_settle_hop, pidx, i)
             return
 
         # forward
@@ -790,16 +778,14 @@ class Engine:
             chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
             offerer=offerer, receiver=receiver,
         ))
-        self.hop_by_htlc[(rt.idx, htlc_id)] = (p.idx, i)
-        heapq.heappush(self.expiring[chain_id], (expiry, rt.idx))
         self.live[p.idx] = p
-        self._schedule(self.tick + 1, "hop-offer", p.idx, i, packet)
+        self._schedule(self.tick + 1, self._ev_hop_offer, p.idx, i, packet)
         return None
 
     def _start_fail(self, p: PayRt, i: int, reason: str) -> None:
         p.fail_reason = p.fail_reason or reason
         p.hops[i].scheduled = True
-        self._schedule(self.tick + 1, "fail-hop", p.idx, i)
+        self._schedule(self.tick + 1, self._ev_fail_hop, p.idx, i)
 
     def _ev_settle_hop(self, pidx: int, i: int) -> None:
         p = self.payments[pidx]
@@ -821,7 +807,7 @@ class Engine:
         if gate is not None:
             if gate >= 0:
                 hop.scheduled = True
-                self._schedule(gate, "settle-hop", pidx, i)
+                self._schedule(gate, self._ev_settle_hop, pidx, i)
             return
         try:
             hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
@@ -841,7 +827,7 @@ class Engine:
         gate = self._gate(hop.receiver, hop.offerer)
         if gate is not None:
             hop.scheduled = True
-            self._schedule(gate, "fail-hop", pidx, i)
+            self._schedule(gate, self._ev_fail_hop, pidx, i)
             return
         try:
             hop.chan.channel.fail_htlc(hop.htlc_id)
@@ -857,10 +843,10 @@ class Engine:
         a, b = rt.names
         gate = self._gate(a, b)
         if gate is not None:
-            self._schedule(gate, "close", cidx)
+            self._schedule(gate, self._ev_close, cidx)
             return
         if rt.channel.pending_htlcs:
-            self._schedule(self.tick + 1, "close", cidx)
+            self._schedule(self.tick + 1, self._ev_close, cidx)
             return
         self._broadcast(rt, a, "coop", rt.channel.cooperative_close)
 
@@ -868,13 +854,13 @@ class Engine:
         fault = self.sc.faults[fidx]
         cheater = fault.actor
         if not self._online(cheater):
-            self._schedule(self._recovery(cheater), "breach", fidx)
+            self._schedule(self._recovery(cheater), self._ev_breach, fidx)
             return
         mine = self.actors[cheater].channels
         candidates = mine if fault.channel is None else [self.channels[fault.channel]]
         best: Optional[tuple[int, ChanRt, int]] = None
         for rt in candidates:
-            if not self._closable(rt):
+            if rt.channel.closing:
                 continue
             side = rt.channel.side_of(rt.parties[cheater])
             current = rt.channel.balance_of(rt.parties[cheater])
@@ -907,12 +893,10 @@ class Engine:
         - `_learn_from_chains` reads `unread`, the actors with revelations
           they have not read; for any other actor the scan learns nothing.
         - `_cascade` reads `live`, the payments with an HTLC out.
-        - `_protect` reads `expiring`, one heap of (expiry, channel) per
-          chain pushed by `_offer`, into `hot`. An HTLC is urgent from the
-          height its expiry comes within URGENT_BLOCKS, and heights only
-          rise, so every open channel with an urgent HTLC is hot; a hot
-          channel leaves once it is not open or holds no urgent HTLC, and
-          a channel that is neither would make the scan do nothing.
+        - `_protect` reads the unresolved hops of `live`, which are the
+          HTLCs of the open channels. It visits the open channels holding
+          a hop whose expiry is within URGENT_BLOCKS of its chain's height;
+          on any other channel the scan would do nothing.
         - `_sweep_closed` reads `closed`, kept by `_mine` after each
           `process_block`, the only place a channel is closed on-chain or
           settled.
@@ -961,27 +945,24 @@ class Engine:
                 if down.resolved in ("fulfilled", "claimed"):
                     if p.invoice.payment_hash in recv.secrets:
                         hop.scheduled = True
-                        self._schedule(self.tick + 1, "settle-hop", p.idx, i)
+                        self._schedule(self.tick + 1, self._ev_settle_hop, p.idx, i)
                 else:
                     p.fail_reason = p.fail_reason or "downstream-" + down.resolved
                     hop.scheduled = True
-                    self._schedule(self.tick + 1, "fail-hop", p.idx, i)
+                    self._schedule(self.tick + 1, self._ev_fail_hop, p.idx, i)
 
     def _protect(self) -> None:
         """Force-close when an HTLC gets too close to expiry to keep waiting
         for cooperation."""
-        limit = {cid: led.height + URGENT_BLOCKS for cid, led in self.ledgers.items()}
-        for cid, heap in self.expiring.items():
-            while heap and heap[0][0] <= limit[cid]:
-                self.hot.add(heapq.heappop(heap)[1])
-
-        def urgent(rt: ChanRt) -> bool:
-            return rt.channel.phase is ChannelPhase.OPEN and any(
-                h.expiry_height <= limit[rt.chain_id] for h in rt.channel.pending_htlcs
-            )
-
-        self.hot = {idx for idx in self.hot if urgent(self.channels[idx])}
-        for name, chans in sorted(self._by_party(self.hot).items()):
+        urgent = {
+            h.chan.idx
+            for p in self.live.values()
+            for h in p.hops
+            if not h.resolved
+            and h.chan.channel.phase is ChannelPhase.OPEN
+            and h.expiry <= self.ledgers[h.chan.chain_id].height + URGENT_BLOCKS
+        }
+        for name, chans in sorted(self._by_party(urgent).items()):
             if self._online(name):
                 for rt in chans:
                     self._protect_channel(name, rt)
@@ -990,7 +971,7 @@ class Engine:
         """`name` force-closes the open channel `rt` if no close is in flight
         and it holds an urgent HTLC that `name` offered (to refund on-chain
         once expired) or knows the preimage of (to claim it before expiry)."""
-        if not self._closable(rt):
+        if rt.channel.closing:
             return
         party = rt.parties[name]
         side = rt.channel.side_of(party)

@@ -17,7 +17,9 @@ Every value the engine packs into a fixed-width field is bounded here, so
 no accepted scenario fails on one: genesis amounts, each chain's genesis
 total, and a quote's `rate_num`, `rate_den` and `base_fee` are at most
 2**64 - 1 (u64, `MAX_AMOUNT`), a channel's `csv_delay` at most 2**32 - 1
-(u32), and `fee_ppm` at most 999,999.
+(u32), and `fee_ppm` at most 999,999. A payment, close or
+`broadcast-revoked` fault must be scheduled before `max_ticks`, or the run
+would end with it still to do.
 
 `Scenario.digest` hashes the specs themselves, so every field of every spec,
 plus `seed` and `max_ticks`, is part of a report's `scenario_digest`.
@@ -31,6 +33,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterator, Optional, Union
 
 from ..chainlab import MAX_AMOUNT, HashFnId
+from ..crp.onion import ID_CAP
+from ..crp.quotes import PPM
 
 ACTOR_KINDS = ("business", "lp", "user")
 FAULT_KINDS = (
@@ -46,7 +50,6 @@ WINDOW_FAULTS = ("drop-gossip", "refuse-forward", "stall-secret")
 FAR_FUTURE = 2**31
 
 MAX_SEED = 2**64 - 1
-MAX_ID_BYTES = 31  # chain and asset ids must fit the onion payload fields
 MAX_CSV_DELAY = 2**32 - 1  # a relative timelock is a u32 in the script bytes
 DEFAULT_MAX_TICKS = 500
 
@@ -233,8 +236,8 @@ def _entries(doc: dict, section: str, d: _Diags, need: str = "") -> Iterator[tup
 
 
 def _id_ok(value: str, where: str, d: _Diags) -> bool:
-    if len(value.encode()) > MAX_ID_BYTES:
-        d.constraint(where, f"must be at most {MAX_ID_BYTES} bytes, got {value!r}")
+    if len(value.encode()) > ID_CAP:  # ids must fit the onion payload fields
+        d.constraint(where, f"must be at most {ID_CAP} bytes, got {value!r}")
         return False
     return True
 
@@ -330,6 +333,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
 
     seed = _get_int(doc, "seed", "document", d, lo=0, hi=MAX_SEED)
     max_ticks = _get_int(doc, "max_ticks", "document", d, default=DEFAULT_MAX_TICKS, lo=10)
+    last_tick = None if max_ticks is None else max_ticks - 1
 
     # Actors first: nearly everything else refers to them by name.
     actors: list[ActorSpec] = []
@@ -436,7 +440,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         num = _get_int(obj, "rate_num", where, d, lo=1, hi=MAX_AMOUNT)
         den = _get_int(obj, "rate_den", where, d, lo=1, hi=MAX_AMOUNT)
         base = _get_int(obj, "base_fee", where, d, default=0, lo=0, hi=MAX_AMOUNT)
-        ppm = _get_int(obj, "fee_ppm", where, d, default=0, lo=0, hi=999_999)
+        ppm = _get_int(obj, "fee_ppm", where, d, default=0, lo=0, hi=PPM - 1)
         ok = None not in (node, a_in, a_out, num, den, base, ppm)
         if node is not None and node not in actor_names:
             d.unknown(f"{where}.node", f"no actor named {node!r}")
@@ -464,7 +468,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
 
     payments: list[PaymentSpec] = []
     for where, obj in _entries(doc, "payments", d):
-        at_tick = _get_int(obj, "at_tick", where, d, lo=0)
+        at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
         sender = _get_str(obj, "sender", where, d)
         recipient = _get_str(obj, "recipient", where, d)
         amount = _get_int(obj, "amount", where, d, lo=1)
@@ -502,7 +506,8 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     for where, obj in _entries(doc, "faults", d):
         kind = _get_str(obj, "kind", where, d)
         actor = _get_str(obj, "actor", where, d)
-        at_tick = _get_int(obj, "at_tick", where, d, lo=0)
+        breach = kind == "broadcast-revoked"
+        at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick if breach else None)
         if kind is not None and kind not in FAULT_KINDS:
             d.unknown(f"{where}.kind", f"unknown fault kind {kind!r}")
             continue
@@ -537,7 +542,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
 
     closes: list[CloseSpec] = []
     for where, obj in _entries(doc, "closes", d):
-        at_tick = _get_int(obj, "at_tick", where, d, lo=0)
+        at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
         chan = _get_int(obj, "channel", where, d, lo=0, hi=max(len(channels) - 1, 0))
         if None in (at_tick, chan):
             continue

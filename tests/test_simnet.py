@@ -186,6 +186,21 @@ def test_validate_constraint_violations():
         assert scenario is None
         assert any(e.startswith("constraint-violation: " + want.format(u64=u64)) for e in errors)
         assert all(e.startswith("constraint-violation:") for e in errors)
+    # A payment, close or revoked broadcast the run (max_ticks 60) ends before.
+    for at_tick, close_tick, want in ((59, 59, []), (60, 2**70, [
+        "constraint-violation: payments[0].at_tick: must be <= 59, got 60",
+        "constraint-violation: faults[0].at_tick: must be <= 59, got 60",
+        f"constraint-violation: closes[0].at_tick: must be <= 59, got {2**70}",
+    ])):
+        doc = line_doc()
+        doc["payments"][0]["at_tick"] = at_tick
+        doc["faults"] = [
+            {"kind": "broadcast-revoked", "actor": "ann", "at_tick": at_tick, "channel": 0}
+        ]
+        doc["closes"] = [{"at_tick": close_tick, "channel": 0}]
+        scenario, errors = validate_scenario(doc)
+        assert errors == want
+        assert (scenario is None) == bool(want)
 
 
 @pytest.mark.parametrize(
@@ -943,6 +958,23 @@ class ScanningEngine(engine_mod.Engine):
                 if meta is not None:
                     self._confirmed(meta)
 
+    def _outstanding(self):
+        if self.queue or self.pending_txs:
+            return True
+        # a pending payment without hops still has its payment-start queued
+        if any(p.status == "pending" for p in self.live.values()):
+            return True
+        for rt in self.channels:
+            phase = rt.channel.phase
+            if phase in (ChannelPhase.OPENING, ChannelPhase.COOPERATIVE_CLOSING,
+                         ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED):
+                return True
+            if phase is ChannelPhase.OPEN and rt.channel.pending_htlcs:
+                return True
+        if self.gossip_converged_tick < 0 and self.tick < 3 * len(self.sc.actors) + 3:
+            return True
+        return False
+
     def _learn_from_chains(self):
         for name in sorted(self.actors):
             actor = self.actors[name]
@@ -978,13 +1010,17 @@ class ScanningEngine(engine_mod.Engine):
 
 
 def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
-    """`doc`'s report text and metrics from ScanningEngine and Engine."""
+    """`doc`'s report text and metrics from ScanningEngine and Engine. No
+    run may end with an HTLC still held in an open channel."""
     out = []
     for cls in (ScanningEngine, engine_mod.Engine):
         scenario, errors = validate_scenario(doc)
         assert errors == [], errors
         engine = cls(scenario)
         engine.run()
+        stranded = [rt.idx for rt in engine.channels
+                    if rt.channel.phase is ChannelPhase.OPEN and rt.channel.pending_htlcs]
+        assert stranded == [], (cls.__name__, stranded)
         out.append((report_json(build_report(engine)), engine.metrics))
     return out
 
@@ -992,7 +1028,8 @@ def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
 def test_indexed_housekeeping_matches_full_scans():
     """Byte-identical reports from the indexed per-tick steps and from full
     scans, on the bundled scenarios, the first 100 acceptance-corpus
-    scenarios, the multi-fault meshes, a fault-free mesh and a star."""
+    scenarios, the multi-fault meshes, a fault-free mesh, a star and a
+    breach that leaves an HTLC open downstream of a finished payment."""
     docs = [
         json.loads((resources.files("comit.simnet") / "scenarios" / name).read_text())
         for name in sorted(
@@ -1017,6 +1054,12 @@ def test_indexed_housekeeping_matches_full_scans():
         docs.append(doc)
     docs.append({**mesh_doc(random.Random(5)), "faults": []})
     docs.append(star_doc(12))
+    # The 395th corpus document of seed 0: justice ends payment 1 at hop 0
+    # while its downstream HTLC is still open, so the run must go on to an
+    # urgent close and an on-chain refund of that HTLC (to tick 62) rather
+    # than stop at tick 17 with it stranded.
+    rng = random.Random(0)
+    docs.append([random_scenario(rng) for _ in range(395)][-1])
     seen = {}
     for i, doc in enumerate(docs):
         (scanned, metrics), (indexed, _) = scanned_and_indexed(doc)
