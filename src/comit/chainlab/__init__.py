@@ -1,8 +1,9 @@
 """Simulated UTXO blockchains with a closed script language.
 
 Each Ledger is single-chain, fee-burning, and deterministic: transactions
-confirm in submission order, there are no reorgs, and locktimes are enforced
-at mining time rather than submission time.
+confirm in submission order, there are no reorgs, and the mempool admits
+only what the next block confirms, so a spend whose locktime or script
+time lock has not matured is refused at submission.
 """
 
 from .hashes import DIGEST_SIZE, HashFnId, UnknownHashFunction, hash_digest

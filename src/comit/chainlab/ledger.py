@@ -1,14 +1,16 @@
 """Single-chain ledger: UTXO set, mempool, deterministic mining.
 
-Submission validates structure, input availability, value balance, and
-witnesses; time conditions are deliberately not checked here. A transaction
-whose only obstacle is a locktime or an unconfirmed parent waits in the
-mempool and confirms in the first block where every condition holds, which
-is what lets refund and sweep transactions be broadcast ahead of maturity.
+The mempool holds only what the next block confirms. Submission validates
+structure, input availability, value balance and witnesses, and admits a
+transaction only if it is final at the next height: every input a
+confirmed output, every script satisfied at height + 1 and the locktime
+at most height + 1. A spend that is only early is refused as `premature`,
+as Bitcoin Core keeps non-final and BIP 68 sequence-locked transactions
+out of its mempool; its owner submits it again once it has matured.
 
-Mining is deterministic: one block per call step, candidates considered in
-submission order, no reorgs ever. The difference between a transaction's
-inputs and outputs is burned as fee, so for any chain
+Mining is deterministic: each block confirms the whole mempool in
+submission order, and there are no reorgs. The difference between a
+transaction's inputs and outputs is burned as fee, so for any chain
 
     sum(unspent outputs) + burned fees == sum(genesis allocations)
 
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from .hashes import HashFnId
 from .script import Outcome, PayToKey, Script, ScriptContext, evaluate
-from .tx import MAX_AMOUNT, Outpoint, Transaction, TxOut, txid
+from .tx import MAX_AMOUNT, Outpoint, Transaction, txid
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class Reject:
     VALUE_OVERFLOW = "value-overflow"
     FEE_TOO_LOW = "fee-too-low"
     INVALID_WITNESS = "invalid-witness"
+    PREMATURE = "premature"
 
 
 class TxRejected(Exception):
@@ -82,9 +85,8 @@ class Ledger:
         self.height = 0
         self._utxos: dict[Outpoint, Utxo] = {}
         self._mempool: dict[bytes, Transaction] = {}  # submission order
-        self._mempool_spends: dict[Outpoint, bytes] = {}
-        self._mempool_outputs: dict[Outpoint, TxOut] = {}
-        self._spent: dict[Outpoint, bytes] = {}  # confirmed spends
+        self._mempool_spends: set[Outpoint] = set()
+        self._spent: set[Outpoint] = set()  # confirmed spends
         # PayToKey owner -> its unspent outpoints, in insertion order
         self._owned: dict[bytes, dict[Outpoint, None]] = {}
         self.burned = 0
@@ -124,10 +126,6 @@ class Ledger:
         """Confirmed, unspent and not claimed by a mempool transaction."""
         return outpoint in self._utxos and outpoint not in self._mempool_spends
 
-    def spender_of(self, outpoint: Outpoint) -> Optional[bytes]:
-        """Txid of the confirmed transaction that consumed the outpoint."""
-        return self._spent.get(outpoint)
-
     def total_utxo_value(self) -> int:
         return self._utxo_value
 
@@ -147,14 +145,15 @@ class Ledger:
     # --- submission --------------------------------------------------------
 
     def submit_tx(self, tx: Transaction) -> bytes:
+        """Admit `tx` to the mempool if the next block can confirm it."""
         tx_id = txid(tx)
         if self.in_mempool(tx_id):
             raise TxRejected(Reject.CONFLICT, "duplicate transaction")
-        seen: set[Outpoint] = set()
-        for txin in tx.inputs:
-            if txin.outpoint in seen:
-                raise TxRejected(Reject.MALFORMED, "duplicate outpoint within tx")
-            seen.add(txin.outpoint)
+        if len({txin.outpoint for txin in tx.inputs}) != len(tx.inputs):
+            raise TxRejected(Reject.MALFORMED, "duplicate outpoint within tx")
+        next_height = self.height + 1
+        if tx.locktime > next_height:
+            raise TxRejected(Reject.PREMATURE, f"locktime {tx.locktime} > {next_height}")
 
         in_value = 0
         for txin in tx.inputs:
@@ -164,24 +163,19 @@ class Ledger:
             if op in self._spent:
                 raise TxRejected(Reject.CONFLICT, f"{op.short()} already consumed")
             utxo = self._utxos.get(op)
-            if utxo is not None:
-                in_value += utxo.amount
-                conf: Optional[int] = utxo.confirmation_height
-                source: Script = utxo.script
-            elif op in self._mempool_outputs:
-                pending = self._mempool_outputs[op]
-                in_value += pending.amount
-                conf = None
-                source = pending.script
-            else:
+            if utxo is None:
                 raise TxRejected(Reject.UNKNOWN_OUTPOINT, op.short())
+            in_value += utxo.amount
             ctx = ScriptContext(
-                current_height=self.height,
-                input_confirmation_height=conf,
+                current_height=next_height,
+                input_confirmation_height=utxo.confirmation_height,
                 tx_digest=tx_id,
             )
-            if evaluate(source, txin.witness, ctx) is Outcome.INVALID:
+            outcome = evaluate(utxo.script, txin.witness, ctx)
+            if outcome is Outcome.INVALID:
                 raise TxRejected(Reject.INVALID_WITNESS, op.short())
+            if outcome is Outcome.PREMATURE:
+                raise TxRejected(Reject.PREMATURE, op.short())
 
         out_value = sum(o.amount for o in tx.outputs)
         if out_value > in_value or in_value > MAX_AMOUNT:
@@ -190,70 +184,37 @@ class Ledger:
             raise TxRejected(Reject.FEE_TOO_LOW)
 
         self._mempool[tx_id] = tx
-        for txin in tx.inputs:
-            self._mempool_spends[txin.outpoint] = tx_id
-        for i, txout in enumerate(tx.outputs):
-            self._mempool_outputs[Outpoint(tx_id, i)] = txout
+        self._mempool_spends.update(txin.outpoint for txin in tx.inputs)
         return tx_id
 
     # --- mining ------------------------------------------------------------
 
-    def _eligible(self, tx_id: bytes, tx: Transaction, height: int) -> bool:
-        if tx.locktime > height:
-            return False
-        for txin in tx.inputs:
-            utxo = self._utxos.get(txin.outpoint)
-            if utxo is None:
-                return False
-            ctx = ScriptContext(
-                current_height=height,
-                input_confirmation_height=utxo.confirmation_height,
-                tx_digest=tx_id,
-            )
-            if evaluate(utxo.script, txin.witness, ctx) is not Outcome.VALID:
-                return False
-        return True
-
     def mine_blocks(self, count: int) -> list[BlockSummary]:
+        """Mine `count` blocks; the first confirms the whole mempool."""
         if count < 0:
             raise ValueError("count must be >= 0")
         summaries = []
         for _ in range(count):
-            height = self.height + 1
-            block_txids: list[bytes] = []
+            self.height += 1
             block_spent: list[tuple[Outpoint, bytes]] = []
-            # Fixpoint over the mempool in submission order: confirming a
-            # parent can make a same-block child eligible.
-            progress = True
-            while progress:
-                progress = False
-                for tx_id, tx in list(self._mempool.items()):
-                    if not self._eligible(tx_id, tx, height):
-                        continue
-                    in_value = sum(self._utxos[i.outpoint].amount for i in tx.inputs)
-                    out_value = sum(o.amount for o in tx.outputs)
-                    for txin in tx.inputs:
-                        op = txin.outpoint
-                        utxo = self._pop_utxo(op)
-                        self._utxo_value -= utxo.amount
-                        self._spent[op] = tx_id
-                        del self._mempool_spends[op]
-                        block_spent.append((op, tx_id))
-                    for i, txout in enumerate(tx.outputs):
-                        op = Outpoint(tx_id, i)
-                        self._mempool_outputs.pop(op, None)
-                        self._add_utxo(op, Utxo(txout.amount, txout.script, height))
-                        self._utxo_value += txout.amount
-                    self.burned += in_value - out_value
-                    del self._mempool[tx_id]
-                    block_txids.append(tx_id)
-                    progress = True
-            self.height = height
-            summary = BlockSummary(
-                height=height,
-                txids=tuple(block_txids),
+            for tx_id, tx in self._mempool.items():
+                in_value = 0
+                for txin in tx.inputs:
+                    in_value += self._pop_utxo(txin.outpoint).amount
+                    self._spent.add(txin.outpoint)
+                    block_spent.append((txin.outpoint, tx_id))
+                out_value = 0
+                for i, txout in enumerate(tx.outputs):
+                    self._add_utxo(Outpoint(tx_id, i), Utxo(txout.amount, txout.script, self.height))
+                    out_value += txout.amount
+                self._utxo_value += out_value - in_value
+                self.burned += in_value - out_value
+            summaries.append(BlockSummary(
+                height=self.height,
+                txids=tuple(self._mempool),
                 spent=tuple(block_spent),
-            )
-            summaries.append(summary)
-            self.confirmed_tx_count += len(block_txids)
+            ))
+            self.confirmed_tx_count += len(self._mempool)
+            self._mempool.clear()
+            self._mempool_spends.clear()
         return summaries

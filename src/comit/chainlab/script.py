@@ -18,8 +18,8 @@ stack machine:
 Evaluation is pure: it reads only the script, the witness, and an explicit
 ScriptContext. Internally the interpreter distinguishes a witness that can
 never verify (INVALID) from one that is only blocked by time (PREMATURE);
-the ledger uses that to let refund and sweep transactions sit in the mempool
-before maturity. `verify_script` collapses both failures to False.
+the ledger uses that to refuse an early refund or sweep as premature rather
+than invalid. `verify_script` collapses both failures to False.
 """
 
 from __future__ import annotations
@@ -127,11 +127,11 @@ class ScriptContext:
     """Chain state the interpreter may consult.
 
     input_confirmation_height is the height at which the spent output
-    confirmed, or None while it is still unconfirmed (mempool parent).
+    confirmed; the ledger spends only confirmed outputs.
     """
 
     current_height: int
-    input_confirmation_height: Optional[int]
+    input_confirmation_height: int
     tx_digest: bytes
 
 
@@ -179,8 +179,6 @@ def evaluate(script: Script, witness: Witness, ctx: ScriptContext) -> Outcome:
     if isinstance(script, TimeLockRel):
         if not _sig_ok(witness, script.pubkey, ctx.tx_digest):
             return Outcome.INVALID
-        if ctx.input_confirmation_height is None:
-            return Outcome.PREMATURE
         if ctx.current_height >= ctx.input_confirmation_height + script.delta_blocks:
             return Outcome.VALID
         return Outcome.PREMATURE

@@ -634,8 +634,9 @@ class Channel:
         return tx
 
     def build_delayed_sweep(self, party: ChannelParty) -> Transaction:
-        """Closer sweeps its own delayed output; valid csv_delay blocks after
-        the commitment confirmed, parked in the mempool until then."""
+        """Closer sweeps its own delayed output. It can confirm no earlier
+        than csv_delay blocks after the commitment; the ledger refuses it as
+        premature until then."""
         out = self._closed_output("delayed")
         if self.side_of(party) != self.closed_by:
             raise ChannelError("only the broadcaster has a delayed output")
@@ -654,7 +655,9 @@ class Channel:
         return self._claim(party, [out], (preimage,))
 
     def build_htlc_refund(self, party: ChannelParty, htlc_id: int) -> Transaction:
-        """HTLC offerer takes the refund branch; parked until expiry."""
+        """HTLC offerer takes the refund branch. It can confirm no earlier
+        than the HTLC's expiry height; the ledger refuses it as premature
+        until then."""
         out = self._closed_output("htlc", htlc_id)
         if self.side_of(party) != out.htlc.offerer_side:
             raise ChannelError("only the offerer can refund")

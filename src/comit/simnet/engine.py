@@ -1,7 +1,7 @@
 """Deterministic discrete-event execution of scenario files.
 
 Time is a single global tick counter. Each chain mines one block every
-`mining_interval` ticks; every protocol message (HTLC offer, fulfill, fail)
+`block_interval` ticks; every protocol message (HTLC offer, fulfill, fail)
 takes one tick to cross a channel. Events are processed in (tick, insertion
 order), actors are visited in sorted name order, chains in sorted id order,
 so a scenario plus its seed pins the entire run.
@@ -20,9 +20,11 @@ Actors follow the protocol honestly unless a fault says otherwise:
 Honest actors protect themselves without any global coordination: an HTLC
 receiver that knows the preimage force-closes when expiry is near, an offerer
 whose HTLC is still pending near expiry force-closes to refund on-chain, and
-a party detecting a revoked broadcast punishes it immediately. Timelocked
-sweeps and refunds are submitted only once mature so they can never squat on
-a contested outpoint ahead of a justice transaction.
+a party detecting a revoked broadcast punishes it immediately. No timelocked
+sweep or refund can squat on a contested outpoint ahead of a justice
+transaction: the ledger refuses a spend the next block cannot confirm. The
+engine submits each one only once it is mature, so it builds nothing the
+ledger would refuse.
 
 Every channel transaction goes on chain through `_broadcast`, and what is
 spent is read from the ledger alone. A close or breach that meets a close in
@@ -200,7 +202,6 @@ class Engine:
     def _build_world(self) -> None:
         sc = self.sc
         self.ledgers: dict[str, Ledger] = {}
-        self.intervals: dict[str, int] = {}
         self.chain_fns: dict[str, frozenset] = {}
         self.chain_assets: dict[str, str] = {}
         self.actors: dict[str, ActorState] = {}
@@ -235,7 +236,6 @@ class Engine:
                 coins.append((actor.wallet[c.chain_id].pubkey, amount))
                 actor.bump(actor.initial, c.asset, amount)
             self.ledgers[c.chain_id] = Ledger(params, coins)
-            self.intervals[c.chain_id] = c.mining_interval
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
             self.revealed[c.chain_id] = []
@@ -546,9 +546,10 @@ class Engine:
 
     def _mine(self) -> None:
         for cid in sorted(self.ledgers):
-            if self.tick % self.intervals[cid] != 0:
+            led = self.ledgers[cid]
+            if self.tick % led.params.block_interval != 0:
                 continue
-            summary = self.ledgers[cid].mine_blocks(1)[0]
+            summary = led.mine_blocks(1)[0]
             if not summary.txids:
                 continue  # process_block is a no-op on every channel
             for rt in self.chans_on[cid]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 from ..chainlab import MAX_AMOUNT, HashFnId
@@ -324,7 +324,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         return None, d.errors
 
     known_sections = {
-        "seed", "max_ticks", "chains", "mining", "actors", "channels",
+        "seed", "max_ticks", "chains", "actors", "channels",
         "quotes", "payments", "faults", "closes", "name", "comment",
     }
     for key in _str_keys(doc, "document", d):
@@ -362,23 +362,6 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         chains.append(spec)
     by_chain = {c.chain_id: c for c in chains}
     assets = {c.asset for c in chains}
-
-    # Optional mining overrides: {chain_id: interval}.
-    mining = doc.get("mining", {})
-    if not isinstance(mining, dict):
-        d.parse("mining", "expected an object mapping chain_id to interval")
-    else:
-        for cid in _str_keys(mining, "mining", d):
-            if cid not in by_chain:
-                d.unknown(f"mining.{cid}", f"no chain named {cid!r}")
-                continue
-            interval = mining[cid]
-            if not isinstance(interval, int) or isinstance(interval, bool) or interval < 1:
-                d.constraint(f"mining.{cid}", f"interval must be an integer >= 1, got {interval!r}")
-                continue
-            old = by_chain[cid]
-            by_chain[cid] = replace(old, mining_interval=interval)
-            chains[chains.index(old)] = by_chain[cid]
 
     channels: list[ChannelSpec] = []
     seen_pairs: set = set()

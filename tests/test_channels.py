@@ -4,7 +4,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from comit.chainlab import ChainParams, HashFnId, KeyPair, Ledger, PayToKey, hash_digest, txid
+from comit.chainlab import (
+    ChainParams,
+    HashFnId,
+    KeyPair,
+    Ledger,
+    Outpoint,
+    PayToKey,
+    Reject,
+    TxRejected,
+    hash_digest,
+    txid,
+)
 from comit.channels import (
     AmountBelowDust,
     BadPreimage,
@@ -49,6 +60,20 @@ def mine_and_watch(ledger, ch, blocks=1):
     for _ in range(blocks):
         for summary in ledger.mine_blocks(1):
             ch.process_block(summary)
+
+
+def submit_when_mature(ledger, ch, build, *args):
+    """Call `build(*args)` at each height, mining and watching one block per
+    `premature` refusal, until the ledger admits the spend; return the
+    height at which it was admitted."""
+    for _ in range(100):
+        try:
+            build(*args)
+            return ledger.height
+        except TxRejected as e:
+            assert e.reason == Reject.PREMATURE
+            mine_and_watch(ledger, ch)
+    raise AssertionError("never admitted")
 
 
 def add(ch, offerer, amount, expiry=50, fn=HashFnId.SHA256, secret=b"s" * 32):
@@ -160,8 +185,9 @@ def test_many_updates_still_two_onchain_txs(rng):
 
 
 def test_unilateral_close_honest_with_csv_sweep(rng):
-    # Oracle: enumerate mining block by block; the delayed sweep must
-    # confirm exactly csv_delay blocks after the commitment confirmed.
+    # Oracle: try the sweep at every height, mining block by block; it is
+    # premature until the next block is csv_delay blocks after the
+    # commitment's, and confirms in exactly that block.
     csv = 4
     ledger, ch, alice, bob = make_world(rng, csv=csv)
     hid, secret = add(ch, alice, 2_000)
@@ -174,16 +200,12 @@ def test_unilateral_close_honest_with_csv_sweep(rng):
     close_height = ch.closed_height
     # bob's direct output is already spendable
     assert wallet(ledger, bob) == before_b + 7_000
-    # alice sweeps her delayed output; it parks until maturity
-    ch.build_delayed_sweep(alice)
-    sweep_height = None
-    for _ in range(csv + 2):
-        summaries = ledger.mine_blocks(1)
-        for s in summaries:
-            ch.process_block(s)
-            if wallet(ledger, alice) == before_a + 8_000 and sweep_height is None:
-                sweep_height = s.height
-    assert sweep_height == close_height + csv
+    # alice sweeps her delayed output once the next block can confirm it
+    assert submit_when_mature(ledger, ch, ch.build_delayed_sweep, alice) == close_height + csv - 1
+    assert wallet(ledger, alice) == before_a
+    mine_and_watch(ledger, ch)
+    assert ledger.height == close_height + csv
+    assert wallet(ledger, alice) == before_a + 8_000
     assert ch.phase is ChannelPhase.SETTLED
     assert conserved(ledger)
 
@@ -199,8 +221,8 @@ def test_unilateral_close_blocks_further_updates(rng):
 
 
 def test_htlc_resolution_on_chain_after_force_close(rng):
-    # Receiver claims with the preimage; a second HTLC refunds to the
-    # offerer only after its expiry (parked in the mempool meanwhile).
+    # Receiver claims with the preimage at once; a second HTLC refunds to
+    # the offerer only in the block at its expiry (premature before that).
     ledger, ch, alice, bob = make_world(rng)
     claim_secret = b"c" * 32
     refund_secret = b"r" * 32
@@ -216,20 +238,14 @@ def test_htlc_resolution_on_chain_after_force_close(rng):
     assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
     # alice's balance (8300) was the counterparty output: spendable at once
     assert wallet(ledger, alice) == before_a + 8_300
-    ch.build_htlc_claim(bob, claim_hid, claim_secret)
-    ch.build_htlc_refund(alice, refund_hid)
-    bob_sweep = ch.build_delayed_sweep(bob)
-    heights = {}
-    for _ in range(12):
-        for s in ledger.mine_blocks(1):
-            ch.process_block(s)
-            for t in s.txids:
-                heights[t] = s.height
-    from comit.chainlab import txid as txid_of
-
+    close_height = ch.closed_height
+    claim = ch.build_htlc_claim(bob, claim_hid, claim_secret)
+    assert submit_when_mature(ledger, ch, ch.build_htlc_refund, alice, refund_hid) == 8 - 1
+    assert submit_when_mature(ledger, ch, ch.build_delayed_sweep, bob) == close_height + ch.csv_delay - 1
+    mine_and_watch(ledger, ch)
+    assert ledger.utxo(Outpoint(txid(claim), 0)).confirmation_height == close_height + 1
     assert wallet(ledger, bob) == before_b + 5_000 + 1_000
     assert wallet(ledger, alice) == before_a + 8_300 + 700
-    # claim confirmed immediately; refund waited for expiry height 8
     assert ch.phase is ChannelPhase.SETTLED
     assert conserved(ledger)
 
@@ -280,8 +296,10 @@ def test_breach_window_expires_after_cheater_sweep(rng):
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.BREACHED
     # bob sleeps; alice sweeps her delayed output after the csv delay
-    ch.build_delayed_sweep(alice)
-    mine_and_watch(ledger, ch, blocks=csv + 1)
+    breach_height = ch.closed_height
+    assert submit_when_mature(ledger, ch, ch.build_delayed_sweep, alice) == breach_height + csv - 1
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.SETTLED
     with pytest.raises(WindowExpired):
         ch.punish_breach(bob)
 
@@ -409,10 +427,11 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
         assert ledger.utxo(o.outpoint).amount == o.amount
 
     justice = txid(ch.punish_breach(honest))
-    mine_and_watch(ledger, ch)
+    block, = ledger.mine_blocks(1)
+    ch.process_block(block)
     revocable = [o for o in ch.closed_outputs if o.kind != "direct"]
     assert revocable
-    assert all(ledger.spender_of(o.outpoint) == justice for o in revocable)
+    assert block.spent == tuple((o.outpoint, justice) for o in revocable)
     assert ch.phase is ChannelPhase.SETTLED
     assert wallet(ledger, honest) == before + theirs + sum(o.amount for o in revocable) - fee
     assert conserved(ledger)

@@ -1,8 +1,15 @@
+import random
+from typing import NamedTuple
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from comit.chainlab import (
     ChainParams,
     HashFnId,
+    HtlcScript,
     KeyPair,
     Ledger,
     Or,
@@ -135,57 +142,66 @@ def test_fees_are_burned_and_conservation_holds(rng):
     assert conserved(ledger)
 
 
-def test_locktime_checked_at_mining_not_submission(world):
+def test_locktime_checked_at_submission(world):
     ledger, alice, bob = world
     (op, _), = ledger.spendable_by(alice.pubkey)
     tx = spend(alice, [op], [(1_000, PayToKey(bob.pubkey))], locktime=3)
-    ledger.submit_tx(tx)  # accepted while height is 0
-    ledger.mine_blocks(1)
-    ledger.mine_blocks(1)
-    assert ledger.spendable_by(bob.pubkey) == [
-        (o, a) for o, a in ledger.spendable_by(bob.pubkey) if a == 500
-    ]
-    ledger.mine_blocks(1)  # height 3 == locktime: eligible now
-    assert ledger.height == 3
+    for _ in range(2):  # heights 0 and 1: the next block is below the locktime
+        with pytest.raises(TxRejected) as e:
+            ledger.submit_tx(tx)
+        assert e.value.reason == Reject.PREMATURE
+        ledger.mine_blocks(1)
+    assert ledger.is_spendable(op)
+    ledger.submit_tx(tx)  # height 2: the next block reaches the locktime
+    summary, = ledger.mine_blocks(1)
+    assert summary.height == 3 and summary.txids == (txid(tx),)
     assert sum(a for _, a in ledger.spendable_by(bob.pubkey)) == 1_500
     assert conserved(ledger)
 
 
-def test_absolute_timelock_script_waits_in_mempool(world):
+def test_absolute_timelock_script_refused_until_mature(world):
     ledger, alice, _ = world
     (op, _), = ledger.spendable_by(alice.pubkey)
     locked = spend(alice, [op], [(1_000, TimeLockAbs(4, alice.pubkey))])
     ledger.submit_tx(locked)
     ledger.mine_blocks(1)
-    (lop, _), = [
-        (o, u)
-        for o, u in [(Outpoint(txid(locked), 0), None)]
-    ]
+    lop = Outpoint(txid(locked), 0)
     claim = spend(alice, [lop], [(1_000, PayToKey(alice.pubkey))])
-    ledger.submit_tx(claim)  # premature, but parks in the mempool
-    ledger.mine_blocks(2)  # heights 2, 3: still locked
-    assert ledger.is_unspent(lop)
-    ledger.mine_blocks(1)  # height 4
+    for _ in range(2):  # heights 1 and 2: the next block is still locked
+        with pytest.raises(TxRejected) as e:
+            ledger.submit_tx(claim)
+        assert e.value.reason == Reject.PREMATURE
+        ledger.mine_blocks(1)
+    assert ledger.is_spendable(lop)
+    ledger.submit_tx(claim)  # height 3: block 4 reaches the lock
+    summary, = ledger.mine_blocks(1)
+    assert summary.height == 4 and summary.txids == (txid(claim),)
     assert not ledger.is_unspent(lop)
     assert conserved(ledger)
 
 
 @pytest.mark.parametrize("delta", [0, 1, 5])
 def test_relative_lock_confirms_exactly_at_maturity(world, delta):
-    # Oracle: submit parent and child together, then enumerate block-by-block
-    # mining and record the first height at which the child confirms. The
-    # parent lands at height 1, so the child must land at exactly 1 + delta
-    # (same block for delta=0).
+    # Oracle: submit the parent, then at every height try the child and mine
+    # one block, recording each refusal and the height at which the child
+    # confirms. The parent lands at height 1; the child is an unknown
+    # outpoint until then and premature until the next block is delta past
+    # it, so it lands at 1 + delta (one block later for delta=0: a child
+    # never shares its parent's block).
     ledger, alice, _ = world
     (op, _), = ledger.spendable_by(alice.pubkey)
     parent = spend(alice, [op], [(1_000, TimeLockRel(delta, alice.pubkey))])
     ledger.submit_tx(parent)
     child_op = Outpoint(txid(parent), 0)
     child = spend(alice, [child_op], [(1_000, PayToKey(alice.pubkey))])
-    ledger.submit_tx(child)
+    refusals = []
     parent_conf = None
     confirmed_at = None
     for _ in range(10):
+        try:
+            ledger.submit_tx(child)
+        except TxRejected as e:
+            refusals.append(e.reason)
         summary, = ledger.mine_blocks(1)
         if txid(parent) in summary.txids:
             parent_conf = summary.height
@@ -193,11 +209,12 @@ def test_relative_lock_confirms_exactly_at_maturity(world, delta):
             confirmed_at = summary.height
             break
     assert parent_conf == 1
-    assert confirmed_at == parent_conf + delta
+    assert confirmed_at == parent_conf + max(delta, 1)
+    assert refusals == [Reject.UNKNOWN_OUTPOINT] + [Reject.PREMATURE] * (max(delta, 1) - 1)
     assert conserved(ledger)
 
 
-def test_child_of_same_block_parent_confirms_together(world):
+def test_child_of_unconfirmed_parent_confirms_a_block_later(world):
     ledger, alice, bob = world
     (op, _), = ledger.spendable_by(alice.pubkey)
     parent = spend(alice, [op], [(1_000, PayToKey(alice.pubkey))])
@@ -205,14 +222,20 @@ def test_child_of_same_block_parent_confirms_together(world):
     child = spend(
         alice, [Outpoint(txid(parent), 0)], [(1_000, PayToKey(bob.pubkey))]
     )
+    with pytest.raises(TxRejected) as e:
+        ledger.submit_tx(child)  # the next block cannot confirm both
+    assert e.value.reason == Reject.UNKNOWN_OUTPOINT
+    s1, = ledger.mine_blocks(1)
+    assert s1.txids == (txid(parent),)
     ledger.submit_tx(child)
-    summary, = ledger.mine_blocks(1)
-    assert set(summary.txids) == {txid(parent), txid(child)}
+    s2, = ledger.mine_blocks(1)
+    assert s2.txids == (txid(child),)
     assert conserved(ledger)
 
 
 def test_relative_lock_child_waits_for_parent_confirmation(world):
-    # Same-block parent does not start the relative-lock clock early.
+    # The relative-lock clock starts when the parent confirms, not when it
+    # is submitted.
     ledger, alice, _ = world
     (op, _), = ledger.spendable_by(alice.pubkey)
     parent = spend(alice, [op], [(1_000, TimeLockRel(1, alice.pubkey))])
@@ -220,22 +243,28 @@ def test_relative_lock_child_waits_for_parent_confirmation(world):
     child = spend(
         alice, [Outpoint(txid(parent), 0)], [(1_000, PayToKey(alice.pubkey))]
     )
-    ledger.submit_tx(child)
+    with pytest.raises(TxRejected) as e:
+        ledger.submit_tx(child)
+    assert e.value.reason == Reject.UNKNOWN_OUTPOINT
     s1, = ledger.mine_blocks(1)
     assert txid(parent) in s1.txids and txid(child) not in s1.txids
+    ledger.submit_tx(child)
     s2, = ledger.mine_blocks(1)
     assert txid(child) in s2.txids
     assert conserved(ledger)
 
 
-def test_spender_of_reports_confirmed_spends(world):
+def test_block_summary_reports_confirmed_spends(world):
     ledger, alice, bob = world
     (op, _), = ledger.spendable_by(alice.pubkey)
     tx = spend(alice, [op], [(1_000, PayToKey(bob.pubkey))])
     ledger.submit_tx(tx)
-    assert ledger.spender_of(op) is None
-    ledger.mine_blocks(1)
-    assert ledger.spender_of(op) == txid(tx)
+    summary, = ledger.mine_blocks(1)
+    assert summary.spent == ((op, txid(tx)),)
+    # a confirmed spend stays a conflict, not an unknown outpoint
+    with pytest.raises(TxRejected) as e:
+        ledger.submit_tx(spend(alice, [op], [(1_000, PayToKey(alice.pubkey))]))
+    assert e.value.reason == Reject.CONFLICT
 
 
 def test_or_script_spend_via_branches(world, rng):
@@ -297,9 +326,9 @@ def scanning_spendable_by(ledger: Ledger, pubkey: bytes):
 
 
 def test_owner_index_matches_a_scan_of_every_utxo(seeded):
-    """Random submits (chained on unconfirmed outputs, some to timelocked
-    scripts), double-spends and mining: `spendable_by` equals the full
-    scan for every owner after every step."""
+    """Random submits (some to timelocked scripts), refused spends of
+    unconfirmed outputs, double-spends and mining: `spendable_by` equals
+    the full scan for every owner after every step."""
     for seed in range(6):
         rng = seeded(seed)
         keys = [KeyPair.generate(rng) for _ in range(4)]
@@ -327,7 +356,13 @@ def test_owner_index_matches_a_scan_of_every_utxo(seeded):
             elif roll < 0.45 and locked:
                 owner, op, amount = locked.pop(rng.randrange(len(locked)))
                 if amount > 1:
-                    ledger.submit_tx(spend(owner, [op], [(amount - 1, PayToKey(owner.pubkey))]))
+                    tx = spend(owner, [op], [(amount - 1, PayToKey(owner.pubkey))])
+                    if ledger.is_unspent(op):
+                        ledger.submit_tx(tx)
+                    else:  # its parent is still in the mempool
+                        with pytest.raises(TxRejected) as err:
+                            ledger.submit_tx(tx)
+                        assert err.value.reason == Reject.UNKNOWN_OUTPOINT
             else:
                 picked = coins[: rng.randint(1, min(3, len(coins)))]
                 total = sum(a for _, a in picked)
@@ -344,10 +379,186 @@ def test_owner_index_matches_a_scan_of_every_utxo(seeded):
                 tx_id = ledger.submit_tx(tx)
                 if locks:
                     locked.append((dest, Outpoint(tx_id, 0), pay))
-                # spend the change while it is still unconfirmed
+                # a spend of the change while it is still unconfirmed
                 if len(outs) == 2 and rng.random() < 0.3 and total - pay - 1 > 1:
-                    ledger.submit_tx(spend(who, [Outpoint(tx_id, 1)],
-                                           [(total - pay - 2, PayToKey(who.pubkey))]))
+                    with pytest.raises(TxRejected) as err:
+                        ledger.submit_tx(spend(who, [Outpoint(tx_id, 1)],
+                                               [(total - pay - 2, PayToKey(who.pubkey))]))
+                    assert err.value.reason == Reject.UNKNOWN_OUTPOINT
             for k in keys:
                 assert ledger.spendable_by(k.pubkey) == scanning_spendable_by(ledger, k.pubkey)
         assert conserved(ledger)
+
+
+# ---------------------------------------------------------------- ledger machine
+
+
+class Coin(NamedTuple):
+    amount: int
+    script: object
+    owner: KeyPair  # the key whose signature spends it (an HTLC's refund key)
+
+
+OWNERS = [KeyPair.generate(random.Random(i)) for i in range(3)]
+MALLORY = KeyPair.generate(random.Random(3))  # owns nothing; claims every HTLC
+GHOST = Outpoint(b"\xee" * 32, 0)
+PAYMENT_HASH = b"\x11" * 32
+
+
+def matures_at(script, conf: int) -> int:
+    """First height at which the owner's spend of `script`, confirmed at
+    `conf`, is valid: the model's own reading of each time lock."""
+    if isinstance(script, TimeLockAbs):
+        return script.unlock_height
+    if isinstance(script, TimeLockRel):
+        return conf + script.delta_blocks
+    if isinstance(script, HtlcScript):
+        return script.refund_height
+    return 0
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """One ledger against a model that tracks every output it has seen.
+    Submits spend confirmed, mempool-claimed, confirmed-spent, unconfirmed
+    and unknown outputs to time-locked, HTLC and key scripts, with and
+    without locktimes; every refusal must carry the reason the model
+    predicts, and every block must confirm exactly what was admitted."""
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = Ledger(params(fee=1), [(k.pubkey, 5_000) for k in OWNERS * 2])
+        self.known = {}  # every output ever seen -> Coin
+        self.conf = {}  # confirmed unspent outputs -> confirmation height
+        for k in OWNERS:
+            for op, amount in self.ledger.spendable_by(k.pubkey):
+                self.known[op] = Coin(amount, PayToKey(k.pubkey), k)
+                self.conf[op] = 0
+        self.known[GHOST] = Coin(1, PayToKey(OWNERS[0].pubkey), OWNERS[0])
+        self.spent = set()  # confirmed spends
+        self.claimed = set()  # inputs of the mempool
+        self.pending = {}  # admitted txid -> tx, in submission order
+
+    def _draw(self, data, ops, label):
+        """One of `ops`, or None when there is none."""
+        ops = sorted(ops, key=lambda op: (op.txid, op.index))
+        return data.draw(st.sampled_from(ops), label=label) if ops else None
+
+    def _expected(self, tx, signers, height):
+        """The reason the ledger must refuse `tx` with, or None."""
+        ops = [txin.outpoint for txin in tx.inputs]
+        if len(set(ops)) != len(ops):
+            return Reject.MALFORMED
+        if tx.locktime > height + 1:
+            return Reject.PREMATURE
+        for op, signer in zip(ops, signers):
+            if op in self.claimed or op in self.spent:
+                return Reject.CONFLICT
+            if op not in self.conf:
+                return Reject.UNKNOWN_OUTPOINT
+            coin = self.known[op]
+            if signer is not coin.owner:
+                return Reject.INVALID_WITNESS
+            if matures_at(coin.script, self.conf[op]) > height + 1:
+                return Reject.PREMATURE
+        fee = sum(self.known[op].amount for op in ops) - sum(o.amount for o in tx.outputs)
+        if fee < self.ledger.params.tx_fee:
+            return Reject.FEE_TOO_LOW
+        return None
+
+    def _submit(self, data, ops, forge=False, fee=1):
+        """Build and submit a spend of `ops` to a drawn script and locktime;
+        the ledger must admit it or refuse it with the model's reason."""
+        height = self.ledger.height
+        signers = [self.known[op].owner for op in ops]
+        if forge:
+            signers[0] = MALLORY
+        to = data.draw(st.sampled_from(OWNERS), label="to").pubkey
+        delay = data.draw(st.integers(0, 3), label="delay")
+        script = data.draw(st.sampled_from([
+            TimeLockRel(delay, to),
+            TimeLockAbs(height + delay, to),
+            HtlcScript(HashFnId.SHA256, PAYMENT_HASH, MALLORY.pubkey, to, height + delay),
+            PayToKey(to),
+        ]), label="script")
+        locktime = data.draw(st.sampled_from([0, height, height + 1, height + 2]), label="lock")
+        amount = max(sum(self.known[op].amount for op in ops) - fee, 0)
+        skeleton = Transaction(tuple(TxIn(op) for op in ops), (TxOut(amount, script),), locktime)
+        digest = txid(skeleton)
+        tx = Transaction(
+            tuple(TxIn(op, Witness(signatures=(k.sign(digest),))) for op, k in zip(ops, signers)),
+            skeleton.outputs,
+            locktime,
+        )
+        expected = self._expected(tx, signers, height)
+        if expected is not None:
+            with pytest.raises(TxRejected) as e:
+                self.ledger.submit_tx(tx)
+            assert e.value.reason == expected
+            return
+        tx_id = self.ledger.submit_tx(tx)
+        self.pending[tx_id] = tx
+        self.claimed.update(ops)
+        owner = next(k for k in OWNERS if k.pubkey == to)
+        self.known[Outpoint(tx_id, 0)] = Coin(amount, script, owner)
+
+    @rule(data=st.data())
+    def spend(self, data):
+        """One or two confirmed, unclaimed outputs (the same one twice is
+        malformed), now and then with a forged signature or a low fee."""
+        free = [op for op in self.conf if op not in self.claimed]
+        count = data.draw(st.integers(1, 2), label="inputs")
+        ops = [self._draw(data, free, "input") for _ in range(count)]
+        if None not in ops:
+            forge = data.draw(st.sampled_from([False] * 5 + [True]), label="forge")
+            self._submit(data, ops, forge, fee=data.draw(st.sampled_from([1, 2, 0]), label="fee"))
+
+    @rule(data=st.data())
+    def double_spend(self, data):
+        op = self._draw(data, self.claimed | self.spent, "spent input")
+        if op is not None:
+            self._submit(data, [op])
+
+    @rule(data=st.data())
+    def spend_unconfirmed(self, data):
+        op = self._draw(data, [Outpoint(t, 0) for t in self.pending] + [GHOST], "unconfirmed input")
+        self._submit(data, [op])
+
+    @rule()
+    def mine(self):
+        height = self.ledger.height
+        block, = self.ledger.mine_blocks(1)
+        assert block.height == height + 1
+        assert block.txids == tuple(self.pending)
+        assert block.spent == tuple(
+            (txin.outpoint, tx_id) for tx_id, tx in self.pending.items() for txin in tx.inputs
+        )
+        assert not self.ledger._mempool and not self.ledger._mempool_spends
+        for tx_id, tx in self.pending.items():
+            for txin in tx.inputs:
+                del self.conf[txin.outpoint]
+                self.spent.add(txin.outpoint)
+            self.conf[Outpoint(tx_id, 0)] = block.height
+        self.pending.clear()
+        self.claimed.clear()
+
+    @invariant()
+    def value_is_conserved(self):
+        utxo_value = sum(self.known[op].amount for op in self.conf)
+        assert self.ledger.total_utxo_value() == utxo_value
+        assert utxo_value + self.ledger.burned == self.ledger.genesis_total
+
+    @invariant()
+    def spendable_by_matches_a_scan(self):
+        for k in OWNERS:
+            scan = [
+                (op, self.known[op].amount) for op in self.conf
+                if op not in self.claimed and self.known[op].script == PayToKey(k.pubkey)
+            ]
+            scan.sort(key=lambda item: (-item[1], item[0].txid, item[0].index))
+            assert self.ledger.spendable_by(k.pubkey) == scan == scanning_spendable_by(self.ledger, k.pubkey)
+
+
+LedgerMachine.TestCase.settings = settings(
+    max_examples=10, stateful_step_count=150, derandomize=True, deadline=None
+)
+TestLedgerMachine = LedgerMachine.TestCase

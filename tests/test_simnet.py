@@ -131,12 +131,13 @@ def test_validate_flags_unknown_section_and_bad_types():
     doc = minimal_doc()
     doc[7] = 1
     doc["chains"][0]["genesis"][8] = 1
-    doc["mining"] = {"main": 1, 9: 1}
+    doc["mining"] = {"main": 1}
     scenario, errors = validate_scenario(doc)
     assert scenario is None
     assert "parse-error: document: key 7 is not a string" in errors
     assert "parse-error: chains[0].genesis: key 8 is not a string" in errors
-    assert "parse-error: mining: key 9 is not a string" in errors
+    # a chain's block interval is stated once, in the chain itself
+    assert "unknown-reference: mining: not a scenario section" in errors
 
 
 def test_validate_unknown_references():
@@ -660,10 +661,6 @@ def test_mining_interval_slows_chain():
     fast = run_doc(minimal_doc())
     assert slow["payments"][0]["status"] == "settled"
     assert slow["chains"]["main"]["height"] < fast["chains"]["main"]["height"]
-    # the top-level mining section overrides the chain's own interval
-    doc2 = minimal_doc()
-    doc2["mining"] = {"main": 3}
-    assert run_doc(doc2)["chains"]["main"]["height"] == slow["chains"]["main"]["height"]
 
 
 def test_user_to_user_shortcut_is_a_role_violation():
@@ -948,9 +945,10 @@ class ScanningEngine(engine_mod.Engine):
 
     def _mine(self):
         for cid in sorted(self.ledgers):
-            if self.tick % self.intervals[cid] != 0:
+            led = self.ledgers[cid]
+            if self.tick % led.params.block_interval != 0:
                 continue
-            summary = self.ledgers[cid].mine_blocks(1)[0]
+            summary = led.mine_blocks(1)[0]
             for rt in self.chans_on[cid]:
                 rt.channel.process_block(summary)
             for tx_id in summary.txids:
