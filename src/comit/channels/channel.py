@@ -227,25 +227,14 @@ def open_channel(
         outputs.append(TxOut(change_a, PayToKey(party_a.pubkey)))
     if change_b > 0:
         outputs.append(TxOut(change_b, PayToKey(party_b.pubkey)))
-    ops = [op for op, _ in coins_a] + [op for op, _ in coins_b]
-    owners = [party_a] * len(coins_a) + [party_b] * len(coins_b)
-    skeleton = Transaction(
-        inputs=tuple(TxIn(op) for op in ops), outputs=tuple(outputs)
-    )
-    digest = txid(skeleton)
-    funding = Transaction(
-        inputs=tuple(
-            TxIn(op, Witness(signatures=(owner.keypair.sign(digest),)))
-            for op, owner in zip(ops, owners)
-        ),
-        outputs=skeleton.outputs,
-    )
+    funders = [party_a.keypair] + ([party_b.keypair] if coins_b else [])
+    funding = _signed([op for op, _ in coins_a + coins_b], outputs, funders)
 
     channel = Channel(
         ledger=ledger,
         party_a=party_a,
         party_b=party_b,
-        funding_outpoint=Outpoint(digest, 0),
+        funding_outpoint=Outpoint(txid(funding), 0),
         capacity=capacity,
         csv_delay=csv_delay,
         dust_limit=dust_limit,

@@ -178,6 +178,8 @@ class ChannelGraph:
         # dst -> asset -> the edges into dst that carry it, in no order
         self._assets_into: dict[bytes, dict[str, list[Edge]]] = {}
         self.quotes: dict[bytes, dict[tuple[str, str], RateQuote]] = {}
+        # (price_vector of the quotes,) once prices() has computed it
+        self._prices: Optional[tuple[Optional[dict[str, Fraction]]]] = None
         if quotes:
             for node in quotes:
                 self.quotes[node] = dict(quotes[node])
@@ -199,6 +201,13 @@ class ChannelGraph:
 
     def add_quote(self, node: bytes, quote: RateQuote) -> None:
         self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
+        self._prices = None
+
+    def prices(self) -> Optional[dict[str, Fraction]]:
+        """price_vector of the graph's quotes, computed once per set of quotes."""
+        if self._prices is None:
+            self._prices = (price_vector(q for t in self.quotes.values() for q in t.values()),)
+        return self._prices[0]
 
     def edges_into(self, node: bytes) -> list[Edge]:
         """The edges into `node`, sorted by (src, chain_id, asset). The list
@@ -294,7 +303,7 @@ def find_route(
     self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
         asset_out
     )
-    prices = price_vector(q for table in graph.quotes.values() for q in table.values())
+    prices = graph.prices()
     # No quote constrains an unquoted asset, so it takes the top price, 1.
     # Without a price vector every price is 0, and so is the bound.
     unquoted = Fraction(0) if prices is None else Fraction(1)

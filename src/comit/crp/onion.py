@@ -56,7 +56,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
-from .graph import MAX_ROUTE_HOPS, Route, RouteTooLong, compute_hop_amounts
+from .graph import MAX_ROUTE_HOPS, Route, RouteTooLong
 from .identity import NodeKey, _raw_public
 from .quotes import RateQuote
 
@@ -188,8 +188,9 @@ def decode_payload(data: bytes) -> HopPayload:
 
 def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
     """Per-hop instructions: each node learns only its successor, what to
-    forward, the expiry ladder step, and the quote it was priced at."""
-    amounts = compute_hop_amounts(route, amount_out)
+    forward, the expiry ladder step, and the quote it was priced at. A
+    forward carries the amount the route priced its next hop at, so the
+    route must be one found for `amount_out`."""
     hops = route.hops
     payloads = []
     for i, hop in enumerate(hops):
@@ -200,7 +201,7 @@ def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
                     next_node=nxt.node,
                     chain_id=nxt.chain_id,
                     asset=nxt.asset,
-                    amount_to_forward=amounts[i + 1][0],
+                    amount_to_forward=nxt.amount,
                     expiry_delta=nxt.expiry_delta,
                     echo=QuoteEcho.of(hop.quote),
                 )

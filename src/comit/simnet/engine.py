@@ -29,7 +29,11 @@ ledger would refuse.
 Every channel transaction goes on chain through `_broadcast`, and what is
 spent is read from the ledger alone. A close or breach that meets a close in
 flight (its funding outpoint no longer spendable) or that the chain refuses
-is a no-op.
+is a no-op. `pending_txs` maps the txid of each broadcast still in the
+mempool to its broadcaster, its fee and the handler its broadcast named; the
+block that confirms it credits the fee and runs that handler (an HTLC claim
+reveals its preimage, a claim or refund ends its hop, a justice transaction
+ends every hop of its channel).
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from ..chainlab import (
     HashFnId,
     KeyPair,
     Ledger,
-    Transaction,
     TxRejected,
     txid,
 )
@@ -104,7 +107,7 @@ class ActorState:
     wallet: dict[str, KeyPair] = field(default_factory=dict)  # chain -> key
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     invoices: dict[bytes, Invoice] = field(default_factory=dict)
-    scan: dict[str, int] = field(default_factory=dict)  # chain -> revelations learned
+    scan: int = 0  # how many of Engine.revealed it has learned
     initial: dict[str, int] = field(default_factory=dict)  # asset -> genesis coins
     settled_in: dict[str, int] = field(default_factory=dict)
     settled_out: dict[str, int] = field(default_factory=dict)
@@ -158,18 +161,6 @@ class PayRt:
     resolved_tick: int = -1
 
 
-@dataclass(frozen=True)
-class _TxMeta:
-    chain_id: str
-    kind: str  # funding|commit|coop|sweep|claim|refund|justice
-    actor: str
-    fee: int
-    chan_idx: int = -1
-    htlc_id: int = -1
-    preimage: bytes = b""
-    payment_hash: bytes = b""
-
-
 class Engine:
     """One scenario run. Construct, call run(), read the report."""
 
@@ -183,10 +174,11 @@ class Engine:
         self.violations: list[str] = []
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
-        self.pending_txs: dict[bytes, _TxMeta] = {}
-        # public on-chain preimage revelations, in confirmation order:
-        # chain -> [(hash, preimage)]
-        self.revealed: dict[str, list[tuple[bytes, bytes]]] = {}
+        # txid -> (broadcaster, fee, handler or None, handler args)
+        self.pending_txs: dict[bytes, tuple[str, int, Optional[Callable], tuple]] = {}
+        # public on-chain preimage revelations of every chain, in
+        # confirmation order: [(hash, preimage)]
+        self.revealed: list[tuple[bytes, bytes]] = []
         self.gossip_converged_tick = -1
         # advert ids -> (the adverts, their ChannelGraph); filled by _graph
         self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
@@ -238,7 +230,6 @@ class Engine:
             self.ledgers[c.chain_id] = Ledger(params, coins)
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
-            self.revealed[c.chain_id] = []
         self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
@@ -291,8 +282,6 @@ class Engine:
             self.actors[spec.party_a].bump(
                 self.actors[spec.party_a].fees, asset, ledger.params.tx_fee
             )
-        for actor in self.actors.values():
-            actor.scan = {cid: 0 for cid in self.ledgers}
         for i, f in enumerate(sc.faults):
             self.actors[f.actor].faults.setdefault(f.kind, []).append(i)
 
@@ -377,28 +366,23 @@ class Engine:
     def _heights(self) -> dict[str, int]:
         return {cid: self.ledgers[cid].height for cid in self.ledgers}
 
-    def _broadcast(
-        self, rt: ChanRt, actor: str, kind: str, build, *args, note: str = "", **meta
-    ) -> bool:
+    def _broadcast(self, rt: ChanRt, actor: str, build, *args, note: str = "",
+                   then: Optional[Callable] = None, then_args: tuple = ()) -> bool:
         """`actor` puts a transaction of channel `rt` on chain: `build(*args)`
-        builds it and submits it to the ledger. Returns False, noting and
-        tracking nothing, when the channel or the ledger refuses it."""
+        builds it and submits it to the ledger, and the block that confirms
+        it runs `then(*then_args)`. Returns False, noting and tracking
+        nothing, when the channel or the ledger refuses it."""
         try:
             tx = build(*args)
         except (ChannelError, TxRejected, ValueError):
             return False
         if note:
             self._note(note)
-        self._track(rt.chain_id, tx, kind, actor, **meta)
+        led = self.ledgers[rt.chain_id]
+        fee = sum(led.utxo(i.outpoint).amount for i in tx.inputs)
+        fee -= sum(o.amount for o in tx.outputs)
+        self.pending_txs[txid(tx)] = (actor, fee, then, then_args)
         return True
-
-    def _track(self, chain_id: str, tx: Transaction, meta_kind: str, actor: str, **extra) -> None:
-        led = self.ledgers[chain_id]
-        in_val = sum(led.utxo(i.outpoint).amount for i in tx.inputs)
-        out_val = sum(o.amount for o in tx.outputs)
-        self.pending_txs[txid(tx)] = _TxMeta(
-            chain_id=chain_id, kind=meta_kind, actor=actor, fee=in_val - out_val, **extra
-        )
 
     def _finish(self, p: PayRt, status: str, reason: str) -> None:
         if p.status != "pending":
@@ -560,24 +544,16 @@ class Engine:
                 else:
                     self.closed.discard(rt.idx)
             for tx_id in summary.txids:
-                meta = self.pending_txs.pop(tx_id, None)
-                if meta is not None:
-                    self._confirmed(meta)
+                if tx_id in self.pending_txs:
+                    self._confirmed(cid, *self.pending_txs.pop(tx_id))
 
-    def _confirmed(self, meta: _TxMeta) -> None:
-        actor = self.actors[meta.actor]
-        asset = self.chain_assets[meta.chain_id]
-        if meta.fee:
-            actor.bump(actor.fees, asset, meta.fee)
-        if meta.kind == "claim":
-            self.revealed[meta.chain_id].append((meta.payment_hash, meta.preimage))
-            self.unread.update(self.actors)
-            self._resolve_onchain(meta, "claimed")
-        elif meta.kind == "refund":
-            self._resolve_onchain(meta, "refunded")
-        elif meta.kind == "justice":
-            for _, p, i in self._live_hops(meta.chan_idx):
-                self._resolve_hop(p, i, "justice", "breach-punished")
+    def _confirmed(self, cid: str, name: str, fee: int, then, args: tuple) -> None:
+        """Credit a broadcast confirmed on `cid` its fee; run its handler."""
+        if fee:
+            actor = self.actors[name]
+            actor.bump(actor.fees, self.chain_assets[cid], fee)
+        if then is not None:
+            then(*args)
 
     def _live_hops(self, chan_idx: int) -> list[tuple[int, PayRt, int]]:
         """(HTLC id, payment, hop index) of each unresolved hop on channel
@@ -586,11 +562,23 @@ class Engine:
                  if h.chan.idx == chan_idx and not h.resolved]
         return sorted(found, key=lambda f: f[0])
 
-    def _resolve_onchain(self, meta: _TxMeta, outcome: str) -> None:
-        for htlc_id, p, i in self._live_hops(meta.chan_idx):
-            if htlc_id == meta.htlc_id:
-                reason = "claimed-on-chain" if outcome == "claimed" else p.fail_reason or "expired"
-                self._resolve_hop(p, i, outcome, reason)
+    def _claimed(self, chan_idx: int, htlc_id: int, payment_hash: bytes, preimage: bytes) -> None:
+        """An HTLC claim confirmed: its preimage is public, its hop settled."""
+        self.revealed.append((payment_hash, preimage))
+        self.unread.update(self.actors)
+        for hid, p, i in self._live_hops(chan_idx):
+            if hid == htlc_id:
+                self._resolve_hop(p, i, "claimed", "claimed-on-chain")
+
+    def _refunded(self, chan_idx: int, htlc_id: int) -> None:
+        for hid, p, i in self._live_hops(chan_idx):
+            if hid == htlc_id:
+                self._resolve_hop(p, i, "refunded", p.fail_reason or "expired")
+
+    def _punished(self, chan_idx: int) -> None:
+        """A justice transaction took the channel's HTLC outputs: its hops end."""
+        for _, p, i in self._live_hops(chan_idx):
+            self._resolve_hop(p, i, "justice", "breach-punished")
 
     # --- event handlers -----------------------------------------------------------
 
@@ -796,20 +784,15 @@ class Engine:
             return
         if hop.chan.channel.phase is not ChannelPhase.OPEN:
             return
-        recv = self.actors[hop.receiver]
-        try:
-            htlc = hop.chan.channel.htlc(hop.htlc_id)
-        except ChannelError:
-            return
-        preimage = recv.secrets.get(htlc.payment_hash)
-        if preimage is None:
-            return
         gate = self._settle_gate(hop.receiver, hop.offerer)
         if gate is not None:
             if gate >= 0:
                 hop.scheduled = True
                 self._schedule(gate, self._ev_settle_hop, pidx, i)
             return
+        # Whoever schedules a settle knows the preimage, and an unresolved
+        # hop on an open channel is an HTLC of that channel.
+        preimage = self.actors[hop.receiver].secrets[p.invoice.payment_hash]
         try:
             hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
         except ChannelError:
@@ -849,7 +832,7 @@ class Engine:
         if rt.channel.pending_htlcs:
             self._schedule(self.tick + 1, self._ev_close, cidx)
             return
-        self._broadcast(rt, a, "coop", rt.channel.cooperative_close)
+        self._broadcast(rt, a, rt.channel.cooperative_close)
 
     def _ev_breach(self, fidx: int) -> None:
         fault = self.sc.faults[fidx]
@@ -874,7 +857,7 @@ class Engine:
         if best is not None:
             _, rt, n = best
             if self._broadcast(
-                rt, cheater, "commit", rt.channel.unilateral_close, rt.parties[cheater], n,
+                rt, cheater, rt.channel.unilateral_close, rt.parties[cheater], n,
                 note="breach_broadcasts",
             ):
                 self.fault_hits[fidx] += 1
@@ -892,7 +875,9 @@ class Engine:
         and channel, but visits only what an index says may act:
 
         - `_learn_from_chains` reads `unread`, the actors with revelations
-          they have not read; for any other actor the scan learns nothing.
+          they have not read, and each reads on in `revealed`, the one list
+          of every chain's revelations in confirmation order, from its own
+          `scan` count; for any other actor the scan learns nothing.
         - `_cascade` reads `live`, the payments with an HTLC out.
         - `_protect` reads the unresolved hops of `live`, which are the
           HTLCs of the open channels. It visits the open channels holding
@@ -921,11 +906,9 @@ class Engine:
             actor = self.actors[name]
             if not self._online(name):
                 continue
-            for cid in sorted(self.ledgers):
-                revealed = self.revealed[cid]
-                for payment_hash, preimage in revealed[actor.scan[cid]:]:
-                    actor.secrets.setdefault(payment_hash, preimage)
-                actor.scan[cid] = len(revealed)
+            for payment_hash, preimage in self.revealed[actor.scan:]:
+                actor.secrets.setdefault(payment_hash, preimage)
+            actor.scan = len(self.revealed)
             self.unread.discard(name)
 
     def _cascade(self) -> None:
@@ -983,9 +966,7 @@ class Engine:
             and (h.offerer_side == side or h.payment_hash in secrets)
             for h in rt.channel.pending_htlcs
         ):
-            self._broadcast(
-                rt, name, "commit", rt.channel.unilateral_close, party, note="urgent_closes"
-            )
+            self._broadcast(rt, name, rt.channel.unilateral_close, party, note="urgent_closes")
 
     def _sweep_closed(self) -> None:
         for name, chans in sorted(self._by_party(self.closed).items()):
@@ -1008,8 +989,8 @@ class Engine:
             if any(o.kind != "direct" and led.is_spendable(o.outpoint)
                    for o in ch.closed_outputs):
                 self._broadcast(
-                    rt, name, "justice", ch.punish_breach, party,
-                    note="justice_txs", chan_idx=rt.idx,
+                    rt, name, ch.punish_breach, party,
+                    note="justice_txs", then=self._punished, then_args=(rt.idx,),
                 )
             return
 
@@ -1022,7 +1003,7 @@ class Engine:
                     and out.owner_side == side
                     and led.height >= ch.closed_height + ch.csv_delay
                 ):
-                    self._broadcast(rt, name, "sweep", ch.build_delayed_sweep, party)
+                    self._broadcast(rt, name, ch.build_delayed_sweep, party)
             elif out.kind == "htlc":
                 h = out.htlc
                 if h.offerer_side != side and h.payment_hash in actor.secrets:
@@ -1031,14 +1012,14 @@ class Engine:
                         continue
                     preimage = actor.secrets[h.payment_hash]
                     self._broadcast(
-                        rt, name, "claim", ch.build_htlc_claim, party, h.htlc_id, preimage,
-                        note="onchain_claims", chan_idx=rt.idx, htlc_id=h.htlc_id,
-                        preimage=preimage, payment_hash=h.payment_hash,
+                        rt, name, ch.build_htlc_claim, party, h.htlc_id, preimage,
+                        note="onchain_claims", then=self._claimed,
+                        then_args=(rt.idx, h.htlc_id, h.payment_hash, preimage),
                     )
                 elif h.offerer_side == side and led.height >= h.expiry_height:
                     self._broadcast(
-                        rt, name, "refund", ch.build_htlc_refund, party, h.htlc_id,
-                        note="onchain_refunds", chan_idx=rt.idx, htlc_id=h.htlc_id,
+                        rt, name, ch.build_htlc_refund, party, h.htlc_id,
+                        note="onchain_refunds", then=self._refunded, then_args=(rt.idx, h.htlc_id),
                     )
 
     # --- invariants ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Turning a route into hop-by-hop HTLC terms, and the per-hop admission rules.
 
-prepare_attempt fixes a payment attempt's amounts, expiries and onion;
+prepare_attempt fixes a payment attempt's expiries and onion and takes its
+amounts from the route, which find_route priced for the invoice amount;
 check_forward and check_delivery decide whether a node accepts an HTLC.
 The HTLCs themselves are offered, settled and failed by the event-driven
 simulator (`comit.simnet`), which calls these rules at every hop. A
@@ -23,7 +24,6 @@ from ..crp import (
     RateQuote,
     Route,
     backward_apply,
-    compute_hop_amounts,
     onion_create,
     payloads_for_route,
 )
@@ -94,7 +94,7 @@ def prepare_attempt(
     return PaymentAttempt(
         invoice=invoice,
         route=route,
-        amounts=tuple(compute_hop_amounts(route, invoice.amount)),
+        amounts=tuple((hop.amount, hop.fee) for hop in route.hops),
         expiries=tuple(stack_expiries(route, chain_heights)),
         payloads=tuple(payloads),
         packet=onion_create(route, session_rng, payloads),

@@ -619,6 +619,41 @@ def test_route_search_matches_reference_search():
     assert min(found.values()) >= 60
 
 
+def test_prices_follow_quotes_added_between_searches():
+    """A graph prices its quotes once per set of them: a quote added after a
+    search reaches the next one. The last two quotes added, at two LPs,
+    close a gaining cycle, so the graph has no price vector any more and the
+    search takes every path; every search still returns the reference
+    route."""
+    rng = random.Random(0x9A1CE)
+    found = 0
+    for trial in range(60):
+        g, assets = random_mesh(rng, priced=True)
+        quoted = sorted({a for t in g.quotes.values() for pair in t for a in pair})
+        x, y = rng.choice(quoted), rng.choice(quoted)
+        lp1, lp2 = rng.sample([nid("L00"), nid("L01"), nid("L02")], 2)  # every ring has them
+        added = [
+            (lp1, RateQuote(x, y, rng.randint(1, 4), rng.randint(1, 4), rng.choice([0, 1, 5]))),
+            (lp1, RateQuote(x, y, 2, 1, base_fee=1)),
+            (lp2, RateQuote(y, x, 1_000_001, 2_000_000, base_fee=1)),
+        ]
+        for lp, quote in [(None, None), *added]:
+            if quote is not None:
+                g.add_quote(lp, quote)
+            assert g.prices() == price_vector(q for t in g.quotes.values() for q in t.values())
+            args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
+            try:
+                expected = reference_find_route(*args)
+            except NoRouteFound:
+                with pytest.raises(NoRouteFound):
+                    find_route(*args)
+                continue
+            assert find_route(*args) == expected, f"trial {trial}"
+            found += 1
+        assert g.prices() is None
+    assert found >= 120
+
+
 def test_own_edge_overlay_matches_reference_on_a_copy():
     """The sender's own edges, passed to find_route over a shared graph,
     route exactly as if add_edge had put them into a copy of it: they

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -952,9 +953,8 @@ class ScanningEngine(engine_mod.Engine):
             for rt in self.chans_on[cid]:
                 rt.channel.process_block(summary)
             for tx_id in summary.txids:
-                meta = self.pending_txs.pop(tx_id, None)
-                if meta is not None:
-                    self._confirmed(meta)
+                if tx_id in self.pending_txs:
+                    self._confirmed(cid, *self.pending_txs.pop(tx_id))
 
     def _outstanding(self):
         if self.queue or self.pending_txs:
@@ -978,11 +978,9 @@ class ScanningEngine(engine_mod.Engine):
             actor = self.actors[name]
             if not self._online(name):
                 continue
-            for cid in sorted(self.ledgers):
-                revealed = self.revealed[cid]
-                for payment_hash, preimage in revealed[actor.scan[cid]:]:
-                    actor.secrets.setdefault(payment_hash, preimage)
-                actor.scan[cid] = len(revealed)
+            for payment_hash, preimage in self.revealed[actor.scan:]:
+                actor.secrets.setdefault(payment_hash, preimage)
+            actor.scan = len(self.revealed)
 
     def _gossip_round(self):
         for rt in self.channels:
@@ -1009,7 +1007,8 @@ class ScanningEngine(engine_mod.Engine):
 
 def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
     """`doc`'s report text and metrics from ScanningEngine and Engine. No
-    run may end with an HTLC still held in an open channel."""
+    run may end with an HTLC still held in an open channel, and the fees
+    the actors are charged for each asset are what its chains burned."""
     out = []
     for cls in (ScanningEngine, engine_mod.Engine):
         scenario, errors = validate_scenario(doc)
@@ -1019,6 +1018,13 @@ def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
         stranded = [rt.idx for rt in engine.channels
                     if rt.channel.phase is ChannelPhase.OPEN and rt.channel.pending_htlcs]
         assert stranded == [], (cls.__name__, stranded)
+        fees, burned = Counter(), Counter()
+        for actor in engine.actors.values():
+            fees.update(actor.fees)
+        for cid, led in engine.ledgers.items():
+            burned[engine.chain_assets[cid]] += led.burned
+        assert {a: n for a, n in fees.items() if n} == {a: n for a, n in burned.items() if n}, (
+            cls.__name__, fees, burned)
         out.append((report_json(build_report(engine)), engine.metrics))
     return out
 
