@@ -6,8 +6,6 @@ from .quotes import AmountOverflow, RateQuote, backward_apply
 from .identity import NodeKey, verify_node_mac
 from .gossip import ChannelEndpoint, GossipState, LpAdvert, make_advert, verify_advert
 from .graph import (
-    FINAL_DELTA,
-    HOP_DELTA,
     ChannelGraph,
     Edge,
     HopSpec,
@@ -28,7 +26,6 @@ from .onion import (
     QuoteEcho,
     onion_create,
     onion_peel,
-    payloads_for_route,
 )
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "Route",
     "HopSpec",
     "find_route",
-    "FINAL_DELTA",
-    "HOP_DELTA",
     "compute_hop_amounts",
     "NoRouteFound",
     "RouteTooLong",
@@ -57,7 +52,6 @@ __all__ = [
     "OnionPacket",
     "onion_create",
     "onion_peel",
-    "payloads_for_route",
     "OnionError",
     "HmacFailure",
     "InvalidPacket",

@@ -78,12 +78,6 @@ class RouteTooLong(Exception):
 
 MAX_ROUTE_HOPS = 20
 
-# Expiry ladder, in blocks: the payee gets FINAL_DELTA blocks of safety
-# margin and every forwarder one HOP_DELTA step between its incoming and
-# outgoing HTLC.
-FINAL_DELTA = 6
-HOP_DELTA = 6
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -100,7 +94,8 @@ class HopSpec:
 
     node is the party receiving the HTLC; amount is what the HTLC carries;
     fee is the margin the receiving node keeps under its quote; quote is
-    the quote the sender priced this hop against.
+    the quote the sender priced this hop against. A hop carries no
+    expiry: the swap layer (`comit.swap`) sets every HTLC's timelock.
     """
 
     node: bytes
@@ -108,7 +103,6 @@ class HopSpec:
     asset: str
     amount: int
     fee: int
-    expiry_delta: int
     quote: RateQuote
 
 
@@ -404,7 +398,6 @@ def find_route(
         raise NoRouteFound(
             f"no admissible path delivering {amount_out} {asset_out}"
         )
-    chosen = best_path.hops()
     hops = tuple(
         HopSpec(
             node=h.edge.dst,
@@ -412,10 +405,9 @@ def find_route(
             asset=h.edge.asset,
             amount=h.amount,
             fee=h.fee,
-            expiry_delta=FINAL_DELTA + (len(chosen) - 1 - i) * HOP_DELTA,
             quote=h.quote,
         )
-        for i, h in enumerate(chosen)
+        for h in best_path.hops()
     )
     return Route(sender=sender, hops=hops)
 

@@ -186,40 +186,6 @@ def decode_payload(data: bytes) -> HopPayload:
     )
 
 
-def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
-    """Per-hop instructions: each node learns only its successor, what to
-    forward, the expiry ladder step, and the quote it was priced at. A
-    forward carries the amount the route priced its next hop at, so the
-    route must be one found for `amount_out`."""
-    hops = route.hops
-    payloads = []
-    for i, hop in enumerate(hops):
-        if i + 1 < len(hops):
-            nxt = hops[i + 1]
-            payloads.append(
-                HopPayload(
-                    next_node=nxt.node,
-                    chain_id=nxt.chain_id,
-                    asset=nxt.asset,
-                    amount_to_forward=nxt.amount,
-                    expiry_delta=nxt.expiry_delta,
-                    echo=QuoteEcho.of(hop.quote),
-                )
-            )
-        else:
-            payloads.append(
-                HopPayload(
-                    next_node=None,
-                    chain_id=hop.chain_id,
-                    asset=hop.asset,
-                    amount_to_forward=amount_out,
-                    expiry_delta=hop.expiry_delta,
-                    echo=QuoteEcho.of(hop.quote),
-                )
-            )
-    return payloads
-
-
 # --- crypto ------------------------------------------------------------------
 
 

@@ -81,6 +81,7 @@ from ..swap import (
     check_delivery,
     check_forward,
     make_invoice,
+    offer_expiry,
     prepare_attempt,
 )
 from .scenario import PaymentSpec, Scenario
@@ -659,7 +660,7 @@ class Engine:
         p.cost = attempt.cost
         reason = self._offer(
             p, spec.sender, first_hop_actor, route.hops[0].chain_id,
-            attempt.cost, attempt.expiries[0], attempt.packet,
+            attempt.cost, attempt.expiry, attempt.packet,
         )
         if reason is not None:
             self._finish(p, "refunded", reason)
@@ -724,20 +725,15 @@ class Engine:
         quote = self.quote_table.get(hop.receiver, {}).get(
             (self.chain_assets[in_chain], payload.asset)
         )
-        if quote is None:
-            self._start_fail(p, i, "no-quote")
-            return
         try:
             check_forward(payload, hop.amount, hop.expiry, height, quote)
         except ForwardRejected as exc:
             self._start_fail(p, i, exc.reason)
             return
-        # one block of propagation allowance: the next node inspects this
-        # HTLC a tick later, after its chain may have mined once more
-        out_expiry = self.ledgers[payload.chain_id].height + payload.expiry_delta + 1
         reason = self._offer(
-            p, hop.receiver, next_name, payload.chain_id,
-            payload.amount_to_forward, out_expiry, next_packet,
+            p, hop.receiver, next_name, payload.chain_id, payload.amount_to_forward,
+            offer_expiry(self.ledgers[payload.chain_id].height, payload.expiry_delta),
+            next_packet,
         )
         if reason is not None:
             self._start_fail(p, i, reason)

@@ -1,15 +1,17 @@
 """Turning a route into hop-by-hop HTLC terms, and the per-hop admission rules.
 
-prepare_attempt fixes a payment attempt's expiries and onion and takes its
-amounts from the route, which find_route priced for the invoice amount;
-check_forward and check_delivery decide whether a node accepts an HTLC.
-The HTLCs themselves are offered, settled and failed by the event-driven
-simulator (`comit.simnet`), which calls these rules at every hop. A
-forwarding node accepts an HTLC only if the sender priced it with the
-node's own advertised quote, the incoming amount covers the outgoing amount
-plus the node's margin, and the incoming expiry leaves at least one
-HOP_DELTA step more headroom than the outgoing one. Expiries are absolute
-block heights on each hop's own chain.
+The routing layer (`comit.crp`) finds the path and prices every hop; this
+module sets the timelocks. prepare_attempt fixes a payment attempt's first
+HTLC expiry and its onion, whose payloads carry each forward's amount from
+the route and its step of the expiry ladder; check_forward and
+check_delivery decide whether a node accepts an HTLC. The HTLCs themselves
+are offered, settled and failed by the event-driven simulator
+(`comit.simnet`), which calls these rules at every hop and offers every
+HTLC at the expiry offer_expiry gives. A forwarding node accepts an HTLC
+only if the sender priced it with the node's own advertised quote, the
+incoming amount covers the outgoing amount plus the node's margin, and the
+incoming expiry leaves at least one HOP_DELTA step more headroom than the
+outgoing one. Expiries are absolute block heights on each hop's own chain.
 """
 
 from __future__ import annotations
@@ -18,16 +20,35 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..crp import (
-    HOP_DELTA,
     HopPayload,
     OnionPacket,
+    QuoteEcho,
     RateQuote,
     Route,
     backward_apply,
     onion_create,
-    payloads_for_route,
 )
 from .invoice import Invoice
+
+# Expiry ladder, in blocks: the payee gets FINAL_DELTA blocks of safety
+# margin and every forwarder one HOP_DELTA step between its incoming and
+# outgoing HTLC.
+FINAL_DELTA = 6
+HOP_DELTA = 6
+
+
+def ladder_delta(hops_after: int) -> int:
+    """The ladder step of an HTLC that `hops_after` more hops follow to the payee."""
+    return FINAL_DELTA + hops_after * HOP_DELTA
+
+
+def offer_expiry(height: int, expiry_delta: int) -> int:
+    """The absolute expiry of an HTLC offered at chain height `height`.
+
+    One block of propagation allowance rides on the ladder step: the
+    receiver inspects the HTLC a tick later, after its chain may have mined
+    once more, and must still see the whole step as headroom."""
+    return height + expiry_delta + 1
 
 
 class PaymentError(Exception):
@@ -47,35 +68,41 @@ class ForwardRejected(PaymentError):
         self.detail = detail
 
 
-def stack_expiries(route: Route, chain_heights: Mapping[str, int]) -> list[int]:
-    """Absolute expiry height per hop, on that hop's own chain.
-
-    Each hop is padded by one block per step of distance from the sender:
-    hop i is only inspected after the HTLC chain has propagated i+1 steps,
-    and up to one block can be mined per step.  Without the pad a forwarder
-    checking headroom against its own delta would see the ladder already
-    eroded and reject an honest, fresh attempt.
-    """
-    out = []
-    for i, hop in enumerate(route.hops):
-        if hop.chain_id not in chain_heights:
-            raise RouteMismatch(f"no height known for chain {hop.chain_id}")
-        out.append(chain_heights[hop.chain_id] + hop.expiry_delta + i + 1)
-    return out
+def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
+    """Per-hop instructions: each node learns only its successor, what to
+    forward, the ladder step of the HTLC it offers (of its own HTLC, at the
+    payee), and the quote it was priced at. A forward carries the amount
+    the route priced its next hop at, so the route must be one found for
+    `amount_out`."""
+    hops = route.hops
+    payloads = []
+    for i, hop in enumerate(hops[:-1]):
+        nxt = hops[i + 1]
+        payloads.append(HopPayload(
+            next_node=nxt.node, chain_id=nxt.chain_id, asset=nxt.asset,
+            amount_to_forward=nxt.amount, expiry_delta=ladder_delta(len(hops) - 2 - i),
+            echo=QuoteEcho.of(hop.quote),
+        ))
+    last = hops[-1]
+    payloads.append(HopPayload(
+        next_node=None, chain_id=last.chain_id, asset=last.asset,
+        amount_to_forward=amount_out, expiry_delta=ladder_delta(0),
+        echo=QuoteEcho.of(last.quote),
+    ))
+    return payloads
 
 
 @dataclass(frozen=True)
 class PaymentAttempt:
     invoice: Invoice
     route: Route
-    amounts: tuple[tuple[int, int], ...]  # per hop (amount, fee)
-    expiries: tuple[int, ...]
+    expiry: int  # of the first hop's HTLC, on its chain
     payloads: tuple[HopPayload, ...]
     packet: OnionPacket
 
     @property
     def cost(self) -> int:
-        return self.amounts[0][0]
+        return self.route.cost
 
 
 def prepare_attempt(
@@ -94,8 +121,9 @@ def prepare_attempt(
     return PaymentAttempt(
         invoice=invoice,
         route=route,
-        amounts=tuple((hop.amount, hop.fee) for hop in route.hops),
-        expiries=tuple(stack_expiries(route, chain_heights)),
+        expiry=offer_expiry(
+            chain_heights[route.hops[0].chain_id], ladder_delta(len(route.hops) - 1)
+        ),
         payloads=tuple(payloads),
         packet=onion_create(route, session_rng, payloads),
     )

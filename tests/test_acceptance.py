@@ -410,7 +410,7 @@ def test_criterion_5_priced_amounts_always_deliver(criterion):
         route = Route(
             sender=nid("S"),
             hops=tuple(
-                HopSpec(nid(f"N{i}"), f"c{i}", f"a{i + 1}", 1, 0, 6, q)
+                HopSpec(nid(f"N{i}"), f"c{i}", f"a{i + 1}", 1, 0, q)
                 for i, q in enumerate(quotes)
             ),
         )

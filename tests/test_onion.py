@@ -25,7 +25,6 @@ from comit.crp import (
     find_route,
     onion_create,
     onion_peel,
-    payloads_for_route,
 )
 import comit.crp.onion as onion_mod
 from comit.crp.onion import (
@@ -39,6 +38,7 @@ from comit.crp.onion import (
     decode_payload,
     encode_payload,
 )
+from comit.swap import payloads_for_route
 
 from conftest import GOLDEN
 

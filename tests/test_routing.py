@@ -16,8 +16,6 @@ import pytest
 
 from comit.chainlab import HashFnId
 from comit.crp import (
-    FINAL_DELTA,
-    HOP_DELTA,
     AmountOverflow,
     ChannelEndpoint,
     ChannelGraph,
@@ -34,6 +32,7 @@ from comit.crp import (
 )
 import comit.crp.graph as graph_mod
 from comit.crp.graph import MAX_ROUTE_HOPS, price_vector
+from comit.swap import ladder_delta, make_invoice, prepare_attempt
 
 MAX = 2**64 - 1
 S256 = HashFnId.SHA256
@@ -67,9 +66,15 @@ def test_flat_fee_chain_totals():
     assert route.cost == 1010
 
 
-def test_expiry_ladder_decreases_toward_recipient():
+def test_expiry_ladder_decreases_toward_recipient(rng):
     route = find_route(simple_graph(), nid("S"), nid("R"), 1000, "coin")
-    assert [h.expiry_delta for h in route.hops] == [18, 12, 6]
+    count = len(route.hops)
+    assert [ladder_delta(count - 1 - i) for i in range(count)] == [18, 12, 6]
+    invoice, _ = make_invoice(rng, nid("R"), 1000, "coin", S256)
+    attempt = prepare_attempt(invoice, route, {"main": 0}, rng)
+    assert attempt.expiry == 18 + 1
+    # each forwarder learns the step of the HTLC it offers; the payee its own
+    assert [p.expiry_delta for p in attempt.payloads] == [12, 6, 6]
 
 
 def test_compute_hop_amounts_agrees_with_route():
@@ -92,7 +97,6 @@ def test_cross_chain_conversion_example():
     assert [h.amount for h in route.hops] == [1010, 10_000]
     assert [h.fee for h in route.hops] == [10, 0]
     assert [h.asset for h in route.hops] == ["xcoin", "ycoin"]
-    assert [h.expiry_delta for h in route.hops] == [12, 6]
 
 
 def test_recipient_self_quote_prices_final_hop():
@@ -505,7 +509,6 @@ def reference_find_route(
             f"no admissible path delivering {amount_out} {asset_out}"
         )
     _, path, amounts, fees, quotes_used = best
-    count = len(path)
     hops = tuple(
         HopSpec(
             node=edge.dst,
@@ -513,7 +516,6 @@ def reference_find_route(
             asset=edge.asset,
             amount=amounts[i],
             fee=fees[i],
-            expiry_delta=FINAL_DELTA + (count - 1 - i) * HOP_DELTA,
             quote=quotes_used[i],
         )
         for i, edge in enumerate(path)

@@ -540,6 +540,47 @@ def test_drop_gossip_leaves_sender_without_routes():
     assert run_doc(doc)["payments"][0]["status"] == "settled"
 
 
+def test_unfinished_run_reports_pending_htlcs_as_their_offerers():
+    # beth never settles and max_ticks cuts the run while both HTLCs are
+    # still offered on open channels
+    doc = forward_doc()
+    doc["max_ticks"] = 10
+    doc["faults"] = [{"kind": "stall-secret", "actor": "beth", "at_tick": 0}]
+    report = run_doc(doc)
+    assert report["violations"] == [
+        "non-termination: run still active at max_ticks=10",
+        "payment 0 never reached a terminal state",
+    ]
+    assert report["payments"][0]["status"] == "pending"
+    # each offerer still owns its pending HTLC, so nobody is out of pocket
+    for name in ("ann", "lp"):
+        info = report["actors"][name]
+        assert info["final"] == info["initial"]
+        assert info["no_loss"]
+
+
+@pytest.mark.parametrize("variant, reason", [
+    ("first-dust", "first-hop: 2001 < dust limit 5000"),
+    ("forward-dust", "forward: 2000 < dust limit 5000"),
+    ("forward-balance", "forward: balance 1000 < htlc 2000"),
+])
+def test_refused_htlc_refunds_with_the_channels_reason(variant, reason):
+    doc = forward_doc()
+    if variant == "first-dust":
+        doc["channels"][0]["dust_limit"] = 5000
+    elif variant == "forward-dust":
+        doc["channels"][1]["dust_limit"] = 5000
+    else:
+        # the first payment leaves lp 1000 of its 3000 towards beth
+        doc["channels"][1]["fund_a"] = 3000
+        doc["payments"].append({"at_tick": 9, "sender": "ann", "recipient": "beth",
+                                "amount": 2000, "asset": "coin"})
+    report = run_doc(doc)
+    assert report["violations"] == []
+    pay = report["payments"][-1]
+    assert (pay["status"], pay["reason"]) == ("refunded", reason)
+
+
 def test_crashed_forwarder_gets_the_requeued_hop_offer():
     doc = forward_doc()
     # A block every 3 ticks: none is mined while lp is down, so the delayed

@@ -9,7 +9,6 @@ import pytest
 
 from comit.chainlab import HashFnId, hash_digest
 from comit.crp import (
-    HOP_DELTA,
     ChannelGraph,
     Edge,
     NodeKey,
@@ -19,13 +18,14 @@ from comit.crp import (
 )
 from comit.simnet import run_scenario, validate_scenario
 from comit.swap import (
+    HOP_DELTA,
     ForwardRejected,
     RouteMismatch,
     check_delivery,
     check_forward,
     make_invoice,
+    offer_expiry,
     prepare_attempt,
-    stack_expiries,
 )
 
 S256 = HashFnId.SHA256
@@ -138,13 +138,20 @@ def test_stack_expiries_uses_each_hops_chain_height(rng):
             ("z", "zc", None),
         ],
     )
+    invoice, _ = make_invoice(rng, line.recipient, 100, "zc", S256)
     route = find_route(line.graph, line.sender, line.recipient, 100, "zc")
-    assert [h.expiry_delta for h in route.hops] == [18, 12, 6]
-    # each hop carries a pad of (index + 1) blocks of propagation allowance
-    assert stack_expiries(route, {"x": 100, "y": 100, "z": 100}) == [119, 114, 109]
-    assert stack_expiries(route, {"x": 40, "y": 90, "z": 100}) == [59, 104, 109]
-    with pytest.raises(RouteMismatch):
-        stack_expiries(route, {"x": 100, "y": 100})
+    heights = {"x": 40, "y": 90, "z": 100}
+    attempt = prepare_attempt(invoice, route, heights, line.rng)
+    # the first HTLC takes the top step over its own chain's height, plus
+    # one block of propagation allowance
+    assert attempt.expiry == offer_expiry(40, 18) == 59
+    # each forwarder offers its step over the height of the chain it pays on
+    offered = [
+        offer_expiry(heights[p.chain_id], p.expiry_delta) for p in attempt.payloads[:-1]
+    ]
+    assert offered == [90 + 12 + 1, 100 + 6 + 1]
+    with pytest.raises(KeyError):
+        prepare_attempt(invoice, route, {"y": 90, "z": 100}, line.rng)
 
 
 def test_three_hops_pay_each_forwarder_its_fee():
@@ -214,8 +221,8 @@ def test_requoted_forwarder_rejects(rng):
     quote = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000)
     attempt = cross_chain_attempt(rng, quote, 10_000)
     forward = attempt.payloads[0]
-    incoming = attempt.amounts[0][0]
-    expiry = attempt.expiries[0]
+    incoming = attempt.route.hops[0].amount
+    expiry = attempt.expiry
     check_forward(forward, incoming, expiry, 0, quote)
     # the LP re-prices after the route was built: stale pricing is refused
     requoted = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=20_000)
@@ -227,8 +234,8 @@ def test_stale_expiry_headroom_rejected(rng):
     quote = RateQuote("xcoin", "ycoin", 10, 1)
     attempt = cross_chain_attempt(rng, quote, 1000)
     forward = attempt.payloads[0]
-    incoming = attempt.amounts[0][0]
-    expiry = attempt.expiries[0]
+    incoming = attempt.route.hops[0].amount
+    expiry = attempt.expiry
     # the propagation pad absorbs the one block mined while the offer travels
     check_forward(forward, incoming, expiry, 1, quote)
     # expiries age past the propagation pad while the attempt waits
