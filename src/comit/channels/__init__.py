@@ -3,7 +3,8 @@
 Off-chain updates are asymmetric commitment transactions: each party holds
 its own pre-signed version whose own payout is delayed and revocable, so
 broadcasting a stale state hands the counterparty everything via the
-revealed invalidation key.
+revealed invalidation key. `respond` is the honest party's on-chain
+policy: the spends it makes on a channel at the current height.
 """
 
 from .channel import (
@@ -17,11 +18,14 @@ from .channel import (
     InsufficientBalance,
     InsufficientFunds,
     PendingHtlcs,
+    Spend,
     StalePhase,
     UnknownHtlc,
     UnsupportedHashFunction,
+    URGENT_BLOCKS,
     WindowExpired,
     open_channel,
+    respond,
 )
 
 __all__ = [
@@ -30,6 +34,9 @@ __all__ = [
     "ChannelPhase",
     "Htlc",
     "open_channel",
+    "respond",
+    "Spend",
+    "URGENT_BLOCKS",
     "ChannelError",
     "InsufficientFunds",
     "InsufficientBalance",

@@ -28,6 +28,11 @@ after it is mined. A transaction is built and signed only when it is
 broadcast: signing is a deterministic HMAC and the ledger checks signatures
 on submission, so building commitment n from state n in unilateral_close
 gives the transaction both parties agreed on.
+
+`respond` is the honest on-chain policy, after BOLT #5
+(https://github.com/lightning/bolts/blob/master/05-onchain.md): from the
+channel, its ledger's height and what a party knows, it names the spends
+that party makes now. Each one is a bound builder above and its arguments.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from ..chainlab import (
     DIGEST_SIZE,
@@ -341,13 +346,6 @@ class Channel:
     def revocation_hash(self, side: str, n: int) -> bytes:
         return hash_digest(self.revocation_fn, self.revocation_key(side, n))
 
-    def revealed_key(self, side: str, n: int) -> Optional[bytes]:
-        """The key commit_update revealed for `side`'s commitment n: every
-        state below the current one is revoked, no other is."""
-        if 0 <= n < self.state.commitment_number:
-            return self.revocation_key(side, n)
-        return None
-
     # --- commitment construction ------------------------------------------------
 
     def _commitment(
@@ -573,18 +571,21 @@ class Channel:
                 else:
                     self.phase = ChannelPhase.UNILATERAL_CLOSED
 
+        # Mining empties the mempool, so right after a block every unspent
+        # output is spendable.
         if (
             self.phase in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
-            and not self._unspent_outputs()
+            and not self._spendable_outputs()
         ):
             self.phase = ChannelPhase.SETTLED
 
-    def _unspent_outputs(self) -> list[ClosedOutput]:
-        """The closed outputs still unspent on chain, "direct" ones aside:
-        those pay a bare key, so nothing of the channel's remains to do."""
+    def _spendable_outputs(self) -> list[ClosedOutput]:
+        """The closed outputs the ledger still offers as spendable, "direct"
+        ones aside: those pay a bare key, so nothing of the channel's
+        remains to do."""
         return [
             o for o in self.closed_outputs
-            if o.kind != "direct" and self.ledger.is_unspent(o.outpoint)
+            if o.kind != "direct" and self.ledger.is_spendable(o.outpoint)
         ]
 
     # --- post-close spends ------------------------------------------------------
@@ -665,8 +666,61 @@ class Channel:
             raise StalePhase(self.phase.value)
         if self.side_of(honest_party) == self.closed_by:
             raise ChannelError("the cheater cannot punish itself")
-        targets = self._unspent_outputs()
+        targets = self._spendable_outputs()
         if not targets:
             raise WindowExpired("revocable outputs already swept")
         key = self.revocation_key(self.closed_by, self.closed_commitment)
         return self._claim(honest_party, targets, (key,), branch=1)
+
+
+# An HTLC this close to expiry (in blocks) goes on-chain.
+URGENT_BLOCKS = 2
+
+
+@dataclass(frozen=True)
+class Spend:
+    """One transaction `respond` names: `build(*args)` builds and submits it."""
+
+    kind: str  # "close" | "justice" | "sweep" | "claim" | "refund"
+    build: Callable[..., Transaction]
+    args: tuple
+    htlc: Optional[Htlc] = None
+
+
+def respond(
+    channel: Channel, party: ChannelParty, secrets: dict[bytes, bytes]
+) -> list[Spend]:
+    """The spends an honest `party`, knowing the preimages `secrets` (by
+    payment hash), makes on `channel` at its ledger's height.
+
+    On an open channel with no close in flight, it force-closes once an HTLC
+    it offered, or can claim, is within URGENT_BLOCKS of expiry. After a
+    breach by the other side, it punishes while a revocable output is
+    spendable. Otherwise it spends each spendable closed output it can: its
+    own delayed output once csv_delay blocks have passed since the close,
+    every HTLC it can claim, and every HTLC it offered once expired."""
+    side = channel.side_of(party)
+    height = channel.ledger.height
+    if channel.phase is ChannelPhase.OPEN:
+        if not channel.closing and any(
+            h.expiry_height - height <= URGENT_BLOCKS
+            and (h.offerer_side == side or h.payment_hash in secrets)
+            for h in channel.pending_htlcs
+        ):
+            return [Spend("close", channel.unilateral_close, (party,))]
+        return []
+    outputs = channel._spendable_outputs()
+    if channel.phase is ChannelPhase.BREACHED and side != channel.closed_by:
+        return [Spend("justice", channel.punish_breach, (party,))] if outputs else []
+    spends = []
+    for out in outputs:
+        h = out.htlc
+        if h is None:  # the broadcaster's delayed output
+            if side == channel.closed_by and height >= channel.closed_height + channel.csv_delay:
+                spends.append(Spend("sweep", channel.build_delayed_sweep, (party,)))
+        elif h.offerer_side != side and h.payment_hash in secrets:
+            preimage = secrets[h.payment_hash]
+            spends.append(Spend("claim", channel.build_htlc_claim, (party, h.htlc_id, preimage), h))
+        elif h.offerer_side == side and height >= h.expiry_height:
+            spends.append(Spend("refund", channel.build_htlc_refund, (party, h.htlc_id), h))
+    return spends

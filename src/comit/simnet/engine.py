@@ -17,14 +17,15 @@ Actors follow the protocol honestly unless a fault says otherwise:
 - drop-gossip:       neither sends nor merges adverts during the window.
 - broadcast-revoked: broadcasts the revoked commitment that pays it best.
 
-Honest actors protect themselves without any global coordination: an HTLC
-receiver that knows the preimage force-closes when expiry is near, an offerer
-whose HTLC is still pending near expiry force-closes to refund on-chain, and
-a party detecting a revoked broadcast punishes it immediately. No timelocked
-sweep or refund can squat on a contested outpoint ahead of a justice
-transaction: the ledger refuses a spend the next block cannot confirm. The
-engine submits each one only once it is mature, so it builds nothing the
-ledger would refuse.
+Honest actors protect themselves without any global coordination. Each
+tick, every online party of a channel that may need it runs the channel
+layer's `respond` policy: it force-closes when an HTLC it offered or can
+claim nears expiry, punishes a revoked broadcast, and sweeps, claims and
+refunds closed outputs once each is mature. The engine decides only which
+channels to visit, who is online and when a stalling party withholds a
+claim. No timelocked sweep or refund can squat on a contested outpoint
+ahead of a justice transaction: the ledger refuses a spend the next block
+cannot confirm.
 
 Every channel transaction goes on chain through `_broadcast`, and what is
 spent is read from the ledger alone. A close or breach that meets a close in
@@ -57,7 +58,10 @@ from ..channels import (
     ChannelError,
     ChannelParty,
     ChannelPhase,
+    Spend,
+    URGENT_BLOCKS,
     open_channel,
+    respond,
 )
 from ..crp import (
     ChannelEndpoint,
@@ -86,10 +90,11 @@ from ..swap import (
 )
 from .scenario import PaymentSpec, Scenario
 
-# An HTLC this close to expiry (in blocks) goes on-chain.
-URGENT_BLOCKS = 2
 # Phases of a channel closed on-chain whose outputs are not all resolved.
 CLOSED_ON_CHAIN = (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
+# The metric a broadcast of each kind of `respond` spend notes.
+SPEND_METRICS = {"close": "urgent_closes", "justice": "justice_txs", "sweep": "",
+                 "claim": "onchain_claims", "refund": "onchain_refunds"}
 
 
 def derived_rng(seed: int, *parts) -> random.Random:
@@ -563,20 +568,21 @@ class Engine:
                  if h.chan.idx == chan_idx and not h.resolved]
         return sorted(found, key=lambda f: f[0])
 
-    def _claimed(self, chan_idx: int, htlc_id: int, payment_hash: bytes, preimage: bytes) -> None:
+    def _claimed(self, chan_idx: int, spend: Spend) -> None:
         """An HTLC claim confirmed: its preimage is public, its hop settled."""
-        self.revealed.append((payment_hash, preimage))
+        _, htlc_id, preimage = spend.args
+        self.revealed.append((spend.htlc.payment_hash, preimage))
         self.unread.update(self.actors)
         for hid, p, i in self._live_hops(chan_idx):
             if hid == htlc_id:
                 self._resolve_hop(p, i, "claimed", "claimed-on-chain")
 
-    def _refunded(self, chan_idx: int, htlc_id: int) -> None:
+    def _refunded(self, chan_idx: int, spend: Spend) -> None:
         for hid, p, i in self._live_hops(chan_idx):
-            if hid == htlc_id:
+            if hid == spend.htlc.htlc_id:
                 self._resolve_hop(p, i, "refunded", p.fail_reason or "expired")
 
-    def _punished(self, chan_idx: int) -> None:
+    def _punished(self, chan_idx: int, spend: Spend) -> None:
         """A justice transaction took the channel's HTLC outputs: its hops end."""
         for _, p, i in self._live_hops(chan_idx):
             self._resolve_hop(p, i, "justice", "breach-punished")
@@ -863,39 +869,27 @@ class Engine:
     # --- per-tick housekeeping -----------------------------------------------------
 
     def _housekeeping(self) -> None:
-        """Learn revealed preimages, cascade hop resolutions, force-close
-        near expiry and spend closed outputs.
+        """Learn revealed preimages, cascade hop resolutions and go on chain.
 
-        Each step keeps the rule and the visiting order (sorted actor names,
-        then the actor's channels in index order) of a scan over every actor
-        and channel, but visits only what an index says may act:
+        Each step keeps the rule of a scan over every actor and channel,
+        but visits only what an index says may act:
 
         - `_learn_from_chains` reads `unread`, the actors with revelations
           they have not read, and each reads on in `revealed`, the one list
           of every chain's revelations in confirmation order, from its own
           `scan` count; for any other actor the scan learns nothing.
         - `_cascade` reads `live`, the payments with an HTLC out.
-        - `_protect` reads the unresolved hops of `live`, which are the
-          HTLCs of the open channels. It visits the open channels holding
-          a hop whose expiry is within URGENT_BLOCKS of its chain's height;
-          on any other channel the scan would do nothing.
-        - `_sweep_closed` reads `closed`, kept by `_mine` after each
-          `process_block`, the only place a channel is closed on-chain or
-          settled.
+        - `_on_chain` visits the channels where `respond` may name a spend:
+          those in `closed`, kept by `_mine` after each `process_block`,
+          the only place a channel is closed on-chain or settled, and the
+          open channels holding an unresolved hop of `live` (their HTLCs)
+          whose expiry is within URGENT_BLOCKS of its chain's height. On
+          any other channel `respond` names nothing. Spends on different
+          channels spend different outputs, so their order is free.
         """
         self._learn_from_chains()
         self._cascade()
-        self._protect()
-        self._sweep_closed()
-
-    def _by_party(self, idxs: set[int]) -> dict[str, list[ChanRt]]:
-        """Each party's channels among `idxs`, in channel-index order."""
-        found: dict[str, list[ChanRt]] = {}
-        for idx in sorted(idxs):
-            rt = self.channels[idx]
-            for name in rt.names:
-                found.setdefault(name, []).append(rt)
-        return found
+        self._on_chain()
 
     def _learn_from_chains(self) -> None:
         for name in sorted(self.unread):
@@ -931,10 +925,10 @@ class Engine:
                     hop.scheduled = True
                     self._schedule(self.tick + 1, self._ev_fail_hop, p.idx, i)
 
-    def _protect(self) -> None:
-        """Force-close when an HTLC gets too close to expiry to keep waiting
-        for cooperation."""
-        urgent = {
+    def _on_chain(self) -> None:
+        """Each online party of each due channel (see `_housekeeping`), in
+        channel-index order and then name order, makes its spends there."""
+        due = self.closed | {
             h.chan.idx
             for p in self.live.values()
             for h in p.hops
@@ -942,81 +936,25 @@ class Engine:
             and h.chan.channel.phase is ChannelPhase.OPEN
             and h.expiry <= self.ledgers[h.chan.chain_id].height + URGENT_BLOCKS
         }
-        for name, chans in sorted(self._by_party(urgent).items()):
-            if self._online(name):
-                for rt in chans:
-                    self._protect_channel(name, rt)
+        for idx in sorted(due):
+            rt = self.channels[idx]
+            for name in sorted(rt.names):
+                if self._online(name):
+                    self._respond(name, rt)
 
-    def _protect_channel(self, name: str, rt: ChanRt) -> None:
-        """`name` force-closes the open channel `rt` if no close is in flight
-        and it holds an urgent HTLC that `name` offered (to refund on-chain
-        once expired) or knows the preimage of (to claim it before expiry)."""
-        if rt.channel.closing:
-            return
-        party = rt.parties[name]
-        side = rt.channel.side_of(party)
-        secrets = self.actors[name].secrets
-        height = self.ledgers[rt.chain_id].height
-        if any(
-            h.expiry_height - height <= URGENT_BLOCKS
-            and (h.offerer_side == side or h.payment_hash in secrets)
-            for h in rt.channel.pending_htlcs
-        ):
-            self._broadcast(rt, name, rt.channel.unilateral_close, party, note="urgent_closes")
-
-    def _sweep_closed(self) -> None:
-        for name, chans in sorted(self._by_party(self.closed).items()):
-            if not self._online(name):
+    def _respond(self, name: str, rt: ChanRt) -> None:
+        """`name` broadcasts the spends `respond` names on channel `rt`,
+        except that it withholds each HTLC claim while it stalls, one
+        `stall-secret` hit per claim withheld."""
+        handlers = {"justice": self._punished, "claim": self._claimed, "refund": self._refunded}
+        for spend in respond(rt.channel, rt.parties[name], self.actors[name].secrets):
+            if spend.kind == "claim" and self._active(name, "stall-secret"):
+                self._hit_faults(name, "stall-secret")
                 continue
-            stalling = bool(self._active(name, "stall-secret"))
-            for rt in chans:
-                self._sweep_channel(name, rt, stalling)
-
-    def _sweep_channel(self, name: str, rt: ChanRt, stalling: bool) -> None:
-        """`name`'s spends of the closed channel `rt`'s outputs: justice on
-        a breach, else its matured delayed output and HTLC claims and refunds."""
-        actor = self.actors[name]
-        ch = rt.channel
-        led = self.ledgers[rt.chain_id]
-        party = rt.parties[name]
-        side = ch.side_of(party)
-
-        if ch.phase is ChannelPhase.BREACHED and side != ch.closed_by:
-            if any(o.kind != "direct" and led.is_spendable(o.outpoint)
-                   for o in ch.closed_outputs):
-                self._broadcast(
-                    rt, name, ch.punish_breach, party,
-                    note="justice_txs", then=self._punished, then_args=(rt.idx,),
-                )
-            return
-
-        for out in ch.closed_outputs:
-            if not led.is_spendable(out.outpoint):
-                continue
-            if out.kind == "delayed":
-                if (
-                    side == ch.closed_by
-                    and out.owner_side == side
-                    and led.height >= ch.closed_height + ch.csv_delay
-                ):
-                    self._broadcast(rt, name, ch.build_delayed_sweep, party)
-            elif out.kind == "htlc":
-                h = out.htlc
-                if h.offerer_side != side and h.payment_hash in actor.secrets:
-                    if stalling:
-                        self._hit_faults(name, "stall-secret")
-                        continue
-                    preimage = actor.secrets[h.payment_hash]
-                    self._broadcast(
-                        rt, name, ch.build_htlc_claim, party, h.htlc_id, preimage,
-                        note="onchain_claims", then=self._claimed,
-                        then_args=(rt.idx, h.htlc_id, h.payment_hash, preimage),
-                    )
-                elif h.offerer_side == side and led.height >= h.expiry_height:
-                    self._broadcast(
-                        rt, name, ch.build_htlc_refund, party, h.htlc_id,
-                        note="onchain_refunds", then=self._refunded, then_args=(rt.idx, h.htlc_id),
-                    )
+            self._broadcast(
+                rt, name, spend.build, *spend.args, note=SPEND_METRICS[spend.kind],
+                then=handlers.get(spend.kind), then_args=(rt.idx, spend),
+            )
 
     # --- invariants ------------------------------------------------------------------
 

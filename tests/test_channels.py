@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from comit.chainlab import (
     ChainParams,
@@ -28,9 +29,11 @@ from comit.channels import (
     StalePhase,
     UnknownHtlc,
     Htlc,
+    URGENT_BLOCKS,
     UnsupportedHashFunction,
     WindowExpired,
     open_channel,
+    respond,
 )
 from comit.channels.channel import CommitmentState
 
@@ -307,28 +310,27 @@ def test_breach_window_expires_after_cheater_sweep(rng):
 def test_crash_between_update_phases_strands_nothing(rng):
     # Sign-new happened, reveal-old did not: both states broadcastable,
     # neither punishable.
-    ledger, ch, alice, bob = make_world(rng)
-    hid, secret = add(ch, alice, 1_000)
-    ch.fulfill_htlc(hid, secret)  # state 2
-    n = ch.commitment_number
-    new_state = CommitmentState(
-        commitment_number=n + 1,
-        balance_a=ch.state.balance_a - 500,
-        balance_b=ch.state.balance_b + 500,
-        htlcs=(),
-    )
-    ch.propose_update(new_state)  # phase one only; "crash" here
-    assert ch.revealed_key("a", n) is None
-    assert ch.revealed_key("b", n) is None
-    # broadcasting the newer, signed state works and is not a breach
-    ch.unilateral_close(bob, commitment_number=n + 1)
-    mine_and_watch(ledger, ch)
-    assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
-    with pytest.raises(StalePhase):
-        ch.punish_breach(alice)
+    for newer in (0, 1):
+        ledger, ch, alice, bob = make_world(rng)
+        hid, secret = add(ch, alice, 1_000)
+        ch.fulfill_htlc(hid, secret)  # state 2
+        n = ch.commitment_number
+        new_state = CommitmentState(
+            commitment_number=n + 1,
+            balance_a=ch.state.balance_a - 500,
+            balance_b=ch.state.balance_b + 500,
+            htlcs=(),
+        )
+        ch.propose_update(new_state)  # phase one only; "crash" here
+        # broadcasting either signed state works and is not a breach
+        ch.unilateral_close(bob, commitment_number=n + newer)
+        mine_and_watch(ledger, ch)
+        assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
+        with pytest.raises(StalePhase):
+            ch.punish_breach(alice)
 
 
-def test_current_keys_never_revealed_across_random_history(rng):
+def test_capacity_conserved_across_random_history(rng):
     _, ch, alice, bob = make_world(rng)
     for step in range(25):
         actor = alice if rng.random() < 0.5 else bob
@@ -343,16 +345,108 @@ def test_current_keys_never_revealed_across_random_history(rng):
             ch.fulfill_htlc(hid, secret)
         else:
             ch.fail_htlc(hid)
-        n = ch.commitment_number
-        assert ch.revealed_key("a", n) is None
-        assert ch.revealed_key("b", n) is None
-        for m in range(n):
-            assert ch.revealed_key("a", m) is not None
-            assert ch.revealed_key("b", m) is not None
         total = ch.state.balance_a + ch.state.balance_b + sum(
             h.amount for h in ch.pending_htlcs
         )
         assert total == ch.capacity
+
+
+def test_justice_takes_what_a_mempool_claim_leaves(rng):
+    # bob breaches state 1, whose HTLC alice offered and later failed; bob
+    # knows its preimage and claims that output first. Justice still takes
+    # bob's delayed output in the same block.
+    ledger, ch, alice, bob = make_world(rng, fee=10)
+    hid, secret = add(ch, alice, 100)  # state 1
+    ch.fail_htlc(hid)  # state 2
+    before_a = wallet(ledger, alice)
+    ch.unilateral_close(bob, commitment_number=1)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.BREACHED
+    ch.build_htlc_claim(bob, hid, secret)
+    justice = ch.punish_breach(alice)
+    delayed = next(o for o in ch.closed_outputs if o.kind == "delayed")
+    assert [i.outpoint for i in justice.inputs] == [delayed.outpoint]
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.SETTLED
+    assert wallet(ledger, alice) == before_a + 9_900 + 5_000 - 10 - 10
+    assert conserved(ledger)
+
+
+def test_respond_leaves_the_breach_block_to_justice(rng):
+    # At csv_delay 1 the ledger admits the cheater's delayed sweep in the
+    # block after the breach, the one the victim's justice must go into.
+    # The policy sweeps a block later, so whoever responds first there,
+    # justice wins; a cheater who sweeps at the earliest block wins instead.
+    ledger, ch, alice, bob = make_world(rng, fee=3, csv=1)
+    add(ch, alice, 9_487)
+    ch.unilateral_close(alice, commitment_number=0)
+    mine_and_watch(ledger, ch)
+    assert respond(ch, alice, {}) == []
+    assert [s.kind for s in respond(ch, bob, {})] == ["justice"]
+    ch.build_delayed_sweep(alice)
+    assert respond(ch, bob, {}) == []
+
+
+@pytest.mark.xfail(strict=True, reason="a revoked state's HTLC outputs carry no CSV on the "
+                   "broadcaster's branch, so a cheater who submits first keeps them")
+def test_cheater_cannot_outrun_justice_on_a_revoked_htlc():
+    ledger, ch, alice, bob = make_world(random.Random(0xC0211), csv=1)
+    for amount in (3_000, 2_000):  # bob pays alice his whole balance
+        hid, secret = add(ch, bob, amount, secret=amount.to_bytes(32, "big"))
+        ch.fulfill_htlc(hid, secret)
+    hid, secret = add(ch, alice, 3_000)  # state 5; bob knows the preimage
+    ch.fail_htlc(hid)  # state 6: alice 15,000, bob 0
+    before_a = wallet(ledger, alice)
+    ch.unilateral_close(bob, commitment_number=5)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.BREACHED
+    for party, secrets in ((bob, {hash_digest(HashFnId.SHA256, secret): secret}), (alice, {})):
+        for spend in respond(ch, party, secrets):
+            spend.build(*spend.args)
+    mine_and_watch(ledger, ch)
+    assert wallet(ledger, alice) == before_a + 15_000
+
+
+@pytest.mark.xfail(strict=True, reason="a broadcaster pays its commitment's fee from its own "
+                   "balance, so a side holding less than the fee cannot close")
+def test_offerer_of_its_whole_balance_can_force_close():
+    ledger, ch, alice, bob = make_world(random.Random(0xC0211), fee=1)
+    add(ch, bob, 5_000, expiry=ledger.height + URGENT_BLOCKS + 1)
+    mine_and_watch(ledger, ch)
+    spend, = respond(ch, bob, {})
+    assert spend.kind == "close"
+    spend.build(*spend.args)
+
+
+def guarded_world(rng, breach):
+    """A channel alice closed at state 2, holding an HTLC each way: 10 from
+    alice to bob (no larger than the fee) and 500 from bob to alice. With
+    `breach`, state 2 is revoked first."""
+    ledger, ch, alice, bob = make_world(rng, fee=10)
+    to_bob, secret = add(ch, alice, 10, secret=b"a" * 32)
+    to_alice, _ = add(ch, bob, 500, secret=b"b" * 32)
+    if breach:
+        ch.fail_htlc(to_alice)
+    ch.unilateral_close(alice, commitment_number=2)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is (ChannelPhase.BREACHED if breach else ChannelPhase.UNILATERAL_CLOSED)
+    return ledger, ch, alice, bob, to_bob, to_alice, secret
+
+
+@pytest.mark.parametrize("breach, refused, match", [
+    (False, lambda ch, a, b, to_b, to_a, s: ch.build_delayed_sweep(b), "only the broadcaster"),
+    (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(a, to_b, s), "offerer cannot claim"),
+    (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(a, to_a, s), "htlc 2"),
+    (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_refund(a, to_a), "only the offerer"),
+    (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(b, to_b, s), "cannot pay fee"),
+    (True, lambda ch, a, b, to_b, to_a, s: ch.punish_breach(a), "cannot punish itself"),
+], ids=["sweep-by-non-broadcaster", "claim-by-offerer", "claim-bad-preimage",
+        "refund-by-receiver", "claim-below-fee", "justice-by-cheater"])
+def test_builders_refuse_what_a_role_may_not_spend(rng, breach, refused, match):
+    ledger, ch, alice, bob, to_bob, to_alice, secret = guarded_world(rng, breach)
+    with pytest.raises(ChannelError, match=match):
+        refused(ch, alice, bob, to_bob, to_alice, secret)
+    assert all(ledger.is_spendable(o.outpoint) for o in ch.closed_outputs)
 
 
 def test_fees_accounted_on_close_paths(rng):
@@ -543,3 +637,159 @@ def test_update_refused_exactly_when_a_commitment_has_no_outputs(
     pool = ch.capacity - sum(h.amount for h in htlcs)
     to_a = data.draw(st.sampled_from([0, pool]) | st.integers(0, pool), label="final balance_a")
     propose(CommitmentState(s.commitment_number + 1, to_a, pool - to_a, htlcs))
+
+
+class ChannelMachine(RuleBasedStateMachine):
+    """One channel under the honest on-chain policy. Steps add, fulfil and
+    fail HTLCs, close honestly, broadcast a revoked state and mine; after
+    each block both parties, in a drawn order (the cheater first once it
+    has broadcast, the worst case for its victim), build every spend
+    `respond` names, and the ledger must admit each one. HTLCs are at least
+    100 and balances 0 or at least 100, so every output can pay its
+    spend's fee.
+
+    At teardown, 40 blocks later, every honest side has gained at least
+    its entitlement at close (its balance, the HTLCs it can claim and those
+    it offered that the other side cannot claim) minus the fees of the
+    transactions it built; a breach victim may lose one more fee, and the
+    revoked-state HTLC outputs that the cheater's own claims or refunds
+    took first (the race of
+    `test_cheater_cannot_outrun_justice_on_a_revoked_htlc`)."""
+
+    @initialize(fee=st.integers(0, 3), csv=st.integers(1, 6), alice_first=st.booleans())
+    def open(self, fee, csv, alice_first):
+        self.ledger, self.ch, alice, bob = make_world(random.Random(0xC0211), fee=fee, csv=csv)
+        self.order = (alice, bob) if alice_first else (bob, alice)
+        self.secrets = {"a": {}, "b": {}}  # side -> payment hash -> preimage
+        self.preimages = {}  # htlc id -> preimage
+        self.start = {side: wallet(self.ledger, self.ch.party(side)) for side in "ab"}
+        self.fees = {"a": 0, "b": 0}  # fees of the transactions each side built
+        self.built = {}  # txid -> (side, Spend kind)
+        self.entitled = None  # side -> entitlement at close
+        self.cheater = None
+        self.taken = 0  # revoked-state HTLC outputs the cheater's spends confirmed
+
+    def _open(self):
+        return self.ch.phase is ChannelPhase.OPEN and not self.ch.closing
+
+    def _build(self, side, kind, build, *args):
+        """Build and submit a transaction; a close also notes each side's
+        entitlement under the latest state."""
+        tx = build(*args)
+        spent = sum(self.ledger.utxo(i.outpoint).amount for i in tx.inputs)
+        self.fees[side] += spent - sum(o.amount for o in tx.outputs)
+        self.built[txid(tx)] = (side, kind)
+        if kind == "close":
+            s = self.ch.state
+            self.entitled = {"a": s.balance_a, "b": s.balance_b}
+            for h in s.htlcs:
+                receiver = "b" if h.offerer_side == "a" else "a"
+                knows = h.payment_hash in self.secrets[receiver]
+                self.entitled[receiver if knows else h.offerer_side] += h.amount
+
+    @precondition(lambda self: self._open())
+    @rule(by_a=st.booleans(), knows=st.booleans(),
+          out=st.integers(URGENT_BLOCKS + 1, 12), data=st.data())
+    def add(self, by_a, knows, out, data):
+        offerer = "a" if by_a else "b"
+        balance = self.ch.balance_of(self.ch.party(offerer))
+        # A side left below the fee could not pay for its own commitment
+        # (`test_offerer_of_its_whole_balance_can_force_close`), so it
+        # keeps 0 only while the fee is 0.
+        keeps = [st.integers(100, balance - 100)] if balance >= 200 else []
+        if self.ledger.params.tx_fee == 0 and balance >= 100:
+            keeps.append(st.just(0))
+        if not keeps:
+            return
+        amount = balance - data.draw(st.one_of(keeps), label="keep")
+        preimage = len(self.preimages).to_bytes(32, "big")
+        payment_hash = hash_digest(HashFnId.SHA256, preimage)
+        hid = self.ch.add_htlc(
+            self.ch.party(offerer), amount, HashFnId.SHA256, payment_hash, self.ledger.height + out
+        )
+        self.preimages[hid] = preimage
+        if knows:
+            self.secrets["b" if by_a else "a"][payment_hash] = preimage
+
+    @precondition(lambda self: self._open() and self.ch.pending_htlcs)
+    @rule(fulfil=st.booleans(), data=st.data())
+    def resolve(self, fulfil, data):
+        """Fulfil an HTLC whose receiver knows the preimage, or fail any."""
+        htlcs = [h for h in self.ch.pending_htlcs if not fulfil
+                 or h.payment_hash in self.secrets["b" if h.offerer_side == "a" else "a"]]
+        if not htlcs:
+            return
+        h = data.draw(st.sampled_from(htlcs), label="htlc")
+        if fulfil:
+            self.ch.fulfill_htlc(h.htlc_id, self.preimages[h.htlc_id])
+            self.secrets[h.offerer_side][h.payment_hash] = self.preimages[h.htlc_id]
+        else:
+            self.ch.fail_htlc(h.htlc_id)
+
+    def _close(self, side, n=None):
+        """Broadcast `side`'s commitment n (the latest when None)."""
+        self._build(side, "close", self.ch.unilateral_close, self.ch.party(side), n)
+        if n is not None:
+            self.cheater = side
+            self.order = sorted(self.order, key=lambda party: self.ch.side_of(party) != side)
+
+    @precondition(lambda self: self._open())
+    @rule(by_a=st.booleans())
+    def close(self, by_a):
+        self._close("a" if by_a else "b")
+
+    def _revoked_htlcs(self):
+        """Whether a revoked state holds an HTLC, something to race for."""
+        return any(s.htlcs for n, s in self.ch.recorded_states().items()
+                   if n < self.ch.commitment_number)
+
+    @precondition(lambda self: self._open() and self._revoked_htlcs())
+    @rule(by_a=st.booleans(), data=st.data())
+    def breach(self, by_a, data):
+        # counted back from the latest, so the recent states come first
+        back = data.draw(st.integers(1, self.ch.commitment_number), label="states back")
+        self._close("a" if by_a else "b", self.ch.commitment_number - back)
+
+    @rule()
+    def mine(self):
+        block, = self.ledger.mine_blocks(1)
+        self.ch.process_block(block)
+        for outpoint, spender in block.spent:
+            if self.built.get(spender) in ((self.cheater, "claim"), (self.cheater, "refund")):
+                self.taken += next(o.amount for o in self.ch.closed_outputs if o.outpoint == outpoint)
+        for party in self.order:
+            side = self.ch.side_of(party)
+            for spend in respond(self.ch, party, self.secrets[side]):  # each must be admitted
+                self._build(side, spend.kind, spend.build, *spend.args)
+        if self.ch.phase is ChannelPhase.BREACHED:
+            # justice leaves the cheater nothing to take later
+            assert not any(self.ledger.is_spendable(o.outpoint)
+                           for o in self.ch.closed_outputs if o.kind != "direct")
+
+    @invariant()
+    def value_is_conserved(self):
+        assert conserved(self.ledger)
+
+    def teardown(self):
+        if not hasattr(self, "ch"):
+            return
+        for _ in range(40):
+            self.mine()
+        if self.ch.phase is ChannelPhase.OPEN:
+            assert self.ch.pending_htlcs == ()
+            return
+        assert self.ch.phase is ChannelPhase.SETTLED
+        fee = self.ledger.params.tx_fee
+        for side in "ab":
+            if side == self.cheater:
+                continue
+            floor = self.entitled[side] - self.fees[side]
+            if self.cheater is not None:
+                floor -= fee + self.taken
+            assert wallet(self.ledger, self.ch.party(side)) - self.start[side] >= floor, side
+
+
+ChannelMachine.TestCase.settings = settings(
+    max_examples=500, stateful_step_count=30, derandomize=True, deadline=None
+)
+TestChannelMachine = ChannelMachine.TestCase

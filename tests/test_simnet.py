@@ -844,8 +844,8 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
     grown and edges_into items visited inside find_route, routes found, and
     the ticks gossip_step ran in. Count the housekeeping work too:
     process_block calls on blocks that confirm nothing, side_of calls made
-    by _protect and _sweep_closed, _active calls outside _gossip_round, and
-    the ticks it ran in inside."""
+    by _on_chain, _active calls outside _gossip_round, and the ticks it ran
+    in inside."""
     counts = {"builds": 0, "sets": set(), "applies": 0, "paths": 0, "edges": 0, "routes": 0,
               "gossip_ticks": set(), "searching": False, "step": None,
               "empty_blocks": 0, "housekeeping_sides": 0, "active": 0,
@@ -914,7 +914,7 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
     side_of = Channel.side_of
 
     def counted_side_of(self, party):
-        counts["housekeeping_sides"] += counts["step"] in ("_protect", "_sweep_closed")
+        counts["housekeeping_sides"] += counts["step"] == "_on_chain"
         return side_of(self, party)
 
     active = engine_mod.Engine._active
@@ -936,7 +936,7 @@ def routing_counts(monkeypatch, doc: dict) -> dict:
         m.setattr(ChannelGraph, "edges_into", edges_into)
         m.setattr(engine_mod, "find_route", find_route)
         m.setattr(GossipState, "gossip_step", gossip_step)
-        for name in ("_protect", "_sweep_closed", "_gossip_round"):
+        for name in ("_on_chain", "_gossip_round"):
             m.setattr(engine_mod.Engine, name, watched(name))
         m.setattr(Channel, "process_block", process_block)
         m.setattr(Channel, "side_of", counted_side_of)
@@ -953,8 +953,8 @@ def test_star_routing_work_does_not_grow_with_users(monkeypatch):
     pricing work, partial paths and edges visited per route, and no gossip once
     every store is converged, at 20 users as at 80. Housekeeping touches
     only what changed: no channel looks at a block that confirmed nothing,
-    _protect and _sweep_closed find no channel to act on, and fault
-    lookups happen per payment, not per actor and tick."""
+    _on_chain finds no channel to act on, and fault lookups happen per
+    payment, not per actor and tick."""
     per_route = []
     for users in (20, 80):
         counts = routing_counts(monkeypatch, star_doc(users))
@@ -1028,22 +1028,11 @@ class ScanningEngine(engine_mod.Engine):
             self._gossip_channel(rt)
         self._note_convergence()
 
-    def _protect(self):
+    def _on_chain(self):
         for name in sorted(self.actors):
-            if not self._online(name):
-                continue
-            for rt in self.actors[name].channels:
-                if rt.channel.phase is ChannelPhase.OPEN:
-                    self._protect_channel(name, rt)
-
-    def _sweep_closed(self):
-        for name in sorted(self.actors):
-            if not self._online(name):
-                continue
-            stalling = bool(self._active(name, "stall-secret"))
-            for rt in self.actors[name].channels:
-                if rt.channel.phase in engine_mod.CLOSED_ON_CHAIN:
-                    self._sweep_channel(name, rt, stalling)
+            if self._online(name):
+                for rt in self.actors[name].channels:
+                    self._respond(name, rt)
 
 
 def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
