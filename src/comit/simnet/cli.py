@@ -30,13 +30,11 @@ def _execute(scenario, seed: Optional[int], report_path: Optional[str], fmt: str
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     report = run_scenario(scenario)
+    text = report_json(report) if report_path or fmt == "json" else ""
     if report_path:
         with open(report_path, "w") as fh:
-            fh.write(report_json(report))
-    if fmt == "json":
-        sys.stdout.write(report_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+            fh.write(text)
+    sys.stdout.write(text if fmt == "json" else render_text(report))
     return 0 if not report["violations"] else 1
 
 

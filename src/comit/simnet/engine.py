@@ -121,7 +121,7 @@ class ActorState:
     channels: list[ChanRt] = field(default_factory=list)  # in channel-index order
     # fault kind -> indices into Scenario.faults
     faults: dict[str, list[int]] = field(default_factory=dict)
-    invoice_rng: Optional[random.Random] = None
+    invoice_rng: Optional[random.Random] = None  # made on the actor's first invoice
 
     def bump(self, counter: dict[str, int], asset: str, amount: int) -> None:
         counter[asset] = counter.get(asset, 0) + amount
@@ -213,7 +213,6 @@ class Engine:
                 kind=a.kind,
                 node_key=node_key,
                 gossip=GossipState(node_key.pubkey),
-                invoice_rng=derived_rng(sc.seed, "actor", a.name, "invoices"),
             )
             for c in sc.chains:
                 actor.wallet[c.chain_id] = KeyPair.generate(key_rng)
@@ -617,6 +616,8 @@ class Engine:
         p.started_tick = self.tick
 
         fn = spec.hash_fn or self._default_hash_fn(spec.asset)
+        if recipient.invoice_rng is None:
+            recipient.invoice_rng = derived_rng(self.sc.seed, "actor", spec.recipient, "invoices")
         invoice, secret = make_invoice(
             recipient.invoice_rng, recipient.node_key.pubkey, spec.amount, spec.asset, fn
         )

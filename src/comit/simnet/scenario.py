@@ -131,8 +131,24 @@ class Scenario:
     closes: tuple[CloseSpec, ...]
 
     def digest(self) -> str:
-        blob = json.dumps(self, sort_keys=True, default=_plain).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of `json.dumps(self, sort_keys=True, default=_plain)`, fed
+        to the hash field by field and `_DIGEST_BATCH` specs at a time, so
+        no string of the whole scenario is ever built."""
+        h = hashlib.sha256()
+        opening = "{"
+        for name, value in sorted(vars(self).items()):
+            h.update(f"{opening}{_ENCODE(name)}: ".encode())
+            opening = ", "
+            if not isinstance(value, tuple):
+                h.update(_ENCODE(value).encode())
+                continue
+            h.update(b"[")
+            for start in range(0, len(value), _DIGEST_BATCH):
+                batch = _ENCODE(value[start : start + _DIGEST_BATCH])[1:-1]
+                h.update(f"{', ' if start else ''}{batch}".encode())
+            h.update(b"]")
+        h.update(b"}")
+        return h.hexdigest()
 
 
 def _plain(obj: Any) -> Any:
@@ -144,6 +160,12 @@ def _plain(obj: Any) -> Any:
     if isinstance(obj, ChainSpec):
         return {**vars(obj), "genesis": dict(obj.genesis)}
     return vars(obj)
+
+
+# Built once: json.dumps with keyword arguments builds a fresh encoder per
+# call, which dominates when it is called once per batch.
+_ENCODE = json.JSONEncoder(sort_keys=True, default=_plain).encode
+_DIGEST_BATCH = 64
 
 
 class _Diags:

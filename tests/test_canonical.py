@@ -1,0 +1,174 @@
+"""The canonical encodings and what they cost.
+
+`report_json` and `Scenario.digest` write and hash exactly the bytes of the
+`json.dumps` calls they replace; those calls stay here as their oracles.
+The memory guards use `tracemalloc`, so they count allocations and not
+time, and hold on any machine.
+"""
+
+import hashlib
+import json
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from comit.simnet import run_scenario, validate_scenario
+from comit.simnet.engine import Engine
+from comit.simnet.report import report_json
+from comit.simnet.scenario import _plain
+from test_acceptance import random_scenario
+from test_simnet import DEMO_DIGESTS, demo_report, demo_scenario, minimal_doc, star_doc
+
+
+def oracle_json(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_digest(scenario) -> str:
+    return hashlib.sha256(json.dumps(scenario, sort_keys=True, default=_plain).encode()).hexdigest()
+
+
+def has_float(obj) -> bool:
+    if isinstance(obj, float):
+        return True
+    if isinstance(obj, dict):
+        return any(has_float(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(has_float(v) for v in obj)
+    return False
+
+
+def doc_with_payments(n: int) -> dict:
+    """The two-actor world of `minimal_doc` with `n` 10-coin payments, one a
+    tick, from the user to the LP."""
+    doc = minimal_doc()
+    doc["max_ticks"] = 4 + n + 40
+    doc["payments"] = [
+        {"at_tick": 4 + i, "sender": "ann", "recipient": "lp", "amount": 10, "asset": "coin"}
+        for i in range(n)
+    ]
+    return doc
+
+
+def scenario_of(doc: dict):
+    scenario, errors = validate_scenario(doc)
+    assert errors == [], errors
+    return scenario
+
+
+@pytest.fixture(scope="module")
+def corpus_scenarios():
+    """The first 50 documents of the acceptance corpus."""
+    rng = random.Random(0xACCE97)
+    return [scenario_of(random_scenario(rng)) for _ in range(50)]
+
+
+@pytest.fixture(scope="module")
+def thousand_payments():
+    return scenario_of(doc_with_payments(1000))
+
+
+# ------------------------------------------------------------- report_json
+
+
+def test_report_json_matches_its_oracle_on_demos_and_corpus(corpus_scenarios):
+    reports = [demo_report(name) for name in DEMO_DIGESTS]
+    reports += [run_scenario(sc) for sc in corpus_scenarios]
+    for i, report in enumerate(reports):
+        assert not has_float(report), i
+        assert report_json(report) == oracle_json(report), i
+
+
+_text = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),  # surrogates included
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x80\xe9\u20ac\u2028\u2029\ud800\udfff\U0001f600'),
+    )
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    _text,
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_text, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_report_json_matches_its_oracle_on_any_value(value):
+    assert report_json(value) == oracle_json(value)
+
+
+@pytest.mark.parametrize("bad", [1.5, object()])
+def test_report_json_refuses_what_no_report_holds(bad):
+    for value in (bad, [bad], {"k": bad}, {"k": [0, {"j": bad}]}):
+        with pytest.raises(TypeError):
+            report_json(value)
+
+
+# ----------------------------------------------------------- Scenario.digest
+
+
+def test_digest_matches_its_oracle_on_demos_and_corpus(corpus_scenarios):
+    for name, pinned in DEMO_DIGESTS.items():
+        sc = demo_scenario(name)
+        assert sc.digest() == oracle_digest(sc) == pinned, name
+    for i, sc in enumerate(corpus_scenarios):
+        assert sc.digest() == oracle_digest(sc), i
+
+
+@pytest.mark.parametrize("payments", [0, 1, 63, 64, 65, 129])
+def test_digest_matches_its_oracle_across_batch_edges(payments):
+    sc = scenario_of(doc_with_payments(payments))
+    assert len(sc.payments) == payments
+    assert sc.digest() == oracle_digest(sc)
+
+
+# ------------------------------------------------------------ memory guards
+
+
+def transient_peak(fn, *args):
+    """What `fn(*args)` returns and the most memory it held at once."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_json_memory_follows_its_output(thousand_payments):
+    report = run_scenario(thousand_payments)
+    text, peak = transient_peak(report_json, report)
+    assert text == oracle_json(report)
+    # Measured at 2.2x the output; json's own indent path takes 7.6x.
+    assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_digest_memory_is_bounded(thousand_payments):
+    digest, peak = transient_peak(thousand_payments.digest)
+    assert digest == oracle_digest(thousand_payments)
+    # Measured at 66 KiB; hashing one string of the scenario takes 916 KiB.
+    assert peak < 256 * 1024, peak
+
+
+def test_invoice_streams_exist_only_for_paid_actors():
+    engine = Engine(scenario_of(star_doc(12)))
+    engine.run()
+    paid = {p.spec.recipient for p in engine.payments if p.invoice is not None}
+    assert paid == {"b0", "b1", "b2", "b3"}
+    for name, actor in engine.actors.items():
+        assert (actor.invoice_rng is not None) == (name in paid), name

@@ -808,6 +808,15 @@ def test_cli_demo_runs_bundled_scenario(capsys):
     assert report["violations"] == []
 
 
+def test_cli_json_stdout_is_the_report_file(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    args = ["demo", "cross-chain-2lp", "--format", "json", "--report", str(report_file)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == report_file.read_bytes()
+    assert out == report_json(demo_report("cross-chain-2lp"))
+
+
 # ---------------------------------------------------------------- scaling
 
 
