@@ -12,19 +12,12 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
 
 _NODE_KEYRING: dict[bytes, bytes] = {}
-
-
-def _raw_public(private: X25519PrivateKey) -> bytes:
-    return private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,7 @@ class NodeKey:
             raise ValueError("node seed must be 32 bytes")
         private = X25519PrivateKey.from_private_bytes(self.seed)
         object.__setattr__(self, "_private", private)
-        object.__setattr__(self, "pubkey", _raw_public(private))
+        object.__setattr__(self, "pubkey", private.public_key().public_bytes_raw())
         _NODE_KEYRING[self.pubkey] = self.seed
 
     @classmethod

@@ -36,9 +36,19 @@ x-coordinate, -c gives the same bytes as c. `_as_key` turns k_i into a
 32-byte key whose clamp is k_i or -k_i mod L; one key then yields alpha_i
 as its public key and s_i by one exchange. About 2**-125 of residues have
 no such key; a hop that meets one keeps the previous key and re-blinds by
-the pending factors, as the schedule did before. An h-hop packet costs 2h
-X25519 operations to create; a peel costs 3 when it forwards (the
-exchange and the two of re-blinding the ephemeral) and 1 at the last hop.
+the pending factors, as the schedule did before.
+
+Cost. An h-hop create makes 2h X25519 operations: per hop one
+`from_private_bytes`, which derives alpha_i, and one exchange. A peel
+makes 1 at the last hop (the exchange) and 3 when it forwards: the
+exchange, then `_mul` re-blinds the ephemeral with `from_private_bytes`
+and an exchange. Re-blinding needs only the exchange, but the library
+has no scalar multiplication that skips the public key
+`from_private_bytes` always derives, so 3 is the floor. Every keystream
+is applied inside its ChaCha20 context, as encryption (`_crypt`): a peel
+makes 1 context, and a create makes 2h, one for the pad, one per hop to
+wrap its layer and one per hop but the last for its share of the
+filler. No blob is ever converted to an int.
 """
 
 from __future__ import annotations
@@ -49,25 +59,30 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
-
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 
 from .graph import MAX_ROUTE_HOPS, Route, RouteTooLong
-from .identity import NodeKey, _raw_public
+from .identity import NodeKey
 from .quotes import RateQuote
 
-PAYLOAD_SIZE = 136
+ID_CAP = 31  # bytes of a chain or asset id in a payload
+# next_node, chain_id and asset (each a length byte and ID_CAP bytes),
+# amount_to_forward, expiry_delta, and the quote echo.
+_PAYLOAD = struct.Struct(f"<32sB{ID_CAP}sB{ID_CAP}sQIQQQI")
+PAYLOAD_SIZE = _PAYLOAD.size  # 136
 SLOT_SIZE = PAYLOAD_SIZE + 32
 BLOB_SIZE = MAX_ROUTE_HOPS * SLOT_SIZE
 PACKET_SIZE = 1 + 32 + BLOB_SIZE + 32
 VERSION = 0
 
 _ZERO32 = b"\x00" * 32
-ID_CAP = 31  # bytes of a chain or asset id in a payload
+_ZERO_SLOT = b"\x00" * SLOT_SIZE
+_NONCE = b"\x00" * 16  # counter 0, nonce 0: each key names one stream
 
 
 class OnionError(Exception):
@@ -133,49 +148,35 @@ class OnionPacket:
         )
 
 
-def _pack_id(value: str) -> bytes:
-    raw = value.encode()
-    if len(raw) > ID_CAP:
-        raise PayloadOverflow(f"identifier {value!r} exceeds {ID_CAP} bytes")
-    return struct.pack("<B", len(raw)) + raw + b"\x00" * (ID_CAP - len(raw))
-
-
-def _unpack_id(data: bytes) -> str:
-    n = data[0]
-    if n > ID_CAP:
-        raise InvalidPacket("corrupt identifier length")
-    return data[1 : 1 + n].decode()
-
-
 def encode_payload(p: HopPayload) -> bytes:
     nxt = p.next_node if p.next_node is not None else _ZERO32
     if len(nxt) != 32:
         raise PayloadOverflow("next_node must be 32 bytes")
-    if not 0 <= p.amount_to_forward < 2**64:
-        raise PayloadOverflow("amount_to_forward out of u64 range")
-    if not 0 <= p.expiry_delta < 2**32:
-        raise PayloadOverflow("expiry_delta out of u32 range")
-    body = (
-        nxt
-        + _pack_id(p.chain_id)
-        + _pack_id(p.asset)
-        + struct.pack("<QI", p.amount_to_forward, p.expiry_delta)
-        + struct.pack(
-            "<QQQI", p.echo.rate_num, p.echo.rate_den, p.echo.base_fee, p.echo.fee_ppm
+    chain_id, asset, echo = p.chain_id.encode(), p.asset.encode(), p.echo
+    if len(chain_id) > ID_CAP or len(asset) > ID_CAP:
+        raise PayloadOverflow(f"chain or asset id exceeds {ID_CAP} bytes")
+    try:
+        return _PAYLOAD.pack(
+            nxt, len(chain_id), chain_id, len(asset), asset,
+            p.amount_to_forward, p.expiry_delta,
+            echo.rate_num, echo.rate_den, echo.base_fee, echo.fee_ppm,
         )
-    )
-    assert len(body) == PAYLOAD_SIZE
-    return body
+    except struct.error as e:
+        raise PayloadOverflow(f"payload field out of range: {e}") from None
 
 
 def decode_payload(data: bytes) -> HopPayload:
     if len(data) != PAYLOAD_SIZE:
         raise InvalidPacket("bad payload size")
-    nxt = data[0:32]
-    chain_id = _unpack_id(data[32:64])
-    asset = _unpack_id(data[64:96])
-    amount, expiry = struct.unpack("<QI", data[96:108])
-    num, den, base, ppm = struct.unpack("<QQQI", data[108:136])
+    nxt, nc, chain_id, na, asset, amount, expiry, num, den, base, ppm = (
+        _PAYLOAD.unpack(data)
+    )
+    if nc > ID_CAP or na > ID_CAP:
+        raise InvalidPacket("corrupt identifier length")
+    try:
+        chain_id, asset = chain_id[:nc].decode(), asset[:na].decode()
+    except UnicodeDecodeError:
+        raise InvalidPacket("identifier is not UTF-8") from None
     return HopPayload(
         next_node=None if nxt == _ZERO32 else nxt,
         chain_id=chain_id,
@@ -202,14 +203,9 @@ def _kdf(kind: bytes, secret: bytes) -> bytes:
     return hmac.new(kind, secret, hashlib.sha256).digest()
 
 
-def _stream(key: bytes, n: int) -> bytes:
-    cipher = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None)
-    return cipher.encryptor().update(b"\x00" * n)
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    assert len(a) == len(b), "xor of unequal lengths"
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+def _crypt(key: bytes, data: bytes) -> bytes:
+    """`data` XOR the ChaCha20 keystream of `key`, in one cipher context."""
+    return Cipher(ChaCha20(key, _NONCE), None).encryptor().update(data)
 
 
 # The order of the subgroup generated by the X25519 base point.
@@ -239,7 +235,7 @@ def _hop_secrets(
     running scalar of the module's key schedule. No hop after the last
     needs an ephemeral, so a one-hop route computes no product."""
     key = X25519PrivateKey.from_private_bytes(session_key)
-    alpha = _raw_public(key)
+    alpha = key.public_key().public_bytes_raw()
     k = _clamp(session_key)
     pending: list[bytes] = []  # blinds since the last k that had a key
     ephemerals, secrets = [], []
@@ -260,7 +256,7 @@ def _hop_secrets(
         else:
             pending = []
             key = X25519PrivateKey.from_private_bytes(raw)
-            alpha = _raw_public(key)
+            alpha = key.public_key().public_bytes_raw()
     return ephemerals, secrets
 
 
@@ -287,25 +283,21 @@ def onion_create(
 
     session_key = session_rng.randbytes(32)
     ephemerals, secrets = _hop_secrets(session_key, hop_pubkeys)
-    # Each hop but the last peels BLOB_SIZE + SLOT_SIZE bytes of its stream.
-    streams = [
-        _stream(_kdf(b"rho", s), BLOB_SIZE + SLOT_SIZE if i + 1 < count else BLOB_SIZE)
-        for i, s in enumerate(secrets)
-    ]
+    rhos = [_kdf(b"rho", s) for s in secrets]
 
     # Filler: the garbage that peeling shifts into the tail at each hop,
-    # precomputed so the final hop's MAC still verifies.
+    # precomputed so the final hop's MAC still verifies. A hop's peel
+    # crypts BLOB_SIZE + SLOT_SIZE bytes; the filler meets the end of it.
     filler = b""
-    for stream in streams[:-1]:
-        filler += b"\x00" * SLOT_SIZE
-        filler = _xor(filler, stream[-len(filler):])
+    for rho in rhos[:-1]:
+        skip = BLOB_SIZE - len(filler)
+        filler = _crypt(rho, bytes(skip) + filler + _ZERO_SLOT)[skip:]
 
-    blob = _stream(_kdf(b"pad", session_key), BLOB_SIZE)
+    blob = _crypt(_kdf(b"pad", session_key), bytes(BLOB_SIZE))
     tag = _ZERO32  # terminal marker: the last hop sees an all-zero next MAC
     for i in reversed(range(count)):
         slot = encode_payload(payloads[i]) + tag
-        shifted = slot + blob[: BLOB_SIZE - SLOT_SIZE]
-        blob = _xor(shifted, streams[i][:BLOB_SIZE])
+        blob = _crypt(rhos[i], slot + blob[: BLOB_SIZE - SLOT_SIZE])
         if i == count - 1 and filler:
             blob = blob[: BLOB_SIZE - len(filler)] + filler
         tag = hmac.new(_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
@@ -334,8 +326,7 @@ def onion_peel(
     want = hmac.new(_kdf(b"mu", secret), packet.blob, hashlib.sha256).digest()
     if not hmac.compare_digest(want, packet.tag):
         raise HmacFailure("packet authentication failed")
-    stream = _stream(_kdf(b"rho", secret), BLOB_SIZE + SLOT_SIZE)
-    clear = _xor(packet.blob + b"\x00" * SLOT_SIZE, stream)
+    clear = _crypt(_kdf(b"rho", secret), packet.blob + _ZERO_SLOT)
     payload = decode_payload(clear[:PAYLOAD_SIZE])
     next_tag = clear[PAYLOAD_SIZE:SLOT_SIZE]
     if next_tag == _ZERO32:

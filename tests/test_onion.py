@@ -1,11 +1,15 @@
 """Layered routing packets: round trips, size invariance, tamper detection,
-and the sender's key schedule against the re-blinding one it replaced."""
+the sender's key schedule against the re-blinding one it replaced, and
+create and peel against the bytewise-XOR onion they replaced."""
 
 import hashlib
+import hmac
 import random
+import struct
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from comit.chainlab import HashFnId
 from comit.crp import (
@@ -28,13 +32,17 @@ from comit.crp import (
 )
 import comit.crp.onion as onion_mod
 from comit.crp.onion import (
+    BLOB_SIZE,
+    PAYLOAD_SIZE,
+    SLOT_SIZE,
+    VERSION,
     _L,
     _as_key,
     _clamp,
     _exchange,
     _hop_secrets,
+    _kdf,
     _mul,
-    _xor,
     decode_payload,
     encode_payload,
 )
@@ -58,6 +66,22 @@ def flat_payloads(keys, base_amount=1000):
             )
         )
     return out
+
+
+def random_payload(rng, next_node):
+    return HopPayload(
+        next_node=next_node,
+        chain_id="c" * rng.randint(1, 31),
+        asset="a" * rng.randint(1, 31),
+        amount_to_forward=rng.randint(0, 2**64 - 1),
+        expiry_delta=rng.randint(0, 2**32 - 1),
+        echo=QuoteEcho(
+            rng.randint(1, 2**64 - 1),
+            rng.randint(1, 2**64 - 1),
+            rng.randint(0, 2**64 - 1),
+            rng.randint(0, 999_999),
+        ),
+    )
 
 
 def peel_all(packet, keys):
@@ -97,19 +121,8 @@ def test_packet_size_constant_at_every_hop(seeded):
 def test_payload_codec_round_trip(seeded):
     rng = seeded(3)
     for _ in range(50):
-        p = HopPayload(
-            next_node=None if rng.random() < 0.3 else rng.randbytes(32),
-            chain_id="c" * rng.randint(1, 31),
-            asset="a" * rng.randint(1, 31),
-            amount_to_forward=rng.randint(0, 2**64 - 1),
-            expiry_delta=rng.randint(0, 2**32 - 1),
-            echo=QuoteEcho(
-                rng.randint(1, 2**64 - 1),
-                rng.randint(1, 2**64 - 1),
-                rng.randint(0, 2**64 - 1),
-                rng.randint(0, 999_999),
-            ),
-        )
+        p = random_payload(rng, None if rng.random() < 0.3 else rng.randbytes(32))
+        assert encode_payload(p) == reference_encode_payload(p)
         assert decode_payload(encode_payload(p)) == p
 
 
@@ -125,6 +138,34 @@ def test_payload_field_limits():
         encode_payload(HopPayload(None, "c", "a", 1, 2**32, echo))
     with pytest.raises(PayloadOverflow):
         encode_payload(HopPayload(b"xx", "c", "a", 1, 1, echo))
+    # The quote echo is bounded by its fields, not by RateQuote.
+    for bad in (
+        QuoteEcho(2**64, 1, 0, 0),
+        QuoteEcho(1, 2**64, 0, 0),
+        QuoteEcho(1, 1, 2**64, 0),
+        QuoteEcho(1, 1, 0, 2**32),
+        QuoteEcho(-1, 1, 0, 0),
+    ):
+        with pytest.raises(PayloadOverflow):
+            encode_payload(HopPayload(None, "c", "a", 1, 1, bad))
+    with pytest.raises(PayloadOverflow):
+        encode_payload(HopPayload(None, "c", "a", -1, 1, echo))
+
+
+def test_decode_rejects_corrupt_identifiers(monkeypatch, seeded):
+    good = encode_payload(HopPayload(None, "chain", "asset", 1, 1, QuoteEcho(1, 1, 0, 0)))
+    not_utf8 = good[:33] + b"\xff" + good[34:]
+    too_long = good[:32] + bytes([32]) + good[33:]
+    for data in (not_utf8, too_long):
+        with pytest.raises(InvalidPacket):
+            decode_payload(data)
+    # A hop that peels an authentic packet carrying one fails the same way.
+    rng = seeded(0x0FF)
+    key = NodeKey.generate(rng)
+    monkeypatch.setattr(onion_mod, "encode_payload", lambda p: not_utf8)
+    packet = onion_create([key.pubkey], rng, flat_payloads([key]))
+    with pytest.raises(InvalidPacket):
+        onion_peel(packet, key)
 
 
 def test_route_length_cap(seeded):
@@ -223,13 +264,174 @@ def test_frozen_wire_vectors():
     assert wires == lines
 
 
-def test_xor_matches_bytewise_reference(seeded):
-    rng = seeded(0x0C0)
-    for n in (0, 1, 32, 168, 3360, 3528):
-        a, b = rng.randbytes(n), rng.randbytes(n)
-        assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
-    # leading zero bytes survive the integer round trip
-    assert _xor(b"\x00\x01", b"\x00\x03") == b"\x00\x02"
+# --- the bytewise-XOR reference ---------------------------------------------
+
+
+def reference_encode_payload(p):
+    def pack_id(value):
+        raw = value.encode()
+        assert len(raw) <= 31
+        return struct.pack("<B", len(raw)) + raw + b"\x00" * (31 - len(raw))
+
+    return (
+        (p.next_node or b"\x00" * 32)
+        + pack_id(p.chain_id)
+        + pack_id(p.asset)
+        + struct.pack("<QI", p.amount_to_forward, p.expiry_delta)
+        + struct.pack(
+            "<QQQI", p.echo.rate_num, p.echo.rate_den, p.echo.base_fee, p.echo.fee_ppm
+        )
+    )
+
+
+def reference_decode_payload(data):
+    def unpack_id(raw):
+        if raw[0] > 31:
+            raise InvalidPacket("corrupt identifier length")
+        return raw[1 : 1 + raw[0]].decode()
+
+    nxt = data[0:32]
+    amount, expiry = struct.unpack("<QI", data[96:108])
+    return HopPayload(
+        None if nxt == b"\x00" * 32 else nxt,
+        unpack_id(data[32:64]),
+        unpack_id(data[64:96]),
+        amount,
+        expiry,
+        QuoteEcho(*struct.unpack("<QQQI", data[108:136])),
+    )
+
+
+def reference_stream(key, n):
+    cipher = Cipher(algorithms.ChaCha20(key, b"\x00" * 16), mode=None)
+    return cipher.encryptor().update(b"\x00" * n)
+
+
+def reference_xor(a, b):
+    assert len(a) == len(b)
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def reference_onion_create(hop_pubkeys, session_rng, payloads):
+    """Materialise each hop's keystream and XOR it in byte by byte."""
+    count = len(hop_pubkeys)
+    session_key = session_rng.randbytes(32)
+    ephemerals, secrets = _hop_secrets(session_key, hop_pubkeys)
+    streams = [
+        reference_stream(
+            _kdf(b"rho", s), BLOB_SIZE + SLOT_SIZE if i + 1 < count else BLOB_SIZE
+        )
+        for i, s in enumerate(secrets)
+    ]
+    filler = b""
+    for stream in streams[:-1]:
+        filler += b"\x00" * SLOT_SIZE
+        filler = reference_xor(filler, stream[-len(filler) :])
+    blob = reference_stream(_kdf(b"pad", session_key), BLOB_SIZE)
+    tag = b"\x00" * 32
+    for i in reversed(range(count)):
+        slot = reference_encode_payload(payloads[i]) + tag
+        shifted = slot + blob[: BLOB_SIZE - SLOT_SIZE]
+        blob = reference_xor(shifted, streams[i][:BLOB_SIZE])
+        if i == count - 1 and filler:
+            blob = blob[: BLOB_SIZE - len(filler)] + filler
+        tag = hmac.new(_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
+    return OnionPacket(VERSION, ephemerals[0], blob, tag)
+
+
+def reference_onion_peel(packet, node_key):
+    if isinstance(packet, (bytes, bytearray)):
+        packet = OnionPacket.parse(bytes(packet))
+    if packet.version != VERSION:
+        raise InvalidPacket("unknown version")
+    try:
+        secret = node_key.exchange(packet.ephemeral)
+    except ValueError as e:
+        raise InvalidPacket(str(e)) from None
+    want = hmac.new(_kdf(b"mu", secret), packet.blob, hashlib.sha256).digest()
+    if not hmac.compare_digest(want, packet.tag):
+        raise HmacFailure("packet authentication failed")
+    stream = reference_stream(_kdf(b"rho", secret), BLOB_SIZE + SLOT_SIZE)
+    clear = reference_xor(packet.blob + b"\x00" * SLOT_SIZE, stream)
+    payload = reference_decode_payload(clear[:PAYLOAD_SIZE])
+    next_tag = clear[PAYLOAD_SIZE:SLOT_SIZE]
+    if next_tag == b"\x00" * 32:
+        return payload, None
+    blind = hashlib.sha256(packet.ephemeral + secret).digest()
+    return payload, OnionPacket(
+        VERSION, _mul(blind, packet.ephemeral), clear[SLOT_SIZE:], next_tag
+    )
+
+
+@pytest.mark.parametrize("seed", [0xB17E, 0xB17F, 0xB180])
+def test_onion_matches_bytewise_reference(seed):
+    """Byte-equal packets at every hop for 1..20 hops."""
+    rng = random.Random(seed)
+    for hops in range(1, 21):
+        keys = [NodeKey.generate(rng) for _ in range(hops)]
+        payloads = [
+            random_payload(rng, keys[i + 1].pubkey if i + 1 < hops else None)
+            for i in range(hops)
+        ]
+        state = rng.getstate()
+        packet = onion_create([k.pubkey for k in keys], rng, payloads)
+        rng.setstate(state)
+        assert packet == reference_onion_create([k.pubkey for k in keys], rng, payloads)
+        for key, payload in zip(keys, payloads):
+            peeled = onion_peel(packet, key)
+            assert peeled == reference_onion_peel(packet, key)
+            assert peeled[0] == payload
+            packet = peeled[1]
+        assert packet is None
+
+
+def assert_fails_as_reference(wire, key):
+    with pytest.raises(OnionError) as got:
+        onion_peel(wire, key)
+    with pytest.raises(OnionError) as want:
+        reference_onion_peel(wire, key)
+    assert type(got.value) is type(want.value)
+    return type(got.value)
+
+
+def test_tampered_and_misdelivered_packets_fail_as_the_reference_does(seeded):
+    rng = seeded(0x7A3)
+    keys = [NodeKey.generate(rng) for _ in range(4)]
+    wire = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys)).serialize()
+    for key in (*keys[1:], NodeKey.generate(rng)):
+        assert assert_fails_as_reference(wire, key) is HmacFailure
+    assert assert_fails_as_reference(b"\x01" + wire[1:], keys[0]) is InvalidPacket
+    # A low-order ephemeral fails the exchange itself.
+    zero_ephemeral = wire[:1] + bytes(32) + wire[33:]
+    assert assert_fails_as_reference(zero_ephemeral, keys[0]) is InvalidPacket
+    for _ in range(300):
+        mangled = bytearray(wire)
+        mangled[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
+        assert_fails_as_reference(bytes(mangled), keys[0])
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3, 20])
+def test_chacha20_contexts_per_create_and_peel(monkeypatch, hops, seeded):
+    """A create makes 2h ChaCha20 contexts (the module docstring's count)
+    and every peel makes one."""
+    rng = seeded(0xC7 + hops)
+    keys = [NodeKey.generate(rng) for _ in range(hops)]
+    contexts = 0
+
+    def counted_cipher(*args, **kwargs):
+        nonlocal contexts
+        contexts += 1
+        return Cipher(*args, **kwargs)
+
+    monkeypatch.setattr(onion_mod, "Cipher", counted_cipher)
+    payloads = flat_payloads(keys)
+    packet = onion_create([k.pubkey for k in keys], rng, payloads)
+    assert contexts == 2 * hops
+    for key, payload in zip(keys, payloads):
+        contexts = 0
+        got, packet = onion_peel(packet, key)
+        assert (got, contexts) == (payload, 1)
+    assert packet is None
 
 
 # --- key schedule ------------------------------------------------------------
@@ -258,7 +460,7 @@ def reference_schedule(session_key, hop_pubkeys):
     running-scalar schedule. Each ephemeral after the first is the one
     before it blinded as a forwarding hop blinds it."""
     session = X25519PrivateKey.from_private_bytes(session_key)
-    alpha = onion_mod._raw_public(session)
+    alpha = session.public_key().public_bytes_raw()
     secrets = reference_hop_secrets(session, alpha, hop_pubkeys)
     ephemerals = [alpha]
     for s in secrets[:-1]:
