@@ -9,7 +9,8 @@ so a scenario plus its seed pins the entire run.
 Actors follow the protocol honestly unless a fault says otherwise:
 
 - crash:             offline for a window; events that need the actor wait
-                     for recovery, and it rescans chains when it returns.
+                     for recovery. It still learns every preimage a claim
+                     reveals on chain, and acts on it once back.
 - refuse-forward:    declines to forward payments during the window (fails
                      them back cooperatively).
 - stall-secret:      refuses every cooperative channel update during the
@@ -31,10 +32,12 @@ Every channel transaction goes on chain through `_broadcast`, and what is
 spent is read from the ledger alone. A close or breach that meets a close in
 flight (its funding outpoint no longer spendable) or that the chain refuses
 is a no-op. `pending_txs` maps the txid of each broadcast still in the
-mempool to its broadcaster, its fee and the handler its broadcast named; the
-block that confirms it credits the fee and runs that handler (an HTLC claim
-reveals its preimage, a claim or refund ends its hop, a justice transaction
-ends every hop of its channel).
+mempool to its broadcaster, its fee, its channel and the `respond` spend it
+carries, if any. The block that confirms it credits the fee and passes the
+spend to `_spent_on_chain`, the one path from a confirmed spend to its hops:
+a claim makes its preimage public to every actor in that block and settles
+its hop, a refund ends its hop, and a justice transaction ends every hop of
+its channel.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..chainlab import (
     ChainParams,
@@ -95,6 +98,10 @@ CLOSED_ON_CHAIN = (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
 # The metric a broadcast of each kind of `respond` spend notes.
 SPEND_METRICS = {"close": "urgent_closes", "justice": "justice_txs", "sweep": "",
                  "claim": "onchain_claims", "refund": "onchain_refunds"}
+# How a confirmed spend of each kind ends the hops it spends: (outcome,
+# reason); a refund's reason is its payment's fail reason, else "expired".
+HOP_ENDS = {"claim": ("claimed", "claimed-on-chain"), "refund": ("refunded", ""),
+            "justice": ("justice", "breach-punished")}
 
 
 def derived_rng(seed: int, *parts) -> random.Random:
@@ -113,7 +120,6 @@ class ActorState:
     wallet: dict[str, KeyPair] = field(default_factory=dict)  # chain -> key
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     invoices: dict[bytes, Invoice] = field(default_factory=dict)
-    scan: int = 0  # how many of Engine.revealed it has learned
     initial: dict[str, int] = field(default_factory=dict)  # asset -> genesis coins
     settled_in: dict[str, int] = field(default_factory=dict)
     settled_out: dict[str, int] = field(default_factory=dict)
@@ -180,19 +186,14 @@ class Engine:
         self.violations: list[str] = []
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
-        # txid -> (broadcaster, fee, handler or None, handler args)
-        self.pending_txs: dict[bytes, tuple[str, int, Optional[Callable], tuple]] = {}
-        # public on-chain preimage revelations of every chain, in
-        # confirmation order: [(hash, preimage)]
-        self.revealed: list[tuple[bytes, bytes]] = []
+        # txid -> (broadcaster, fee, channel index, `respond` spend or None)
+        self.pending_txs: dict[bytes, tuple[str, int, int, Optional[Spend]]] = {}
         self.gossip_converged_tick = -1
         # advert ids -> (the adverts, their ChannelGraph); filled by _graph
         self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
-        # Housekeeping indexes (see _housekeeping), besides `live`: the
-        # channels closed on-chain and not yet settled, and the actors with
-        # revelations they have not read.
+        # Besides `live`, the housekeeping index (see _housekeeping): the
+        # channels closed on-chain and not yet settled.
         self.closed: set[int] = set()
-        self.unread: set[str] = set()
         self._build_world()
 
     # --- construction -------------------------------------------------------
@@ -372,11 +373,12 @@ class Engine:
         return {cid: self.ledgers[cid].height for cid in self.ledgers}
 
     def _broadcast(self, rt: ChanRt, actor: str, build, *args, note: str = "",
-                   then: Optional[Callable] = None, then_args: tuple = ()) -> bool:
+                   spend: Optional[Spend] = None) -> bool:
         """`actor` puts a transaction of channel `rt` on chain: `build(*args)`
-        builds it and submits it to the ledger, and the block that confirms
-        it runs `then(*then_args)`. Returns False, noting and tracking
-        nothing, when the channel or the ledger refuses it."""
+        builds it and submits it to the ledger. The block that confirms it
+        hands `spend`, the `respond` spend it is, to `_spent_on_chain`.
+        Returns False, noting and tracking nothing, when the channel or the
+        ledger refuses it."""
         try:
             tx = build(*args)
         except (ChannelError, TxRejected, ValueError):
@@ -386,7 +388,7 @@ class Engine:
         led = self.ledgers[rt.chain_id]
         fee = sum(led.utxo(i.outpoint).amount for i in tx.inputs)
         fee -= sum(o.amount for o in tx.outputs)
-        self.pending_txs[txid(tx)] = (actor, fee, then, then_args)
+        self.pending_txs[txid(tx)] = (actor, fee, rt.idx, spend)
         return True
 
     def _finish(self, p: PayRt, status: str, reason: str) -> None:
@@ -442,19 +444,22 @@ class Engine:
     def _outstanding(self) -> bool:
         """Whether an event, a transaction, a channel or a payment may still
         act. A cooperative close stays in `pending_txs` until the block that
-        settles it, a channel closed on-chain and not settled is in `closed`,
-        and an open channel's HTLCs are the unresolved hops of `live`."""
+        settles it, and a channel closed on-chain and not settled is in
+        `closed`."""
         if self.queue or self.pending_txs or self.closed:
             return True
         # a pending payment without hops still has its payment-start queued
-        for p in self.live.values():
-            if p.status == "pending" or any(
-                not h.resolved and h.chan.channel.phase is ChannelPhase.OPEN for h in p.hops
-            ):
-                return True
-        if self.gossip_converged_tick < 0 and self.tick < 3 * len(self.sc.actors) + 3:
+        if any(p.status == "pending" for p in self.live.values()):
             return True
-        return False
+        if next(self._open_htlcs(), None) is not None:
+            return True
+        return self.gossip_converged_tick < 0 and self.tick < 3 * len(self.sc.actors) + 3
+
+    def _open_htlcs(self) -> Iterator[HopLive]:
+        """The HTLCs the open channels hold: the unresolved hops of `live`
+        whose channel is OPEN."""
+        return (h for p in self.live.values() for h in p.hops
+                if not h.resolved and h.chan.channel.phase is ChannelPhase.OPEN)
 
     # --- gossip ----------------------------------------------------------------
 
@@ -552,39 +557,37 @@ class Engine:
                 if tx_id in self.pending_txs:
                     self._confirmed(cid, *self.pending_txs.pop(tx_id))
 
-    def _confirmed(self, cid: str, name: str, fee: int, then, args: tuple) -> None:
-        """Credit a broadcast confirmed on `cid` its fee; run its handler."""
+    def _confirmed(self, cid: str, name: str, fee: int, chan_idx: int,
+                   spend: Optional[Spend]) -> None:
+        """Credit a broadcast confirmed on `cid` its fee; end the hops its
+        spend ends."""
         if fee:
             actor = self.actors[name]
             actor.bump(actor.fees, self.chain_assets[cid], fee)
-        if then is not None:
-            then(*args)
+        if spend is not None:
+            self._spent_on_chain(chan_idx, spend)
 
-    def _live_hops(self, chan_idx: int) -> list[tuple[int, PayRt, int]]:
-        """(HTLC id, payment, hop index) of each unresolved hop on channel
-        `chan_idx`, in HTLC-id order."""
-        found = [(h.htlc_id, p, i) for p in self.live.values() for i, h in enumerate(p.hops)
-                 if h.chan.idx == chan_idx and not h.resolved]
-        return sorted(found, key=lambda f: f[0])
+    def _spent_on_chain(self, chan_idx: int, spend: Spend) -> None:
+        """A `respond` spend on channel `chan_idx` confirmed. A claim makes
+        its preimage public and settles the hop of its HTLC, a refund ends
+        that hop, and justice ends every unresolved hop of the channel (see
+        HOP_ENDS). A close or a sweep ends none. An HTLC id names at most one
+        hop, and the order in which justice ends hops moves no counter."""
+        if spend.kind not in HOP_ENDS:
+            return
+        outcome, reason = HOP_ENDS[spend.kind]
+        if spend.kind == "claim":
+            self._reveal(spend.htlc.payment_hash, spend.args[2])
+        for p in self.live.values():
+            for i, hop in enumerate(p.hops):
+                if (not hop.resolved and hop.chan.idx == chan_idx
+                        and (spend.htlc is None or hop.htlc_id == spend.htlc.htlc_id)):
+                    self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
 
-    def _claimed(self, chan_idx: int, spend: Spend) -> None:
-        """An HTLC claim confirmed: its preimage is public, its hop settled."""
-        _, htlc_id, preimage = spend.args
-        self.revealed.append((spend.htlc.payment_hash, preimage))
-        self.unread.update(self.actors)
-        for hid, p, i in self._live_hops(chan_idx):
-            if hid == htlc_id:
-                self._resolve_hop(p, i, "claimed", "claimed-on-chain")
-
-    def _refunded(self, chan_idx: int, spend: Spend) -> None:
-        for hid, p, i in self._live_hops(chan_idx):
-            if hid == spend.htlc.htlc_id:
-                self._resolve_hop(p, i, "refunded", p.fail_reason or "expired")
-
-    def _punished(self, chan_idx: int, spend: Spend) -> None:
-        """A justice transaction took the channel's HTLC outputs: its hops end."""
-        for _, p, i in self._live_hops(chan_idx):
-            self._resolve_hop(p, i, "justice", "breach-punished")
+    def _reveal(self, payment_hash: bytes, preimage: bytes) -> None:
+        """A preimage claimed on chain is public: every actor knows it."""
+        for actor in self.actors.values():
+            actor.secrets.setdefault(payment_hash, preimage)
 
     # --- event handlers -----------------------------------------------------------
 
@@ -704,10 +707,9 @@ class Engine:
         height = self.ledgers[in_chain].height
 
         if payload.next_node is None:
-            htlc = hop.chan.channel.htlc(hop.htlc_id)
-            invoice = recv.invoices.get(htlc.payment_hash)
-            secret = recv.secrets.get(htlc.payment_hash)
-            if invoice is None or secret is None:
+            # the recipient holds the preimage of each invoice it made
+            invoice = recv.invoices.get(hop.chan.channel.htlc(hop.htlc_id).payment_hash)
+            if invoice is None:
                 self._start_fail(p, i, "unknown-payment")
                 return
             try:
@@ -715,8 +717,7 @@ class Engine:
             except ForwardRejected as exc:
                 self._start_fail(p, i, exc.reason)
                 return
-            hop.scheduled = True
-            self._schedule(self.tick + 1, self._ev_settle_hop, pidx, i)
+            self._queue_hop(p, i, self._ev_settle_hop, self.tick + 1)
             return
 
         # forward
@@ -774,10 +775,14 @@ class Engine:
         self._schedule(self.tick + 1, self._ev_hop_offer, p.idx, i, packet)
         return None
 
+    def _queue_hop(self, p: PayRt, i: int, handler: Callable, tick: int) -> None:
+        """Queue hop i's off-chain settle or fail, `handler`, for `tick`."""
+        p.hops[i].scheduled = True
+        self._schedule(tick, handler, p.idx, i)
+
     def _start_fail(self, p: PayRt, i: int, reason: str) -> None:
         p.fail_reason = p.fail_reason or reason
-        p.hops[i].scheduled = True
-        self._schedule(self.tick + 1, self._ev_fail_hop, p.idx, i)
+        self._queue_hop(p, i, self._ev_fail_hop, self.tick + 1)
 
     def _ev_settle_hop(self, pidx: int, i: int) -> None:
         p = self.payments[pidx]
@@ -790,8 +795,7 @@ class Engine:
         gate = self._settle_gate(hop.receiver, hop.offerer)
         if gate is not None:
             if gate >= 0:
-                hop.scheduled = True
-                self._schedule(gate, self._ev_settle_hop, pidx, i)
+                self._queue_hop(p, i, self._ev_settle_hop, gate)
             return
         # Whoever schedules a settle knows the preimage, and an unresolved
         # hop on an open channel is an HTLC of that channel.
@@ -813,8 +817,7 @@ class Engine:
             return
         gate = self._gate(hop.receiver, hop.offerer)
         if gate is not None:
-            hop.scheduled = True
-            self._schedule(gate, self._ev_fail_hop, pidx, i)
+            self._queue_hop(p, i, self._ev_fail_hop, gate)
             return
         try:
             hop.chan.channel.fail_htlc(hop.htlc_id)
@@ -870,37 +873,24 @@ class Engine:
     # --- per-tick housekeeping -----------------------------------------------------
 
     def _housekeeping(self) -> None:
-        """Learn revealed preimages, cascade hop resolutions and go on chain.
+        """Cascade hop resolutions and go on chain.
 
         Each step keeps the rule of a scan over every actor and channel,
-        but visits only what an index says may act:
+        but visits only what an index says may act. Both act only for online
+        actors, which already know every preimage claimed on chain so far
+        (`_reveal` runs in the block that confirms a claim):
 
-        - `_learn_from_chains` reads `unread`, the actors with revelations
-          they have not read, and each reads on in `revealed`, the one list
-          of every chain's revelations in confirmation order, from its own
-          `scan` count; for any other actor the scan learns nothing.
         - `_cascade` reads `live`, the payments with an HTLC out.
         - `_on_chain` visits the channels where `respond` may name a spend:
           those in `closed`, kept by `_mine` after each `process_block`,
           the only place a channel is closed on-chain or settled, and the
-          open channels holding an unresolved hop of `live` (their HTLCs)
-          whose expiry is within URGENT_BLOCKS of its chain's height. On
-          any other channel `respond` names nothing. Spends on different
-          channels spend different outputs, so their order is free.
+          channels of `_open_htlcs` whose expiry is within URGENT_BLOCKS of
+          its chain's height. On any other channel `respond` names nothing.
+          Spends on different channels spend different outputs, so their
+          order is free.
         """
-        self._learn_from_chains()
         self._cascade()
         self._on_chain()
-
-    def _learn_from_chains(self) -> None:
-        for name in sorted(self.unread):
-            actor = self.actors[name]
-            if not self._online(name):
-                continue
-            for payment_hash, preimage in self.revealed[actor.scan:]:
-                actor.secrets.setdefault(payment_hash, preimage)
-            actor.scan = len(self.revealed)
-            self.unread.discard(name)
 
     def _cascade(self) -> None:
         """Propagate hop resolutions upstream, whatever mix of cooperative
@@ -916,26 +906,17 @@ class Engine:
                     continue
                 if not self._online(hop.receiver):
                     continue
-                recv = self.actors[hop.receiver]
-                if down.resolved in ("fulfilled", "claimed"):
-                    if p.invoice.payment_hash in recv.secrets:
-                        hop.scheduled = True
-                        self._schedule(self.tick + 1, self._ev_settle_hop, p.idx, i)
-                else:
-                    p.fail_reason = p.fail_reason or "downstream-" + down.resolved
-                    hop.scheduled = True
-                    self._schedule(self.tick + 1, self._ev_fail_hop, p.idx, i)
+                if down.resolved not in ("fulfilled", "claimed"):
+                    self._start_fail(p, i, "downstream-" + down.resolved)
+                elif p.invoice.payment_hash in self.actors[hop.receiver].secrets:
+                    self._queue_hop(p, i, self._ev_settle_hop, self.tick + 1)
 
     def _on_chain(self) -> None:
         """Each online party of each due channel (see `_housekeeping`), in
         channel-index order and then name order, makes its spends there."""
         due = self.closed | {
-            h.chan.idx
-            for p in self.live.values()
-            for h in p.hops
-            if not h.resolved
-            and h.chan.channel.phase is ChannelPhase.OPEN
-            and h.expiry <= self.ledgers[h.chan.chain_id].height + URGENT_BLOCKS
+            h.chan.idx for h in self._open_htlcs()
+            if h.expiry <= self.ledgers[h.chan.chain_id].height + URGENT_BLOCKS
         }
         for idx in sorted(due):
             rt = self.channels[idx]
@@ -947,15 +928,12 @@ class Engine:
         """`name` broadcasts the spends `respond` names on channel `rt`,
         except that it withholds each HTLC claim while it stalls, one
         `stall-secret` hit per claim withheld."""
-        handlers = {"justice": self._punished, "claim": self._claimed, "refund": self._refunded}
         for spend in respond(rt.channel, rt.parties[name], self.actors[name].secrets):
             if spend.kind == "claim" and self._active(name, "stall-secret"):
                 self._hit_faults(name, "stall-secret")
                 continue
-            self._broadcast(
-                rt, name, spend.build, *spend.args, note=SPEND_METRICS[spend.kind],
-                then=handlers.get(spend.kind), then_args=(rt.idx, spend),
-            )
+            self._broadcast(rt, name, spend.build, *spend.args,
+                            note=SPEND_METRICS[spend.kind], spend=spend)
 
     # --- invariants ------------------------------------------------------------------
 

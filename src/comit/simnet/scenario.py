@@ -315,6 +315,15 @@ def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> Optional
     return ChainSpec(chain_id, asset, tuple(fns), interval, tx_fee, tuple(genesis))
 
 
+def _channel_index(obj: dict, where: str, channels: list, d: _Diags) -> Optional[int]:
+    """The entry's `channel`: an integer >= 0 naming one of `channels`."""
+    chan = _get_int(obj, "channel", where, d, lo=0)
+    if chan is not None and chan >= len(channels):
+        d.unknown(f"{where}.channel", f"no channel with index {chan}")
+        return None
+    return chan
+
+
 def _parse_actor(where: str, obj: dict, d: _Diags) -> Optional[ActorSpec]:
     name = _get_str(obj, "name", where, d)
     kind = _get_str(obj, "kind", where, d)
@@ -478,14 +487,14 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         recipient = _get_str(obj, "recipient", where, d)
         amount = _get_int(obj, "amount", where, d, lo=1)
         asset = _get_str(obj, "asset", where, d)
+        ok = None not in (at_tick, sender, recipient, amount, asset)
         fn: Optional[HashFnId] = None
         if "hash_fn" in obj and obj["hash_fn"] is not None:
             try:
                 fn = HashFnId.from_name(obj["hash_fn"])
             except ValueError:
                 d.unknown(f"{where}.hash_fn", f"unknown hash function {obj['hash_fn']!r}")
-                continue
-        ok = None not in (at_tick, sender, recipient, amount, asset)
+                ok = False
         for field_name, actor in (("sender", sender), ("recipient", recipient)):
             if actor is not None and actor not in actor_names:
                 d.unknown(f"{where}.{field_name}", f"no actor named {actor!r}")
@@ -513,48 +522,41 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         actor = _get_str(obj, "actor", where, d)
         breach = kind == "broadcast-revoked"
         at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick if breach else None)
-        if kind is not None and kind not in FAULT_KINDS:
-            d.unknown(f"{where}.kind", f"unknown fault kind {kind!r}")
-            continue
+        ok = None not in (kind, actor, at_tick)
         if actor is not None and actor not in actor_names:
             d.unknown(f"{where}.actor", f"no actor named {actor!r}")
+            ok = False
+        if kind not in FAULT_KINDS:  # its kind-specific fields are unknown
+            if kind is not None:
+                d.unknown(f"{where}.kind", f"unknown fault kind {kind!r}")
             continue
-        if None in (kind, actor, at_tick):
-            continue
+        start = at_tick or 0  # a bad at_tick is reported; check the rest anyway
         duration = 0
         until = FAR_FUTURE
         chan: Optional[int] = None
         if kind == "crash":
             duration = _get_int(obj, "duration", where, d, lo=1)
-            if duration is None:
-                continue
-            until = at_tick + duration
+            until = None if duration is None else start + duration
         elif kind in WINDOW_FAULTS:
-            until = _get_int(obj, "until_tick", where, d, default=FAR_FUTURE, lo=at_tick + 1)
-            if until is None:
-                continue
+            until = _get_int(obj, "until_tick", where, d, default=FAR_FUTURE, lo=start + 1)
         elif kind == "broadcast-revoked":
-            until = at_tick + 1
+            until = start + 1
             if "channel" in obj and obj["channel"] is not None:
-                chan = _get_int(obj, "channel", where, d, lo=0, hi=len(channels) - 1)
+                chan = _channel_index(obj, where, channels, d)
                 if chan is None:
-                    continue
-                spec = channels[chan]
-                if actor not in (spec.party_a, spec.party_b):
+                    ok = False
+                elif ok and actor not in (channels[chan].party_a, channels[chan].party_b):
                     d.constraint(f"{where}.channel", f"{actor!r} is not a party of channel {chan}")
-                    continue
-        faults.append(FaultSpec(kind, actor, at_tick, until, duration, chan))
+                    ok = False
+        if ok and until is not None:
+            faults.append(FaultSpec(kind, actor, at_tick, until, duration, chan))
 
     closes: list[CloseSpec] = []
     for where, obj in _entries(doc, "closes", d):
         at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
-        chan = _get_int(obj, "channel", where, d, lo=0, hi=max(len(channels) - 1, 0))
-        if None in (at_tick, chan):
-            continue
-        if chan >= len(channels):
-            d.unknown(f"{where}.channel", f"no channel with index {chan}")
-            continue
-        closes.append(CloseSpec(at_tick, chan))
+        chan = _channel_index(obj, where, channels, d)
+        if None not in (at_tick, chan):
+            closes.append(CloseSpec(at_tick, chan))
 
     if d.errors:
         return None, d.errors

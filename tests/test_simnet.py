@@ -157,6 +157,40 @@ def test_validate_unknown_references():
         e.startswith(("parse-error:", "unknown-reference:", "constraint-violation:"))
         for e in errors
     )
+    # Every problem of one payment or fault entry is reported, not the first.
+    doc = minimal_doc()
+    doc["payments"][0].update(hash_fn="md5", sender="zz")
+    assert validate_scenario(doc) == (None, [
+        "unknown-reference: payments[0].hash_fn: unknown hash function 'md5'",
+        "unknown-reference: payments[0].sender: no actor named 'zz'",
+    ])
+    doc = minimal_doc()
+    doc["faults"] = [{"kind": "crash", "actor": "zz", "at_tick": 1, "duration": 0}]
+    assert validate_scenario(doc) == (None, [
+        "unknown-reference: faults[0].actor: no actor named 'zz'",
+        "constraint-violation: faults[0].duration: must be >= 1, got 0",
+    ])
+
+
+def test_validate_channel_index_in_closes_and_faults():
+    """A close and a broadcast-revoked fault read their channel index by
+    one rule: an integer >= 0 that names a channel of the document."""
+    for channels, index, want in (
+        (0, 0, "unknown-reference: {}.channel: no channel with index 0"),
+        (2, 2, "unknown-reference: {}.channel: no channel with index 2"),
+        (2, 5, "unknown-reference: {}.channel: no channel with index 5"),
+        (2, -1, "constraint-violation: {}.channel: must be >= 0, got -1"),
+    ):
+        doc = forward_doc()
+        doc["channels"] = doc["channels"][:channels]
+        doc["payments"] = []
+        doc["faults"] = [{"kind": "broadcast-revoked", "actor": "lp", "at_tick": 1,
+                          "channel": index}]
+        doc["closes"] = [{"at_tick": 3, "channel": index}]
+        assert validate_scenario(doc) == (None, [want.format("faults[0]"),
+                                                 want.format("closes[0]")])
+    doc["faults"][0]["channel"] = doc["closes"][0]["channel"] = 1
+    assert validate_scenario(doc)[1] == []
 
 
 def test_validate_constraint_violations():
@@ -599,6 +633,22 @@ def test_crashed_forwarder_gets_the_requeued_hop_offer():
     assert pay["resolved_tick"] > clean["resolved_tick"]
     assert report["faults"][0]["applied"] >= 1
     assert report["violations"] == []
+    # A block every tick, and lp goes down at tick 7, right after it
+    # forwards. beth's settle waits for lp, so beth force-closes and claims
+    # on chain (confirmed at tick 13) while lp is down. Back at tick 15, lp
+    # settles with ann off-chain; back at tick 16, ann has just force-closed
+    # on lp's urgent HTLC, and lp claims it on chain too.
+    del doc["chains"][0]["block_interval"]
+    for duration, reason, resolved, on_chain in ((8, "fulfilled", 16, 1),
+                                                  (9, "claimed-on-chain", 18, 2)):
+        doc["faults"] = [{"kind": "crash", "actor": "lp", "at_tick": 7, "duration": duration}]
+        report = run_doc(doc)
+        pay = report["payments"][0]
+        assert (pay["status"], pay["reason"], pay["resolved_tick"]) == ("settled", reason, resolved)
+        metrics = report["metrics"]
+        assert metrics["crash_requeues"] == 1
+        assert metrics["onchain_claims"] == metrics["urgent_closes"] == on_chain
+        assert report["violations"] == []
 
 
 def test_broadcast_revoked_without_gain_is_a_noop():
@@ -984,8 +1034,10 @@ def test_star_routing_work_does_not_grow_with_users(monkeypatch):
 
 class ScanningEngine(engine_mod.Engine):
     """The engine with its per-tick steps scanning every actor, channel and
-    fault: the oracle the indexed steps must match byte for byte. Only what
-    is visited differs; what a visit does is the engine's own code."""
+    fault, and with actors learning on-chain preimages only while online:
+    the oracle the indexed steps must match byte for byte. Only what is
+    visited and when a preimage is learned differ; what a visit does is the
+    engine's own code."""
 
     def _active(self, name, kind, tick=None):
         t = self.tick if tick is None else tick
@@ -1023,14 +1075,25 @@ class ScanningEngine(engine_mod.Engine):
             return True
         return False
 
-    def _learn_from_chains(self):
+    # The earlier learning rule: a claim's preimage goes into one log, and
+    # each actor reads the log on past its own cursor at each tick's
+    # housekeeping while it is online. The engine's rule, every actor knows
+    # it in the block that confirms the claim, must give the same bytes.
+
+    def __init__(self, scenario):
+        self.revealed, self.read = [], {}
+        super().__init__(scenario)
+
+    def _reveal(self, payment_hash, preimage):
+        self.revealed.append((payment_hash, preimage))
+
+    def _housekeeping(self):
         for name in sorted(self.actors):
-            actor = self.actors[name]
-            if not self._online(name):
-                continue
-            for payment_hash, preimage in self.revealed[actor.scan:]:
-                actor.secrets.setdefault(payment_hash, preimage)
-            actor.scan = len(self.revealed)
+            if self._online(name):
+                for payment_hash, preimage in self.revealed[self.read.get(name, 0):]:
+                    self.actors[name].secrets.setdefault(payment_hash, preimage)
+                self.read[name] = len(self.revealed)
+        super()._housekeeping()
 
     def _gossip_round(self):
         for rt in self.channels:
