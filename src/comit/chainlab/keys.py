@@ -26,7 +26,7 @@ def _derive_pubkey(secret: bytes) -> bytes:
     return hashlib.sha256(_KEY_TAG + secret).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     secret: bytes
     pubkey: bytes
@@ -51,7 +51,7 @@ class KeyPair:
         return Signature(pubkey=self.pubkey, mac=mac)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     pubkey: bytes
     mac: bytes

@@ -28,7 +28,7 @@ from .script import Outcome, PayToKey, Script, ScriptContext, evaluate
 from .tx import MAX_AMOUNT, Outpoint, Transaction, txid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainParams:
     chain_id: str
     asset_id: str
@@ -65,14 +65,14 @@ class TxRejected(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utxo:
     amount: int
     script: Script
     confirmation_height: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockSummary:
     height: int
     txids: tuple[bytes, ...]

@@ -33,12 +33,12 @@ from .hashes import DIGEST_SIZE, HashFnId, WIRE_IDS, hash_digest
 from .keys import Signature, verify_mac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayToKey:
     pubkey: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multisig2of2:
     pubkey_a: bytes
     pubkey_b: bytes
@@ -48,7 +48,7 @@ class Multisig2of2:
             raise ValueError("multisig pubkeys must be distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HashLock:
     hash_fn: HashFnId
     hash: bytes
@@ -59,7 +59,7 @@ class HashLock:
             raise ValueError("hash must be 32 bytes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeLockAbs:
     unlock_height: int
     pubkey: bytes
@@ -69,7 +69,7 @@ class TimeLockAbs:
             raise ValueError("unlock_height must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeLockRel:
     delta_blocks: int
     pubkey: bytes
@@ -79,7 +79,7 @@ class TimeLockRel:
             raise ValueError("delta_blocks must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HtlcScript:
     hash_fn: HashFnId
     hash: bytes
@@ -94,7 +94,7 @@ class HtlcScript:
             raise ValueError("refund_height must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     branch_a: "Script"
     branch_b: "Script"
@@ -109,7 +109,7 @@ class Or:
 Script = Union[PayToKey, Multisig2of2, HashLock, TimeLockAbs, TimeLockRel, HtlcScript, Or]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """Spending data for one input.
 
@@ -122,7 +122,7 @@ class Witness:
     branch_selector: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptContext:
     """Chain state the interpreter may consult.
 

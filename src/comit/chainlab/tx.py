@@ -18,7 +18,7 @@ from .script import Script, Witness, script_bytes
 MAX_AMOUNT = 2**64 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outpoint:
     txid: bytes
     index: int
@@ -33,7 +33,7 @@ class Outpoint:
         return f"{self.txid.hex()[:16]}:{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOut:
     amount: int
     script: Script
@@ -43,13 +43,13 @@ class TxOut:
             raise ValueError("amount out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxIn:
     outpoint: Outpoint
     witness: Witness = field(default_factory=Witness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     inputs: tuple[TxIn, ...]
     outputs: tuple[TxOut, ...]

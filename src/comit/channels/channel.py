@@ -20,9 +20,10 @@ The per-state invalidation key is HMAC(party revocation seed, n); its hash
 goes into the revocation branches of that party's commitment n. Keys for
 the current state are never revealed, and every key below it is.
 
-A Channel retains the current state, the history of signed states (the
-balances and HTLCs of each n, which breach handling needs) and the one
-close transaction it has put in flight. It keeps no record of what is spent:
+A Channel retains the current state, the history of signed states
+(`_state_history`, a list indexed by commitment number: the balances and
+HTLCs of each n, which breach handling needs) and the one close
+transaction it has put in flight. It keeps no record of what is spent:
 it reads that from its ledger, so process_block must see each block right
 after it is mined. A transaction is built and signed only when it is
 broadcast: signing is a deterministic HMAC and the ledger checks signatures
@@ -114,7 +115,7 @@ class ChannelPhase(Enum):
     SETTLED = "settled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelParty:
     keypair: KeyPair
     revocation_seed: bytes
@@ -132,7 +133,7 @@ class ChannelParty:
         return cls(KeyPair.generate(rng), rng.randbytes(32))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Htlc:
     htlc_id: int
     offerer_side: str  # "a" or "b"
@@ -150,7 +151,7 @@ class Htlc:
             raise ValueError("htlc amount and expiry must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitmentState:
     commitment_number: int
     balance_a: int
@@ -158,7 +159,7 @@ class CommitmentState:
     htlcs: tuple[Htlc, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedOutput:
     outpoint: Outpoint
     amount: int
@@ -282,7 +283,8 @@ class Channel:
         self.state = CommitmentState(0, initial_balance_a, initial_balance_b, ())
         self._htlc_seq = 0
         self._pending_state: Optional[CommitmentState] = None
-        self._state_history: dict[int, CommitmentState] = {}
+        # every recorded state, indexed by its commitment number
+        self._state_history: list[CommitmentState] = []
         # (txid, broadcaster side, commitment number, its ClosedOutputs) of
         # the close tx in flight; the side is None for the cooperative close.
         self._closing: Optional[tuple[bytes, Optional[str], int, list[ClosedOutput]]] = None
@@ -335,7 +337,7 @@ class Channel:
 
         States below the current commitment number are revoked; broadcasting
         one of them is a breach the counterparty can punish."""
-        return dict(self._state_history)
+        return dict(enumerate(self._state_history))
 
     # --- revocation keys -------------------------------------------------------
 
@@ -393,14 +395,16 @@ class Channel:
         """Refuse `state` exactly when `_commitment` would for either side,
         then record it; nothing is built or signed. A commitment is empty
         only with no HTLCs and one balance at 0, when the fee takes all of
-        the other balance (which is then the capacity)."""
+        the other balance (which is then the capacity). Numbers advance by
+        one and an update is proposed once, so `state` is the next entry of
+        the history."""
         if (
             not state.htlcs
             and min(state.balance_a, state.balance_b) == 0
             and max(state.balance_a, state.balance_b) <= self.ledger.params.tx_fee
         ):
             raise ChannelError("commitment would have no outputs")
-        self._state_history[state.commitment_number] = state
+        self._state_history.append(state)
 
     # --- two-phase update ---------------------------------------------------
 
@@ -536,10 +540,9 @@ class Channel:
         how a cheat is staged; honest callers leave it at the latest."""
         side = self.side_of(party)
         n = self.state.commitment_number if commitment_number is None else commitment_number
-        state = self._state_history.get(n)
-        if state is None:
+        if not 0 <= n < len(self._state_history):
             raise ValueError(f"no commitment {n} for side {side}")
-        tx, outs = self._commitment(side, state)
+        tx, outs = self._commitment(side, self._state_history[n])
         self.ledger.submit_tx(tx)
         self._closing = (txid(tx), side, n, outs)
         return tx
@@ -677,7 +680,7 @@ class Channel:
 URGENT_BLOCKS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spend:
     """One transaction `respond` names: `build(*args)` builds and submits it."""
 

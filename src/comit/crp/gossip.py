@@ -24,7 +24,7 @@ from .identity import NodeKey, verify_node_mac
 from .quotes import RateQuote
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelEndpoint:
     chain_id: str
     peer: bytes  # node pubkey of the other side
@@ -37,7 +37,7 @@ class ChannelEndpoint:
             raise ValueError("capacity must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpAdvert:
     node_pubkey: bytes
     endpoints: tuple[ChannelEndpoint, ...]

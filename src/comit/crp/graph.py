@@ -79,7 +79,7 @@ class RouteTooLong(Exception):
 MAX_ROUTE_HOPS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: bytes
     dst: bytes
@@ -88,7 +88,7 @@ class Edge:
     capacity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopSpec:
     """One hop of a found route.
 
@@ -106,7 +106,7 @@ class HopSpec:
     quote: RateQuote
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     sender: bytes
     hops: tuple[HopSpec, ...]

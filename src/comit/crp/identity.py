@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 _NODE_KEYRING: dict[bytes, bytes] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeKey:
     seed: bytes
     pubkey: bytes = field(init=False)

@@ -101,7 +101,7 @@ class PayloadOverflow(OnionError):
     """A payload field does not fit its fixed slot."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuoteEcho:
     rate_num: int
     rate_den: int
@@ -116,7 +116,7 @@ class QuoteEcho:
         return self == QuoteEcho.of(quote)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopPayload:
     next_node: Optional[bytes]  # None on the terminal hop
     chain_id: str
@@ -126,7 +126,7 @@ class HopPayload:
     echo: QuoteEcho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnionPacket:
     version: int
     ephemeral: bytes

@@ -30,7 +30,7 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateQuote:
     asset_in: str
     asset_out: str

@@ -38,6 +38,12 @@ spend to `_spent_on_chain`, the one path from a confirmed spend to its hops:
 a claim makes its preimage public to every actor in that block and settles
 its hop, a refund ends its hop, and a justice transaction ends every hop of
 its channel.
+
+A payment retires once it is terminal and every hop of it is resolved:
+`_cascade` drops it from `live`, and it lets go of its `HopLive` records
+(keeping their count, which the report prints) and of its recipient's
+`invoices` entry. Nothing reads either again: a retired payment offers no
+hop, and a settle or fail still queued for one of its hops is a no-op.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ def derived_rng(seed: int, *parts) -> random.Random:
     return random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
 
 
-@dataclass
+@dataclass(slots=True)
 class ActorState:
     name: str
     kind: str
@@ -133,7 +139,7 @@ class ActorState:
         counter[asset] = counter.get(asset, 0) + amount
 
 
-@dataclass
+@dataclass(slots=True)
 class ChanRt:
     idx: int
     chain_id: str
@@ -147,7 +153,7 @@ class ChanRt:
         return self.names[0] if self.names[1] == name else self.names[1]
 
 
-@dataclass
+@dataclass(slots=True)
 class HopLive:
     chan: ChanRt
     htlc_id: int
@@ -159,8 +165,11 @@ class HopLive:
     scheduled: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PayRt:
+    """One payment's run. When it retires (terminal, every hop resolved),
+    `_retire` empties `hops`; `hop_count` keeps how many it offered."""
+
     idx: int
     spec: PaymentSpec
     status: str = "pending"
@@ -169,6 +178,7 @@ class PayRt:
     cost: int = 0
     invoice: Optional[Invoice] = None
     hops: list[HopLive] = field(default_factory=list)
+    hop_count: int = 0
     started_tick: int = -1
     resolved_tick: int = -1
 
@@ -293,7 +303,7 @@ class Engine:
 
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
         # The payments _cascade may still act on, by index. One enters with
-        # its first hop and leaves for good once it is terminal with every
+        # its first hop and retires for good once it is terminal with every
         # hop resolved: no hop is ever added to a payment that is not pending.
         # Only _offer adds an HTLC, and every fulfil or fail of one resolves
         # its hop at once, so the HTLCs of the open channels are exactly the
@@ -771,6 +781,7 @@ class Engine:
             chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
             offerer=offerer, receiver=receiver,
         ))
+        p.hop_count += 1
         self.live[p.idx] = p
         self._schedule(self.tick + 1, self._ev_hop_offer, p.idx, i, packet)
         return None
@@ -785,6 +796,8 @@ class Engine:
         self._queue_hop(p, i, self._ev_fail_hop, self.tick + 1)
 
     def _ev_settle_hop(self, pidx: int, i: int) -> None:
+        if pidx not in self.live:
+            return  # retired: every hop of it is resolved
         p = self.payments[pidx]
         hop = p.hops[i]
         hop.scheduled = False
@@ -808,6 +821,8 @@ class Engine:
         self._resolve_hop(p, i, "fulfilled", "fulfilled")
 
     def _ev_fail_hop(self, pidx: int, i: int) -> None:
+        if pidx not in self.live:
+            return  # retired: every hop of it is resolved
         p = self.payments[pidx]
         hop = p.hops[i]
         hop.scheduled = False
@@ -898,7 +913,7 @@ class Engine:
         for idx in sorted(self.live):
             p = self.live[idx]
             if p.status != "pending" and all(h.resolved for h in p.hops):
-                del self.live[idx]
+                self._retire(p)
                 continue
             for i in range(len(p.hops) - 1):
                 hop, down = p.hops[i], p.hops[i + 1]
@@ -910,6 +925,13 @@ class Engine:
                     self._start_fail(p, i, "downstream-" + down.resolved)
                 elif p.invoice.payment_hash in self.actors[hop.receiver].secrets:
                     self._queue_hop(p, i, self._ev_settle_hop, self.tick + 1)
+
+    def _retire(self, p: PayRt) -> None:
+        """`p` is terminal with every hop resolved: drop it from `live` and
+        release its hops and its recipient's invoice entry."""
+        del self.live[p.idx]
+        p.hops.clear()
+        del self.actors[p.spec.recipient].invoices[p.invoice.payment_hash]
 
     def _on_chain(self) -> None:
         """Each online party of each due channel (see `_housekeeping`), in

@@ -78,7 +78,7 @@ def build_report(engine: Engine) -> dict:
                 "status": p.status,
                 "reason": p.reason,
                 "cost": p.cost,
-                "hops": len(p.hops),
+                "hops": p.hop_count,
                 "started_tick": p.started_tick,
                 "resolved_tick": p.resolved_tick,
             }

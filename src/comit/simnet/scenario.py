@@ -239,10 +239,12 @@ def _get_str(
     return v
 
 
-def _entries(doc: dict, section: str, d: _Diags, need: str = "") -> Iterator[tuple[str, dict]]:
-    """Walk the list `doc[section]`, yielding (where, entry) for each
-    object in it; any other entry is a parse error. With `need`, an empty
-    list is one too."""
+def _entries(
+    doc: dict, section: str, d: _Diags, need: str = ""
+) -> Iterator[tuple[int, str, dict]]:
+    """Walk the list `doc[section]`, yielding (index, where, entry) for
+    each object in it; any other entry is a parse error. With `need`, an
+    empty list is one too."""
     items = doc.get(section, [])
     if not isinstance(items, list):
         d.parse(f"document.{section}", f"expected a list, got {type(items).__name__}")
@@ -252,7 +254,7 @@ def _entries(doc: dict, section: str, d: _Diags, need: str = "") -> Iterator[tup
     for i, obj in enumerate(items):
         where = f"{section}[{i}]"
         if isinstance(obj, dict):
-            yield where, obj
+            yield i, where, obj
         else:
             d.parse(where, "expected an object")
 
@@ -315,10 +317,12 @@ def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> Optional
     return ChainSpec(chain_id, asset, tuple(fns), interval, tx_fee, tuple(genesis))
 
 
-def _channel_index(obj: dict, where: str, channels: list, d: _Diags) -> Optional[int]:
-    """The entry's `channel`: an integer >= 0 naming one of `channels`."""
+def _channel_index(obj: dict, where: str, doc: dict, d: _Diags) -> Optional[int]:
+    """The entry's `channel`: an integer >= 0 naming an entry of the
+    document's `channels` list, whether or not that entry parsed."""
     chan = _get_int(obj, "channel", where, d, lo=0)
-    if chan is not None and chan >= len(channels):
+    entries = doc.get("channels")
+    if chan is not None and chan >= (len(entries) if isinstance(entries, list) else 0):
         d.unknown(f"{where}.channel", f"no channel with index {chan}")
         return None
     return chan
@@ -369,7 +373,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     # Actors first: nearly everything else refers to them by name.
     actors: list[ActorSpec] = []
     actor_names: set = set()
-    for where, obj in _entries(doc, "actors", d, need="actor"):
+    for _, where, obj in _entries(doc, "actors", d, need="actor"):
         spec = _parse_actor(where, obj, d)
         if spec is None:
             continue
@@ -382,7 +386,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
 
     chains: list[ChainSpec] = []
     chain_ids: set = set()
-    for where, obj in _entries(doc, "chains", d, need="chain"):
+    for _, where, obj in _entries(doc, "chains", d, need="chain"):
         spec = _parse_chain(where, obj, actor_names, d)
         if spec is None:
             continue
@@ -394,9 +398,10 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     by_chain = {c.chain_id: c for c in chains}
     assets = {c.asset for c in chains}
 
-    channels: list[ChannelSpec] = []
+    # document index -> spec, for each channel entry that parsed
+    channel_at: dict[int, ChannelSpec] = {}
     seen_pairs: set = set()
-    for where, obj in _entries(doc, "channels", d):
+    for i, where, obj in _entries(doc, "channels", d):
         cid = _get_str(obj, "chain_id", where, d)
         pa = _get_str(obj, "party_a", where, d)
         pb = _get_str(obj, "party_b", where, d)
@@ -425,7 +430,8 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             d.constraint(where, f"a channel between {pa!r} and {pb!r} on {cid!r} already exists")
             continue
         seen_pairs.add(pair)
-        channels.append(ChannelSpec(cid, pa, pb, fund_a, fund_b, csv, dust))
+        channel_at[i] = ChannelSpec(cid, pa, pb, fund_a, fund_b, csv, dust)
+    channels = list(channel_at.values())
 
     # Funding must be covered by genesis allocations on the same chain
     # (party_a also pays the funding tx fee).
@@ -447,7 +453,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
                 )
 
     quotes: list[QuoteSpec] = []
-    for where, obj in _entries(doc, "quotes", d):
+    for _, where, obj in _entries(doc, "quotes", d):
         node = _get_str(obj, "node", where, d)
         a_in = _get_str(obj, "asset_in", where, d)
         a_out = _get_str(obj, "asset_out", where, d)
@@ -481,7 +487,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             lp_peers.setdefault(ch.party_b, set()).add(ch.party_a)
 
     payments: list[PaymentSpec] = []
-    for where, obj in _entries(doc, "payments", d):
+    for _, where, obj in _entries(doc, "payments", d):
         at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
         sender = _get_str(obj, "sender", where, d)
         recipient = _get_str(obj, "recipient", where, d)
@@ -517,7 +523,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             payments.append(PaymentSpec(at_tick, sender, recipient, amount, asset, fn))
 
     faults: list[FaultSpec] = []
-    for where, obj in _entries(doc, "faults", d):
+    for _, where, obj in _entries(doc, "faults", d):
         kind = _get_str(obj, "kind", where, d)
         actor = _get_str(obj, "actor", where, d)
         breach = kind == "broadcast-revoked"
@@ -542,19 +548,20 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         elif kind == "broadcast-revoked":
             until = start + 1
             if "channel" in obj and obj["channel"] is not None:
-                chan = _channel_index(obj, where, channels, d)
+                chan = _channel_index(obj, where, doc, d)
+                spec = channel_at.get(chan)
                 if chan is None:
                     ok = False
-                elif ok and actor not in (channels[chan].party_a, channels[chan].party_b):
+                elif ok and spec and actor not in (spec.party_a, spec.party_b):
                     d.constraint(f"{where}.channel", f"{actor!r} is not a party of channel {chan}")
                     ok = False
         if ok and until is not None:
             faults.append(FaultSpec(kind, actor, at_tick, until, duration, chan))
 
     closes: list[CloseSpec] = []
-    for where, obj in _entries(doc, "closes", d):
+    for _, where, obj in _entries(doc, "closes", d):
         at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
-        chan = _channel_index(obj, where, channels, d)
+        chan = _channel_index(obj, where, doc, d)
         if None not in (at_tick, chan):
             closes.append(CloseSpec(at_tick, chan))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..chainlab import DIGEST_SIZE, HashFnId, hash_digest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invoice:
     recipient: bytes  # routing pubkey of the payee
     amount: int

@@ -92,7 +92,7 @@ def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
     return payloads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaymentAttempt:
     invoice: Invoice
     route: Route

@@ -6,8 +6,11 @@ The memory guards use `tracemalloc`, so they count allocations and not
 time, and hold on any machine.
 """
 
+import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import tracemalloc
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import comit
 from comit.simnet import run_scenario, validate_scenario
 from comit.simnet.engine import Engine
 from comit.simnet.report import report_json
@@ -172,3 +176,53 @@ def test_invoice_streams_exist_only_for_paid_actors():
     assert paid == {"b0", "b1", "b2", "b3"}
     for name, actor in engine.actors.items():
         assert (actor.invoice_rng is not None) == (name in paid), name
+
+
+def record_classes() -> dict[str, list[type]]:
+    """Every dataclass defined in `comit`, by module."""
+    out = {}
+    for info in pkgutil.walk_packages(comit.__path__, "comit."):
+        module = importlib.import_module(info.name)
+        classes = [c for c in vars(module).values()
+                   if isinstance(c, type) and dataclasses.is_dataclass(c)
+                   and c.__module__ == info.name]
+        if classes:
+            out[info.name] = classes
+    return out
+
+
+def test_records_are_slotted_except_the_scenario_specs():
+    """A record made per payment, channel update or UTXO carries no
+    instance `__dict__`. The scenario specs keep theirs: `Scenario.digest`
+    reads them through `vars()`."""
+    records = record_classes()
+    specs = records.pop("comit.simnet.scenario")
+    assert len(specs) == 8
+    assert all(c.__dictoffset__ != 0 for c in specs)
+    slotted = [c for classes in records.values() for c in classes]
+    assert len(slotted) == 39, [c.__name__ for c in slotted]
+    assert [c.__qualname__ for c in slotted if c.__dictoffset__ != 0] == []
+
+
+def test_retired_payments_hold_no_hops_or_invoices(thousand_payments):
+    engine = Engine(thousand_payments)
+    engine.run()
+    assert engine.live == {}
+    assert [p.idx for p in engine.payments if p.hops or p.hop_count != 1] == []
+    assert all(actor.invoices == {} for actor in engine.actors.values())
+
+
+def test_run_memory_per_payment_is_bounded(thousand_payments):
+    """What `Engine.run` leaves allocated on the 1,000-payment world, per
+    payment. Measured at 1,055 bytes in a fresh process (857 once an earlier
+    engine has stocked the interpreter's free lists); 1,296 to 1,505 before
+    records were slotted and retired payments let go of their hops."""
+    Engine(scenario_of(doc_with_payments(1))).run()  # first-use allocations
+    engine = Engine(thousand_payments)
+    tracemalloc.start()
+    try:
+        engine.run()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(engine.payments) < 1280, held

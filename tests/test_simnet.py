@@ -193,6 +193,18 @@ def test_validate_channel_index_in_closes_and_faults():
     assert validate_scenario(doc)[1] == []
 
 
+def test_channel_index_names_the_document_entry_even_if_it_did_not_parse():
+    """A bad channel entry shifts no later index: ann is a party of entry 0
+    and entry 1 exists, so the one diagnostic is entry 0's own."""
+    doc = forward_doc()
+    doc["payments"] = []
+    doc["channels"][0]["fund_a"] = "x"
+    doc["faults"] = [{"kind": "broadcast-revoked", "actor": "ann", "at_tick": 1, "channel": 0}]
+    doc["closes"] = [{"at_tick": 3, "channel": 1}]
+    assert validate_scenario(doc) == (
+        None, ["parse-error: channels[0].fund_a: expected an integer, got 'x'"])
+
+
 def test_validate_constraint_violations():
     doc = minimal_doc()
     doc["chains"].append(copy.deepcopy(doc["chains"][0]))  # duplicate chain_id
@@ -1176,3 +1188,73 @@ def test_indexed_housekeeping_matches_full_scans():
     for metric in ("urgent_closes", "justice_txs", "onchain_claims", "onchain_refunds",
                    "gossip_drops", "stall_blocks", "crash_requeues"):
         assert seen.get(metric, 0) > 0, (metric, seen)
+
+
+# ------------------------------------------------------------ retirement oracle
+
+
+class KeepingEngine(engine_mod.Engine):
+    """The engine before payments retired: a finished payment stays in
+    `live` with its hops and its recipient's invoice, so a settle or fail
+    still queued for one of its hops runs and finds the hop resolved."""
+
+    def _retire(self, p):
+        pass
+
+
+class RetiringEngine(engine_mod.Engine):
+    """Engine, counting the settle and fail events that reach a payment
+    after it retired."""
+
+    def __init__(self, scenario):
+        self.late = Counter()
+        super().__init__(scenario)
+
+    def _ev_settle_hop(self, pidx, i):
+        self.late["settle"] += pidx not in self.live
+        super()._ev_settle_hop(pidx, i)
+
+    def _ev_fail_hop(self, pidx, i):
+        self.late["fail"] += pidx not in self.live
+        super()._ev_fail_hop(pidx, i)
+
+
+def late_fail_doc() -> dict:
+    """lp refuses ann's forward at tick 6 and crashes at 7, before its fail
+    reaches ann. ann closes and refunds on chain (payment refunded at tick
+    19), and lp's fail, requeued for its recovery at 27, meets a retired
+    payment."""
+    doc = forward_doc()
+    doc["faults"] = [
+        {"kind": "refuse-forward", "actor": "lp", "at_tick": 0, "until_tick": 10},
+        {"kind": "crash", "actor": "lp", "at_tick": 7, "duration": 20},
+    ]
+    return doc
+
+
+def test_retiring_a_payment_changes_no_report_byte():
+    """Byte-identical reports with and without retirement on the bundled
+    scenarios, the first 50 acceptance-corpus documents, the race corpus,
+    the multi-fault meshes and a fail queued past its payment's end. Some
+    runs have settles, and one a fail, still queued when it retires."""
+    scenarios = resources.files("comit.simnet") / "scenarios"
+    docs = [json.loads((scenarios / name).read_text())
+            for name in sorted(p.name for p in scenarios.iterdir() if p.name.endswith(".json"))]
+    rng = random.Random(0xACCE97)
+    docs += [random_scenario(rng) for _ in range(50)]
+    rng = random.Random(RACE_SEED)
+    docs += [race_doc(rng) for _ in range(RACE_DOCS)]
+    rng = random.Random(CORPUS_SEED)
+    docs += [mesh_doc(rng) for _ in range(MESHES)]
+    docs.append(late_fail_doc())
+    late = Counter()
+    for i, doc in enumerate(docs):
+        scenario, errors = validate_scenario(doc)
+        assert errors == [], errors
+        keeping, retiring = KeepingEngine(scenario), RetiringEngine(scenario)
+        keeping.run()
+        retiring.run()
+        assert report_json(build_report(retiring)) == report_json(build_report(keeping)), i
+        late.update(retiring.late)
+    assert retiring.late == Counter(fail=1)  # the last document
+    assert late["settle"] > 0, late
