@@ -7,7 +7,7 @@ time lock has not matured is refused at submission.
 """
 
 from .hashes import DIGEST_SIZE, HashFnId, UnknownHashFunction, hash_digest
-from .keys import KeyPair, Signature, verify_mac
+from .keys import KeyPair, Signature
 from .script import (
     HtlcScript,
     HashLock,
@@ -31,7 +31,6 @@ __all__ = [
     "hash_digest",
     "KeyPair",
     "Signature",
-    "verify_mac",
     "PayToKey",
     "Multisig2of2",
     "HashLock",

@@ -1,25 +1,23 @@
 """Simulated transaction signing.
 
 Signatures here are HMAC-SHA256 tags over the witness-free transaction
-digest. An HMAC is not publicly verifiable, so verification goes through a
-process-wide keyring mapping each public identifier back to its MAC key,
-registered when the keypair is created. That keeps the property the channel
-protocols actually rely on: producing a signature requires holding the
-KeyPair object, while any code can check one.
+digest. An HMAC is not publicly verifiable, so each Signature privately
+carries the KeyPair that made it, and verification recomputes the tag with
+that key after checking that its pubkey is the one the script names. A
+KeyPair's pubkey is derived from its secret, so a signature for a pubkey
+can only come from someone holding that pubkey's secret. That keeps the
+property the channel protocols actually rely on: producing a signature
+requires holding the KeyPair object, while any code can check one. No key
+state outlives the objects that hold it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 _KEY_TAG = b"comit/key/v1"
-
-# pubkey -> mac secret, filled in by KeyPair construction. Pubkeys are
-# content-derived so re-registration is idempotent.
-_KEYRING: dict[bytes, bytes] = {}
 
 
 def _derive_pubkey(secret: bytes) -> bytes:
@@ -36,7 +34,6 @@ class KeyPair:
             raise ValueError("key secret must be 32 bytes")
         if self.pubkey != _derive_pubkey(self.secret):
             raise ValueError("pubkey does not match secret")
-        _KEYRING[self.pubkey] = self.secret
 
     @classmethod
     def from_secret(cls, secret: bytes) -> "KeyPair":
@@ -48,18 +45,19 @@ class KeyPair:
 
     def sign(self, digest: bytes) -> "Signature":
         mac = hmac.new(self.secret, digest, hashlib.sha256).digest()
-        return Signature(pubkey=self.pubkey, mac=mac)
+        return Signature(pubkey=self.pubkey, mac=mac, _signer=self)
 
 
 @dataclass(frozen=True, slots=True)
 class Signature:
     pubkey: bytes
     mac: bytes
+    _signer: KeyPair = field(compare=False, repr=False)
 
-
-def verify_mac(pubkey: bytes, digest: bytes, mac: bytes) -> bool:
-    secret: Optional[bytes] = _KEYRING.get(pubkey)
-    if secret is None:
-        return False
-    want = hmac.new(secret, digest, hashlib.sha256).digest()
-    return hmac.compare_digest(want, mac)
+    def verifies(self, pubkey: bytes, digest: bytes) -> bool:
+        """True iff this is `pubkey`'s signature over `digest`."""
+        signer = self._signer
+        if not self.pubkey == signer.pubkey == pubkey:
+            return False
+        want = hmac.new(signer.secret, digest, hashlib.sha256).digest()
+        return hmac.compare_digest(want, self.mac)

@@ -30,7 +30,7 @@ from enum import IntEnum
 from typing import Optional, Union
 
 from .hashes import DIGEST_SIZE, HashFnId, WIRE_IDS, hash_digest
-from .keys import Signature, verify_mac
+from .keys import Signature
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +114,9 @@ class Witness:
     """Spending data for one input.
 
     Preimages are matched to hash locks by content, signatures to pubkeys by
-    the pubkey they carry; branch_selector picks the Or branch (0 or 1).
+    the pubkey they carry, and a signature counts only if the KeyPair it
+    carries made it for that pubkey; branch_selector picks the Or branch
+    (0 or 1).
     """
 
     signatures: tuple[Signature, ...] = ()
@@ -143,7 +145,7 @@ class Outcome(IntEnum):
 
 def _sig_ok(witness: Witness, pubkey: bytes, digest: bytes) -> bool:
     for sig in witness.signatures:
-        if sig.pubkey == pubkey and verify_mac(pubkey, digest, sig.mac):
+        if sig.pubkey == pubkey and sig.verifies(pubkey, digest):
             return True
     return False
 

@@ -3,7 +3,7 @@ advertised channels and rate quotes, and the layered per-hop onion that
 carries forwarding instructions without revealing the route."""
 
 from .quotes import AmountOverflow, RateQuote, backward_apply
-from .identity import NodeKey, verify_node_mac
+from .identity import NodeKey
 from .gossip import ChannelEndpoint, GossipState, LpAdvert, make_advert, verify_advert
 from .graph import (
     ChannelGraph,
@@ -33,7 +33,6 @@ __all__ = [
     "backward_apply",
     "AmountOverflow",
     "NodeKey",
-    "verify_node_mac",
     "LpAdvert",
     "ChannelEndpoint",
     "GossipState",

@@ -16,11 +16,12 @@ would send nothing, and a driver may skip it.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .identity import NodeKey, verify_node_mac
+from .identity import NodeKey
 from .quotes import RateQuote
 
 
@@ -43,7 +44,10 @@ class LpAdvert:
     endpoints: tuple[ChannelEndpoint, ...]
     quotes: tuple[RateQuote, ...]
     timestamp: int
-    signature: bytes
+    signature: bytes  # the signer's MAC over signing_bytes
+    # The key that made `signature`; verify_advert recomputes the MAC with
+    # it once its pubkey is node_pubkey.
+    _signer: NodeKey = field(compare=False, repr=False)
     # What the signature covers, built once per advert, so that the many
     # nodes verifying one advert object do not each rebuild it.
     signing_bytes: bytes = field(init=False, compare=False, repr=False)
@@ -91,12 +95,16 @@ def make_advert(
         quotes=tuple(quotes),
         timestamp=timestamp,
         signature=b"",
+        _signer=node_key,
     )
     return replace(unsigned, signature=node_key.sign(unsigned.signing_bytes))
 
 
 def verify_advert(advert: LpAdvert) -> bool:
-    return verify_node_mac(advert.node_pubkey, advert.signing_bytes, advert.signature)
+    signer = advert._signer
+    return signer.pubkey == advert.node_pubkey and hmac.compare_digest(
+        signer.sign(advert.signing_bytes), advert.signature
+    )
 
 
 class GossipState:

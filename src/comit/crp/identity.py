@@ -2,8 +2,13 @@
 
 A node's identity is its X25519 public key (32 bytes): it both names the
 node in gossip and routes and serves as the Diffie-Hellman key the onion
-shares secrets against. Advert authentication reuses the MAC-with-keyring
-scheme of the ledger's simulated signatures.
+shares secrets against. Adverts are authenticated like the ledger's
+simulated signatures: `sign` is an HMAC keyed by the node's seed, and an
+advert carries the NodeKey that signed it, so a verifier recomputes the tag
+with that key once it has checked that the key's pubkey is the advert's.
+The pubkey is derived from the seed, so only a holder of that pubkey's
+private key can sign for it. Two seeds that differ only in bits X25519
+clamps away share a pubkey, and each still verifies its own adverts.
 """
 
 from __future__ import annotations
@@ -17,9 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
-_NODE_KEYRING: dict[bytes, bytes] = {}
-
-
 @dataclass(frozen=True, slots=True)
 class NodeKey:
     seed: bytes
@@ -32,7 +34,6 @@ class NodeKey:
         private = X25519PrivateKey.from_private_bytes(self.seed)
         object.__setattr__(self, "_private", private)
         object.__setattr__(self, "pubkey", private.public_key().public_bytes_raw())
-        _NODE_KEYRING[self.pubkey] = self.seed
 
     @classmethod
     def generate(cls, rng) -> "NodeKey":
@@ -44,9 +45,3 @@ class NodeKey:
     def sign(self, data: bytes) -> bytes:
         return hmac.new(self.seed, data, hashlib.sha256).digest()
 
-
-def verify_node_mac(pubkey: bytes, data: bytes, mac: bytes) -> bool:
-    seed = _NODE_KEYRING.get(pubkey)
-    if seed is None:
-        return False
-    return hmac.compare_digest(hmac.new(seed, data, hashlib.sha256).digest(), mac)

@@ -36,6 +36,22 @@ def test_tampered_advert_rejected(rng):
     assert not verify_advert(replace(advert, signature=bytes(32)))
     forged = replace(advert, quotes=(RateQuote("acoin", "bcoin", 200, 1),))
     assert not verify_advert(forged)
+    # b's advert relabelled as a's, and a's advert carrying b as its signer.
+    assert not verify_advert(replace(sample_advert(b, a, timestamp=9), node_pubkey=a.pubkey))
+    assert not verify_advert(replace(advert, _signer=b))
+
+
+def test_keys_sharing_a_pubkey_each_verify_their_own_adverts(rng):
+    """X25519 clamps away the low three bits of a seed, so two seeds that
+    differ only in bit 0 name one node. Making the second key leaves the
+    first key's adverts valid."""
+    seed = bytes(range(32))
+    first = NodeKey(seed)
+    second = NodeKey(bytes([seed[0] ^ 1]) + seed[1:])
+    assert first.pubkey == second.pubkey and first.seed != second.seed
+    peer = NodeKey.generate(rng)
+    assert verify_advert(sample_advert(first, peer))
+    assert verify_advert(sample_advert(second, peer))
 
 
 def test_signing_bytes_built_once_per_advert(rng, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -42,6 +43,22 @@ def test_pay_to_key(keys):
     # signature over a different digest does not transfer
     other = a.sign(b"\x22" * 32)
     assert not verify_script(script, Witness(signatures=(other,)), ctx())
+
+
+def test_signature_verifies_only_with_the_key_that_made_it(keys):
+    """A signature carries its signer. One relabelled with the named pubkey,
+    one carrying another signer, and one whose MAC was changed are refused."""
+    a, b, _ = keys
+    script = PayToKey(a.pubkey)
+    good = a.sign(DIGEST)
+    assert verify_script(script, Witness(signatures=(good,)), ctx())
+    relabelled = replace(b.sign(DIGEST), pubkey=a.pubkey)
+    borrowed = replace(good, _signer=b)
+    tampered = replace(good, mac=bytes(32))
+    for bad in (relabelled, borrowed, tampered):
+        assert not verify_script(script, Witness(signatures=(bad,)), ctx())
+    assert good.verifies(a.pubkey, DIGEST)
+    assert not good.verifies(b.pubkey, DIGEST)
 
 
 def test_multisig_needs_both(keys):
