@@ -360,13 +360,15 @@ class Channel:
         other_balance = state.balance_b if side == "a" else state.balance_a
         # Broadcaster pays the mining fee out of its own delayed output,
         # clipped so a poor broadcaster can still build (the ledger will
-        # refuse an underpaying broadcast instead).
+        # refuse an underpaying broadcast instead). A delayed output no
+        # larger than the fee could never pay for its own sweep, so it is
+        # trimmed into the commitment's fee (BOLT #3's trimmed outputs).
         fee = min(self.ledger.params.tx_fee, my_balance)
         rev_hash = self.revocation_hash(side, state.commitment_number)
         revoke = HashLock(self.revocation_fn, rev_hash, other.pubkey)
         outputs: list[TxOut] = []
         pays: list[tuple[str, str, Optional[Htlc]]] = []  # kind, owner, htlc
-        if my_balance - fee > 0:
+        if my_balance - fee > self.ledger.params.tx_fee:
             delayed = Or(TimeLockRel(self.csv_delay, self.party(side).pubkey), revoke)
             outputs.append(TxOut(my_balance - fee, delayed))
             pays.append(("delayed", side, None))
@@ -394,14 +396,15 @@ class Channel:
     def _record_state(self, state: CommitmentState) -> None:
         """Refuse `state` exactly when `_commitment` would for either side,
         then record it; nothing is built or signed. A commitment is empty
-        only with no HTLCs and one balance at 0, when the fee takes all of
-        the other balance (which is then the capacity). Numbers advance by
-        one and an update is proposed once, so `state` is the next entry of
-        the history."""
+        only with no HTLCs and one balance at 0, when the other balance
+        (which is then the capacity) is at most two fees: the commitment's
+        fee and a trimmed delayed output. Numbers advance by one and an
+        update is proposed once, so `state` is the next entry of the
+        history."""
         if (
             not state.htlcs
             and min(state.balance_a, state.balance_b) == 0
-            and max(state.balance_a, state.balance_b) <= self.ledger.params.tx_fee
+            and max(state.balance_a, state.balance_b) <= 2 * self.ledger.params.tx_fee
         ):
             raise ChannelError("commitment would have no outputs")
         self._state_history.append(state)
@@ -460,6 +463,8 @@ class Channel:
             raise ValueError("htlc amount must be >= 1")
         if amount < self.dust_limit:
             raise AmountBelowDust(f"{amount} < dust limit {self.dust_limit}")
+        if amount <= self.ledger.params.tx_fee:
+            raise AmountBelowDust(f"{amount} <= tx_fee {self.ledger.params.tx_fee}")
         if expiry_height <= self.ledger.height:
             raise ValueError("expiry_height must be above the current height")
         side = self.side_of(offerer)

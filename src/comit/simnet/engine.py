@@ -455,11 +455,12 @@ class Engine:
         """Whether an event, a transaction, a channel or a payment may still
         act. A cooperative close stays in `pending_txs` until the block that
         settles it, and a channel closed on-chain and not settled is in
-        `closed`."""
+        `closed`. A pending payment needs no check of its own: only `_offer`
+        puts a payment into `live`, after adding hop 0, so a pending live
+        payment has hop 0 unresolved, and that HTLC is in an open channel
+        (`_open_htlcs`), a close in flight (`pending_txs`) or a channel
+        closed and not settled (`closed`)."""
         if self.queue or self.pending_txs or self.closed:
-            return True
-        # a pending payment without hops still has its payment-start queued
-        if any(p.status == "pending" for p in self.live.values()):
             return True
         if next(self._open_htlcs(), None) is not None:
             return True

@@ -13,13 +13,15 @@ diagnostic is prefixed with its class: `parse-error` (not JSON / wrong shape),
 `unknown-reference` (a name that resolves to nothing), or
 `constraint-violation` (a value outside its legal range).
 
-Every value the engine packs into a fixed-width field is bounded here, so
-no accepted scenario fails on one: genesis amounts, each chain's genesis
-total, and a quote's `rate_num`, `rate_den` and `base_fee` are at most
-2**64 - 1 (u64, `MAX_AMOUNT`), a channel's `csv_delay` at most 2**32 - 1
-(u32), and `fee_ppm` at most 999,999. A payment, close or
-`broadcast-revoked` fault must be scheduled before `max_ticks`, or the run
-would end with it still to do.
+The schema lives on the spec fields. A field's annotation is its type, and
+its `_schema(...)` states the rest once: the document key, the default, the
+bounds, the allowed values, the `ID_CAP` check on an id, and what the value
+refers to. `_walk` reads an entry by it; hand-written code keeps only rules
+that span fields or entries (hash function lists, genesis maps, duplicates,
+capacity, funding, LP peers, fault windows). Every value the engine packs
+into a fixed-width field is bounded there, so no accepted scenario fails on
+one, and a payment, close or `broadcast-revoked` fault must come before
+`max_ticks`, or the run would end with it still to do.
 
 `Scenario.digest` hashes the specs themselves, so every field of every spec,
 plus `seed` and `max_ticks`, is part of a report's `scenario_digest`.
@@ -29,84 +31,178 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Union, get_type_hints
 
 from ..chainlab import MAX_AMOUNT, HashFnId
 from ..crp.onion import ID_CAP
 from ..crp.quotes import PPM
 
-ACTOR_KINDS = ("business", "lp", "user")
-FAULT_KINDS = (
-    "broadcast-revoked",
-    "crash",
-    "drop-gossip",
-    "refuse-forward",
-    "stall-secret",
-)
 WINDOW_FAULTS = ("drop-gossip", "refuse-forward", "stall-secret")
+FAULT_KINDS = ("broadcast-revoked", "crash", *WINDOW_FAULTS)
 
 # until_tick for window faults that never end; far beyond any max_ticks.
 FAR_FUTURE = 2**31
 
-MAX_SEED = 2**64 - 1
-MAX_CSV_DELAY = 2**32 - 1  # a relative timelock is a u32 in the script bytes
-DEFAULT_MAX_TICKS = 500
+_REQUIRED = object()  # the default of a field the document must give
+
+
+class _Rule(NamedTuple):
+    """A spec field's schema: how `_walk` reads the field from an entry.
+    The field's annotation is its type."""
+
+    key: str = ""  # the document key, if it is not the field's name
+    default: Any = _REQUIRED
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    # at most max_ticks - 1; a string limits this to entries of that kind
+    # (whose first field, `kind`, is that string)
+    before_end: Union[bool, str] = False
+    choices: tuple[str, ...] = ()
+    cap: bool = False  # an id, at most ID_CAP bytes: it fits the onion payload
+    ref: str = ""  # what the value names: a key of `_Diags.names`
+    differs: Optional[tuple[str, str]] = None  # (other field, message if equal)
+    # a hand-written reader (obj, where, d) -> value, for a field no rule fits
+    parse: Optional[Callable[[dict, str, _Diags], Any]] = None
+
+
+def _schema(**rule: Any) -> Any:
+    """A spec field carrying its schema, a `_Rule`."""
+    return field(metadata={"schema": _Rule(**rule)})
+
+
+class _Diags:
+    """Accumulates classified, field-addressed diagnostics, and holds what
+    entries may refer to: `names[ref]` is the collection a `_Rule.ref`
+    value must be in, filled section by section, and `last_tick` is
+    max_ticks - 1 (None if max_ticks is bad)."""
+
+    def __init__(self) -> None:
+        self.errors: list[str] = []
+        self.names: dict[str, Any] = {}
+        self.last_tick: Optional[int] = None
+
+    def parse(self, where: str, msg: str) -> None:
+        self.errors.append(f"parse-error: {where}: {msg}")
+
+    def unknown(self, where: str, msg: str) -> None:
+        self.errors.append(f"unknown-reference: {where}: {msg}")
+
+    def constraint(self, where: str, msg: str) -> None:
+        self.errors.append(f"constraint-violation: {where}: {msg}")
+
+
+def _str_keys(obj: dict, where: str, d: _Diags) -> list[str]:
+    """The string keys of `obj`, sorted; any other key is a parse error
+    (JSON cannot produce one, but a dict source can)."""
+    keys = []
+    for key in obj:
+        if isinstance(key, str):
+            keys.append(key)
+        else:
+            d.parse(where, f"key {key!r} is not a string")
+    return sorted(keys)
+
+
+def _hash_fns(obj: dict, where: str, d: _Diags) -> Optional[tuple[HashFnId, ...]]:
+    fns: list[HashFnId] = []
+    raw_fns = obj.get("hash_fns")
+    if not isinstance(raw_fns, list) or not raw_fns:
+        d.parse(f"{where}.hash_fns", "expected a non-empty list of hash function names")
+        return None
+    for j, name in enumerate(raw_fns):
+        try:
+            fn = HashFnId.from_name(name if isinstance(name, str) else repr(name))
+        except ValueError:
+            d.unknown(f"{where}.hash_fns[{j}]", f"unknown hash function {name!r}")
+            continue
+        if fn in fns:
+            d.constraint(f"{where}.hash_fns[{j}]", f"duplicate entry {name!r}")
+            continue
+        fns.append(fn)
+    return tuple(fns) or None
+
+
+def _genesis(obj: dict, where: str, d: _Diags) -> tuple[tuple[str, int], ...]:
+    genesis: list[tuple[str, int]] = []
+    raw_gen = obj.get("genesis", {})
+    if not isinstance(raw_gen, dict):
+        d.parse(f"{where}.genesis", "expected an object mapping actor to amount")
+        return ()
+    for actor in _str_keys(raw_gen, f"{where}.genesis", d):
+        if actor not in d.names["actor"]:
+            d.unknown(f"{where}.genesis.{actor}", f"no actor named {actor!r}")
+            continue
+        amt = raw_gen[actor]
+        if not isinstance(amt, int) or isinstance(amt, bool) or amt <= 0:
+            d.constraint(
+                f"{where}.genesis.{actor}", f"amount must be a positive integer, got {amt!r}"
+            )
+            continue
+        if amt > MAX_AMOUNT:
+            d.constraint(f"{where}.genesis.{actor}", f"must be <= {MAX_AMOUNT}, got {amt}")
+            continue
+        genesis.append((actor, amt))
+    total = sum(amt for _, amt in genesis)
+    if total > MAX_AMOUNT:
+        d.constraint(f"{where}.genesis", f"total must be <= {MAX_AMOUNT}, got {total}")
+    return tuple(genesis)
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    chain_id: str
-    asset: str
-    hash_fns: tuple[HashFnId, ...]
-    mining_interval: int
-    tx_fee: int
-    genesis: tuple[tuple[str, int], ...]  # (actor, amount), sorted by actor
+    chain_id: str = _schema(cap=True)
+    asset: str = _schema(cap=True)
+    hash_fns: tuple[HashFnId, ...] = _schema(parse=_hash_fns)
+    mining_interval: int = _schema(key="block_interval", default=1, lo=1)
+    tx_fee: int = _schema(default=0, lo=0)
+    genesis: tuple[tuple[str, int], ...] = _schema(parse=_genesis)  # sorted by actor
 
 
 @dataclass(frozen=True)
 class ActorSpec:
-    name: str
-    kind: str  # "user" | "lp" | "business"
+    name: str = _schema()
+    kind: str = _schema(choices=("business", "lp", "user"))
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    chain_id: str
-    party_a: str
-    party_b: str
-    fund_a: int
-    fund_b: int
-    csv_delay: int
-    dust_limit: int
+    chain_id: str = _schema(ref="chain")
+    party_a: str = _schema(ref="actor")
+    party_b: str = _schema(ref="actor", differs=("party_a", "both ends name the same actor"))
+    fund_a: int = _schema(lo=0)
+    fund_b: int = _schema(lo=0)
+    # a relative timelock is a u32 in the script bytes
+    csv_delay: int = _schema(default=6, lo=1, hi=2**32 - 1)
+    dust_limit: int = _schema(default=0, lo=0)
 
 
 @dataclass(frozen=True)
 class QuoteSpec:
-    node: str
-    asset_in: str
-    asset_out: str
-    rate_num: int
-    rate_den: int
-    base_fee: int
-    fee_ppm: int
+    node: str = _schema(ref="lp")
+    asset_in: str = _schema(cap=True, ref="asset")
+    asset_out: str = _schema(cap=True, ref="asset")
+    rate_num: int = _schema(lo=1, hi=MAX_AMOUNT)
+    rate_den: int = _schema(lo=1, hi=MAX_AMOUNT)
+    base_fee: int = _schema(default=0, lo=0, hi=MAX_AMOUNT)
+    fee_ppm: int = _schema(default=0, lo=0, hi=PPM - 1)
 
 
 @dataclass(frozen=True)
 class PaymentSpec:
-    at_tick: int
-    sender: str
-    recipient: str
-    amount: int
-    asset: str
-    hash_fn: Optional[HashFnId]
+    at_tick: int = _schema(lo=0, before_end=True)
+    sender: str = _schema(ref="actor")
+    recipient: str = _schema(ref="actor", differs=("sender", "sender and recipient must differ"))
+    amount: int = _schema(lo=1)
+    asset: str = _schema(ref="asset")
+    hash_fn: Optional[HashFnId] = _schema(default=None)
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    kind: str
-    actor: str
-    at_tick: int
+    kind: str = _schema()
+    actor: str = _schema(ref="actor")
+    at_tick: int = _schema(lo=0, before_end="broadcast-revoked")
     until_tick: int  # exclusive; crash stores at_tick + duration here too
     duration: int  # crash only, 0 otherwise
     channel: Optional[int]  # broadcast-revoked only
@@ -114,14 +210,14 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class CloseSpec:
-    at_tick: int
-    channel: int
+    at_tick: int = _schema(lo=0, before_end=True)
+    channel: int = _schema(lo=0, ref="channel")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    seed: int
-    max_ticks: int
+    seed: int = _schema(lo=0, hi=2**64 - 1)
+    max_ticks: int = _schema(default=500, lo=10)
     chains: tuple[ChainSpec, ...]
     actors: tuple[ActorSpec, ...]
     channels: tuple[ChannelSpec, ...]
@@ -167,84 +263,138 @@ def _plain(obj: Any) -> Any:
 _ENCODE = json.JSONEncoder(sort_keys=True, default=_plain).encode
 _DIGEST_BATCH = 64
 
-
-class _Diags:
-    """Accumulates classified, field-addressed diagnostics."""
-
-    def __init__(self) -> None:
-        self.errors: list[str] = []
-
-    def parse(self, where: str, msg: str) -> None:
-        self.errors.append(f"parse-error: {where}: {msg}")
-
-    def unknown(self, where: str, msg: str) -> None:
-        self.errors.append(f"unknown-reference: {where}: {msg}")
-
-    def constraint(self, where: str, msg: str) -> None:
-        self.errors.append(f"constraint-violation: {where}: {msg}")
+# What a `_Rule.ref` value that names nothing is reported as.
+_MISSING = {
+    "actor": "no actor named {!r}",
+    "lp": "no actor named {!r}",
+    "chain": "no chain named {!r}",
+    "asset": "no chain carries asset {!r}",
+    "channel": "no channel with index {}",
+}
 
 
-def _str_keys(obj: dict, where: str, d: _Diags) -> list[str]:
-    """The string keys of `obj`, sorted; any other key is a parse error
-    (JSON cannot produce one, but a dict source can)."""
-    keys = []
-    for key in obj:
-        if isinstance(key, str):
-            keys.append(key)
-        else:
-            d.parse(where, f"key {key!r} is not a string")
-    return sorted(keys)
+def _read(obj: dict, where: str, d: _Diags, reads: tuple, values: list) -> list:
+    """Append to `values` each field of `reads` read from entry `obj`, and
+    return it. A read is (key, type, default, lo, hi, choices, before_end);
+    the value is `obj[key]` if it has that type and is within `lo`..`hi`
+    (`hi` is max_ticks - 1 under `before_end`) and `choices`, else None and
+    a diagnostic. An absent key is `default`."""
+    for key, type_, default, lo, hi, choices, before_end in reads:
+        if before_end and (before_end is True or before_end == values[0]):
+            hi = d.last_tick
+        if key not in obj:
+            if default is _REQUIRED:
+                d.parse(f"{where}.{key}", "required field is missing")
+                default = None
+            values.append(default)
+            continue
+        v = obj[key]
+        if type_ is int:
+            # bool is an int subclass; a JSON true/false here is a type error.
+            if not isinstance(v, int) or isinstance(v, bool):
+                d.parse(f"{where}.{key}", f"expected an integer, got {v!r}")
+                v = None
+            elif lo is not None and v < lo:
+                d.constraint(f"{where}.{key}", f"must be >= {lo}, got {v}")
+                v = None
+            elif hi is not None and v > hi:
+                d.constraint(f"{where}.{key}", f"must be <= {hi}, got {v}")
+                v = None
+        elif type_ is str:
+            if not isinstance(v, str) or not v:
+                d.parse(f"{where}.{key}", f"expected a non-empty string, got {v!r}")
+                v = None
+            elif choices and v not in choices:
+                d.constraint(f"{where}.{key}", f"must be one of {choices}, got {v!r}")
+                v = None
+        elif v is not None:  # HashFnId, which may be null
+            try:
+                v = HashFnId.from_name(v)
+            except ValueError:
+                d.unknown(f"{where}.{key}", f"unknown hash function {v!r}")
+                v = None
+        values.append(v)
+    return values
 
 
-def _get_int(
-    obj: dict,
-    key: str,
-    where: str,
-    d: _Diags,
-    default: Optional[int] = None,
-    lo: Optional[int] = None,
-    hi: Optional[int] = None,
+def _read_int(
+    obj: dict, key: str, where: str, d: _Diags, lo: int, default: Any = _REQUIRED
 ) -> Optional[int]:
-    if key not in obj:
-        if default is not None:
-            return default
-        d.parse(f"{where}.{key}", "required field is missing")
-        return None
-    v = obj[key]
-    # bool is an int subclass; a JSON true/false here is a type error.
-    if not isinstance(v, int) or isinstance(v, bool):
-        d.parse(f"{where}.{key}", f"expected an integer, got {v!r}")
-        return None
-    if lo is not None and v < lo:
-        d.constraint(f"{where}.{key}", f"must be >= {lo}, got {v}")
-        return None
-    if hi is not None and v > hi:
-        d.constraint(f"{where}.{key}", f"must be <= {hi}, got {v}")
-        return None
-    return v
+    """`_read` of one integer field, for the fields no schema holds."""
+    return _read(obj, where, d, ((key, int, default, lo, None, (), False),), [])[0]
 
 
-def _get_str(
-    obj: dict, key: str, where: str, d: _Diags, default: Optional[str] = None
-) -> Optional[str]:
-    if key not in obj:
-        if default is not None:
-            return default
-        d.parse(f"{where}.{key}", "required field is missing")
-        return None
-    v = obj[key]
-    if not isinstance(v, str) or not v:
-        d.parse(f"{where}.{key}", f"expected a non-empty string, got {v!r}")
-        return None
-    return v
+def _runs(cls: type) -> tuple:
+    """`cls`'s schema compiled for `_walk`: its schema fields in declaration
+    order, cut after each field with a hand-written `parse`. Per run: the
+    fields' reads for `_read`; (position, key, cap, ref, differs) for each
+    field with something to resolve, where `differs` names its field by
+    position; and the `parse` that ends the run, or None."""
+    schema = [f for f in fields(cls) if "schema" in f.metadata]
+    hints = get_type_hints(cls)
+    names = [f.name for f in schema]
+    runs, reads, resolves = [], [], []
+    for i, f in enumerate(schema):
+        r = f.metadata["schema"]
+        if r.parse is not None:
+            runs.append((tuple(reads), tuple(resolves), r.parse))
+            reads, resolves = [], []
+            continue
+        key = r.key or f.name
+        reads.append((key, _TYPES[hints[f.name]], r.default, r.lo, r.hi, r.choices, r.before_end))
+        if r.cap or r.ref or r.differs:
+            differs = r.differs and (names.index(r.differs[0]), r.differs[1])
+            resolves.append((i, key, r.cap, r.ref, differs))
+    runs.append((tuple(reads), tuple(resolves), None))
+    return tuple(runs)
+
+
+# A schema field's type -> the type `_read` reads it as. A schema field
+# (one without a `parse`) must be annotated with one of these types.
+_TYPES = {int: int, str: str, Optional[HashFnId]: HashFnId}
+_RULES = {
+    cls: _runs(cls)
+    for cls in (ChainSpec, ActorSpec, ChannelSpec, QuoteSpec, PaymentSpec, FaultSpec,
+                CloseSpec, Scenario)
+}
+_SECTIONS = {f.name for f in fields(Scenario)} | {"name", "comment"}
+
+
+def _walk(cls: type, obj: dict, where: str, d: _Diags) -> list:
+    """Read entry `obj` of spec `cls` by its schema, reporting every problem:
+    each run of fields first by type and bound, then by id cap and
+    reference, in declaration order; a hand-written `parse` ends a run.
+    Returns the schema fields' values in declaration order, None where a
+    type or bound failed; a value that fails its cap or reference is kept,
+    and its diagnostic tells."""
+    values: list = []
+    for reads, resolves, parse in _RULES[cls]:
+        _read(obj, where, d, reads, values)
+        # an id cap, else a reference; then `differs`
+        for i, key, cap, ref, differs in resolves:
+            v = values[i]
+            if v is None:
+                continue
+            if cap and len(v.encode()) > ID_CAP:
+                d.constraint(f"{where}.{key}", f"must be at most {ID_CAP} bytes, got {v!r}")
+            elif ref and v not in d.names[ref]:
+                d.unknown(f"{where}.{key}", _MISSING[ref].format(v))
+            elif ref == "lp" and d.names["lp"][v] != "lp":
+                d.constraint(f"{where}.{key}", f"{v!r} is not a liquidity provider")
+            if differs and v == values[differs[0]]:
+                d.constraint(f"{where}.{key}", differs[1])
+        if parse is not None:
+            values.append(parse(obj, where, d))
+    return values
 
 
 def _entries(
-    doc: dict, section: str, d: _Diags, need: str = ""
-) -> Iterator[tuple[int, str, dict]]:
-    """Walk the list `doc[section]`, yielding (index, where, entry) for
-    each object in it; any other entry is a parse error. With `need`, an
-    empty list is one too."""
+    doc: dict, section: str, cls: type, d: _Diags, need: str = ""
+) -> Iterator[tuple[int, str, dict, list, int]]:
+    """Walk the list `doc[section]`, yielding (index, where, entry, values,
+    n) for each object in it: `values` is the entry read by `_walk` as a
+    `cls`, and `n` the number of diagnostics before it. Any other entry is
+    a parse error. With `need`, an empty list is one too."""
     items = doc.get(section, [])
     if not isinstance(items, list):
         d.parse(f"document.{section}", f"expected a list, got {type(items).__name__}")
@@ -254,89 +404,10 @@ def _entries(
     for i, obj in enumerate(items):
         where = f"{section}[{i}]"
         if isinstance(obj, dict):
-            yield i, where, obj
+            n = len(d.errors)
+            yield i, where, obj, _walk(cls, obj, where, d), n
         else:
             d.parse(where, "expected an object")
-
-
-def _id_ok(value: str, where: str, d: _Diags) -> bool:
-    if len(value.encode()) > ID_CAP:  # ids must fit the onion payload fields
-        d.constraint(where, f"must be at most {ID_CAP} bytes, got {value!r}")
-        return False
-    return True
-
-
-def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> Optional[ChainSpec]:
-    chain_id = _get_str(obj, "chain_id", where, d)
-    asset = _get_str(obj, "asset", where, d)
-    if chain_id is not None:
-        _id_ok(chain_id, f"{where}.chain_id", d)
-    if asset is not None:
-        _id_ok(asset, f"{where}.asset", d)
-    fns: list[HashFnId] = []
-    raw_fns = obj.get("hash_fns")
-    if not isinstance(raw_fns, list) or not raw_fns:
-        d.parse(f"{where}.hash_fns", "expected a non-empty list of hash function names")
-    else:
-        for j, name in enumerate(raw_fns):
-            try:
-                fn = HashFnId.from_name(name if isinstance(name, str) else repr(name))
-            except ValueError:
-                d.unknown(f"{where}.hash_fns[{j}]", f"unknown hash function {name!r}")
-                continue
-            if fn in fns:
-                d.constraint(f"{where}.hash_fns[{j}]", f"duplicate entry {name!r}")
-                continue
-            fns.append(fn)
-    interval = _get_int(obj, "block_interval", where, d, default=1, lo=1)
-    tx_fee = _get_int(obj, "tx_fee", where, d, default=0, lo=0)
-    genesis: list[tuple[str, int]] = []
-    raw_gen = obj.get("genesis", {})
-    if not isinstance(raw_gen, dict):
-        d.parse(f"{where}.genesis", "expected an object mapping actor to amount")
-    else:
-        for actor in _str_keys(raw_gen, f"{where}.genesis", d):
-            if actor not in actor_names:
-                d.unknown(f"{where}.genesis.{actor}", f"no actor named {actor!r}")
-                continue
-            amt = raw_gen[actor]
-            if not isinstance(amt, int) or isinstance(amt, bool) or amt <= 0:
-                d.constraint(
-                    f"{where}.genesis.{actor}", f"amount must be a positive integer, got {amt!r}"
-                )
-                continue
-            if amt > MAX_AMOUNT:
-                d.constraint(f"{where}.genesis.{actor}", f"must be <= {MAX_AMOUNT}, got {amt}")
-                continue
-            genesis.append((actor, amt))
-        total = sum(amt for _, amt in genesis)
-        if total > MAX_AMOUNT:
-            d.constraint(f"{where}.genesis", f"total must be <= {MAX_AMOUNT}, got {total}")
-    if chain_id is None or asset is None or not fns or interval is None or tx_fee is None:
-        return None
-    return ChainSpec(chain_id, asset, tuple(fns), interval, tx_fee, tuple(genesis))
-
-
-def _channel_index(obj: dict, where: str, doc: dict, d: _Diags) -> Optional[int]:
-    """The entry's `channel`: an integer >= 0 naming an entry of the
-    document's `channels` list, whether or not that entry parsed."""
-    chan = _get_int(obj, "channel", where, d, lo=0)
-    entries = doc.get("channels")
-    if chan is not None and chan >= (len(entries) if isinstance(entries, list) else 0):
-        d.unknown(f"{where}.channel", f"no channel with index {chan}")
-        return None
-    return chan
-
-
-def _parse_actor(where: str, obj: dict, d: _Diags) -> Optional[ActorSpec]:
-    name = _get_str(obj, "name", where, d)
-    kind = _get_str(obj, "kind", where, d)
-    if kind is not None and kind not in ACTOR_KINDS:
-        d.constraint(f"{where}.kind", f"must be one of {ACTOR_KINDS}, got {kind!r}")
-        kind = None
-    if name is None or kind is None:
-        return None
-    return ActorSpec(name, kind)
 
 
 def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenario], list[str]]:
@@ -358,79 +429,58 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         d.parse("document", "top level must be a JSON object")
         return None, d.errors
 
-    known_sections = {
-        "seed", "max_ticks", "chains", "actors", "channels",
-        "quotes", "payments", "faults", "closes", "name", "comment",
-    }
     for key in _str_keys(doc, "document", d):
-        if key not in known_sections:
+        if key not in _SECTIONS:
             d.unknown(key, "not a scenario section")
-
-    seed = _get_int(doc, "seed", "document", d, lo=0, hi=MAX_SEED)
-    max_ticks = _get_int(doc, "max_ticks", "document", d, default=DEFAULT_MAX_TICKS, lo=10)
-    last_tick = None if max_ticks is None else max_ticks - 1
+    seed, max_ticks = _walk(Scenario, doc, "document", d)
+    if max_ticks is not None:
+        d.last_tick = max_ticks - 1
 
     # Actors first: nearly everything else refers to them by name.
     actors: list[ActorSpec] = []
-    actor_names: set = set()
-    for _, where, obj in _entries(doc, "actors", d, need="actor"):
-        spec = _parse_actor(where, obj, d)
-        if spec is None:
+    kind_of: dict[str, str] = {}
+    d.names["actor"] = d.names["lp"] = kind_of
+    for _, where, _, (name, kind), _ in _entries(doc, "actors", ActorSpec, d, need="actor"):
+        if name is None or kind is None:
             continue
-        if spec.name in actor_names:
-            d.constraint(f"{where}.name", f"duplicate actor {spec.name!r}")
+        if name in kind_of:
+            d.constraint(f"{where}.name", f"duplicate actor {name!r}")
             continue
-        actor_names.add(spec.name)
-        actors.append(spec)
-    kind_of = {a.name: a.kind for a in actors}
+        kind_of[name] = kind
+        actors.append(ActorSpec(name, kind))
 
-    chains: list[ChainSpec] = []
-    chain_ids: set = set()
-    for _, where, obj in _entries(doc, "chains", d, need="chain"):
-        spec = _parse_chain(where, obj, actor_names, d)
-        if spec is None:
+    # A chain whose ids are too long still registers: what refers to it
+    # gets no second diagnostic.
+    by_chain: dict[str, ChainSpec] = {}
+    for _, where, _, v, _ in _entries(doc, "chains", ChainSpec, d, need="chain"):
+        if None in v:
             continue
-        if spec.chain_id in chain_ids:
-            d.constraint(f"{where}.chain_id", f"duplicate chain {spec.chain_id!r}")
+        if v[0] in by_chain:
+            d.constraint(f"{where}.chain_id", f"duplicate chain {v[0]!r}")
             continue
-        chain_ids.add(spec.chain_id)
-        chains.append(spec)
-    by_chain = {c.chain_id: c for c in chains}
-    assets = {c.asset for c in chains}
+        by_chain[v[0]] = ChainSpec(*v)
+    chains = list(by_chain.values())
+    d.names["chain"] = by_chain
+    d.names["asset"] = {c.asset for c in chains}
+    # A channel index names an entry of the document's list, parsed or not.
+    entries = doc.get("channels")
+    d.names["channel"] = range(len(entries) if isinstance(entries, list) else 0)
 
     # document index -> spec, for each channel entry that parsed
     channel_at: dict[int, ChannelSpec] = {}
     seen_pairs: set = set()
-    for i, where, obj in _entries(doc, "channels", d):
-        cid = _get_str(obj, "chain_id", where, d)
-        pa = _get_str(obj, "party_a", where, d)
-        pb = _get_str(obj, "party_b", where, d)
-        fund_a = _get_int(obj, "fund_a", where, d, lo=0)
-        fund_b = _get_int(obj, "fund_b", where, d, lo=0)
-        csv = _get_int(obj, "csv_delay", where, d, default=6, lo=1, hi=MAX_CSV_DELAY)
-        dust = _get_int(obj, "dust_limit", where, d, default=0, lo=0)
-        ok = None not in (cid, pa, pb, fund_a, fund_b, csv, dust)
-        if cid is not None and cid not in by_chain:
-            d.unknown(f"{where}.chain_id", f"no chain named {cid!r}")
-            ok = False
-        for field_name, party in (("party_a", pa), ("party_b", pb)):
-            if party is not None and party not in actor_names:
-                d.unknown(f"{where}.{field_name}", f"no actor named {party!r}")
-                ok = False
-        if pa is not None and pa == pb:
-            d.constraint(f"{where}.party_b", "both ends name the same actor")
-            ok = False
+    for i, where, _, v, n in _entries(doc, "channels", ChannelSpec, d):
+        cid, pa, pb, fund_a, fund_b = v[:5]
         if fund_a is not None and fund_b is not None and fund_a + fund_b <= 0:
             d.constraint(f"{where}.fund_a", "channel capacity must be positive")
-            ok = False
-        if not ok:
+        if len(d.errors) > n:
             continue
         pair = (cid, *sorted((pa, pb)))
         if pair in seen_pairs:
             d.constraint(where, f"a channel between {pa!r} and {pb!r} on {cid!r} already exists")
             continue
         seen_pairs.add(pair)
-        channel_at[i] = ChannelSpec(cid, pa, pb, fund_a, fund_b, csv, dust)
+        channel_at[i] = ChannelSpec(*v)
     channels = list(channel_at.values())
 
     # Funding must be covered by genesis allocations on the same chain
@@ -453,31 +503,9 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
                 )
 
     quotes: list[QuoteSpec] = []
-    for _, where, obj in _entries(doc, "quotes", d):
-        node = _get_str(obj, "node", where, d)
-        a_in = _get_str(obj, "asset_in", where, d)
-        a_out = _get_str(obj, "asset_out", where, d)
-        num = _get_int(obj, "rate_num", where, d, lo=1, hi=MAX_AMOUNT)
-        den = _get_int(obj, "rate_den", where, d, lo=1, hi=MAX_AMOUNT)
-        base = _get_int(obj, "base_fee", where, d, default=0, lo=0, hi=MAX_AMOUNT)
-        ppm = _get_int(obj, "fee_ppm", where, d, default=0, lo=0, hi=PPM - 1)
-        ok = None not in (node, a_in, a_out, num, den, base, ppm)
-        if node is not None and node not in actor_names:
-            d.unknown(f"{where}.node", f"no actor named {node!r}")
-            ok = False
-        elif node is not None and kind_of.get(node) != "lp":
-            d.constraint(f"{where}.node", f"{node!r} is not a liquidity provider")
-            ok = False
-        for field_name, asset in (("asset_in", a_in), ("asset_out", a_out)):
-            if asset is None:
-                continue
-            if not _id_ok(asset, f"{where}.{field_name}", d):
-                ok = False
-            elif asset not in assets:
-                d.unknown(f"{where}.{field_name}", f"no chain carries asset {asset!r}")
-                ok = False
-        if ok:
-            quotes.append(QuoteSpec(node, a_in, a_out, num, den, base, ppm))
+    for _, _, _, v, n in _entries(doc, "quotes", QuoteSpec, d):
+        if len(d.errors) == n:
+            quotes.append(QuoteSpec(*v))
 
     lp_peers: dict[str, set] = {a.name: set() for a in actors}
     for ch in channels:
@@ -487,51 +515,19 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             lp_peers.setdefault(ch.party_b, set()).add(ch.party_a)
 
     payments: list[PaymentSpec] = []
-    for _, where, obj in _entries(doc, "payments", d):
-        at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
-        sender = _get_str(obj, "sender", where, d)
-        recipient = _get_str(obj, "recipient", where, d)
-        amount = _get_int(obj, "amount", where, d, lo=1)
-        asset = _get_str(obj, "asset", where, d)
-        ok = None not in (at_tick, sender, recipient, amount, asset)
-        fn: Optional[HashFnId] = None
-        if "hash_fn" in obj and obj["hash_fn"] is not None:
-            try:
-                fn = HashFnId.from_name(obj["hash_fn"])
-            except ValueError:
-                d.unknown(f"{where}.hash_fn", f"unknown hash function {obj['hash_fn']!r}")
-                ok = False
-        for field_name, actor in (("sender", sender), ("recipient", recipient)):
-            if actor is not None and actor not in actor_names:
-                d.unknown(f"{where}.{field_name}", f"no actor named {actor!r}")
-                ok = False
-        if sender is not None and sender == recipient:
-            d.constraint(f"{where}.recipient", "sender and recipient must differ")
-            ok = False
-        if asset is not None and asset not in assets:
-            d.unknown(f"{where}.asset", f"no chain carries asset {asset!r}")
-            ok = False
-        if ok:
-            for field_name, actor in (("sender", sender), ("recipient", recipient)):
-                if kind_of[actor] != "lp" and not lp_peers.get(actor):
-                    d.constraint(
-                        f"{where}.{field_name}",
-                        f"{actor!r} has no channel to a liquidity provider",
-                    )
-                    ok = False
-        if ok:
-            payments.append(PaymentSpec(at_tick, sender, recipient, amount, asset, fn))
+    for _, where, _, v, n in _entries(doc, "payments", PaymentSpec, d):
+        if len(d.errors) > n:
+            continue
+        for field_name, actor in (("sender", v[1]), ("recipient", v[2])):
+            if kind_of[actor] != "lp" and not lp_peers.get(actor):
+                d.constraint(
+                    f"{where}.{field_name}", f"{actor!r} has no channel to a liquidity provider"
+                )
+        if len(d.errors) == n:
+            payments.append(PaymentSpec(*v))
 
     faults: list[FaultSpec] = []
-    for _, where, obj in _entries(doc, "faults", d):
-        kind = _get_str(obj, "kind", where, d)
-        actor = _get_str(obj, "actor", where, d)
-        breach = kind == "broadcast-revoked"
-        at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick if breach else None)
-        ok = None not in (kind, actor, at_tick)
-        if actor is not None and actor not in actor_names:
-            d.unknown(f"{where}.actor", f"no actor named {actor!r}")
-            ok = False
+    for _, where, obj, (kind, actor, at_tick), n in _entries(doc, "faults", FaultSpec, d):
         if kind not in FAULT_KINDS:  # its kind-specific fields are unknown
             if kind is not None:
                 d.unknown(f"{where}.kind", f"unknown fault kind {kind!r}")
@@ -541,29 +537,26 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         until = FAR_FUTURE
         chan: Optional[int] = None
         if kind == "crash":
-            duration = _get_int(obj, "duration", where, d, lo=1)
+            duration = _read_int(obj, "duration", where, d, lo=1)
             until = None if duration is None else start + duration
         elif kind in WINDOW_FAULTS:
-            until = _get_int(obj, "until_tick", where, d, default=FAR_FUTURE, lo=start + 1)
-        elif kind == "broadcast-revoked":
+            until = _read_int(obj, "until_tick", where, d, lo=start + 1, default=FAR_FUTURE)
+        else:  # broadcast-revoked
             until = start + 1
-            if "channel" in obj and obj["channel"] is not None:
-                chan = _channel_index(obj, where, doc, d)
+            if obj.get("channel") is not None:
+                chan = _read_int(obj, "channel", where, d, lo=0)
+                if chan is not None and chan not in d.names["channel"]:
+                    d.unknown(f"{where}.channel", _MISSING["channel"].format(chan))
                 spec = channel_at.get(chan)
-                if chan is None:
-                    ok = False
-                elif ok and spec and actor not in (spec.party_a, spec.party_b):
+                if spec and len(d.errors) == n and actor not in (spec.party_a, spec.party_b):
                     d.constraint(f"{where}.channel", f"{actor!r} is not a party of channel {chan}")
-                    ok = False
-        if ok and until is not None:
+        if len(d.errors) == n:
             faults.append(FaultSpec(kind, actor, at_tick, until, duration, chan))
 
     closes: list[CloseSpec] = []
-    for _, where, obj in _entries(doc, "closes", d):
-        at_tick = _get_int(obj, "at_tick", where, d, lo=0, hi=last_tick)
-        chan = _channel_index(obj, where, doc, d)
-        if None not in (at_tick, chan):
-            closes.append(CloseSpec(at_tick, chan))
+    for _, _, _, v, n in _entries(doc, "closes", CloseSpec, d):
+        if len(d.errors) == n:
+            closes.append(CloseSpec(*v))
 
     if d.errors:
         return None, d.errors

@@ -136,6 +136,9 @@ def test_htlc_validation_errors(rng):
         add(ch, alice, 10_001)
     with pytest.raises(AmountBelowDust):
         add(ch, alice, 5)
+    _, fee_ch, carol, _ = make_world(rng, fee=20)
+    with pytest.raises(AmountBelowDust, match="20 <= tx_fee 20"):
+        add(fee_ch, carol, 20)  # no claim or refund of it could pay its fee
     with pytest.raises(ValueError):
         add(ch, alice, 100, expiry=ledger.height)  # not in the future
     for size in (31, 33):  # no commitment could carry this HTLC
@@ -419,11 +422,11 @@ def test_offerer_of_its_whole_balance_can_force_close():
 
 
 def guarded_world(rng, breach):
-    """A channel alice closed at state 2, holding an HTLC each way: 10 from
-    alice to bob (no larger than the fee) and 500 from bob to alice. With
-    `breach`, state 2 is revoked first."""
+    """A channel alice closed at state 2, holding an HTLC each way: 100
+    from alice to bob and 500 from bob to alice. With `breach`, state 2 is
+    revoked first."""
     ledger, ch, alice, bob = make_world(rng, fee=10)
-    to_bob, secret = add(ch, alice, 10, secret=b"a" * 32)
+    to_bob, secret = add(ch, alice, 100, secret=b"a" * 32)
     to_alice, _ = add(ch, bob, 500, secret=b"b" * 32)
     if breach:
         ch.fail_htlc(to_alice)
@@ -438,10 +441,9 @@ def guarded_world(rng, breach):
     (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(a, to_b, s), "offerer cannot claim"),
     (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(a, to_a, s), "htlc 2"),
     (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_refund(a, to_a), "only the offerer"),
-    (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(b, to_b, s), "cannot pay fee"),
     (True, lambda ch, a, b, to_b, to_a, s: ch.punish_breach(a), "cannot punish itself"),
 ], ids=["sweep-by-non-broadcaster", "claim-by-offerer", "claim-bad-preimage",
-        "refund-by-receiver", "claim-below-fee", "justice-by-cheater"])
+        "refund-by-receiver", "justice-by-cheater"])
 def test_builders_refuse_what_a_role_may_not_spend(rng, breach, refused, match):
     ledger, ch, alice, bob, to_bob, to_alice, secret = guarded_world(rng, breach)
     with pytest.raises(ChannelError, match=match):
@@ -483,7 +485,7 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
     for kind, by_alice, amount, pick in steps:
         if kind == "add":
             offerer = alice if by_alice else bob
-            if ch.balance_of(offerer) < amount:
+            if ch.balance_of(offerer) < amount or amount <= fee:
                 continue
             secret = len(secrets).to_bytes(32, "big")
             hid, _ = add(ch, offerer, amount, secret=secret)
@@ -511,7 +513,7 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
     assert ch.phase is ChannelPhase.BREACHED
     assert (ch.closed_by, ch.closed_commitment) == (side, n)
     expected = []
-    if mine - fee > 0:
+    if mine - fee > fee:  # a smaller delayed output is trimmed into the fee
         expected.append(("delayed", side, mine - fee, None))
     if theirs > 0:
         expected.append(("direct", ch.side_of(honest), theirs, None))

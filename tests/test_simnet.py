@@ -517,6 +517,41 @@ def test_stall_secret_forces_on_chain_resolution():
     assert report["violations"] == []
 
 
+@pytest.mark.parametrize("amount", [1, 2])
+def test_htlc_no_larger_than_the_fee_is_refused(amount):
+    """An HTLC output of at most `tx_fee` (2) could never be claimed or
+    refunded on chain, so the channel refuses it and the payment refunds at
+    once instead of holding the channel open until `max_ticks`."""
+    doc = minimal_doc()
+    doc["payments"][0]["amount"] = amount
+    doc["faults"] = [{"kind": "stall-secret", "actor": "lp", "at_tick": 0}]
+    report = run_doc(doc)
+    pay = report["payments"][0]
+    assert (pay["status"], pay["reason"]) == ("refunded", f"first-hop: {amount} <= tx_fee 2")
+    assert report["violations"] == []
+
+
+def test_delayed_output_no_larger_than_the_fee_is_trimmed():
+    """After paying 19,993 of its 20,000, ann's commitment keeps 7 coins:
+    2 pay its fee and 5 go to its delayed output. The second payment holds
+    3 in an HTLC, so the delayed output is 2, no larger than the fee of its
+    sweep. It becomes commitment fee, and the stalled HTLC refunds."""
+    doc = minimal_doc()
+    doc["max_ticks"] = 120
+    doc["payments"] = [
+        {"at_tick": 4, "sender": "ann", "recipient": "lp", "amount": 19993, "asset": "coin"},
+        {"at_tick": 12, "sender": "ann", "recipient": "lp", "amount": 3, "asset": "coin"},
+    ]
+    doc["faults"] = [{"kind": "stall-secret", "actor": "lp", "at_tick": 10}]
+    report = run_doc(doc)
+    assert [p["status"] for p in report["payments"]] == ["settled", "refunded"]
+    assert report["channels"][0]["phase"] == "settled"
+    ann = report["actors"]["ann"]
+    assert ann["fees_authorized"] == {"coin": 8}  # funding 2, commitment 2 + 2, refund 2
+    assert ann["final"]["coin"] + ann["fees_authorized"]["coin"] == 50000 - 19993
+    assert report["violations"] == []
+
+
 def test_crash_delays_but_does_not_lose_payment():
     doc = minimal_doc()
     doc["faults"] = [{"kind": "crash", "actor": "lp", "at_tick": 3, "duration": 4}]
