@@ -132,6 +132,9 @@ class Ledger:
     def in_mempool(self, tx_id: bytes) -> bool:
         return tx_id in self._mempool
 
+    def mempool_empty(self) -> bool:
+        return not self._mempool
+
     def spendable_by(self, pubkey: bytes) -> list[tuple[Outpoint, int]]:
         """The spendable PayToKey outputs owned by pubkey, largest first."""
         found = [
@@ -188,6 +191,16 @@ class Ledger:
         return tx_id
 
     # --- mining ------------------------------------------------------------
+
+    def advance_to(self, height: int) -> None:
+        """Mine empty blocks up to `height` at once, as `mine_blocks` would
+        one by one. Legal only while the mempool is empty, since the first
+        block would confirm it."""
+        if height < self.height:
+            raise ValueError(f"height {height} is below the chain's {self.height}")
+        if height > self.height and self._mempool:
+            raise ValueError("advance_to needs an empty mempool")
+        self.height = height
 
     def mine_blocks(self, count: int) -> list[BlockSummary]:
         """Mine `count` blocks; the first confirms the whole mempool."""

@@ -11,23 +11,27 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .script import Script, Witness, script_bytes
 
 MAX_AMOUNT = 2**64 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class Outpoint:
-    txid: bytes
-    index: int
+class Outpoint(namedtuple("Outpoint", ("txid", "index"))):
+    """An output of a transaction, by txid and output index. A tuple, so
+    the ledger's set and dict lookups hash and compare it in C."""
 
-    def __post_init__(self) -> None:
-        if len(self.txid) != 32:
+    __slots__ = ()
+
+    def __new__(cls, txid: bytes, index: int) -> "Outpoint":
+        if len(txid) != 32:
             raise ValueError("txid must be 32 bytes")
-        if self.index < 0:
+        if index < 0:
             raise ValueError("index must be >= 0")
+        return super().__new__(cls, txid, index)
 
     def short(self) -> str:
         return f"{self.txid.hex()[:16]}:{self.index}"
@@ -54,6 +58,9 @@ class Transaction:
     inputs: tuple[TxIn, ...]
     outputs: tuple[TxOut, ...]
     locktime: int = 0
+    # The txid, set by the first `txid` call. No caller can pass it, and
+    # `dataclasses.replace` starts without it.
+    _txid: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.inputs:
@@ -79,5 +86,8 @@ def serialize_without_witness(tx: Transaction) -> bytes:
 
 
 def txid(tx: Transaction) -> bytes:
-    """Witness-free transaction digest; doubles as the signing digest."""
-    return hashlib.sha256(serialize_without_witness(tx)).digest()
+    """Witness-free transaction digest; doubles as the signing digest.
+    Computed once per transaction and kept on it."""
+    if tx._txid is None:
+        object.__setattr__(tx, "_txid", hashlib.sha256(serialize_without_witness(tx)).digest())
+    return tx._txid

@@ -183,9 +183,12 @@ def _signed(
         preimages=tuple(preimages),
         branch_selector=branch,
     )
-    return Transaction(
+    tx = Transaction(
         inputs=tuple(TxIn(op, witness) for op in outpoints), outputs=skeleton.outputs
     )
+    # witnesses are outside the txid, so the skeleton's is the transaction's
+    object.__setattr__(tx, "_txid", digest)
+    return tx
 
 
 def open_channel(

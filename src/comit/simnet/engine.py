@@ -18,8 +18,8 @@ Actors follow the protocol honestly unless a fault says otherwise:
 - drop-gossip:       neither sends nor merges adverts during the window.
 - broadcast-revoked: broadcasts the revoked commitment that pays it best.
 
-Honest actors protect themselves without any global coordination. Each
-tick, every online party of a channel that may need it runs the channel
+Honest actors protect themselves without any global coordination. On each
+tick a channel is due, every online party of it runs the channel
 layer's `respond` policy: it force-closes when an HTLC it offered or can
 claim nears expiry, punishes a revoked broadcast, and sweeps, claims and
 refunds closed outputs once each is mature. The engine decides only which
@@ -44,15 +44,34 @@ A payment retires once it is terminal and every hop of it is resolved:
 (keeping their count, which the report prints) and of its recipient's
 `invoices` entry. Nothing reads either again: a retired payment offers no
 hop, and a settle or fail still queued for one of its hops is a no-op.
+
+The clock jumps. After each tick it executes, `run` moves the clock to the
+next tick at which anything can happen (`_next_tick`): the queue head, the
+head of the due index (a channel where `respond` may name a spend at that
+tick), the next block of a chain whose mempool holds a transaction, the
+next start or end of a fault window, and the next tick while gossip can
+still move or conservation fails. Heights are a fixed function of the
+tick, so a chain crosses the gap by `Ledger.advance_to`. Every tick it
+skips would change nothing: no event, no block that confirms anything, no
+spend, no gossip exchange and no change of who is online or faulty. The
+one exception is the per-tick fault counters: a dropping gossip end and a
+withheld claim count one hit on every tick, and `_advance` adds those for
+the skipped ticks at once. So a run costs what happens in it, not its
+`max_ticks`, with two exceptions that still poll on every tick: a close
+(`_ev_close`) of a channel that holds HTLCs queues itself for the next
+tick, and so does a settle whose stall outlasts the run (`_cascade`
+requeues it), until the HTLC resolves, which can be on chain many blocks
+later.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..chainlab import (
     ChainParams,
@@ -199,11 +218,21 @@ class Engine:
         # txid -> (broadcaster, fee, channel index, `respond` spend or None)
         self.pending_txs: dict[bytes, tuple[str, int, int, Optional[Spend]]] = {}
         self.gossip_converged_tick = -1
+        # Until this tick, gossip that has not converged keeps the run going.
+        self.gossip_end = 3 * len(scenario.actors) + 3
         # advert ids -> (the adverts, their ChannelGraph); filled by _graph
         self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
-        # Besides `live`, the housekeeping index (see _housekeeping): the
-        # channels closed on-chain and not yet settled.
+        # The channels closed on-chain and not yet settled.
         self.closed: set[int] = set()
+        # The due index, a heap of (tick, channel index): the channel is
+        # visited by `_on_chain` at that tick (see `_housekeeping`).
+        self.due: list[tuple[int, int]] = []
+        # The channels on which a stalling party withheld a claim this tick.
+        self.withholding: set[int] = set()
+        # How many HTLCs the OPEN channels hold.
+        self.open_htlcs = 0
+        # Whether the last conservation check passed.
+        self.balanced = True
         self._build_world()
 
     # --- construction -------------------------------------------------------
@@ -246,6 +275,7 @@ class Engine:
             self.ledgers[c.chain_id] = Ledger(params, coins)
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
+        self.chain_ids = sorted(self.ledgers)
         self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
@@ -298,8 +328,20 @@ class Engine:
             self.actors[spec.party_a].bump(
                 self.actors[spec.party_a].fees, asset, ledger.params.tx_fee
             )
+        self.start_heights = self._heights()
         for i, f in enumerate(sc.faults):
             self.actors[f.actor].faults.setdefault(f.kind, []).append(i)
+        # Every tick at which a crash or window fault starts or ends.
+        self.boundaries = sorted({t for f in sc.faults if f.kind != "broadcast-revoked"
+                                  for t in (f.at_tick, f.until_tick)})
+        # The channels with an end that ever drops gossip, visited by every
+        # gossip round, and those whose ends' versions moved since their
+        # last exchange: all of them before the first round.
+        self.drop_chans = {rt.idx for rt in self.channels
+                           if any("drop-gossip" in self.actors[n].faults for n in rt.names)}
+        self.gossip_due = set(range(len(self.channels)))
+        # Whether the last round left news for a channel it had passed.
+        self.gossip_moving = True
 
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
         # The payments _cascade may still act on, by index. One enters with
@@ -382,6 +424,15 @@ class Engine:
     def _heights(self) -> dict[str, int]:
         return {cid: self.ledgers[cid].height for cid in self.ledgers}
 
+    def _height_at(self, cid: str, tick: int) -> int:
+        """Chain `cid`'s height at `tick`: the blocks that opened its
+        channels, then one every `block_interval` ticks."""
+        return self.start_heights[cid] + tick // self.ledgers[cid].params.block_interval
+
+    def _tick_of(self, cid: str, height: int) -> int:
+        """The first tick at which chain `cid` is at `height` or above."""
+        return max(0, height - self.start_heights[cid]) * self.ledgers[cid].params.block_interval
+
     def _broadcast(self, rt: ChanRt, actor: str, build, *args, note: str = "",
                    spend: Optional[Spend] = None) -> bool:
         """`actor` puts a transaction of channel `rt` on chain: `build(*args)`
@@ -437,7 +488,7 @@ class Engine:
         self._check_conservation("setup")
 
         while self.tick < sc.max_ticks and self._outstanding():
-            self.tick += 1
+            self._advance(self._next_tick())
             self._mine()
             self._drain_events()
             self._housekeeping()
@@ -458,19 +509,91 @@ class Engine:
         `closed`. A pending payment needs no check of its own: only `_offer`
         puts a payment into `live`, after adding hop 0, so a pending live
         payment has hop 0 unresolved, and that HTLC is in an open channel
-        (`_open_htlcs`), a close in flight (`pending_txs`) or a channel
+        (`open_htlcs`), a close in flight (`pending_txs`) or a channel
         closed and not settled (`closed`)."""
-        if self.queue or self.pending_txs or self.closed:
+        if self.queue or self.pending_txs or self.closed or self.open_htlcs:
             return True
-        if next(self._open_htlcs(), None) is not None:
-            return True
-        return self.gossip_converged_tick < 0 and self.tick < 3 * len(self.sc.actors) + 3
+        return self.gossip_converged_tick < 0 and self.tick < self.gossip_end
 
-    def _open_htlcs(self) -> Iterator[HopLive]:
-        """The HTLCs the open channels hold: the unresolved hops of `live`
-        whose channel is OPEN."""
-        return (h for p in self.live.values() for h in p.hops
-                if not h.resolved and h.chan.channel.phase is ChannelPhase.OPEN)
+    def _next_tick(self) -> int:
+        """The next tick at which anything can happen, at most max_ticks.
+
+        Each tick before it would be a no-op (see the module docstring):
+        no event is queued, no channel is due, no chain has a block to
+        confirm, no fault window opens or closes, gossip has nothing left
+        to exchange that no fault blocks, and conservation held. While
+        gossip has not converged, `_outstanding` depends on the tick
+        itself, so the tick at which that term ends is a wake too."""
+        nxt = self.tick + 1
+        if self.gossip_moving or not self.balanced:
+            return nxt
+        end = self.sc.max_ticks
+        wake = min(self.queue[0][0], end) if self.queue else end
+        due = self.due
+        while due and due[0][0] < wake and not self._may_act(due[0][1], due[0][0]):
+            heapq.heappop(due)
+        if due:
+            wake = min(wake, due[0][0])
+        if wake <= nxt:
+            return nxt
+        for led in self.ledgers.values():
+            if not led.mempool_empty():
+                interval = led.params.block_interval
+                wake = min(wake, (self.tick // interval + 1) * interval)
+        b = bisect.bisect_right(self.boundaries, self.tick)
+        if b < len(self.boundaries):
+            wake = min(wake, self.boundaries[b])
+        if self.gossip_converged_tick < 0 and self.tick < self.gossip_end:
+            wake = min(wake, self.gossip_end)
+        return max(nxt, wake)
+
+    def _advance(self, tick: int) -> None:
+        """Move the clock to `tick`, adding the per-tick fault counters of
+        each tick skipped on the way. No fault window opens or closes in
+        the gap and nothing else changes, so every skipped tick counts
+        what the first one would: in `_gossip_channel`, one drop-gossip
+        hit per window and one `gossip_drops` for each dropping end of a
+        channel whose ends are online; in `_respond`, one stall-secret hit
+        per window for each claim a stalling party withholds. A claim is
+        withheld only on a channel in `withholding`, which is due again at
+        `tick`."""
+        skipped = tick - self.tick - 1
+        if skipped and (self.drop_chans or self.withholding):
+            self._count_skipped(skipped)
+        for idx in self.withholding:
+            self._due_at(idx, tick)
+        self.withholding = set()
+        self.tick = tick
+
+    def _count_skipped(self, skipped: int) -> None:
+        """Add what each of `skipped` ticks after this one counts (see
+        `_advance`)."""
+        t = self.tick + 1
+        hits: dict[int, int] = {}
+        drops = 0
+        for idx in self.drop_chans:
+            names = self.channels[idx].names
+            if not all(self._online(n, t) for n in names):
+                continue
+            for n in names:
+                dropping = self._active(n, "drop-gossip", t)
+                drops += bool(dropping)
+                for i in dropping:
+                    hits[i] = hits.get(i, 0) + 1
+        for idx in self.withholding:
+            rt = self.channels[idx]
+            for n in rt.names:
+                stalls = self._active(n, "stall-secret", t) if self._online(n, t) else []
+                if not stalls:
+                    continue
+                spends = respond(rt.channel, rt.parties[n], self.actors[n].secrets)
+                claims = sum(s.kind == "claim" for s in spends)
+                for i in stalls:
+                    hits[i] = hits.get(i, 0) + claims
+        for i, count in hits.items():
+            self.fault_hits[i] += count * skipped
+        if drops:
+            self._note("gossip_drops", drops * skipped)
 
     # --- gossip ----------------------------------------------------------------
 
@@ -495,20 +618,40 @@ class Engine:
             actor.gossip.insert_local(advert)
 
     def _gossip_round(self) -> None:
-        for rt in self.channels:
-            a, b = rt.names
-            actor_a, actor_b = self.actors[a], self.actors[b]
-            # Neither party has news for the other while both versions are
-            # what they were after their last exchange. Without a
-            # drop-gossip fault at either end, the online and drop checks of
-            # _gossip_channel have no side effects, so this test may come first.
-            if (
-                rt.gossiped == (actor_a.gossip.version, actor_b.gossip.version)
-                and "drop-gossip" not in actor_a.faults
-                and "drop-gossip" not in actor_b.faults
-            ):
-                continue
+        """`_gossip_channel` on each channel in channel-index order, as if
+        on every channel, but visiting only those where it may act: the
+        channels in `drop_chans` and in `gossip_due`. Neither party of any
+        other channel has news for the other, since both versions are what
+        they were after their last exchange, and without a drop-gossip
+        fault at either end the online and drop checks have no side
+        effects. An exchange that moves an end's version makes that end's
+        other channels due: the later ones in this round, the earlier ones
+        in the next."""
+        if not self.gossip_due and not self.drop_chans:
+            self._note_convergence()
+            return
+        todo = sorted(self.gossip_due | self.drop_chans)  # a sorted list is a heap
+        queued = set(todo)
+        self.gossip_due = set()
+        self.gossip_moving = False
+        while todo:
+            rt = self.channels[heapq.heappop(todo)]
+            ends = [self.actors[n] for n in rt.names]
+            before = [a.gossip.version for a in ends]
             self._gossip_channel(rt)
+            if rt.gossiped != (ends[0].gossip.version, ends[1].gossip.version):
+                self.gossip_due.add(rt.idx)  # an offline or dropping end kept its news
+            for actor, version in zip(ends, before):
+                if actor.gossip.version == version:
+                    continue
+                for other in actor.channels:
+                    if other.idx > rt.idx:
+                        if other.idx not in queued:
+                            queued.add(other.idx)
+                            heapq.heappush(todo, other.idx)
+                    elif other is not rt:
+                        self.gossip_due.add(other.idx)
+                        self.gossip_moving = True
         self._note_convergence()
 
     def _gossip_channel(self, rt: ChanRt) -> None:
@@ -550,23 +693,52 @@ class Engine:
     # --- mining and confirmation tracking ----------------------------------------
 
     def _mine(self) -> None:
-        for cid in sorted(self.ledgers):
+        """Bring each chain to its height at this tick, one block every
+        `block_interval` ticks. A chain whose mempool is empty gets there by
+        `advance_to`: its blocks confirm nothing, and `process_block` of
+        such a block is a no-op on every channel. A chain with a
+        transaction waiting has its next block due at this tick or later
+        (`_next_tick` stops at it); that block is mined and shown to the
+        chain's channels, and each channel it confirms a broadcast of is
+        due."""
+        for cid in self.chain_ids:
             led = self.ledgers[cid]
-            if self.tick % led.params.block_interval != 0:
+            height = self._height_at(cid, self.tick)
+            if led.mempool_empty():
+                led.advance_to(height)
                 continue
+            if led.height == height:
+                continue  # no block due at this tick
+            led.advance_to(height - 1)  # raises if a block with a transaction was skipped
             summary = led.mine_blocks(1)[0]
-            if not summary.txids:
-                continue  # process_block is a no-op on every channel
             for rt in self.chans_on[cid]:
-                rt.channel.process_block(summary)
+                ch = rt.channel
+                was_open = ch.phase is ChannelPhase.OPEN
+                ch.process_block(summary)
+                if was_open and ch.phase is not ChannelPhase.OPEN:
+                    self.open_htlcs -= len(ch.pending_htlcs)
                 # process_block is the only place these phases are set
-                if rt.channel.phase in CLOSED_ON_CHAIN:
-                    self.closed.add(rt.idx)
-                else:
+                if ch.phase not in CLOSED_ON_CHAIN:
                     self.closed.discard(rt.idx)
+                elif rt.idx not in self.closed:
+                    self._closed_on_chain(rt)
             for tx_id in summary.txids:
                 if tx_id in self.pending_txs:
-                    self._confirmed(cid, *self.pending_txs.pop(tx_id))
+                    entry = self.pending_txs.pop(tx_id)
+                    self._due_at(entry[2], self.tick)
+                    self._confirmed(cid, *entry)
+
+    def _closed_on_chain(self, rt: ChanRt) -> None:
+        """`rt` was just closed on-chain: it is in `closed` until settled,
+        and due again when its delayed output matures and when each HTLC
+        output can be refunded (the heights `respond` waits for)."""
+        self.closed.add(rt.idx)
+        ch = rt.channel
+        for out in ch.closed_outputs:
+            if out.kind == "delayed":
+                self._due_at(rt.idx, self._tick_of(rt.chain_id, ch.closed_height + ch.csv_delay))
+            elif out.kind == "htlc":
+                self._due_at(rt.idx, self._tick_of(rt.chain_id, out.htlc.expiry_height))
 
     def _confirmed(self, cid: str, name: str, fee: int, chan_idx: int,
                    spend: Optional[Spend]) -> None:
@@ -596,9 +768,44 @@ class Engine:
                     self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
 
     def _reveal(self, payment_hash: bytes, preimage: bytes) -> None:
-        """A preimage claimed on chain is public: every actor knows it."""
+        """A preimage claimed on chain is public: every actor knows it. A
+        party may now claim with it on any channel closed on-chain, or
+        force-close an open channel holding its HTLC: all are due."""
         for actor in self.actors.values():
             actor.secrets.setdefault(payment_hash, preimage)
+        for idx in self.closed:
+            self._due_at(idx, self.tick)
+        for p in self.live.values():
+            if p.invoice.payment_hash == payment_hash:
+                self._hops_due(p)
+
+    def _hops_due(self, p: PayRt) -> None:
+        """The channels of `p`'s hops are due now."""
+        for hop in p.hops:
+            self._due_at(hop.chan.idx, self.tick)
+
+    def _due_at(self, idx: int, tick: int) -> None:
+        """Channel `idx` is due at `tick`, or now if that has passed. An
+        entry for now is kept only where `respond` may name a spend now:
+        until this tick's `_on_chain`, only an entry of its own makes a
+        channel urgent or closed."""
+        if tick > self.tick:
+            if tick <= self.sc.max_ticks:
+                heapq.heappush(self.due, (tick, idx))
+        elif self._may_act(idx, self.tick):
+            heapq.heappush(self.due, (self.tick, idx))
+
+    def _may_act(self, idx: int, tick: int) -> bool:
+        """Whether `respond` may name a spend on channel `idx` at `tick`:
+        the channel is closed on-chain and not settled, or it is open and
+        holds an HTLC within URGENT_BLOCKS of expiry at that tick's
+        height."""
+        rt = self.channels[idx]
+        ch = rt.channel
+        if ch.phase is not ChannelPhase.OPEN:
+            return idx in self.closed
+        height = self._height_at(rt.chain_id, tick)
+        return any(h.expiry_height - height <= URGENT_BLOCKS for h in ch.pending_htlcs)
 
     # --- event handlers -----------------------------------------------------------
 
@@ -778,6 +985,10 @@ class Engine:
             )
         except (ChannelError, ValueError) as exc:
             return f"{'first-hop' if i == 0 else 'forward'}: {exc}"
+        self.open_htlcs += 1
+        # due now if an HTLC of it is urgent, and when this one turns urgent
+        self._due_at(rt.idx, self.tick)
+        self._due_at(rt.idx, self._tick_of(chain_id, expiry - URGENT_BLOCKS))
         p.hops.append(HopLive(
             chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
             offerer=offerer, receiver=receiver,
@@ -818,7 +1029,9 @@ class Engine:
             hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
         except ChannelError:
             return
+        self.open_htlcs -= 1
         self.actors[hop.offerer].secrets[p.invoice.payment_hash] = preimage
+        self._hops_due(p)  # the offerer may claim or force-close with it upstream
         self._resolve_hop(p, i, "fulfilled", "fulfilled")
 
     def _ev_fail_hop(self, pidx: int, i: int) -> None:
@@ -839,6 +1052,8 @@ class Engine:
             hop.chan.channel.fail_htlc(hop.htlc_id)
         except ChannelError:
             return
+        self.open_htlcs -= 1
+        self._due_at(hop.chan.idx, self.tick)
         self._resolve_hop(p, i, "failed", p.fail_reason or "failed")
 
     def _ev_close(self, cidx: int) -> None:
@@ -897,13 +1112,23 @@ class Engine:
         (`_reveal` runs in the block that confirms a claim):
 
         - `_cascade` reads `live`, the payments with an HTLC out.
-        - `_on_chain` visits the channels where `respond` may name a spend:
-          those in `closed`, kept by `_mine` after each `process_block`,
-          the only place a channel is closed on-chain or settled, and the
-          channels of `_open_htlcs` whose expiry is within URGENT_BLOCKS of
-          its chain's height. On any other channel `respond` names nothing.
-          Spends on different channels spend different outputs, so their
-          order is free.
+        - `_on_chain` visits the channels the due index names for this tick.
+          A visit acts only where `respond` names a spend that the ledger
+          admits or that a stall withholds, and what it names changes only
+          with the channel, the heights, what its parties know and who is
+          online or stalling. So a channel is due at the tick each of these
+          may change: whenever its HTLCs, its balances or its outputs change
+          (an offer, a settle or fail, a block confirming its broadcast);
+          when an HTLC it holds open turns urgent (`_offer`); when its
+          delayed output matures and each HTLC output can be refunded
+          (`_closed_on_chain`); when a party of it learns a preimage
+          (`_reveal`, `_ev_settle_hop`); when an offline party recovers;
+          and on each executed tick while a claim on it is withheld
+          (`_advance`). A spend every visit names and the ledger refuses
+          (a close its broadcaster cannot pay the fee for) is refused
+          again on every tick nothing changes. `_may_act` drops an entry
+          for a channel where `respond` names nothing. Spends on different
+          channels spend different outputs, so their order is free.
         """
         self._cascade()
         self._on_chain()
@@ -935,17 +1160,23 @@ class Engine:
         del self.actors[p.spec.recipient].invoices[p.invoice.payment_hash]
 
     def _on_chain(self) -> None:
-        """Each online party of each due channel (see `_housekeeping`), in
-        channel-index order and then name order, makes its spends there."""
-        due = self.closed | {
-            h.chan.idx for h in self._open_htlcs()
-            if h.expiry <= self.ledgers[h.chan.chain_id].height + URGENT_BLOCKS
-        }
+        """Each online party of each channel due now (see `_housekeeping`),
+        in channel-index order and then name order, makes its spends there.
+        An offline party's channel is due again when it recovers."""
+        if not self.due or self.due[0][0] > self.tick:
+            return
+        due = set()
+        while self.due and self.due[0][0] <= self.tick:
+            due.add(heapq.heappop(self.due)[1])
         for idx in sorted(due):
+            if not self._may_act(idx, self.tick):
+                continue
             rt = self.channels[idx]
             for name in sorted(rt.names):
                 if self._online(name):
                     self._respond(name, rt)
+                else:
+                    self._due_at(idx, self._recovery(name))
 
     def _respond(self, name: str, rt: ChanRt) -> None:
         """`name` broadcasts the spends `respond` names on channel `rt`,
@@ -954,6 +1185,7 @@ class Engine:
         for spend in respond(rt.channel, rt.parties[name], self.actors[name].secrets):
             if spend.kind == "claim" and self._active(name, "stall-secret"):
                 self._hit_faults(name, "stall-secret")
+                self.withholding.add(rt.idx)
                 continue
             self._broadcast(rt, name, spend.build, *spend.args,
                             note=SPEND_METRICS[spend.kind], spend=spend)
@@ -961,7 +1193,10 @@ class Engine:
     # --- invariants ------------------------------------------------------------------
 
     def _check_conservation(self, where: str) -> None:
-        for cid in sorted(self.ledgers):
+        """Append a violation for each chain or channel whose coins do not
+        add up; `balanced` says whether none did."""
+        found = len(self.violations)
+        for cid in self.chain_ids:
             led = self.ledgers[cid]
             if led.total_utxo_value() + led.burned != led.genesis_total:
                 self.violations.append(
@@ -989,6 +1224,7 @@ class Engine:
                     f"conservation: chain {cid!r} at {where}: on-chain {onchain} + "
                     f"channels {channel_value} + burned {led.burned} != genesis {led.genesis_total}"
                 )
+        self.balanced = len(self.violations) == found
 
     # --- final accounting ---------------------------------------------------------
 
@@ -1001,7 +1237,7 @@ class Engine:
             if amount:
                 totals[asset] = totals.get(asset, 0) + amount
 
-        for cid in sorted(self.ledgers):
+        for cid in self.chain_ids:
             led = self.ledgers[cid]
             asset = self.chain_assets[cid]
             add(asset, sum(a for _, a in led.spendable_by(actor.wallet[cid].pubkey)))

@@ -41,7 +41,7 @@ from ..crp.quotes import PPM
 WINDOW_FAULTS = ("drop-gossip", "refuse-forward", "stall-secret")
 FAULT_KINDS = ("broadcast-revoked", "crash", *WINDOW_FAULTS)
 
-# until_tick for window faults that never end; far beyond any max_ticks.
+# until_tick for window faults that never end; one past the largest max_ticks.
 FAR_FUTURE = 2**31
 
 _REQUIRED = object()  # the default of a field the document must give
@@ -217,7 +217,8 @@ class CloseSpec:
 @dataclass(frozen=True)
 class Scenario:
     seed: int = _schema(lo=0, hi=2**64 - 1)
-    max_ticks: int = _schema(default=500, lo=10)
+    # a height stays within a u32 (a script's timelock) up to this tick
+    max_ticks: int = _schema(default=500, lo=10, hi=FAR_FUTURE - 1)
     chains: tuple[ChainSpec, ...]
     actors: tuple[ActorSpec, ...]
     channels: tuple[ChannelSpec, ...]
@@ -452,13 +453,15 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     # A chain whose ids are too long still registers: what refers to it
     # gets no second diagnostic.
     by_chain: dict[str, ChainSpec] = {}
-    for _, where, _, v, _ in _entries(doc, "chains", ChainSpec, d, need="chain"):
+    chain_at: dict[str, int] = {}  # chain id -> document index
+    for i, where, _, v, _ in _entries(doc, "chains", ChainSpec, d, need="chain"):
         if None in v:
             continue
         if v[0] in by_chain:
             d.constraint(f"{where}.chain_id", f"duplicate chain {v[0]!r}")
             continue
         by_chain[v[0]] = ChainSpec(*v)
+        chain_at[v[0]] = i
     chains = list(by_chain.values())
     d.names["chain"] = by_chain
     d.names["asset"] = {c.asset for c in chains}
@@ -498,7 +501,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             have = held.get(actor, 0)
             if have < need:
                 d.constraint(
-                    f"chains[{chains.index(c)}].genesis.{actor}",
+                    f"chains[{chain_at[c.chain_id]}].genesis.{actor}",
                     f"holds {have} on {cid!r} but channel funding needs {need}",
                 )
 

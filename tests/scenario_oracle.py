@@ -33,7 +33,7 @@ FAULT_KINDS = (
 )
 WINDOW_FAULTS = ("drop-gossip", "refuse-forward", "stall-secret")
 
-# until_tick for window faults that never end; far beyond any max_ticks.
+# until_tick for window faults that never end; one past the largest max_ticks.
 FAR_FUTURE = 2**31
 
 MAX_SEED = 2**64 - 1
@@ -240,7 +240,9 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             d.unknown(key, "not a scenario section")
 
     seed = _get_int(doc, "seed", "document", d, lo=0, hi=MAX_SEED)
-    max_ticks = _get_int(doc, "max_ticks", "document", d, default=DEFAULT_MAX_TICKS, lo=10)
+    max_ticks = _get_int(
+        doc, "max_ticks", "document", d, default=DEFAULT_MAX_TICKS, lo=10, hi=FAR_FUTURE - 1
+    )
     last_tick = None if max_ticks is None else max_ticks - 1
 
     # Actors first: nearly everything else refers to them by name.
@@ -259,7 +261,8 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
 
     chains: list[ChainSpec] = []
     chain_ids: set = set()
-    for _, where, obj in _entries(doc, "chains", d, need="chain"):
+    chain_at: dict[str, int] = {}  # chain id -> document index
+    for i, where, obj in _entries(doc, "chains", d, need="chain"):
         spec = _parse_chain(where, obj, actor_names, d)
         if spec is None:
             continue
@@ -267,6 +270,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             d.constraint(f"{where}.chain_id", f"duplicate chain {spec.chain_id!r}")
             continue
         chain_ids.add(spec.chain_id)
+        chain_at[spec.chain_id] = i
         chains.append(spec)
     by_chain = {c.chain_id: c for c in chains}
     assets = {c.asset for c in chains}
@@ -321,7 +325,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             have = held.get(actor, 0)
             if have < need:
                 d.constraint(
-                    f"chains[{chains.index(c)}].genesis.{actor}",
+                    f"chains[{chain_at[c.chain_id]}].genesis.{actor}",
                     f"holds {have} on {cid!r} but channel funding needs {need}",
                 )
 

@@ -267,6 +267,100 @@ def test_block_summary_reports_confirmed_spends(world):
     assert e.value.reason == Reject.CONFLICT
 
 
+def test_advance_to_is_mining_empty_blocks(world):
+    """advance_to(h) leaves the chain as mining h - height empty blocks
+    does, and a relative timelock matures at the same height; it refuses to
+    go back and to pass a block that would confirm the mempool."""
+    ledger, alice, bob = world
+    (op, _), = ledger.spendable_by(alice.pubkey)
+    locked = TimeLockRel(3, alice.pubkey)
+    ledger.submit_tx(spend(alice, [op], [(1_000, locked)]))
+    summary, = ledger.mine_blocks(1)
+    child = spend(alice, [Outpoint(summary.txids[0], 0)], [(1_000, PayToKey(bob.pubkey))])
+    mined = Ledger(PARAMS, [(alice.pubkey, 1_000), (bob.pubkey, 500)])
+    mined.submit_tx(spend(alice, [op], [(1_000, locked)]))
+    mined.mine_blocks(1)
+    for height in (1, 2):
+        ledger.advance_to(height)
+        mined.mine_blocks(height - mined.height)
+        for led in (ledger, mined):
+            with pytest.raises(TxRejected) as e:
+                led.submit_tx(child)
+            assert e.value.reason == Reject.PREMATURE
+    ledger.advance_to(3)
+    mined.mine_blocks(1)
+    assert ledger.submit_tx(child) == mined.submit_tx(child)
+    for led in (ledger, mined):
+        assert (led.height, led.confirmed_tx_count, led.burned) == (3, 1, 0)
+    assert ledger._utxos == mined._utxos
+    ledger.advance_to(3)  # no block: allowed with a transaction waiting
+    with pytest.raises(ValueError):
+        ledger.advance_to(4)
+    with pytest.raises(ValueError):
+        ledger.advance_to(2)
+    summary, = ledger.mine_blocks(1)
+    assert summary.txids == (txid(child),)
+
+
+def test_outpoint_is_a_checked_tuple():
+    """An Outpoint is a tuple (hashed and compared in C) that still refuses
+    a txid that is not 32 bytes and a negative index."""
+    op = Outpoint(bytes(32), 1)
+    assert op == (bytes(32), 1) and hash(op) == hash((bytes(32), 1))
+    assert (op.txid, op.index) == (bytes(32), 1)
+    assert op.short() == "0" * 16 + ":1"
+    for bad in ((bytes(31), 0), (bytes(33), 0), (bytes(32), -1)):
+        with pytest.raises(ValueError):
+            Outpoint(*bad)
+    with pytest.raises(AttributeError):
+        op.index = 2
+
+
+def test_a_transaction_is_serialized_once(world, monkeypatch):
+    """txid is computed once per transaction and kept on it, and a signed
+    transaction takes its id from the skeleton it signs: funding a channel,
+    naming its outpoint and submitting it serialize the funding once."""
+    import comit.chainlab.tx as tx_mod
+    from comit.channels import ChannelParty, open_channel
+
+    ledger, alice, bob = world
+    calls = []
+    serialize = tx_mod.serialize_without_witness
+
+    def counted(tx):
+        calls.append(tx)
+        return serialize(tx)
+
+    monkeypatch.setattr(tx_mod, "serialize_without_witness", counted)
+    a, b = ChannelParty(alice, bytes(32)), ChannelParty(bob, bytes(32))
+    ch = open_channel(ledger, a, b, 400, 100)
+    assert len(calls) == 1  # the skeleton `_signed` signs
+    skeleton = calls[0]
+    fresh = Transaction(inputs=skeleton.inputs, outputs=skeleton.outputs)
+    assert ch.funding_outpoint.txid == txid(fresh) == txid(skeleton)
+    assert len(calls) == 2  # `fresh` was serialized; the skeleton not again
+
+
+def test_a_kept_txid_cannot_carry_signatures_over(world):
+    """No constructor takes a txid, and `dataclasses.replace` computes a
+    changed transaction's id afresh, so the ledger checks its signatures
+    against its own outputs and refuses them."""
+    import dataclasses
+
+    ledger, alice, bob = world
+    (op, _), = ledger.spendable_by(alice.pubkey)
+    signed = spend(alice, [op], [(1_000, PayToKey(alice.pubkey))])
+    txid(signed)
+    with pytest.raises(TypeError):
+        Transaction(inputs=signed.inputs, outputs=signed.outputs, _txid=txid(signed))
+    stolen = dataclasses.replace(signed, outputs=(TxOut(1_000, PayToKey(bob.pubkey)),))
+    assert txid(stolen) != txid(signed)
+    with pytest.raises(TxRejected) as e:
+        ledger.submit_tx(stolen)
+    assert e.value.reason == Reject.INVALID_WITNESS
+    assert ledger.submit_tx(signed) == txid(signed)
+
+
 def test_or_script_spend_via_branches(world, rng):
     ledger, alice, bob = world
     (op, _), = ledger.spendable_by(alice.pubkey)

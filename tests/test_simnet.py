@@ -295,6 +295,36 @@ def test_validate_genesis_must_cover_funding():
     assert any(e.startswith("constraint-violation:") for e in errors)
 
 
+def test_validate_funding_diagnostic_names_the_chains_document_index():
+    """A chain entry that does not parse still counts in the index the
+    funding diagnostic gives the chain it names."""
+    doc = minimal_doc()
+    doc["chains"].insert(0, {"chain_id": "side", "asset": "gold", "hash_fns": "SHA256",
+                             "genesis": {"ann": 10}})
+    doc["channels"][0]["fund_a"] = 60000
+    _, errors = validate_scenario(doc)
+    assert errors == [
+        "parse-error: chains[0].hash_fns: expected a non-empty list of hash function names",
+        "constraint-violation: chains[1].genesis.ann: holds 50000 on 'main' "
+        "but channel funding needs 60002",
+    ]
+
+
+def test_validate_max_ticks_keeps_every_height_within_a_u32():
+    """max_ticks is at most FAR_FUTURE - 1 (2**31 - 1): heights, one block
+    per tick at most, then stay far below 2**32, where a script's timelock
+    would no longer fit its u32."""
+    doc = minimal_doc()
+    doc["max_ticks"] = 2**31
+    scenario, errors = validate_scenario(doc)
+    assert scenario is None
+    assert errors == [
+        "constraint-violation: document.max_ticks: must be <= 2147483647, got 2147483648"
+    ]
+    doc["max_ticks"] = 2**31 - 1
+    assert validate_scenario(doc)[1] == []
+
+
 def test_validate_quotes_only_from_lps():
     doc = minimal_doc()
     doc["quotes"] = [
@@ -607,6 +637,27 @@ def forward_doc() -> dict:
         ],
         "faults": [],
     }
+
+
+def slow_chain_doc(block_interval: int, beth_down: int, ann_at: int) -> dict:
+    """forward_doc with beth paid in scoin over a chain that mines every
+    `block_interval` ticks, beth crashed from when her hop offer arrives
+    for `beth_down` ticks, and ann crashed from `ann_at` for 20. ann's
+    HTLC turns urgent on the fast chain first, while she is down, so lp
+    closes it once beth's settle tells it the preimage, and claims."""
+    doc = forward_doc()
+    doc["chains"].append({"chain_id": "slow", "asset": "scoin", "hash_fns": ["SHA256"],
+                          "block_interval": block_interval,
+                          "genesis": {"lp": 50000, "beth": 50000}})
+    doc["chains"][0]["genesis"].pop("beth")
+    doc["channels"][1]["chain_id"] = "slow"
+    doc["quotes"][0]["asset_out"] = "scoin"
+    doc["payments"][0]["asset"] = "scoin"
+    doc["faults"] = [
+        {"kind": "crash", "actor": "beth", "at_tick": 7, "duration": beth_down},
+        {"kind": "crash", "actor": "ann", "at_tick": ann_at, "duration": 20},
+    ]
+    return doc
 
 
 def test_drop_gossip_leaves_sender_without_routes():
@@ -1079,12 +1130,22 @@ def test_star_routing_work_does_not_grow_with_users(monkeypatch):
 # ---------------------------------------------------------------- housekeeping oracle
 
 
-class ScanningEngine(engine_mod.Engine):
+class SteppingEngine(engine_mod.Engine):
+    """The engine with a clock that steps one tick at a time: the oracle
+    for the jumps of `_next_tick`. Every tick the engine skips runs here in
+    full, so its drop-gossip and stall-secret hits are counted by that
+    tick's own gossip round and `_on_chain` visit, not by `_advance`."""
+
+    def _next_tick(self):
+        return self.tick + 1
+
+
+class ScanningEngine(SteppingEngine):
     """The engine with its per-tick steps scanning every actor, channel and
-    fault, and with actors learning on-chain preimages only while online:
-    the oracle the indexed steps must match byte for byte. Only what is
-    visited and when a preimage is learned differ; what a visit does is the
-    engine's own code."""
+    fault on every tick, and with actors learning on-chain preimages only
+    while online: the oracle the indexed steps must match byte for byte.
+    Only what is visited and when a preimage is learned differ; what a
+    visit does is the engine's own code."""
 
     def _active(self, name, kind, tick=None):
         t = self.tick if tick is None else tick
@@ -1181,8 +1242,9 @@ def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
 def test_indexed_housekeeping_matches_full_scans():
     """Byte-identical reports from the indexed per-tick steps and from full
     scans, on the bundled scenarios, the first 100 acceptance-corpus
-    scenarios, the multi-fault meshes, a fault-free mesh, a star and a
-    breach that leaves an HTLC open downstream of a finished payment."""
+    scenarios, the multi-fault meshes, a fault-free mesh, a star, a
+    preimage learned upstream of an urgent HTLC and a breach that leaves an
+    HTLC open downstream of a finished payment."""
     docs = [
         json.loads((resources.files("comit.simnet") / "scenarios" / name).read_text())
         for name in sorted(
@@ -1207,6 +1269,9 @@ def test_indexed_housekeeping_matches_full_scans():
         docs.append(doc)
     docs.append({**mesh_doc(random.Random(5)), "faults": []})
     docs.append(star_doc(12))
+    # lp learns the preimage from beth's settle while ann's HTLC is urgent
+    # and ann is down: lp must close and claim at once.
+    docs += [slow_chain_doc(ib, down, 12) for ib in (2, 3, 4) for down in (9, 12, 15)]
     # The 395th corpus document of seed 0: justice ends payment 1 at hop 0
     # while its downstream HTLC is still open, so the run must go on to an
     # urgent close and an on-chain refund of that HTLC (to tick 62) rather
@@ -1223,6 +1288,133 @@ def test_indexed_housekeeping_matches_full_scans():
     for metric in ("urgent_closes", "justice_txs", "onchain_claims", "onchain_refunds",
                    "gossip_drops", "stall_blocks", "crash_requeues"):
         assert seen.get(metric, 0) > 0, (metric, seen)
+
+
+# ------------------------------------------------------------------ clock oracle
+
+
+class CountingEngine(engine_mod.Engine):
+    """Engine, counting the ticks it executes."""
+
+    def __init__(self, scenario):
+        self.executed = 0
+        super().__init__(scenario)
+
+    def _advance(self, tick):
+        self.executed += 1
+        super()._advance(tick)
+
+
+def far_doc(at: int, max_ticks: int, faults=(), block_interval: int = 1) -> dict:
+    """minimal_doc with its payment at tick `at`, under `max_ticks`."""
+    doc = minimal_doc()
+    doc["max_ticks"] = max_ticks
+    doc["chains"][0]["block_interval"] = block_interval
+    doc["payments"][0]["at_tick"] = at
+    doc["faults"] = list(faults)
+    return doc
+
+
+def far_docs(at: int, max_ticks: int) -> list[dict]:
+    """Long idle stretches before a payment at `at`, then: settled; lp
+    stalling from just before `at` to the end, so ann force-closes and lp
+    withholds its claim on chain, over idle ticks between blocks, until
+    ann's refund; the same stall ending while lp withholds, with ann
+    crashed over its end, so lp claims; and the first stall with lp
+    dropping gossip all run long and crashed once, so a hit counts on
+    every tick."""
+    stall = {"kind": "stall-secret", "actor": "lp", "at_tick": at - 3}
+    return [
+        far_doc(at, max_ticks),
+        far_doc(at, max_ticks, [stall], block_interval=3),
+        far_doc(at, max_ticks, [
+            {**stall, "until_tick": at + 20},
+            {"kind": "crash", "actor": "ann", "at_tick": at + 18, "duration": 5},
+        ], block_interval=3),
+        far_doc(at, max_ticks, [
+            {"kind": "drop-gossip", "actor": "lp", "at_tick": 0},
+            {"kind": "crash", "actor": "lp", "at_tick": at // 2, "duration": 7},
+            stall,
+        ], block_interval=3),
+    ]
+
+
+def crash_past_end_doc(duration: int) -> dict:
+    """minimal_doc with its payment at tick 5 and ann crashed from tick 1
+    for `duration` ticks, past max_ticks 60: the payment start and ann's
+    recovery are queued beyond the end of the run."""
+    doc = far_doc(5, 60, [{"kind": "crash", "actor": "ann", "at_tick": 1, "duration": duration}])
+    return doc
+
+
+def stepped_and_jumped(doc: dict) -> tuple[int, int]:
+    """Run `doc` on SteppingEngine and on the engine; their reports, metrics
+    and fault hits must be equal. Returns the ticks the stepping run
+    executed, and those the engine executed."""
+    scenario, errors = validate_scenario(doc)
+    assert errors == [], errors
+    out = []
+    for cls in (SteppingEngine, CountingEngine):
+        engine = cls(scenario)
+        engine.run()
+        out.append((report_json(build_report(engine)), engine.metrics, engine.fault_hits,
+                    engine.tick))
+    assert out[1] == out[0]
+    return out[0][3], engine.executed
+
+
+def test_jumping_clock_matches_stepping():
+    """Byte-identical reports, equal metrics and fault hits, whether the
+    clock steps through every tick or jumps to the next due one: on the
+    bundled scenarios, the acceptance corpus, the race corpus, a slow
+    second chain, payments at tick 50,000 after long idle, stalled and
+    gossip-dropping stretches, and a crash that outlasts max_ticks, so the
+    clock stops at max_ticks with events still queued past it. The engine
+    executes under 80% of the ticks of the first four sets, under 100 of
+    each far payment's, and 4 of the crashed run's 60."""
+    scenarios = resources.files("comit.simnet") / "scenarios"
+    docs = [json.loads((scenarios / name).read_text())
+            for name in sorted(p.name for p in scenarios.iterdir() if p.name.endswith(".json"))]
+    rng = random.Random(0xACCE97)
+    docs += [random_scenario(rng) for _ in range(500)]
+    rng = random.Random(RACE_SEED)
+    docs += [race_doc(rng) for _ in range(RACE_DOCS)]
+    docs += [slow_chain_doc(ib, down, 12) for ib in (2, 3, 4) for down in (9, 12, 15)]
+    stepped = jumped = 0
+    for i, doc in enumerate(docs):
+        ticks, executed = stepped_and_jumped(doc)
+        assert executed <= ticks, i
+        stepped += ticks
+        jumped += executed
+    assert jumped < 0.8 * stepped, (jumped, stepped)
+    for doc in far_docs(50_000, 50_200):
+        assert stepped_and_jumped(doc)[1] < 100
+    for duration in (1_000, 2**40):
+        assert stepped_and_jumped(crash_past_end_doc(duration)) == (60, 4)
+
+
+@pytest.mark.parametrize("variant", range(4))
+def test_far_future_payment_runs_in_few_ticks(variant):
+    """A payment at tick 2**31 - 200 under the largest max_ticks finishes
+    in a few dozen executed ticks, on chain too, with no violation, at
+    heights up to near 2**31 (see test_validate_max_ticks_keeps_every_height_within_a_u32)."""
+    doc = far_docs(2**31 - 200, 2**31 - 1)[variant]
+    scenario, errors = validate_scenario(doc)
+    assert errors == [], errors
+    engine = CountingEngine(scenario)
+    engine.run()
+    report = build_report(engine)
+    assert report["violations"] == []
+    assert engine.executed < 100
+    assert engine.ledgers["main"].height > (2**31 - 200) // doc["chains"][0]["block_interval"]
+    pay = report["payments"][0]
+    assert (pay["status"], pay["reason"]) == [
+        ("settled", "fulfilled"), ("refunded", "expired"),
+        ("settled", "claimed-on-chain"), ("refunded", "expired")][variant]
+    if variant:
+        assert report["metrics"]["urgent_closes"] == 1
+        stall = [f for f in report["faults"] if f["kind"] == "stall-secret"]
+        assert stall[0]["applied"] > 2  # the settle it stalled and the claims it withheld
 
 
 # ------------------------------------------------------------ retirement oracle
