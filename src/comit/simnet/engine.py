@@ -107,14 +107,15 @@ from ..crp import (
 )
 from ..crp.onion import OnionError
 from ..swap import (
+    SETTLED,
     ForwardRejected,
     Invoice,
     RouteMismatch,
     check_delivery,
     check_forward,
     make_invoice,
-    offer_expiry,
     prepare_attempt,
+    upstream,
 )
 from .scenario import PaymentSpec, Scenario
 
@@ -464,7 +465,7 @@ class Engine:
         amount from offerer to receiver; hop 0 ends the payment."""
         hop = p.hops[i]
         hop.resolved = outcome
-        settled = outcome in ("fulfilled", "claimed")
+        settled = outcome in SETTLED
         if settled:
             asset = self.chain_assets[hop.chan.chain_id]
             recv, off = self.actors[hop.receiver], self.actors[hop.offerer]
@@ -915,52 +916,35 @@ class Engine:
             self._schedule(self._recovery(hop.receiver), self._ev_hop_offer, pidx, i, packet)
             return
         recv = self.actors[hop.receiver]
-
+        height = self.ledgers[hop.chan.chain_id].height
         try:
             payload, next_packet = onion_peel(packet, recv.node_key)
+            if payload.next_node is None:
+                # the recipient holds the preimage of each invoice it made
+                invoice = recv.invoices.get(hop.chan.channel.htlc(hop.htlc_id).payment_hash)
+                check_delivery(payload, invoice, hop.amount, hop.expiry, height)
+                self._queue_hop(p, i, True, self.tick + 1)
+                return
+            # forward
+            if self._active(hop.receiver, "refuse-forward"):
+                self._hit_faults(hop.receiver, "refuse-forward")
+                self._note("refusals")
+                raise ForwardRejected("refused-forward")
+            next_name = self.actor_by_pub.get(payload.next_node)
+            if next_name is None:
+                raise ForwardRejected("unknown-next-node")
+            quote = self.quote_table.get(hop.receiver, {}).get(
+                (self.chain_assets[hop.chan.chain_id], payload.asset))
+            expiry = check_forward(payload, hop.amount, hop.expiry, height, quote,
+                                   self.ledgers[payload.chain_id].height)
         except OnionError:
             self._start_fail(p, i, "bad-onion")
             return
-        in_chain = hop.chan.chain_id
-        height = self.ledgers[in_chain].height
-
-        if payload.next_node is None:
-            # the recipient holds the preimage of each invoice it made
-            invoice = recv.invoices.get(hop.chan.channel.htlc(hop.htlc_id).payment_hash)
-            if invoice is None:
-                self._start_fail(p, i, "unknown-payment")
-                return
-            try:
-                check_delivery(payload, invoice, hop.amount, hop.expiry, height)
-            except ForwardRejected as exc:
-                self._start_fail(p, i, exc.reason)
-                return
-            self._queue_hop(p, i, self._ev_settle_hop, self.tick + 1)
-            return
-
-        # forward
-        if self._active(hop.receiver, "refuse-forward"):
-            self._hit_faults(hop.receiver, "refuse-forward")
-            self._note("refusals")
-            self._start_fail(p, i, "refused-forward")
-            return
-        next_name = self.actor_by_pub.get(payload.next_node)
-        if next_name is None:
-            self._start_fail(p, i, "unknown-next-node")
-            return
-        quote = self.quote_table.get(hop.receiver, {}).get(
-            (self.chain_assets[in_chain], payload.asset)
-        )
-        try:
-            check_forward(payload, hop.amount, hop.expiry, height, quote)
         except ForwardRejected as exc:
             self._start_fail(p, i, exc.reason)
             return
-        reason = self._offer(
-            p, hop.receiver, next_name, payload.chain_id, payload.amount_to_forward,
-            offer_expiry(self.ledgers[payload.chain_id].height, payload.expiry_delta),
-            next_packet,
-        )
+        reason = self._offer(p, hop.receiver, next_name, payload.chain_id,
+                             payload.amount_to_forward, expiry, next_packet)
         if reason is not None:
             self._start_fail(p, i, reason)
 
@@ -998,63 +982,48 @@ class Engine:
         self._schedule(self.tick + 1, self._ev_hop_offer, p.idx, i, packet)
         return None
 
-    def _queue_hop(self, p: PayRt, i: int, handler: Callable, tick: int) -> None:
-        """Queue hop i's off-chain settle or fail, `handler`, for `tick`."""
+    def _queue_hop(self, p: PayRt, i: int, settle: bool, tick: int) -> None:
+        """Queue hop i's off-chain settle (or, if not `settle`, fail) for `tick`."""
         p.hops[i].scheduled = True
-        self._schedule(tick, handler, p.idx, i)
+        self._schedule(tick, self._ev_settle_or_fail, p.idx, i, settle)
 
     def _start_fail(self, p: PayRt, i: int, reason: str) -> None:
         p.fail_reason = p.fail_reason or reason
-        self._queue_hop(p, i, self._ev_fail_hop, self.tick + 1)
+        self._queue_hop(p, i, False, self.tick + 1)
 
-    def _ev_settle_hop(self, pidx: int, i: int) -> None:
+    def _ev_settle_or_fail(self, pidx: int, i: int, settle: bool) -> None:
+        """Fulfil (settle) or fail hop i's HTLC off-chain. A settle moves a
+        preimage, so a stall holds it up as well as a crash."""
         if pidx not in self.live:
             return  # retired: every hop of it is resolved
         p = self.payments[pidx]
         hop = p.hops[i]
         hop.scheduled = False
-        if hop.resolved:
+        if hop.resolved or hop.chan.channel.phase is not ChannelPhase.OPEN:
             return
-        if hop.chan.channel.phase is not ChannelPhase.OPEN:
-            return
-        gate = self._settle_gate(hop.receiver, hop.offerer)
+        gate = (self._settle_gate if settle else self._gate)(hop.receiver, hop.offerer)
         if gate is not None:
             if gate >= 0:
-                self._queue_hop(p, i, self._ev_settle_hop, gate)
+                self._queue_hop(p, i, settle, gate)
             return
-        # Whoever schedules a settle knows the preimage, and an unresolved
-        # hop on an open channel is an HTLC of that channel.
-        preimage = self.actors[hop.receiver].secrets[p.invoice.payment_hash]
         try:
-            hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
+            if settle:
+                # Whoever schedules a settle knows the preimage, and an
+                # unresolved hop on an open channel is an HTLC of that channel.
+                preimage = self.actors[hop.receiver].secrets[p.invoice.payment_hash]
+                hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
+            else:
+                hop.chan.channel.fail_htlc(hop.htlc_id)
         except ChannelError:
             return
         self.open_htlcs -= 1
-        self.actors[hop.offerer].secrets[p.invoice.payment_hash] = preimage
-        self._hops_due(p)  # the offerer may claim or force-close with it upstream
-        self._resolve_hop(p, i, "fulfilled", "fulfilled")
-
-    def _ev_fail_hop(self, pidx: int, i: int) -> None:
-        if pidx not in self.live:
-            return  # retired: every hop of it is resolved
-        p = self.payments[pidx]
-        hop = p.hops[i]
-        hop.scheduled = False
-        if hop.resolved:
-            return
-        if hop.chan.channel.phase is not ChannelPhase.OPEN:
-            return
-        gate = self._gate(hop.receiver, hop.offerer)
-        if gate is not None:
-            self._queue_hop(p, i, self._ev_fail_hop, gate)
-            return
-        try:
-            hop.chan.channel.fail_htlc(hop.htlc_id)
-        except ChannelError:
-            return
-        self.open_htlcs -= 1
-        self._due_at(hop.chan.idx, self.tick)
-        self._resolve_hop(p, i, "failed", p.fail_reason or "failed")
+        if settle:
+            self.actors[hop.offerer].secrets[p.invoice.payment_hash] = preimage
+            self._hops_due(p)  # the offerer may claim or force-close with it upstream
+            self._resolve_hop(p, i, "fulfilled", "fulfilled")
+        else:
+            self._due_at(hop.chan.idx, self.tick)
+            self._resolve_hop(p, i, "failed", p.fail_reason or "failed")
 
     def _ev_close(self, cidx: int) -> None:
         spec = self.sc.closes[cidx]
@@ -1122,7 +1091,7 @@ class Engine:
           when an HTLC it holds open turns urgent (`_offer`); when its
           delayed output matures and each HTLC output can be refunded
           (`_closed_on_chain`); when a party of it learns a preimage
-          (`_reveal`, `_ev_settle_hop`); when an offline party recovers;
+          (`_reveal`, `_ev_settle_or_fail`); when an offline party recovers;
           and on each executed tick while a claim on it is withheld
           (`_advance`). A spend every visit names and the ledger refuses
           (a close its broadcaster cannot pay the fee for) is refused
@@ -1143,14 +1112,15 @@ class Engine:
                 continue
             for i in range(len(p.hops) - 1):
                 hop, down = p.hops[i], p.hops[i + 1]
-                if hop.resolved or hop.scheduled or not down.resolved:
+                if (hop.resolved or hop.scheduled or not down.resolved
+                        or not self._online(hop.receiver)):
                     continue
-                if not self._online(hop.receiver):
-                    continue
-                if down.resolved not in ("fulfilled", "claimed"):
-                    self._start_fail(p, i, "downstream-" + down.resolved)
-                elif p.invoice.payment_hash in self.actors[hop.receiver].secrets:
-                    self._queue_hop(p, i, self._ev_settle_hop, self.tick + 1)
+                step = upstream(down.resolved,
+                                p.invoice.payment_hash in self.actors[hop.receiver].secrets)
+                if step == "settle":
+                    self._queue_hop(p, i, True, self.tick + 1)
+                elif step is not None:
+                    self._start_fail(p, i, step)
 
     def _retire(self, p: PayRt) -> None:
         """`p` is terminal with every hop resolved: drop it from `live` and

@@ -1,17 +1,18 @@
-"""Turning a route into hop-by-hop HTLC terms, and the per-hop admission rules.
+"""Turning a route into hop-by-hop HTLC terms, and the per-hop rules.
 
 The routing layer (`comit.crp`) finds the path and prices every hop; this
 module sets the timelocks. prepare_attempt fixes a payment attempt's first
 HTLC expiry and its onion, whose payloads carry each forward's amount from
 the route and its step of the expiry ladder; check_forward and
-check_delivery decide whether a node accepts an HTLC. The HTLCs themselves
-are offered, settled and failed by the event-driven simulator
-(`comit.simnet`), which calls these rules at every hop and offers every
-HTLC at the expiry offer_expiry gives. A forwarding node accepts an HTLC
-only if the sender priced it with the node's own advertised quote, the
-incoming amount covers the outgoing amount plus the node's margin, and the
-incoming expiry leaves at least one HOP_DELTA step more headroom than the
-outgoing one. Expiries are absolute block heights on each hop's own chain.
+check_delivery decide whether a node accepts an HTLC, and upstream how a
+forwarder then resolves it. The HTLCs themselves are offered, settled and
+failed by the event-driven simulator (`comit.simnet`), which calls these
+rules at every hop and offers each forward at the expiry check_forward
+returns. A forwarding node accepts an HTLC only if the sender priced it
+with the node's own advertised quote, the incoming amount covers the
+outgoing amount plus the node's margin, and the incoming expiry leaves at
+least one HOP_DELTA step more headroom than the outgoing one. Expiries are
+absolute block heights on each hop's own chain.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .invoice import Invoice
 # outgoing HTLC.
 FINAL_DELTA = 6
 HOP_DELTA = 6
+# How a hop that paid its receiver ended: off-chain or claimed on chain.
+SETTLED = frozenset({"fulfilled", "claimed"})
 
 
 def ladder_delta(hops_after: int) -> int:
@@ -135,8 +138,10 @@ def check_forward(
     incoming_expiry: int,
     incoming_height: int,
     quote: Optional[RateQuote],
-) -> None:
-    """Would an honest forwarder accept this? Raises ForwardRejected if not."""
+    outgoing_height: int,
+) -> int:
+    """Would an honest forwarder accept this? Raises ForwardRejected if not,
+    else returns the expiry of the HTLC to offer at `outgoing_height`."""
     if payload.next_node is None:
         raise ForwardRejected("not-a-forward", "terminal payload at a forwarding hop")
     if quote is None or not payload.echo.matches(quote):
@@ -150,16 +155,20 @@ def check_forward(
     need = payload.expiry_delta + HOP_DELTA
     if headroom < need:
         raise ForwardRejected("expiry-too-tight", f"{headroom} blocks left, need {need}")
+    return offer_expiry(outgoing_height, payload.expiry_delta)
 
 
 def check_delivery(
     payload: HopPayload,
-    invoice: Invoice,
+    invoice: Optional[Invoice],
     incoming_amount: int,
     incoming_expiry: int,
     incoming_height: int,
 ) -> None:
-    """Would the payee accept this HTLC as paying `invoice`?"""
+    """Would the payee accept this HTLC as paying `invoice`, the invoice it
+    made for the HTLC's payment hash (None if it made none)?"""
+    if invoice is None:
+        raise ForwardRejected("unknown-payment", "no invoice for this hash")
     if payload.next_node is not None:
         raise ForwardRejected("not-terminal", "onion does not end here")
     if payload.asset != invoice.asset:
@@ -177,3 +186,12 @@ def check_delivery(
         )
     if incoming_expiry <= incoming_height:
         raise ForwardRejected("expiry-too-tight", "already expired")
+
+
+def upstream(down_outcome: str, knows_preimage: bool) -> Optional[str]:
+    """What a forwarder does with its incoming HTLC once its outgoing one
+    ended as `down_outcome`: "settle" if that paid and the forwarder knows
+    the preimage, the reason to fail back if it ended unpaid, else None."""
+    if down_outcome not in SETTLED:
+        return "downstream-" + down_outcome
+    return "settle" if knows_preimage else None

@@ -1417,6 +1417,43 @@ def test_far_future_payment_runs_in_few_ticks(variant):
         assert stall[0]["applied"] > 2  # the settle it stalled and the claims it withheld
 
 
+def stalled_close_doc() -> dict:
+    """minimal_doc under the largest max_ticks on a chain that mines every
+    1,000 ticks, lp stalling from tick 0 and a close of the channel
+    scheduled at tick 6, while lp withholds the settle of its HTLC."""
+    doc = far_doc(4, 2**31 - 1, [{"kind": "stall-secret", "actor": "lp", "at_tick": 0}],
+                  block_interval=1000)
+    doc["closes"] = [{"at_tick": 6, "channel": 0}]
+    return doc
+
+
+def stalled_settle_doc() -> dict:
+    """line_doc under the largest max_ticks on a chain that mines every
+    1,000 ticks, with ann, the offerer of hop 0, stalling from tick 0, so
+    that lp's settle with ann waits for a stall that outlasts the run."""
+    doc = line_doc()
+    doc["max_ticks"] = 2**31 - 1
+    doc["chains"][0]["block_interval"] = 1000
+    doc["faults"] = [{"kind": "stall-secret", "actor": "ann", "at_tick": 0}]
+    return doc
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="_ev_close queues itself for the "
+                   "next tick while its channel holds an HTLC (6,002 ticks)")
+def test_close_waiting_for_an_htlc_runs_in_few_ticks():
+    engine = CountingEngine(validate_scenario(stalled_close_doc())[0])
+    engine.run()
+    assert engine.executed < 100, engine.executed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="_cascade requeues a settle whose "
+                   "stall outlasts the run on every tick (13,000 ticks)")
+def test_settle_stalled_past_the_run_runs_in_few_ticks():
+    engine = CountingEngine(validate_scenario(stalled_settle_doc())[0])
+    engine.run()
+    assert engine.executed < 100, engine.executed
+
+
 # ------------------------------------------------------------ retirement oracle
 
 
@@ -1437,13 +1474,9 @@ class RetiringEngine(engine_mod.Engine):
         self.late = Counter()
         super().__init__(scenario)
 
-    def _ev_settle_hop(self, pidx, i):
-        self.late["settle"] += pidx not in self.live
-        super()._ev_settle_hop(pidx, i)
-
-    def _ev_fail_hop(self, pidx, i):
-        self.late["fail"] += pidx not in self.live
-        super()._ev_fail_hop(pidx, i)
+    def _ev_settle_or_fail(self, pidx, i, settle):
+        self.late["settle" if settle else "fail"] += pidx not in self.live
+        super()._ev_settle_or_fail(pidx, i, settle)
 
 
 def late_fail_doc() -> dict:
