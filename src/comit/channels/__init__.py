@@ -4,7 +4,9 @@ Off-chain updates are asymmetric commitment transactions: each party holds
 its own pre-signed version whose own payout is delayed and revocable, so
 broadcasting a stale state hands the counterparty everything via the
 revealed invalidation key. `respond` is the honest party's on-chain
-policy: the spends it makes on a channel at the current height.
+policy: the spends it makes on a channel at the current height. It names
+one only where `may_respond` holds, and one waiting for height alone first
+at an `urgent_height` or one of `wake_heights`: its wake contract.
 """
 
 from .channel import (
@@ -14,6 +16,7 @@ from .channel import (
     ChannelError,
     ChannelParty,
     ChannelPhase,
+    CLOSED_ON_CHAIN,
     Htlc,
     InsufficientBalance,
     InsufficientFunds,
@@ -24,8 +27,11 @@ from .channel import (
     UnsupportedHashFunction,
     URGENT_BLOCKS,
     WindowExpired,
+    may_respond,
     open_channel,
     respond,
+    urgent_height,
+    wake_heights,
 )
 
 __all__ = [
@@ -35,8 +41,12 @@ __all__ = [
     "Htlc",
     "open_channel",
     "respond",
+    "may_respond",
+    "urgent_height",
+    "wake_heights",
     "Spend",
     "URGENT_BLOCKS",
+    "CLOSED_ON_CHAIN",
     "ChannelError",
     "InsufficientFunds",
     "InsufficientBalance",

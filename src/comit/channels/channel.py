@@ -115,6 +115,10 @@ class ChannelPhase(Enum):
     SETTLED = "settled"
 
 
+# Phases of a channel closed on-chain whose outputs are not all resolved.
+CLOSED_ON_CHAIN = (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
+
+
 @dataclass(frozen=True, slots=True)
 class ChannelParty:
     keypair: KeyPair
@@ -584,10 +588,7 @@ class Channel:
 
         # Mining empties the mempool, so right after a block every unspent
         # output is spendable.
-        if (
-            self.phase in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
-            and not self._spendable_outputs()
-        ):
+        if self.phase in CLOSED_ON_CHAIN and not self._spendable_outputs():
             self.phase = ChannelPhase.SETTLED
 
     def _spendable_outputs(self) -> list[ClosedOutput]:
@@ -602,7 +603,7 @@ class Channel:
     # --- post-close spends ------------------------------------------------------
 
     def _closed_output(self, kind: str, htlc_id: Optional[int] = None) -> ClosedOutput:
-        if self.phase not in (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED, ChannelPhase.SETTLED):
+        if self.phase not in (*CLOSED_ON_CHAIN, ChannelPhase.SETTLED):
             raise StalePhase(self.phase.value)
         for o in self.closed_outputs:
             if o.kind != kind:
@@ -688,6 +689,33 @@ class Channel:
 URGENT_BLOCKS = 2
 
 
+def urgent_height(expiry_height: int) -> int:
+    """The height from which `respond` force-closes for an open HTLC."""
+    return expiry_height - URGENT_BLOCKS
+
+
+def _maturity(channel: Channel, out: ClosedOutput) -> int:
+    """The height from which `respond` spends a closed output with no
+    preimage: delayed, csv_delay blocks after the close; HTLC, its expiry."""
+    return channel.closed_height + channel.csv_delay if out.htlc is None else out.htlc.expiry_height
+
+
+def wake_heights(channel: Channel) -> list[int]:
+    """Each non-direct closed output's `_maturity`: the heights at which
+    `respond` may first name a spend on a closed channel for height alone."""
+    return [_maturity(channel, o) for o in channel.closed_outputs if o.kind != "direct"]
+
+
+def may_respond(channel: Channel, height: int) -> bool:
+    """Whether `respond` may name a spend on `channel` at `height` for either
+    party: the channel is closed on-chain and not settled, or open with an
+    HTLC at or past its `urgent_height`. Looser than `respond`, it ignores
+    who offered the HTLC, who knows its preimage and any close in flight."""
+    if channel.phase is not ChannelPhase.OPEN:
+        return channel.phase in CLOSED_ON_CHAIN
+    return any(height >= urgent_height(h.expiry_height) for h in channel.pending_htlcs)
+
+
 @dataclass(frozen=True, slots=True)
 class Spend:
     """One transaction `respond` names: `build(*args)` builds and submits it."""
@@ -709,12 +737,13 @@ def respond(
     breach by the other side, it punishes while a revocable output is
     spendable. Otherwise it spends each spendable closed output it can: its
     own delayed output once csv_delay blocks have passed since the close,
-    every HTLC it can claim, and every HTLC it offered once expired."""
+    every HTLC it can claim, and every HTLC it offered once expired (the
+    heights of `urgent_height` and `_maturity`, as in `wake_heights`)."""
     side = channel.side_of(party)
     height = channel.ledger.height
     if channel.phase is ChannelPhase.OPEN:
         if not channel.closing and any(
-            h.expiry_height - height <= URGENT_BLOCKS
+            height >= urgent_height(h.expiry_height)
             and (h.offerer_side == side or h.payment_hash in secrets)
             for h in channel.pending_htlcs
         ):
@@ -727,11 +756,11 @@ def respond(
     for out in outputs:
         h = out.htlc
         if h is None:  # the broadcaster's delayed output
-            if side == channel.closed_by and height >= channel.closed_height + channel.csv_delay:
+            if side == channel.closed_by and height >= _maturity(channel, out):
                 spends.append(Spend("sweep", channel.build_delayed_sweep, (party,)))
         elif h.offerer_side != side and h.payment_hash in secrets:
             preimage = secrets[h.payment_hash]
             spends.append(Spend("claim", channel.build_htlc_claim, (party, h.htlc_id, preimage), h))
-        elif h.offerer_side == side and height >= h.expiry_height:
+        elif h.offerer_side == side and height >= _maturity(channel, out):
             spends.append(Spend("refund", channel.build_htlc_refund, (party, h.htlc_id), h))
     return spends

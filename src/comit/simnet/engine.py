@@ -20,9 +20,8 @@ Actors follow the protocol honestly unless a fault says otherwise:
 
 Honest actors protect themselves without any global coordination. On each
 tick a channel is due, every online party of it runs the channel
-layer's `respond` policy: it force-closes when an HTLC it offered or can
-claim nears expiry, punishes a revoked broadcast, and sweeps, claims and
-refunds closed outputs once each is mature. The engine decides only which
+layer's `respond` policy, and that layer's `may_respond` and
+`wake_heights` say when the policy can act. The engine decides only which
 channels to visit, who is online and when a stalling party withholds a
 claim. No timelocked sweep or refund can squat on a contested outpoint
 ahead of a justice transaction: the ledger refuses a spend the next block
@@ -47,14 +46,14 @@ hop, and a settle or fail still queued for one of its hops is a no-op.
 
 The clock jumps. After each tick it executes, `run` moves the clock to the
 next tick at which anything can happen (`_next_tick`): the queue head, the
-head of the due index (a channel where `respond` may name a spend at that
-tick), the next block of a chain whose mempool holds a transaction, the
-next start or end of a fault window, and the next tick while gossip can
-still move or conservation fails. Heights are a fixed function of the
-tick, so a chain crosses the gap by `Ledger.advance_to`. Every tick it
-skips would change nothing: no event, no block that confirms anything, no
-spend, no gossip exchange and no change of who is online or faulty. The
-one exception is the per-tick fault counters: a dropping gossip end and a
+head of the due index (a channel where `may_respond` holds at that tick),
+the next block of a chain whose mempool holds a transaction, the next
+start or end of a fault window, and the next tick while gossip can still
+move or conservation fails. Heights are a fixed function of the tick, so a
+chain crosses the gap by `Ledger.advance_to`. Every tick it skips would
+change nothing: no event, no block that confirms anything, no spend, no
+gossip exchange and no change of who is online or faulty. The one
+exception is the per-tick fault counters: a dropping gossip end and a
 withheld claim count one hit on every tick, and `_advance` adds those for
 the skipped ticks at once. So a run costs what happens in it, not its
 `max_ticks`, with two exceptions that still poll on every tick: a close
@@ -86,10 +85,13 @@ from ..channels import (
     ChannelError,
     ChannelParty,
     ChannelPhase,
+    CLOSED_ON_CHAIN,
     Spend,
-    URGENT_BLOCKS,
+    may_respond,
     open_channel,
     respond,
+    urgent_height,
+    wake_heights,
 )
 from ..crp import (
     ChannelEndpoint,
@@ -110,7 +112,6 @@ from ..swap import (
     SETTLED,
     ForwardRejected,
     Invoice,
-    RouteMismatch,
     check_delivery,
     check_forward,
     make_invoice,
@@ -119,8 +120,6 @@ from ..swap import (
 )
 from .scenario import PaymentSpec, Scenario
 
-# Phases of a channel closed on-chain whose outputs are not all resolved.
-CLOSED_ON_CHAIN = (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
 # The metric a broadcast of each kind of `respond` spend notes.
 SPEND_METRICS = {"close": "urgent_closes", "justice": "justice_txs", "sweep": "",
                  "claim": "onchain_claims", "refund": "onchain_refunds"}
@@ -731,15 +730,10 @@ class Engine:
 
     def _closed_on_chain(self, rt: ChanRt) -> None:
         """`rt` was just closed on-chain: it is in `closed` until settled,
-        and due again when its delayed output matures and when each HTLC
-        output can be refunded (the heights `respond` waits for)."""
+        and due again at each of its `wake_heights`."""
         self.closed.add(rt.idx)
-        ch = rt.channel
-        for out in ch.closed_outputs:
-            if out.kind == "delayed":
-                self._due_at(rt.idx, self._tick_of(rt.chain_id, ch.closed_height + ch.csv_delay))
-            elif out.kind == "htlc":
-                self._due_at(rt.idx, self._tick_of(rt.chain_id, out.htlc.expiry_height))
+        for height in wake_heights(rt.channel):
+            self._due_at(rt.idx, self._tick_of(rt.chain_id, height))
 
     def _confirmed(self, cid: str, name: str, fee: int, chan_idx: int,
                    spend: Optional[Spend]) -> None:
@@ -797,16 +791,9 @@ class Engine:
             heapq.heappush(self.due, (self.tick, idx))
 
     def _may_act(self, idx: int, tick: int) -> bool:
-        """Whether `respond` may name a spend on channel `idx` at `tick`:
-        the channel is closed on-chain and not settled, or it is open and
-        holds an HTLC within URGENT_BLOCKS of expiry at that tick's
-        height."""
+        """Whether `respond` may name a spend on channel `idx` at `tick`."""
         rt = self.channels[idx]
-        ch = rt.channel
-        if ch.phase is not ChannelPhase.OPEN:
-            return idx in self.closed
-        height = self._height_at(rt.chain_id, tick)
-        return any(h.expiry_height - height <= URGENT_BLOCKS for h in ch.pending_htlcs)
+        return may_respond(rt.channel, self._height_at(rt.chain_id, tick))
 
     # --- event handlers -----------------------------------------------------------
 
@@ -826,6 +813,8 @@ class Engine:
         return min(pool, key=lambda f: f.value)
 
     def _ev_payment_start(self, pidx: int) -> None:
+        """Invoice, route and offer payment `pidx`. `find_route` ends its route at
+        the invoice's recipient and asset, so `prepare_attempt` never refuses it."""
         p = self.payments[pidx]
         spec = p.spec
         sender = self.actors[spec.sender]
@@ -879,13 +868,9 @@ class Engine:
                 f"first hop is {first_hop_actor!r}, not a liquidity provider"
             )
 
-        try:
-            attempt = prepare_attempt(
-                invoice, route, self._heights(), derived_rng(self.sc.seed, "payment", pidx)
-            )
-        except RouteMismatch as exc:
-            self._finish(p, "refunded", f"bad-route: {exc}")
-            return
+        attempt = prepare_attempt(
+            invoice, route, self._heights(), derived_rng(self.sc.seed, "payment", pidx)
+        )
         p.cost = attempt.cost
         reason = self._offer(
             p, spec.sender, first_hop_actor, route.hops[0].chain_id,
@@ -972,7 +957,7 @@ class Engine:
         self.open_htlcs += 1
         # due now if an HTLC of it is urgent, and when this one turns urgent
         self._due_at(rt.idx, self.tick)
-        self._due_at(rt.idx, self._tick_of(chain_id, expiry - URGENT_BLOCKS))
+        self._due_at(rt.idx, self._tick_of(chain_id, urgent_height(expiry)))
         p.hops.append(HopLive(
             chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
             offerer=offerer, receiver=receiver,
@@ -1088,16 +1073,16 @@ class Engine:
           online or stalling. So a channel is due at the tick each of these
           may change: whenever its HTLCs, its balances or its outputs change
           (an offer, a settle or fail, a block confirming its broadcast);
-          when an HTLC it holds open turns urgent (`_offer`); when its
-          delayed output matures and each HTLC output can be refunded
-          (`_closed_on_chain`); when a party of it learns a preimage
-          (`_reveal`, `_ev_settle_or_fail`); when an offline party recovers;
-          and on each executed tick while a claim on it is withheld
-          (`_advance`). A spend every visit names and the ledger refuses
-          (a close its broadcaster cannot pay the fee for) is refused
-          again on every tick nothing changes. `_may_act` drops an entry
-          for a channel where `respond` names nothing. Spends on different
-          channels spend different outputs, so their order is free.
+          at the `urgent_height` of each HTLC it holds open (`_offer`) and
+          at its `wake_heights` once closed on-chain (`_closed_on_chain`);
+          when a party of it learns a preimage (`_reveal`,
+          `_ev_settle_or_fail`); when an offline party recovers; and on
+          each executed tick while a claim on it is withheld (`_advance`).
+          A spend every visit names and the ledger refuses (a close its
+          broadcaster cannot pay the fee for) is refused again on every
+          tick nothing changes. `_may_act` drops an entry for a channel
+          where `may_respond` fails. Spends on different channels spend
+          different outputs, so their order is free.
         """
         self._cascade()
         self._on_chain()

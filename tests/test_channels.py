@@ -32,8 +32,11 @@ from comit.channels import (
     URGENT_BLOCKS,
     UnsupportedHashFunction,
     WindowExpired,
+    may_respond,
     open_channel,
     respond,
+    urgent_height,
+    wake_heights,
 )
 from comit.channels.channel import CommitmentState
 
@@ -650,6 +653,14 @@ class ChannelMachine(RuleBasedStateMachine):
     100 and balances 0 or at least 100, so every output can pay its
     spend's fee.
 
+    The wake contract, which lets a simulator visit a channel only when
+    `respond` can act: after each block, whatever a party's `respond`
+    names, `may_respond` holds; and after a quiet block (no rule ran since
+    the last responses and the block confirmed nothing), any spend it
+    names that it did not name at the last responses is named at one of
+    the channel's wake heights: the `urgent_height` of a pending HTLC while
+    the channel is open, else its `wake_heights`.
+
     At teardown, 40 blocks later, every honest side has gained at least
     its entitlement at close (its balance, the HTLCs it can claim and those
     it offered that the other side cannot claim) minus the fees of the
@@ -670,6 +681,8 @@ class ChannelMachine(RuleBasedStateMachine):
         self.entitled = None  # side -> entitlement at close
         self.cheater = None
         self.taken = 0  # revoked-state HTLC outputs the cheater's spends confirmed
+        self.changed = True  # a rule ran since the last responses
+        self.named = {"a": set(), "b": set()}  # side -> (kind, htlc id) named last
 
     def _open(self):
         return self.ch.phase is ChannelPhase.OPEN and not self.ch.closing
@@ -710,6 +723,7 @@ class ChannelMachine(RuleBasedStateMachine):
             self.ch.party(offerer), amount, HashFnId.SHA256, payment_hash, self.ledger.height + out
         )
         self.preimages[hid] = preimage
+        self.changed = True
         if knows:
             self.secrets["b" if by_a else "a"][payment_hash] = preimage
 
@@ -722,6 +736,7 @@ class ChannelMachine(RuleBasedStateMachine):
         if not htlcs:
             return
         h = data.draw(st.sampled_from(htlcs), label="htlc")
+        self.changed = True
         if fulfil:
             self.ch.fulfill_htlc(h.htlc_id, self.preimages[h.htlc_id])
             self.secrets[h.offerer_side][h.payment_hash] = self.preimages[h.htlc_id]
@@ -731,6 +746,7 @@ class ChannelMachine(RuleBasedStateMachine):
     def _close(self, side, n=None):
         """Broadcast `side`'s commitment n (the latest when None)."""
         self._build(side, "close", self.ch.unilateral_close, self.ch.party(side), n)
+        self.changed = True
         if n is not None:
             self.cheater = side
             self.order = sorted(self.order, key=lambda party: self.ch.side_of(party) != side)
@@ -759,14 +775,32 @@ class ChannelMachine(RuleBasedStateMachine):
         for outpoint, spender in block.spent:
             if self.built.get(spender) in ((self.cheater, "claim"), (self.cheater, "refund")):
                 self.taken += next(o.amount for o in self.ch.closed_outputs if o.outpoint == outpoint)
+        quiet = not self.changed and not block.txids
         for party in self.order:
             side = self.ch.side_of(party)
-            for spend in respond(self.ch, party, self.secrets[side]):  # each must be admitted
+            spends = respond(self.ch, party, self.secrets[side])
+            self._check_wake(side, spends, quiet)
+            for spend in spends:  # each must be admitted
                 self._build(side, spend.kind, spend.build, *spend.args)
+        self.changed = False
         if self.ch.phase is ChannelPhase.BREACHED:
             # justice leaves the cheater nothing to take later
             assert not any(self.ledger.is_spendable(o.outpoint)
                            for o in self.ch.closed_outputs if o.kind != "direct")
+
+    def _check_wake(self, side, spends, quiet):
+        """The wake contract (see the class docstring) for `side`'s spends."""
+        height = self.ledger.height
+        named = {(s.kind, s.htlc.htlc_id if s.htlc else None) for s in spends}
+        if named:
+            assert may_respond(self.ch, height), (named, height)
+        if quiet and named - self.named[side]:
+            if self.ch.phase is ChannelPhase.OPEN:
+                wakes = {urgent_height(h.expiry_height) for h in self.ch.pending_htlcs}
+            else:
+                wakes = set(wake_heights(self.ch))
+            assert height in wakes, (named, height, wakes)
+        self.named[side] = named
 
     @invariant()
     def value_is_conserved(self):

@@ -615,6 +615,9 @@ def test_route_search_matches_reference_search():
                 find_route(*args, **kwargs)
             continue
         assert find_route(*args, **kwargs) == expected, f"trial {trial}"
+        # what `prepare_attempt` checks of a route, so the engine's never fails it
+        assert expected.recipient == nid("R")
+        assert expected.hops[-1].asset == args[4]
         found[priced] += 1
     # every priced mesh has a price vector, most free ones a gaining cycle
     assert bounded[True] == 150 and bounded[False] < 50

@@ -12,9 +12,10 @@ import pytest
 
 import comit.crp.graph as graph_mod
 import comit.simnet.engine as engine_mod
-from comit.chainlab import HashFnId
+from comit.chainlab import HashFnId, Outpoint, PayToKey
+from comit.chainlab.ledger import Utxo
 from comit.channels import Channel, ChannelPhase
-from comit.crp import ChannelGraph, GossipState
+from comit.crp import ChannelGraph, GossipState, NodeKey, onion_create, onion_peel
 from comit.simnet import (
     ActorSpec,
     ChainSpec,
@@ -869,7 +870,133 @@ def test_user_to_user_shortcut_is_a_role_violation():
         {"at_tick": 4, "sender": "ann", "recipient": "uri", "amount": 500, "asset": "coin"}
     ]
     report = run_doc(doc)
-    assert any(v.startswith("role-constraint") for v in report["violations"])
+    assert report["violations"] == [
+        "role-constraint: payment 0 from user 'ann' first hop is 'uri', not a liquidity provider"
+    ]
+
+
+# ------------------------------------------------- every check seen to fire
+
+
+def run_with(cls, doc: dict) -> dict:
+    """`doc`'s report from engine class `cls`."""
+    scenario, errors = validate_scenario(doc)
+    assert errors == [], errors
+    engine = cls(scenario)
+    engine.run()
+    return build_report(engine)
+
+
+class BreakingEngine(engine_mod.Engine):
+    """The engine, breaking one thing (`breaks`) after the housekeeping of
+    tick `at`, so the checks that end that tick see it."""
+
+    at = 6
+
+    def _housekeeping(self):
+        super()._housekeeping()
+        if self.tick == self.at:
+            self.breaks()
+
+
+class MintingEngine(BreakingEngine):
+    """Mints 7 coins on chain main outside any transaction."""
+
+    def breaks(self):
+        led = self.ledgers["main"]
+        led._add_utxo(Outpoint(bytes(32), 0), Utxo(7, PayToKey(bytes(32)), led.height))
+        led._utxo_value += 7
+
+
+class SkimmingEngine(BreakingEngine):
+    """Adds 5 to ann's balance in channel 0 without its capacity."""
+
+    def breaks(self):
+        ch = self.channels[0].channel
+        ch.state = dataclasses.replace(ch.state, balance_a=ch.state.balance_a + 5)
+
+
+@pytest.mark.parametrize("cls, violations", [
+    (MintingEngine, [
+        "conservation: chain 'main' at tick 6: utxos 100005 + burned 2 != genesis 100000",
+        "conservation: chain 'main' at tick 6: on-chain 60005 + channels 40000 + burned 2 "
+        "!= genesis 100000",
+    ]),
+    (SkimmingEngine, [
+        "conservation: channel 0 at tick 6: balances 40005 != capacity 40000",
+        "conservation: chain 'main' at tick 6: on-chain 59998 + channels 40005 + burned 2 "
+        "!= genesis 100000",
+    ]),
+])
+def test_each_conservation_check_fires(cls, violations):
+    """minimal_doc, broken at tick 6, the last one a clean run executes,
+    so only that tick's checks see it. Genesis is 100,000 coins; after the
+    funding tx 99,998 are in utxos, 40,000 of them in the channel, and its
+    fee of 2 is burned. Neither break fakes a loss: the minted coin is
+    nobody's, and ann gains 5."""
+    assert run_doc(minimal_doc())["ticks"] == 6
+    report = run_with(cls, minimal_doc())
+    assert report["ticks"] == 6
+    assert report["violations"] == violations
+    assert all(info["no_loss"] for info in report["actors"].values())
+
+
+class OvercreditingEngine(engine_mod.Engine):
+    """Credits honest lp 1 coin of `settled_in` it never received."""
+
+    def run(self):
+        super().run()
+        lp = self.actors["lp"]
+        lp.bump(lp.settled_in, "coin", 1)
+
+
+def test_no_honest_loss_fires_on_an_unpaid_credit():
+    report = run_with(OvercreditingEngine, minimal_doc())
+    assert report["violations"] == [
+        "no-honest-loss: actor 'lp' ended below its entitled balance"
+    ]
+    assert report["actors"]["lp"]["honest"]
+    assert {name: info["no_loss"] for name, info in report["actors"].items()} == {
+        "ann": True, "lp": False}
+
+
+class TamperingEngine(engine_mod.Engine):
+    """Hands lp, the forwarder, `hostile(packet)` in place of the packet
+    ann sent."""
+
+    def _ev_hop_offer(self, pidx, i, packet):
+        if self.payments[pidx].hops[i].receiver == "lp":
+            packet = self.hostile(packet)
+        super()._ev_hop_offer(pidx, i, packet)
+
+
+class ZeroedTagEngine(TamperingEngine):
+    def hostile(self, packet):
+        return dataclasses.replace(packet, tag=bytes(32))
+
+
+class StrangerEngine(TamperingEngine):
+    def hostile(self, packet):
+        """A packet lp can open, naming as next node a key no actor holds."""
+        lp = self.actors["lp"].node_key
+        payload, _ = onion_peel(packet, lp)
+        stranger = NodeKey.generate(random.Random(1)).pubkey
+        assert stranger not in self.actor_by_pub
+        return onion_create([lp.pubkey], random.Random(2),
+                            [dataclasses.replace(payload, next_node=stranger)])
+
+
+@pytest.mark.parametrize("cls, reason", [
+    (ZeroedTagEngine, "bad-onion"),
+    (StrangerEngine, "unknown-next-node"),
+])
+def test_forwarder_fails_back_a_hostile_packet(cls, reason):
+    """BOLT #4: a forwarder that cannot authenticate a packet, or does not
+    know its next node, fails the HTLC back, and the payment refunds."""
+    report = run_with(cls, forward_doc())
+    pay = report["payments"][0]
+    assert (pay["status"], pay["reason"], pay["hops"]) == ("refunded", reason, 1)
+    assert report["violations"] == []
 
 
 # ----------------------------------------------------------------- the CLI
@@ -1370,8 +1497,9 @@ def test_jumping_clock_matches_stepping():
     second chain, payments at tick 50,000 after long idle, stalled and
     gossip-dropping stretches, and a crash that outlasts max_ticks, so the
     clock stops at max_ticks with events still queued past it. The engine
-    executes under 80% of the ticks of the first four sets, under 100 of
-    each far payment's, and 4 of the crashed run's 60."""
+    executes under 80% of the ticks of the first four sets and at most
+    9,275 of them, under 100 of each far payment's, and 4 of the crashed
+    run's 60."""
     scenarios = resources.files("comit.simnet") / "scenarios"
     docs = [json.loads((scenarios / name).read_text())
             for name in sorted(p.name for p in scenarios.iterdir() if p.name.endswith(".json"))]
@@ -1387,6 +1515,9 @@ def test_jumping_clock_matches_stepping():
         stepped += ticks
         jumped += executed
     assert jumped < 0.8 * stepped, (jumped, stepped)
+    # 9,275 of 16,501 stepped ticks execute: a wake rule that adds polls
+    # fails here, not only in a benchmark
+    assert jumped <= 9_275, (jumped, stepped)
     for doc in far_docs(50_000, 50_200):
         assert stepped_and_jumped(doc)[1] < 100
     for duration in (1_000, 2**40):
