@@ -23,11 +23,31 @@ order of a lower bound on the (cost, hops) of any completion, and stops
 once that bound passes the best complete path. The bound prices assets.
 Given prices p > 0 with rate_num/rate_den <= p_in/p_out for every quote in
 the graph, backward_apply never lowers amount * p: the exact conversion
-keeps it and the ceilings and fees only raise it. A partial path whose
-first hop carries `amount` of `asset` therefore completes at a cost of at
-least amount * p(asset) / max(p). price_vector finds such prices exactly;
-they exist unless a cycle of quotes multiplies an amount by more than 1.
-Without them the bound is 0 and the same loop takes every admissible path.
+keeps it and the ceilings and fees only raise it. A forwarder paid a_in of
+asset_in to pay a_out of asset_out has a_in * p_in >= a_out * p_out +
+fee * p_in, and fee >= base_fee + [fee_ppm > 0] because pre >= 1.
+price_vector finds such prices exactly, the largest 1; they exist unless
+a cycle of quotes multiplies an amount by more than 1.
+
+The bound also counts what the sender must still pay to reach a path's
+head, as A* does (Hart, Nilsson & Raphael 1968). Forwarding through a
+quoting node n adds at least delta(n) to amount * p, the least (base_fee +
+[fee_ppm > 0]) * p(asset_in) over its quotes. From the sender's first hops
+through quoting nodes, one walk finds D(n), the least sum of delta over
+the forwarders from the first peer to n inclusive, and another H(n), the
+fewest hops; the cheapest path to n may not be the shortest, so H has its
+own walk. Every completion of a path of `length` hops whose first hop
+carries `amount` of `asset` out of `head` pays through forwarders ending
+at head, and max(p) = 1, so it costs at least amount * p(asset) + D(head)
+and has at least length + H(head) hops. That is the bound, rounded up. A
+head the sender does not reach is never pushed, nor one with length +
+H(head) > max_hops. Without prices, p and D are 0 and so is the cost
+bound, but reachability and H still prune. A search thus costs what the
+sender can reach, not every simple path: on a ring of 24 LPs with +1 and
++2 chords it grows about 30 partial paths a route where the amount alone
+grew about 1,600. The graph keeps p, delta and the links among quoting
+nodes (forwarders()), integers over the prices' common denominator, once
+per set of edges and quotes; each search walks from its own sender.
 
 The graph is the sender's public view, shared by every sender that holds
 the same adverts; find_route never changes it. The sender's own channels
@@ -35,23 +55,24 @@ come in as `own_edges`, a read-only overlay applied by add_edge's rule: an
 own edge replaces the graph's edge for its (sender, dst, chain), and a graph
 edge from the sender with no own edge stays. A path that reaches the sender
 is complete, so the overlay only ever supplies first hops: an expansion at
-`head` looks up the sender's edges into it by key instead of scanning.
+`head` looks up the sender's edges into it by key instead of scanning, and
+only when head is the recipient or a first peer, with H(head) = 1.
 
 Each expansion prices one more hop once per asset: the quote and
 backward_apply depend only on `head`, the asset and the path's amount, not
 on which edge carries the hop. The sender's edges are taken first, since
 each completes a route and may lower the best one. Every other edge in an
-asset grows a partial path with that same amount and one more hop, so all
-of them share one bound, (ceil(amount * p(asset)), length + 2). Once that
-bound passes the best route, none of them could be pushed, and the whole
-asset is skipped without pricing or growing a path. This is the same test
-the push makes, taken once per asset rather than once per edge. The graph
-also indexes the edges into each node by asset, so every asset's bound is
-settled before any edge is scanned, and when no asset admits a hop the
-edges into `head` are not scanned at all: a hub's hundreds of edges cost
-nothing once the best route is found. An asset is priced only where a
-scan would price it, when the sender's edges carry it or some edge of it
-comes from a node the path may still take.
+asset grows a partial path with that same amount and one more hop, so
+none of them is bounded below (ceil(amount * p(asset)), length + 2), the
+bound with D at 0 and H at 1. Once that passes the best route, none of
+them could be pushed, and the whole asset is skipped without pricing or
+growing a path: the push's test, taken once per asset rather than once per
+edge. The graph also indexes the edges into each node by asset, so every
+asset's bound is settled before any edge is scanned, and when no asset
+admits a hop the edges into `head` are not scanned at all: a hub's
+hundreds of edges cost nothing once the best route is found. An asset is
+priced only where a scan would price it, when the sender's edges carry it
+or some edge of it comes from a node the path may still take.
 """
 
 from __future__ import annotations
@@ -61,6 +82,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..chainlab import HashFnId
@@ -77,6 +99,7 @@ class RouteTooLong(Exception):
 
 
 MAX_ROUTE_HOPS = 20
+_ALL_FNS = frozenset(HashFnId)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +181,16 @@ def price_vector(quotes: Iterable[RateQuote]) -> Optional[dict[str, Fraction]]:
     return None
 
 
+class _Forwarders(NamedTuple):
+    """A graph's prices and forwarders, as integers over one denominator."""
+
+    scale: int  # the least common denominator of the prices
+    price: dict[str, int]  # asset -> its price * scale
+    unquoted: int  # the price * scale of an asset no quote names
+    fee: dict[bytes, int]  # quoting node -> delta: the least fee * price it adds
+    links: dict[bytes, list[bytes]]  # quoting node -> the quoting nodes it has edges to
+
+
 class ChannelGraph:
     def __init__(
         self,
@@ -174,6 +207,8 @@ class ChannelGraph:
         self.quotes: dict[bytes, dict[tuple[str, str], RateQuote]] = {}
         # (price_vector of the quotes,) once prices() has computed it
         self._prices: Optional[tuple[Optional[dict[str, Fraction]]]] = None
+        # once forwarders() has computed them, until an edge or quote is added
+        self._forwarders: Optional[_Forwarders] = None
         if quotes:
             for node in quotes:
                 self.quotes[node] = dict(quotes[node])
@@ -192,16 +227,46 @@ class ChannelGraph:
         self._edges[key] = edge
         insort(into, edge, key=_edge_order)
         assets.setdefault(edge.asset, []).append(edge)
+        self._forwarders = None
 
     def add_quote(self, node: bytes, quote: RateQuote) -> None:
         self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
         self._prices = None
+        self._forwarders = None
 
     def prices(self) -> Optional[dict[str, Fraction]]:
         """price_vector of the graph's quotes, computed once per set of quotes."""
         if self._prices is None:
             self._prices = (price_vector(q for t in self.quotes.values() for q in t.values()),)
         return self._prices[0]
+
+    def forwarders(self) -> "_Forwarders":
+        """The prices and the forwarders' fees and links find_route bounds
+        paths with, computed once per set of edges and quotes."""
+        if self._forwarders is None:
+            prices = self.prices()
+            # No quote constrains an unquoted asset, so it takes the top
+            # price, 1. Without a price vector every price and fee is 0.
+            if prices is None:
+                scale, price, unquoted = 1, {}, 0
+            else:
+                scale = lcm(*(p.denominator for p in prices.values()))
+                price = {a: p.numerator * (scale // p.denominator) for a, p in prices.items()}
+                unquoted = scale
+            fee = {
+                node: min((q.base_fee + (q.fee_ppm > 0)) * price.get(q.asset_in, 0)
+                          for q in table.values())
+                for node, table in self.quotes.items() if table
+            }
+            links: dict[bytes, list[bytes]] = {}
+            for node in fee:
+                for edge in self._into.get(node, ()):
+                    if edge.src in fee:
+                        out = links.setdefault(edge.src, [])
+                        if not out or out[-1] != node:  # edges_into lists are sorted by src
+                            out.append(node)
+            self._forwarders = _Forwarders(scale, price, unquoted, fee, links)
+        return self._forwarders
 
     def edges_into(self, node: bytes) -> list[Edge]:
         """The edges into `node`, sorted by (src, chain_id, asset). The list
@@ -270,6 +335,38 @@ class _Partial(NamedTuple):
         return out
 
 
+def _potentials(
+    graph: ChannelGraph, fw: _Forwarders, sender: bytes, own: Mapping[bytes, Mapping]
+) -> tuple[dict[bytes, int], dict[bytes, int]]:
+    """H and D of every quoting node the sender reaches through quoting
+    nodes: the fewest hops to it, and the least sum of delta * scale over the
+    forwarders from the sender's first peer to it inclusive. Two walks, as
+    the path with the least D may take more than the fewest hops."""
+    firsts = fw.fee.keys() & own.keys()
+    firsts.update(v for v in fw.fee for chain_id in graph.chain_fns
+                  if (sender, v, chain_id) in graph._edges)
+    hops_to = {sender: 0}
+    level, hops = firsts, 1
+    while level:
+        hops_to.update(dict.fromkeys(level, hops))
+        level = {v for u in level for v in fw.links.get(u, ()) if v not in hops_to}
+        hops += 1
+    if not fw.price:  # every fee is 0
+        return hops_to, dict.fromkeys(hops_to, 0)
+    fee_to = {sender: 0}
+    heap = [(fw.fee[v], v) for v in firsts]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in fee_to:
+            continue
+        fee_to[u] = d
+        for v in fw.links.get(u, ()):
+            if v not in fee_to:
+                heapq.heappush(heap, (d + fw.fee[v], v))
+    return hops_to, fee_to
+
+
 def find_route(
     graph: ChannelGraph,
     sender: bytes,
@@ -297,11 +394,8 @@ def find_route(
     self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
         asset_out
     )
-    prices = graph.prices()
-    # No quote constrains an unquoted asset, so it takes the top price, 1.
-    # Without a price vector every price is 0, and so is the bound.
-    unquoted = Fraction(0) if prices is None else Fraction(1)
-    prices = prices or {}
+    fw = graph.forwarders()
+    hops_to, fee_to = _potentials(graph, fw, sender, own)
 
     def priced(path: _Partial, asset: str) -> Optional[tuple[RateQuote, int, int]]:
         """The quote, amount and fee of one more hop in `asset` in front of
@@ -330,8 +424,7 @@ def find_route(
 
     best: Optional[tuple] = None
     best_path: Optional[_Partial] = None
-    root = _Partial(recipient, None, amount_out, 0, self_quote, frozenset(HashFnId),
-                    frozenset(), 0, None)
+    root = _Partial(recipient, None, amount_out, 0, self_quote, _ALL_FNS, frozenset(), 0, None)
     heap: list = [((0, 0), 0, root)]
     order = count(1)
     while heap:
@@ -344,18 +437,20 @@ def find_route(
         # The sender's edges into head: the overlay's, then the graph's on
         # the other chains (an edge on a chain that chain_fns does not name
         # is never admissible). Each completes a route.
-        mine = own.get(head, {})
-        firsts = list(mine.values())
-        for chain_id in graph.chain_fns:
-            edge = graph._edges.get((sender, head, chain_id))
-            if edge is not None and chain_id not in mine:
-                firsts.append(edge)
+        firsts = []
+        if path.edge is None or hops_to[head] == 1:  # the sender's first peers
+            mine = own.get(head, {})
+            firsts = list(mine.values())
+            for chain_id in graph.chain_fns:
+                edge = graph._edges.get((sender, head, chain_id))
+                if edge is not None and chain_id not in mine:
+                    firsts.append(edge)
         for edge in firsts:
             if edge.asset not in steps:
                 steps[edge.asset] = priced(path, edge.asset)
             step = steps[edge.asset]
             grown = grow(path, edge, step) if step else None
-            if grown is None:
+            if grown is None or (best is not None and (grown.amount, grown.length) > best[:2]):
                 continue
             hops = grown.hops()
             key = (grown.amount, grown.length, tuple(h.edge.dst for h in hops),
@@ -380,16 +475,22 @@ def find_route(
                 continue
             step = steps[asset] if asset in steps else priced(path, asset)
             if step is not None:
-                price = prices.get(asset, unquoted)
-                bound = (ceil_div(step[1] * price.numerator, price.denominator),
-                         path.length + 2)
-                if best is None or bound <= best[:2]:
-                    ahead[asset] = (step, bound)
+                worth = step[1] * fw.price.get(asset, fw.unquoted)
+                if best is None or (ceil_div(worth, fw.scale), path.length + 2) <= best[:2]:
+                    ahead[asset] = (step, worth)
         if not ahead:
             continue
         for edge in graph.edges_into(head):
-            if edge.asset in ahead and edge.src != sender and edge.src not in visited:
-                step, bound = ahead[edge.asset]
+            src = edge.src
+            if (edge.asset in ahead and src != sender and src not in visited
+                    and src in hops_to):
+                length = path.length + 1 + hops_to[src]
+                if length > max_hops:
+                    continue
+                step, worth = ahead[edge.asset]
+                bound = (ceil_div(worth + fee_to[src], fw.scale), length)
+                if best is not None and bound > best[:2]:
+                    continue
                 grown = grow(path, edge, step)
                 if grown is not None:
                     heapq.heappush(heap, (bound, next(order), grown))

@@ -11,14 +11,13 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from importlib import resources
 from typing import Optional
 
 from .engine import run_scenario
 from .report import render_text, report_json
-from .scenario import load_scenario, validate_scenario
+from .scenario import load_scenario, validate_scenario, with_seed
 
 
 def _demo_names() -> list[str]:
@@ -26,9 +25,7 @@ def _demo_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _execute(scenario, seed: Optional[int], report_path: Optional[str], fmt: str) -> int:
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
+def _execute(scenario, report_path: Optional[str], fmt: str) -> int:
     report = run_scenario(scenario)
     text = report_json(report) if report_path or fmt == "json" else ""
     if report_path:
@@ -75,6 +72,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         scenario, errors = validate_scenario(text)
     else:
         scenario, errors = load_scenario(args.scenario)
+    if not errors and args.command != "validate" and args.seed is not None:
+        scenario, errors = with_seed(scenario, args.seed)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
@@ -83,7 +82,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"ok: {args.scenario} ({len(scenario.payments)} payments, "
               f"{len(scenario.channels)} channels, {len(scenario.chains)} chains)")
         return 0
-    return _execute(scenario, args.seed, args.report, args.format)
+    return _execute(scenario, args.report, args.format)
 
 
 if __name__ == "__main__":

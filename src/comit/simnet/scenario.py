@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Union, get_type_hints
 
 from ..chainlab import MAX_AMOUNT, HashFnId
@@ -577,6 +577,15 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         ),
         [],
     )
+
+
+def with_seed(scenario: Scenario, seed: int) -> tuple[Optional[Scenario], list[str]]:
+    """`scenario` with another seed, checked by the rule a document's seed
+    is: (the scenario, []), or (None, the diagnostics)."""
+    d = _Diags()
+    reads = tuple(r for run in _RULES[Scenario] for r in run[0] if r[0] == "seed")
+    (seed,) = _read({"seed": seed}, "document", d, reads, [])
+    return (None, d.errors) if d.errors else (replace(scenario, seed=seed), [])
 
 
 def load_scenario(path: str) -> tuple[Optional[Scenario], list[str]]:

@@ -7,6 +7,7 @@ exhaustive depth-first search find_route replaced, must return the very
 same Route on random meshes with and without a price vector.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -626,26 +627,33 @@ def test_route_search_matches_reference_search():
 
 def test_prices_follow_quotes_added_between_searches():
     """A graph prices its quotes once per set of them: a quote added after a
-    search reaches the next one. The last two quotes added, at two LPs,
+    search reaches the next one. The first quote added is lp1's free x -> x,
+    which keeps the prices and lowers lp1's delta, the least fee * price it
+    adds, to 0 where it was more. The last two quotes added, at two LPs,
     close a gaining cycle, so the graph has no price vector any more and the
-    search takes every path; every search still returns the reference
-    route."""
+    search takes every path the sender reaches; every search still returns
+    the reference route."""
     rng = random.Random(0x9A1CE)
-    found = 0
+    found = lowered = 0
     for trial in range(60):
         g, assets = random_mesh(rng, priced=True)
         quoted = sorted({a for t in g.quotes.values() for pair in t for a in pair})
         x, y = rng.choice(quoted), rng.choice(quoted)
         lp1, lp2 = rng.sample([nid("L00"), nid("L01"), nid("L02")], 2)  # every ring has them
         added = [
+            (lp1, RateQuote(x, x, 1, 1)),
             (lp1, RateQuote(x, y, rng.randint(1, 4), rng.randint(1, 4), rng.choice([0, 1, 5]))),
             (lp1, RateQuote(x, y, 2, 1, base_fee=1)),
             (lp2, RateQuote(y, x, 1_000_001, 2_000_000, base_fee=1)),
         ]
-        for lp, quote in [(None, None), *added]:
+        for i, (lp, quote) in enumerate([(None, None), *added]):
+            delta = g.forwarders().fee.get(lp)
             if quote is not None:
                 g.add_quote(lp, quote)
             assert g.prices() == price_vector(q for t in g.quotes.values() for q in t.values())
+            if i == 1:
+                assert g.prices() is not None and g.forwarders().fee[lp] == 0
+                lowered += delta > 0
             args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
             try:
                 expected = reference_find_route(*args)
@@ -656,7 +664,7 @@ def test_prices_follow_quotes_added_between_searches():
             assert find_route(*args) == expected, f"trial {trial}"
             found += 1
         assert g.prices() is None
-    assert found >= 120
+    assert found >= 180 and lowered >= 12, (found, lowered)
 
 
 def test_own_edge_overlay_matches_reference_on_a_copy():
@@ -772,6 +780,23 @@ def test_edges_into_follows_replacement_and_late_edges():
         "gold": [Edge(nid("A"), nid("R"), "x", "gold", 10)],
     }
     assert g.assets_into(nid("GHOST")) == {}
+    # so do the forwarders' links: an edge from A, added after a search,
+    # makes B reachable through A, and the route through both is found
+    g.add_quote(nid("A"), RateQuote("coin", "coin", 1, 1))
+    g.add_quote(nid("B"), RateQuote("coin", "coin", 1, 1, base_fee=1))
+    g.add_edge(Edge(nid("S"), nid("A"), "y", "coin", 100))
+    hops_to, _ = graph_mod._potentials(g, g.forwarders(), nid("S"), {})
+    assert hops_to == {nid("S"): 0, nid("A"): 1}
+    with pytest.raises(NoRouteFound):
+        reference_find_route(g, nid("S"), nid("R"), 20, "coin")
+    with pytest.raises(NoRouteFound):
+        find_route(g, nid("S"), nid("R"), 20, "coin")
+    g.add_edge(Edge(nid("A"), nid("B"), "x", "coin", 100))
+    hops_to, _ = graph_mod._potentials(g, g.forwarders(), nid("S"), {})
+    assert hops_to == {nid("S"): 0, nid("A"): 1, nid("B"): 2}
+    route = find_route(g, nid("S"), nid("R"), 20, "coin")
+    assert route.nodes() == (nid("A"), nid("B"), nid("R")) and route.cost == 21
+    assert route == reference_find_route(g, nid("S"), nid("R"), 20, "coin")
 
 
 def test_search_prices_no_asset_only_the_paths_own_nodes_carry(monkeypatch):
@@ -824,7 +849,8 @@ def test_price_vector_is_exact():
 
 def test_gaining_cycle_searches_every_path():
     """L1 and L2 quote x -> y at 2/1 and y -> x a hair above 1/2: no price
-    vector, so the bound is off and every path is taken."""
+    vector, so the cost bound is 0, and every path from a head the sender
+    reaches within the hop budget is taken."""
     fns = {"cx": frozenset({S256}), "cy": frozenset({S256})}
     edges = [Edge(nid("S"), nid("L1"), "cx", "x", 10**6)]
     for u, v in (("L1", "L2"), ("L2", "L1")):
@@ -839,3 +865,146 @@ def test_gaining_cycle_searches_every_path():
     for amount in (1, 7, 1000, 250_000):
         route = find_route(g, nid("S"), nid("R"), amount, "x")
         assert route == reference_find_route(g, nid("S"), nid("R"), amount, "x")
+
+
+# --- the sender-side potentials ------------------------------------------------
+
+
+def brute_potentials(g, sender, own_edges):
+    """For each node n that could head a partial path: the least
+    price-weighted fee and the fewest hops over every simple path from
+    `sender` to n whose nodes after the sender each quote the asset they are
+    paid in into the asset they pay on, n into any asset. Exact, with price
+    0 without a price vector. A quote's least fee is its fee at the least
+    amount it converts, 1."""
+    prices = g.prices()
+    # integers over the prices' common denominator, for speed
+    scale = math.lcm(*(p.denominator for p in (prices or {}).values()))
+    # (node, asset in, asset out) -> the least fee * price * scale; None is
+    # any asset out
+    least = {}
+    for node, table in g.quotes.items():
+        for (a_in, a_out), q in table.items():
+            fee = backward_apply(dataclasses.replace(q, rate_num=1, rate_den=1), 1)[1]
+            fee *= int(prices[a_in] * scale) if prices is not None else 0
+            for key in ((node, a_in, a_out), (node, a_in, None)):
+                least[key] = min(least.get(key, fee), fee)
+    # node -> the (dst, asset) of its edges: parallel channels in one asset
+    # make the same walk
+    out = {}
+    for node in g._into:
+        for e in g.edges_into(node):
+            out.setdefault(e.src, set()).add((e.dst, e.asset))
+    firsts = out.get(sender, set()) | {(e.dst, e.asset) for e in own_edges}
+    best_fee, best_hops = {}, {}
+
+    def walk(node, a_in, fee, hops, visited):
+        head = least.get((node, a_in, None))
+        if head is None:
+            return
+        best_fee[node] = min(best_fee.get(node, head + fee), head + fee)
+        best_hops[node] = min(best_hops.get(node, hops), hops)
+        for dst, asset in out.get(node, ()):
+            step = least.get((node, a_in, asset))
+            if step is not None and dst not in visited:
+                walk(dst, asset, fee + step, hops + 1, visited | {dst})
+
+    for dst, asset in firsts:
+        walk(dst, asset, 0, 1, {sender, dst})
+    return {n: Fraction(fee, scale) for n, fee in best_fee.items()}, best_hops
+
+
+def test_potentials_are_admissible_and_reach_every_head():
+    """On random meshes, priced, free with gaining cycles, and with the
+    sender's own channels to LPs the adverts do not link it to: every node
+    a brute-force walk finds heading a partial path is reachable, and H and
+    D are at most its fewest hops and least price-weighted fee over every
+    path from the sender. Every search still returns the reference route."""
+    rng = random.Random(0xD157)
+    lower = {"hops": 0, "fee": 0}
+    reached_by_own = gaining = 0
+    for trial in range(90):
+        kind = trial % 3
+        g, assets = random_mesh(rng, priced=kind != 1)
+        own = []
+        if kind == 2:
+            # X quotes and the adverts link it to R alone; S has channels to
+            # X and to LPs the adverts do not link it to
+            chain_asset = {e.chain_id: e.asset for n in g._into for e in g.edges_into(n)}
+            c = rng.choice(sorted(chain_asset))
+            g.add_edge(Edge(nid("X"), nid("R"), c, chain_asset[c], 10**6))
+            g.add_quote(nid("X"), RateQuote(chain_asset[c], chain_asset[c], 1, 1, base_fee=1))
+            linked = {e.dst for n in g._into for e in g.edges_into(n) if e.src == nid("S")}
+            unlinked = sorted(set(g.quotes) - linked - {nid("R")})
+            for dst in [nid("X"), *rng.sample(unlinked, min(2, len(unlinked)))]:
+                c = rng.choice(sorted(chain_asset))
+                own.append(Edge(nid("S"), dst, c, chain_asset[c], 10**6))
+        by_dst = {}
+        for e in own:
+            by_dst.setdefault(e.dst, {})[e.chain_id] = e
+        fw = g.forwarders()
+        hops_to, fee_to = graph_mod._potentials(g, fw, nid("S"), by_dst)
+        best_fee, best_hops = brute_potentials(g, nid("S"), own)
+        assert best_hops and set(best_hops) <= set(hops_to), f"trial {trial}"
+        if kind == 2:
+            assert hops_to[nid("X")] == 1, f"trial {trial}"
+            reached_by_own += nid("X") in best_hops
+        for n in best_hops:
+            assert hops_to[n] <= best_hops[n], f"trial {trial}"
+            assert Fraction(fee_to[n], fw.scale) <= best_fee[n], f"trial {trial}"
+            lower["hops"] += hops_to[n] < best_hops[n]
+            lower["fee"] += Fraction(fee_to[n], fw.scale) < best_fee[n]
+        if g.prices() is None:  # D is 0; reachability and H still prune
+            assert not any(fee_to.values())
+            gaining += 1
+        args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
+        copy = ChannelGraph(g.chain_fns, [e for n in g._into for e in g.edges_into(n)], g.quotes)
+        for e in own:
+            copy.add_edge(e)
+        try:
+            expected = reference_find_route(copy, *args[1:])
+        except NoRouteFound:
+            with pytest.raises(NoRouteFound):
+                find_route(*args, own)
+            continue
+        assert find_route(*args, own) == expected, f"trial {trial}"
+    # the potentials count quotes a path may not take, so some are lower
+    assert lower["hops"] >= 5 and lower["fee"] >= 50, lower
+    assert reached_by_own >= 15 and gaining >= 20, (reached_by_own, gaining)
+
+
+def ring_mesh(rng, lps=24, leaves=48):
+    """The benchmark mesh's shape: LPs in a ring with +1 and +2 chords, each
+    quoting coin 1:1 for a fee of 1 plus 1,000 ppm, and leaves (users and
+    businesses) each on one random LP."""
+    ls = [nid(f"L{i:02d}") for i in range(lps)]
+    links = {tuple(sorted((ls[i], ls[(i + step) % lps]))) for step in (1, 2) for i in range(lps)}
+    leaves = [nid(f"u{i:03d}") for i in range(leaves)]
+    links |= {(leaf, rng.choice(ls)) for leaf in leaves}
+    g = ChannelGraph({"main": frozenset({S256})},
+                     [Edge(a, b, "main", "coin", 100_000)
+                      for u, v in sorted(links) for a, b in ((u, v), (v, u))])
+    for lp in ls:
+        g.add_quote(lp, RateQuote("coin", "coin", 1, 1, base_fee=1, fee_ppm=1000))
+    return g, leaves
+
+
+def test_mesh_search_grows_few_partial_paths(monkeypatch):
+    """Exact counts, not timings: 40 searches between random leaves of a
+    24-LP ring make 1,365 partial paths, under 35 a search. Bounding each
+    path by its head's amount alone made 19,214, some searches over 2,000."""
+    rng = random.Random(0x3E5)
+    g, leaves = ring_mesh(rng)
+    made = []
+    make = graph_mod._Partial
+
+    def partial(*args):
+        made.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(graph_mod, "_Partial", partial)
+    for _ in range(40):
+        s, r = rng.sample(leaves, 2)
+        route = find_route(g, s, r, rng.randint(100, 2000), "coin")
+        assert route.sender == s and route.recipient == r
+    assert len(made) <= 1_500, len(made)

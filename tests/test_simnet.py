@@ -1026,6 +1026,15 @@ def test_cli_seed_override_and_text_format(tmp_path, capsys):
     assert main(["run", str(path), "--seed", "99", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 99
+    # the override meets the document's seed rule, with its diagnostic
+    for seed, bound in ((-1, ">= 0"), (2**64, f"<= {2**64 - 1}")):
+        for argv in (["run", str(path)], ["demo", "single-hop"]):
+            assert main([*argv, f"--seed={seed}"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"constraint-violation: document.seed: must be {bound}, got {seed}\n"
+    assert main(["run", str(path), "--seed", str(2**64 - 1), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
     assert main(["run", str(path)]) == 0
     text = capsys.readouterr().out
     assert "violations: none" in text and "settled" in text
