@@ -7,11 +7,14 @@ every peer has already seen so deltas stay small and flooding terminates.
 On a connected topology every origin reaches every node in at most
 diameter rounds.
 
-`GossipState.version` counts the adverts a node has installed: it rises
-exactly when the store changes, on a fresher advert, and never on a stale,
-duplicate or badly signed one. Two peers that have just exchanged hold
-nothing the other lacks, so while neither version moves another exchange
-would send nothing, and a driver may skip it.
+`GossipState.exchange` is one push-pull round of anti-entropy between two
+peers (Demers et al., PODC 1987): afterwards both hold the union of their
+stores at the freshest timestamps. `GossipState.version` counts the adverts
+a node has installed: it rises exactly when the store changes, on a fresher
+advert, and never on a stale, duplicate or badly signed one, so a driver
+reads it to see which nodes an exchange taught something. Two peers that
+have just exchanged hold nothing the other lacks: while neither version
+moves, another exchange sends nothing and changes neither store.
 """
 
 from __future__ import annotations
@@ -159,3 +162,10 @@ class GossipState:
         for advert in delta:
             known[advert.node_pubkey] = advert.timestamp
         return delta
+
+    def exchange(self, peer: "GossipState") -> None:
+        """Push this node's news to `peer` and pull the peer's back, so
+        both stores end up holding the union at the freshest timestamps."""
+        back = peer.gossip_step(self.own_pubkey, self.gossip_step(peer.own_pubkey, []))
+        if back:
+            self.gossip_step(peer.own_pubkey, back)

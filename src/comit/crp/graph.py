@@ -205,8 +205,6 @@ class ChannelGraph:
         # dst -> asset -> the edges into dst that carry it, in no order
         self._assets_into: dict[bytes, dict[str, list[Edge]]] = {}
         self.quotes: dict[bytes, dict[tuple[str, str], RateQuote]] = {}
-        # (price_vector of the quotes,) once prices() has computed it
-        self._prices: Optional[tuple[Optional[dict[str, Fraction]]]] = None
         # once forwarders() has computed them, until an edge or quote is added
         self._forwarders: Optional[_Forwarders] = None
         if quotes:
@@ -231,20 +229,13 @@ class ChannelGraph:
 
     def add_quote(self, node: bytes, quote: RateQuote) -> None:
         self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
-        self._prices = None
         self._forwarders = None
-
-    def prices(self) -> Optional[dict[str, Fraction]]:
-        """price_vector of the graph's quotes, computed once per set of quotes."""
-        if self._prices is None:
-            self._prices = (price_vector(q for t in self.quotes.values() for q in t.values()),)
-        return self._prices[0]
 
     def forwarders(self) -> "_Forwarders":
         """The prices and the forwarders' fees and links find_route bounds
         paths with, computed once per set of edges and quotes."""
         if self._forwarders is None:
-            prices = self.prices()
+            prices = price_vector(q for t in self.quotes.values() for q in t.values())
             # No quote constrains an unquoted asset, so it takes the top
             # price, 1. Without a price vector every price and fee is 0.
             if prices is None:

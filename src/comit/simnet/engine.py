@@ -44,23 +44,28 @@ A payment retires once it is terminal and every hop of it is resolved:
 `invoices` entry. Nothing reads either again: a retired payment offers no
 hop, and a settle or fail still queued for one of its hops is a no-op.
 
+LP adverts are issued once, at tick 0. Each executed tick ends with a gossip
+round over every channel in index order (`GossipState.exchange`) until every
+actor holds every LP's advert; after that no store changes, and a round
+visits only the channels with a drop-gossip end, whose drops still count.
+
 The clock jumps. After each tick it executes, `run` moves the clock to the
 next tick at which anything can happen (`_next_tick`): the queue head, the
 head of the due index (a channel where `may_respond` holds at that tick),
-the next block of a chain whose mempool holds a transaction, the next
-start or end of a fault window, and the next tick while gossip can still
-move or conservation fails. Heights are a fixed function of the tick, so a
-chain crosses the gap by `Ledger.advance_to`. Every tick it skips would
-change nothing: no event, no block that confirms anything, no spend, no
-gossip exchange and no change of who is online or faulty. The one
-exception is the per-tick fault counters: a dropping gossip end and a
-withheld claim count one hit on every tick, and `_advance` adds those for
-the skipped ticks at once. So a run costs what happens in it, not its
-`max_ticks`, with two exceptions that still poll on every tick: a close
-(`_ev_close`) of a channel that holds HTLCs queues itself for the next
-tick, and so does a settle whose stall outlasts the run (`_cascade`
-requeues it), until the HTLC resolves, which can be on chain many blocks
-later.
+the next block of a chain whose mempool holds a transaction, the next start
+or end of a fault window, and the next tick while the last gossip round
+left news for a channel it had passed or conservation fails. Heights are a
+fixed function of the tick, so a chain crosses the gap by
+`Ledger.advance_to`. Every tick it skips would change nothing: no event, no
+block that confirms anything, no spend, no gossip exchange and no change of
+who is online or faulty. The one exception is the per-tick fault counters:
+a dropping gossip end and a withheld claim count one hit on every tick, and
+`_advance` adds those for the skipped ticks at once. So a run costs what
+happens in it, not its `max_ticks`, with two exceptions that still poll on
+every tick: a close (`_ev_close`) of a channel that holds HTLCs queues
+itself for the next tick, and so does a settle whose stall outlasts the run
+(`_cascade` requeues it), until the HTLC resolves, which can be on chain
+many blocks later.
 """
 
 from __future__ import annotations
@@ -334,12 +339,11 @@ class Engine:
         # Every tick at which a crash or window fault starts or ends.
         self.boundaries = sorted({t for f in sc.faults if f.kind != "broadcast-revoked"
                                   for t in (f.at_tick, f.until_tick)})
-        # The channels with an end that ever drops gossip, visited by every
-        # gossip round, and those whose ends' versions moved since their
-        # last exchange: all of them before the first round.
-        self.drop_chans = {rt.idx for rt in self.channels
-                           if any("drop-gossip" in self.actors[n].faults for n in rt.names)}
-        self.gossip_due = set(range(len(self.channels)))
+        # The channels with an end that ever drops gossip, in index order:
+        # once gossip has converged, the only ones a gossip round visits,
+        # since only their drop checks still count anything.
+        self.drop_chans = [rt for rt in self.channels
+                           if any("drop-gossip" in self.actors[n].faults for n in rt.names)]
         # Whether the last round left news for a channel it had passed.
         self.gossip_moving = True
 
@@ -571,8 +575,7 @@ class Engine:
         t = self.tick + 1
         hits: dict[int, int] = {}
         drops = 0
-        for idx in self.drop_chans:
-            names = self.channels[idx].names
+        for names in (rt.names for rt in self.drop_chans):
             if not all(self._online(n, t) for n in names):
                 continue
             for n in names:
@@ -618,40 +621,21 @@ class Engine:
             actor.gossip.insert_local(advert)
 
     def _gossip_round(self) -> None:
-        """`_gossip_channel` on each channel in channel-index order, as if
-        on every channel, but visiting only those where it may act: the
-        channels in `drop_chans` and in `gossip_due`. Neither party of any
-        other channel has news for the other, since both versions are what
-        they were after their last exchange, and without a drop-gossip
-        fault at either end the online and drop checks have no side
-        effects. An exchange that moves an end's version makes that end's
-        other channels due: the later ones in this round, the earlier ones
-        in the next."""
-        if not self.gossip_due and not self.drop_chans:
-            self._note_convergence()
-            return
-        todo = sorted(self.gossip_due | self.drop_chans)  # a sorted list is a heap
-        queued = set(todo)
-        self.gossip_due = set()
+        """`_gossip_channel` on every channel in channel-index order until
+        gossip converges, and after that only on `drop_chans`. Adverts are
+        issued once, at tick 0, so a converged store never changes again:
+        what is left is the drop checks, which count their hits. An
+        exchange that moves the version of an end with an earlier channel
+        leaves news for a channel this round has passed."""
+        converged = self.gossip_converged_tick >= 0
         self.gossip_moving = False
-        while todo:
-            rt = self.channels[heapq.heappop(todo)]
+        for rt in self.drop_chans if converged else self.channels:
             ends = [self.actors[n] for n in rt.names]
             before = [a.gossip.version for a in ends]
             self._gossip_channel(rt)
-            if rt.gossiped != (ends[0].gossip.version, ends[1].gossip.version):
-                self.gossip_due.add(rt.idx)  # an offline or dropping end kept its news
-            for actor, version in zip(ends, before):
-                if actor.gossip.version == version:
-                    continue
-                for other in actor.channels:
-                    if other.idx > rt.idx:
-                        if other.idx not in queued:
-                            queued.add(other.idx)
-                            heapq.heappush(todo, other.idx)
-                    elif other is not rt:
-                        self.gossip_due.add(other.idx)
-                        self.gossip_moving = True
+            if any(a.gossip.version != v and a.channels[0] is not rt
+                   for a, v in zip(ends, before)):
+                self.gossip_moving = True
         self._note_convergence()
 
     def _gossip_channel(self, rt: ChanRt) -> None:
@@ -669,15 +653,10 @@ class Engine:
         if skip:
             return
         ga, gb = self.actors[a].gossip, self.actors[b].gossip
-        # After an exchange each side knows the other holds all it has,
-        # so until either installs an advert another one sends nothing.
-        if rt.gossiped == (ga.version, gb.version):
-            return
-        delta = ga.gossip_step(gb.own_pubkey, [])
-        back = gb.gossip_step(ga.own_pubkey, delta)
-        if back:
-            ga.gossip_step(gb.own_pubkey, back)
-        rt.gossiped = (ga.version, gb.version)
+        # Until either end installs an advert, another exchange sends nothing.
+        if rt.gossiped != (ga.version, gb.version):
+            ga.exchange(gb)
+            rt.gossiped = (ga.version, gb.version)
 
     def _note_convergence(self) -> None:
         if self.gossip_converged_tick >= 0:

@@ -1,4 +1,5 @@
-"""Advert flooding: signatures, freshest-wins merging, ring convergence."""
+"""Advert flooding: signatures, freshest-wins merging, pairwise exchange,
+ring convergence."""
 
 import random
 from dataclasses import replace
@@ -138,29 +139,90 @@ def _run_rounds(keys, states, neighbors, rounds):
     return inbox
 
 
+def _exchange_rounds(states, channels, rounds):
+    """The simulator's rounds: the ends of each channel exchange, one
+    channel after another in channel order."""
+    for _ in range(rounds):
+        for i, j in channels:
+            states[i].exchange(states[j])
+
+
+def _assert_quiet_exchanges(states, channels):
+    """Converged nodes send each other nothing: a further round of
+    exchanges moves no version and leaves no delta pending."""
+    versions = [s.version for s in states]
+    _exchange_rounds(states, channels, rounds=1)
+    assert [s.version for s in states] == versions
+    for i, j in channels:
+        assert states[i].gossip_step(states[j].own_pubkey, []) == []
+        assert states[j].gossip_step(states[i].own_pubkey, []) == []
+
+
 def test_ring_converges_within_diameter_rounds(rng):
+    """Both ways of driving gossip converge on a ring within its diameter,
+    plus one round for synchronous deltas still in flight, and then go
+    quiet: synchronous rounds of gossip_step, and rounds of exchange in
+    channel order."""
     n = 6
     keys = [NodeKey.generate(rng) for _ in range(n)]
-    states = [GossipState(k.pubkey) for k in keys]
     neighbors = {i: ((i - 1) % n, (i + 1) % n) for i in range(n)}
-    for i, k in enumerate(keys):
-        states[i].insert_local(sample_advert(k, keys[(i + 1) % n], timestamp=1))
-
-    # adverts move one hop per round; +1 round to flush the last inboxes
-    inbox = _run_rounds(keys, states, neighbors, rounds=n // 2 + 1)
+    channels = [(i, (i + 1) % n) for i in range(n)]
     everyone = sorted(k.pubkey for k in keys)
-    for state in states:
-        assert sorted(state.adverts) == everyone
-    assert all(state.invalid_dropped == 0 for state in states)
+    for synchronous in (True, False):
+        states = [GossipState(k.pubkey) for k in keys]
+        for i, k in enumerate(keys):
+            states[i].insert_local(sample_advert(k, keys[(i + 1) % n], timestamp=1))
 
-    # once converged the network goes quiet: no deltas in flight
-    for _ in range(2):
-        quiet = []
-        for i in range(n):
-            for j in neighbors[i]:
-                quiet.append(states[i].gossip_step(keys[j].pubkey, inbox[i][j]))
-                inbox[i][j] = []
-        assert all(d == [] for d in quiet)
+        if synchronous:
+            # adverts move one hop per round; +1 round to flush the last inboxes
+            inbox = _run_rounds(keys, states, neighbors, rounds=n // 2 + 1)
+        else:
+            _exchange_rounds(states, channels, rounds=n // 2)
+        for state in states:
+            assert sorted(state.adverts) == everyone
+        assert all(state.invalid_dropped == 0 for state in states)
+
+        if not synchronous:
+            _assert_quiet_exchanges(states, channels)
+            continue
+        # once converged the network goes quiet: no deltas in flight
+        for _ in range(2):
+            quiet = []
+            for i in range(n):
+                for j in neighbors[i]:
+                    quiet.append(states[i].gossip_step(keys[j].pubkey, inbox[i][j]))
+                    inbox[i][j] = []
+            assert all(d == [] for d in quiet)
+
+
+def test_exchange_leaves_both_with_the_freshest_union(rng):
+    """After a.exchange(b) both stores hold the union of what either held,
+    each origin at its freshest timestamp, and a bad signature reaches
+    neither. A second exchange, either way round, moves neither version:
+    two peers that have just exchanged have nothing to send each other."""
+    a, b, x, y, z = (NodeKey.generate(rng) for _ in range(5))
+    ga, gb = GossipState(a.pubkey), GossipState(b.pubkey)
+    for state, adverts in (
+        (ga, [sample_advert(x, y, timestamp=3, capacity=1), sample_advert(y, x, timestamp=5)]),
+        (gb, [sample_advert(x, y, timestamp=4, capacity=2), sample_advert(z, x, timestamp=2)]),
+    ):
+        for advert in adverts:
+            state.insert_local(advert)
+    forged = replace(sample_advert(a, b, timestamp=9), signature=bytes(32))
+    gb.gossip_step(x.pubkey, [forged])
+    assert (ga.version, gb.version) == (2, 2)
+
+    ga.exchange(gb)
+    for state in (ga, gb):
+        assert {k: v.timestamp for k, v in state.adverts.items()} == {
+            x.pubkey: 4, y.pubkey: 5, z.pubkey: 2}
+        assert state.adverts[x.pubkey].endpoints[0].capacity == 2
+    assert (ga.version, gb.version) == (4, 3)
+    assert (ga.invalid_dropped, gb.invalid_dropped) == (0, 1)
+    for first, second in ((ga, gb), (gb, ga)):
+        first.exchange(second)
+        assert (ga.version, gb.version) == (4, 3)
+        assert ga.advert_set() == gb.advert_set()
 
 
 def test_refreshed_advert_floods_and_replaces(rng):
@@ -203,3 +265,13 @@ def test_random_topologies_converge(rng):
         _run_rounds(keys, states, neighbors, rounds=n + 1)
         everyone = sorted(k.pubkey for k in keys)
         assert all(sorted(s.adverts) == everyone for s in states), trial
+
+        # rounds of exchange in channel order: within diameter rounds
+        # (under n), then quiet
+        states = [GossipState(k.pubkey) for k in keys]
+        for i, k in enumerate(keys):
+            states[i].insert_local(sample_advert(k, keys[(i + 1) % n], timestamp=1))
+        channels = sorted((i, j) for i in adj for j in adj[i] if i < j)
+        _exchange_rounds(states, channels, rounds=n - 1)
+        assert all(sorted(s.adverts) == everyone for s in states), trial
+        _assert_quiet_exchanges(states, channels)

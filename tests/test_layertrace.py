@@ -24,7 +24,8 @@ def load_layertrace():
 def test_every_traced_name_is_wrapped_and_restored():
     """Inside `Tracer().install()` every name the tracer lists is wrapped,
     a run with a forward calls the two hop rules through the engine's own
-    bindings, and on exit every name is the original object again."""
+    bindings, gossip exchanges go through the counted `gossip_step`, and on
+    exit every name is the original object again."""
     lt = load_layertrace()
     names = [(owner, attr) for owner, attr, _ in (*lt.SPANNED, *lt.COUNTED)]
     before = {key: vars(key[0])[key[1]] for key in names}
@@ -40,5 +41,6 @@ def test_every_traced_name_is_wrapped_and_restored():
         engine.run()
     called = {span.name for span in tracer.spans}
     assert {"swap.check_forward", "swap.check_delivery", "swap.prepare_attempt"} <= called
+    assert tracer.counts["crp.gossip_step"][0] > 0
     for owner, attr in names:
         assert vars(owner)[attr] is before[(owner, attr)], attr

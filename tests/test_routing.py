@@ -625,9 +625,15 @@ def test_route_search_matches_reference_search():
     assert min(found.values()) >= 60
 
 
+def quoted_prices(g):
+    """price_vector of every quote `g` holds."""
+    return price_vector(q for t in g.quotes.values() for q in t.values())
+
+
 def test_prices_follow_quotes_added_between_searches():
-    """A graph prices its quotes once per set of them: a quote added after a
-    search reaches the next one. The first quote added is lp1's free x -> x,
+    """A graph prices its quotes in its forwarders table, computed once per
+    set of edges and quotes: a quote added after a search reaches the next
+    one. The first quote added is lp1's free x -> x,
     which keeps the prices and lowers lp1's delta, the least fee * price it
     adds, to 0 where it was more. The last two quotes added, at two LPs,
     close a gaining cycle, so the graph has no price vector any more and the
@@ -650,9 +656,10 @@ def test_prices_follow_quotes_added_between_searches():
             delta = g.forwarders().fee.get(lp)
             if quote is not None:
                 g.add_quote(lp, quote)
-            assert g.prices() == price_vector(q for t in g.quotes.values() for q in t.values())
+            prices, fw = quoted_prices(g), g.forwarders()
+            assert {a: Fraction(p, fw.scale) for a, p in fw.price.items()} == (prices or {})
             if i == 1:
-                assert g.prices() is not None and g.forwarders().fee[lp] == 0
+                assert prices is not None and fw.fee[lp] == 0
                 lowered += delta > 0
             args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
             try:
@@ -663,7 +670,7 @@ def test_prices_follow_quotes_added_between_searches():
                 continue
             assert find_route(*args) == expected, f"trial {trial}"
             found += 1
-        assert g.prices() is None
+        assert quoted_prices(g) is None and g.forwarders().price == {}
     assert found >= 180 and lowered >= 12, (found, lowered)
 
 
@@ -877,7 +884,7 @@ def brute_potentials(g, sender, own_edges):
     paid in into the asset they pay on, n into any asset. Exact, with price
     0 without a price vector. A quote's least fee is its fee at the least
     amount it converts, 1."""
-    prices = g.prices()
+    prices = quoted_prices(g)
     # integers over the prices' common denominator, for speed
     scale = math.lcm(*(p.denominator for p in (prices or {}).values()))
     # (node, asset in, asset out) -> the least fee * price * scale; None is
@@ -954,7 +961,7 @@ def test_potentials_are_admissible_and_reach_every_head():
             assert Fraction(fee_to[n], fw.scale) <= best_fee[n], f"trial {trial}"
             lower["hops"] += hops_to[n] < best_hops[n]
             lower["fee"] += Fraction(fee_to[n], fw.scale) < best_fee[n]
-        if g.prices() is None:  # D is 0; reachability and H still prune
+        if quoted_prices(g) is None:  # D is 0; reachability and H still prune
             assert not any(fee_to.values())
             gaining += 1
         args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))

@@ -1263,6 +1263,55 @@ def test_star_routing_work_does_not_grow_with_users(monkeypatch):
     assert per_route[0] == per_route[1], per_route
 
 
+def gossip_work(monkeypatch, doc: dict) -> tuple[Counter, int, int]:
+    """Run `doc` and count its gossip work: the (tick, channel index) of
+    each _gossip_channel visit, the gossip_step calls, and the tick gossip
+    converged at."""
+    visits, steps = Counter(), [0]
+    visit, step = engine_mod.Engine._gossip_channel, GossipState.gossip_step
+
+    def counted_visit(self, rt):
+        visits[(self.tick, rt.idx)] += 1
+        return visit(self, rt)
+
+    def counted_step(self, *args):
+        steps[0] += 1
+        return step(self, *args)
+
+    scenario, errors = validate_scenario(doc)
+    assert errors == []
+    engine = engine_mod.Engine(scenario)
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod.Engine, "_gossip_channel", counted_visit)
+        m.setattr(GossipState, "gossip_step", counted_step)
+        engine.run()
+    return visits, steps[0], engine.gossip_converged_tick
+
+
+def test_gossip_rounds_stop_at_convergence(monkeypatch):
+    """Exact counts, not timings: until gossip converges a round visits
+    every channel, and after it only the channels with a drop-gossip end.
+    On a star the hub's advert reaches every user in one round, so each
+    channel is visited once and none after the convergence tick. On the
+    first 100 acceptance-corpus documents the rounds make 1,072 visits and
+    1,458 gossip_step calls. Rounds that went on visiting every channel
+    after convergence would make 3,969 visits, and exchanges that did not
+    skip a channel whose ends' versions are unchanged 2,406 calls."""
+    doc = star_doc(80)
+    visits, _, converged = gossip_work(monkeypatch, doc)
+    assert converged >= 0
+    assert sorted(idx for _, idx in visits) == list(range(len(doc["channels"])))
+    assert set(visits.values()) == {1}
+    assert max(tick for tick, _ in visits) <= converged
+    rng = random.Random(0xACCE97)
+    total_visits = total_steps = 0
+    for _ in range(100):
+        visits, steps, _ = gossip_work(monkeypatch, random_scenario(rng))
+        total_visits += sum(visits.values())
+        total_steps += steps
+    assert total_visits <= 1_072 and total_steps <= 1_458, (total_visits, total_steps)
+
+
 # ---------------------------------------------------------------- housekeeping oracle
 
 
