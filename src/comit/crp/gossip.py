@@ -14,7 +14,9 @@ a node has installed: it rises exactly when the store changes, on a fresher
 advert, and never on a stale, duplicate or badly signed one, so a driver
 reads it to see which nodes an exchange taught something. Two peers that
 have just exchanged hold nothing the other lacks: while neither version
-moves, another exchange sends nothing and changes neither store.
+moves, another exchange would send nothing and change neither store, so
+each state keeps, per peer, the two versions of their last exchange, and
+`exchange` returns at once while both still hold.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class GossipState:
         self.version = 0  # adverts installed so far
         # peer id -> origin -> newest timestamp the peer is known to hold
         self._peer_known: dict[bytes, dict[bytes, int]] = {}
+        # peer id -> (own version, peer's version) after their last exchange
+        self._exchanged: dict[bytes, tuple[int, int]] = {}
 
     def insert_local(self, advert: LpAdvert) -> None:
         """Install this node's own (or bootstrap) advert without a peer."""
@@ -165,7 +169,12 @@ class GossipState:
 
     def exchange(self, peer: "GossipState") -> None:
         """Push this node's news to `peer` and pull the peer's back, so
-        both stores end up holding the union at the freshest timestamps."""
+        both stores end up holding the union at the freshest timestamps.
+        A no-op while neither version has moved since their last exchange."""
+        if self._exchanged.get(peer.own_pubkey) == (self.version, peer.version):
+            return
         back = peer.gossip_step(self.own_pubkey, self.gossip_step(peer.own_pubkey, []))
         if back:
             self.gossip_step(peer.own_pubkey, back)
+        self._exchanged[peer.own_pubkey] = (self.version, peer.version)
+        peer._exchanged[self.own_pubkey] = (peer.version, self.version)

@@ -46,8 +46,8 @@ hop, and a settle or fail still queued for one of its hops is a no-op.
 
 LP adverts are issued once, at tick 0. Each executed tick ends with a gossip
 round over every channel in index order (`GossipState.exchange`) until every
-actor holds every LP's advert; after that no store changes, and a round
-visits only the channels with a drop-gossip end, whose drops still count.
+actor holds every LP's advert; after that no store changes, and gossip
+leaves the tick loop.
 
 The clock jumps. After each tick it executes, `run` moves the clock to the
 next tick at which anything can happen (`_next_tick`): the queue head, the
@@ -58,14 +58,16 @@ left news for a channel it had passed or conservation fails. Heights are a
 fixed function of the tick, so a chain crosses the gap by
 `Ledger.advance_to`. Every tick it skips would change nothing: no event, no
 block that confirms anything, no spend, no gossip exchange and no change of
-who is online or faulty. The one exception is the per-tick fault counters:
-a dropping gossip end and a withheld claim count one hit on every tick, and
-`_advance` adds those for the skipped ticks at once. So a run costs what
-happens in it, not its `max_ticks`, with two exceptions that still poll on
-every tick: a close (`_ev_close`) of a channel that holds HTLCs queues
-itself for the next tick, and so does a settle whose stall outlasts the run
-(`_cascade` requeues it), until the HTLC resolves, which can be on chain
-many blocks later.
+who is online or faulty. The one exception is the per-tick fault counters.
+A withheld claim counts one hit on every tick, and `_advance` adds those
+for the skipped ticks at once. A dropping gossip end of a channel whose
+ends are online counts one on every tick from 1 to the last one run; the
+fault windows alone decide that, so `_count_drops` sums it once after the
+run. So a run costs what happens in it, not its `max_ticks`, with two
+exceptions that still poll on every tick: a close (`_ev_close`) of a
+channel that holds HTLCs queues itself for the next tick, and so does a
+settle whose stall outlasts the run (`_cascade` requeues it), until the
+HTLC resolves, which can be on chain many blocks later.
 """
 
 from __future__ import annotations
@@ -170,8 +172,6 @@ class ChanRt:
     names: tuple[str, str]  # (party_a actor, party_b actor)
     channel: Channel
     parties: dict[str, ChannelParty]
-    # the parties' gossip versions after their last exchange
-    gossiped: tuple[int, int] = (-1, -1)
 
     def peer(self, name: str) -> str:
         return self.names[0] if self.names[1] == name else self.names[1]
@@ -339,11 +339,6 @@ class Engine:
         # Every tick at which a crash or window fault starts or ends.
         self.boundaries = sorted({t for f in sc.faults if f.kind != "broadcast-revoked"
                                   for t in (f.at_tick, f.until_tick)})
-        # The channels with an end that ever drops gossip, in index order:
-        # once gossip has converged, the only ones a gossip round visits,
-        # since only their drop checks still count anything.
-        self.drop_chans = [rt for rt in self.channels
-                           if any("drop-gossip" in self.actors[n].faults for n in rt.names)]
         # Whether the last round left news for a channel it had passed.
         self.gossip_moving = True
 
@@ -498,6 +493,7 @@ class Engine:
             self._housekeeping()
             self._gossip_round()
             self._check_conservation(f"tick {self.tick}")
+        self._count_drops()
         if self._outstanding():
             self.violations.append(
                 f"non-termination: run still active at max_ticks={sc.max_ticks}"
@@ -552,17 +548,14 @@ class Engine:
         return max(nxt, wake)
 
     def _advance(self, tick: int) -> None:
-        """Move the clock to `tick`, adding the per-tick fault counters of
-        each tick skipped on the way. No fault window opens or closes in
-        the gap and nothing else changes, so every skipped tick counts
-        what the first one would: in `_gossip_channel`, one drop-gossip
-        hit per window and one `gossip_drops` for each dropping end of a
-        channel whose ends are online; in `_respond`, one stall-secret hit
-        per window for each claim a stalling party withholds. A claim is
-        withheld only on a channel in `withholding`, which is due again at
-        `tick`."""
+        """Move the clock to `tick`, adding the stall-secret hits of each
+        tick skipped on the way. No fault window opens or closes in the gap
+        and nothing else changes, so every skipped tick counts what the
+        first one would in `_respond`: one hit per window for each claim a
+        stalling party withholds. A claim is withheld only on a channel in
+        `withholding`, which is due again at `tick`."""
         skipped = tick - self.tick - 1
-        if skipped and (self.drop_chans or self.withholding):
+        if skipped and self.withholding:
             self._count_skipped(skipped)
         for idx in self.withholding:
             self._due_at(idx, tick)
@@ -570,19 +563,9 @@ class Engine:
         self.tick = tick
 
     def _count_skipped(self, skipped: int) -> None:
-        """Add what each of `skipped` ticks after this one counts (see
-        `_advance`)."""
+        """Add the stall-secret hits each of `skipped` ticks after this one
+        counts (see `_advance`)."""
         t = self.tick + 1
-        hits: dict[int, int] = {}
-        drops = 0
-        for names in (rt.names for rt in self.drop_chans):
-            if not all(self._online(n, t) for n in names):
-                continue
-            for n in names:
-                dropping = self._active(n, "drop-gossip", t)
-                drops += bool(dropping)
-                for i in dropping:
-                    hits[i] = hits.get(i, 0) + 1
         for idx in self.withholding:
             rt = self.channels[idx]
             for n in rt.names:
@@ -592,11 +575,30 @@ class Engine:
                 spends = respond(rt.channel, rt.parties[n], self.actors[n].secrets)
                 claims = sum(s.kind == "claim" for s in spends)
                 for i in stalls:
-                    hits[i] = hits.get(i, 0) + claims
-        for i, count in hits.items():
-            self.fault_hits[i] += count * skipped
+                    self.fault_hits[i] += claims * skipped
+
+    def _count_drops(self) -> None:
+        """Add the drop-gossip counts of every tick from 1 to the last one
+        run: on each, a channel whose ends are online counts one
+        `gossip_drops` for each dropping end and one hit for each of its
+        drop windows. That depends on the fault windows alone, so it is
+        constant between two `boundaries` and counted once per stretch."""
+        chans = {rt.idx: rt.names for a in self.actors.values() if "drop-gossip" in a.faults
+                 for rt in a.channels}
+        stops = [b for b in self.boundaries if 1 < b <= self.tick] + [self.tick + 1]
+        drops, t = 0, 1
+        for stop in stops:
+            for names in chans.values():
+                if not all(self._online(n, t) for n in names):
+                    continue
+                for n in names:
+                    dropping = self._active(n, "drop-gossip", t)
+                    drops += (stop - t) * bool(dropping)
+                    for i in dropping:
+                        self.fault_hits[i] += stop - t
+            t = stop
         if drops:
-            self._note("gossip_drops", drops * skipped)
+            self._note("gossip_drops", drops)
 
     # --- gossip ----------------------------------------------------------------
 
@@ -622,14 +624,15 @@ class Engine:
 
     def _gossip_round(self) -> None:
         """`_gossip_channel` on every channel in channel-index order until
-        gossip converges, and after that only on `drop_chans`. Adverts are
-        issued once, at tick 0, so a converged store never changes again:
-        what is left is the drop checks, which count their hits. An
-        exchange that moves the version of an end with an earlier channel
-        leaves news for a channel this round has passed."""
-        converged = self.gossip_converged_tick >= 0
+        gossip converges. Adverts are issued once, at tick 0, so a converged
+        store never changes again, and the round is a no-op from then on
+        (`_count_drops` counts the drops). An exchange that moves the
+        version of an end with an earlier channel leaves news for a channel
+        this round has passed."""
         self.gossip_moving = False
-        for rt in self.drop_chans if converged else self.channels:
+        if self.gossip_converged_tick >= 0:
+            return
+        for rt in self.channels:
             ends = [self.actors[n] for n in rt.names]
             before = [a.gossip.version for a in ends]
             self._gossip_channel(rt)
@@ -640,33 +643,16 @@ class Engine:
 
     def _gossip_channel(self, rt: ChanRt) -> None:
         """One gossip exchange between the channel's parties, unless one is
-        offline or dropping gossip, or neither has news for the other."""
+        offline or dropping gossip."""
         a, b = rt.names
-        if not (self._online(a) and self._online(b)):
-            return
-        skip = False
-        for n in (a, b):
-            if self._active(n, "drop-gossip"):
-                self._hit_faults(n, "drop-gossip")
-                self._note("gossip_drops")
-                skip = True
-        if skip:
-            return
-        ga, gb = self.actors[a].gossip, self.actors[b].gossip
-        # Until either end installs an advert, another exchange sends nothing.
-        if rt.gossiped != (ga.version, gb.version):
-            ga.exchange(gb)
-            rt.gossiped = (ga.version, gb.version)
+        if all(self._online(n) and not self._active(n, "drop-gossip") for n in rt.names):
+            self.actors[a].gossip.exchange(self.actors[b].gossip)
 
     def _note_convergence(self) -> None:
-        if self.gossip_converged_tick >= 0:
-            return
-        origins = {
-            a.gossip.own_pubkey
-            for a in self.actors.values()
-            if a.kind == "lp" and a.gossip.adverts
-        }
-        if all(origins <= set(actor.gossip.adverts) for actor in self.actors.values()):
+        """Every LP's advert is issued at timestamp 0 and installed once, so
+        gossip has converged when every actor has installed one per LP."""
+        lps = sum(a.kind == "lp" for a in self.actors.values())
+        if all(a.gossip.version == lps for a in self.actors.values()):
             self.gossip_converged_tick = self.tick
 
     # --- mining and confirmation tracking ----------------------------------------

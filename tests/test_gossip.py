@@ -225,6 +225,41 @@ def test_exchange_leaves_both_with_the_freshest_union(rng):
         assert ga.advert_set() == gb.advert_set()
 
 
+def test_repeat_exchange_makes_no_gossip_step_call(rng, monkeypatch):
+    """While neither version moves, a repeat exchange, either way round,
+    returns before any gossip_step call. Once a third node teaches one of
+    the two a fresher advert, the next exchange runs and passes it on."""
+    a, b, c, x = (NodeKey.generate(rng) for _ in range(4))
+    ga, gb, gc = (GossipState(k.pubkey) for k in (a, b, c))
+    ga.insert_local(sample_advert(a, b, timestamp=1))
+    gc.insert_local(sample_advert(x, c, timestamp=1))
+    step = GossipState.gossip_step
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self.own_pubkey)
+        return step(self, *args)
+
+    monkeypatch.setattr(GossipState, "gossip_step", counted)
+    ga.exchange(gb)
+    assert len(calls) == 2 and (ga.version, gb.version) == (1, 1)
+    for first, second in ((ga, gb), (gb, ga), (ga, gb)):
+        calls.clear()
+        first.exchange(second)
+        assert calls == []
+    fresher = sample_advert(a, b, timestamp=2, capacity=7)
+    gc.insert_local(fresher)
+    gc.exchange(gb)
+    assert gb.adverts[a.pubkey] is fresher and gb.version == 3
+    calls.clear()
+    ga.exchange(gb)
+    assert calls == [a.pubkey, b.pubkey, a.pubkey]
+    assert ga.adverts[a.pubkey] is fresher and ga.advert_set() == gb.advert_set()
+    calls.clear()
+    gb.exchange(ga)
+    assert calls == []
+
+
 def test_refreshed_advert_floods_and_replaces(rng):
     n = 6
     keys = [NodeKey.generate(rng) for _ in range(n)]

@@ -1290,26 +1290,28 @@ def gossip_work(monkeypatch, doc: dict) -> tuple[Counter, int, int]:
 
 def test_gossip_rounds_stop_at_convergence(monkeypatch):
     """Exact counts, not timings: until gossip converges a round visits
-    every channel, and after it only the channels with a drop-gossip end.
-    On a star the hub's advert reaches every user in one round, so each
-    channel is visited once and none after the convergence tick. On the
-    first 100 acceptance-corpus documents the rounds make 1,072 visits and
-    1,458 gossip_step calls. Rounds that went on visiting every channel
-    after convergence would make 3,969 visits, and exchanges that did not
-    skip a channel whose ends' versions are unchanged 2,406 calls."""
-    doc = star_doc(80)
-    visits, _, converged = gossip_work(monkeypatch, doc)
-    assert converged >= 0
-    assert sorted(idx for _, idx in visits) == list(range(len(doc["channels"])))
-    assert set(visits.values()) == {1}
-    assert max(tick for tick, _ in visits) <= converged
+    every channel, and after it none, drop-gossip ends or not. On a star
+    the hub's advert reaches every user in one round, and on a line whose
+    LP drops gossip from tick 3 on both channels it reaches both users in
+    one round too, so each channel is visited once and none after the
+    convergence tick. On the first 100 acceptance-corpus documents the
+    rounds make 984 visits and 1,458 gossip_step calls. Rounds that went on
+    visiting the drop-gossip channels after convergence would make 1,072
+    visits, rounds that visited every channel 3,969, and exchanges that did
+    not skip a pair whose versions are unchanged 2,406 calls."""
+    for doc in (star_doc(80), drop_gossip_docs()[0]):
+        visits, _, converged = gossip_work(monkeypatch, doc)
+        assert converged >= 0
+        assert sorted(idx for _, idx in visits) == list(range(len(doc["channels"])))
+        assert set(visits.values()) == {1}
+        assert max(tick for tick, _ in visits) <= converged
     rng = random.Random(0xACCE97)
     total_visits = total_steps = 0
     for _ in range(100):
         visits, steps, _ = gossip_work(monkeypatch, random_scenario(rng))
         total_visits += sum(visits.values())
         total_steps += steps
-    assert total_visits <= 1_072 and total_steps <= 1_458, (total_visits, total_steps)
+    assert total_visits <= 984 and total_steps <= 1_458, (total_visits, total_steps)
 
 
 # ---------------------------------------------------------------- housekeeping oracle
@@ -1317,12 +1319,35 @@ def test_gossip_rounds_stop_at_convergence(monkeypatch):
 
 class SteppingEngine(engine_mod.Engine):
     """The engine with a clock that steps one tick at a time: the oracle
-    for the jumps of `_next_tick`. Every tick the engine skips runs here in
-    full, so its drop-gossip and stall-secret hits are counted by that
-    tick's own gossip round and `_on_chain` visit, not by `_advance`."""
+    for the jumps of `_next_tick` and for `_count_drops`. Every tick the
+    engine skips runs here in full, so its stall-secret hits are counted by
+    that tick's own `_on_chain` visit, not by `_advance`. Its drop-gossip
+    counts follow the per-tick rule: each `_gossip_channel` visit whose
+    ends are online counts one `gossip_drops` per dropping end and one hit
+    per drop window, and after convergence a round still visits every
+    channel with a drop-gossip end, in index order."""
 
     def _next_tick(self):
         return self.tick + 1
+
+    def _gossip_round(self):
+        converged = self.gossip_converged_tick >= 0
+        super()._gossip_round()
+        if converged:
+            for rt in self.channels:
+                if any("drop-gossip" in self.actors[n].faults for n in rt.names):
+                    self._gossip_channel(rt)
+
+    def _gossip_channel(self, rt):
+        if all(self._online(n) for n in rt.names):
+            for n in rt.names:
+                if self._active(n, "drop-gossip"):
+                    self._hit_faults(n, "drop-gossip")
+                    self._note("gossip_drops")
+        super()._gossip_channel(rt)
+
+    def _count_drops(self):
+        pass
 
 
 class ScanningEngine(SteppingEngine):
@@ -1392,6 +1417,16 @@ class ScanningEngine(SteppingEngine):
         for rt in self.channels:
             self._gossip_channel(rt)
         self._note_convergence()
+
+    def _note_convergence(self):
+        """The earlier rule: gossip has converged once every actor holds
+        the advert of every LP that holds its own."""
+        if self.gossip_converged_tick >= 0:
+            return
+        origins = {a.gossip.own_pubkey for a in self.actors.values()
+                   if a.kind == "lp" and a.gossip.adverts}
+        if all(origins <= set(a.gossip.adverts) for a in self.actors.values()):
+            self.gossip_converged_tick = self.tick
 
     def _on_chain(self):
         for name in sorted(self.actors):
@@ -1532,6 +1567,36 @@ def crash_past_end_doc(duration: int) -> dict:
     return doc
 
 
+def drop_gossip_docs() -> list[dict]:
+    """line_doc (ann - lp - bob) with a second payment at tick 35 and
+    drop-gossip windows whose counts `_count_drops` must sum as the
+    per-tick rule counts them: two overlapping windows of lp; both ends of
+    a channel dropping; lp dropping from tick 0 while bob is crashed in the
+    middle of it, so that only ann's channel counts there; bob dropping
+    from tick 0, so gossip never converges; and a run that max_ticks stops
+    inside lp's window, with a crash recovery still queued past it."""
+    def doc(faults, max_ticks=60):
+        d = line_doc()
+        d["max_ticks"] = max_ticks
+        d["payments"].append({**d["payments"][0], "at_tick": 35})
+        d["faults"] = faults
+        return d
+
+    def drop(actor, at, **until):
+        return {"kind": "drop-gossip", "actor": actor, "at_tick": at, **until}
+
+    def crash(actor, at, duration):
+        return {"kind": "crash", "actor": actor, "at_tick": at, "duration": duration}
+
+    return [
+        doc([drop("lp", 3, until_tick=30), drop("lp", 10, until_tick=40)]),
+        doc([drop("ann", 3, until_tick=20), drop("lp", 5, until_tick=25)]),
+        doc([drop("lp", 0, until_tick=45), crash("bob", 12, 9)]),
+        doc([drop("bob", 0)]),
+        doc([drop("lp", 6), crash("ann", 37, 100)], max_ticks=40),
+    ]
+
+
 def stepped_and_jumped(doc: dict) -> tuple[int, int]:
     """Run `doc` on SteppingEngine and on the engine; their reports, metrics
     and fault hits must be equal. Returns the ticks the stepping run
@@ -1553,11 +1618,12 @@ def test_jumping_clock_matches_stepping():
     clock steps through every tick or jumps to the next due one: on the
     bundled scenarios, the acceptance corpus, the race corpus, a slow
     second chain, payments at tick 50,000 after long idle, stalled and
-    gossip-dropping stretches, and a crash that outlasts max_ticks, so the
-    clock stops at max_ticks with events still queued past it. The engine
-    executes under 80% of the ticks of the first four sets and at most
-    9,275 of them, under 100 of each far payment's, and 4 of the crashed
-    run's 60."""
+    gossip-dropping stretches, a crash that outlasts max_ticks, so the
+    clock stops at max_ticks with events still queued past it, and the
+    drop-gossip windows of `drop_gossip_docs`, whose counts the engine sums
+    once after the run. The engine executes under 80% of the ticks of the
+    first four sets and at most 9,275 of them, under 100 of each far
+    payment's, and 4 of the crashed run's 60."""
     scenarios = resources.files("comit.simnet") / "scenarios"
     docs = [json.loads((scenarios / name).read_text())
             for name in sorted(p.name for p in scenarios.iterdir() if p.name.endswith(".json"))]
@@ -1576,6 +1642,8 @@ def test_jumping_clock_matches_stepping():
     # 9,275 of 16,501 stepped ticks execute: a wake rule that adds polls
     # fails here, not only in a benchmark
     assert jumped <= 9_275, (jumped, stepped)
+    for doc in drop_gossip_docs():
+        stepped_and_jumped(doc)
     for doc in far_docs(50_000, 50_200):
         assert stepped_and_jumped(doc)[1] < 100
     for duration in (1_000, 2**40):
