@@ -76,6 +76,7 @@ class Utxo:
 class BlockSummary:
     height: int
     txids: tuple[bytes, ...]
+    fees: tuple[int, ...]  # what each of txids burned, in the same order
     spent: tuple[tuple[Outpoint, bytes], ...]  # (outpoint, spender txid)
 
 
@@ -84,7 +85,7 @@ class Ledger:
         self.params = params
         self.height = 0
         self._utxos: dict[Outpoint, Utxo] = {}
-        self._mempool: dict[bytes, Transaction] = {}  # submission order
+        self._mempool: dict[bytes, tuple[Transaction, int]] = {}  # (tx, fee), submission order
         self._mempool_spends: set[Outpoint] = set()
         self._spent: set[Outpoint] = set()  # confirmed spends
         # PayToKey owner -> its unspent outpoints, in insertion order
@@ -183,10 +184,11 @@ class Ledger:
         out_value = sum(o.amount for o in tx.outputs)
         if out_value > in_value or in_value > MAX_AMOUNT:
             raise TxRejected(Reject.VALUE_OVERFLOW)
-        if in_value - out_value < self.params.tx_fee:
+        fee = in_value - out_value
+        if fee < self.params.tx_fee:
             raise TxRejected(Reject.FEE_TOO_LOW)
 
-        self._mempool[tx_id] = tx
+        self._mempool[tx_id] = (tx, fee)
         self._mempool_spends.update(txin.outpoint for txin in tx.inputs)
         return tx_id
 
@@ -210,21 +212,19 @@ class Ledger:
         for _ in range(count):
             self.height += 1
             block_spent: list[tuple[Outpoint, bytes]] = []
-            for tx_id, tx in self._mempool.items():
-                in_value = 0
+            for tx_id, (tx, fee) in self._mempool.items():
                 for txin in tx.inputs:
-                    in_value += self._pop_utxo(txin.outpoint).amount
+                    self._pop_utxo(txin.outpoint)
                     self._spent.add(txin.outpoint)
                     block_spent.append((txin.outpoint, tx_id))
-                out_value = 0
                 for i, txout in enumerate(tx.outputs):
                     self._add_utxo(Outpoint(tx_id, i), Utxo(txout.amount, txout.script, self.height))
-                    out_value += txout.amount
-                self._utxo_value += out_value - in_value
-                self.burned += in_value - out_value
+                self._utxo_value -= fee
+                self.burned += fee
             summaries.append(BlockSummary(
                 height=self.height,
                 txids=tuple(self._mempool),
+                fees=tuple(fee for _, fee in self._mempool.values()),
                 spent=tuple(block_spent),
             ))
             self.confirmed_tx_count += len(self._mempool)

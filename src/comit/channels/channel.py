@@ -265,6 +265,11 @@ def open_channel(
 
 
 class Channel:
+    __slots__ = ("ledger", "party_a", "party_b", "funding_outpoint", "capacity", "csv_delay",
+                 "dust_limit", "phase", "revocation_fn", "state", "_htlc_seq", "_pending_state",
+                 "_state_history", "_closing", "closed_by", "closed_commitment", "closed_height",
+                 "closed_outputs")
+
     def __init__(
         self,
         ledger: Ledger,

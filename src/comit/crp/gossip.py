@@ -115,6 +115,8 @@ def verify_advert(advert: LpAdvert) -> bool:
 class GossipState:
     """One node's advert store plus per-peer bookkeeping."""
 
+    __slots__ = ("own_pubkey", "adverts", "invalid_dropped", "version", "_peer_known", "_exchanged")
+
     def __init__(self, own_pubkey: bytes):
         self.own_pubkey = own_pubkey
         self.adverts: dict[bytes, LpAdvert] = {}

@@ -46,17 +46,18 @@ bound, but reachability and H still prune. A search thus costs what the
 sender can reach, not every simple path: on a ring of 24 LPs with +1 and
 +2 chords it grows about 30 partial paths a route where the amount alone
 grew about 1,600. The graph keeps p, delta and the links among quoting
-nodes (forwarders()), integers over the prices' common denominator, once
-per set of edges and quotes; each search walks from its own sender.
+nodes (forwarders()), integers over the prices' common denominator,
+computed once; each search walks from its own sender.
 
-The graph is the sender's public view, shared by every sender that holds
-the same adverts; find_route never changes it. The sender's own channels
-come in as `own_edges`, a read-only overlay applied by add_edge's rule: an
-own edge replaces the graph's edge for its (sender, dst, chain), and a graph
-edge from the sender with no own edge stays. A path that reaches the sender
-is complete, so the overlay only ever supplies first hops: an expansion at
-`head` looks up the sender's edges into it by key instead of scanning, and
-only when head is the recipient or a first peer, with H(head) = 1.
+A graph is a value, built once from its edges and quotes; a later edge
+for the same (src, dst, chain) replaces an earlier one. Every sender that
+holds the same adverts shares it. The sender's own channels come in as
+`own_edges`, an overlay by that rule: an own edge replaces the graph's
+edge for its (sender, dst, chain), and a graph edge from the sender with no
+own edge stays. A path that reaches the sender is complete, so each search
+applies the overlay once, to a table of the sender's edges into each
+quoting node and into the recipient: the walks for D and H start from it,
+and an expansion at `head` completes routes over its edges into head.
 
 Each expansion prices one more hop once per asset: the quote and
 backward_apply depend only on `head`, the asset and the path's amount, not
@@ -195,45 +196,28 @@ class ChannelGraph:
     def __init__(
         self,
         chain_fns: Mapping[str, frozenset[HashFnId]],
-        edges: Sequence[Edge] = (),
-        quotes: Optional[Mapping[bytes, Mapping[tuple[str, str], RateQuote]]] = None,
+        edges: Iterable[Edge] = (),
+        quotes: Iterable[tuple[bytes, RateQuote]] = (),
     ):
         self.chain_fns = dict(chain_fns)
-        self._edges: dict[tuple[bytes, bytes, str], Edge] = {}
+        # (src, dst, chain) -> its edge; a later edge replaces an earlier one
+        self._edges = {(e.src, e.dst, e.chain_id): e for e in edges}
         # dst -> the edges into it, in _edge_order
         self._into: dict[bytes, list[Edge]] = {}
         # dst -> asset -> the edges into dst that carry it, in no order
         self._assets_into: dict[bytes, dict[str, list[Edge]]] = {}
+        for edge in self._edges.values():
+            insort(self._into.setdefault(edge.dst, []), edge, key=_edge_order)
+            self._assets_into.setdefault(edge.dst, {}).setdefault(edge.asset, []).append(edge)
+        # node -> (asset_in, asset_out) -> its quote; a later one replaces an earlier
         self.quotes: dict[bytes, dict[tuple[str, str], RateQuote]] = {}
-        # once forwarders() has computed them, until an edge or quote is added
-        self._forwarders: Optional[_Forwarders] = None
-        if quotes:
-            for node in quotes:
-                self.quotes[node] = dict(quotes[node])
-        for e in edges:
-            self.add_edge(e)
-
-    def add_edge(self, edge: Edge) -> None:
-        """Insert or replace the edge for (src, dst, chain)."""
-        key = (edge.src, edge.dst, edge.chain_id)
-        into = self._into.setdefault(edge.dst, [])
-        assets = self._assets_into.setdefault(edge.dst, {})
-        if key in self._edges:
-            old = self._edges[key]
-            into.remove(old)
-            assets[old.asset].remove(old)
-        self._edges[key] = edge
-        insort(into, edge, key=_edge_order)
-        assets.setdefault(edge.asset, []).append(edge)
-        self._forwarders = None
-
-    def add_quote(self, node: bytes, quote: RateQuote) -> None:
-        self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
-        self._forwarders = None
+        for node, quote in quotes:
+            self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
+        self._forwarders: Optional[_Forwarders] = None  # set by forwarders()
 
     def forwarders(self) -> "_Forwarders":
         """The prices and the forwarders' fees and links find_route bounds
-        paths with, computed once per set of edges and quotes."""
+        paths with, computed on the first call."""
         if self._forwarders is None:
             prices = price_vector(q for t in self.quotes.values() for q in t.values())
             # No quote constrains an unquoted asset, so it takes the top
@@ -247,7 +231,7 @@ class ChannelGraph:
             fee = {
                 node: min((q.base_fee + (q.fee_ppm > 0)) * price.get(q.asset_in, 0)
                           for q in table.values())
-                for node, table in self.quotes.items() if table
+                for node, table in self.quotes.items()
             }
             links: dict[bytes, list[bytes]] = {}
             for node in fee:
@@ -266,8 +250,7 @@ class ChannelGraph:
 
     def assets_into(self, node: bytes) -> Mapping[str, list[Edge]]:
         """asset -> the edges into `node` that carry it, in no set order.
-        An asset may map to no edge once its last edge was replaced. The
-        index is the graph's own: read it, do not change it."""
+        The index is the graph's own: read it, do not change it."""
         return self._assets_into.get(node, {})
 
     def node_quote(self, node: bytes, asset_in: str, asset_out: str) -> Optional[RateQuote]:
@@ -283,23 +266,24 @@ class ChannelGraph:
         """Build the public view. Each advertised endpoint contributes both
         directions; when both ends advertise the same channel, each
         direction keeps the capacity hint from its own tail node."""
-        graph = cls(chain_fns)
+        edges: list[Edge] = []
+        quotes: list[tuple[bytes, RateQuote]] = []
+        filled: set[tuple[bytes, bytes, str]] = set()  # the reverse edges' keys
         advertisers = {a.node_pubkey for a in adverts}
         for advert in sorted(adverts, key=lambda a: a.node_pubkey):
             for ep in advert.endpoints:
                 asset = chain_assets.get(ep.chain_id)
                 if asset is None:
                     continue
-                out_edge = Edge(advert.node_pubkey, ep.peer, ep.chain_id, asset, ep.capacity)
-                graph.add_edge(out_edge)
+                edges.append(Edge(advert.node_pubkey, ep.peer, ep.chain_id, asset, ep.capacity))
                 # reverse direction: only fill in when the peer won't
-                # advertise its own view of this channel
+                # advertise its own view of this channel, and only once
                 key = (ep.peer, advert.node_pubkey, ep.chain_id)
-                if ep.peer not in advertisers and key not in graph._edges:
-                    graph.add_edge(Edge(ep.peer, advert.node_pubkey, ep.chain_id, asset, ep.capacity))
-            for q in advert.quotes:
-                graph.add_quote(advert.node_pubkey, q)
-        return graph
+                if ep.peer not in advertisers and key not in filled:
+                    filled.add(key)
+                    edges.append(Edge(*key, asset, ep.capacity))
+            quotes += [(advert.node_pubkey, q) for q in advert.quotes]
+        return cls(chain_fns, edges, quotes)
 
 
 class _Partial(NamedTuple):
@@ -326,18 +310,42 @@ class _Partial(NamedTuple):
         return out
 
 
+def _first_hops(
+    graph: ChannelGraph, sender: bytes, recipient: bytes, own_edges: Iterable[Edge]
+) -> dict[bytes, list[Edge]]:
+    """node -> the sender's edges into it, for every quoting node and the
+    recipient it has one into: its own edges, then the graph's on the other
+    chains (an edge on a chain that chain_fns does not name is never
+    admissible)."""
+    # dst -> chain -> the sender's own edge; a later one replaces an earlier
+    own: dict[bytes, dict[str, Edge]] = {}
+    for edge in own_edges:
+        if edge.src != sender:
+            raise ValueError("own edges must start at the sender")
+        own.setdefault(edge.dst, {})[edge.chain_id] = edge
+    firsts = {}
+    for node in (*graph.quotes, recipient):
+        mine = own.get(node, {})
+        edges = list(mine.values())
+        for chain_id in graph.chain_fns:
+            edge = graph._edges.get((sender, node, chain_id))
+            if edge is not None and chain_id not in mine:
+                edges.append(edge)
+        if edges:
+            firsts[node] = edges
+    return firsts
+
+
 def _potentials(
-    graph: ChannelGraph, fw: _Forwarders, sender: bytes, own: Mapping[bytes, Mapping]
+    fw: _Forwarders, sender: bytes, firsts: Mapping[bytes, list[Edge]]
 ) -> tuple[dict[bytes, int], dict[bytes, int]]:
-    """H and D of every quoting node the sender reaches through quoting
-    nodes: the fewest hops to it, and the least sum of delta * scale over the
-    forwarders from the sender's first peer to it inclusive. Two walks, as
-    the path with the least D may take more than the fewest hops."""
-    firsts = fw.fee.keys() & own.keys()
-    firsts.update(v for v in fw.fee for chain_id in graph.chain_fns
-                  if (sender, v, chain_id) in graph._edges)
+    """H and D of every quoting node the sender reaches from `firsts`
+    through quoting nodes: the fewest hops to it, and the least sum of delta
+    * scale over the forwarders from the first peer to it inclusive. Two
+    walks, as the path with the least D may take more than the fewest hops."""
+    peers = firsts.keys() & fw.fee.keys()
     hops_to = {sender: 0}
-    level, hops = firsts, 1
+    level, hops = peers, 1
     while level:
         hops_to.update(dict.fromkeys(level, hops))
         level = {v for u in level for v in fw.links.get(u, ()) if v not in hops_to}
@@ -345,7 +353,7 @@ def _potentials(
     if not fw.price:  # every fee is 0
         return hops_to, dict.fromkeys(hops_to, 0)
     fee_to = {sender: 0}
-    heap = [(fw.fee[v], v) for v in firsts]
+    heap = [(fw.fee[v], v) for v in peers]
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
@@ -375,18 +383,13 @@ def find_route(
         raise ValueError("sender and recipient must differ")
     if not 1 <= max_hops <= MAX_ROUTE_HOPS:
         raise ValueError(f"max_hops must be in 1..{MAX_ROUTE_HOPS}")
-    # dst -> chain -> the sender's own edge; a later one replaces an earlier
-    own: dict[bytes, dict[str, Edge]] = {}
-    for edge in own_edges:
-        if edge.src != sender:
-            raise ValueError("own edges must start at the sender")
-        own.setdefault(edge.dst, {})[edge.chain_id] = edge
+    fw = graph.forwarders()
+    firsts = _first_hops(graph, sender, recipient, own_edges)
+    hops_to, fee_to = _potentials(fw, sender, firsts)
 
     self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
         asset_out
     )
-    fw = graph.forwarders()
-    hops_to, fee_to = _potentials(graph, fw, sender, own)
 
     def priced(path: _Partial, asset: str) -> Optional[tuple[RateQuote, int, int]]:
         """The quote, amount and fee of one more hop in `asset` in front of
@@ -425,18 +428,9 @@ def find_route(
         head = path.head
         steps: dict[str, Optional[tuple]] = {}  # asset -> priced(path, asset)
 
-        # The sender's edges into head: the overlay's, then the graph's on
-        # the other chains (an edge on a chain that chain_fns does not name
-        # is never admissible). Each completes a route.
-        firsts = []
-        if path.edge is None or hops_to[head] == 1:  # the sender's first peers
-            mine = own.get(head, {})
-            firsts = list(mine.values())
-            for chain_id in graph.chain_fns:
-                edge = graph._edges.get((sender, head, chain_id))
-                if edge is not None and chain_id not in mine:
-                    firsts.append(edge)
-        for edge in firsts:
+        # The sender's edges into head, when it is the recipient or a first
+        # peer. Each completes a route.
+        for edge in firsts.get(head, ()):
             if edge.asset not in steps:
                 steps[edge.asset] = priced(path, edge.asset)
             step = steps[edge.asset]

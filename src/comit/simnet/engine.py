@@ -31,12 +31,12 @@ Every channel transaction goes on chain through `_broadcast`, and what is
 spent is read from the ledger alone. A close or breach that meets a close in
 flight (its funding outpoint no longer spendable) or that the chain refuses
 is a no-op. `pending_txs` maps the txid of each broadcast still in the
-mempool to its broadcaster, its fee, its channel and the `respond` spend it
-carries, if any. The block that confirms it credits the fee and passes the
-spend to `_spent_on_chain`, the one path from a confirmed spend to its hops:
-a claim makes its preimage public to every actor in that block and settles
-its hop, a refund ends its hop, and a justice transaction ends every hop of
-its channel.
+mempool to its broadcaster, its channel and the `respond` spend it carries,
+if any. The block that confirms it credits the fee the ledger burned for it
+and passes the spend to `_spent_on_chain`, the one path from a confirmed
+spend to its hops: a claim makes its preimage public to every actor in that
+block and settles its hop, a refund ends its hop, and a justice transaction
+ends every hop of its channel.
 
 A payment retires once it is terminal and every hop of it is resolved:
 `_cascade` drops it from `live`, and it lets go of its `HopLive` records
@@ -220,8 +220,8 @@ class Engine:
         self.violations: list[str] = []
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
-        # txid -> (broadcaster, fee, channel index, `respond` spend or None)
-        self.pending_txs: dict[bytes, tuple[str, int, int, Optional[Spend]]] = {}
+        # txid -> (broadcaster, channel index, `respond` spend or None)
+        self.pending_txs: dict[bytes, tuple[str, int, Optional[Spend]]] = {}
         self.gossip_converged_tick = -1
         # Until this tick, gossip that has not converged keeps the run going.
         self.gossip_end = 3 * len(scenario.actors) + 3
@@ -445,10 +445,7 @@ class Engine:
             return False
         if note:
             self._note(note)
-        led = self.ledgers[rt.chain_id]
-        fee = sum(led.utxo(i.outpoint).amount for i in tx.inputs)
-        fee -= sum(o.amount for o in tx.outputs)
-        self.pending_txs[txid(tx)] = (actor, fee, rt.idx, spend)
+        self.pending_txs[txid(tx)] = (actor, rt.idx, spend)
         return True
 
     def _finish(self, p: PayRt, status: str, reason: str) -> None:
@@ -687,11 +684,11 @@ class Engine:
                     self.closed.discard(rt.idx)
                 elif rt.idx not in self.closed:
                     self._closed_on_chain(rt)
-            for tx_id in summary.txids:
+            for tx_id, fee in zip(summary.txids, summary.fees):
                 if tx_id in self.pending_txs:
                     entry = self.pending_txs.pop(tx_id)
-                    self._due_at(entry[2], self.tick)
-                    self._confirmed(cid, *entry)
+                    self._due_at(entry[1], self.tick)
+                    self._confirmed(cid, fee, *entry)
 
     def _closed_on_chain(self, rt: ChanRt) -> None:
         """`rt` was just closed on-chain: it is in `closed` until settled,
@@ -700,10 +697,10 @@ class Engine:
         for height in wake_heights(rt.channel):
             self._due_at(rt.idx, self._tick_of(rt.chain_id, height))
 
-    def _confirmed(self, cid: str, name: str, fee: int, chan_idx: int,
+    def _confirmed(self, cid: str, fee: int, name: str, chan_idx: int,
                    spend: Optional[Spend]) -> None:
-        """Credit a broadcast confirmed on `cid` its fee; end the hops its
-        spend ends."""
+        """Credit a broadcast confirmed on `cid` the fee it burned; end the
+        hops its spend ends."""
         if fee:
             actor = self.actors[name]
             actor.bump(actor.fees, self.chain_assets[cid], fee)

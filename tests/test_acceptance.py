@@ -341,10 +341,10 @@ def test_criterion_4_route_search_is_optimal(criterion):
                         )
             quotes[node] = table
 
-        g = ChannelGraph(chain_fns, edges)
-        for node, table in quotes.items():
-            for (a_in, a_out), (num, den, base, ppm) in table.items():
-                g.add_quote(node, RateQuote(a_in, a_out, num, den, base, ppm))
+        g = ChannelGraph(chain_fns, edges, [
+            (node, RateQuote(a_in, a_out, *terms))
+            for node, table in quotes.items() for (a_in, a_out), terms in table.items()
+        ])
         amount_out = rng.randint(30, 800)
         asset_out = rng.choice(assets)
         required = rng.choice([None, None, S256])

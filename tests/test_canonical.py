@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 import comit
 from comit.chainlab import Outpoint
+from comit.channels import Channel
+from comit.crp import GossipState
 from comit.simnet import run_scenario, validate_scenario
 from comit.simnet.engine import Engine
 from comit.simnet.report import report_json
@@ -195,7 +197,8 @@ def record_classes() -> dict[str, list[type]]:
 
 def test_records_are_slotted_except_the_scenario_specs():
     """A record made per payment, channel update or UTXO carries no
-    instance `__dict__`. The scenario specs keep theirs: `Scenario.digest`
+    instance `__dict__`, nor do the two plain classes made once per channel
+    and once per actor. The scenario specs keep theirs: `Scenario.digest`
     reads them through `vars()`."""
     records = record_classes()
     specs = records.pop("comit.simnet.scenario")
@@ -204,7 +207,7 @@ def test_records_are_slotted_except_the_scenario_specs():
     slotted = [c for classes in records.values() for c in classes]
     assert len(slotted) == 38, [c.__name__ for c in slotted]
     # an Outpoint is a tuple, not a dataclass, and has no __dict__ either
-    slotted.append(Outpoint)
+    slotted += [Outpoint, Channel, GossipState]
     assert [c.__qualname__ for c in slotted if c.__dictoffset__ != 0] == []
 
 

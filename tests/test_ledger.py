@@ -142,6 +142,23 @@ def test_fees_are_burned_and_conservation_holds(rng):
     assert conserved(ledger)
 
 
+def test_block_fees_sum_to_its_rise_in_burned(rng):
+    """A block carries the fee each transaction burned, as the ledger took
+    it at submission: inputs less outputs."""
+    alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
+    ledger = Ledger(params(fee=3), [(alice.pubkey, 1_000), (bob.pubkey, 500)])
+    (a, _), = ledger.spendable_by(alice.pubkey)
+    (b, _), = ledger.spendable_by(bob.pubkey)
+    ta = ledger.submit_tx(spend(alice, [a], [(990, PayToKey(bob.pubkey))]))
+    tb = ledger.submit_tx(spend(bob, [b], [(400, PayToKey(alice.pubkey)),
+                                           (97, PayToKey(bob.pubkey))]))
+    block, empty = ledger.mine_blocks(2)
+    assert block.txids == (ta, tb) and block.fees == (10, 3)
+    assert empty.txids == empty.fees == ()
+    assert ledger.burned == sum(block.fees) == 13
+    assert conserved(ledger)
+
+
 def test_locktime_checked_at_submission(world):
     ledger, alice, bob = world
     (op, _), = ledger.spendable_by(alice.pubkey)
@@ -619,10 +636,15 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @rule()
     def mine(self):
-        height = self.ledger.height
+        height, burned = self.ledger.height, self.ledger.burned
         block, = self.ledger.mine_blocks(1)
         assert block.height == height + 1
         assert block.txids == tuple(self.pending)
+        assert block.fees == tuple(
+            sum(self.known[txin.outpoint].amount for txin in tx.inputs)
+            - sum(o.amount for o in tx.outputs) for tx in self.pending.values()
+        )
+        assert sum(block.fees) == self.ledger.burned - burned
         assert block.spent == tuple(
             (txin.outpoint, tx_id) for tx_id, tx in self.pending.items() for txin in tx.inputs
         )

@@ -216,15 +216,15 @@ def test_payloads_follow_route_amounts():
     lp = NodeKey(b"\x11" * 32)
     r = NodeKey(b"\x22" * 32)
     sender = NodeKey(b"\x33" * 32)
+    quote = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000)
     g = ChannelGraph(
         {"x": frozenset({s256}), "y": frozenset({s256})},
         [
             Edge(sender.pubkey, lp.pubkey, "x", "xcoin", 10**6),
             Edge(lp.pubkey, r.pubkey, "y", "ycoin", 10**6),
         ],
+        [(lp.pubkey, quote)],
     )
-    quote = RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000)
-    g.add_quote(lp.pubkey, quote)
     route = find_route(g, sender.pubkey, r.pubkey, 10_000, "ycoin")
     payloads = payloads_for_route(route, 10_000)
 

@@ -53,10 +53,10 @@ def simple_graph():
         Edge(nid("L1"), nid("L2"), "main", "coin", 10**6),
         Edge(nid("L2"), nid("R"), "main", "coin", 10**6),
     ]
-    g = ChannelGraph(fns, edges)
-    g.add_quote(nid("L1"), RateQuote("coin", "coin", 1, 1, base_fee=5))
-    g.add_quote(nid("L2"), RateQuote("coin", "coin", 1, 1, base_fee=5))
-    return g
+    return ChannelGraph(fns, edges, [
+        (nid("L1"), RateQuote("coin", "coin", 1, 1, base_fee=5)),
+        (nid("L2"), RateQuote("coin", "coin", 1, 1, base_fee=5)),
+    ])
 
 
 def test_flat_fee_chain_totals():
@@ -92,8 +92,8 @@ def test_cross_chain_conversion_example():
             Edge(nid("S"), nid("LP"), "x", "xcoin", 10**6),
             Edge(nid("LP"), nid("R"), "y", "ycoin", 10**6),
         ],
+        [(nid("LP"), RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000))],
     )
-    g.add_quote(nid("LP"), RateQuote("xcoin", "ycoin", 10, 1, fee_ppm=10_000))
     route = find_route(g, nid("S"), nid("R"), 10_000, "ycoin")
     assert [h.amount for h in route.hops] == [1010, 10_000]
     assert [h.fee for h in route.hops] == [10, 0]
@@ -102,15 +102,16 @@ def test_cross_chain_conversion_example():
 
 def test_recipient_self_quote_prices_final_hop():
     fns = {"main": frozenset({S256})}
-    g = ChannelGraph(fns, [Edge(nid("S"), nid("R"), "main", "coin", 10**6)])
+    edges = [Edge(nid("S"), nid("R"), "main", "coin", 10**6)]
+    g = ChannelGraph(fns, edges)
     assert find_route(g, nid("S"), nid("R"), 1000, "coin").cost == 1000
-    g.add_quote(nid("R"), RateQuote("coin", "coin", 1, 1, base_fee=7))
+    g = ChannelGraph(fns, edges, [(nid("R"), RateQuote("coin", "coin", 1, 1, base_fee=7))])
     assert find_route(g, nid("S"), nid("R"), 1000, "coin").cost == 1007
 
 
 def two_corridor_graph(cheap_fns, dear_fns, cheap_cap=10**6):
     fns = {"c1": frozenset(cheap_fns), "c2": frozenset(dear_fns)}
-    g = ChannelGraph(
+    return ChannelGraph(
         fns,
         [
             Edge(nid("S"), nid("LA"), "c1", "a1", cheap_cap),
@@ -118,10 +119,11 @@ def two_corridor_graph(cheap_fns, dear_fns, cheap_cap=10**6):
             Edge(nid("S"), nid("LB"), "c2", "a2", 10**6),
             Edge(nid("LB"), nid("R"), "c2", "a2", 10**6),
         ],
+        [
+            (nid("LA"), RateQuote("a1", "a1", 1, 1, base_fee=1)),
+            (nid("LB"), RateQuote("a2", "a2", 1, 1, base_fee=50)),
+        ],
     )
-    g.add_quote(nid("LA"), RateQuote("a1", "a1", 1, 1, base_fee=1))
-    g.add_quote(nid("LB"), RateQuote("a2", "a2", 1, 1, base_fee=50))
-    return g
 
 
 def test_required_hash_fn_forces_detour():
@@ -142,8 +144,8 @@ def test_empty_hash_function_intersection_blocks_path():
             Edge(nid("S"), nid("L"), "c1", "a1", 10**6),
             Edge(nid("L"), nid("R"), "c2", "a2", 10**6),
         ],
+        [(nid("L"), RateQuote("a1", "a2", 1, 1))],
     )
-    g.add_quote(nid("L"), RateQuote("a1", "a2", 1, 1))
     with pytest.raises(NoRouteFound):
         find_route(g, nid("S"), nid("R"), 1000, "a2")
 
@@ -163,9 +165,9 @@ def test_overflowing_conversion_is_pruned():
             Edge(nid("S"), nid("L"), "c1", "tiny", MAX),
             Edge(nid("L"), nid("R"), "c2", "big", MAX),
         ],
+        # one unit of `tiny` buys 1e-7 units of `big`: amount_in leaves u64 range
+        [(nid("L"), RateQuote("tiny", "big", 1, 10**7, base_fee=0))],
     )
-    # one unit of `tiny` buys 1e-7 units of `big`: amount_in leaves u64 range
-    g.add_quote(nid("L"), RateQuote("tiny", "big", 1, 10**7, base_fee=0))
     with pytest.raises(NoRouteFound):
         find_route(g, nid("S"), nid("R"), 10**13, "big")
 
@@ -179,8 +181,8 @@ def test_tie_breaks_fewest_hops_then_node_ids():
             Edge(nid("S"), nid("L0"), "main", "coin", 10**6),
             Edge(nid("L0"), nid("R"), "main", "coin", 10**6),
         ],
+        [(nid("L0"), RateQuote("coin", "coin", 1, 1))],  # free hop
     )
-    g.add_quote(nid("L0"), RateQuote("coin", "coin", 1, 1))  # free hop
     # same cost either way; the direct single hop wins
     assert find_route(g, nid("S"), nid("R"), 1000, "coin").nodes() == (nid("R"),)
 
@@ -192,9 +194,8 @@ def test_tie_breaks_fewest_hops_then_node_ids():
             Edge(nid("S"), nid("LB"), "main", "coin", 10**6),
             Edge(nid("LB"), nid("R"), "main", "coin", 10**6),
         ],
+        [(nid(lp), RateQuote("coin", "coin", 1, 1, base_fee=2)) for lp in ("LA", "LB")],
     )
-    g2.add_quote(nid("LA"), RateQuote("coin", "coin", 1, 1, base_fee=2))
-    g2.add_quote(nid("LB"), RateQuote("coin", "coin", 1, 1, base_fee=2))
     route = find_route(g2, nid("S"), nid("R"), 1000, "coin")
     assert route.nodes() == (nid("LA"), nid("R"))
 
@@ -210,10 +211,12 @@ def test_longer_path_can_win_on_conversion():
             Edge(nid("L2"), nid("L3"), "bch", "bcoin", 10**9),
             Edge(nid("L3"), nid("R"), "zch", "zcoin", 10**9),
         ],
+        [
+            (nid("L1"), RateQuote("acoin", "zcoin", 1, 1, base_fee=100)),
+            (nid("L2"), RateQuote("acoin", "bcoin", 1, 1, base_fee=1)),
+            (nid("L3"), RateQuote("bcoin", "zcoin", 10, 1)),
+        ],
     )
-    g.add_quote(nid("L1"), RateQuote("acoin", "zcoin", 1, 1, base_fee=100))
-    g.add_quote(nid("L2"), RateQuote("acoin", "bcoin", 1, 1, base_fee=1))
-    g.add_quote(nid("L3"), RateQuote("bcoin", "zcoin", 10, 1))
     route = find_route(g, nid("S"), nid("R"), 1000, "zcoin")
     assert route.nodes() == (nid("L2"), nid("L3"), nid("R"))
     assert route.cost == 101  # direct corridor would cost 1100 acoin
@@ -226,9 +229,8 @@ def test_hop_budget_limits_search():
         Edge(nid(a), nid(b), "main", "coin", 10**6)
         for a, b in zip(chain, chain[1:])
     ]
-    g = ChannelGraph(fns, edges)
-    for mid in chain[1:-1]:
-        g.add_quote(nid(mid), RateQuote("coin", "coin", 1, 1))
+    g = ChannelGraph(fns, edges,
+                     [(nid(mid), RateQuote("coin", "coin", 1, 1)) for mid in chain[1:-1]])
     assert len(find_route(g, nid("S"), nid("R"), 100, "coin").hops) == 4
     with pytest.raises(NoRouteFound):
         find_route(g, nid("S"), nid("R"), 100, "coin", max_hops=3)
@@ -349,10 +351,10 @@ def test_route_search_matches_enumeration_oracle():
     routes_found = 0
     for trial in range(40):
         chain_fns, chain_asset, edges, quotes, assets = random_world(rng)
-        g = ChannelGraph(chain_fns, edges)
-        for node, table in quotes.items():
-            for (a_in, a_out), (num, den, base, ppm) in table.items():
-                g.add_quote(node, RateQuote(a_in, a_out, num, den, base, ppm))
+        g = ChannelGraph(chain_fns, edges, [
+            (node, RateQuote(a_in, a_out, *terms))
+            for node, table in quotes.items() for (a_in, a_out), terms in table.items()
+        ])
         amount_out = rng.randint(40, 900)
         asset_out = rng.choice(assets)
         required = rng.choice([None, None, S256])
@@ -567,7 +569,6 @@ def random_mesh(rng, priced):
             for a, b in ((u, v), (v, u)):
                 cap = rng.choice([2_000, 50_000, 10**6, 10**6])
                 edges.append(Edge(a, b, c, chain_assets[c], cap))
-    g = ChannelGraph(chain_fns, edges)
 
     def quote(a_in, a_out):
         if priced:
@@ -585,12 +586,11 @@ def random_mesh(rng, priced):
                 if rng.random() < 0.9]
 
     shared = table()
-    for lp in lps:
-        for q in shared if flat else table():
-            g.add_quote(lp, q)
+    quotes = [(lp, q) for lp in lps for q in (shared if flat else table())]
     if rng.random() < 0.3:
         a = rng.choice(assets)
-        g.add_quote(nid("R"), quote(a, a))
+        quotes.append((nid("R"), quote(a, a)))
+    g = ChannelGraph(chain_fns, edges, quotes)
     return g, sorted({e.asset for e in g.edges_into(nid("R"))})
 
 
@@ -630,15 +630,31 @@ def quoted_prices(g):
     return price_vector(q for t in g.quotes.values() for q in t.values())
 
 
-def test_prices_follow_quotes_added_between_searches():
-    """A graph prices its quotes in its forwarders table, computed once per
-    set of edges and quotes: a quote added after a search reaches the next
-    one. The first quote added is lp1's free x -> x,
-    which keeps the prices and lowers lp1's delta, the least fee * price it
-    adds, to 0 where it was more. The last two quotes added, at two LPs,
-    close a gaining cycle, so the graph has no price vector any more and the
-    search takes every path the sender reaches; every search still returns
-    the reference route."""
+def rebuilt(g, edges=(), quotes=()):
+    """`g` built again from its edges and quotes, then `edges` and `quotes`:
+    each replaces one of g's for the same (src, dst, chain) or (node,
+    asset_in, asset_out)."""
+    return ChannelGraph(
+        g.chain_fns,
+        [*(e for n in g._into for e in g.edges_into(n)), *edges],
+        [*((n, q) for n, t in g.quotes.items() for q in t.values()), *quotes],
+    )
+
+
+def potentials(g, sender, recipient, own_edges=()):
+    """_potentials from the sender's first hops, as find_route takes them."""
+    firsts = graph_mod._first_hops(g, sender, recipient, own_edges)
+    return graph_mod._potentials(g.forwarders(), sender, firsts)
+
+
+def test_prices_follow_the_quotes_a_graph_is_built_with():
+    """A graph prices its quotes in its forwarders table: each graph built
+    with one more quote prices that quote too. The first quote added is
+    lp1's free x -> x, which keeps the prices and lowers lp1's delta, the
+    least fee * price it adds, to 0 where it was more. The last two quotes
+    added, at two LPs, close a gaining cycle, so the graph has no price
+    vector any more and the search takes every path the sender reaches;
+    every search still returns the reference route."""
     rng = random.Random(0x9A1CE)
     found = lowered = 0
     for trial in range(60):
@@ -652,10 +668,10 @@ def test_prices_follow_quotes_added_between_searches():
             (lp1, RateQuote(x, y, 2, 1, base_fee=1)),
             (lp2, RateQuote(y, x, 1_000_001, 2_000_000, base_fee=1)),
         ]
-        for i, (lp, quote) in enumerate([(None, None), *added]):
+        base = g
+        for i, (lp, _) in enumerate([(None, None), *added]):
             delta = g.forwarders().fee.get(lp)
-            if quote is not None:
-                g.add_quote(lp, quote)
+            g = rebuilt(base, quotes=added[:i])
             prices, fw = quoted_prices(g), g.forwarders()
             assert {a: Fraction(p, fw.scale) for a, p in fw.price.items()} == (prices or {})
             if i == 1:
@@ -676,10 +692,10 @@ def test_prices_follow_quotes_added_between_searches():
 
 def test_own_edge_overlay_matches_reference_on_a_copy():
     """The sender's own edges, passed to find_route over a shared graph,
-    route exactly as if add_edge had put them into a copy of it: they
-    replace some advertised edges from S, leave others in place and add
-    channels on chains the graph has no S edge on. The shared graph is
-    left as it was."""
+    route exactly as a copy of it built with them last: they replace some
+    advertised edges from S, leave others in place and add channels on
+    chains the graph has no S edge on. The shared graph is left as it
+    was."""
     rng = random.Random(0x0E1A)
     nodes = [nid(f"L{i:02d}") for i in range(12)] + [nid("R"), nid("S")]
     firsts = {"own": 0, "advertised": 0}
@@ -700,9 +716,7 @@ def test_own_edge_overlay_matches_reference_on_a_copy():
                 c = rng.choice(free)
                 own.append(Edge(nid("S"), dst, c, chain_asset.get(c, "a0"), 10**6))
         rng.shuffle(own)
-        copy = ChannelGraph(g.chain_fns, [e for n in nodes for e in before[n]], g.quotes)
-        for e in own:
-            copy.add_edge(e)
+        copy = rebuilt(g, own)
         args = (nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
         kwargs = dict(
             required_hash_fn=rng.choice([None, None, S256, S3]),
@@ -744,62 +758,67 @@ def test_parallel_channel_tie_goes_to_least_chain_ids_from_recipient():
             Edge(nid("L1"), nid("L2"), "c2", "b", 10**6),
             Edge(nid("L2"), nid("R"), "c3", "out", 10**6),
         ],
+        [
+            (nid("L2"), RateQuote("a", "out", 1, 1, base_fee=5)),
+            (nid("L2"), RateQuote("b", "out", 1, 1)),
+            (nid("L1"), RateQuote("z", "a", 1, 1)),
+            (nid("L1"), RateQuote("z", "b", 1, 1, base_fee=5)),
+        ],
     )
-    g.add_quote(nid("L2"), RateQuote("a", "out", 1, 1, base_fee=5))
-    g.add_quote(nid("L2"), RateQuote("b", "out", 1, 1))
-    g.add_quote(nid("L1"), RateQuote("z", "a", 1, 1))
-    g.add_quote(nid("L1"), RateQuote("z", "b", 1, 1, base_fee=5))
     route = find_route(g, nid("S"), nid("R"), 1000, "out")
     assert [h.chain_id for h in route.hops] == ["c0", "c1", "c3"]
     assert route.cost == 1005
     assert route == reference_find_route(g, nid("S"), nid("R"), 1000, "out")
 
 
-def test_edges_into_follows_replacement_and_late_edges():
+def test_edges_into_follows_replacement_and_extra_edges():
     fns = {"x": frozenset({S256}), "y": frozenset({S256})}
-    g = ChannelGraph(
-        fns,
-        [
-            Edge(nid("B"), nid("R"), "y", "coin", 10),
-            Edge(nid("A"), nid("R"), "x", "coin", 10),
-            Edge(nid("B"), nid("R"), "x", "coin", 10),
-        ],
-    )
+    edges = [
+        Edge(nid("B"), nid("R"), "y", "coin", 10),
+        Edge(nid("A"), nid("R"), "x", "coin", 10),
+        Edge(nid("B"), nid("R"), "x", "coin", 10),
+    ]
+    g = ChannelGraph(fns, edges)
     assert [(e.src, e.chain_id) for e in g.edges_into(nid("R"))] == [
         (nid("A"), "x"), (nid("B"), "x"), (nid("B"), "y"),
     ]
-    g.add_edge(Edge(nid("B"), nid("R"), "x", "coin", 99))
+    # a later edge for the same (src, dst, chain) replaces an earlier one
+    edges.append(Edge(nid("B"), nid("R"), "x", "coin", 99))
+    g = ChannelGraph(fns, edges)
     assert [(e.src, e.chain_id, e.capacity) for e in g.edges_into(nid("R"))] == [
         (nid("A"), "x", 10), (nid("B"), "x", 99), (nid("B"), "y", 10),
     ]
     with pytest.raises(NoRouteFound):
         find_route(g, nid("S"), nid("R"), 5, "coin")
-    # an edge added after a search is seen by the next one
-    g.add_edge(Edge(nid("S"), nid("R"), "y", "coin", 10))
+    # a graph built with one more edge routes over it
+    edges.append(Edge(nid("S"), nid("R"), "y", "coin", 10))
+    g = ChannelGraph(fns, edges)
     assert [e.src for e in g.edges_into(nid("R"))][-1] == nid("S")
     assert find_route(g, nid("S"), nid("R"), 5, "coin").nodes() == (nid("R"),)
     assert g.edges_into(nid("GHOST")) == []
     # the asset index follows too, a replacement that moves an edge's asset
-    g.add_edge(Edge(nid("A"), nid("R"), "x", "gold", 10))
+    edges.append(Edge(nid("A"), nid("R"), "x", "gold", 10))
+    g = ChannelGraph(fns, edges)
     assert {a: sorted(es, key=lambda e: (e.src, e.chain_id))
-            for a, es in g.assets_into(nid("R")).items() if es} == {
+            for a, es in g.assets_into(nid("R")).items()} == {
         "coin": [e for e in g.edges_into(nid("R")) if e.asset == "coin"],
         "gold": [Edge(nid("A"), nid("R"), "x", "gold", 10)],
     }
     assert g.assets_into(nid("GHOST")) == {}
-    # so do the forwarders' links: an edge from A, added after a search,
-    # makes B reachable through A, and the route through both is found
-    g.add_quote(nid("A"), RateQuote("coin", "coin", 1, 1))
-    g.add_quote(nid("B"), RateQuote("coin", "coin", 1, 1, base_fee=1))
-    g.add_edge(Edge(nid("S"), nid("A"), "y", "coin", 100))
-    hops_to, _ = graph_mod._potentials(g, g.forwarders(), nid("S"), {})
+    # so do the forwarders' links: with an edge from A, B is reachable
+    # through A, and the route through both is found
+    quotes = [(nid("A"), RateQuote("coin", "coin", 1, 1)),
+              (nid("B"), RateQuote("coin", "coin", 1, 1, base_fee=1))]
+    edges.append(Edge(nid("S"), nid("A"), "y", "coin", 100))
+    g = ChannelGraph(fns, edges, quotes)
+    hops_to, _ = potentials(g, nid("S"), nid("R"))
     assert hops_to == {nid("S"): 0, nid("A"): 1}
     with pytest.raises(NoRouteFound):
         reference_find_route(g, nid("S"), nid("R"), 20, "coin")
     with pytest.raises(NoRouteFound):
         find_route(g, nid("S"), nid("R"), 20, "coin")
-    g.add_edge(Edge(nid("A"), nid("B"), "x", "coin", 100))
-    hops_to, _ = graph_mod._potentials(g, g.forwarders(), nid("S"), {})
+    g = ChannelGraph(fns, [*edges, Edge(nid("A"), nid("B"), "x", "coin", 100)], quotes)
+    hops_to, _ = potentials(g, nid("S"), nid("R"))
     assert hops_to == {nid("S"): 0, nid("A"): 1, nid("B"): 2}
     route = find_route(g, nid("S"), nid("R"), 20, "coin")
     assert route.nodes() == (nid("A"), nid("B"), nid("R")) and route.cost == 21
@@ -815,11 +834,12 @@ def test_search_prices_no_asset_only_the_paths_own_nodes_carry(monkeypatch):
     edges = []
     for u, v, c in (("S", "L1", "cx"), ("L1", "L2", "cy"), ("L2", "R", "cz")):
         edges += [Edge(nid(u), nid(v), c, c[1], 10**6), Edge(nid(v), nid(u), c, c[1], 10**6)]
-    g = ChannelGraph(fns, edges)
-    g.add_quote(nid("L1"), RateQuote("x", "y", 1, 1, base_fee=1))
-    g.add_quote(nid("L1"), RateQuote("y", "y", 1, 1))
-    g.add_quote(nid("L2"), RateQuote("y", "z", 1, 1, base_fee=1))
-    g.add_quote(nid("L2"), RateQuote("z", "z", 1, 1))
+    g = ChannelGraph(fns, edges, [
+        (nid("L1"), RateQuote("x", "y", 1, 1, base_fee=1)),
+        (nid("L1"), RateQuote("y", "y", 1, 1)),
+        (nid("L2"), RateQuote("y", "z", 1, 1, base_fee=1)),
+        (nid("L2"), RateQuote("z", "z", 1, 1)),
+    ])
     applies, scanned = [], []
     apply, into = graph_mod.backward_apply, ChannelGraph.edges_into
 
@@ -863,11 +883,13 @@ def test_gaining_cycle_searches_every_path():
     for u, v in (("L1", "L2"), ("L2", "L1")):
         edges += [Edge(nid(u), nid(v), c, c[1], 10**6) for c in ("cx", "cy")]
     edges += [Edge(nid(lp), nid("R"), "cx", "x", 10**6) for lp in ("L1", "L2")]
-    g = ChannelGraph(fns, edges)
-    for lp in ("L1", "L2"):
-        g.add_quote(nid(lp), RateQuote("x", "y", 2, 1, base_fee=1))
-        g.add_quote(nid(lp), RateQuote("y", "x", 1_000_001, 2_000_000, base_fee=1))
-        g.add_quote(nid(lp), RateQuote("x", "x", 1, 1, base_fee=3))
+    g = ChannelGraph(fns, edges, [
+        (nid(lp), q) for lp in ("L1", "L2") for q in (
+            RateQuote("x", "y", 2, 1, base_fee=1),
+            RateQuote("y", "x", 1_000_001, 2_000_000, base_fee=1),
+            RateQuote("x", "x", 1, 1, base_fee=3),
+        )
+    ])
     assert price_vector(q for t in g.quotes.values() for q in t.values()) is None
     for amount in (1, 7, 1000, 250_000):
         route = find_route(g, nid("S"), nid("R"), amount, "x")
@@ -939,18 +961,15 @@ def test_potentials_are_admissible_and_reach_every_head():
             # X and to LPs the adverts do not link it to
             chain_asset = {e.chain_id: e.asset for n in g._into for e in g.edges_into(n)}
             c = rng.choice(sorted(chain_asset))
-            g.add_edge(Edge(nid("X"), nid("R"), c, chain_asset[c], 10**6))
-            g.add_quote(nid("X"), RateQuote(chain_asset[c], chain_asset[c], 1, 1, base_fee=1))
+            g = rebuilt(g, [Edge(nid("X"), nid("R"), c, chain_asset[c], 10**6)],
+                        [(nid("X"), RateQuote(chain_asset[c], chain_asset[c], 1, 1, base_fee=1))])
             linked = {e.dst for n in g._into for e in g.edges_into(n) if e.src == nid("S")}
             unlinked = sorted(set(g.quotes) - linked - {nid("R")})
             for dst in [nid("X"), *rng.sample(unlinked, min(2, len(unlinked)))]:
                 c = rng.choice(sorted(chain_asset))
                 own.append(Edge(nid("S"), dst, c, chain_asset[c], 10**6))
-        by_dst = {}
-        for e in own:
-            by_dst.setdefault(e.dst, {})[e.chain_id] = e
         fw = g.forwarders()
-        hops_to, fee_to = graph_mod._potentials(g, fw, nid("S"), by_dst)
+        hops_to, fee_to = potentials(g, nid("S"), nid("R"), own)
         best_fee, best_hops = brute_potentials(g, nid("S"), own)
         assert best_hops and set(best_hops) <= set(hops_to), f"trial {trial}"
         if kind == 2:
@@ -965,11 +984,8 @@ def test_potentials_are_admissible_and_reach_every_head():
             assert not any(fee_to.values())
             gaining += 1
         args = (g, nid("S"), nid("R"), rng.randint(50, 2_000), rng.choice(assets))
-        copy = ChannelGraph(g.chain_fns, [e for n in g._into for e in g.edges_into(n)], g.quotes)
-        for e in own:
-            copy.add_edge(e)
         try:
-            expected = reference_find_route(copy, *args[1:])
+            expected = reference_find_route(rebuilt(g, own), *args[1:])
         except NoRouteFound:
             with pytest.raises(NoRouteFound):
                 find_route(*args, own)
@@ -990,9 +1006,9 @@ def ring_mesh(rng, lps=24, leaves=48):
     links |= {(leaf, rng.choice(ls)) for leaf in leaves}
     g = ChannelGraph({"main": frozenset({S256})},
                      [Edge(a, b, "main", "coin", 100_000)
-                      for u, v in sorted(links) for a, b in ((u, v), (v, u))])
-    for lp in ls:
-        g.add_quote(lp, RateQuote("coin", "coin", 1, 1, base_fee=1, fee_ppm=1000))
+                      for u, v in sorted(links) for a, b in ((u, v), (v, u))],
+                     [(lp, RateQuote("coin", "coin", 1, 1, base_fee=1, fee_ppm=1000))
+                      for lp in ls])
     return g, leaves
 
 

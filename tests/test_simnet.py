@@ -1372,9 +1372,9 @@ class ScanningEngine(SteppingEngine):
             summary = led.mine_blocks(1)[0]
             for rt in self.chans_on[cid]:
                 rt.channel.process_block(summary)
-            for tx_id in summary.txids:
+            for tx_id, fee in zip(summary.txids, summary.fees):
                 if tx_id in self.pending_txs:
-                    self._confirmed(cid, *self.pending_txs.pop(tx_id))
+                    self._confirmed(cid, fee, *self.pending_txs.pop(tx_id))
 
     def _outstanding(self):
         if self.queue or self.pending_txs:

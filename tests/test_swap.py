@@ -56,10 +56,9 @@ class Line:
                 Edge(self.ids[i], self.ids[i + 1], chain_id, asset, fund)
                 for i, (chain_id, asset, _) in enumerate(hops)
             ],
+            [(self.ids[i + 1], quote)
+             for i, (_, _, quote) in enumerate(hops) if quote is not None],
         )
-        for i, (_, _, quote) in enumerate(hops):
-            if quote is not None:
-                self.graph.add_quote(self.ids[i + 1], quote)
 
     @property
     def sender(self):
@@ -137,7 +136,7 @@ def test_make_invoice_binds_secret(rng):
     assert invoice.payment_hash != hash_digest(S256, secret)
 
 
-def test_stack_expiries_uses_each_hops_chain_height(rng):
+def test_prepare_attempt_reads_each_hops_own_chain_height(rng):
     line = Line(
         rng,
         [
@@ -418,9 +417,8 @@ class RouteMachine(RuleBasedStateMachine):
         graph = ChannelGraph(
             {cid: frozenset({S256}) for cid in self.ledgers},
             [Edge(ids[k], ids[k + 1], self.cids[k], self._asset(k), FUND) for k in range(n - 1)],
+            [(ids[k], quote) for k, quote in self.quotes.items()],
         )
-        for k, quote in self.quotes.items():
-            graph.add_quote(ids[k], quote)
         asset = self._asset(n - 2)
         self.invoice, secret = make_invoice(random.Random(1), ids[-1], self.amount, asset, S256)
         self.secrets[-1][self.invoice.payment_hash] = secret
