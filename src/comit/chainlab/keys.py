@@ -2,13 +2,14 @@
 
 Signatures here are HMAC-SHA256 tags over the witness-free transaction
 digest. An HMAC is not publicly verifiable, so each Signature privately
-carries the KeyPair that made it, and verification recomputes the tag with
-that key after checking that its pubkey is the one the script names. A
-KeyPair's pubkey is derived from its secret, so a signature for a pubkey
-can only come from someone holding that pubkey's secret. That keeps the
-property the channel protocols actually rely on: producing a signature
-requires holding the KeyPair object, while any code can check one. No key
-state outlives the objects that hold it.
+carries the key that made it (a KeyPair, or a routing node's NodeKey), and
+verification recomputes the tag with that key's `mac` after checking that
+its pubkey is the one the script names. A KeyPair's pubkey is derived
+from its secret, so a signature for a pubkey can only come from someone
+holding that pubkey's secret. That keeps the property the channel
+protocols actually rely on: producing a signature requires holding the
+KeyPair object, while any code can check one. No key state outlives the
+objects that hold it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from typing import Any
 
 _KEY_TAG = b"comit/key/v1"
 
@@ -43,21 +45,22 @@ class KeyPair:
     def generate(cls, rng) -> "KeyPair":
         return cls.from_secret(rng.randbytes(32))
 
+    def mac(self, data: bytes) -> bytes:
+        return hmac.new(self.secret, data, hashlib.sha256).digest()
+
     def sign(self, digest: bytes) -> "Signature":
-        mac = hmac.new(self.secret, digest, hashlib.sha256).digest()
-        return Signature(pubkey=self.pubkey, mac=mac, _signer=self)
+        return Signature(pubkey=self.pubkey, mac=self.mac(digest), _signer=self)
 
 
 @dataclass(frozen=True, slots=True)
 class Signature:
     pubkey: bytes
     mac: bytes
-    _signer: KeyPair = field(compare=False, repr=False)
+    _signer: Any  # the KeyPair or NodeKey that made `mac` = field(compare=False, repr=False)
 
     def verifies(self, pubkey: bytes, digest: bytes) -> bool:
         """True iff this is `pubkey`'s signature over `digest`."""
         signer = self._signer
         if not self.pubkey == signer.pubkey == pubkey:
             return False
-        want = hmac.new(signer.secret, digest, hashlib.sha256).digest()
-        return hmac.compare_digest(want, self.mac)
+        return hmac.compare_digest(signer.mac(digest), self.mac)

@@ -450,8 +450,16 @@ class Channel:
         self.state = self._pending_state
         self._pending_state = None
 
-    def _apply_update(self, new_state: CommitmentState) -> None:
-        self.propose_update(new_state)
+    def _update(self, side: str, amount: int, htlcs: tuple[Htlc, ...]) -> None:
+        """Propose and commit the next state: `amount` moved into `side`'s
+        balance (out of it if negative), holding `htlcs`."""
+        st = self.state
+        self.propose_update(CommitmentState(
+            commitment_number=st.commitment_number + 1,
+            balance_a=st.balance_a + (amount if side == "a" else 0),
+            balance_b=st.balance_b + (amount if side == "b" else 0),
+            htlcs=htlcs,
+        ))
         self.commit_update()
 
     def _require_open(self) -> None:
@@ -492,13 +500,7 @@ class Channel:
             expiry_height=expiry_height,
         )
         self._htlc_seq = h.htlc_id
-        new_state = CommitmentState(
-            commitment_number=self.state.commitment_number + 1,
-            balance_a=self.state.balance_a - (amount if side == "a" else 0),
-            balance_b=self.state.balance_b - (amount if side == "b" else 0),
-            htlcs=self.state.htlcs + (h,),
-        )
-        self._apply_update(new_state)
+        self._update(side, -amount, self.state.htlcs + (h,))
         return h.htlc_id
 
     def fulfill_htlc(self, htlc_id: int, preimage: bytes) -> None:
@@ -507,24 +509,12 @@ class Channel:
         if hash_digest(h.hash_fn, preimage) != h.payment_hash:
             raise BadPreimage(f"htlc {htlc_id}")
         receiver_side = "b" if h.offerer_side == "a" else "a"
-        new_state = CommitmentState(
-            commitment_number=self.state.commitment_number + 1,
-            balance_a=self.state.balance_a + (h.amount if receiver_side == "a" else 0),
-            balance_b=self.state.balance_b + (h.amount if receiver_side == "b" else 0),
-            htlcs=tuple(x for x in self.state.htlcs if x.htlc_id != htlc_id),
-        )
-        self._apply_update(new_state)
+        self._update(receiver_side, h.amount, tuple(x for x in self.state.htlcs if x is not h))
 
     def fail_htlc(self, htlc_id: int) -> None:
         self._require_open()
         h = self.htlc(htlc_id)
-        new_state = CommitmentState(
-            commitment_number=self.state.commitment_number + 1,
-            balance_a=self.state.balance_a + (h.amount if h.offerer_side == "a" else 0),
-            balance_b=self.state.balance_b + (h.amount if h.offerer_side == "b" else 0),
-            htlcs=tuple(x for x in self.state.htlcs if x.htlc_id != htlc_id),
-        )
-        self._apply_update(new_state)
+        self._update(h.offerer_side, h.amount, tuple(x for x in self.state.htlcs if x is not h))
 
     # --- closing ------------------------------------------------------------
 

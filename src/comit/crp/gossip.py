@@ -21,11 +21,11 @@ each state keeps, per peer, the two versions of their last exchange, and
 
 from __future__ import annotations
 
-import hmac
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
+from ..chainlab.keys import Signature
 from .identity import NodeKey
 from .quotes import RateQuote
 
@@ -49,10 +49,7 @@ class LpAdvert:
     endpoints: tuple[ChannelEndpoint, ...]
     quotes: tuple[RateQuote, ...]
     timestamp: int
-    signature: bytes  # the signer's MAC over signing_bytes
-    # The key that made `signature`; verify_advert recomputes the MAC with
-    # it once its pubkey is node_pubkey.
-    _signer: NodeKey = field(compare=False, repr=False)
+    signature: Signature  # node_pubkey's signature over signing_bytes
     # What the signature covers, built once per advert, so that the many
     # nodes verifying one advert object do not each rebuild it.
     signing_bytes: bytes = field(init=False, compare=False, repr=False)
@@ -94,22 +91,18 @@ def make_advert(
     quotes: Sequence[RateQuote],
     timestamp: int,
 ) -> LpAdvert:
-    unsigned = LpAdvert(
+    body = advert_signing_bytes(node_key.pubkey, endpoints, quotes, timestamp)
+    return LpAdvert(
         node_pubkey=node_key.pubkey,
         endpoints=tuple(endpoints),
         quotes=tuple(quotes),
         timestamp=timestamp,
-        signature=b"",
-        _signer=node_key,
+        signature=node_key.sign(body),
     )
-    return replace(unsigned, signature=node_key.sign(unsigned.signing_bytes))
 
 
 def verify_advert(advert: LpAdvert) -> bool:
-    signer = advert._signer
-    return signer.pubkey == advert.node_pubkey and hmac.compare_digest(
-        signer.sign(advert.signing_bytes), advert.signature
-    )
+    return advert.signature.verifies(advert.node_pubkey, advert.signing_bytes)
 
 
 class GossipState:

@@ -2,10 +2,10 @@
 
 A node's identity is its X25519 public key (32 bytes): it both names the
 node in gossip and routes and serves as the Diffie-Hellman key the onion
-shares secrets against. Adverts are authenticated like the ledger's
-simulated signatures: `sign` is an HMAC keyed by the node's seed, and an
-advert carries the NodeKey that signed it, so a verifier recomputes the tag
-with that key once it has checked that the key's pubkey is the advert's.
+shares secrets against. Adverts are signed with the ledger's simulated
+`Signature`: its tag is an HMAC keyed by the node's seed, and it carries
+the NodeKey that made it, so `Signature.verifies` recomputes the tag with
+that key once it has checked that the key's pubkey is the advert's.
 The pubkey is derived from the seed, so only a holder of that pubkey's
 private key can sign for it. Two seeds that differ only in bits X25519
 clamps away share a pubkey, and each still verifies its own adverts.
@@ -21,6 +21,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
+
+from ..chainlab.keys import Signature
+
 
 @dataclass(frozen=True, slots=True)
 class NodeKey:
@@ -42,6 +45,9 @@ class NodeKey:
     def exchange(self, peer_public: bytes) -> bytes:
         return self._private.exchange(X25519PublicKey.from_public_bytes(peer_public))
 
-    def sign(self, data: bytes) -> bytes:
+    def mac(self, data: bytes) -> bytes:
         return hmac.new(self.seed, data, hashlib.sha256).digest()
+
+    def sign(self, data: bytes) -> Signature:
+        return Signature(pubkey=self.pubkey, mac=self.mac(data), _signer=self)
 

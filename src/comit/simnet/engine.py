@@ -63,11 +63,12 @@ A withheld claim counts one hit on every tick, and `_advance` adds those
 for the skipped ticks at once. A dropping gossip end of a channel whose
 ends are online counts one on every tick from 1 to the last one run; the
 fault windows alone decide that, so `_count_drops` sums it once after the
-run. So a run costs what happens in it, not its `max_ticks`, with two
-exceptions that still poll on every tick: a close (`_ev_close`) of a
-channel that holds HTLCs queues itself for the next tick, and so does a
-settle whose stall outlasts the run (`_cascade` requeues it), until the
-HTLC resolves, which can be on chain many blocks later.
+run. So a run costs what happens in it, not its `max_ticks`, with three
+exceptions that queue themselves for the next tick until an HTLC resolves,
+which can be on chain many blocks later: a close (`_ev_close`) of a
+channel that holds HTLCs, a settle whose stall outlasts the run and a
+settle that meets a channel closing or closed on chain (`_cascade`
+requeues both).
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from ..channels import (
     ChannelParty,
     ChannelPhase,
     CLOSED_ON_CHAIN,
+    Htlc,
     Spend,
     may_respond,
     open_channel,
@@ -152,7 +154,6 @@ class ActorState:
     wallet: dict[str, KeyPair] = field(default_factory=dict)  # chain -> key
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     invoices: dict[bytes, Invoice] = field(default_factory=dict)
-    initial: dict[str, int] = field(default_factory=dict)  # asset -> genesis coins
     settled_in: dict[str, int] = field(default_factory=dict)
     settled_out: dict[str, int] = field(default_factory=dict)
     fees: dict[str, int] = field(default_factory=dict)  # asset -> fees authorized
@@ -171,27 +172,38 @@ class ChanRt:
     chain_id: str
     names: tuple[str, str]  # (party_a actor, party_b actor)
     channel: Channel
-    parties: dict[str, ChannelParty]
 
     def peer(self, name: str) -> str:
         return self.names[0] if self.names[1] == name else self.names[1]
 
+    def party(self, name: str) -> ChannelParty:
+        """Actor `name`'s side of the channel."""
+        return self.channel.party_a if name == self.names[0] else self.channel.party_b
+
 
 @dataclass(slots=True)
 class HopLive:
+    """One HTLC of a payment: `htlc` is its channel's own record, which
+    holds the hop's amount, expiry and offering side."""
+
     chan: ChanRt
-    htlc_id: int
-    amount: int
-    expiry: int
-    offerer: str
-    receiver: str
+    htlc: Htlc
     resolved: str = ""  # fulfilled|failed|claimed|refunded|justice
     scheduled: bool = False
+
+    @property
+    def offerer(self) -> str:
+        return self.chan.names[0 if self.htlc.offerer_side == "a" else 1]
+
+    @property
+    def receiver(self) -> str:
+        return self.chan.names[1 if self.htlc.offerer_side == "a" else 0]
 
 
 @dataclass(slots=True)
 class PayRt:
-    """One payment's run. When it retires (terminal, every hop resolved),
+    """One payment's run: `hops[i]` is its i-th HTLC, offered by the
+    receiver of hop i - 1. When it retires (terminal, every hop resolved),
     `_retire` empties `hops`; `hop_count` keeps how many it offered."""
 
     idx: int
@@ -225,8 +237,8 @@ class Engine:
         self.gossip_converged_tick = -1
         # Until this tick, gossip that has not converged keeps the run going.
         self.gossip_end = 3 * len(scenario.actors) + 3
-        # advert ids -> (the adverts, their ChannelGraph); filled by _graph
-        self.graphs: dict[tuple[int, ...], tuple[list[LpAdvert], ChannelGraph]] = {}
+        # the origin pubkeys of an advert set -> its ChannelGraph; see _graph
+        self.graphs: dict[tuple[bytes, ...], ChannelGraph] = {}
         # The channels closed on-chain and not yet settled.
         self.closed: set[int] = set()
         # The due index, a heap of (tick, channel index): the channel is
@@ -272,11 +284,8 @@ class Engine:
                 block_interval=c.mining_interval,
                 tx_fee=c.tx_fee,
             )
-            coins = []
-            for name, amount in c.genesis:
-                actor = self.actors[name]
-                coins.append((actor.wallet[c.chain_id].pubkey, amount))
-                actor.bump(actor.initial, c.asset, amount)
+            coins = [(self.actors[name].wallet[c.chain_id].pubkey, amount)
+                     for name, amount in c.genesis]
             self.ledgers[c.chain_id] = Ledger(params, coins)
             self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
             self.chain_assets[c.chain_id] = c.asset
@@ -320,7 +329,6 @@ class Engine:
                 chain_id=spec.chain_id,
                 names=(spec.party_a, spec.party_b),
                 channel=channel,
-                parties={spec.party_a: pa, spec.party_b: pb},
             )
             self.channels.append(rt)
             self.chans_on[spec.chain_id].append(rt)
@@ -348,7 +356,7 @@ class Engine:
         # hop resolved: no hop is ever added to a payment that is not pending.
         # Only _offer adds an HTLC, and every fulfil or fail of one resolves
         # its hop at once, so the HTLCs of the open channels are exactly the
-        # unresolved hops of the live payments.
+        # `htlc` records of the unresolved hops of the live payments.
         self.live: dict[int, PayRt] = {}
 
     # --- shared machinery -----------------------------------------------------
@@ -464,8 +472,8 @@ class Engine:
         if settled:
             asset = self.chain_assets[hop.chan.chain_id]
             recv, off = self.actors[hop.receiver], self.actors[hop.offerer]
-            recv.bump(recv.settled_in, asset, hop.amount)
-            off.bump(off.settled_out, asset, hop.amount)
+            recv.bump(recv.settled_in, asset, hop.htlc.amount)
+            off.bump(off.settled_out, asset, hop.htlc.amount)
         if i == 0:
             self._finish(p, "settled" if settled else "refunded", reason)
 
@@ -569,7 +577,7 @@ class Engine:
                 stalls = self._active(n, "stall-secret", t) if self._online(n, t) else []
                 if not stalls:
                     continue
-                spends = respond(rt.channel, rt.parties[n], self.actors[n].secrets)
+                spends = respond(rt.channel, rt.party(n), self.actors[n].secrets)
                 claims = sum(s.kind == "claim" for s in spends)
                 for i in stalls:
                     self.fault_hits[i] += claims * skipped
@@ -608,7 +616,7 @@ class Engine:
                 ChannelEndpoint(
                     chain_id=rt.chain_id,
                     peer=self.actors[rt.peer(name)].node_key.pubkey,
-                    capacity=rt.channel.balance_of(rt.parties[name]),
+                    capacity=rt.channel.balance_of(rt.party(name)),
                 )
                 for rt in actor.channels
             ]
@@ -711,8 +719,9 @@ class Engine:
         """A `respond` spend on channel `chan_idx` confirmed. A claim makes
         its preimage public and settles the hop of its HTLC, a refund ends
         that hop, and justice ends every unresolved hop of the channel (see
-        HOP_ENDS). A close or a sweep ends none. An HTLC id names at most one
-        hop, and the order in which justice ends hops moves no counter."""
+        HOP_ENDS). A close or a sweep ends none. The spend carries the
+        channel's own `Htlc` record, the one its hop holds, and the order in
+        which justice ends hops moves no counter."""
         if spend.kind not in HOP_ENDS:
             return
         outcome, reason = HOP_ENDS[spend.kind]
@@ -721,7 +730,7 @@ class Engine:
         for p in self.live.values():
             for i, hop in enumerate(p.hops):
                 if (not hop.resolved and hop.chan.idx == chan_idx
-                        and (spend.htlc is None or hop.htlc_id == spend.htlc.htlc_id)):
+                        and (spend.htlc is None or hop.htlc is spend.htlc)):
                     self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
 
     def _reveal(self, payment_hash: bytes, preimage: bytes) -> None:
@@ -804,7 +813,7 @@ class Engine:
                 dst=self.actors[rt.peer(spec.sender)].node_key.pubkey,
                 chain_id=rt.chain_id,
                 asset=self.chain_assets[rt.chain_id],
-                capacity=rt.channel.balance_of(rt.parties[spec.sender]),
+                capacity=rt.channel.balance_of(rt.party(spec.sender)),
             )
             for rt in sender.channels
             if rt.channel.phase is ChannelPhase.OPEN
@@ -843,13 +852,13 @@ class Engine:
 
     def _graph(self, adverts: list[LpAdvert]) -> ChannelGraph:
         """The public graph of an advert set, built once and shared by every
-        sender holding that set. Keyed on the adverts' identities; the entry
-        keeps them alive, so an id is never reused while it is a key."""
-        key = tuple(map(id, adverts))
+        sender holding that set. Keyed on the adverts' origins: each LP
+        issues its one advert at tick 0, so the origins name the set."""
+        key = tuple(a.node_pubkey for a in adverts)
         if key not in self.graphs:
-            graph = ChannelGraph.from_adverts(adverts, self.chain_fns, self.chain_assets)
-            self.graphs[key] = (adverts, graph)
-        return self.graphs[key][1]
+            self.graphs[key] = ChannelGraph.from_adverts(
+                adverts, self.chain_fns, self.chain_assets)
+        return self.graphs[key]
 
     def _ev_hop_offer(self, pidx: int, i: int, packet: OnionPacket) -> None:
         p = self.payments[pidx]
@@ -868,8 +877,8 @@ class Engine:
             payload, next_packet = onion_peel(packet, recv.node_key)
             if payload.next_node is None:
                 # the recipient holds the preimage of each invoice it made
-                invoice = recv.invoices.get(hop.chan.channel.htlc(hop.htlc_id).payment_hash)
-                check_delivery(payload, invoice, hop.amount, hop.expiry, height)
+                invoice = recv.invoices.get(hop.htlc.payment_hash)
+                check_delivery(payload, invoice, hop.htlc.amount, hop.htlc.expiry_height, height)
                 self._queue_hop(p, i, True, self.tick + 1)
                 return
             # forward
@@ -882,8 +891,8 @@ class Engine:
                 raise ForwardRejected("unknown-next-node")
             quote = self.quote_table.get(hop.receiver, {}).get(
                 (self.chain_assets[hop.chan.chain_id], payload.asset))
-            expiry = check_forward(payload, hop.amount, hop.expiry, height, quote,
-                                   self.ledgers[payload.chain_id].height)
+            expiry = check_forward(payload, hop.htlc.amount, hop.htlc.expiry_height, height,
+                                   quote, self.ledgers[payload.chain_id].height)
         except OnionError:
             self._start_fail(p, i, "bad-onion")
             return
@@ -911,7 +920,7 @@ class Engine:
             return "peer-unavailable"
         try:
             htlc_id = rt.channel.add_htlc(
-                rt.parties[offerer], amount, p.invoice.hash_fn,
+                rt.party(offerer), amount, p.invoice.hash_fn,
                 p.invoice.payment_hash, expiry,
             )
         except (ChannelError, ValueError) as exc:
@@ -920,10 +929,7 @@ class Engine:
         # due now if an HTLC of it is urgent, and when this one turns urgent
         self._due_at(rt.idx, self.tick)
         self._due_at(rt.idx, self._tick_of(chain_id, urgent_height(expiry)))
-        p.hops.append(HopLive(
-            chan=rt, htlc_id=htlc_id, amount=amount, expiry=expiry,
-            offerer=offerer, receiver=receiver,
-        ))
+        p.hops.append(HopLive(chan=rt, htlc=rt.channel.htlc(htlc_id)))
         p.hop_count += 1
         self.live[p.idx] = p
         self._schedule(self.tick + 1, self._ev_hop_offer, p.idx, i, packet)
@@ -958,9 +964,9 @@ class Engine:
                 # Whoever schedules a settle knows the preimage, and an
                 # unresolved hop on an open channel is an HTLC of that channel.
                 preimage = self.actors[hop.receiver].secrets[p.invoice.payment_hash]
-                hop.chan.channel.fulfill_htlc(hop.htlc_id, preimage)
+                hop.chan.channel.fulfill_htlc(hop.htlc.htlc_id, preimage)
             else:
-                hop.chan.channel.fail_htlc(hop.htlc_id)
+                hop.chan.channel.fail_htlc(hop.htlc.htlc_id)
         except ChannelError:
             return
         self.open_htlcs -= 1
@@ -999,8 +1005,8 @@ class Engine:
         for rt in candidates:
             if rt.channel.closing:
                 continue
-            side = rt.channel.side_of(rt.parties[cheater])
-            current = rt.channel.balance_of(rt.parties[cheater])
+            side = rt.channel.side_of(rt.party(cheater))
+            current = rt.channel.balance_of(rt.party(cheater))
             for n, state in sorted(rt.channel.recorded_states().items()):
                 if n >= rt.channel.state.commitment_number:
                     continue
@@ -1010,7 +1016,7 @@ class Engine:
         if best is not None:
             _, rt, n = best
             if self._broadcast(
-                rt, cheater, rt.channel.unilateral_close, rt.parties[cheater], n,
+                rt, cheater, rt.channel.unilateral_close, rt.party(cheater), n,
                 note="breach_broadcasts",
             ):
                 self.fault_hits[fidx] += 1
@@ -1099,7 +1105,7 @@ class Engine:
         """`name` broadcasts the spends `respond` names on channel `rt`,
         except that it withholds each HTLC claim while it stalls, one
         `stall-secret` hit per claim withheld."""
-        for spend in respond(rt.channel, rt.parties[name], self.actors[name].secrets):
+        for spend in respond(rt.channel, rt.party(name), self.actors[name].secrets):
             if spend.kind == "claim" and self._active(name, "stall-secret"):
                 self._hit_faults(name, "stall-secret")
                 self.withholding.add(rt.idx)
@@ -1162,8 +1168,8 @@ class Engine:
             asset = self.chain_assets[rt.chain_id]
             led = self.ledgers[rt.chain_id]
             if led.is_unspent(rt.channel.funding_outpoint):
-                add(asset, rt.channel.balance_of(rt.parties[name]))
-                side = rt.channel.side_of(rt.parties[name])
+                add(asset, rt.channel.balance_of(rt.party(name)))
+                side = rt.channel.side_of(rt.party(name))
                 add(
                     asset,
                     sum(

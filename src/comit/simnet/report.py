@@ -32,13 +32,18 @@ def build_report(engine: Engine) -> dict:
     sc = engine.sc
     violations = list(engine.violations)
     faulty = {f.actor for f in sc.faults}
+    genesis: dict[str, dict[str, int]] = {name: {} for name in engine.actors}
+    for c in sc.chains:
+        for name, amount in c.genesis:
+            genesis[name][c.asset] = genesis[name].get(c.asset, 0) + amount
 
     actors = {}
     for name in sorted(engine.actors):
         actor = engine.actors[name]
+        initial = genesis[name]
         final = engine.final_balances(name)
         honest = name not in faulty
-        ok = _no_loss(actor.initial, final, actor.settled_in, actor.settled_out, actor.fees)
+        ok = _no_loss(initial, final, actor.settled_in, actor.settled_out, actor.fees)
         if honest and not ok:
             violations.append(
                 f"no-honest-loss: actor {name!r} ended below its entitled balance"
@@ -46,7 +51,7 @@ def build_report(engine: Engine) -> dict:
         actors[name] = {
             "kind": actor.kind,
             "honest": honest,
-            "initial": dict(sorted(actor.initial.items())),
+            "initial": dict(sorted(initial.items())),
             "final": dict(sorted(final.items())),
             "settled_in": dict(sorted(actor.settled_in.items())),
             "settled_out": dict(sorted(actor.settled_out.items())),
