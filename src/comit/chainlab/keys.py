@@ -56,7 +56,7 @@ class KeyPair:
 class Signature:
     pubkey: bytes
     mac: bytes
-    _signer: Any  # the KeyPair or NodeKey that made `mac` = field(compare=False, repr=False)
+    _signer: Any = field(compare=False, repr=False)  # the KeyPair or NodeKey that made `mac`
 
     def verifies(self, pubkey: bytes, digest: bytes) -> bool:
         """True iff this is `pubkey`'s signature over `digest`."""

@@ -2,8 +2,9 @@
 
 Off-chain updates are asymmetric commitment transactions: each party holds
 its own pre-signed version whose own payout is delayed and revocable, so
-broadcasting a stale state hands the counterparty everything via the
-revealed invalidation key. `respond` is the honest party's on-chain
+broadcasting a stale state hands the counterparty the broadcaster's balance
+via the revealed invalidation key, and each HTLC output the broadcaster
+does not claim or refund first. `respond` is the honest party's on-chain
 policy: the spends it makes on a channel at the current height. It names
 one only where `may_respond` holds, and one waiting for height alone first
 at an `urgent_height` or one of `wake_heights`: its wake contract.

@@ -9,7 +9,10 @@ each one:
     HashLock(rev_hash_n, other)): delayed if honest, forfeit if revoked,
   * pays the counterparty's balance directly to its key,
   * carries one output per pending HTLC: Or(HtlcScript(...), HashLock(
-    rev_hash_n, other)), so stale HTLCs are also forfeit after revocation.
+    rev_hash_n, other)). Justice can take a revoked state's HTLC outputs,
+    but the HTLC branches carry no CSV, so a cheater who submits its claim
+    or refund of one first keeps it (the strict xfail
+    test_cheater_cannot_outrun_justice_on_a_revoked_htlc, ROADMAP item 5).
 
 Updates are two-phase: propose_update records state n+1 once both
 commitments of it would have an output, then commit_update reveals both

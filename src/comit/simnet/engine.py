@@ -16,7 +16,8 @@ Actors follow the protocol honestly unless a fault says otherwise:
 - stall-secret:      refuses every cooperative channel update during the
                      window, forcing counterparties on-chain.
 - drop-gossip:       neither sends nor merges adverts during the window.
-- broadcast-revoked: broadcasts the revoked commitment that pays it best.
+- broadcast-revoked: broadcasts the revoked commitment that most raises
+                     its balance.
 
 Honest actors protect themselves without any global coordination. On each
 tick a channel is due, every online party of it runs the channel
@@ -246,8 +247,6 @@ class Engine:
         self.due: list[tuple[int, int]] = []
         # The channels on which a stalling party withheld a claim this tick.
         self.withholding: set[int] = set()
-        # How many HTLCs the OPEN channels hold.
-        self.open_htlcs = 0
         # Whether the last conservation check passed.
         self.balanced = True
         self._build_world()
@@ -256,9 +255,7 @@ class Engine:
 
     def _build_world(self) -> None:
         sc = self.sc
-        self.ledgers: dict[str, Ledger] = {}
-        self.chain_fns: dict[str, frozenset] = {}
-        self.chain_assets: dict[str, str] = {}
+        self.ledgers: dict[str, Ledger] = {}  # in chain-id order
         self.actors: dict[str, ActorState] = {}
         self.actor_by_pub: dict[bytes, str] = {}
 
@@ -276,7 +273,7 @@ class Engine:
             self.actors[a.name] = actor
             self.actor_by_pub[node_key.pubkey] = a.name
 
-        for c in sc.chains:
+        for c in sorted(sc.chains, key=lambda c: c.chain_id):
             params = ChainParams(
                 chain_id=c.chain_id,
                 asset_id=c.asset,
@@ -287,9 +284,6 @@ class Engine:
             coins = [(self.actors[name].wallet[c.chain_id].pubkey, amount)
                      for name, amount in c.genesis]
             self.ledgers[c.chain_id] = Ledger(params, coins)
-            self.chain_fns[c.chain_id] = frozenset(c.hash_fns)
-            self.chain_assets[c.chain_id] = c.asset
-        self.chain_ids = sorted(self.ledgers)
         self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
@@ -337,9 +331,8 @@ class Engine:
             a, b = sorted((spec.party_a, spec.party_b))
             self.chan_between[(spec.chain_id, a, b)] = rt
             # the funding tx fee is authorized by party_a
-            asset = self.chain_assets[spec.chain_id]
             self.actors[spec.party_a].bump(
-                self.actors[spec.party_a].fees, asset, ledger.params.tx_fee
+                self.actors[spec.party_a].fees, ledger.params.asset_id, ledger.params.tx_fee
             )
         self.start_heights = self._heights()
         for i, f in enumerate(sc.faults):
@@ -354,9 +347,10 @@ class Engine:
         # The payments _cascade may still act on, by index. One enters with
         # its first hop and retires for good once it is terminal with every
         # hop resolved: no hop is ever added to a payment that is not pending.
-        # Only _offer adds an HTLC, and every fulfil or fail of one resolves
-        # its hop at once, so the HTLCs of the open channels are exactly the
-        # `htlc` records of the unresolved hops of the live payments.
+        # Only _offer adds an HTLC, every fulfil or fail of one resolves its
+        # hop at once, and no channel returns to OPEN, so the HTLCs the OPEN
+        # channels hold are exactly the `htlc` records of the unresolved hops
+        # of live payments on OPEN channels: `_outstanding` reads them here.
         self.live: dict[int, PayRt] = {}
 
     # --- shared machinery -----------------------------------------------------
@@ -470,7 +464,7 @@ class Engine:
         hop.resolved = outcome
         settled = outcome in SETTLED
         if settled:
-            asset = self.chain_assets[hop.chan.chain_id]
+            asset = self.ledgers[hop.chan.chain_id].params.asset_id
             recv, off = self.actors[hop.receiver], self.actors[hop.offerer]
             recv.bump(recv.settled_in, asset, hop.htlc.amount)
             off.bump(off.settled_out, asset, hop.htlc.amount)
@@ -511,12 +505,17 @@ class Engine:
         """Whether an event, a transaction, a channel or a payment may still
         act. A cooperative close stays in `pending_txs` until the block that
         settles it, and a channel closed on-chain and not settled is in
-        `closed`. A pending payment needs no check of its own: only `_offer`
-        puts a payment into `live`, after adding hop 0, so a pending live
-        payment has hop 0 unresolved, and that HTLC is in an open channel
-        (`open_htlcs`), a close in flight (`pending_txs`) or a channel
-        closed and not settled (`closed`)."""
-        if self.queue or self.pending_txs or self.closed or self.open_htlcs:
+        `closed`. The HTLCs the OPEN channels hold are the `htlc` records of
+        the unresolved hops of `live` payments on OPEN channels (see `live`
+        in `_build_world`), so `live` says whether one is held. A pending
+        payment needs no check of its own: only `_offer` puts a payment
+        into `live`, after adding hop 0, so a pending live payment has hop 0
+        unresolved, and that HTLC is in an open channel, a close in flight
+        (`pending_txs`) or a channel closed and not settled (`closed`)."""
+        if self.queue or self.pending_txs or self.closed:
+            return True
+        if any(not hop.resolved and hop.chan.channel.phase is ChannelPhase.OPEN
+               for p in self.live.values() for hop in p.hops):
             return True
         return self.gossip_converged_tick < 0 and self.tick < self.gossip_end
 
@@ -541,10 +540,9 @@ class Engine:
             wake = min(wake, due[0][0])
         if wake <= nxt:
             return nxt
-        for led in self.ledgers.values():
+        for cid, led in self.ledgers.items():
             if not led.mempool_empty():
-                interval = led.params.block_interval
-                wake = min(wake, (self.tick // interval + 1) * interval)
+                wake = min(wake, self._tick_of(cid, led.height + 1))
         b = bisect.bisect_right(self.boundaries, self.tick)
         if b < len(self.boundaries):
             wake = min(wake, self.boundaries[b])
@@ -671,8 +669,7 @@ class Engine:
         (`_next_tick` stops at it); that block is mined and shown to the
         chain's channels, and each channel it confirms a broadcast of is
         due."""
-        for cid in self.chain_ids:
-            led = self.ledgers[cid]
+        for cid, led in self.ledgers.items():
             height = self._height_at(cid, self.tick)
             if led.mempool_empty():
                 led.advance_to(height)
@@ -683,10 +680,7 @@ class Engine:
             summary = led.mine_blocks(1)[0]
             for rt in self.chans_on[cid]:
                 ch = rt.channel
-                was_open = ch.phase is ChannelPhase.OPEN
                 ch.process_block(summary)
-                if was_open and ch.phase is not ChannelPhase.OPEN:
-                    self.open_htlcs -= len(ch.pending_htlcs)
                 # process_block is the only place these phases are set
                 if ch.phase not in CLOSED_ON_CHAIN:
                     self.closed.discard(rt.idx)
@@ -711,7 +705,7 @@ class Engine:
         hops its spend ends."""
         if fee:
             actor = self.actors[name]
-            actor.bump(actor.fees, self.chain_assets[cid], fee)
+            actor.bump(actor.fees, self.ledgers[cid].params.asset_id, fee)
         if spend is not None:
             self._spent_on_chain(chan_idx, spend)
 
@@ -774,11 +768,8 @@ class Engine:
             handler(*args)
 
     def _default_hash_fn(self, asset: str) -> HashFnId:
-        sets = [
-            self.chain_fns[cid]
-            for cid in sorted(self.chain_fns)
-            if self.chain_assets[cid] == asset
-        ]
+        sets = [led.params.hash_fns for led in self.ledgers.values()
+                if led.params.asset_id == asset]
         common = frozenset.intersection(*sets) if sets else frozenset()
         pool = common or frozenset().union(*sets)
         return min(pool, key=lambda f: f.value)
@@ -812,7 +803,7 @@ class Engine:
                 src=sender.node_key.pubkey,
                 dst=self.actors[rt.peer(spec.sender)].node_key.pubkey,
                 chain_id=rt.chain_id,
-                asset=self.chain_assets[rt.chain_id],
+                asset=self.ledgers[rt.chain_id].params.asset_id,
                 capacity=rt.channel.balance_of(rt.party(spec.sender)),
             )
             for rt in sender.channels
@@ -857,7 +848,8 @@ class Engine:
         key = tuple(a.node_pubkey for a in adverts)
         if key not in self.graphs:
             self.graphs[key] = ChannelGraph.from_adverts(
-                adverts, self.chain_fns, self.chain_assets)
+                adverts, {cid: led.params.hash_fns for cid, led in self.ledgers.items()},
+                {cid: led.params.asset_id for cid, led in self.ledgers.items()})
         return self.graphs[key]
 
     def _ev_hop_offer(self, pidx: int, i: int, packet: OnionPacket) -> None:
@@ -890,7 +882,7 @@ class Engine:
             if next_name is None:
                 raise ForwardRejected("unknown-next-node")
             quote = self.quote_table.get(hop.receiver, {}).get(
-                (self.chain_assets[hop.chan.chain_id], payload.asset))
+                (self.ledgers[hop.chan.chain_id].params.asset_id, payload.asset))
             expiry = check_forward(payload, hop.htlc.amount, hop.htlc.expiry_height, height,
                                    quote, self.ledgers[payload.chain_id].height)
         except OnionError:
@@ -925,7 +917,6 @@ class Engine:
             )
         except (ChannelError, ValueError) as exc:
             return f"{'first-hop' if i == 0 else 'forward'}: {exc}"
-        self.open_htlcs += 1
         # due now if an HTLC of it is urgent, and when this one turns urgent
         self._due_at(rt.idx, self.tick)
         self._due_at(rt.idx, self._tick_of(chain_id, urgent_height(expiry)))
@@ -969,7 +960,6 @@ class Engine:
                 hop.chan.channel.fail_htlc(hop.htlc.htlc_id)
         except ChannelError:
             return
-        self.open_htlcs -= 1
         if settle:
             self.actors[hop.offerer].secrets[p.invoice.payment_hash] = preimage
             self._hops_due(p)  # the offerer may claim or force-close with it upstream
@@ -1119,8 +1109,7 @@ class Engine:
         """Append a violation for each chain or channel whose coins do not
         add up; `balanced` says whether none did."""
         found = len(self.violations)
-        for cid in self.chain_ids:
-            led = self.ledgers[cid]
+        for cid, led in self.ledgers.items():
             if led.total_utxo_value() + led.burned != led.genesis_total:
                 self.violations.append(
                     f"conservation: chain {cid!r} at {where}: utxos {led.total_utxo_value()} "
@@ -1160,13 +1149,12 @@ class Engine:
             if amount:
                 totals[asset] = totals.get(asset, 0) + amount
 
-        for cid in self.chain_ids:
-            led = self.ledgers[cid]
-            asset = self.chain_assets[cid]
-            add(asset, sum(a for _, a in led.spendable_by(actor.wallet[cid].pubkey)))
+        for cid, led in self.ledgers.items():
+            add(led.params.asset_id,
+                sum(a for _, a in led.spendable_by(actor.wallet[cid].pubkey)))
         for rt in actor.channels:
-            asset = self.chain_assets[rt.chain_id]
             led = self.ledgers[rt.chain_id]
+            asset = led.params.asset_id
             if led.is_unspent(rt.channel.funding_outpoint):
                 add(asset, rt.channel.balance_of(rt.party(name)))
                 side = rt.channel.side_of(rt.party(name))

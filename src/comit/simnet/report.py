@@ -60,10 +60,9 @@ def build_report(engine: Engine) -> dict:
         }
 
     chains = {}
-    for cid in sorted(engine.ledgers):
-        led = engine.ledgers[cid]
+    for cid, led in engine.ledgers.items():
         chains[cid] = {
-            "asset": engine.chain_assets[cid],
+            "asset": led.params.asset_id,
             "height": led.height,
             "burned": led.burned,
             "confirmed_txs": led.confirmed_tx_count,

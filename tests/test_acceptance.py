@@ -7,12 +7,14 @@ channels, onion routing, faults, and the conservation checks that run at
 every event boundary inside the engine itself.
 """
 
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -43,161 +45,28 @@ from test_routing import nid, oracle_enumerate
 
 S256 = HashFnId.SHA256
 
-FAULT_MENU = ("refuse-forward", "stall-secret", "crash", "drop-gossip", "broadcast-revoked")
-FN_POOL = (["SHA256"], ["SHA256", "SHA3_256"], ["SHA256", "BLAKE2B_256"])
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def random_scenario(rng: random.Random) -> dict:
-    """A line-topology world: user -> LPs -> business, one fault.
+def load_bench(name: str):
+    """Module `name` of the benchmark, which is no package, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    Up to 3 chains, up to 6 actors, routes of 1..5 hops. Channel funding
-    is sized so the worst-case fee stacking always fits.
-    """
-    hops = rng.randint(1, 5)
-    if hops == 1:
-        actors = [("u0", "user"), ("lp1", "lp")]
-    else:
-        actors = (
-            [("u0", "user")]
-            + [(f"lp{i}", "lp") for i in range(1, hops)]
-            + [("bz", "business")]
-        )
-    names = [n for n, _ in actors]
 
-    n_chains = rng.randint(1, min(3, hops))
-    chains = []
-    for c in range(n_chains):
-        chains.append(
-            {
-                "chain_id": f"net{c}",
-                "asset": f"tok{c}",
-                "hash_fns": list(rng.choice(FN_POOL)),
-                "tx_fee": rng.choice([0, 1, 2]),
-                "block_interval": rng.choice([1, 1, 1, 2]),
-                "genesis": {},
-            }
-        )
-    edge_chain = [rng.randrange(n_chains) for _ in range(hops)]
-    edge_chain[-1] = rng.randrange(n_chains)
-
-    channels = []
-    for i in range(hops):
-        spec = {
-            "chain_id": f"net{edge_chain[i]}",
-            "party_a": names[i],
-            "party_b": names[i + 1],
-            "fund_a": 60_000,
-            "fund_b": 60_000,
-            "csv_delay": rng.choice([4, 6]),
-        }
-        channels.append(spec)
-        gen = chains[edge_chain[i]]["genesis"]
-        for p in (names[i], names[i + 1]):
-            gen[p] = gen.get(p, 0) + 70_000
-
-    quotes = []
-    for i in range(hops - 1):
-        # the node receiving hop i prices the conversion to hop i+1
-        quotes.append(
-            {
-                "node": names[i + 1],
-                "asset_in": f"tok{edge_chain[i]}",
-                "asset_out": f"tok{edge_chain[i + 1]}",
-                "rate_num": rng.randint(1, 2),
-                "rate_den": rng.randint(1, 2),
-                "base_fee": rng.randint(0, 15),
-                "fee_ppm": rng.choice([0, 500, 10_000]),
-            }
-        )
-    if hops == 1 and rng.random() < 0.5:
-        # recipient LP sometimes advertises its own delivery terms
-        quotes.append(
-            {
-                "node": "lp1",
-                "asset_in": "tok0",
-                "asset_out": "tok0",
-                "rate_num": 1,
-                "rate_den": 1,
-                "base_fee": rng.randint(0, 5),
-                "fee_ppm": 0,
-            }
-        )
-
-    p_tick = rng.randint(6, 10)
-    payments = [
-        {
-            "at_tick": p_tick,
-            "sender": "u0",
-            "recipient": names[-1],
-            "amount": rng.randint(200, 2000),
-            "asset": f"tok{edge_chain[-1]}",
-        }
-    ]
-    if rng.random() < 0.25:
-        payments.append(dict(payments[0], at_tick=p_tick + rng.randint(1, 4),
-                             amount=rng.randint(200, 2000)))
-    if rng.random() < 0.5:
-        payments[0]["hash_fn"] = "SHA256"
-
-    kind = rng.choice(FAULT_MENU)
-    lps = [n for n, k in actors if k == "lp"]
-    if kind == "refuse-forward":
-        fault = {
-            "kind": kind,
-            "actor": rng.choice(lps),
-            "at_tick": rng.randint(0, 12),
-            "until_tick": rng.randint(13, 40),
-        }
-    elif kind == "stall-secret":
-        fault = {
-            "kind": kind,
-            "actor": rng.choice(lps + [names[-1]]),
-            "at_tick": rng.randint(0, p_tick + 2),
-        }
-        if rng.random() < 0.6:
-            fault["until_tick"] = fault["at_tick"] + rng.randint(3, 25)
-    elif kind == "crash":
-        fault = {
-            "kind": kind,
-            "actor": rng.choice(names),
-            "at_tick": rng.randint(2, p_tick + 3),
-            "duration": rng.randint(1, 6),
-        }
-    elif kind == "drop-gossip":
-        fault = {"kind": kind, "actor": rng.choice([names[0]] + lps), "at_tick": 0}
-        if rng.random() < 0.5:
-            fault["until_tick"] = rng.randint(1, 6)
-    else:  # broadcast-revoked
-        cheater_idx = rng.randrange(len(names))
-        fault = {
-            "kind": kind,
-            "actor": names[cheater_idx],
-            "at_tick": p_tick + rng.randint(4, 10),
-        }
-        if rng.random() < 0.5:
-            owned = [i for i, ch in enumerate(channels)
-                     if names[cheater_idx] in (ch["party_a"], ch["party_b"])]
-            fault["channel"] = rng.choice(owned)
-
-    return {
-        "seed": rng.getrandbits(48),
-        "max_ticks": 120,
-        "chains": chains,
-        "actors": [{"name": n, "kind": k} for n, k in actors],
-        "channels": channels,
-        "quotes": quotes,
-        "payments": payments,
-        "faults": [fault],
-    }
+# The benchmark's `corpus` workload is the acceptance corpus of criteria 1
+# and 2: one generator serves both.
+workloads = load_bench("workloads")
+random_scenario = workloads.random_scenario
 
 
 @pytest.fixture(scope="module")
 def corpus():
     """500 randomized end-to-end runs, shared by criteria 1 and 2."""
-    rng = random.Random(0xACCE97)
     runs = []
-    for i in range(500):
-        doc = random_scenario(rng)
+    for i, doc in enumerate(workloads.corpus(workloads.DEFAULT_SEED, 500)):
         scenario, errors = validate_scenario(doc)
         assert errors == [], f"scenario {i}: {errors}"
         runs.append(run_scenario(scenario))

@@ -6,6 +6,7 @@ The memory guards use `tracemalloc`, so they count allocations and not
 time, and hold on any machine.
 """
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -13,7 +14,9 @@ import importlib
 import json
 import pkgutil
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -256,3 +259,22 @@ def test_no_key_state_outlives_its_world():
     finally:
         tracemalloc.stop()
     assert held < 16 * 1024, held
+
+
+def test_every_src_import_is_the_standard_library_cryptography_or_comit():
+    """No runtime dependency beyond `cryptography`: every absolute import in
+    the `comit` package names a standard-library module, `cryptography` or
+    `comit` itself."""
+    allowed = set(sys.stdlib_module_names) | {"cryptography", "comit"}
+    bad = []
+    for path in sorted(Path(comit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad += [f"{path}:{node.lineno}: imports {n}" for n in names
+                    if n.split(".")[0] not in allowed]
+    assert bad == []

@@ -3,22 +3,12 @@ layer functions by the names the engine looks them up by. A refactor that
 drops or renames one of those names must fail here, in tier-1, and not
 only in the traced benchmark self-test."""
 
-import importlib.util
 import json
 from importlib import resources
-from pathlib import Path
 
 from comit.simnet import validate_scenario
 from comit.simnet.engine import Engine
-
-LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
-
-
-def load_layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from test_acceptance import load_bench
 
 
 def test_every_traced_name_is_wrapped_and_restored():
@@ -26,7 +16,7 @@ def test_every_traced_name_is_wrapped_and_restored():
     a run with a forward calls the two hop rules through the engine's own
     bindings, gossip exchanges go through the counted `gossip_step`, and on
     exit every name is the original object again."""
-    lt = load_layertrace()
+    lt = load_bench("layertrace")
     names = [(owner, attr) for owner, attr, _ in (*lt.SPANNED, *lt.COUNTED)]
     before = {key: vars(key[0])[key[1]] for key in names}
     doc = json.loads((resources.files("comit.simnet") / "scenarios" / "cross-chain-2lp.json")

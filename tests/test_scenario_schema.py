@@ -26,7 +26,7 @@ from comit.simnet import (
     validate_scenario,
 )
 from scenario_oracle import validate_scenario as oracle
-from test_acceptance import random_scenario
+from test_acceptance import workloads
 from test_mesh_faults import CORPUS_SEED, MESHES, mesh_doc
 
 SECTIONS = {
@@ -52,18 +52,13 @@ def demos() -> list[bytes]:
             if f.name.endswith(".json")]
 
 
-def corpus(seed: int, count: int = 500) -> list[dict]:
-    rng = random.Random(seed)
-    return [random_scenario(rng) for _ in range(count)]
-
-
 def test_demos_and_corpora_agree():
     """The demos, the multi-fault meshes, the acceptance corpus and corpus
     seeds 0-31: 16,516 documents, every one accepted."""
     rng = random.Random(CORPUS_SEED)
     docs = demos() + [mesh_doc(rng) for _ in range(MESHES)]
     for seed in (0xACCE97, *range(32)):
-        docs += corpus(seed)
+        docs += workloads.corpus(seed, 500)
     assert len(docs) == 16_516
     for doc in docs:
         scenario, errors = agree(doc)
@@ -118,7 +113,7 @@ def full_doc() -> dict:
     return doc
 
 
-BASES = [full_doc(), *corpus(0xACCE97, 12)]
+BASES = [full_doc(), *workloads.corpus(0xACCE97, 12)]
 RETYPED = {int: ["7", 1.5, True, None, [], {}], str: [7, "", None, True, ["a"]]}
 
 

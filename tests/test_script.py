@@ -19,6 +19,7 @@ from comit.chainlab import (
     script_bytes,
     verify_script,
 )
+from comit.crp import NodeKey
 
 DIGEST = b"\x11" * 32
 
@@ -59,6 +60,23 @@ def test_signature_verifies_only_with_the_key_that_made_it(keys):
         assert not verify_script(script, Witness(signatures=(bad,)), ctx())
     assert good.verifies(a.pubkey, DIGEST)
     assert not good.verifies(b.pubkey, DIGEST)
+
+
+def test_signature_neither_shows_nor_compares_its_signer(keys, rng):
+    """The signer a signature carries stays out of its repr, and of the
+    reprs of what holds it, and out of equality and hashing: a signature
+    carrying another signer compares and hashes equal, and still fails."""
+    a, b, _ = keys
+    na, nb = NodeKey.generate(rng), NodeKey.generate(rng)
+    for signer, other, secret in ((a, b, a.secret), (na, nb, na.seed)):
+        sig = signer.sign(DIGEST)
+        for text in (repr(sig), repr(Witness(signatures=(sig,)))):
+            assert repr(secret) not in text and secret.hex() not in text, text
+            assert "KeyPair" not in text and "NodeKey" not in text, text
+        borrowed = replace(sig, _signer=other)
+        assert borrowed == sig and hash(borrowed) == hash(sig)
+        assert sig.verifies(signer.pubkey, DIGEST)
+        assert not borrowed.verifies(signer.pubkey, DIGEST)
 
 
 def test_multisig_needs_both(keys):
