@@ -26,12 +26,15 @@ the current state are never revealed, and every key below it is.
 A Channel retains the current state, the history of signed states
 (`_state_history`, a list indexed by commitment number: the balances and
 HTLCs of each n, which breach handling needs) and the one close
-transaction it has put in flight. It keeps no record of what is spent:
-it reads that from its ledger, so process_block must see each block right
-after it is mined. A transaction is built and signed only when it is
-broadcast: signing is a deterministic HMAC and the ledger checks signatures
-on submission, so building commitment n from state n in unilateral_close
-gives the transaction both parties agreed on.
+transaction it has put in flight. Of a confirmed commitment it keeps only
+the outputs a party may still spend, after BOLT #5: the broadcaster's
+delayed output and the HTLC outputs. The counterparty's direct output pays
+a bare key, so the commitment itself resolves it. A Channel keeps no
+record of what is spent: it reads that from its ledger, so process_block
+must see each block right after it is mined. A transaction is built and
+signed only when it is broadcast: signing is a deterministic HMAC and the
+ledger checks signatures on submission, so building commitment n from
+state n in unilateral_close gives the transaction both parties agreed on.
 
 `respond` is the honest on-chain policy, after BOLT #5
 (https://github.com/lightning/bolts/blob/master/05-onchain.md): from the
@@ -110,7 +113,6 @@ class AmountBelowDust(ChannelError):
 
 
 class ChannelPhase(Enum):
-    OPENING = "opening"
     OPEN = "open"
     COOPERATIVE_CLOSING = "cooperative-closing"
     UNILATERAL_CLOSED = "unilateral-closed"
@@ -168,10 +170,13 @@ class CommitmentState:
 
 @dataclass(frozen=True, slots=True)
 class ClosedOutput:
+    """An output of a confirmed commitment that a party may still spend:
+    the broadcaster's delayed output when `htlc` is None, else `htlc`'s.
+    The counterparty's direct output is not one: the commitment resolves
+    it (BOLT #5)."""
+
     outpoint: Outpoint
     amount: int
-    kind: str  # "delayed" | "direct" | "htlc"
-    owner_side: str
     htlc: Optional[Htlc]
 
 
@@ -209,7 +214,8 @@ def open_channel(
 ) -> "Channel":
     """Fund and open a channel. The funding fee is paid by party_a.
 
-    One block is mined, so the channel comes back in phase OPEN.
+    One block is mined, so the channel comes back with its funding
+    confirmed.
     """
     if csv_delay < 1:
         raise ValueError("csv_delay must be >= 1")
@@ -218,7 +224,6 @@ def open_channel(
     if party_a.pubkey == party_b.pubkey:
         raise ValueError("channel parties must be distinct")
     fee = ledger.params.tx_fee
-    capacity = fund_a + fund_b
 
     def select(party: ChannelParty, needed: int):
         picked, total = [], 0
@@ -236,7 +241,7 @@ def open_channel(
     coins_a, total_a = select(party_a, fund_a + fee)
     coins_b, total_b = select(party_b, fund_b) if fund_b else ([], 0)
 
-    outputs = [TxOut(capacity, Multisig2of2(party_a.pubkey, party_b.pubkey))]
+    outputs = [TxOut(fund_a + fund_b, Multisig2of2(party_a.pubkey, party_b.pubkey))]
     change_a = total_a - fund_a - fee
     change_b = total_b - fund_b
     if change_a > 0:
@@ -251,19 +256,16 @@ def open_channel(
         party_a=party_a,
         party_b=party_b,
         funding_outpoint=Outpoint(txid(funding), 0),
-        capacity=capacity,
         csv_delay=csv_delay,
         dust_limit=dust_limit,
         initial_balance_a=fund_a,
         initial_balance_b=fund_b,
     )
-    # Commitment 0 is signed before the funding tx goes anywhere near the
-    # chain, so neither party can strand the other's deposit.
+    # Commitment 0 is recorded (or refused) before the funding tx goes
+    # anywhere near the chain, so neither party can strand the other's
+    # deposit and a refused channel moves no coin.
     ledger.submit_tx(funding)
-    for summary in ledger.mine_blocks(1):
-        channel.process_block(summary)
-    if channel.phase is not ChannelPhase.OPEN:
-        raise ChannelError("funding did not confirm")
+    ledger.mine_blocks(1)
     return channel
 
 
@@ -279,7 +281,6 @@ class Channel:
         party_a: ChannelParty,
         party_b: ChannelParty,
         funding_outpoint: Outpoint,
-        capacity: int,
         csv_delay: int,
         dust_limit: int,
         initial_balance_a: int,
@@ -289,10 +290,10 @@ class Channel:
         self.party_a = party_a
         self.party_b = party_b
         self.funding_outpoint = funding_outpoint
-        self.capacity = capacity
+        self.capacity = initial_balance_a + initial_balance_b
         self.csv_delay = csv_delay
         self.dust_limit = dust_limit
-        self.phase = ChannelPhase.OPENING
+        self.phase = ChannelPhase.OPEN
         # Revocation hashes use one fixed function of the chain's set.
         self.revocation_fn = sorted(ledger.params.hash_fns, key=lambda f: f.value)[0]
         self.state = CommitmentState(0, initial_balance_a, initial_balance_b, ())
@@ -347,12 +348,12 @@ class Channel:
                 return h
         raise UnknownHtlc(f"htlc {htlc_id}")
 
-    def recorded_states(self) -> dict[int, CommitmentState]:
-        """Every commitment state this channel has signed, keyed by number.
+    def recorded_states(self) -> tuple[CommitmentState, ...]:
+        """Every commitment state this channel has signed, indexed by number.
 
         States below the current commitment number are revoked; broadcasting
         one of them is a breach the counterparty can punish."""
-        return dict(enumerate(self._state_history))
+        return tuple(self._state_history)
 
     # --- revocation keys -------------------------------------------------------
 
@@ -368,8 +369,8 @@ class Channel:
     def _commitment(
         self, side: str, state: CommitmentState
     ) -> tuple[Transaction, list[ClosedOutput]]:
-        """`side`'s signed commitment for `state`, and what each of its
-        outputs pays, in output order."""
+        """`side`'s signed commitment for `state`, and its outputs a party
+        may still spend once it confirms, in output order."""
         other = self.other(side)
         my_balance = state.balance_a if side == "a" else state.balance_b
         other_balance = state.balance_b if side == "a" else state.balance_a
@@ -382,31 +383,27 @@ class Channel:
         rev_hash = self.revocation_hash(side, state.commitment_number)
         revoke = HashLock(self.revocation_fn, rev_hash, other.pubkey)
         outputs: list[TxOut] = []
-        pays: list[tuple[str, str, Optional[Htlc]]] = []  # kind, owner, htlc
+        kept: list[tuple[int, Optional[Htlc]]] = []  # output index, htlc
         if my_balance - fee > self.ledger.params.tx_fee:
             delayed = Or(TimeLockRel(self.csv_delay, self.party(side).pubkey), revoke)
+            kept.append((len(outputs), None))
             outputs.append(TxOut(my_balance - fee, delayed))
-            pays.append(("delayed", side, None))
         if other_balance > 0:
             outputs.append(TxOut(other_balance, PayToKey(other.pubkey)))
-            pays.append(("direct", "b" if side == "a" else "a", None))
         for h in sorted(state.htlcs, key=lambda h: h.htlc_id):
             receiver, offerer = self.other(h.offerer_side), self.party(h.offerer_side)
             script = HtlcScript(
                 h.hash_fn, h.payment_hash, receiver.pubkey, offerer.pubkey, h.expiry_height
             )
+            kept.append((len(outputs), h))
             outputs.append(TxOut(h.amount, Or(script, revoke)))
-            pays.append(("htlc", h.offerer_side, h))
         if not outputs:
             raise ChannelError("commitment would have no outputs")
         tx = _signed(
             (self.funding_outpoint,), outputs, (self.party_a.keypair, self.party_b.keypair)
         )
         tx_id = txid(tx)
-        return tx, [
-            ClosedOutput(Outpoint(tx_id, i), out.amount, kind, owner, h)
-            for i, (out, (kind, owner, h)) in enumerate(zip(outputs, pays))
-        ]
+        return tx, [ClosedOutput(Outpoint(tx_id, i), outputs[i].amount, h) for i, h in kept]
 
     def _record_state(self, state: CommitmentState) -> None:
         """Refuse `state` exactly when `_commitment` would for either side,
@@ -561,10 +558,6 @@ class Channel:
 
     def process_block(self, summary: BlockSummary) -> None:
         """Advance channel phase from what this block confirmed."""
-        if self.phase is ChannelPhase.OPENING:
-            if self.funding_outpoint.txid in summary.txids:
-                self.phase = ChannelPhase.OPEN
-
         for outpoint, spender in summary.spent:
             if outpoint == self.funding_outpoint:
                 # The mempool admits one spend of the funding outpoint at a
@@ -590,25 +583,20 @@ class Channel:
             self.phase = ChannelPhase.SETTLED
 
     def _spendable_outputs(self) -> list[ClosedOutput]:
-        """The closed outputs the ledger still offers as spendable, "direct"
-        ones aside: those pay a bare key, so nothing of the channel's
-        remains to do."""
-        return [
-            o for o in self.closed_outputs
-            if o.kind != "direct" and self.ledger.is_spendable(o.outpoint)
-        ]
+        """The closed outputs the ledger still offers as spendable."""
+        return [o for o in self.closed_outputs if self.ledger.is_spendable(o.outpoint)]
 
     # --- post-close spends ------------------------------------------------------
 
-    def _closed_output(self, kind: str, htlc_id: Optional[int] = None) -> ClosedOutput:
+    def _closed_output(self, htlc_id: Optional[int] = None) -> ClosedOutput:
+        """The confirmed commitment's output of HTLC `htlc_id`, or its
+        delayed output when `htlc_id` is None."""
         if self.phase not in (*CLOSED_ON_CHAIN, ChannelPhase.SETTLED):
             raise StalePhase(self.phase.value)
         for o in self.closed_outputs:
-            if o.kind != kind:
-                continue
-            if htlc_id is not None and (o.htlc is None or o.htlc.htlc_id != htlc_id):
-                continue
-            return o
+            if (None if o.htlc is None else o.htlc.htlc_id) == htlc_id:
+                return o
+        kind = "delayed" if htlc_id is None else "htlc"
         raise ChannelError(f"no {kind} output on the confirmed commitment")
 
     def _claim(
@@ -637,7 +625,7 @@ class Channel:
         """Closer sweeps its own delayed output. It can confirm no earlier
         than csv_delay blocks after the commitment; the ledger refuses it as
         premature until then."""
-        out = self._closed_output("delayed")
+        out = self._closed_output()
         if self.side_of(party) != self.closed_by:
             raise ChannelError("only the broadcaster has a delayed output")
         return self._claim(party, [out])
@@ -646,7 +634,7 @@ class Channel:
         self, party: ChannelParty, htlc_id: int, preimage: bytes
     ) -> Transaction:
         """HTLC receiver claims an on-chain HTLC output with the preimage."""
-        out = self._closed_output("htlc", htlc_id)
+        out = self._closed_output(htlc_id)
         h = out.htlc
         if self.side_of(party) == h.offerer_side:
             raise ChannelError("offerer cannot claim; use the refund branch")
@@ -658,7 +646,7 @@ class Channel:
         """HTLC offerer takes the refund branch. It can confirm no earlier
         than the HTLC's expiry height; the ledger refuses it as premature
         until then."""
-        out = self._closed_output("htlc", htlc_id)
+        out = self._closed_output(htlc_id)
         if self.side_of(party) != out.htlc.offerer_side:
             raise ChannelError("only the offerer can refund")
         return self._claim(party, [out])
@@ -699,9 +687,9 @@ def _maturity(channel: Channel, out: ClosedOutput) -> int:
 
 
 def wake_heights(channel: Channel) -> list[int]:
-    """Each non-direct closed output's `_maturity`: the heights at which
-    `respond` may first name a spend on a closed channel for height alone."""
-    return [_maturity(channel, o) for o in channel.closed_outputs if o.kind != "direct"]
+    """Each closed output's `_maturity`: the heights at which `respond` may
+    first name a spend on a closed channel for height alone."""
+    return [_maturity(channel, o) for o in channel.closed_outputs]
 
 
 def may_respond(channel: Channel, height: int) -> bool:

@@ -148,7 +148,6 @@ def derived_rng(seed: int, *parts) -> random.Random:
 
 @dataclass(slots=True)
 class ActorState:
-    name: str
     kind: str
     node_key: NodeKey
     gossip: GossipState
@@ -263,7 +262,6 @@ class Engine:
             key_rng = derived_rng(sc.seed, "actor", a.name, "keys")
             node_key = NodeKey.generate(key_rng)
             actor = ActorState(
-                name=a.name,
                 kind=a.kind,
                 node_key=node_key,
                 gossip=GossipState(node_key.pubkey),
@@ -997,9 +995,8 @@ class Engine:
                 continue
             side = rt.channel.side_of(rt.party(cheater))
             current = rt.channel.balance_of(rt.party(cheater))
-            for n, state in sorted(rt.channel.recorded_states().items()):
-                if n >= rt.channel.state.commitment_number:
-                    continue
+            revoked = rt.channel.recorded_states()[:rt.channel.commitment_number]
+            for n, state in enumerate(revoked):
                 bal = state.balance_a if side == "a" else state.balance_b
                 if bal > current and (best is None or bal - current > best[0]):
                     best = (bal - current, rt, n)

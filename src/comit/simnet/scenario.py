@@ -474,8 +474,19 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     seen_pairs: set = set()
     for i, where, _, v, n in _entries(doc, "channels", ChannelSpec, d):
         cid, pa, pb, fund_a, fund_b = v[:5]
-        if fund_a is not None and fund_b is not None and fund_a + fund_b <= 0:
-            d.constraint(f"{where}.fund_a", "channel capacity must be positive")
+        if fund_a is not None and fund_b is not None:
+            total = fund_a + fund_b
+            fee = by_chain[cid].tx_fee if cid in by_chain else 0
+            if total <= 0:
+                d.constraint(f"{where}.fund_a", "channel capacity must be positive")
+            elif min(fund_a, fund_b) == 0 and total <= 2 * fee:
+                # Commitment 0 would have no output: its fee and a trimmed
+                # delayed output take everything (`Channel._record_state`).
+                d.constraint(
+                    f"{where}.fund_a",
+                    "a channel funded by one side must hold more than twice its chain's "
+                    f"tx_fee ({2 * fee}), got {total}",
+                )
         if len(d.errors) > n:
             continue
         pair = (cid, *sorted((pa, pb)))

@@ -68,7 +68,6 @@ class ForwardRejected(PaymentError):
     def __init__(self, reason: str, detail: str = ""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-        self.detail = detail
 
 
 def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
@@ -97,7 +96,6 @@ def payloads_for_route(route: Route, amount_out: int) -> list[HopPayload]:
 
 @dataclass(frozen=True, slots=True)
 class PaymentAttempt:
-    invoice: Invoice
     route: Route
     expiry: int  # of the first hop's HTLC, on its chain
     payloads: tuple[HopPayload, ...]
@@ -122,7 +120,6 @@ def prepare_attempt(
         )
     payloads = payloads_for_route(route, invoice.amount)
     return PaymentAttempt(
-        invoice=invoice,
         route=route,
         expiry=offer_expiry(
             chain_heights[route.hops[0].chain_id], ladder_delta(len(route.hops) - 1)

@@ -300,6 +300,16 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         if fund_a is not None and fund_b is not None and fund_a + fund_b <= 0:
             d.constraint(f"{where}.fund_a", "channel capacity must be positive")
             ok = False
+        elif (
+            fund_a is not None and fund_b is not None and cid in by_chain
+            and min(fund_a, fund_b) == 0 and fund_a + fund_b <= 2 * by_chain[cid].tx_fee
+        ):
+            d.constraint(
+                f"{where}.fund_a",
+                "a channel funded by one side must hold more than twice its chain's tx_fee "
+                f"({2 * by_chain[cid].tx_fee}), got {fund_a + fund_b}",
+            )
+            ok = False
         if not ok:
             continue
         pair = (cid, *sorted((pa, pb)))

@@ -109,6 +109,23 @@ def test_open_requires_funds(rng):
         open_channel(ledger, alice, bob, 500, 0)
 
 
+def test_refused_open_moves_no_coin(rng):
+    # 3 coins on one side, fee 2: commitment 0 would have no output. The
+    # channel refuses it before the funding transaction is submitted.
+    params = ChainParams("main", "COIN", PARAMS.hash_fns, tx_fee=2)
+    alice, bob = ChannelParty.generate(rng), ChannelParty.generate(rng)
+    ledger = Ledger(params, [(alice.pubkey, 100), (bob.pubkey, 100)])
+
+    def chain():
+        return (ledger.height, ledger.mempool_empty(), ledger.burned,
+                ledger.spendable_by(alice.pubkey), ledger.spendable_by(bob.pubkey))
+
+    before = chain()
+    with pytest.raises(ChannelError, match="no outputs"):
+        open_channel(ledger, alice, bob, 3, 0)
+    assert chain() == before
+
+
 def test_htlc_fulfill_moves_balance(rng):
     _, ch, alice, bob = make_world(rng)
     hid, secret = add(ch, alice, 1_000)
@@ -370,7 +387,7 @@ def test_justice_takes_what_a_mempool_claim_leaves(rng):
     assert ch.phase is ChannelPhase.BREACHED
     ch.build_htlc_claim(bob, hid, secret)
     justice = ch.punish_breach(alice)
-    delayed = next(o for o in ch.closed_outputs if o.kind == "delayed")
+    delayed = next(o for o in ch.closed_outputs if o.htlc is None)
     assert [i.outpoint for i in justice.inputs] == [delayed.outpoint]
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.SETTLED
@@ -515,20 +532,20 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.BREACHED
     assert (ch.closed_by, ch.closed_commitment) == (side, n)
+    # The honest side's direct output is resolved by the commitment itself:
+    # only the delayed and HTLC outputs are kept, at their output indices.
     expected = []
     if mine - fee > fee:  # a smaller delayed output is trimmed into the fee
-        expected.append(("delayed", side, mine - fee, None))
-    if theirs > 0:
-        expected.append(("direct", ch.side_of(honest), theirs, None))
-    expected += [("htlc", h.offerer_side, h.amount, h) for h in state.htlcs]
-    assert [(o.kind, o.owner_side, o.amount, o.htlc) for o in ch.closed_outputs] == expected
+        expected.append((mine - fee, None))
+    expected += [(h.amount, h) for h in state.htlcs]
+    assert [(o.amount, o.htlc) for o in ch.closed_outputs] == expected
     for o in ch.closed_outputs:
         assert ledger.utxo(o.outpoint).amount == o.amount
 
     justice = txid(ch.punish_breach(honest))
     block, = ledger.mine_blocks(1)
     ch.process_block(block)
-    revocable = [o for o in ch.closed_outputs if o.kind != "direct"]
+    revocable = ch.closed_outputs
     assert revocable
     assert block.spent == tuple((o.outpoint, justice) for o in revocable)
     assert ch.phase is ChannelPhase.SETTLED
@@ -758,8 +775,7 @@ class ChannelMachine(RuleBasedStateMachine):
 
     def _revoked_htlcs(self):
         """Whether a revoked state holds an HTLC, something to race for."""
-        return any(s.htlcs for n, s in self.ch.recorded_states().items()
-                   if n < self.ch.commitment_number)
+        return any(s.htlcs for s in self.ch.recorded_states()[:self.ch.commitment_number])
 
     @precondition(lambda self: self._open() and self._revoked_htlcs())
     @rule(by_a=st.booleans(), data=st.data())
@@ -785,8 +801,7 @@ class ChannelMachine(RuleBasedStateMachine):
         self.changed = False
         if self.ch.phase is ChannelPhase.BREACHED:
             # justice leaves the cheater nothing to take later
-            assert not any(self.ledger.is_spendable(o.outpoint)
-                           for o in self.ch.closed_outputs if o.kind != "direct")
+            assert not any(self.ledger.is_spendable(o.outpoint) for o in self.ch.closed_outputs)
 
     def _check_wake(self, side, spends, quiet):
         """The wake contract (see the class docstring) for `side`'s spends."""

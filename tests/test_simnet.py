@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -31,7 +32,7 @@ from comit.simnet import (
 )
 from comit.simnet.cli import main
 from comit.simnet.report import build_report, report_json
-from test_acceptance import random_scenario
+from test_acceptance import random_scenario, workloads
 from test_mesh_faults import CORPUS_SEED, MESHES, mesh_doc
 
 
@@ -392,6 +393,9 @@ def test_validate_reports_each_rule_of_chains_actors_channels_and_faults():
          "constraint-violation: actors[2].name: duplicate actor 'ann'"),
         (minimal_doc, lambda doc: doc["channels"][0].update(fund_a=0, fund_b=0),
          "constraint-violation: channels[0].fund_a: channel capacity must be positive"),
+        (minimal_doc, lambda doc: doc["channels"][0].update(fund_a=3, fund_b=0),
+         "constraint-violation: channels[0].fund_a: a channel funded by one side must hold "
+         "more than twice its chain's tx_fee (4), got 3"),
         (minimal_doc, lambda doc: doc["channels"].append(dict(doc["channels"][0])),
          "constraint-violation: channels[1]: a channel between 'ann' and 'lp' on 'main' "
          "already exists"),
@@ -410,6 +414,27 @@ def test_validate_reports_each_rule_of_chains_actors_channels_and_faults():
     scenario, errors = load_scenario(missing)
     assert scenario is None and len(errors) == 1
     assert errors[0].startswith(f"parse-error: {missing}: "), errors
+
+
+def test_validate_accepts_only_channels_the_engine_can_open():
+    """Over tx_fee 0-3 and fund_a, fund_b 0-9 of minimal_doc's channel, a
+    document is refused exactly when its commitment 0 would have no output
+    (no capacity, or one side funded 0 and the other at most two fees);
+    every other one builds an Engine."""
+    grid = list(itertools.product(range(4), range(10), range(10)))
+    refused = []
+    for fee, fund_a, fund_b in grid:
+        doc = minimal_doc()
+        doc["chains"][0]["tx_fee"] = fee
+        doc["channels"][0].update(fund_a=fund_a, fund_b=fund_b)
+        scenario, errors = validate_scenario(doc)
+        if scenario is None:
+            assert errors[0].startswith("constraint-violation: channels[0].fund_a: "), errors
+            refused.append((fee, fund_a, fund_b))
+        else:
+            engine_mod.Engine(scenario)
+    assert refused == [(fee, a, b) for fee, a, b in grid if min(a, b) == 0 and max(a, b) <= 2 * fee]
+    assert len(refused) == 4 + 24  # no capacity at each fee, and 24 one-sided
 
 
 # -------------------------------------------------------------- determinism
@@ -1184,30 +1209,9 @@ def test_cli_json_stdout_is_the_report_file(tmp_path, capsys):
 
 
 def star_doc(users: int) -> dict:
-    """`users` users and four businesses, each with one channel to a single
-    LP; one payment per user to a business, four a tick once gossip is
-    done."""
-    us = [f"u{i:04d}" for i in range(users)]
-    bz = [f"b{i}" for i in range(4)]
-    links = [(n, "hub") for n in us + bz]
-    genesis = {n: 100_000 for n in us + bz}
-    genesis["hub"] = 100_000 * len(links)
-    return {
-        "seed": 11,
-        "max_ticks": 6 + users // 4 + 100,
-        "chains": [{"chain_id": "main", "asset": "coin", "hash_fns": ["SHA256"],
-                    "genesis": genesis}],
-        "actors": ([{"name": u, "kind": "user"} for u in us]
-                   + [{"name": "hub", "kind": "lp"}]
-                   + [{"name": b, "kind": "business"} for b in bz]),
-        "channels": [{"chain_id": "main", "party_a": a, "party_b": b,
-                      "fund_a": 100_000, "fund_b": 100_000} for a, b in links],
-        "quotes": [{"node": "hub", "asset_in": "coin", "asset_out": "coin",
-                    "rate_num": 1, "rate_den": 1, "base_fee": 1, "fee_ppm": 1000}],
-        "payments": [{"at_tick": 6 + i // 4, "sender": u, "recipient": bz[i % 4],
-                      "amount": 100 + 7 * i, "asset": "coin"}
-                     for i, u in enumerate(us)],
-    }
+    """The benchmark's star world: `users` users and four businesses, each
+    with one channel to a single LP; one payment per user to a business."""
+    return workloads.star(workloads.DEFAULT_SEED, users)[0]
 
 
 def routing_counts(monkeypatch, doc: dict) -> dict:
@@ -1463,8 +1467,8 @@ class ScanningEngine(SteppingEngine):
             return True
         for rt in self.channels:
             phase = rt.channel.phase
-            if phase in (ChannelPhase.OPENING, ChannelPhase.COOPERATIVE_CLOSING,
-                         ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED):
+            if phase in (ChannelPhase.COOPERATIVE_CLOSING, ChannelPhase.UNILATERAL_CLOSED,
+                         ChannelPhase.BREACHED):
                 return True
             if phase is ChannelPhase.OPEN and rt.channel.pending_htlcs:
                 return True
@@ -1919,7 +1923,7 @@ def test_hops_name_the_route_they_hold():
             assert [hop.offerer for hop in p.hops] == offerers[:len(p.hops)]
             for hop in p.hops:
                 assert {hop.offerer, hop.receiver} == set(hop.chan.names)
-                states = hop.chan.channel.recorded_states().values()
+                states = hop.chan.channel.recorded_states()
                 assert any(hop.htlc is h for st in states for h in st.htlcs)
                 sides[hop.htlc.offerer_side] += 1
             if p.status == "settled":
