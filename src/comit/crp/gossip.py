@@ -17,6 +17,12 @@ have just exchanged hold nothing the other lacks: while neither version
 moves, another exchange would send nothing and change neither store, so
 each state keeps, per peer, the two versions of their last exchange, and
 `exchange` returns at once while both still hold.
+
+That per-peer bookkeeping only matters while adverts still spread. Once
+every store holds every advert, `forget_peers` releases it (the
+simulator's engine calls it at convergence). An exchange after that is still
+correct: it resends the whole store once, moves no version, and rebuilds
+the bookkeeping for that peer.
 """
 
 from __future__ import annotations
@@ -132,6 +138,11 @@ class GossipState:
         if have is None or advert.timestamp > have.timestamp:
             self.adverts[advert.node_pubkey] = advert
             self.version += 1
+
+    def forget_peers(self) -> None:
+        """Drop what this node knows of its peers' stores, keeping its own."""
+        self._peer_known.clear()
+        self._exchanged.clear()
 
     def advert_set(self) -> list[LpAdvert]:
         return [self.adverts[k] for k in sorted(self.adverts)]

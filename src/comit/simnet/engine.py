@@ -41,14 +41,18 @@ ends every hop of its channel.
 
 A payment retires once it is terminal and every hop of it is resolved:
 `_cascade` drops it from `live`, and it lets go of its `HopLive` records
-(keeping their count, which the report prints) and of its recipient's
-`invoices` entry. Nothing reads either again: a retired payment offers no
-hop, and a settle or fail still queued for one of its hops is a no-op.
+(keeping their count, which the report prints), of its `Invoice` and of its
+recipient's `invoices` entry. Nothing reads them again: a retired payment
+offers no hop, and a settle or fail still queued for one of its hops is a
+no-op.
 
 LP adverts are issued once, at tick 0. Each executed tick ends with a gossip
 round over every channel in index order (`GossipState.exchange`) until every
 actor holds every LP's advert; after that no store changes, and gossip
-leaves the tick loop.
+leaves the tick loop. State ends with its last reader: at convergence every
+actor's gossip state forgets its peers (`GossipState.forget_peers`), since
+no exchange runs after that, and once the tick loop ends `run` empties the
+route-graph cache `graphs`, whose one reader is `_ev_payment_start`.
 
 The clock jumps. After each tick it executes, `run` moves the clock to the
 next tick at which anything can happen (`_next_tick`): the queue head, the
@@ -204,7 +208,8 @@ class HopLive:
 class PayRt:
     """One payment's run: `hops[i]` is its i-th HTLC, offered by the
     receiver of hop i - 1. When it retires (terminal, every hop resolved),
-    `_retire` empties `hops`; `hop_count` keeps how many it offered."""
+    `_retire` empties `hops` and drops `invoice`; `hop_count` keeps how
+    many hops it offered."""
 
     idx: int
     spec: PaymentSpec
@@ -237,7 +242,8 @@ class Engine:
         self.gossip_converged_tick = -1
         # Until this tick, gossip that has not converged keeps the run going.
         self.gossip_end = 3 * len(scenario.actors) + 3
-        # the origin pubkeys of an advert set -> its ChannelGraph; see _graph
+        # the origin pubkeys of an advert set -> its ChannelGraph; see _graph.
+        # `run` empties it once the tick loop ends.
         self.graphs: dict[tuple[bytes, ...], ChannelGraph] = {}
         # The channels closed on-chain and not yet settled.
         self.closed: set[int] = set()
@@ -490,6 +496,7 @@ class Engine:
             self._housekeeping()
             self._gossip_round()
             self._check_conservation(f"tick {self.tick}")
+        self.graphs.clear()  # no payment starts after the loop
         self._count_drops()
         if self._outstanding():
             self.violations.append(
@@ -651,10 +658,13 @@ class Engine:
 
     def _note_convergence(self) -> None:
         """Every LP's advert is issued at timestamp 0 and installed once, so
-        gossip has converged when every actor has installed one per LP."""
+        gossip has converged when every actor has installed one per LP. No
+        exchange runs after that, so each actor then forgets its peers."""
         lps = sum(a.kind == "lp" for a in self.actors.values())
         if all(a.gossip.version == lps for a in self.actors.values()):
             self.gossip_converged_tick = self.tick
+            for a in self.actors.values():
+                a.gossip.forget_peers()
 
     # --- mining and confirmation tracking ----------------------------------------
 
@@ -1064,10 +1074,11 @@ class Engine:
 
     def _retire(self, p: PayRt) -> None:
         """`p` is terminal with every hop resolved: drop it from `live` and
-        release its hops and its recipient's invoice entry."""
+        release its hops, its invoice and its recipient's invoice entry."""
         del self.live[p.idx]
         p.hops.clear()
         del self.actors[p.spec.recipient].invoices[p.invoice.payment_hash]
+        p.invoice = None
 
     def _on_chain(self) -> None:
         """Each online party of each channel due now (see `_housekeeping`),

@@ -450,21 +450,28 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         kind_of[name] = kind
         actors.append(ActorSpec(name, kind))
 
-    # A chain whose ids are too long still registers: what refers to it
-    # gets no second diagnostic.
-    by_chain: dict[str, ChainSpec] = {}
+    # A chain whose id and asset parsed registers both, even when another
+    # of its fields (or an id's length) is refused, so what refers to it
+    # gets no second diagnostic. Only a chain that parsed in full becomes a
+    # ChainSpec.
+    fee_of: dict[str, int] = {}  # registered chain id -> tx_fee (0 if refused)
+    assets: set[str] = set()
+    chains: list[ChainSpec] = []
     chain_at: dict[str, int] = {}  # chain id -> document index
     for i, where, _, v, _ in _entries(doc, "chains", ChainSpec, d, need="chain"):
-        if None in v:
+        cid, asset, _, _, tx_fee, _ = v
+        if cid is None or asset is None:
             continue
-        if v[0] in by_chain:
-            d.constraint(f"{where}.chain_id", f"duplicate chain {v[0]!r}")
+        if cid in fee_of:
+            d.constraint(f"{where}.chain_id", f"duplicate chain {cid!r}")
             continue
-        by_chain[v[0]] = ChainSpec(*v)
-        chain_at[v[0]] = i
-    chains = list(by_chain.values())
-    d.names["chain"] = by_chain
-    d.names["asset"] = {c.asset for c in chains}
+        fee_of[cid] = tx_fee or 0
+        assets.add(asset)
+        if None not in v:
+            chains.append(ChainSpec(*v))
+            chain_at[cid] = i
+    d.names["chain"] = fee_of
+    d.names["asset"] = assets
     # A channel index names an entry of the document's list, parsed or not.
     entries = doc.get("channels")
     d.names["channel"] = range(len(entries) if isinstance(entries, list) else 0)
@@ -472,11 +479,19 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     # document index -> spec, for each channel entry that parsed
     channel_at: dict[int, ChannelSpec] = {}
     seen_pairs: set = set()
+    # The actors with a channel to an LP, for the payment rule. A channel
+    # entry refused for another field than its parties counts too.
+    lp_linked: set[str] = set()
     for i, where, _, v, n in _entries(doc, "channels", ChannelSpec, d):
         cid, pa, pb, fund_a, fund_b = v[:5]
+        if pa is not None and pb is not None:
+            if kind_of.get(pb) == "lp":
+                lp_linked.add(pa)
+            if kind_of.get(pa) == "lp":
+                lp_linked.add(pb)
         if fund_a is not None and fund_b is not None:
             total = fund_a + fund_b
-            fee = by_chain[cid].tx_fee if cid in by_chain else 0
+            fee = fee_of.get(cid, 0)
             if total <= 0:
                 d.constraint(f"{where}.fund_a", "channel capacity must be positive")
             elif min(fund_a, fund_b) == 0 and total <= 2 * fee:
@@ -501,7 +516,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     # (party_a also pays the funding tx fee).
     owed: dict[tuple[str, str], int] = {}
     for ch in channels:
-        fee = by_chain[ch.chain_id].tx_fee
+        fee = fee_of[ch.chain_id]
         owed[(ch.chain_id, ch.party_a)] = owed.get((ch.chain_id, ch.party_a), 0) + ch.fund_a + fee
         owed[(ch.chain_id, ch.party_b)] = owed.get((ch.chain_id, ch.party_b), 0) + ch.fund_b
     for c in chains:
@@ -521,19 +536,12 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         if len(d.errors) == n:
             quotes.append(QuoteSpec(*v))
 
-    lp_peers: dict[str, set] = {a.name: set() for a in actors}
-    for ch in channels:
-        if kind_of.get(ch.party_b) == "lp":
-            lp_peers.setdefault(ch.party_a, set()).add(ch.party_b)
-        if kind_of.get(ch.party_a) == "lp":
-            lp_peers.setdefault(ch.party_b, set()).add(ch.party_a)
-
     payments: list[PaymentSpec] = []
     for _, where, _, v, n in _entries(doc, "payments", PaymentSpec, d):
         if len(d.errors) > n:
             continue
         for field_name, actor in (("sender", v[1]), ("recipient", v[2])):
-            if kind_of[actor] != "lp" and not lp_peers.get(actor):
+            if kind_of[actor] != "lp" and actor not in lp_linked:
                 d.constraint(
                     f"{where}.{field_name}", f"{actor!r} has no channel to a liquidity provider"
                 )

@@ -139,7 +139,9 @@ def _id_ok(value: str, where: str, d: _Diags) -> bool:
     return True
 
 
-def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> Optional[ChainSpec]:
+def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> tuple:
+    """(chain_id, asset, hash_fns, block_interval, tx_fee, genesis), None
+    where a field is refused; hash_fns is None if no entry of it parsed."""
     chain_id = _get_str(obj, "chain_id", where, d)
     asset = _get_str(obj, "asset", where, d)
     if chain_id is not None:
@@ -185,9 +187,7 @@ def _parse_chain(where: str, obj: dict, actor_names: set, d: _Diags) -> Optional
         total = sum(amt for _, amt in genesis)
         if total > MAX_AMOUNT:
             d.constraint(f"{where}.genesis", f"total must be <= {MAX_AMOUNT}, got {total}")
-    if chain_id is None or asset is None or not fns or interval is None or tx_fee is None:
-        return None
-    return ChainSpec(chain_id, asset, tuple(fns), interval, tx_fee, tuple(genesis))
+    return chain_id, asset, tuple(fns) or None, interval, tx_fee, tuple(genesis)
 
 
 def _channel_index(obj: dict, where: str, doc: dict, d: _Diags) -> Optional[int]:
@@ -259,25 +259,30 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         actors.append(spec)
     kind_of = {a.name: a.kind for a in actors}
 
+    # A chain whose id and asset parsed is registered for references even
+    # when another field is refused; only a full parse makes a ChainSpec.
     chains: list[ChainSpec] = []
-    chain_ids: set = set()
+    fee_of: dict[str, int] = {}  # registered chain id -> tx_fee, 0 if refused
+    assets: set = set()
     chain_at: dict[str, int] = {}  # chain id -> document index
     for i, where, obj in _entries(doc, "chains", d, need="chain"):
-        spec = _parse_chain(where, obj, actor_names, d)
-        if spec is None:
+        values = _parse_chain(where, obj, actor_names, d)
+        chain_id, asset, _, _, tx_fee, _ = values
+        if chain_id is None or asset is None:
             continue
-        if spec.chain_id in chain_ids:
-            d.constraint(f"{where}.chain_id", f"duplicate chain {spec.chain_id!r}")
+        if chain_id in fee_of:
+            d.constraint(f"{where}.chain_id", f"duplicate chain {chain_id!r}")
             continue
-        chain_ids.add(spec.chain_id)
-        chain_at[spec.chain_id] = i
-        chains.append(spec)
-    by_chain = {c.chain_id: c for c in chains}
-    assets = {c.asset for c in chains}
+        fee_of[chain_id] = tx_fee or 0
+        assets.add(asset)
+        if None not in values:
+            chain_at[chain_id] = i
+            chains.append(ChainSpec(*values))
 
     # document index -> spec, for each channel entry that parsed
     channel_at: dict[int, ChannelSpec] = {}
     seen_pairs: set = set()
+    ends: list[tuple[str, str]] = []  # the parties of each channel entry, refused or not
     for i, where, obj in _entries(doc, "channels", d):
         cid = _get_str(obj, "chain_id", where, d)
         pa = _get_str(obj, "party_a", where, d)
@@ -287,7 +292,9 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         csv = _get_int(obj, "csv_delay", where, d, default=6, lo=1, hi=MAX_CSV_DELAY)
         dust = _get_int(obj, "dust_limit", where, d, default=0, lo=0)
         ok = None not in (cid, pa, pb, fund_a, fund_b, csv, dust)
-        if cid is not None and cid not in by_chain:
+        if pa is not None and pb is not None:
+            ends.append((pa, pb))
+        if cid is not None and cid not in fee_of:
             d.unknown(f"{where}.chain_id", f"no chain named {cid!r}")
             ok = False
         for field_name, party in (("party_a", pa), ("party_b", pb)):
@@ -301,13 +308,13 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             d.constraint(f"{where}.fund_a", "channel capacity must be positive")
             ok = False
         elif (
-            fund_a is not None and fund_b is not None and cid in by_chain
-            and min(fund_a, fund_b) == 0 and fund_a + fund_b <= 2 * by_chain[cid].tx_fee
+            fund_a is not None and fund_b is not None and cid in fee_of
+            and min(fund_a, fund_b) == 0 and fund_a + fund_b <= 2 * fee_of[cid]
         ):
             d.constraint(
                 f"{where}.fund_a",
                 "a channel funded by one side must hold more than twice its chain's tx_fee "
-                f"({2 * by_chain[cid].tx_fee}), got {fund_a + fund_b}",
+                f"({2 * fee_of[cid]}), got {fund_a + fund_b}",
             )
             ok = False
         if not ok:
@@ -324,7 +331,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     # (party_a also pays the funding tx fee).
     owed: dict[tuple[str, str], int] = {}
     for ch in channels:
-        fee = by_chain[ch.chain_id].tx_fee
+        fee = fee_of[ch.chain_id]
         owed[(ch.chain_id, ch.party_a)] = owed.get((ch.chain_id, ch.party_a), 0) + ch.fund_a + fee
         owed[(ch.chain_id, ch.party_b)] = owed.get((ch.chain_id, ch.party_b), 0) + ch.fund_b
     for c in chains:
@@ -367,11 +374,11 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             quotes.append(QuoteSpec(node, a_in, a_out, num, den, base, ppm))
 
     lp_peers: dict[str, set] = {a.name: set() for a in actors}
-    for ch in channels:
-        if kind_of.get(ch.party_b) == "lp":
-            lp_peers.setdefault(ch.party_a, set()).add(ch.party_b)
-        if kind_of.get(ch.party_a) == "lp":
-            lp_peers.setdefault(ch.party_b, set()).add(ch.party_a)
+    for pa, pb in ends:
+        if kind_of.get(pb) == "lp":
+            lp_peers.setdefault(pa, set()).add(pb)
+        if kind_of.get(pa) == "lp":
+            lp_peers.setdefault(pb, set()).add(pa)
 
     payments: list[PaymentSpec] = []
     for _, where, obj in _entries(doc, "payments", d):

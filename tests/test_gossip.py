@@ -265,6 +265,39 @@ def test_repeat_exchange_makes_no_gossip_step_call(rng, monkeypatch):
     assert calls == []
 
 
+def test_exchange_after_forget_peers(rng):
+    """Two converged states that forget their peers keep only their stores.
+    A further exchange, either way round, resends what each holds but moves
+    no version and no invalid_dropped count, and leaves the stores equal.
+    A fresher advert inserted after forgetting still reaches the peer."""
+    a, b, x = (NodeKey.generate(rng) for _ in range(3))
+    ga, gb = GossipState(a.pubkey), GossipState(b.pubkey)
+    ga.insert_local(sample_advert(a, b, timestamp=1))
+    gb.insert_local(sample_advert(b, a, timestamp=1))
+    gb.insert_local(sample_advert(x, a, timestamp=1))
+    ga.gossip_step(x.pubkey, [wrong_mac(sample_advert(x, b, timestamp=5))])
+    ga.exchange(gb)
+    counts = (ga.version, gb.version, ga.invalid_dropped, gb.invalid_dropped)
+    assert counts == (3, 3, 1, 0)
+
+    def forget():
+        for state in (ga, gb):
+            state.forget_peers()
+            assert state._peer_known == {} and state._exchanged == {}
+
+    for first, second in ((ga, gb), (gb, ga)):
+        forget()
+        first.exchange(second)
+        assert (ga.version, gb.version, ga.invalid_dropped, gb.invalid_dropped) == counts
+        assert len(ga.adverts) == 3 and ga.advert_set() == gb.advert_set()
+    forget()
+    fresher = sample_advert(b, a, timestamp=2, capacity=7)
+    gb.insert_local(fresher)
+    gb.exchange(ga)
+    assert ga.adverts[b.pubkey] is fresher and (ga.version, gb.version) == (4, 4)
+    assert ga.advert_set() == gb.advert_set()
+
+
 def test_refreshed_advert_floods_and_replaces(rng):
     n = 6
     keys = [NodeKey.generate(rng) for _ in range(n)]

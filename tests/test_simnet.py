@@ -376,19 +376,25 @@ def set_path(*path):
 
 def test_validate_reports_each_rule_of_chains_actors_channels_and_faults():
     """One edit of minimal_doc (forward_doc for the last) and the first
-    diagnostic it gets, for each rule no other test reaches. A missing
-    file is a parse error naming its path."""
+    diagnostic it gets, for each rule no other test reaches. An entry
+    refused for one field still registers what its other fields name, so
+    most edits get that diagnostic alone: a chain refused for its hash
+    functions still names its chain and asset, and a channel refused for
+    its funding still links its user to an LP. A refused genesis amount
+    still leaves that funding unmet, and with no actors every name in the
+    document is unknown. A missing file is a parse error naming its path."""
+    genesis = "constraint-violation: chains[0].genesis.ann: amount must be a positive integer, got 0"
+    no_actors = "parse-error: actors: at least one actor is required"
+    follow_ons = {genesis: 1, no_actors: 6}
     for make, edit, want in (
         (minimal_doc, set_path("chains", 0, "hash_fns", ["MD5"]),
          "unknown-reference: chains[0].hash_fns[0]: unknown hash function 'MD5'"),
         (minimal_doc, set_path("chains", 0, "hash_fns", ["SHA256", "SHA256"]),
          "constraint-violation: chains[0].hash_fns[1]: duplicate entry 'SHA256'"),
-        (minimal_doc, set_path("chains", 0, "genesis", "ann", 0),
-         "constraint-violation: chains[0].genesis.ann: amount must be a positive integer, got 0"),
+        (minimal_doc, set_path("chains", 0, "genesis", "ann", 0), genesis),
         (minimal_doc, set_path("payments", {}),
          "parse-error: document.payments: expected a list, got dict"),
-        (minimal_doc, set_path("actors", []),
-         "parse-error: actors: at least one actor is required"),
+        (minimal_doc, set_path("actors", []), no_actors),
         (minimal_doc, lambda doc: doc["actors"].append({"name": "ann", "kind": "user"}),
          "constraint-violation: actors[2].name: duplicate actor 'ann'"),
         (minimal_doc, lambda doc: doc["channels"][0].update(fund_a=0, fund_b=0),
@@ -409,6 +415,7 @@ def test_validate_reports_each_rule_of_chains_actors_channels_and_faults():
         edit(doc)
         scenario, errors = validate_scenario(doc)
         assert scenario is None and errors[0] == want, errors
+        assert len(errors) == 1 + follow_ons.get(want, 0), errors
     missing = str(Path(__file__).with_name("no-such-scenario.json"))
     assert not Path(missing).exists()
     scenario, errors = load_scenario(missing)
@@ -1395,6 +1402,39 @@ def test_gossip_rounds_stop_at_convergence(monkeypatch):
         total_visits += sum(visits.values())
         total_steps += steps
     assert total_visits <= 984 and total_steps <= 1_458, (total_visits, total_steps)
+
+
+def gossip_peers_held(engine) -> set[str]:
+    """The actors whose gossip state still holds per-peer bookkeeping."""
+    return {name for name, a in engine.actors.items()
+            if a.gossip._peer_known or a.gossip._exchanged}
+
+
+def test_finished_run_releases_gossip_bookkeeping_and_route_graphs(monkeypatch):
+    """After the run of a star world, no actor holds per-peer gossip
+    bookkeeping, since gossip converged and no exchange runs after that,
+    and the route-graph cache is empty, since no payment starts after the
+    tick loop. Under a drop-gossip window of one user that spans the whole
+    run, gossip never converges and every other actor keeps what it knows
+    of its peers. Either way the report is the one of an engine whose
+    gossip states never forget their peers."""
+    dropping = star_doc(20)
+    dropping["faults"] = [{"kind": "drop-gossip", "actor": "u0000", "at_tick": 0}]
+    for doc, converges in ((star_doc(20), True), (dropping, False)):
+        scenario, errors = validate_scenario(doc)
+        assert errors == [], errors
+        engine = engine_mod.Engine(scenario)
+        engine.run()
+        assert engine.graphs == {}
+        assert (engine.gossip_converged_tick >= 0) == converges
+        held = gossip_peers_held(engine)
+        assert held == (set() if converges else set(engine.actors) - {"u0000"}), held
+        with monkeypatch.context() as m:
+            m.setattr(GossipState, "forget_peers", lambda self: None)
+            keeping = engine_mod.Engine(scenario)
+            keeping.run()
+        assert len(gossip_peers_held(keeping)) == len(engine.actors) - (not converges)
+        assert report_json(build_report(engine)) == report_json(build_report(keeping))
 
 
 # ---------------------------------------------------------------- housekeeping oracle
