@@ -23,18 +23,26 @@ The per-state invalidation key is HMAC(party revocation seed, n); its hash
 goes into the revocation branches of that party's commitment n. Keys for
 the current state are never revealed, and every key below it is.
 
-A Channel retains the current state, the history of signed states
-(`_state_history`, a list indexed by commitment number: the balances and
-HTLCs of each n, which breach handling needs) and the one close
-transaction it has put in flight. Of a confirmed commitment it keeps only
-the outputs a party may still spend, after BOLT #5: the broadcaster's
-delayed output and the HTLC outputs. The counterparty's direct output pays
-a bare key, so the commitment itself resolves it. A Channel keeps no
-record of what is spent: it reads that from its ledger, so process_block
-must see each block right after it is mined. A transaction is built and
-signed only when it is broadcast: signing is a deterministic HMAC and the
-ledger checks signatures on submission, so building commitment n from
-state n in unilateral_close gives the transaction both parties agreed on.
+A Channel retains the current state, the record of every signed state
+(which breach handling needs) and the one close transaction it has put in
+flight. The record keeps per commitment number n only what n's state
+cannot derive: its `balance_a`, in one `array("Q")`, and its HTLC tuple,
+in one list. n is the index, and `balance_b` is the capacity less
+`balance_a` and the HTLC amounts, as `propose_update` enforces;
+`recorded_states` and `unilateral_close` rebuild a `CommitmentState` from
+them on demand. A balance never exceeds the capacity, which the funding
+output, like every output, holds to the ledger's MAX_AMOUNT (2**64 - 1),
+so every recorded balance fits the array.
+
+Of a confirmed commitment a Channel keeps only the outputs a party may
+still spend, after BOLT #5: the broadcaster's delayed output and the
+HTLC outputs. The counterparty's direct output pays a bare key, so the
+commitment itself resolves it. A Channel keeps no record of what is
+spent: it reads that from its ledger, so process_block must see each
+block right after it is mined. A transaction is built and signed only
+when it is broadcast: signing is a deterministic HMAC and the ledger
+checks signatures on submission, so building commitment n from state n
+in unilateral_close gives the transaction both parties agreed on.
 
 `respond` is the honest on-chain policy, after BOLT #5
 (https://github.com/lightning/bolts/blob/master/05-onchain.md): from the
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -272,8 +281,8 @@ def open_channel(
 class Channel:
     __slots__ = ("ledger", "party_a", "party_b", "funding_outpoint", "capacity", "csv_delay",
                  "dust_limit", "phase", "revocation_fn", "state", "_htlc_seq", "_pending_state",
-                 "_state_history", "_closing", "closed_by", "closed_commitment", "closed_height",
-                 "closed_outputs")
+                 "_balances_a", "_htlc_sets", "_closing", "closed_by", "closed_commitment",
+                 "closed_height", "closed_outputs")
 
     def __init__(
         self,
@@ -299,8 +308,10 @@ class Channel:
         self.state = CommitmentState(0, initial_balance_a, initial_balance_b, ())
         self._htlc_seq = 0
         self._pending_state: Optional[CommitmentState] = None
-        # every recorded state, indexed by its commitment number
-        self._state_history: list[CommitmentState] = []
+        # balance_a and the HTLC tuple of every recorded state, indexed by
+        # its commitment number (see `_recorded`)
+        self._balances_a = array("Q")
+        self._htlc_sets: list[tuple[Htlc, ...]] = []
         # (txid, broadcaster side, commitment number, its ClosedOutputs) of
         # the close tx in flight; the side is None for the cooperative close.
         self._closing: Optional[tuple[bytes, Optional[str], int, list[ClosedOutput]]] = None
@@ -349,11 +360,20 @@ class Channel:
         raise UnknownHtlc(f"htlc {htlc_id}")
 
     def recorded_states(self) -> tuple[CommitmentState, ...]:
-        """Every commitment state this channel has signed, indexed by number.
+        """Every commitment state this channel has signed, indexed by number,
+        each rebuilt from its recorded balance and HTLC tuple: equal to the
+        state that was proposed, holding the same `Htlc` objects.
 
         States below the current commitment number are revoked; broadcasting
         one of them is a breach the counterparty can punish."""
-        return tuple(self._state_history)
+        return tuple(map(self._recorded, range(len(self._htlc_sets))))
+
+    def _recorded(self, n: int) -> CommitmentState:
+        """Recorded state n: balance_b is what capacity leaves."""
+        balance_a, htlcs = self._balances_a[n], self._htlc_sets[n]
+        return CommitmentState(
+            n, balance_a, self.capacity - balance_a - sum(h.amount for h in htlcs), htlcs
+        )
 
     # --- revocation keys -------------------------------------------------------
 
@@ -412,14 +432,15 @@ class Channel:
         (which is then the capacity) is at most two fees: the commitment's
         fee and a trimmed delayed output. Numbers advance by one and an
         update is proposed once, so `state` is the next entry of the
-        history."""
+        record."""
         if (
             not state.htlcs
             and min(state.balance_a, state.balance_b) == 0
             and max(state.balance_a, state.balance_b) <= 2 * self.ledger.params.tx_fee
         ):
             raise ChannelError("commitment would have no outputs")
-        self._state_history.append(state)
+        self._balances_a.append(state.balance_a)
+        self._htlc_sets.append(state.htlcs)
 
     # --- two-phase update ---------------------------------------------------
 
@@ -547,9 +568,9 @@ class Channel:
         how a cheat is staged; honest callers leave it at the latest."""
         side = self.side_of(party)
         n = self.state.commitment_number if commitment_number is None else commitment_number
-        if not 0 <= n < len(self._state_history):
+        if not 0 <= n < len(self._htlc_sets):
             raise ValueError(f"no commitment {n} for side {side}")
-        tx, outs = self._commitment(side, self._state_history[n])
+        tx, outs = self._commitment(side, self._recorded(n))
         self.ledger.submit_tx(tx)
         self._closing = (txid(tx), side, n, outs)
         return tx

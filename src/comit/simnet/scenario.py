@@ -520,9 +520,15 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         owed[(ch.chain_id, ch.party_a)] = owed.get((ch.chain_id, ch.party_a), 0) + ch.fund_a + fee
         owed[(ch.chain_id, ch.party_b)] = owed.get((ch.chain_id, ch.party_b), 0) + ch.fund_b
     for c in chains:
+        # An actor whose genesis entry was refused, or every actor when the
+        # genesis object was, has its diagnostic already.
+        raw = doc["chains"][chain_at[c.chain_id]].get("genesis", {})
+        if not isinstance(raw, dict):
+            continue
         held = {actor: amt for actor, amt in c.genesis}
+        refused = raw.keys() - held.keys()
         for (cid, actor), need in sorted(owed.items()):
-            if cid != c.chain_id or need == 0:
+            if cid != c.chain_id or need == 0 or actor in refused:
                 continue
             have = held.get(actor, 0)
             if have < need:

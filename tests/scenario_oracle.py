@@ -265,6 +265,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     fee_of: dict[str, int] = {}  # registered chain id -> tx_fee, 0 if refused
     assets: set = set()
     chain_at: dict[str, int] = {}  # chain id -> document index
+    refused_genesis: set = set()  # (chain id, actor) of each refused genesis entry
     for i, where, obj in _entries(doc, "chains", d, need="chain"):
         values = _parse_chain(where, obj, actor_names, d)
         chain_id, asset, _, _, tx_fee, _ = values
@@ -278,6 +279,11 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
         if None not in values:
             chain_at[chain_id] = i
             chains.append(ChainSpec(*values))
+            # a genesis that is not an object refuses every actor's entry
+            raw_gen = obj.get("genesis", {})
+            kept = {actor for actor, _ in values[5]}
+            entries = raw_gen if isinstance(raw_gen, dict) else actor_names
+            refused_genesis |= {(chain_id, a) for a in entries if a not in kept}
 
     # document index -> spec, for each channel entry that parsed
     channel_at: dict[int, ChannelSpec] = {}
@@ -337,7 +343,7 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     for c in chains:
         held = {actor: amt for actor, amt in c.genesis}
         for (cid, actor), need in sorted(owed.items()):
-            if cid != c.chain_id or need == 0:
+            if cid != c.chain_id or need == 0 or (cid, actor) in refused_genesis:
                 continue
             have = held.get(actor, 0)
             if have < need:

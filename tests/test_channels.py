@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from comit.chainlab import (
+    MAX_AMOUNT,
     ChainParams,
     HashFnId,
     KeyPair,
@@ -124,6 +125,55 @@ def test_refused_open_moves_no_coin(rng):
     with pytest.raises(ChannelError, match="no outputs"):
         open_channel(ledger, alice, bob, 3, 0)
     assert chain() == before
+
+
+def test_states_at_the_amount_bound_are_recorded_and_closed(rng):
+    # The ledger holds every amount to MAX_AMOUNT, so a channel's capacity,
+    # and each balance it records, is at most 2**64 - 1.
+    params = ChainParams("main", "COIN", PARAMS.hash_fns, tx_fee=0)
+    alice, bob = ChannelParty.generate(rng), ChannelParty.generate(rng)
+
+    def one_coin_chain():
+        return Ledger(params, [(alice.pubkey, MAX_AMOUNT)])
+
+    ledger = one_coin_chain()
+    ch = open_channel(ledger, alice, bob, MAX_AMOUNT, 0)
+    hid, secret = add(ch, alice, 1_000)
+    h = ch.htlc(hid)
+    ch.fulfill_htlc(hid, secret)
+    assert ch.recorded_states() == (
+        CommitmentState(0, MAX_AMOUNT, 0, ()),
+        CommitmentState(1, MAX_AMOUNT - 1_000, 0, (h,)),
+        CommitmentState(2, MAX_AMOUNT - 1_000, 1_000, ()),
+    )
+    assert ch.recorded_states()[1].htlcs[0] is h
+    for unsigned in (-1, 3):
+        with pytest.raises(ValueError, match=f"no commitment {unsigned} for side a"):
+            ch.unilateral_close(alice, commitment_number=unsigned)
+    ch.unilateral_close(alice, commitment_number=1)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.BREACHED
+    assert [(o.amount, o.htlc) for o in ch.closed_outputs] == [
+        (MAX_AMOUNT - 1_000, None), (1_000, h)]
+    ch.punish_breach(bob)
+    mine_and_watch(ledger, ch)
+    assert ch.phase is ChannelPhase.SETTLED
+    assert wallet(ledger, bob) == MAX_AMOUNT
+    assert conserved(ledger)
+
+    # Funding out of range fails as the funding rules say, before any state
+    # is recorded, and moves no coin.
+    ledger = one_coin_chain()
+    for fund_a, fund_b, error in ((MAX_AMOUNT + 1, 0, InsufficientFunds),
+                                  (MAX_AMOUNT, 1, InsufficientFunds),
+                                  (-1, 0, ValueError)):
+        with pytest.raises(error):
+            open_channel(ledger, alice, bob, fund_a, fund_b)
+        assert (ledger.height, wallet(ledger, alice)) == (0, MAX_AMOUNT)
+    ch = open_channel(ledger, alice, bob, MAX_AMOUNT, 0)
+    with pytest.raises(ValueError, match="negative balance"):
+        ch.propose_update(CommitmentState(1, MAX_AMOUNT + 1, -1, ()))
+    assert ch.recorded_states() == (ch.state,)
 
 
 def test_htlc_fulfill_moves_balance(rng):
@@ -684,7 +734,14 @@ class ChannelMachine(RuleBasedStateMachine):
     transactions it built; a breach victim may lose one more fee, and the
     revoked-state HTLC outputs that the cheater's own claims or refunds
     took first (the race of
-    `test_cheater_cannot_outrun_justice_on_a_revoked_htlc`)."""
+    `test_cheater_cannot_outrun_justice_on_a_revoked_htlc`).
+
+    The machine also keeps every signed state as a list of the
+    `CommitmentState`s the channel took: the differential oracle of the
+    channel's compact record. After each add, fulfil, fail, close and
+    breach, `recorded_states()` equals that list with the identical `Htlc`
+    objects, and each close broadcasts the commitment `_commitment` builds
+    from the oracle's state."""
 
     @initialize(fee=st.integers(0, 3), csv=st.integers(1, 6), alice_first=st.booleans())
     def open(self, fee, csv, alice_first):
@@ -700,13 +757,27 @@ class ChannelMachine(RuleBasedStateMachine):
         self.taken = 0  # revoked-state HTLC outputs the cheater's spends confirmed
         self.changed = True  # a rule ran since the last responses
         self.named = {"a": set(), "b": set()}  # side -> (kind, htlc id) named last
+        self.states = [self.ch.state]  # the oracle: every signed state, by number
 
     def _open(self):
         return self.ch.phase is ChannelPhase.OPEN and not self.ch.closing
 
+    def _check_record(self):
+        """The channel's record rebuilds the oracle's states exactly."""
+        recorded = self.ch.recorded_states()
+        assert recorded == tuple(self.states)
+        for got, want in zip(recorded, self.states):
+            assert all(g is w for g, w in zip(got.htlcs, want.htlcs))
+
+    def _updated(self):
+        """Note the state an update just signed, then check the record."""
+        self.states.append(self.ch.state)
+        self.changed = True
+        self._check_record()
+
     def _build(self, side, kind, build, *args):
-        """Build and submit a transaction; a close also notes each side's
-        entitlement under the latest state."""
+        """Build, submit and return a transaction; a close also notes each
+        side's entitlement under the latest state."""
         tx = build(*args)
         spent = sum(self.ledger.utxo(i.outpoint).amount for i in tx.inputs)
         self.fees[side] += spent - sum(o.amount for o in tx.outputs)
@@ -718,6 +789,7 @@ class ChannelMachine(RuleBasedStateMachine):
                 receiver = "b" if h.offerer_side == "a" else "a"
                 knows = h.payment_hash in self.secrets[receiver]
                 self.entitled[receiver if knows else h.offerer_side] += h.amount
+        return tx
 
     @precondition(lambda self: self._open())
     @rule(by_a=st.booleans(), knows=st.booleans(),
@@ -740,7 +812,7 @@ class ChannelMachine(RuleBasedStateMachine):
             self.ch.party(offerer), amount, HashFnId.SHA256, payment_hash, self.ledger.height + out
         )
         self.preimages[hid] = preimage
-        self.changed = True
+        self._updated()
         if knows:
             self.secrets["b" if by_a else "a"][payment_hash] = preimage
 
@@ -753,17 +825,22 @@ class ChannelMachine(RuleBasedStateMachine):
         if not htlcs:
             return
         h = data.draw(st.sampled_from(htlcs), label="htlc")
-        self.changed = True
         if fulfil:
             self.ch.fulfill_htlc(h.htlc_id, self.preimages[h.htlc_id])
             self.secrets[h.offerer_side][h.payment_hash] = self.preimages[h.htlc_id]
         else:
             self.ch.fail_htlc(h.htlc_id)
+        self._updated()
 
     def _close(self, side, n=None):
-        """Broadcast `side`'s commitment n (the latest when None)."""
-        self._build(side, "close", self.ch.unilateral_close, self.ch.party(side), n)
+        """Broadcast `side`'s commitment n (the latest when None): the one
+        built from the oracle's state n."""
+        state = self.states[self.ch.commitment_number if n is None else n]
+        want, _ = self.ch._commitment(side, state)
+        tx = self._build(side, "close", self.ch.unilateral_close, self.ch.party(side), n)
+        assert txid(tx) == txid(want)
         self.changed = True
+        self._check_record()
         if n is not None:
             self.cheater = side
             self.order = sorted(self.order, key=lambda party: self.ch.side_of(party) != side)
@@ -775,7 +852,7 @@ class ChannelMachine(RuleBasedStateMachine):
 
     def _revoked_htlcs(self):
         """Whether a revoked state holds an HTLC, something to race for."""
-        return any(s.htlcs for s in self.ch.recorded_states()[:self.ch.commitment_number])
+        return any(s.htlcs for s in self.states[:self.ch.commitment_number])
 
     @precondition(lambda self: self._open() and self._revoked_htlcs())
     @rule(by_a=st.booleans(), data=st.data())

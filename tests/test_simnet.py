@@ -380,18 +380,23 @@ def test_validate_reports_each_rule_of_chains_actors_channels_and_faults():
     refused for one field still registers what its other fields name, so
     most edits get that diagnostic alone: a chain refused for its hash
     functions still names its chain and asset, and a channel refused for
-    its funding still links its user to an LP. A refused genesis amount
-    still leaves that funding unmet, and with no actors every name in the
-    document is unknown. A missing file is a parse error naming its path."""
-    genesis = "constraint-violation: chains[0].genesis.ann: amount must be a positive integer, got 0"
+    its funding still links its user to an LP, and a refused genesis
+    amount is not also reported as unmet funding. With no actors every name
+    in the document is unknown. A missing file is a parse error naming its
+    path."""
     no_actors = "parse-error: actors: at least one actor is required"
-    follow_ons = {genesis: 1, no_actors: 6}
+    follow_ons = {no_actors: 6}
     for make, edit, want in (
         (minimal_doc, set_path("chains", 0, "hash_fns", ["MD5"]),
          "unknown-reference: chains[0].hash_fns[0]: unknown hash function 'MD5'"),
         (minimal_doc, set_path("chains", 0, "hash_fns", ["SHA256", "SHA256"]),
          "constraint-violation: chains[0].hash_fns[1]: duplicate entry 'SHA256'"),
-        (minimal_doc, set_path("chains", 0, "genesis", "ann", 0), genesis),
+        (minimal_doc, set_path("chains", 0, "genesis", "ann", 0),
+         "constraint-violation: chains[0].genesis.ann: amount must be a positive integer, got 0"),
+        (minimal_doc, set_path("chains", 0, "genesis", "ann", 2**64),
+         f"constraint-violation: chains[0].genesis.ann: must be <= {2**64 - 1}, got {2**64}"),
+        (minimal_doc, set_path("chains", 0, "genesis", "x"),
+         "parse-error: chains[0].genesis: expected an object mapping actor to amount"),
         (minimal_doc, set_path("payments", {}),
          "parse-error: document.payments: expected a list, got dict"),
         (minimal_doc, set_path("actors", []), no_actors),
