@@ -57,7 +57,7 @@ import hmac
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..chainlab import (
     DIGEST_SIZE,
@@ -367,6 +367,16 @@ class Channel:
         States below the current commitment number are revoked; broadcasting
         one of them is a breach the counterparty can punish."""
         return tuple(map(self._recorded, range(len(self._htlc_sets))))
+
+    def revoked_balances(self, side: str) -> Sequence[int]:
+        """`side`'s balance in each revoked state, indexed by number: the
+        balances of `recorded_states()[:commitment_number]`, read from the
+        record without rebuilding a state."""
+        n = self.commitment_number
+        if side == "a":
+            return self._balances_a[:n]
+        return [self.capacity - balance_a - sum(h.amount for h in htlcs)
+                for balance_a, htlcs in zip(self._balances_a[:n], self._htlc_sets)]
 
     def _recorded(self, n: int) -> CommitmentState:
         """Recorded state n: balance_b is what capacity leaves."""
@@ -734,7 +744,7 @@ class Spend:
 
 
 def respond(
-    channel: Channel, party: ChannelParty, secrets: dict[bytes, bytes]
+    channel: Channel, party: ChannelParty, secrets: Mapping[bytes, bytes]
 ) -> list[Spend]:
     """The spends an honest `party`, knowing the preimages `secrets` (by
     payment hash), makes on `channel` at its ledger's height.

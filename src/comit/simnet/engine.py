@@ -35,16 +35,16 @@ is a no-op. `pending_txs` maps the txid of each broadcast still in the
 mempool to its broadcaster, its channel and the `respond` spend it carries,
 if any. The block that confirms it credits the fee the ledger burned for it
 and passes the spend to `_spent_on_chain`, the one path from a confirmed
-spend to its hops: a claim makes its preimage public to every actor in that
-block and settles its hop, a refund ends its hop, and a justice transaction
-ends every hop of its channel.
+spend to its hops: a claim puts its preimage in `public`, which every actor
+knows, in that block and settles its hop, a refund ends its hop, and a
+justice transaction ends every hop of its channel.
 
 A payment retires once it is terminal and every hop of it is resolved:
 `_cascade` drops it from `live`, and it lets go of its `HopLive` records
-(keeping their count, which the report prints), of its `Invoice` and of its
-recipient's `invoices` entry. Nothing reads them again: a retired payment
-offers no hop, and a settle or fail still queued for one of its hops is a
-no-op.
+(keeping their count, which the report prints) and of its `Invoice`, as does
+a payment that ends before going live. Nothing reads them again: a retired
+payment offers no hop, and a settle or fail still queued for one of its hops
+is a no-op.
 
 LP adverts are issued once, at tick 0. Each executed tick ends with a gossip
 round over every channel in index order (`GossipState.exchange`) until every
@@ -82,6 +82,7 @@ import bisect
 import hashlib
 import heapq
 import random
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -156,8 +157,8 @@ class ActorState:
     node_key: NodeKey
     gossip: GossipState
     wallet: dict[str, KeyPair] = field(default_factory=dict)  # chain -> key
+    # payment hash -> preimage, of its own invoices and off-chain fulfils
     secrets: dict[bytes, bytes] = field(default_factory=dict)
-    invoices: dict[bytes, Invoice] = field(default_factory=dict)
     settled_in: dict[str, int] = field(default_factory=dict)
     settled_out: dict[str, int] = field(default_factory=dict)
     fees: dict[str, int] = field(default_factory=dict)  # asset -> fees authorized
@@ -254,6 +255,7 @@ class Engine:
         self.withholding: set[int] = set()
         # Whether the last conservation check passed.
         self.balanced = True
+        self.public: dict[bytes, bytes] = {}  # hash -> preimage, of each claim on chain
         self._build_world()
 
     # --- construction -------------------------------------------------------
@@ -348,14 +350,14 @@ class Engine:
         self.gossip_moving = True
 
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
-        # The payments _cascade may still act on, by index. One enters with
-        # its first hop and retires for good once it is terminal with every
-        # hop resolved: no hop is ever added to a payment that is not pending.
-        # Only _offer adds an HTLC, every fulfil or fail of one resolves its
-        # hop at once, and no channel returns to OPEN, so the HTLCs the OPEN
-        # channels hold are exactly the `htlc` records of the unresolved hops
-        # of live payments on OPEN channels: `_outstanding` reads them here.
-        self.live: dict[int, PayRt] = {}
+        # The payments _cascade may still act on, by payment hash (each
+        # invoice draws a fresh secret). One enters with its first hop and
+        # retires for good once it is terminal with every hop resolved: no
+        # hop is added to a payment that is not pending. Only _offer adds an
+        # HTLC, and an off-chain fulfil or fail resolves its hop at once, so
+        # a channel's last state holds the `htlc` record of each unresolved
+        # hop on it, and while OPEN (no channel reopens) no other one.
+        self.live: dict[bytes, PayRt] = {}
 
     # --- shared machinery -----------------------------------------------------
 
@@ -510,13 +512,12 @@ class Engine:
         """Whether an event, a transaction, a channel or a payment may still
         act. A cooperative close stays in `pending_txs` until the block that
         settles it, and a channel closed on-chain and not settled is in
-        `closed`. The HTLCs the OPEN channels hold are the `htlc` records of
-        the unresolved hops of `live` payments on OPEN channels (see `live`
-        in `_build_world`), so `live` says whether one is held. A pending
-        payment needs no check of its own: only `_offer` puts a payment
-        into `live`, after adding hop 0, so a pending live payment has hop 0
-        unresolved, and that HTLC is in an open channel, a close in flight
-        (`pending_txs`) or a channel closed and not settled (`closed`)."""
+        `closed`. `live` says whether an OPEN channel holds an HTLC (see
+        `live` in `_build_world`). A pending payment needs no check of its
+        own: only `_offer` puts a payment into `live`, after adding hop 0,
+        so a pending live payment has hop 0 unresolved, and that HTLC is in
+        an open channel, a close in flight (`pending_txs`) or a channel
+        closed and not settled (`closed`)."""
         if self.queue or self.pending_txs or self.closed:
             return True
         if any(not hop.resolved and hop.chan.channel.phase is ChannelPhase.OPEN
@@ -580,7 +581,7 @@ class Engine:
                 stalls = self._active(n, "stall-secret", t) if self._online(n, t) else []
                 if not stalls:
                     continue
-                spends = respond(rt.channel, rt.party(n), self.actors[n].secrets)
+                spends = respond(rt.channel, rt.party(n), self._knows(n))
                 claims = sum(s.kind == "claim" for s in spends)
                 for i in stalls:
                     self.fault_hits[i] += claims * skipped
@@ -720,32 +721,36 @@ class Engine:
     def _spent_on_chain(self, chan_idx: int, spend: Spend) -> None:
         """A `respond` spend on channel `chan_idx` confirmed. A claim makes
         its preimage public and settles the hop of its HTLC, a refund ends
-        that hop, and justice ends every unresolved hop of the channel (see
-        HOP_ENDS). A close or a sweep ends none. The spend carries the
-        channel's own `Htlc` record, the one its hop holds, and the order in
-        which justice ends hops moves no counter."""
+        that hop, and justice ends every unresolved hop of the channel, whose
+        HTLCs its last state holds (see `live`); a close or a sweep ends none
+        (HOP_ENDS). A hop is found through `live` by its HTLC, the channel's
+        own record; a retired payment's are resolved. The order in which
+        justice ends hops moves no counter."""
         if spend.kind not in HOP_ENDS:
             return
         outcome, reason = HOP_ENDS[spend.kind]
         if spend.kind == "claim":
             self._reveal(spend.htlc.payment_hash, spend.args[2])
-        for p in self.live.values():
-            for i, hop in enumerate(p.hops):
-                if (not hop.resolved and hop.chan.idx == chan_idx
-                        and (spend.htlc is None or hop.htlc is spend.htlc)):
+        ch = self.channels[chan_idx].channel
+        for htlc in ch.pending_htlcs if spend.htlc is None else (spend.htlc,):
+            p = self.live.get(htlc.payment_hash)
+            for i, hop in enumerate(p.hops if p else ()):
+                if hop.htlc is htlc and not hop.resolved:
                     self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
 
     def _reveal(self, payment_hash: bytes, preimage: bytes) -> None:
-        """A preimage claimed on chain is public: every actor knows it. A
-        party may now claim with it on any channel closed on-chain, or
-        force-close an open channel holding its HTLC: all are due."""
-        for actor in self.actors.values():
-            actor.secrets.setdefault(payment_hash, preimage)
+        """A claimed preimage goes in `public`, once. A party may now use it
+        on any channel closed on-chain (a revoked state there may hold a
+        retired payment's HTLC) or force-close on its payment's: all are due."""
+        self.public.setdefault(payment_hash, preimage)
         for idx in self.closed:
             self._due_at(idx, self.tick)
-        for p in self.live.values():
-            if p.invoice.payment_hash == payment_hash:
-                self._hops_due(p)
+        if payment_hash in self.live:
+            self._hops_due(self.live[payment_hash])
+
+    def _knows(self, name: str) -> ChainMap:
+        """The preimages actor `name` knows: its own, then the public ones."""
+        return ChainMap(self.actors[name].secrets, self.public)
 
     def _hops_due(self, p: PayRt) -> None:
         """The channels of `p`'s hops are due now."""
@@ -803,8 +808,6 @@ class Engine:
             recipient.invoice_rng, recipient.node_key.pubkey, spec.amount, spec.asset, fn
         )
         recipient.secrets[invoice.payment_hash] = secret
-        recipient.invoices[invoice.payment_hash] = invoice
-        p.invoice = invoice
 
         own_edges = [
             Edge(
@@ -842,12 +845,14 @@ class Engine:
             invoice, route, self._heights(), derived_rng(self.sc.seed, "payment", pidx)
         )
         p.cost = attempt.cost
+        p.invoice = invoice
         reason = self._offer(
             p, spec.sender, first_hop_actor, route.hops[0].chain_id,
             attempt.cost, attempt.expiry, attempt.packet,
         )
         if reason is not None:
             self._finish(p, "refunded", reason)
+            p.invoice = None  # it never went live
 
     def _graph(self, adverts: list[LpAdvert]) -> ChannelGraph:
         """The public graph of an advert set, built once and shared by every
@@ -876,8 +881,8 @@ class Engine:
         try:
             payload, next_packet = onion_peel(packet, recv.node_key)
             if payload.next_node is None:
-                # the recipient holds the preimage of each invoice it made
-                invoice = recv.invoices.get(hop.htlc.payment_hash)
+                # only the payment's recipient made an invoice for its hash
+                invoice = p.invoice if hop.receiver == p.spec.recipient else None
                 check_delivery(payload, invoice, hop.htlc.amount, hop.htlc.expiry_height, height)
                 self._queue_hop(p, i, True, self.tick + 1)
                 return
@@ -930,7 +935,7 @@ class Engine:
         self._due_at(rt.idx, self._tick_of(chain_id, urgent_height(expiry)))
         p.hops.append(HopLive(chan=rt, htlc=rt.channel.htlc(htlc_id)))
         p.hop_count += 1
-        self.live[p.idx] = p
+        self.live[p.invoice.payment_hash] = p
         self._schedule(self.tick + 1, self._ev_hop_offer, p.idx, i, packet)
         return None
 
@@ -946,9 +951,9 @@ class Engine:
     def _ev_settle_or_fail(self, pidx: int, i: int, settle: bool) -> None:
         """Fulfil (settle) or fail hop i's HTLC off-chain. A settle moves a
         preimage, so a stall holds it up as well as a crash."""
-        if pidx not in self.live:
-            return  # retired: every hop of it is resolved
         p = self.payments[pidx]
+        if not p.hops:
+            return  # retired: every hop of it is resolved
         hop = p.hops[i]
         hop.scheduled = False
         if hop.resolved or hop.chan.channel.phase is not ChannelPhase.OPEN:
@@ -962,7 +967,7 @@ class Engine:
             if settle:
                 # Whoever schedules a settle knows the preimage, and an
                 # unresolved hop on an open channel is an HTLC of that channel.
-                preimage = self.actors[hop.receiver].secrets[p.invoice.payment_hash]
+                preimage = self._knows(hop.receiver)[p.invoice.payment_hash]
                 hop.chan.channel.fulfill_htlc(hop.htlc.htlc_id, preimage)
             else:
                 hop.chan.channel.fail_htlc(hop.htlc.htlc_id)
@@ -1003,13 +1008,11 @@ class Engine:
         for rt in candidates:
             if rt.channel.closing:
                 continue
-            side = rt.channel.side_of(rt.party(cheater))
-            current = rt.channel.balance_of(rt.party(cheater))
-            revoked = rt.channel.recorded_states()[:rt.channel.commitment_number]
-            for n, state in enumerate(revoked):
-                bal = state.balance_a if side == "a" else state.balance_b
-                if bal > current and (best is None or bal - current > best[0]):
-                    best = (bal - current, rt, n)
+            revoked = rt.channel.revoked_balances(rt.channel.side_of(rt.party(cheater)))
+            top = max(revoked, default=0)
+            gain = top - rt.channel.balance_of(rt.party(cheater))
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, rt, revoked.index(top))  # the earliest best state
         if best is not None:
             _, rt, n = best
             if self._broadcast(
@@ -1028,7 +1031,7 @@ class Engine:
         Each step keeps the rule of a scan over every actor and channel,
         but visits only what an index says may act. Both act only for online
         actors, which already know every preimage claimed on chain so far
-        (`_reveal` runs in the block that confirms a claim):
+        (`_reveal` puts it in `public` in the block that confirms a claim):
 
         - `_cascade` reads `live`, the payments with an HTLC out.
         - `_on_chain` visits the channels the due index names for this tick.
@@ -1054,9 +1057,9 @@ class Engine:
 
     def _cascade(self) -> None:
         """Propagate hop resolutions upstream, whatever mix of cooperative
-        and on-chain steps produced them."""
-        for idx in sorted(self.live):
-            p = self.live[idx]
+        and on-chain steps produced them, by payment index: payments go live
+        in start order (`at_tick`, crash requeues), not index order."""
+        for p in sorted(self.live.values(), key=lambda p: p.idx):
             if p.status != "pending" and all(h.resolved for h in p.hops):
                 self._retire(p)
                 continue
@@ -1065,8 +1068,7 @@ class Engine:
                 if (hop.resolved or hop.scheduled or not down.resolved
                         or not self._online(hop.receiver)):
                     continue
-                step = upstream(down.resolved,
-                                p.invoice.payment_hash in self.actors[hop.receiver].secrets)
+                step = upstream(down.resolved, p.invoice.payment_hash in self._knows(hop.receiver))
                 if step == "settle":
                     self._queue_hop(p, i, True, self.tick + 1)
                 elif step is not None:
@@ -1074,10 +1076,9 @@ class Engine:
 
     def _retire(self, p: PayRt) -> None:
         """`p` is terminal with every hop resolved: drop it from `live` and
-        release its hops, its invoice and its recipient's invoice entry."""
-        del self.live[p.idx]
+        release its hops and its invoice."""
+        del self.live[p.invoice.payment_hash]
         p.hops.clear()
-        del self.actors[p.spec.recipient].invoices[p.invoice.payment_hash]
         p.invoice = None
 
     def _on_chain(self) -> None:
@@ -1103,7 +1104,7 @@ class Engine:
         """`name` broadcasts the spends `respond` names on channel `rt`,
         except that it withholds each HTLC claim while it stalls, one
         `stall-secret` hit per claim withheld."""
-        for spend in respond(rt.channel, rt.party(name), self.actors[name].secrets):
+        for spend in respond(rt.channel, rt.party(name), self._knows(name)):
             if spend.kind == "claim" and self._active(name, "stall-secret"):
                 self._hit_faults(name, "stall-secret")
                 self.withholding.add(rt.idx)

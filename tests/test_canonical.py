@@ -214,13 +214,22 @@ def test_records_are_slotted_except_the_scenario_specs():
     assert [c.__qualname__ for c in slotted if c.__dictoffset__ != 0] == []
 
 
-def test_retired_payments_hold_no_hops_or_invoices(thousand_payments):
+def test_retired_payments_hold_no_hops_or_invoices(thousand_payments, corpus_scenarios):
+    """Once a run ends, no payment holds a hop or an invoice: on the
+    1,000-payment world, and on the first 50 corpus documents, where some
+    payments end before going live (no route, or a refused first offer)."""
     engine = Engine(thousand_payments)
     engine.run()
     assert engine.live == {}
     assert [p.idx for p in engine.payments if p.hops or p.hop_count != 1] == []
     assert [p.idx for p in engine.payments if p.invoice is not None] == []
-    assert all(actor.invoices == {} for actor in engine.actors.values())
+    never_live = 0
+    for i, scenario in enumerate(corpus_scenarios):
+        engine = Engine(scenario)
+        engine.run()
+        assert [p.idx for p in engine.payments if p.hops or p.invoice is not None] == [], i
+        never_live += sum(p.started_tick >= 0 and p.hop_count == 0 for p in engine.payments)
+    assert never_live > 10, never_live
 
 
 def test_run_memory_per_payment_is_bounded(thousand_payments):

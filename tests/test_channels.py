@@ -741,7 +741,9 @@ class ChannelMachine(RuleBasedStateMachine):
     channel's compact record. After each add, fulfil, fail, close and
     breach, `recorded_states()` equals that list with the identical `Htlc`
     objects, and each close broadcasts the commitment `_commitment` builds
-    from the oracle's state."""
+    from the oracle's state. After every step, `revoked_balances(side)`
+    gives, for each side, that side's balance in each of the list's revoked
+    states."""
 
     @initialize(fee=st.integers(0, 3), csv=st.integers(1, 6), alice_first=st.booleans())
     def open(self, fee, csv, alice_first):
@@ -897,6 +899,12 @@ class ChannelMachine(RuleBasedStateMachine):
     @invariant()
     def value_is_conserved(self):
         assert conserved(self.ledger)
+
+    @invariant()
+    def revoked_balances_are_the_oracles(self):
+        revoked = self.states[:self.ch.commitment_number]
+        assert list(self.ch.revoked_balances("a")) == [s.balance_a for s in revoked]
+        assert list(self.ch.revoked_balances("b")) == [s.balance_b for s in revoked]
 
     def teardown(self):
         if not hasattr(self, "ch"):

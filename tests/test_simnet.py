@@ -1480,10 +1480,11 @@ class SteppingEngine(engine_mod.Engine):
 
 class ScanningEngine(SteppingEngine):
     """The engine with its per-tick steps scanning every actor, channel and
-    fault on every tick, and with actors learning on-chain preimages only
-    while online: the oracle the indexed steps must match byte for byte.
-    Only what is visited and when a preimage is learned differ; what a
-    visit does is the engine's own code."""
+    fault on every tick, with actors learning on-chain preimages only while
+    online, and with a confirmed spend's hops and a breach's revoked state
+    found by scans: the oracle the indexed steps must match byte for byte.
+    Only what is visited, what is scanned and when a preimage is learned
+    differ; what a visit does is the engine's own code."""
 
     def _active(self, name, kind, tick=None):
         t = self.tick if tick is None else tick
@@ -1562,6 +1563,51 @@ class ScanningEngine(SteppingEngine):
                 for rt in self.actors[name].channels:
                     self._respond(name, rt)
 
+    # Lookups by scan: a confirmed spend's hops among every live payment's
+    # hops, and a breach's best revoked state among every signed state,
+    # rebuilt.
+
+    def _spent_on_chain(self, chan_idx, spend):
+        if spend.kind not in engine_mod.HOP_ENDS:
+            return
+        outcome, reason = engine_mod.HOP_ENDS[spend.kind]
+        if spend.kind == "claim":
+            self._reveal(spend.htlc.payment_hash, spend.args[2])
+        for p in self.live.values():
+            for i, hop in enumerate(p.hops):
+                if (not hop.resolved and hop.chan.idx == chan_idx
+                        and (spend.htlc is None or hop.htlc is spend.htlc)):
+                    self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
+
+    def _ev_breach(self, fidx):
+        fault = self.sc.faults[fidx]
+        cheater = fault.actor
+        if not self._online(cheater):
+            self._schedule(self._recovery(cheater), self._ev_breach, fidx)
+            return
+        mine = self.actors[cheater].channels
+        candidates = mine if fault.channel is None else [self.channels[fault.channel]]
+        best = None
+        for rt in candidates:
+            if rt.channel.closing:
+                continue
+            side = rt.channel.side_of(rt.party(cheater))
+            current = rt.channel.balance_of(rt.party(cheater))
+            revoked = rt.channel.recorded_states()[:rt.channel.commitment_number]
+            for n, state in enumerate(revoked):
+                bal = state.balance_a if side == "a" else state.balance_b
+                if bal > current and (best is None or bal - current > best[0]):
+                    best = (bal - current, rt, n)
+        if best is not None:
+            _, rt, n = best
+            if self._broadcast(
+                rt, cheater, rt.channel.unilateral_close, rt.party(cheater), n,
+                note="breach_broadcasts",
+            ):
+                self.fault_hits[fidx] += 1
+                return
+        self._note("breach_noops")
+
 
 def scanned_and_indexed(doc: dict) -> list[tuple[str, dict]]:
     """`doc`'s report text and metrics from ScanningEngine and Engine. No
@@ -1634,7 +1680,7 @@ def test_indexed_housekeeping_matches_full_scans():
             seen[k] = seen.get(k, 0) + v
     # the runs reach every path the indexes decide
     for metric in ("urgent_closes", "justice_txs", "onchain_claims", "onchain_refunds",
-                   "gossip_drops", "stall_blocks", "crash_requeues"):
+                   "gossip_drops", "stall_blocks", "crash_requeues", "breach_broadcasts"):
         assert seen.get(metric, 0) > 0, (metric, seen)
 
 
@@ -1884,8 +1930,8 @@ def test_settle_on_a_channel_gone_on_chain_runs_in_few_ticks():
 
 class KeepingEngine(engine_mod.Engine):
     """The engine before payments retired: a finished payment stays in
-    `live` with its hops and its recipient's invoice, so a settle or fail
-    still queued for one of its hops runs and finds the hop resolved."""
+    `live` with its hops and its invoice, so a settle or fail still queued
+    for one of its hops runs and finds the hop resolved."""
 
     def _retire(self, p):
         pass
@@ -1900,7 +1946,7 @@ class RetiringEngine(engine_mod.Engine):
         super().__init__(scenario)
 
     def _ev_settle_or_fail(self, pidx, i, settle):
-        self.late["settle" if settle else "fail"] += pidx not in self.live
+        self.late["settle" if settle else "fail"] += not self.payments[pidx].hops
         super()._ev_settle_or_fail(pidx, i, settle)
 
 
@@ -2039,3 +2085,113 @@ def test_open_channels_hold_the_htlcs_of_the_live_hops():
         engine.run()
         held += sum(p.hop_count for p in engine.payments)
     assert held > 1000, held
+
+
+# ------------------------------------------------------------- preimage store
+
+
+class LearningEngine(engine_mod.Engine):
+    """Engine, noting how preimages travel: the hashes claimed on chain,
+    and by actor the hashes of the off-chain fulfils it received."""
+
+    def __init__(self, scenario):
+        self.claimed, self.fulfilled = set(), {}
+        super().__init__(scenario)
+
+    def _spent_on_chain(self, chan_idx, spend):
+        if spend.kind == "claim":
+            self.claimed.add(spend.htlc.payment_hash)
+        super()._spent_on_chain(chan_idx, spend)
+
+    def _resolve_hop(self, p, i, outcome, reason):
+        if outcome == "fulfilled":
+            hop = p.hops[i]
+            self.fulfilled.setdefault(hop.offerer, set()).add(hop.htlc.payment_hash)
+        super()._resolve_hop(p, i, outcome, reason)
+
+
+def test_each_preimage_is_stored_once(monkeypatch):
+    """On the multi-fault meshes (18 actors each, and on-chain claims in
+    three of them), an actor's `secrets` hold only what it learned itself:
+    the secrets of the invoices it made and the preimages of the off-chain
+    fulfils it received. `public` holds exactly the hashes claimed on
+    chain, one entry each."""
+    make_invoice, invoices = engine_mod.make_invoice, []
+
+    def recording(*args):
+        invoice, secret = make_invoice(*args)
+        invoices.append(invoice)
+        return invoice, secret
+
+    monkeypatch.setattr(engine_mod, "make_invoice", recording)
+    rng = random.Random(CORPUS_SEED)
+    engines = []
+    for i in range(MESHES):
+        invoices.clear()
+        engine = LearningEngine(validate_scenario(mesh_doc(rng))[0])
+        engine.run()
+        own = {name: set() for name in engine.actors}
+        for invoice in invoices:
+            own[engine.actor_by_pub[invoice.recipient]].add(invoice.payment_hash)
+        for name, actor in engine.actors.items():
+            assert set(actor.secrets) == own[name] | engine.fulfilled.get(name, set()), (i, name)
+        engines.append(engine)
+    assert [set(engine.public) == engine.claimed for engine in engines] == [True] * MESHES
+    assert sum(len(engine.claimed) for engine in engines) > 20
+
+
+# ------------------------------------------------------------- poll detector
+
+
+class SchedulingCountEngine(engine_mod.Engine):
+    """Engine, counting how often each event is scheduled, keyed by its
+    handler and its int arguments (a hop offer's packet is left out)."""
+
+    def __init__(self, scenario):
+        self.scheduled = Counter()
+        super().__init__(scenario)
+
+    def _schedule(self, tick, handler, *args):
+        self.scheduled[handler.__name__, tuple(a for a in args if isinstance(a, int))] += 1
+        super()._schedule(tick, handler, *args)
+
+
+# The known requeue sites, by document set: how many documents schedule one
+# of their events more than 3 times. A close of a channel holding HTLCs,
+# and a settle that is stalled past the run or meets a channel closing or
+# closed on chain, queue themselves for the next tick until the HTLC
+# resolves (the engine docstring's three exceptions). A count may only fall.
+POLLING_DOCS = {
+    "corpus": {"_ev_settle_or_fail": 23},
+    "race": {"_ev_close": 34, "_ev_settle_or_fail": 14},
+    "meshes": {"_ev_settle_or_fail": 3},
+}
+
+
+def test_no_event_is_scheduled_more_than_three_times():
+    """No event is scheduled more than 3 times in any run of the demos, the
+    acceptance corpus, the race corpus, the multi-fault meshes or the
+    benchmark's star, mesh and churn worlds, except at the requeue sites of
+    POLLING_DOCS and in at most as many documents as it pins there."""
+    scenarios = resources.files("comit.simnet") / "scenarios"
+    rng = random.Random(RACE_SEED)
+    races = [race_doc(rng) for _ in range(RACE_DOCS)]
+    rng = random.Random(CORPUS_SEED)
+    corpora = {
+        "demos": [json.loads((scenarios / name).read_text()) for name in sorted(
+            p.name for p in scenarios.iterdir() if p.name.endswith(".json"))],
+        "corpus": workloads.corpus(workloads.DEFAULT_SEED, 500),
+        "race": races,
+        "meshes": [mesh_doc(rng) for _ in range(MESHES)],
+        "fault-free": [doc for w in ("star", "mesh", "churn")
+                       for doc in workloads.generate(w, workloads.DEFAULT_SEED)],
+    }
+    for name, docs in corpora.items():
+        polling = Counter()
+        for doc in docs:
+            engine = SchedulingCountEngine(validate_scenario(doc)[0])
+            engine.run()
+            polling.update({site for (site, _), n in engine.scheduled.items() if n > 3})
+        pins = POLLING_DOCS.get(name, {})
+        assert {site: n for site, n in polling.items() if n > pins.get(site, 0)} == {}, (
+            name, polling)
