@@ -282,7 +282,7 @@ class Channel:
     __slots__ = ("ledger", "party_a", "party_b", "funding_outpoint", "capacity", "csv_delay",
                  "dust_limit", "phase", "revocation_fn", "state", "_htlc_seq", "_pending_state",
                  "_balances_a", "_htlc_sets", "_closing", "closed_by", "closed_commitment",
-                 "closed_height", "closed_outputs")
+                 "closed_height", "closed_outputs", "close_fees")
 
     def __init__(
         self,
@@ -319,6 +319,9 @@ class Channel:
         self.closed_commitment: Optional[int] = None
         self.closed_height: Optional[int] = None
         self.closed_outputs: list[ClosedOutput] = []
+        # (party_a's, party_b's) share of the fee of the cooperative close
+        # once it is in flight
+        self.close_fees: Optional[tuple[int, int]] = None
         self._record_state(self.state)
 
     # --- identity helpers ----------------------------------------------------
@@ -567,6 +570,7 @@ class Channel:
             (self.funding_outpoint,), outputs, (self.party_a.keypair, self.party_b.keypair)
         )
         self.ledger.submit_tx(tx)
+        self.close_fees = (fee_a, fee_b)
         self._closing = (txid(tx), None, self.state.commitment_number, [])
         self.phase = ChannelPhase.COOPERATIVE_CLOSING
         return tx

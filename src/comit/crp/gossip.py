@@ -2,34 +2,39 @@
 
 LPs advertise their channel endpoints and rate quotes in signed adverts;
 everyone else relays them. Merging is per-origin freshest-timestamp-wins,
-invalid signatures are dropped (and counted), and each node remembers what
-every peer has already seen so deltas stay small and flooding terminates.
-On a connected topology every origin reaches every node in at most
-diameter rounds.
+and invalid signatures are dropped (and counted). On a connected topology
+every origin reaches every node in at most diameter rounds.
 
 `GossipState.exchange` is one push-pull round of anti-entropy between two
-peers (Demers et al., PODC 1987): afterwards both hold the union of their
-stores at the freshest timestamps. `GossipState.version` counts the adverts
-a node has installed: it rises exactly when the store changes, on a fresher
-advert, and never on a stale, duplicate or badly signed one, so a driver
-reads it to see which nodes an exchange taught something. Two peers that
-have just exchanged hold nothing the other lacks: while neither version
-moves, another exchange would send nothing and change neither store, so
-each state keeps, per peer, the two versions of their last exchange, and
-`exchange` returns at once while both still hold.
+peers over whole stores (Demers et al., PODC 1987): this node pushes its
+store into the peer's `gossip_step` and pulls the peer's store back, so
+both end up holding the union at the freshest timestamps.
+`GossipState.version` counts the adverts a node has installed: it rises
+exactly when the store changes, on a fresher advert, and never on a stale,
+duplicate or badly signed one, so a driver reads it to see which nodes an
+exchange taught something.
 
-That per-peer bookkeeping only matters while adverts still spread. Once
-every store holds every advert, `forget_peers` releases it (the
-simulator's engine calls it at convergence). An exchange after that is still
-correct: it resends the whole store once, moves no version, and rebuilds
-the bookkeeping for that peer.
+The version memo is what ends flooding. Two peers that have just exchanged
+hold nothing the other lacks: while neither version moves, another
+exchange would change neither store, so each state keeps, per peer, the
+two versions of their last exchange, and `exchange` returns at once while
+both still hold. An exchange that does run skips, by identity, every
+advert the receiver already holds as that very object, so relaying a
+store costs no signature check for what is already there; any other
+copy, a forged one at the held timestamp included, is verified and
+counted.
+
+The memo only matters while adverts still spread. Once every store holds
+every advert, `forget_peers` releases it (the simulator's engine calls it
+at convergence). An exchange after that is still correct: it sends each
+store once, moves no version, and sets the memo for that peer again.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..chainlab.keys import Signature
 from .identity import NodeKey
@@ -112,75 +117,55 @@ def verify_advert(advert: LpAdvert) -> bool:
 
 
 class GossipState:
-    """One node's advert store plus per-peer bookkeeping."""
+    """One node's advert store plus a per-peer memo of their last exchange."""
 
-    __slots__ = ("own_pubkey", "adverts", "invalid_dropped", "version", "_peer_known", "_exchanged")
+    __slots__ = ("own_pubkey", "adverts", "invalid_dropped", "version", "_exchanged")
 
     def __init__(self, own_pubkey: bytes):
         self.own_pubkey = own_pubkey
         self.adverts: dict[bytes, LpAdvert] = {}
         self.invalid_dropped = 0
         self.version = 0  # adverts installed so far
-        # peer id -> origin -> newest timestamp the peer is known to hold
-        self._peer_known: dict[bytes, dict[bytes, int]] = {}
         # peer id -> (own version, peer's version) after their last exchange
         self._exchanged: dict[bytes, tuple[int, int]] = {}
 
     def insert_local(self, advert: LpAdvert) -> None:
         """Install this node's own (or bootstrap) advert without a peer."""
-        if not verify_advert(advert):
-            self.invalid_dropped += 1
-            return
-        self._merge(advert)
-
-    def _merge(self, advert: LpAdvert) -> None:
-        have = self.adverts.get(advert.node_pubkey)
-        if have is None or advert.timestamp > have.timestamp:
-            self.adverts[advert.node_pubkey] = advert
-            self.version += 1
+        self.gossip_step((advert,))
 
     def forget_peers(self) -> None:
-        """Drop what this node knows of its peers' stores, keeping its own."""
-        self._peer_known.clear()
+        """Drop the memo of past exchanges, keeping the store."""
         self._exchanged.clear()
 
     def advert_set(self) -> list[LpAdvert]:
         return [self.adverts[k] for k in sorted(self.adverts)]
 
-    def gossip_step(
-        self, peer_id: bytes, incoming: Sequence[LpAdvert]
-    ) -> list[LpAdvert]:
-        """Merge `incoming` from peer_id; return the delta to send back.
+    def gossip_step(self, incoming: Iterable[LpAdvert]) -> list[LpAdvert]:
+        """Merge `incoming`; return the adverts it installed.
 
-        The delta contains every held advert the peer is not yet known to
-        have at its freshest timestamp, and the bookkeeping then assumes
-        delivery (re-sends only happen on genuinely fresher data).
-        """
-        known = self._peer_known.setdefault(peer_id, {})
+        An advert that is the very object held for its origin is skipped.
+        Any other is verified: a bad signature is dropped and counted, and a
+        valid advert fresher than the held one replaces it."""
+        installed = []
         for advert in incoming:
+            have = self.adverts.get(advert.node_pubkey)
+            if have is advert:
+                continue
             if not verify_advert(advert):
                 self.invalid_dropped += 1
-                continue
-            self._merge(advert)
-            if advert.timestamp > known.get(advert.node_pubkey, -1):
-                known[advert.node_pubkey] = advert.timestamp
-        delta = [
-            advert
-            for origin, advert in sorted(self.adverts.items())
-            if known.get(origin, -1) < advert.timestamp
-        ]
-        for advert in delta:
-            known[advert.node_pubkey] = advert.timestamp
-        return delta
+            elif have is None or advert.timestamp > have.timestamp:
+                self.adverts[advert.node_pubkey] = advert
+                self.version += 1
+                installed.append(advert)
+        return installed
 
     def exchange(self, peer: "GossipState") -> None:
-        """Push this node's news to `peer` and pull the peer's back, so
+        """Push this node's store to `peer` and pull the peer's back, so
         both stores end up holding the union at the freshest timestamps.
         A no-op while neither version has moved since their last exchange."""
         if self._exchanged.get(peer.own_pubkey) == (self.version, peer.version):
             return
-        back = peer.gossip_step(self.own_pubkey, self.gossip_step(peer.own_pubkey, []))
-        if back:
-            self.gossip_step(peer.own_pubkey, back)
+        peer.gossip_step(self.adverts.values())
+        self.gossip_step(peer.adverts.values())
         self._exchanged[peer.own_pubkey] = (self.version, peer.version)
         peer._exchanged[self.own_pubkey] = (peer.version, self.version)

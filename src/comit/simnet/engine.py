@@ -32,12 +32,14 @@ Every channel transaction goes on chain through `_broadcast`, and what is
 spent is read from the ledger alone. A close or breach that meets a close in
 flight (its funding outpoint no longer spendable) or that the chain refuses
 is a no-op. `pending_txs` maps the txid of each broadcast still in the
-mempool to its broadcaster, its channel and the `respond` spend it carries,
-if any. The block that confirms it credits the fee the ledger burned for it
-and passes the spend to `_spent_on_chain`, the one path from a confirmed
-spend to its hops: a claim puts its preimage in `public`, which every actor
-knows, in that block and settles its hop, a refund ends its hop, and a
-justice transaction ends every hop of its channel.
+mempool to its broadcaster (None for a cooperative close, whose fee each
+party pays the share `Channel.cooperative_close` charged it), its channel
+and the `respond` spend it carries, if any. The block that confirms it
+credits the fee the ledger burned for it to whoever paid it and passes the
+spend to `_spent_on_chain`, the one path from a confirmed spend to its
+hops: a claim puts its preimage in `public`, which every actor knows, in
+that block and settles its hop, a refund ends its hop, and a justice
+transaction ends every hop of its channel.
 
 A payment retires once it is terminal and every hop of it is resolved:
 `_cascade` drops it from `live`, and it lets go of its `HopLive` records
@@ -50,9 +52,10 @@ LP adverts are issued once, at tick 0. Each executed tick ends with a gossip
 round over every channel in index order (`GossipState.exchange`) until every
 actor holds every LP's advert; after that no store changes, and gossip
 leaves the tick loop. State ends with its last reader: at convergence every
-actor's gossip state forgets its peers (`GossipState.forget_peers`), since
-no exchange runs after that, and once the tick loop ends `run` empties the
-route-graph cache `graphs`, whose one reader is `_ev_payment_start`.
+actor's gossip state drops its memo of the last exchange with each peer
+(`GossipState.forget_peers`), since no exchange runs after that, and once
+the tick loop ends `run` empties the route-graph cache `graphs`, whose one
+reader is `_ev_payment_start`.
 
 The clock jumps. After each tick it executes, `run` moves the clock to the
 next tick at which anything can happen (`_next_tick`): the queue head, the
@@ -238,8 +241,9 @@ class Engine:
         self.violations: list[str] = []
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
-        # txid -> (broadcaster, channel index, `respond` spend or None)
-        self.pending_txs: dict[bytes, tuple[str, int, Optional[Spend]]] = {}
+        # txid -> (broadcaster, None for a cooperative close; channel index;
+        # `respond` spend or None)
+        self.pending_txs: dict[bytes, tuple[Optional[str], int, Optional[Spend]]] = {}
         self.gossip_converged_tick = -1
         # Until this tick, gossip that has not converged keeps the run going.
         self.gossip_end = 3 * len(scenario.actors) + 3
@@ -440,13 +444,14 @@ class Engine:
         """The first tick at which chain `cid` is at `height` or above."""
         return max(0, height - self.start_heights[cid]) * self.ledgers[cid].params.block_interval
 
-    def _broadcast(self, rt: ChanRt, actor: str, build, *args, note: str = "",
+    def _broadcast(self, rt: ChanRt, actor: Optional[str], build, *args, note: str = "",
                    spend: Optional[Spend] = None) -> bool:
-        """`actor` puts a transaction of channel `rt` on chain: `build(*args)`
-        builds it and submits it to the ledger. The block that confirms it
-        hands `spend`, the `respond` spend it is, to `_spent_on_chain`.
-        Returns False, noting and tracking nothing, when the channel or the
-        ledger refuses it."""
+        """`actor`, or both parties of a cooperative close when None, puts a
+        transaction of channel `rt` on chain: `build(*args)` builds it and
+        submits it to the ledger. The block that confirms it hands `spend`,
+        the `respond` spend it is, to `_spent_on_chain`. Returns False,
+        noting and tracking nothing, when the channel or the ledger refuses
+        it."""
         try:
             tx = build(*args)
         except (ChannelError, TxRejected, ValueError):
@@ -660,7 +665,8 @@ class Engine:
     def _note_convergence(self) -> None:
         """Every LP's advert is issued at timestamp 0 and installed once, so
         gossip has converged when every actor has installed one per LP. No
-        exchange runs after that, so each actor then forgets its peers."""
+        exchange runs after that, so each actor then drops its per-peer
+        exchange memo."""
         lps = sum(a.kind == "lp" for a in self.actors.values())
         if all(a.gossip.version == lps for a in self.actors.values()):
             self.gossip_converged_tick = self.tick
@@ -708,13 +714,21 @@ class Engine:
         for height in wake_heights(rt.channel):
             self._due_at(rt.idx, self._tick_of(rt.chain_id, height))
 
-    def _confirmed(self, cid: str, fee: int, name: str, chan_idx: int,
+    def _confirmed(self, cid: str, fee: int, name: Optional[str], chan_idx: int,
                    spend: Optional[Spend]) -> None:
-        """Credit a broadcast confirmed on `cid` the fee it burned; end the
-        hops its spend ends."""
-        if fee:
-            actor = self.actors[name]
-            actor.bump(actor.fees, self.ledgers[cid].params.asset_id, fee)
+        """Credit a broadcast confirmed on `cid` the fee it burned: its
+        broadcaster `name` paid it all, or each party of a cooperative close
+        (`name` None) the share the channel charged it. End the hops its
+        spend ends."""
+        if name is None:
+            rt = self.channels[chan_idx]
+            shares = zip(rt.names, rt.channel.close_fees)
+        else:
+            shares = ((name, fee),)
+        for payer, share in shares:
+            if share:
+                actor = self.actors[payer]
+                actor.bump(actor.fees, self.ledgers[cid].params.asset_id, share)
         if spend is not None:
             self._spent_on_chain(chan_idx, spend)
 
@@ -880,7 +894,7 @@ class Engine:
         height = self.ledgers[hop.chan.chain_id].height
         try:
             payload, next_packet = onion_peel(packet, recv.node_key)
-            if payload.next_node is None:
+            if next_packet is None:  # the MAC chain, not the payload, marks the last hop
                 # only the payment's recipient made an invoice for its hash
                 invoice = p.invoice if hop.receiver == p.spec.recipient else None
                 check_delivery(payload, invoice, hop.htlc.amount, hop.htlc.expiry_height, height)
@@ -994,7 +1008,7 @@ class Engine:
         if rt.channel.pending_htlcs:
             self._schedule(self.tick + 1, self._ev_close, cidx)
             return
-        self._broadcast(rt, a, rt.channel.cooperative_close)
+        self._broadcast(rt, None, rt.channel.cooperative_close)
 
     def _ev_breach(self, fidx: int) -> None:
         fault = self.sc.faults[fidx]

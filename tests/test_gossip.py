@@ -76,7 +76,7 @@ def test_signing_bytes_built_once_per_advert(rng, monkeypatch):
     monkeypatch.setattr(gossip_mod, "advert_signing_bytes", counting)
     nodes = [GossipState(NodeKey.generate(rng).pubkey) for _ in range(20)]
     for node in nodes:
-        node.gossip_step(b.pubkey, [advert])
+        node.gossip_step([advert])
         assert node.adverts == {a.pubkey: advert}
     assert calls == []
     for field, value in (("timestamp", 10), ("endpoints", ()),
@@ -84,7 +84,7 @@ def test_signing_bytes_built_once_per_advert(rng, monkeypatch):
         tampered = replace(advert, **{field: value})
         assert tampered.signing_bytes != advert.signing_bytes
         assert not verify_advert(tampered)
-        assert nodes[0].gossip_step(b.pubkey, [tampered]) == []
+        assert nodes[0].gossip_step([tampered]) == []
     assert len(calls) == 3
     assert nodes[0].invalid_dropped == 3 and nodes[0].adverts == {a.pubkey: advert}
     assert advert.signing_bytes == build(advert.node_pubkey, advert.endpoints,
@@ -96,7 +96,7 @@ def test_invalid_adverts_dropped_and_counted(rng):
     state = GossipState(c.pubkey)
     good = sample_advert(a, b, timestamp=5)
     bad = wrong_mac(sample_advert(b, a, timestamp=5))
-    state.gossip_step(a.pubkey, [good, bad])
+    state.gossip_step([good, bad])
     assert [adv.node_pubkey for adv in state.advert_set()] == sorted([a.pubkey])
     assert state.invalid_dropped == 1
 
@@ -107,21 +107,21 @@ def test_freshest_timestamp_wins_regardless_of_arrival_order(rng):
     older = sample_advert(a, b, timestamp=10, capacity=999)
 
     state = GossipState(c.pubkey)
-    state.gossip_step(b.pubkey, [newer, older])
+    state.gossip_step([newer, older])
     assert state.adverts[a.pubkey].timestamp == 20
     assert state.version == 1  # the stale one installed nothing
 
     state2 = GossipState(c.pubkey)
-    state2.gossip_step(b.pubkey, [older])
+    state2.gossip_step([older])
     assert state2.version == 1
-    state2.gossip_step(b.pubkey, [newer])
+    state2.gossip_step([newer])
     assert state2.adverts[a.pubkey].timestamp == 20
     assert state2.adverts[a.pubkey].endpoints[0].capacity == 111
     assert state2.version == 2
     # version moves only when an advert is installed
     forged = wrong_mac(sample_advert(a, b, timestamp=30))
     for incoming in ([older], [newer], [forged]):
-        state2.gossip_step(b.pubkey, incoming)
+        state2.gossip_step(incoming)
         assert state2.version == 2
     state2.insert_local(forged)
     assert state2.version == 2 and state2.invalid_dropped == 2
@@ -129,19 +129,16 @@ def test_freshest_timestamp_wins_regardless_of_arrival_order(rng):
     assert state2.version == 3
 
 
-def _run_rounds(keys, states, neighbors, rounds):
-    """Synchronous gossip: deltas computed this round arrive next round."""
-    inbox = {i: {j: [] for j in neighbors[i]} for i in range(len(keys))}
+def _run_rounds(states, neighbors, rounds):
+    """Synchronous gossip: each round, every node pushes the store it held
+    at the round's start to each neighbour. Returns what the last round
+    installed, one list per push."""
+    installed = []
     for _ in range(rounds):
-        outgoing = []
-        for i in range(len(keys)):
-            for j in neighbors[i]:
-                delta = states[i].gossip_step(keys[j].pubkey, inbox[i][j])
-                inbox[i][j] = []
-                outgoing.append((j, i, delta))
-        for j, i, delta in outgoing:
-            inbox[j][i].extend(delta)
-    return inbox
+        stores = [list(state.adverts.values()) for state in states]
+        installed = [states[j].gossip_step(stores[i])
+                     for i in range(len(states)) for j in neighbors[i]]
+    return installed
 
 
 def _exchange_rounds(states, channels, rounds):
@@ -153,21 +150,21 @@ def _exchange_rounds(states, channels, rounds):
 
 
 def _assert_quiet_exchanges(states, channels):
-    """Converged nodes send each other nothing: a further round of
-    exchanges moves no version and leaves no delta pending."""
+    """Converged nodes teach each other nothing: a further round of
+    exchanges moves no version, and neither end of a channel installs
+    anything from the other's store."""
     versions = [s.version for s in states]
     _exchange_rounds(states, channels, rounds=1)
     assert [s.version for s in states] == versions
     for i, j in channels:
-        assert states[i].gossip_step(states[j].own_pubkey, []) == []
-        assert states[j].gossip_step(states[i].own_pubkey, []) == []
+        assert states[i].gossip_step(states[j].adverts.values()) == []
+        assert states[j].gossip_step(states[i].adverts.values()) == []
 
 
 def test_ring_converges_within_diameter_rounds(rng):
-    """Both ways of driving gossip converge on a ring within its diameter,
-    plus one round for synchronous deltas still in flight, and then go
-    quiet: synchronous rounds of gossip_step, and rounds of exchange in
-    channel order."""
+    """Both ways of driving gossip converge on a ring within its diameter
+    and then go quiet: synchronous rounds of store pushes, and rounds of
+    exchange in channel order."""
     n = 6
     keys = [NodeKey.generate(rng) for _ in range(n)]
     neighbors = {i: ((i - 1) % n, (i + 1) % n) for i in range(n)}
@@ -179,8 +176,8 @@ def test_ring_converges_within_diameter_rounds(rng):
             states[i].insert_local(sample_advert(k, keys[(i + 1) % n], timestamp=1))
 
         if synchronous:
-            # adverts move one hop per round; +1 round to flush the last inboxes
-            inbox = _run_rounds(keys, states, neighbors, rounds=n // 2 + 1)
+            # adverts move one hop per round
+            _run_rounds(states, neighbors, rounds=n // 2)
         else:
             _exchange_rounds(states, channels, rounds=n // 2)
         for state in states:
@@ -190,14 +187,10 @@ def test_ring_converges_within_diameter_rounds(rng):
         if not synchronous:
             _assert_quiet_exchanges(states, channels)
             continue
-        # once converged the network goes quiet: no deltas in flight
-        for _ in range(2):
-            quiet = []
-            for i in range(n):
-                for j in neighbors[i]:
-                    quiet.append(states[i].gossip_step(keys[j].pubkey, inbox[i][j]))
-                    inbox[i][j] = []
-            assert all(d == [] for d in quiet)
+        # once converged the network goes quiet: a further round installs nothing
+        versions = [s.version for s in states]
+        assert all(d == [] for d in _run_rounds(states, neighbors, rounds=1))
+        assert [s.version for s in states] == versions
 
 
 def test_exchange_leaves_both_with_the_freshest_union(rng):
@@ -214,7 +207,7 @@ def test_exchange_leaves_both_with_the_freshest_union(rng):
         for advert in adverts:
             state.insert_local(advert)
     forged = wrong_mac(sample_advert(a, b, timestamp=9))
-    gb.gossip_step(x.pubkey, [forged])
+    gb.gossip_step([forged])
     assert (ga.version, gb.version) == (2, 2)
 
     ga.exchange(gb)
@@ -258,7 +251,7 @@ def test_repeat_exchange_makes_no_gossip_step_call(rng, monkeypatch):
     assert gb.adverts[a.pubkey] is fresher and gb.version == 3
     calls.clear()
     ga.exchange(gb)
-    assert calls == [a.pubkey, b.pubkey, a.pubkey]
+    assert calls == [b.pubkey, a.pubkey]
     assert ga.adverts[a.pubkey] is fresher and ga.advert_set() == gb.advert_set()
     calls.clear()
     gb.exchange(ga)
@@ -275,7 +268,7 @@ def test_exchange_after_forget_peers(rng):
     ga.insert_local(sample_advert(a, b, timestamp=1))
     gb.insert_local(sample_advert(b, a, timestamp=1))
     gb.insert_local(sample_advert(x, a, timestamp=1))
-    ga.gossip_step(x.pubkey, [wrong_mac(sample_advert(x, b, timestamp=5))])
+    ga.gossip_step([wrong_mac(sample_advert(x, b, timestamp=5))])
     ga.exchange(gb)
     counts = (ga.version, gb.version, ga.invalid_dropped, gb.invalid_dropped)
     assert counts == (3, 3, 1, 0)
@@ -283,7 +276,7 @@ def test_exchange_after_forget_peers(rng):
     def forget():
         for state in (ga, gb):
             state.forget_peers()
-            assert state._peer_known == {} and state._exchanged == {}
+            assert state._exchanged == {}
 
     for first, second in ((ga, gb), (gb, ga)):
         forget()
@@ -305,10 +298,10 @@ def test_refreshed_advert_floods_and_replaces(rng):
     neighbors = {i: ((i - 1) % n, (i + 1) % n) for i in range(n)}
     for i, k in enumerate(keys):
         states[i].insert_local(sample_advert(k, keys[(i + 1) % n], timestamp=1))
-    _run_rounds(keys, states, neighbors, rounds=n // 2 + 1)
+    _run_rounds(states, neighbors, rounds=n // 2 + 1)
 
     states[0].insert_local(sample_advert(keys[0], keys[1], timestamp=7, capacity=42))
-    _run_rounds(keys, states, neighbors, rounds=n // 2 + 1)
+    _run_rounds(states, neighbors, rounds=n // 2 + 1)
     for state in states:
         held = state.adverts[keys[0].pubkey]
         assert held.timestamp == 7
@@ -335,7 +328,7 @@ def test_random_topologies_converge(rng):
         neighbors = {i: tuple(sorted(adj[i])) for i in range(n)}
         for i, k in enumerate(keys):
             states[i].insert_local(sample_advert(k, keys[(i + 1) % n], timestamp=1))
-        _run_rounds(keys, states, neighbors, rounds=n + 1)
+        _run_rounds(states, neighbors, rounds=n + 1)
         everyone = sorted(k.pubkey for k in keys)
         assert all(sorted(s.adverts) == everyone for s in states), trial
 

@@ -1,0 +1,186 @@
+"""Small-scope exhaustive fault search: every fault placement of a small
+grid on line worlds whose every hop is on its own chain, checked hop by hop.
+
+Most defects show up in some small instance, so check every small instance
+(Jackson, *Software Abstractions*, MIT Press 2006). The grid, with no random
+draws:
+
+- line worlds of 2 and 3 hops: ann pays beth through one or two LPs, hop i
+  on chain `c<i>` in asset `coin<i>`, each LP converting 1:1 at a base fee;
+- each chain's block interval from INTERVALS;
+- one fault placement: none, one window fault (WINDOW_FAULTS) on the payee
+  or a forwarder at each of STARTS for each of DURATIONS, or one
+  `broadcast-revoked` per channel by its party_a once the payment settled;
+- with each placement, no sender fault or an ann crash at each of
+  SENDER_CRASHES.
+
+Each run goes through `KeepingEngine`, which never retires a payment, so
+every hop is still there to audit. A run passes when its report has no
+violation, every payment is terminal, every chain conserves its coins, and
+no honest forwarder's outgoing hop settled while its incoming hop neither
+settled nor ended in justice.
+
+Two tests read the same runs. Where no forwarder's outgoing chain mines
+slower than its incoming one, every run passes; the whole grid, where a
+slower outgoing chain lets a forwarder pay out unpaid (ROADMAP item 1), is
+a strict xfail that lists the failing placements. Tier-1 runs every
+SLICE-th run of the grid. The whole grid, with each failing run listed:
+
+    PYTHONPATH=src python tests/test_small_scope.py --full
+"""
+
+import functools
+import itertools
+import sys
+
+import pytest
+
+from comit.simnet import validate_scenario
+from comit.simnet.report import build_report
+from comit.swap import SETTLED
+from test_simnet import KeepingEngine
+
+INTERVALS = (1, 2, 5, 10)
+WINDOW_FAULTS = ("crash", "stall-secret", "refuse-forward")
+STARTS = (0, 5, 7, 10)
+DURATIONS = (5, 10, 20, 60)
+SENDER_CRASHES = (10, 15, 20)
+BREACH_TICK = 20
+SLICE = 50  # tier-1 runs every SLICE-th run, 885 of 44,224: about 2 s
+
+
+def line_doc(intervals: tuple[int, ...], faults: list[dict]) -> dict:
+    """ann pays beth 10,000 through len(intervals) - 1 LPs; hop i is on
+    chain c<i>, which mines every intervals[i] ticks."""
+    names = ["ann", *(f"lp{i}" for i in range(1, len(intervals))), "beth"]
+    return {
+        "seed": 3,
+        "max_ticks": 600,
+        "chains": [
+            {"chain_id": f"c{i}", "asset": f"coin{i}", "hash_fns": ["SHA256"],
+             "block_interval": interval, "genesis": {names[i]: 50000, names[i + 1]: 50000}}
+            for i, interval in enumerate(intervals)
+        ],
+        "actors": [{"name": name, "kind": "user" if name == "ann" else
+                    "business" if name == "beth" else "lp"} for name in names],
+        "channels": [
+            {"chain_id": f"c{i}", "party_a": names[i], "party_b": names[i + 1],
+             "fund_a": 20000, "fund_b": 20000}
+            for i in range(len(intervals))
+        ],
+        "quotes": [
+            {"node": names[i], "asset_in": f"coin{i - 1}", "asset_out": f"coin{i}",
+             "rate_num": 1, "rate_den": 1, "base_fee": 2, "fee_ppm": 0}
+            for i in range(1, len(intervals))
+        ],
+        "payments": [{"at_tick": 5, "sender": "ann", "recipient": "beth",
+                      "amount": 10000, "asset": f"coin{len(intervals) - 1}"}],
+        "faults": faults,
+    }
+
+
+def placements(hops: int) -> list[tuple[dict, ...]]:
+    """The fault placements of a `hops`-hop line, each a tuple of faults."""
+    names = ["ann", *(f"lp{i}" for i in range(1, hops)), "beth"]
+    window = [
+        ({"kind": kind, "actor": actor, "at_tick": start,
+          **({"duration": length} if kind == "crash" else {"until_tick": start + length})},)
+        for kind, actor, start, length in itertools.product(
+            WINDOW_FAULTS, names[1:], STARTS, DURATIONS)
+    ]
+    breaches = [({"kind": "broadcast-revoked", "actor": names[i], "at_tick": BREACH_TICK,
+                  "channel": i},) for i in range(hops)]
+    return [(), *window, *breaches]
+
+
+def grid() -> list[tuple[tuple[int, ...], tuple[dict, ...]]]:
+    """Every (block intervals, faults) run, in a fixed order."""
+    senders = [(), *(({"kind": "crash", "actor": "ann", "at_tick": at, "duration": 20},)
+                     for at in SENDER_CRASHES)]
+    return [
+        (intervals, placed + sender)
+        for hops in (2, 3)
+        for intervals in itertools.product(INTERVALS, repeat=hops)
+        for placed in placements(hops)
+        for sender in senders
+    ]
+
+
+def no_slower_outgoing(intervals: tuple[int, ...]) -> bool:
+    """Every forwarder's outgoing chain mines at least as often as its
+    incoming one."""
+    return all(out <= inc for inc, out in zip(intervals, intervals[1:]))
+
+
+def problems(intervals: tuple[int, ...], faults: tuple[dict, ...]) -> list[str]:
+    """What goes wrong in one run: its violations, payments left pending,
+    chains that do not conserve their coins, and honest forwarders paid
+    out unpaid."""
+    scenario, errors = validate_scenario(line_doc(intervals, list(faults)))
+    assert errors == [], errors
+    engine = KeepingEngine(scenario)
+    engine.run()
+    report = build_report(engine)
+    found = list(report["violations"])
+    found += [f"payment {p['index']} pending" for p in report["payments"]
+              if p["status"] == "pending"]
+    found += [f"chain {cid} does not conserve" for cid, c in report["chains"].items()
+              if c["utxo_total"] + c["burned"] != c["genesis_total"]]
+    for p in engine.payments:
+        for incoming, outgoing in zip(p.hops, p.hops[1:]):
+            if (report["actors"][outgoing.offerer]["honest"] and outgoing.resolved in SETTLED
+                    and incoming.resolved not in (*SETTLED, "justice")):
+                found.append(f"{outgoing.offerer} paid out unpaid: outgoing "
+                             f"{outgoing.resolved}, incoming {incoming.resolved or 'open'}")
+    return found
+
+
+def failures(runs) -> list[tuple[tuple[int, ...], str]]:
+    """The intervals of each failing run, with one line naming its faults
+    and what went wrong."""
+    found = []
+    for intervals, faults in runs:
+        wrong = problems(intervals, faults)
+        if wrong:
+            placed = ", ".join(
+                f"{f['actor']} {f['kind']} at {f['at_tick']}"
+                + (f" for {f['duration']}" if f.get("duration") else "")
+                + (f" until {f['until_tick']}" if "until_tick" in f else "")
+                for f in faults) or "no fault"
+            found.append((intervals, f"intervals {intervals}, {placed}: {'; '.join(wrong)}"))
+    return found
+
+
+@functools.cache
+def sliced_failures() -> list[tuple[tuple[int, ...], str]]:
+    """`failures` of every SLICE-th run of the grid, which both tests read."""
+    return failures(grid()[::SLICE])
+
+
+def test_grid_with_no_slower_outgoing_chain_loses_nothing():
+    """Where no forwarder's outgoing chain mines slower than its incoming
+    one, every placement passes every check. This is the region item 1's
+    fix must keep safe."""
+    bad = [line for intervals, line in sliced_failures() if no_slower_outgoing(intervals)]
+    assert bad == [], "\n".join(bad)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the expiry "
+                   "ladder counts blocks of each hop's own chain, so a slower outgoing chain "
+                   "lets a forwarder pay out unpaid")
+def test_grid_loses_nothing():
+    bad = [line for _, line in sliced_failures()]
+    assert bad == [], "\n".join(bad)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--full"]:
+        sys.exit("usage: python tests/test_small_scope.py --full")
+    runs = grid()
+    bad = failures(runs)
+    safe = sum(no_slower_outgoing(intervals) for intervals, _ in runs)
+    bad_safe = sum(no_slower_outgoing(intervals) for intervals, _ in bad)
+    print("\n".join(line for _, line in bad))
+    print(f"{bad_safe} of {safe} runs with no slower outgoing chain fail; "
+          f"{len(bad) - bad_safe} of {len(runs) - safe} others fail")
+    sys.exit(1 if bad else 0)
