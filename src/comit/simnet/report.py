@@ -5,13 +5,19 @@ sorted, every value is an int, bool, or string, and nothing time- or
 machine-dependent goes in. The exit status of the CLI is derived from the
 `violations` list, so a clean report means every invariant held for the
 whole run.
+
+A report is plain dicts and lists. Each payment, channel and actor row is
+the instance `__dict__` of a small row class, so the rows of a kind share
+one key table and a long payment list costs about a third of what dict
+literals would. A built row must not gain keys: the first added key gives
+that row a table of its own.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .engine import Engine
+from .engine import ActorState, ChanRt, Engine, PayRt
 
 
 def _no_loss(initial, final, settled_in, settled_out, fees) -> bool:
@@ -26,6 +32,51 @@ def _no_loss(initial, final, settled_in, settled_out, fees) -> bool:
         if final.get(asset, 0) < floor:
             return False
     return True
+
+
+# `vars()` of a row class instance is one report row. Each `__init__` sets
+# every key, always in the same order: that is what lets a kind's rows share
+# their class's key table (PEP 412).
+
+
+class _PaymentRow:
+    def __init__(self, p: PayRt) -> None:
+        spec = p.spec
+        self.index = p.idx
+        self.sender = spec.sender
+        self.recipient = spec.recipient
+        self.asset = spec.asset
+        self.amount = spec.amount
+        self.status = p.status
+        self.reason = p.reason
+        self.cost = p.cost
+        self.hops = p.hop_count
+        self.started_tick = p.started_tick
+        self.resolved_tick = p.resolved_tick
+
+
+class _ChannelRow:
+    def __init__(self, rt: ChanRt) -> None:
+        channel = rt.channel
+        self.index = rt.idx
+        self.chain_id = rt.chain_id
+        self.party_a, self.party_b = rt.names
+        self.phase = channel.phase.value
+        self.updates = channel.commitment_number
+        self.closed_by = channel.closed_by or ""
+
+
+class _ActorRow:
+    def __init__(self, actor: ActorState, honest: bool, initial: dict, final: dict,
+                 ok: bool) -> None:
+        self.kind = actor.kind
+        self.honest = honest
+        self.initial = dict(sorted(initial.items()))
+        self.final = dict(sorted(final.items()))
+        self.settled_in = dict(sorted(actor.settled_in.items()))
+        self.settled_out = dict(sorted(actor.settled_out.items()))
+        self.fees_authorized = dict(sorted(actor.fees.items()))
+        self.no_loss = ok
 
 
 def build_report(engine: Engine) -> dict:
@@ -48,16 +99,7 @@ def build_report(engine: Engine) -> dict:
             violations.append(
                 f"no-honest-loss: actor {name!r} ended below its entitled balance"
             )
-        actors[name] = {
-            "kind": actor.kind,
-            "honest": honest,
-            "initial": dict(sorted(initial.items())),
-            "final": dict(sorted(final.items())),
-            "settled_in": dict(sorted(actor.settled_in.items())),
-            "settled_out": dict(sorted(actor.settled_out.items())),
-            "fees_authorized": dict(sorted(actor.fees.items())),
-            "no_loss": ok,
-        }
+        actors[name] = vars(_ActorRow(actor, honest, initial, final, ok))
 
     chains = {}
     for cid, led in engine.ledgers.items():
@@ -70,37 +112,8 @@ def build_report(engine: Engine) -> dict:
             "utxo_total": led.total_utxo_value(),
         }
 
-    payments = []
-    for p in engine.payments:
-        payments.append(
-            {
-                "index": p.idx,
-                "sender": p.spec.sender,
-                "recipient": p.spec.recipient,
-                "asset": p.spec.asset,
-                "amount": p.spec.amount,
-                "status": p.status,
-                "reason": p.reason,
-                "cost": p.cost,
-                "hops": p.hop_count,
-                "started_tick": p.started_tick,
-                "resolved_tick": p.resolved_tick,
-            }
-        )
-
-    channels = []
-    for rt in engine.channels:
-        channels.append(
-            {
-                "index": rt.idx,
-                "chain_id": rt.chain_id,
-                "party_a": rt.names[0],
-                "party_b": rt.names[1],
-                "phase": rt.channel.phase.value,
-                "updates": rt.channel.commitment_number,
-                "closed_by": rt.channel.closed_by or "",
-            }
-        )
+    payments = [vars(_PaymentRow(p)) for p in engine.payments]
+    channels = [vars(_ChannelRow(rt)) for rt in engine.channels]
 
     faults = []
     for i, f in enumerate(sc.faults):

@@ -149,7 +149,7 @@ def _genesis(obj: dict, where: str, d: _Diags) -> tuple[tuple[str, int], ...]:
     return tuple(genesis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainSpec:
     chain_id: str = _schema(cap=True)
     asset: str = _schema(cap=True)
@@ -159,13 +159,13 @@ class ChainSpec:
     genesis: tuple[tuple[str, int], ...] = _schema(parse=_genesis)  # sorted by actor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorSpec:
     name: str = _schema()
     kind: str = _schema(choices=("business", "lp", "user"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelSpec:
     chain_id: str = _schema(ref="chain")
     party_a: str = _schema(ref="actor")
@@ -177,7 +177,7 @@ class ChannelSpec:
     dust_limit: int = _schema(default=0, lo=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuoteSpec:
     node: str = _schema(ref="lp")
     asset_in: str = _schema(cap=True, ref="asset")
@@ -188,7 +188,7 @@ class QuoteSpec:
     fee_ppm: int = _schema(default=0, lo=0, hi=PPM - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaymentSpec:
     at_tick: int = _schema(lo=0, before_end=True)
     sender: str = _schema(ref="actor")
@@ -198,7 +198,7 @@ class PaymentSpec:
     hash_fn: Optional[HashFnId] = _schema(default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultSpec:
     kind: str = _schema()
     actor: str = _schema(ref="actor")
@@ -208,13 +208,13 @@ class FaultSpec:
     channel: Optional[int]  # broadcast-revoked only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CloseSpec:
     at_tick: int = _schema(lo=0, before_end=True)
     channel: int = _schema(lo=0, ref="channel")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     seed: int = _schema(lo=0, hi=2**64 - 1)
     # a height stays within a u32 (a script's timelock) up to this tick
@@ -233,7 +233,8 @@ class Scenario:
         no string of the whole scenario is ever built."""
         h = hashlib.sha256()
         opening = "{"
-        for name, value in sorted(vars(self).items()):
+        for name in sorted(self.__slots__):
+            value = getattr(self, name)
             h.update(f"{opening}{_ENCODE(name)}: ".encode())
             opening = ", "
             if not isinstance(value, tuple):
@@ -251,12 +252,14 @@ class Scenario:
 def _plain(obj: Any) -> Any:
     """json's `default` hook for `Scenario.digest`: a spec is its fields, a
     hash function its name, and a chain's genesis an actor -> amount object,
-    so every field of every spec is in the digest without being listed."""
+    so every field of every spec is in the digest without being listed. A
+    slotted dataclass's `__slots__` names its fields."""
     if isinstance(obj, HashFnId):
         return obj.value
+    plain = {name: getattr(obj, name) for name in obj.__slots__}
     if isinstance(obj, ChainSpec):
-        return {**vars(obj), "genesis": dict(obj.genesis)}
-    return vars(obj)
+        plain["genesis"] = dict(obj.genesis)
+    return plain
 
 
 # Built once: json.dumps with keyword arguments builds a fresh encoder per

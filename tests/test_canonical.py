@@ -4,6 +4,9 @@
 `json.dumps` calls they replace; those calls stay here as their oracles.
 The memory guards use `tracemalloc`, so they count allocations and not
 time, and hold on any machine.
+
+`PYTHONPATH=src python tests/test_canonical.py --phases` prints the bytes
+each phase of a run holds on the benchmark's default-seed worlds.
 """
 
 import ast
@@ -28,9 +31,9 @@ from comit.channels import Channel, ChannelParty, open_channel
 from comit.crp import GossipState
 from comit.simnet import run_scenario, validate_scenario
 from comit.simnet.engine import Engine
-from comit.simnet.report import report_json
-from comit.simnet.scenario import _plain
-from test_acceptance import random_scenario
+from comit.simnet.report import build_report, report_json
+from comit.simnet.scenario import ChainSpec
+from test_acceptance import load_bench, random_scenario
 from test_simnet import DEMO_DIGESTS, demo_report, demo_scenario, minimal_doc, star_doc
 
 
@@ -38,8 +41,21 @@ def oracle_json(report) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def oracle_plain(obj):
+    """`Scenario.digest`'s view of a value json cannot write: a spec is its
+    dataclass fields, a hash function its value, and a chain's genesis an
+    actor -> amount object."""
+    if isinstance(obj, HashFnId):
+        return obj.value
+    plain = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, ChainSpec):
+        plain["genesis"] = dict(obj.genesis)
+    return plain
+
+
 def oracle_digest(scenario) -> str:
-    return hashlib.sha256(json.dumps(scenario, sort_keys=True, default=_plain).encode()).hexdigest()
+    text = json.dumps(scenario, sort_keys=True, default=oracle_plain)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def has_float(obj) -> bool:
@@ -198,20 +214,15 @@ def record_classes() -> dict[str, list[type]]:
     return out
 
 
-def test_records_are_slotted_except_the_scenario_specs():
-    """A record made per payment, channel update or UTXO carries no
-    instance `__dict__`, nor do the two plain classes made once per channel
-    and once per actor. The scenario specs keep theirs: `Scenario.digest`
-    reads them through `vars()`."""
-    records = record_classes()
-    specs = records.pop("comit.simnet.scenario")
-    assert len(specs) == 8
-    assert all(c.__dictoffset__ != 0 for c in specs)
-    slotted = [c for classes in records.values() for c in classes]
-    assert len(slotted) == 38, [c.__name__ for c in slotted]
+def test_every_record_is_slotted():
+    """A record made per payment, channel update, UTXO or scenario entry
+    carries no instance `__dict__`, nor do the two plain classes made once
+    per channel and once per actor."""
+    records = [c for classes in record_classes().values() for c in classes]
+    assert len(records) == 46, [c.__name__ for c in records]
     # an Outpoint is a tuple, not a dataclass, and has no __dict__ either
-    slotted += [Outpoint, Channel, GossipState]
-    assert [c.__qualname__ for c in slotted if c.__dictoffset__ != 0] == []
+    records += [Outpoint, Channel, GossipState]
+    assert [c.__qualname__ for c in records if c.__dictoffset__ != 0] == []
 
 
 def test_retired_payments_hold_no_hops_or_invoices(thousand_payments, corpus_scenarios):
@@ -271,6 +282,69 @@ def test_channel_memory_per_update_is_bounded():
         tracemalloc.stop()
     assert ch.commitment_number == 4_000
     assert held / ch.commitment_number < 160, held
+
+
+def report_phase_bytes(doc: dict) -> dict[str, int]:
+    """The bytes one run of `doc` holds at each phase, under tracemalloc:
+    once the scenario is read and its world built, once `Engine.run`
+    returns (and that run's peak), once `build_report` returns, and at
+    `report_json`'s peak; `text` is the length of the canonical report."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = Engine(scenario_of(doc))
+        built = tracemalloc.get_traced_memory()[0]
+        engine.run()
+        run, run_peak = tracemalloc.get_traced_memory()
+        report = build_report(engine)
+        reported = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = report_json(report)
+        json_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"built": built, "run": run, "run_peak": run_peak, "report": reported,
+            "json_peak": json_peak, "text": len(text)}
+
+
+def print_phases() -> None:
+    """`report_phase_bytes` of each one-world workload of the benchmark at
+    its default seed and size, in MiB. Each world runs once first, as the
+    benchmark's memory pass follows its timed ones."""
+    workloads = load_bench("workloads")
+    columns = ("built", "run", "run_peak", "report", "json_peak", "text")
+    print(f"{'workload':<10}" + "".join(f"{c:>11}" for c in columns))
+    for name, size in workloads.SIZES.items():
+        docs = workloads.generate(name, workloads.DEFAULT_SEED, **size)
+        if len(docs) != 1:
+            continue
+        report_phase_bytes(docs[0])  # first-use allocations
+        phases = report_phase_bytes(docs[0])
+        print(f"{name:<10}" + "".join(f"{phases[c] / 2**20:>11.3f}" for c in columns))
+
+
+def test_report_memory_per_payment_is_bounded():
+    """What `build_report` keeps per payment on the 1,000-payment world.
+    Measured at 184 bytes, where every payment row shares one key table;
+    537 while each row was a dict literal with a table of its own. Tuned
+    on CPython 3.11."""
+    report_phase_bytes(doc_with_payments(30))  # first-use allocations
+    phases = report_phase_bytes(doc_with_payments(1000))
+    assert (phases["report"] - phases["run"]) / 1000 < 300, phases
+
+
+def test_report_rows_share_their_key_tables():
+    """Every payment, channel and actor row of the demo reports shares its
+    kind's key table, so it is smaller than a plain copy of itself. From
+    CPython 3.11 a class's first instances get room for more keys than they
+    set, one slot less for each new instance, so the demos run once first."""
+    for name in DEMO_DIGESTS:
+        demo_report(name)
+    for name in DEMO_DIGESTS:
+        report = demo_report(name)
+        rows = report["payments"] + report["channels"] + list(report["actors"].values())
+        assert len(rows) > 3, name
+        assert [row for row in rows if sys.getsizeof(row) >= sys.getsizeof(dict(row))] == [], name
 
 
 def test_finished_star_world_holds_no_gossip_or_route_state():
@@ -334,3 +408,9 @@ def test_every_src_import_is_the_standard_library_cryptography_or_comit():
             bad += [f"{path}:{node.lineno}: imports {n}" for n in names
                     if n.split(".")[0] not in allowed]
     assert bad == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--phases"]:
+        sys.exit("usage: python tests/test_canonical.py --phases")
+    print_phases()

@@ -31,7 +31,7 @@ from comit.simnet import (
     validate_scenario,
 )
 from comit.simnet.cli import main
-from comit.simnet.report import build_report, report_json
+from comit.simnet.report import build_report, render_text, report_json
 from test_acceptance import random_scenario, workloads
 from test_mesh_faults import CORPUS_SEED, MESHES, mesh_doc
 
@@ -483,6 +483,23 @@ def test_demo_scenario_digests_are_pinned():
     for name, digest in DEMO_DIGESTS.items():
         assert demo_scenario(name).digest() == digest, name
         assert demo_report(name)["scenario_digest"] == digest, name
+
+
+# sha256 of each demo's `render_text`: the CLI's text format, pinned apart
+# from the canonical JSON, which it reads through the report dict.
+TEXT_DIGESTS = {
+    "breach-punish": "93cb63b30458d385a1ef7a090928f95c1cf6e8902b396ce950e00d90ef26ade8",
+    "cross-chain-2lp": "19a55697159fa9ec181627f3a706a073d2102993dd4b779d23c6c25b47df808d",
+    "refund-cascade": "59727f9d70c989b4984dd2bd5c1e5aba53d59eaa4789e091cf5d66a2af17d12d",
+    "single-hop": "0e9da7cd3d08f53149d51e8ea6c01f5d9753feb1628e0ee8e78c11c6814870e5",
+}
+
+
+def test_demo_text_reports_are_pinned():
+    assert TEXT_DIGESTS.keys() == DEMO_DIGESTS.keys()
+    for name, digest in TEXT_DIGESTS.items():
+        text = render_text(demo_report(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def _other(value):
