@@ -739,9 +739,9 @@ def may_respond(channel: Channel, height: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Spend:
-    """One transaction `respond` names: `build(*args)` builds and submits it."""
+    """Any transaction a party puts on chain: `build(*args)` builds and submits it."""
 
-    kind: str  # "close" | "justice" | "sweep" | "claim" | "refund"
+    kind: str  # "close" | "justice" | "sweep" | "claim" | "refund" | "cooperative" | "breach"
     build: Callable[..., Transaction]
     args: tuple
     htlc: Optional[Htlc] = None

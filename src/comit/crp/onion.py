@@ -10,7 +10,7 @@ blob with the hop's shared secret, decrypts one slot off the front,
 shifts the blob left, and re-blinds the ephemeral key, so consecutive
 packets share no recognizable bytes and their length never changes. The
 MAC chain means a single flipped bit anywhere in the packet is caught by
-the next processor.
+the next processor. `onion_create` takes hop keys, `onion_peel` a packet.
 
 Hop payload layout (136 bytes, little-endian):
 
@@ -57,7 +57,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -66,7 +66,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 
-from .graph import MAX_ROUTE_HOPS, Route, RouteTooLong
+from .graph import MAX_ROUTE_HOPS, RouteTooLong
 from .identity import NodeKey
 from .quotes import RateQuote
 
@@ -260,19 +260,12 @@ def _hop_secrets(
     return ephemerals, secrets
 
 
-def onion_create(
-    route: Union[Route, Sequence[bytes]],
-    session_rng,
-    payloads: Sequence[HopPayload],
-) -> OnionPacket:
-    """Wrap per-hop payloads for the route's receiving nodes.
+def onion_create(hop_pubkeys: Sequence[bytes], session_rng,
+                 payloads: Sequence[HopPayload]) -> OnionPacket:
+    """Wrap per-hop payloads for the hop keys, in route order (`Route.nodes()`).
 
     Every hop key must be an X25519 public key, as every NodeKey.pubkey
     is: the key schedule relies on it lying in the order-L subgroup."""
-    if isinstance(route, Route):
-        hop_pubkeys = [h.node for h in route.hops]
-    else:
-        hop_pubkeys = list(route)
     count = len(hop_pubkeys)
     if count == 0:
         raise ValueError("route must have at least one hop")
@@ -305,16 +298,13 @@ def onion_create(
     return OnionPacket(version=VERSION, ephemeral=ephemerals[0], blob=blob, tag=tag)
 
 
-def onion_peel(
-    packet: Union[OnionPacket, bytes], node_key: NodeKey
-) -> tuple[HopPayload, Optional[OnionPacket]]:
+def onion_peel(packet: OnionPacket, node_key: NodeKey) -> tuple[HopPayload, Optional[OnionPacket]]:
     """One hop's processing: authenticate, decrypt own slot, re-wrap.
 
     Returns (payload, next_packet); next_packet is None on the terminal
-    hop. Raises HmacFailure on any tamper or misdelivery.
+    hop. Raises HmacFailure on any tamper or misdelivery. Wire bytes go
+    through `OnionPacket.parse` first.
     """
-    if isinstance(packet, (bytes, bytearray)):
-        packet = OnionPacket.parse(bytes(packet))
     if packet.version != VERSION:
         raise InvalidPacket(f"unknown version {packet.version}")
     if len(packet.ephemeral) != 32 or len(packet.blob) != BLOB_SIZE:

@@ -28,18 +28,20 @@ claim. No timelocked sweep or refund can squat on a contested outpoint
 ahead of a justice transaction: the ledger refuses a spend the next block
 cannot confirm.
 
-Every channel transaction goes on chain through `_broadcast`, and what is
-spent is read from the ledger alone. A close or breach that meets a close in
-flight (its funding outpoint no longer spendable) or that the chain refuses
-is a no-op. `pending_txs` maps the txid of each broadcast still in the
-mempool to its broadcaster (None for a cooperative close, whose fee each
-party pays the share `Channel.cooperative_close` charged it), its channel
-and the `respond` spend it carries, if any. The block that confirms it
-credits the fee the ledger burned for it to whoever paid it and passes the
-spend to `_spent_on_chain`, the one path from a confirmed spend to its
-hops: a claim puts its preimage in `public`, which every actor knows, in
-that block and settles its hop, a refund ends its hop, and a justice
-transaction ends every hop of its channel.
+Every broadcast is a `Spend` (`respond`'s, a cooperative close or a
+breach) and goes on chain through `_broadcast`; what is spent is read from
+the ledger alone. A close or breach that meets a close in flight (its
+funding outpoint no longer spendable) or that the chain refuses is a no-op.
+`pending_txs` maps the txid of each broadcast still in the mempool to its
+broadcaster (None for a cooperative close, whose fee each party pays the
+share `Channel.cooperative_close` charged it), its channel and its spend.
+The block that confirms it credits the fee the ledger burned for it to
+whoever paid it and passes the spend to `_spent_on_chain`, the one path
+from a confirmed spend to its hops: a claim puts its preimage in `public`,
+which every actor knows, in that block and settles its hop, a refund ends
+its hop, and a justice transaction ends every hop of its channel. Then a
+channel that settled in that block refunds each hop still unresolved on it
+(`UNPUNISHED`).
 
 A payment retires once it is terminal and every hop of it is resolved:
 `_cascade` drops it from `live`, and it lets go of its `HopLive` records
@@ -72,11 +74,11 @@ for the skipped ticks at once. A dropping gossip end of a channel whose
 ends are online counts one on every tick from 1 to the last one run; the
 fault windows alone decide that, so `_count_drops` sums it once after the
 run. So a run costs what happens in it, not its `max_ticks`, with three
-exceptions that queue themselves for the next tick until an HTLC resolves,
-which can be on chain many blocks later: a close (`_ev_close`) of a
-channel that holds HTLCs, a settle whose stall outlasts the run and a
-settle that meets a channel closing or closed on chain (`_cascade`
-requeues both).
+exceptions that queue themselves for the next tick for as many blocks as
+it takes: a close (`_ev_close`) of a channel that holds HTLCs, until they
+resolve, and a settle whose stall outlasts the run or that meets a close
+still in the mempool (`_cascade` requeues both), until the channel closes
+on chain; `_queue_hop` queues nothing for a closed channel.
 """
 
 from __future__ import annotations
@@ -138,13 +140,17 @@ from ..swap import (
 )
 from .scenario import PaymentSpec, Scenario
 
-# The metric a broadcast of each kind of `respond` spend notes.
+# The metric a broadcast of each kind of spend notes.
 SPEND_METRICS = {"close": "urgent_closes", "justice": "justice_txs", "sweep": "",
-                 "claim": "onchain_claims", "refund": "onchain_refunds"}
+                 "claim": "onchain_claims", "refund": "onchain_refunds",
+                 "cooperative": "", "breach": "breach_broadcasts"}
 # How a confirmed spend of each kind ends the hops it spends: (outcome,
 # reason); a refund's reason is its payment's fail reason, else "expired".
 HOP_ENDS = {"claim": ("claimed", "claimed-on-chain"), "refund": ("refunded", ""),
             "justice": ("justice", "breach-punished")}
+# How a hop still unresolved when its channel settles on chain ends: its HTLC has
+# no output in the confirmed commitment, a revoked one nobody punished (BOLT #5).
+UNPUNISHED = ("refunded", "breach-unpunished")
 
 
 def derived_rng(seed: int, *parts) -> random.Random:
@@ -242,8 +248,8 @@ class Engine:
         self.metrics: dict[str, int] = {}
         self.fault_hits: dict[int, int] = {i: 0 for i in range(len(scenario.faults))}
         # txid -> (broadcaster, None for a cooperative close; channel index;
-        # `respond` spend or None)
-        self.pending_txs: dict[bytes, tuple[Optional[str], int, Optional[Spend]]] = {}
+        # the spend it is)
+        self.pending_txs: dict[bytes, tuple[Optional[str], int, Spend]] = {}
         self.gossip_converged_tick = -1
         # Until this tick, gossip that has not converged keeps the run going.
         self.gossip_end = 3 * len(scenario.actors) + 3
@@ -444,26 +450,22 @@ class Engine:
         """The first tick at which chain `cid` is at `height` or above."""
         return max(0, height - self.start_heights[cid]) * self.ledgers[cid].params.block_interval
 
-    def _broadcast(self, rt: ChanRt, actor: Optional[str], build, *args, note: str = "",
-                   spend: Optional[Spend] = None) -> bool:
-        """`actor`, or both parties of a cooperative close when None, puts a
-        transaction of channel `rt` on chain: `build(*args)` builds it and
-        submits it to the ledger. The block that confirms it hands `spend`,
-        the `respond` spend it is, to `_spent_on_chain`. Returns False,
-        noting and tracking nothing, when the channel or the ledger refuses
-        it."""
+    def _broadcast(self, rt: ChanRt, actor: Optional[str], spend: Spend) -> bool:
+        """`actor`, or both parties of a cooperative close when None, puts
+        `spend`, a transaction of channel `rt`, on chain and notes its
+        kind's metric. The block that confirms it hands `spend` to
+        `_spent_on_chain`. Returns False, noting and tracking nothing, when
+        the channel or the ledger refuses it."""
         try:
-            tx = build(*args)
+            tx = spend.build(*spend.args)
         except (ChannelError, TxRejected, ValueError):
             return False
-        if note:
-            self._note(note)
+        if SPEND_METRICS[spend.kind]:
+            self._note(SPEND_METRICS[spend.kind])
         self.pending_txs[txid(tx)] = (actor, rt.idx, spend)
         return True
 
     def _finish(self, p: PayRt, status: str, reason: str) -> None:
-        if p.status != "pending":
-            return
         p.status = status
         p.reason = reason
         p.resolved_tick = self.tick
@@ -522,7 +524,7 @@ class Engine:
         own: only `_offer` puts a payment into `live`, after adding hop 0,
         so a pending live payment has hop 0 unresolved, and that HTLC is in
         an open channel, a close in flight (`pending_txs`) or a channel
-        closed and not settled (`closed`)."""
+        closed and not settled (`closed`): a channel's settle ends its hops (`_mine`)."""
         if self.queue or self.pending_txs or self.closed:
             return True
         if any(not hop.resolved and hop.chan.channel.phase is ChannelPhase.OPEN
@@ -683,7 +685,7 @@ class Engine:
         transaction waiting has its next block due at this tick or later
         (`_next_tick` stops at it); that block is mined and shown to the
         chain's channels, and each channel it confirms a broadcast of is
-        due."""
+        due; if that settled it, its hops still unresolved end (`UNPUNISHED`)."""
         for cid, led in self.ledgers.items():
             height = self._height_at(cid, self.tick)
             if led.mempool_empty():
@@ -701,11 +703,16 @@ class Engine:
                     self.closed.discard(rt.idx)
                 elif rt.idx not in self.closed:
                     self._closed_on_chain(rt)
+            spent = set()  # a channel settles only in a block that confirms its spend
             for tx_id, fee in zip(summary.txids, summary.fees):
                 if tx_id in self.pending_txs:
                     entry = self.pending_txs.pop(tx_id)
+                    spent.add(entry[1])
                     self._due_at(entry[1], self.tick)
                     self._confirmed(cid, fee, *entry)
+            for idx in sorted(spent):
+                if self.channels[idx].channel.phase is ChannelPhase.SETTLED:
+                    self._end_hops(idx, None, *UNPUNISHED)
 
     def _closed_on_chain(self, rt: ChanRt) -> None:
         """`rt` was just closed on-chain: it is in `closed` until settled,
@@ -715,7 +722,7 @@ class Engine:
             self._due_at(rt.idx, self._tick_of(rt.chain_id, height))
 
     def _confirmed(self, cid: str, fee: int, name: Optional[str], chan_idx: int,
-                   spend: Optional[Spend]) -> None:
+                   spend: Spend) -> None:
         """Credit a broadcast confirmed on `cid` the fee it burned: its
         broadcaster `name` paid it all, or each party of a cooperative close
         (`name` None) the share the channel charged it. End the hops its
@@ -729,27 +736,29 @@ class Engine:
             if share:
                 actor = self.actors[payer]
                 actor.bump(actor.fees, self.ledgers[cid].params.asset_id, share)
-        if spend is not None:
-            self._spent_on_chain(chan_idx, spend)
+        self._spent_on_chain(chan_idx, spend)
 
     def _spent_on_chain(self, chan_idx: int, spend: Spend) -> None:
-        """A `respond` spend on channel `chan_idx` confirmed. A claim makes
-        its preimage public and settles the hop of its HTLC, a refund ends
-        that hop, and justice ends every unresolved hop of the channel, whose
-        HTLCs its last state holds (see `live`); a close or a sweep ends none
-        (HOP_ENDS). A hop is found through `live` by its HTLC, the channel's
-        own record; a retired payment's are resolved. The order in which
-        justice ends hops moves no counter."""
+        """A spend on channel `chan_idx` confirmed. A claim makes its
+        preimage public and settles the hop of its HTLC, a refund ends that
+        hop, and justice ends every unresolved hop of the channel; any other
+        kind ends none (HOP_ENDS)."""
         if spend.kind not in HOP_ENDS:
             return
-        outcome, reason = HOP_ENDS[spend.kind]
         if spend.kind == "claim":
             self._reveal(spend.htlc.payment_hash, spend.args[2])
+        self._end_hops(chan_idx, spend.htlc, *HOP_ENDS[spend.kind])
+
+    def _end_hops(self, chan_idx: int, htlc: Optional[Htlc], outcome: str, reason: str) -> None:
+        """End as `outcome` the unresolved hop, found in `live`, of `htlc`,
+        or when None of each HTLC channel `chan_idx`'s last state holds (see
+        `live`). Its reason is `reason`, else its payment's fail reason, else
+        "expired"; the order in which hops end moves no counter."""
         ch = self.channels[chan_idx].channel
-        for htlc in ch.pending_htlcs if spend.htlc is None else (spend.htlc,):
-            p = self.live.get(htlc.payment_hash)
+        for h in ch.pending_htlcs if htlc is None else (htlc,):
+            p = self.live.get(h.payment_hash)
             for i, hop in enumerate(p.hops if p else ()):
-                if hop.htlc is htlc and not hop.resolved:
+                if hop.htlc is h and not hop.resolved:
                     self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
 
     def _reveal(self, payment_hash: bytes, preimage: bytes) -> None:
@@ -954,9 +963,12 @@ class Engine:
         return None
 
     def _queue_hop(self, p: PayRt, i: int, settle: bool, tick: int) -> None:
-        """Queue hop i's off-chain settle (or, if not `settle`, fail) for `tick`."""
-        p.hops[i].scheduled = True
-        self._schedule(tick, self._ev_settle_or_fail, p.idx, i, settle)
+        """Queue hop i's off-chain settle (or, if not `settle`, fail) for
+        `tick`, unless its channel has left OPEN, to which no phase returns."""
+        hop = p.hops[i]
+        if hop.chan.channel.phase is ChannelPhase.OPEN:
+            hop.scheduled = True
+            self._schedule(tick, self._ev_settle_or_fail, p.idx, i, settle)
 
     def _start_fail(self, p: PayRt, i: int, reason: str) -> None:
         p.fail_reason = p.fail_reason or reason
@@ -1000,15 +1012,14 @@ class Engine:
         rt = self.channels[spec.channel]
         if rt.channel.phase is not ChannelPhase.OPEN:
             return
-        a, b = rt.names
-        gate = self._gate(a, b)
+        gate = self._gate(*rt.names)
         if gate is not None:
             self._schedule(gate, self._ev_close, cidx)
             return
         if rt.channel.pending_htlcs:
             self._schedule(self.tick + 1, self._ev_close, cidx)
             return
-        self._broadcast(rt, None, rt.channel.cooperative_close)
+        self._broadcast(rt, None, Spend("cooperative", rt.channel.cooperative_close, ()))
 
     def _ev_breach(self, fidx: int) -> None:
         fault = self.sc.faults[fidx]
@@ -1029,10 +1040,8 @@ class Engine:
                 best = (gain, rt, revoked.index(top))  # the earliest best state
         if best is not None:
             _, rt, n = best
-            if self._broadcast(
-                rt, cheater, rt.channel.unilateral_close, rt.party(cheater), n,
-                note="breach_broadcasts",
-            ):
+            spend = Spend("breach", rt.channel.unilateral_close, (rt.party(cheater), n))
+            if self._broadcast(rt, cheater, spend):
                 self.fault_hits[fidx] += 1
                 return
         self._note("breach_noops")
@@ -1123,8 +1132,7 @@ class Engine:
                 self._hit_faults(name, "stall-secret")
                 self.withholding.add(rt.idx)
                 continue
-            self._broadcast(rt, name, spend.build, *spend.args,
-                            note=SPEND_METRICS[spend.kind], spend=spend)
+            self._broadcast(rt, name, spend)
 
     # --- invariants ------------------------------------------------------------------
 
@@ -1181,14 +1189,8 @@ class Engine:
             if led.is_unspent(rt.channel.funding_outpoint):
                 add(asset, rt.channel.balance_of(rt.party(name)))
                 side = rt.channel.side_of(rt.party(name))
-                add(
-                    asset,
-                    sum(
-                        h.amount
-                        for h in rt.channel.pending_htlcs
-                        if h.offerer_side == side
-                    ),
-                )
+                add(asset, sum(h.amount for h in rt.channel.pending_htlcs
+                               if h.offerer_side == side))
         return totals
 
 

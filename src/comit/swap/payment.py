@@ -125,7 +125,7 @@ def prepare_attempt(
             chain_heights[route.hops[0].chain_id], ladder_delta(len(route.hops) - 1)
         ),
         payloads=tuple(payloads),
-        packet=onion_create(route, session_rng, payloads),
+        packet=onion_create(route.nodes(), session_rng, payloads),
     )
 
 

@@ -185,7 +185,7 @@ def test_single_bit_tampering_always_detected(seeded):
         mangled = bytearray(wire)
         mangled[pos] ^= bit
         with pytest.raises(OnionError):
-            onion_peel(bytes(mangled), keys[0])
+            onion_peel(OnionPacket.parse(bytes(mangled)), keys[0])
 
 
 def test_wrong_node_cannot_peel(seeded):
@@ -204,11 +204,11 @@ def test_malformed_wire_rejected(seeded):
     packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
     wire = packet.serialize()
     with pytest.raises(InvalidPacket):
-        onion_peel(wire[:-1], keys[0])
+        OnionPacket.parse(wire[:-1])
     with pytest.raises(InvalidPacket):
-        onion_peel(wire + b"\x00", keys[0])
+        OnionPacket.parse(wire + b"\x00")
     with pytest.raises(InvalidPacket):
-        onion_peel(b"\x01" + wire[1:], keys[0])  # unknown version
+        onion_peel(OnionPacket.parse(b"\x01" + wire[1:]), keys[0])  # unknown version
 
 
 def test_payloads_follow_route_amounts():
@@ -239,7 +239,7 @@ def test_payloads_follow_route_amounts():
     assert payloads[1].echo == QuoteEcho(1, 1, 0, 0)
 
     rng = random.Random(0xABCD)
-    packet = onion_create(route, rng, payloads)
+    packet = onion_create(route.nodes(), rng, payloads)
     got_lp, packet = onion_peel(packet, lp)
     assert got_lp == payloads[0]
     got_r, end = onion_peel(packet, r)
@@ -340,8 +340,6 @@ def reference_onion_create(hop_pubkeys, session_rng, payloads):
 
 
 def reference_onion_peel(packet, node_key):
-    if isinstance(packet, (bytes, bytearray)):
-        packet = OnionPacket.parse(bytes(packet))
     if packet.version != VERSION:
         raise InvalidPacket("unknown version")
     try:
@@ -386,10 +384,11 @@ def test_onion_matches_bytewise_reference(seed):
 
 
 def assert_fails_as_reference(wire, key):
+    packet = OnionPacket.parse(wire)
     with pytest.raises(OnionError) as got:
-        onion_peel(wire, key)
+        onion_peel(packet, key)
     with pytest.raises(OnionError) as want:
-        reference_onion_peel(wire, key)
+        reference_onion_peel(packet, key)
     assert type(got.value) is type(want.value)
     return type(got.value)
 

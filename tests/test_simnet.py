@@ -16,7 +16,7 @@ import comit.crp.graph as graph_mod
 import comit.simnet.engine as engine_mod
 from comit.chainlab import HashFnId, Outpoint, PayToKey
 from comit.chainlab.ledger import Utxo
-from comit.channels import Channel, ChannelPhase
+from comit.channels import Channel, ChannelPhase, Spend
 from comit.crp import ChannelGraph, GossipState, NodeKey, onion_create, onion_peel
 from comit.simnet import (
     ActorSpec,
@@ -1558,8 +1558,9 @@ class SteppingEngine(engine_mod.Engine):
 class ScanningEngine(SteppingEngine):
     """The engine with its per-tick steps scanning every actor, channel and
     fault on every tick, with actors learning on-chain preimages only while
-    online, and with a confirmed spend's hops and a breach's revoked state
-    found by scans: the oracle the indexed steps must match byte for byte.
+    online, and with the hops a confirmed spend or a settled channel ends
+    and a breach's revoked state found by scans: the oracle the indexed
+    steps must match byte for byte.
     Only what is visited, what is scanned and when a preimage is learned
     differ; what a visit does is the engine's own code."""
 
@@ -1581,6 +1582,9 @@ class ScanningEngine(SteppingEngine):
             for tx_id, fee in zip(summary.txids, summary.fees):
                 if tx_id in self.pending_txs:
                     self._confirmed(cid, fee, *self.pending_txs.pop(tx_id))
+            for rt in self.chans_on[cid]:
+                if rt.channel.phase is ChannelPhase.SETTLED:
+                    self._end_hops(rt.idx, None, *engine_mod.UNPUNISHED)
 
     def _outstanding(self):
         if self.queue or self.pending_txs:
@@ -1640,20 +1644,15 @@ class ScanningEngine(SteppingEngine):
                 for rt in self.actors[name].channels:
                     self._respond(name, rt)
 
-    # Lookups by scan: a confirmed spend's hops among every live payment's
-    # hops, and a breach's best revoked state among every signed state,
-    # rebuilt.
+    # Lookups by scan: the hops a confirmed spend or a settled channel ends
+    # among every live payment's hops, and a breach's best revoked state
+    # among every signed state, rebuilt.
 
-    def _spent_on_chain(self, chan_idx, spend):
-        if spend.kind not in engine_mod.HOP_ENDS:
-            return
-        outcome, reason = engine_mod.HOP_ENDS[spend.kind]
-        if spend.kind == "claim":
-            self._reveal(spend.htlc.payment_hash, spend.args[2])
+    def _end_hops(self, chan_idx, htlc, outcome, reason):
         for p in self.live.values():
             for i, hop in enumerate(p.hops):
                 if (not hop.resolved and hop.chan.idx == chan_idx
-                        and (spend.htlc is None or hop.htlc is spend.htlc)):
+                        and (htlc is None or hop.htlc is htlc)):
                     self._resolve_hop(p, i, outcome, reason or p.fail_reason or "expired")
 
     def _ev_breach(self, fidx):
@@ -1677,10 +1676,8 @@ class ScanningEngine(SteppingEngine):
                     best = (bal - current, rt, n)
         if best is not None:
             _, rt, n = best
-            if self._broadcast(
-                rt, cheater, rt.channel.unilateral_close, rt.party(cheater), n,
-                note="breach_broadcasts",
-            ):
+            if self._broadcast(rt, cheater, Spend("breach", rt.channel.unilateral_close,
+                                                  (rt.party(cheater), n))):
                 self.fault_hits[fidx] += 1
                 return
         self._note("breach_noops")
@@ -1955,7 +1952,8 @@ def test_close_waiting_for_an_htlc_runs_in_few_ticks():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="_cascade requeues a settle whose "
-                   "stall outlasts the run on every tick (13,000 ticks)")
+                   "stall outlasts the run on every tick until its channel closes on chain "
+                   "(12,001 ticks)")
 def test_settle_stalled_past_the_run_runs_in_few_ticks():
     engine = CountingEngine(validate_scenario(stalled_settle_doc())[0])
     engine.run()
@@ -1994,12 +1992,74 @@ def test_settle_on_a_breached_channel_reports_the_punishment():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="_cascade queues a settle that "
-                   "met a channel closing or closed on chain for the next tick, until the "
-                   "HTLC resolves on chain (1,997 ticks)")
+                   "met a channel whose close is in the mempool for the next tick, until the "
+                   "close confirms (998 ticks)")
 def test_settle_on_a_channel_gone_on_chain_runs_in_few_ticks():
     engine = CountingEngine(validate_scenario(settle_on_a_breached_channel_doc())[0])
     engine.run()
     assert engine.executed < 100, engine.executed
+
+
+# ------------------------------------------------------------ unpunished breach
+
+
+def unpunished_breach_doc(base, crash_at: int, duration: int, breach_at: int) -> dict:
+    """`base()` (minimal_doc or line_doc) under max_ticks 300 with a second
+    payment at tick 10, lp crashing at `crash_at` for `duration` ticks and
+    ann broadcasting a revoked state of channel 0 at `breach_at`. That state
+    may lack the second payment's HTLC, and lp may be offline to punish it."""
+    doc = base()
+    doc["max_ticks"] = 300
+    doc["payments"].append(dict(doc["payments"][0], at_tick=10))
+    doc["faults"] = [
+        {"kind": "crash", "actor": "lp", "at_tick": crash_at, "duration": duration},
+        {"kind": "broadcast-revoked", "actor": "ann", "at_tick": breach_at, "channel": 0},
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("base, crash_at, duration, breach_at, ticks", [
+    (minimal_doc, 11, 30, 12, (6, 20)),
+    (line_doc, 12, 40, 16, (8, 24)),
+])
+def test_a_hop_missing_from_an_unpunished_revoked_close_refunds(
+        base, crash_at, duration, breach_at, ticks):
+    """ann broadcasts a revoked state that lacks the HTLC of its second
+    payment while lp, who could punish it, is offline; ann sweeps its
+    delayed output and the channel settles with no justice. That HTLC has
+    no output in the confirmed commitment, so its hop refunds as the
+    channel settles (BOLT #5): the payment ends, and on line_doc lp's
+    settle of hop 0 no longer polls the settled channel until max_ticks."""
+    report = run_doc(unpunished_breach_doc(base, crash_at, duration, breach_at))
+    assert report["violations"] == []
+    assert [(p["status"], p["reason"], p["resolved_tick"]) for p in report["payments"]] == [
+        ("settled", "fulfilled", ticks[0]), ("refunded", "breach-unpunished", ticks[1])]
+
+
+def test_unpunished_breaches_end_every_payment_on_every_engine():
+    """90 placements of an lp crash and an ann breach of channel 0 on
+    minimal_doc and line_doc, each with a second payment: every payment
+    ends, no run has a violation, and Engine, SteppingEngine,
+    KeepingEngine and ScanningEngine give byte-equal reports. In 16 of
+    them a payment ends `breach-unpunished`; each of those 16 left its
+    payment pending before that rule."""
+    reasons = Counter()
+    for base, crash_at, duration, breach_at in itertools.product(
+            (minimal_doc, line_doc), (8, 10, 11, 12, 14), (5, 10, 30), (12, 16, 20)):
+        doc = unpunished_breach_doc(base, crash_at, duration, breach_at)
+        scenario, errors = validate_scenario(doc)
+        assert errors == [], errors
+        texts = set()
+        for cls in (engine_mod.Engine, SteppingEngine, KeepingEngine, ScanningEngine):
+            engine = cls(scenario)
+            engine.run()
+            texts.add(report_json(build_report(engine)))
+        assert len(texts) == 1, doc["faults"]
+        report = json.loads(texts.pop())
+        assert report["violations"] == [], doc["faults"]
+        assert all(p["status"] in ("settled", "refunded") for p in report["payments"])
+        reasons.update(p["reason"] for p in report["payments"])
+    assert reasons["breach-unpunished"] == 16, reasons
 
 
 # ------------------------------------------------------------ retirement oracle
@@ -2235,13 +2295,13 @@ class SchedulingCountEngine(engine_mod.Engine):
 
 # The known requeue sites, by document set: how many documents schedule one
 # of their events more than 3 times. A close of a channel holding HTLCs,
-# and a settle that is stalled past the run or meets a channel closing or
-# closed on chain, queue themselves for the next tick until the HTLC
-# resolves (the engine docstring's three exceptions). A count may only fall.
+# and a settle that is stalled past the run or meets a channel whose close
+# is in the mempool, queue themselves for the next tick (the engine
+# docstring's three exceptions). A count may only fall.
 POLLING_DOCS = {
-    "corpus": {"_ev_settle_or_fail": 23},
-    "race": {"_ev_close": 34, "_ev_settle_or_fail": 14},
-    "meshes": {"_ev_settle_or_fail": 3},
+    "corpus": {"_ev_settle_or_fail": 22},
+    "race": {"_ev_close": 34, "_ev_settle_or_fail": 8},
+    "meshes": {"_ev_settle_or_fail": 2},
 }
 
 
