@@ -1,5 +1,11 @@
 """Single-chain ledger: UTXO set, mempool, deterministic mining.
 
+A ledger is its UTXO set and its mempool, with no log of spent outputs:
+a confirmed spend leaves the UTXO set, so a second spend of it is refused
+as `unknown-outpoint`, like an input that never existed (Bitcoin Core's
+`bad-txns-inputs-missingorspent` covers both). `conflict` means only a
+duplicate transaction or an input the mempool already spends.
+
 The mempool holds only what the next block confirms. Submission validates
 structure, input availability, value balance and witnesses, and admits a
 transaction only if it is final at the next height: every input a
@@ -87,30 +93,29 @@ class Ledger:
         self._utxos: dict[Outpoint, Utxo] = {}
         self._mempool: dict[bytes, tuple[Transaction, int]] = {}  # (tx, fee), submission order
         self._mempool_spends: set[Outpoint] = set()
-        self._spent: set[Outpoint] = set()  # confirmed spends
         # PayToKey owner -> its unspent outpoints, in insertion order
         self._owned: dict[bytes, dict[Outpoint, None]] = {}
         self.burned = 0
         self.confirmed_tx_count = 0
+        self._utxo_value = 0  # the UTXO set's total, kept by _add_utxo and _pop_utxo
         gen_txid = hashlib.sha256(b"genesis/" + params.chain_id.encode()).digest()
-        total = 0
         for i, (owner, amount) in enumerate(genesis):
             if amount <= 0 or amount > MAX_AMOUNT:
                 raise ValueError("genesis amount out of range")
             self._add_utxo(Outpoint(gen_txid, i), Utxo(amount, PayToKey(owner), 0))
-            total += amount
-        if total > MAX_AMOUNT:
+        if self._utxo_value > MAX_AMOUNT:
             raise ValueError("genesis total out of range")
-        self.genesis_total = total
-        self._utxo_value = total
+        self.genesis_total = self._utxo_value
 
     def _add_utxo(self, op: Outpoint, utxo: Utxo) -> None:
         self._utxos[op] = utxo
+        self._utxo_value += utxo.amount
         if isinstance(utxo.script, PayToKey):
             self._owned.setdefault(utxo.script.pubkey, {})[op] = None
 
     def _pop_utxo(self, op: Outpoint) -> Utxo:
         utxo = self._utxos.pop(op)
+        self._utxo_value -= utxo.amount
         if isinstance(utxo.script, PayToKey):
             del self._owned[utxo.script.pubkey][op]
         return utxo
@@ -130,9 +135,6 @@ class Ledger:
     def total_utxo_value(self) -> int:
         return self._utxo_value
 
-    def in_mempool(self, tx_id: bytes) -> bool:
-        return tx_id in self._mempool
-
     def mempool_empty(self) -> bool:
         return not self._mempool
 
@@ -151,7 +153,7 @@ class Ledger:
     def submit_tx(self, tx: Transaction) -> bytes:
         """Admit `tx` to the mempool if the next block can confirm it."""
         tx_id = txid(tx)
-        if self.in_mempool(tx_id):
+        if tx_id in self._mempool:
             raise TxRejected(Reject.CONFLICT, "duplicate transaction")
         if len({txin.outpoint for txin in tx.inputs}) != len(tx.inputs):
             raise TxRejected(Reject.MALFORMED, "duplicate outpoint within tx")
@@ -164,8 +166,6 @@ class Ledger:
             op = txin.outpoint
             if op in self._mempool_spends:
                 raise TxRejected(Reject.CONFLICT, f"{op.short()} spent by mempool")
-            if op in self._spent:
-                raise TxRejected(Reject.CONFLICT, f"{op.short()} already consumed")
             utxo = self._utxos.get(op)
             if utxo is None:
                 raise TxRejected(Reject.UNKNOWN_OUTPOINT, op.short())
@@ -215,11 +215,9 @@ class Ledger:
             for tx_id, (tx, fee) in self._mempool.items():
                 for txin in tx.inputs:
                     self._pop_utxo(txin.outpoint)
-                    self._spent.add(txin.outpoint)
                     block_spent.append((txin.outpoint, tx_id))
                 for i, txout in enumerate(tx.outputs):
                     self._add_utxo(Outpoint(tx_id, i), Utxo(txout.amount, txout.script, self.height))
-                self._utxo_value -= fee
                 self.burned += fee
             summaries.append(BlockSummary(
                 height=self.height,

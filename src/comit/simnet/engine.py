@@ -48,7 +48,8 @@ A payment retires once it is terminal and every hop of it is resolved:
 (keeping their count, which the report prints) and of its `Invoice`, as does
 a payment that ends before going live. Nothing reads them again: a retired
 payment offers no hop, and a settle or fail still queued for one of its hops
-is a no-op.
+is a no-op. A run ends once `queue`, `pending_txs`, `closed` and `live`
+are empty and gossip has converged or run out of time (`_outstanding`).
 
 LP adverts are issued once, at tick 0. Each executed tick ends with a gossip
 round over every channel in index order (`GossipState.exchange`) until every
@@ -362,11 +363,12 @@ class Engine:
         self.payments = [PayRt(idx=i, spec=p) for i, p in enumerate(sc.payments)]
         # The payments _cascade may still act on, by payment hash (each
         # invoice draws a fresh secret). One enters with its first hop and
-        # retires for good once it is terminal with every hop resolved: no
-        # hop is added to a payment that is not pending. Only _offer adds an
-        # HTLC, and an off-chain fulfil or fail resolves its hop at once, so
-        # a channel's last state holds the `htlc` record of each unresolved
-        # hop on it, and while OPEN (no channel reopens) no other one.
+        # retires once terminal with every hop resolved (no hop is added to
+        # a payment that is not pending), so after housekeeping each has a
+        # hop still to end (`_outstanding`). Only _offer adds an HTLC, and an
+        # off-chain fulfil or fail resolves its hop at once, so a channel's
+        # last state holds the `htlc` record of each unresolved hop on it,
+        # and while OPEN (no channel reopens) no other one.
         self.live: dict[bytes, PayRt] = {}
 
     # --- shared machinery -----------------------------------------------------
@@ -517,18 +519,14 @@ class Engine:
 
     def _outstanding(self) -> bool:
         """Whether an event, a transaction, a channel or a payment may still
-        act. A cooperative close stays in `pending_txs` until the block that
-        settles it, and a channel closed on-chain and not settled is in
-        `closed`. `live` says whether an OPEN channel holds an HTLC (see
-        `live` in `_build_world`). A pending payment needs no check of its
-        own: only `_offer` puts a payment into `live`, after adding hop 0,
-        so a pending live payment has hop 0 unresolved, and that HTLC is in
-        an open channel, a close in flight (`pending_txs`) or a channel
-        closed and not settled (`closed`): a channel's settle ends its hops (`_mine`)."""
-        if self.queue or self.pending_txs or self.closed:
-            return True
-        if any(not hop.resolved and hop.chan.channel.phase is ChannelPhase.OPEN
-               for p in self.live.values() for hop in p.hops):
+        act: each index says so by being non-empty. It is read only before
+        the first tick and after a tick's housekeeping, and by then
+        `_cascade` has retired every payment whose hops have all ended. So
+        each payment in `live` has a hop still to end, and that hop's HTLC
+        is on an OPEN channel, in a close in flight (`pending_txs`) or on a
+        channel closed and not settled (`closed`): a channel that settles
+        ends its hops in the same block (`UNPUNISHED`)."""
+        if self.queue or self.pending_txs or self.closed or self.live:
             return True
         return self.gossip_converged_tick < 0 and self.tick < self.gossip_end
 
@@ -685,7 +683,9 @@ class Engine:
         transaction waiting has its next block due at this tick or later
         (`_next_tick` stops at it); that block is mined and shown to the
         chain's channels, and each channel it confirms a broadcast of is
-        due; if that settled it, its hops still unresolved end (`UNPUNISHED`)."""
+        due; if that settled it, its hops still unresolved end (`UNPUNISHED`).
+        Each confirmed txid is in `pending_txs`: `_broadcast` is the one
+        submitter in a run, and `open_channel` mines its funding before."""
         for cid, led in self.ledgers.items():
             height = self._height_at(cid, self.tick)
             if led.mempool_empty():
@@ -705,11 +705,10 @@ class Engine:
                     self._closed_on_chain(rt)
             spent = set()  # a channel settles only in a block that confirms its spend
             for tx_id, fee in zip(summary.txids, summary.fees):
-                if tx_id in self.pending_txs:
-                    entry = self.pending_txs.pop(tx_id)
-                    spent.add(entry[1])
-                    self._due_at(entry[1], self.tick)
-                    self._confirmed(cid, fee, *entry)
+                entry = self.pending_txs.pop(tx_id)
+                spent.add(entry[1])
+                self._due_at(entry[1], self.tick)
+                self._confirmed(cid, fee, *entry)
             for idx in sorted(spent):
                 if self.channels[idx].channel.phase is ChannelPhase.SETTLED:
                     self._end_hops(idx, None, *UNPUNISHED)

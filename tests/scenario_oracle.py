@@ -222,8 +222,9 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
     if isinstance(source, (str, bytes)):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            d.parse("document", f"not valid JSON ({exc.msg} at line {exc.lineno})")
+        except (ValueError, RecursionError) as e:  # a JSONDecodeError is a ValueError
+            why = f"{e.msg} at line {e.lineno}" if isinstance(e, json.JSONDecodeError) else e
+            d.parse("document", f"not valid JSON ({why})")
             return None, d.errors
     else:
         doc = source

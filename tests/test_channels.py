@@ -226,6 +226,51 @@ def test_htlc_validation_errors(rng):
         ch.cooperative_close()
 
 
+def next_state(ch, skip=0, extra=0):
+    """The state after `ch`'s current one that moves 100 from a to b, its
+    number advanced by 1 + `skip` and `extra` coins added to a."""
+    st = ch.state
+    return CommitmentState(st.commitment_number + 1 + skip, st.balance_a - 100 + extra,
+                           st.balance_b + 100, st.htlcs)
+
+
+def noop(ch, alice, bob):
+    pass
+
+
+@pytest.mark.parametrize("world, setup, refused, error, match", [
+    ({}, lambda ch, a, b: ch.propose_update(next_state(ch)),
+     lambda ch, a, b: ch.propose_update(next_state(ch)), StalePhase, "already proposed"),
+    ({}, noop, lambda ch, a, b: ch.propose_update(next_state(ch, skip=1)),
+     ValueError, "exactly 1"),
+    ({}, noop, lambda ch, a, b: ch.propose_update(next_state(ch, extra=1)),
+     ValueError, "capacity"),
+    ({}, noop, lambda ch, a, b: ch.commit_update(), StalePhase, "no update proposed"),
+    ({}, noop, lambda ch, a, b: add(ch, a, 0), ValueError, ">= 1"),
+    ({"fee": 2, "fund_a": 1, "fund_b": 1}, noop, lambda ch, a, b: ch.cooperative_close(),
+     ChannelError, "no outputs"),
+    ({}, lambda ch, a, b: add(ch, a, 100),
+     lambda ch, a, b: ch.build_htlc_claim(b, 1, b"s" * 32), StalePhase, "^open$"),
+], ids=["propose-twice", "propose-skipping-a-number", "propose-breaking-capacity",
+        "commit-with-nothing-proposed", "htlc-of-zero", "close-with-no-outputs",
+        "claim-on-open-channel"])
+def test_refused_updates_and_spends_change_nothing(rng, world, setup, refused, error, match):
+    """Each refusal raises exactly `error` and leaves the channel's states,
+    its phase and the ledger's mempool as they were."""
+    ledger, ch, alice, bob = make_world(rng, **world)
+    setup(ch, alice, bob)
+
+    def seen():
+        return (ch.phase, ch.state, ch._pending_state, ch.recorded_states(),
+                dict(ledger._mempool))
+
+    before = seen()
+    with pytest.raises(error, match=match) as e:
+        refused(ch, alice, bob)
+    assert type(e.value) is error
+    assert seen() == before
+
+
 def test_cooperative_close_pays_latest_balances(rng):
     ledger, ch, alice, bob = make_world(rng)
     hid, secret = add(ch, alice, 2_000)
@@ -511,13 +556,15 @@ def guarded_world(rng, breach):
     (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(a, to_b, s), "offerer cannot claim"),
     (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_claim(a, to_a, s), "htlc 2"),
     (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_refund(a, to_a), "only the offerer"),
+    (False, lambda ch, a, b, to_b, to_a, s: ch.build_htlc_refund(a, 999), "no htlc output"),
     (True, lambda ch, a, b, to_b, to_a, s: ch.punish_breach(a), "cannot punish itself"),
 ], ids=["sweep-by-non-broadcaster", "claim-by-offerer", "claim-bad-preimage",
-        "refund-by-receiver", "justice-by-cheater"])
+        "refund-by-receiver", "refund-of-unknown-htlc", "justice-by-cheater"])
 def test_builders_refuse_what_a_role_may_not_spend(rng, breach, refused, match):
     ledger, ch, alice, bob, to_bob, to_alice, secret = guarded_world(rng, breach)
     with pytest.raises(ChannelError, match=match):
         refused(ch, alice, bob, to_bob, to_alice, secret)
+    assert ledger.mempool_empty()
     assert all(ledger.is_spendable(o.outpoint) for o in ch.closed_outputs)
 
 

@@ -94,13 +94,17 @@ def test_double_spend_rejected_in_mempool_and_confirmed(world):
     tx1 = spend(alice, [op], [(1_000, PayToKey(bob.pubkey))])
     tx2 = spend(alice, [op], [(1_000, PayToKey(alice.pubkey))])
     ledger.submit_tx(tx1)
-    with pytest.raises(TxRejected) as e:
-        ledger.submit_tx(tx2)
-    assert e.value.reason == Reject.CONFLICT
+    mempool = dict(ledger._mempool)
+    for again in (tx2, tx1):
+        with pytest.raises(TxRejected) as e:
+            ledger.submit_tx(again)
+        assert e.value.reason == Reject.CONFLICT
+        assert ledger._mempool == mempool
+    assert str(e.value) == "conflict: duplicate transaction"
     ledger.mine_blocks(1)
     with pytest.raises(TxRejected) as e:
         ledger.submit_tx(tx2)
-    assert e.value.reason == Reject.CONFLICT
+    assert e.value.reason == Reject.UNKNOWN_OUTPOINT  # a confirmed spend left the UTXO set
     assert conserved(ledger)
 
 
@@ -278,10 +282,9 @@ def test_block_summary_reports_confirmed_spends(world):
     ledger.submit_tx(tx)
     summary, = ledger.mine_blocks(1)
     assert summary.spent == ((op, txid(tx)),)
-    # a confirmed spend stays a conflict, not an unknown outpoint
     with pytest.raises(TxRejected) as e:
         ledger.submit_tx(spend(alice, [op], [(1_000, PayToKey(alice.pubkey))]))
-    assert e.value.reason == Reject.CONFLICT
+    assert e.value.reason == Reject.UNKNOWN_OUTPOINT
 
 
 def test_advance_to_is_mining_empty_blocks(world):
@@ -562,7 +565,7 @@ class LedgerMachine(RuleBasedStateMachine):
         if tx.locktime > height + 1:
             return Reject.PREMATURE
         for op, signer in zip(ops, signers):
-            if op in self.claimed or op in self.spent:
+            if op in self.claimed:
                 return Reject.CONFLICT
             if op not in self.conf:
                 return Reject.UNKNOWN_OUTPOINT

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,7 @@ import comit.crp.graph as graph_mod
 import comit.simnet.engine as engine_mod
 from comit.chainlab import HashFnId, Outpoint, PayToKey
 from comit.chainlab.ledger import Utxo
-from comit.channels import Channel, ChannelPhase, Spend
+from comit.channels import CLOSED_ON_CHAIN, Channel, ChannelPhase, Spend
 from comit.crp import ChannelGraph, GossipState, NodeKey, onion_create, onion_peel
 from comit.simnet import (
     ActorSpec,
@@ -122,6 +123,25 @@ def test_validate_accepts_json_text_and_rejects_garbage():
     assert any(e.startswith("parse-error:") for e in errors)
     scenario, errors = validate_scenario("[1, 2]")
     assert scenario is None
+
+
+MALFORMED = (b"\x80{}", "[" * 100_000, '{"seed": ' + "9" * 5_000 + "}")
+
+
+def test_validate_never_raises_on_malformed_documents():
+    """Bytes that are not UTF-8, 100,000 nested arrays and an integer
+    literal of 5,000 digits each give one `parse-error` line, not an
+    exception. A Python with no limit on int-string conversion (before
+    3.10.7) parses the integer and refuses it as a seed out of range."""
+    for source in MALFORMED:
+        scenario, errors = validate_scenario(source)
+        assert scenario is None and errors, errors
+        if source is not MALFORMED[2] or hasattr(sys, "get_int_max_str_digits"):
+            assert len(errors) == 1, errors
+            assert errors[0].startswith("parse-error: document: not valid JSON ("), errors
+    assert validate_scenario(MALFORMED[0])[1] == [
+        "parse-error: document: not valid JSON ('utf-8' codec can't decode byte 0x80 in "
+        "position 0: invalid start byte)"]
 
 
 def test_validate_flags_unknown_section_and_bad_types():
@@ -1010,7 +1030,6 @@ class MintingEngine(BreakingEngine):
     def breaks(self):
         led = self.ledgers["main"]
         led._add_utxo(Outpoint(bytes(32), 0), Utxo(7, PayToKey(bytes(32)), led.height))
-        led._utxo_value += 7
 
 
 class SkimmingEngine(BreakingEngine):
@@ -1247,6 +1266,21 @@ def test_cli_rejects_invalid_scenarios(tmp_path, capsys):
     semantically_bad.write_text(json.dumps(doc))
     assert main(["validate", str(semantically_bad)]) == 1
     assert "constraint-violation" in capsys.readouterr().err
+
+
+def test_cli_diagnoses_malformed_documents(tmp_path, capsys):
+    """`validate` exits 1 and `run` exits 2 on each `MALFORMED` document,
+    each printing its diagnostic and no traceback; `load_scenario` returns
+    the diagnostic."""
+    for i, source in enumerate(MALFORMED):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_bytes(source if isinstance(source, bytes) else source.encode())
+        scenario, errors = load_scenario(str(path))
+        assert scenario is None and errors, errors
+        for command, code in (("validate", 1), ("run", 2)):
+            assert main([command, str(path)]) == code
+            err = capsys.readouterr().err
+            assert err.splitlines() == errors, (command, err)
 
 
 def test_cli_run_exits_nonzero_on_violations(tmp_path, capsys):
@@ -2068,10 +2102,20 @@ def test_unpunished_breaches_end_every_payment_on_every_engine():
 class KeepingEngine(engine_mod.Engine):
     """The engine before payments retired: a finished payment stays in
     `live` with its hops and its invoice, so a settle or fail still queued
-    for one of its hops runs and finds the hop resolved."""
+    for one of its hops runs and finds the hop resolved. With `live` never
+    emptied, the run ends by the termination rule of that engine: a scan
+    for an unresolved hop on an OPEN channel."""
 
     def _retire(self, p):
         pass
+
+    def _outstanding(self):
+        if self.queue or self.pending_txs or self.closed:
+            return True
+        if any(not hop.resolved and hop.chan.channel.phase is ChannelPhase.OPEN
+               for p in self.live.values() for hop in p.hops):
+            return True
+        return self.gossip_converged_tick < 0 and self.tick < self.gossip_end
 
 
 class RetiringEngine(engine_mod.Engine):
@@ -2103,8 +2147,9 @@ def late_fail_doc() -> dict:
 def test_retiring_a_payment_changes_no_report_byte():
     """Byte-identical reports with and without retirement on the bundled
     scenarios, the first 50 acceptance-corpus documents, the race corpus,
-    the multi-fault meshes and a fail queued past its payment's end. Some
-    runs have settles, and one a fail, still queued when it retires."""
+    the multi-fault meshes and a fail queued past its payment's end, so the
+    run ends as `_outstanding` says when the hop scan says. Some runs have
+    settles, and one a fail, still queued when it retires."""
     scenarios = resources.files("comit.simnet") / "scenarios"
     docs = [json.loads((scenarios / name).read_text())
             for name in sorted(p.name for p in scenarios.iterdir() if p.name.endswith(".json"))]
@@ -2189,10 +2234,20 @@ def test_htlcs_offered_by_party_b_run_clean():
 
 
 class HeldHtlcsEngine(engine_mod.Engine):
-    """Engine, checking after each executed tick the fact `_outstanding`
-    reads from `live`: the HTLCs the OPEN channels hold are exactly the
-    `htlc` records of the unresolved hops of live payments on OPEN
-    channels."""
+    """Engine, checking after each executed tick the facts `_outstanding`
+    reads from its indexes:
+    - the HTLCs the OPEN channels hold are exactly the `htlc` records of the
+      unresolved hops of live payments on OPEN channels;
+    - every payment in `live` has an unresolved hop;
+    - every unresolved hop not on an OPEN channel is on a channel in `closed`;
+    - `pending_txs` holds exactly the txids in the ledgers' mempools;
+    - `closed` is exactly the channels in a `CLOSED_ON_CHAIN` phase.
+    `seen` counts the ticks at which a hop sat off an OPEN channel, a
+    transaction was pending and a channel was closed."""
+
+    def __init__(self, scenario):
+        self.seen = Counter()
+        super().__init__(scenario)
 
     def _check_conservation(self, where):
         super()._check_conservation(where)
@@ -2201,6 +2256,16 @@ class HeldHtlcsEngine(engine_mod.Engine):
         hops = sorted(id(hop.htlc) for p in self.live.values() for hop in p.hops
                       if not hop.resolved and hop.chan.channel.phase is ChannelPhase.OPEN)
         assert held == hops, where
+        assert all(any(not hop.resolved for hop in p.hops) for p in self.live.values()), where
+        off_open = {hop.chan.idx for p in self.live.values() for hop in p.hops
+                    if not hop.resolved and hop.chan.channel.phase is not ChannelPhase.OPEN}
+        assert off_open <= self.closed, where
+        mempools = set().union(*(led._mempool for led in self.ledgers.values()))
+        assert set(self.pending_txs) == mempools, where
+        assert self.closed == {rt.idx for rt in self.channels
+                               if rt.channel.phase in CLOSED_ON_CHAIN}, where
+        self.seen.update(off_open=bool(off_open), pending=bool(self.pending_txs),
+                         closed=bool(self.closed))
 
 
 def test_open_channels_hold_the_htlcs_of_the_live_hops():
@@ -2216,12 +2281,14 @@ def test_open_channels_hold_the_htlcs_of_the_live_hops():
     docs += [race_doc(rng) for _ in range(RACE_DOCS)]
     rng = random.Random(CORPUS_SEED)
     docs += [mesh_doc(rng) for _ in range(MESHES)]
-    held = 0
+    held, seen = 0, Counter()
     for doc in docs:
         engine = HeldHtlcsEngine(validate_scenario(doc)[0])
         engine.run()
         held += sum(p.hop_count for p in engine.payments)
+        seen.update(engine.seen)
     assert held > 1000, held
+    assert min(seen[k] for k in ("off_open", "pending", "closed")) > 100, seen
 
 
 # ------------------------------------------------------------- preimage store
