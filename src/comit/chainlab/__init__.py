@@ -2,8 +2,9 @@
 
 Each Ledger is single-chain, fee-burning, and deterministic: transactions
 confirm in submission order, there are no reorgs, and the mempool admits
-only what the next block confirms, so a spend whose locktime or script
-time lock has not matured is refused at submission.
+only what the next block confirms, so a spend whose script time lock has
+not matured is refused at submission. Mining returns one summary per
+block: its height and the txid and fee of each transaction it confirmed.
 """
 
 from .hashes import DIGEST_SIZE, HashFnId, UnknownHashFunction, hash_digest
@@ -15,7 +16,6 @@ from .script import (
     Or,
     PayToKey,
     ScriptContext,
-    TimeLockAbs,
     TimeLockRel,
     Witness,
     script_bytes,
@@ -34,7 +34,6 @@ __all__ = [
     "PayToKey",
     "Multisig2of2",
     "HashLock",
-    "TimeLockAbs",
     "TimeLockRel",
     "HtlcScript",
     "Or",

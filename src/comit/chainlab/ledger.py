@@ -8,15 +8,17 @@ duplicate transaction or an input the mempool already spends.
 
 The mempool holds only what the next block confirms. Submission validates
 structure, input availability, value balance and witnesses, and admits a
-transaction only if it is final at the next height: every input a
-confirmed output, every script satisfied at height + 1 and the locktime
-at most height + 1. A spend that is only early is refused as `premature`,
-as Bitcoin Core keeps non-final and BIP 68 sequence-locked transactions
+transaction only if every input is a confirmed output whose script is
+satisfied at height + 1. A spend that is only early is refused as
+`premature`, as Bitcoin Core keeps BIP 68 sequence-locked transactions
 out of its mempool; its owner submits it again once it has matured.
+A spend's timing lives in its scripts alone.
 
 Mining is deterministic: each block confirms the whole mempool in
-submission order, and there are no reorgs. The difference between a
-transaction's inputs and outputs is burned as fee, so for any chain
+submission order, and there are no reorgs. A block's summary holds its
+height and the txid and burned fee of each transaction it confirmed, in
+submission order. The difference between a transaction's inputs and
+outputs is burned as fee, so for any chain
 
     sum(unspent outputs) + burned fees == sum(genesis allocations)
 
@@ -83,7 +85,6 @@ class BlockSummary:
     height: int
     txids: tuple[bytes, ...]
     fees: tuple[int, ...]  # what each of txids burned, in the same order
-    spent: tuple[tuple[Outpoint, bytes], ...]  # (outpoint, spender txid)
 
 
 class Ledger:
@@ -158,8 +159,6 @@ class Ledger:
         if len({txin.outpoint for txin in tx.inputs}) != len(tx.inputs):
             raise TxRejected(Reject.MALFORMED, "duplicate outpoint within tx")
         next_height = self.height + 1
-        if tx.locktime > next_height:
-            raise TxRejected(Reject.PREMATURE, f"locktime {tx.locktime} > {next_height}")
 
         in_value = 0
         for txin in tx.inputs:
@@ -211,11 +210,9 @@ class Ledger:
         summaries = []
         for _ in range(count):
             self.height += 1
-            block_spent: list[tuple[Outpoint, bytes]] = []
             for tx_id, (tx, fee) in self._mempool.items():
                 for txin in tx.inputs:
                     self._pop_utxo(txin.outpoint)
-                    block_spent.append((txin.outpoint, tx_id))
                 for i, txout in enumerate(tx.outputs):
                     self._add_utxo(Outpoint(tx_id, i), Utxo(txout.amount, txout.script, self.height))
                 self.burned += fee
@@ -223,7 +220,6 @@ class Ledger:
                 height=self.height,
                 txids=tuple(self._mempool),
                 fees=tuple(fee for _, fee in self._mempool.values()),
-                spent=tuple(block_spent),
             ))
             self.confirmed_tx_count += len(self._mempool)
             self._mempool.clear()

@@ -6,7 +6,6 @@ stack machine:
   PayToKey(pubkey)                sig by pubkey
   Multisig2of2(a, b)              sig by a AND sig by b
   HashLock(fn, hash, claim)       preimage with fn(preimage)==hash AND sig
-  TimeLockAbs(height, pubkey)     sig, spendable once chain height >= height
   TimeLockRel(delta, pubkey)      sig, spendable once the input's utxo has
                                   been confirmed for delta blocks
   HtlcScript(fn, hash, claim,     claim branch: preimage + claim sig, any
@@ -60,16 +59,6 @@ class HashLock:
 
 
 @dataclass(frozen=True, slots=True)
-class TimeLockAbs:
-    unlock_height: int
-    pubkey: bytes
-
-    def __post_init__(self) -> None:
-        if self.unlock_height < 0:
-            raise ValueError("unlock_height must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
 class TimeLockRel:
     delta_blocks: int
     pubkey: bytes
@@ -106,7 +95,7 @@ class Or:
             raise ValueError("Or branches may not themselves be Or")
 
 
-Script = Union[PayToKey, Multisig2of2, HashLock, TimeLockAbs, TimeLockRel, HtlcScript, Or]
+Script = Union[PayToKey, Multisig2of2, HashLock, TimeLockRel, HtlcScript, Or]
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,13 +160,6 @@ def evaluate(script: Script, witness: Witness, ctx: ScriptContext) -> Outcome:
         )
         return Outcome.VALID if ok else Outcome.INVALID
 
-    if isinstance(script, TimeLockAbs):
-        if not _sig_ok(witness, script.pubkey, ctx.tx_digest):
-            return Outcome.INVALID
-        if ctx.current_height >= script.unlock_height:
-            return Outcome.VALID
-        return Outcome.PREMATURE
-
     if isinstance(script, TimeLockRel):
         if not _sig_ok(witness, script.pubkey, ctx.tx_digest):
             return Outcome.INVALID
@@ -218,12 +200,11 @@ def verify_script(script: Script, witness: Witness, ctx: ScriptContext) -> bool:
 #
 # Tagged little-endian layout, used inside transaction digests and anywhere
 # a script identifies a channel state. One byte of tag, then fixed fields;
-# Or length-prefixes each branch with a u32.
+# Or length-prefixes each branch with a u32. Tag 4 is unused.
 
 _TAG_P2K = 1
 _TAG_MULTISIG = 2
 _TAG_HASHLOCK = 3
-_TAG_TIMEABS = 4
 _TAG_TIMEREL = 5
 _TAG_HTLC = 6
 _TAG_OR = 7
@@ -240,8 +221,6 @@ def script_bytes(script: Script) -> bytes:
             + script.hash
             + script.claim_pubkey
         )
-    if isinstance(script, TimeLockAbs):
-        return struct.pack("<BI", _TAG_TIMEABS, script.unlock_height) + script.pubkey
     if isinstance(script, TimeLockRel):
         return struct.pack("<BI", _TAG_TIMEREL, script.delta_blocks) + script.pubkey
     if isinstance(script, HtlcScript):

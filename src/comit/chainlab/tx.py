@@ -57,7 +57,6 @@ class TxIn:
 class Transaction:
     inputs: tuple[TxIn, ...]
     outputs: tuple[TxOut, ...]
-    locktime: int = 0
     # The txid, set by the first `txid` call. No caller can pass it, and
     # `dataclasses.replace` starts without it.
     _txid: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
@@ -67,8 +66,6 @@ class Transaction:
             raise ValueError("transaction needs at least one input")
         if not self.outputs:
             raise ValueError("transaction needs at least one output")
-        if self.locktime < 0:
-            raise ValueError("locktime must be >= 0")
 
 
 def serialize_without_witness(tx: Transaction) -> bytes:
@@ -81,7 +78,6 @@ def serialize_without_witness(tx: Transaction) -> bytes:
         sb = script_bytes(txout.script)
         parts.append(struct.pack("<QI", txout.amount, len(sb)))
         parts.append(sb)
-    parts.append(struct.pack("<I", tx.locktime))
     return b"".join(parts)
 
 

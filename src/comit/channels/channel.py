@@ -38,11 +38,14 @@ Of a confirmed commitment a Channel keeps only the outputs a party may
 still spend, after BOLT #5: the broadcaster's delayed output and the
 HTLC outputs. The counterparty's direct output pays a bare key, so the
 commitment itself resolves it. A Channel keeps no record of what is
-spent: it reads that from its ledger, so process_block must see each
-block right after it is mined. A transaction is built and signed only
-when it is broadcast: signing is a deterministic HMAC and the ledger
-checks signatures on submission, so building commitment n from state n
-in unilateral_close gives the transaction both parties agreed on.
+spent: it reads that from its ledger, and it knows its close by the txid
+of the close it submitted. So process_block must see each block that
+confirms one of the channel's transactions, right after that block is
+mined; a block that confirms none of them changes nothing on the
+channel. A transaction is built and signed only when it is broadcast:
+signing is a deterministic HMAC and the ledger checks signatures on
+submission, so building commitment n from state n in unilateral_close
+gives the transaction both parties agreed on.
 
 `respond` is the honest on-chain policy, after BOLT #5
 (https://github.com/lightning/bolts/blob/master/05-onchain.md): from the
@@ -352,9 +355,10 @@ class Channel:
 
     @property
     def closing(self) -> bool:
-        """The ledger does not offer the funding outpoint as spendable: a
-        close of the channel is in flight or confirmed."""
-        return not self.ledger.is_spendable(self.funding_outpoint)
+        """A close of the channel is in flight or confirmed: only the
+        channel spends its funding outpoint, and it records each close it
+        submits."""
+        return self._closing is not None
 
     def htlc(self, htlc_id: int) -> Htlc:
         for h in self.state.htlcs:
@@ -592,25 +596,23 @@ class Channel:
     # --- on-chain observation -------------------------------------------------
 
     def process_block(self, summary: BlockSummary) -> None:
-        """Advance channel phase from what this block confirmed."""
-        for outpoint, spender in summary.spent:
-            if outpoint == self.funding_outpoint:
-                # The mempool admits one spend of the funding outpoint at a
-                # time, so one in-flight record identifies any close.
-                if self._closing is None or spender != self._closing[0]:
-                    continue
-                _, side, n, outs = self._closing
-                if side is None:
-                    self.phase = ChannelPhase.SETTLED
-                    continue
-                self.closed_by = side
-                self.closed_commitment = n
-                self.closed_height = summary.height
-                self.closed_outputs = outs
-                if n < self.state.commitment_number:
-                    self.phase = ChannelPhase.BREACHED
-                else:
-                    self.phase = ChannelPhase.UNILATERAL_CLOSED
+        """Advance channel phase from what this block confirmed. Every close
+        of the channel is built and submitted by it, one at a time, and
+        confirms in the next block, so the close in flight is the one spend
+        of the funding outpoint a block can hold."""
+        if self._closing is not None and self._closing[0] in summary.txids:
+            _, side, n, outs = self._closing
+            if side is None:
+                self.phase = ChannelPhase.SETTLED
+                return
+            self.closed_by = side
+            self.closed_commitment = n
+            self.closed_height = summary.height
+            self.closed_outputs = outs
+            if n < self.state.commitment_number:
+                self.phase = ChannelPhase.BREACHED
+            else:
+                self.phase = ChannelPhase.UNILATERAL_CLOSED
 
         # Mining empties the mempool, so right after a block every unspent
         # output is spendable.

@@ -4,8 +4,10 @@
     comit-sim validate <scenario-file>
     comit-sim demo <name> [--seed N] [--report <path>] [--format json|text]
 
-`run` and `demo` exit 0 exactly when the report's violation list is empty;
-`validate` exits 0 exactly when the file is a well-formed scenario.
+`run` and `demo` exit 0 exactly when the report's violation list is empty,
+1 when it is not, and 2 on what they cannot act on: an invalid scenario or
+a `--report` path that cannot be written. `validate` exits 0 exactly when
+the file is a well-formed scenario.
 """
 
 from __future__ import annotations
@@ -29,8 +31,12 @@ def _execute(scenario, report_path: Optional[str], fmt: str) -> int:
     report = run_scenario(scenario)
     text = report_json(report) if report_path or fmt == "json" else ""
     if report_path:
-        with open(report_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(report_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"cannot write report {report_path}: {e.strerror}", file=sys.stderr)
+            return 2
     sys.stdout.write(text if fmt == "json" else render_text(report))
     return 0 if not report["violations"] else 1
 

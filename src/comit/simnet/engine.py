@@ -301,6 +301,8 @@ class Engine:
             coins = [(self.actors[name].wallet[c.chain_id].pubkey, amount)
                      for name, amount in c.genesis]
             self.ledgers[c.chain_id] = Ledger(params, coins)
+        # chain id -> its channels, in index order; only `_check_conservation`
+        # scans it (`_mine` shows a block only to the channels it spends from)
         self.chans_on: dict[str, list[ChanRt]] = {cid: [] for cid in self.ledgers}
 
         self.quote_table: dict[str, dict[tuple[str, str], RateQuote]] = {}
@@ -678,12 +680,13 @@ class Engine:
     def _mine(self) -> None:
         """Bring each chain to its height at this tick, one block every
         `block_interval` ticks. A chain whose mempool is empty gets there by
-        `advance_to`: its blocks confirm nothing, and `process_block` of
-        such a block is a no-op on every channel. A chain with a
+        `advance_to`: its blocks confirm nothing. A chain with a
         transaction waiting has its next block due at this tick or later
-        (`_next_tick` stops at it); that block is mined and shown to the
-        chain's channels, and each channel it confirms a broadcast of is
+        (`_next_tick` stops at it); that block is mined and shown, in index
+        order, to each channel it confirms a broadcast of, which is then
         due; if that settled it, its hops still unresolved end (`UNPUNISHED`).
+        No other channel is shown the block: `process_block` of a block that
+        confirms none of a channel's transactions changes nothing on it.
         Each confirmed txid is in `pending_txs`: `_broadcast` is the one
         submitter in a run, and `open_channel` mines its funding before."""
         for cid, led in self.ledgers.items():
@@ -695,21 +698,20 @@ class Engine:
                 continue  # no block due at this tick
             led.advance_to(height - 1)  # raises if a block with a transaction was skipped
             summary = led.mine_blocks(1)[0]
-            for rt in self.chans_on[cid]:
-                ch = rt.channel
-                ch.process_block(summary)
+            entries = [self.pending_txs.pop(tx_id) for tx_id in summary.txids]
+            spent = sorted({entry[1] for entry in entries})
+            for idx in spent:
+                rt = self.channels[idx]
+                rt.channel.process_block(summary)
                 # process_block is the only place these phases are set
-                if ch.phase not in CLOSED_ON_CHAIN:
-                    self.closed.discard(rt.idx)
-                elif rt.idx not in self.closed:
+                if rt.channel.phase not in CLOSED_ON_CHAIN:
+                    self.closed.discard(idx)
+                elif idx not in self.closed:
                     self._closed_on_chain(rt)
-            spent = set()  # a channel settles only in a block that confirms its spend
-            for tx_id, fee in zip(summary.txids, summary.fees):
-                entry = self.pending_txs.pop(tx_id)
-                spent.add(entry[1])
+            for entry, fee in zip(entries, summary.fees):
                 self._due_at(entry[1], self.tick)
                 self._confirmed(cid, fee, *entry)
-            for idx in sorted(spent):
+            for idx in spent:
                 if self.channels[idx].channel.phase is ChannelPhase.SETTLED:
                     self._end_hops(idx, None, *UNPUNISHED)
 

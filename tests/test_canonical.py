@@ -219,7 +219,7 @@ def test_every_record_is_slotted():
     carries no instance `__dict__`, nor do the two plain classes made once
     per channel and once per actor."""
     records = [c for classes in record_classes().values() for c in classes]
-    assert len(records) == 46, [c.__name__ for c in records]
+    assert len(records) == 45, [c.__name__ for c in records]
     # an Outpoint is a tuple, not a dataclass, and has no __dict__ either
     records += [Outpoint, Channel, GossipState]
     assert [c.__qualname__ for c in records if c.__dictoffset__ != 0] == []

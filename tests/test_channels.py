@@ -341,6 +341,37 @@ def test_unilateral_close_blocks_further_updates(rng):
         ch.cooperative_close()
 
 
+def test_a_block_changes_only_the_channels_whose_spends_it_confirms(rng):
+    """Two channels on one ledger, both shown every block: the block that
+    confirms one's close leaves the other as it was, and a later block that
+    holds none of the closed channel's spends changes nothing on it."""
+    ledger, first, alice, bob = make_world(rng)
+    second = open_channel(ledger, bob, alice, 3_000, 2_000)
+    add(first, alice, 1_000)  # an HTLC output keeps `first` unsettled once closed
+
+    def seen(ch):
+        return (ch.phase, ch.closing, ch.closed_by, ch.closed_commitment,
+                ch.closed_height, tuple(ch.closed_outputs))
+
+    untouched = seen(second)
+    first.unilateral_close(alice)
+    block, = ledger.mine_blocks(1)
+    for ch in (first, second):
+        ch.process_block(block)
+    assert first.phase is ChannelPhase.UNILATERAL_CLOSED
+    assert (first.closed_by, first.closed_height) == ("a", block.height)
+    assert seen(second) == untouched
+
+    closed = seen(first)
+    second.cooperative_close()
+    later, = ledger.mine_blocks(1)
+    for ch in (first, second):
+        ch.process_block(later)
+    assert second.phase is ChannelPhase.SETTLED
+    assert seen(first) == closed
+    assert conserved(ledger)
+
+
 def test_htlc_resolution_on_chain_after_force_close(rng):
     # Receiver claims with the preimage at once; a second HTLC refunds to
     # the offerer only in the block at its expiry (premature before that).
@@ -488,6 +519,41 @@ def test_justice_takes_what_a_mempool_claim_leaves(rng):
     assert ch.phase is ChannelPhase.SETTLED
     assert wallet(ledger, alice) == before_a + 9_900 + 5_000 - 10 - 10
     assert conserved(ledger)
+
+
+def same_party_on_both_sides(rng):
+    ledger, _, alice, _ = make_world(rng)
+    return open_channel(ledger, alice, alice, 100, 0)
+
+
+def swept_before_justice(rng):
+    """bob breached state 1 at csv_delay 1, then put in the mempool his
+    claim of alice's HTLC there and the sweep of his delayed output: every
+    revocable output. alice's justice comes too late."""
+    ledger, ch, alice, bob = make_world(rng, fee=10, csv=1)
+    hid, secret = add(ch, alice, 100)
+    ch.fail_htlc(hid)
+    ch.unilateral_close(bob, commitment_number=1)
+    mine_and_watch(ledger, ch)
+    ch.build_htlc_claim(bob, hid, secret)
+    ch.build_delayed_sweep(bob)
+    return ch.punish_breach(alice)
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda rng: ChannelParty(KeyPair.generate(rng), bytes(31)), ValueError, "seed"),
+    (lambda rng: make_world(rng, csv=0), ValueError, "csv_delay"),
+    (same_party_on_both_sides, ValueError, "distinct"),
+    (lambda rng: make_world(rng)[1].side_of(ChannelParty.generate(rng)), ValueError,
+     "not a channel party"),
+    (swept_before_justice, WindowExpired, "already swept"),
+], ids=["party-seed-length", "csv-delay-0", "same-party-both-sides", "side-of-stranger",
+        "justice-after-mempool-claims"])
+def test_channels_refuse_malformed_values(rng, refused, error, match):
+    """Each value check of the channel layer refuses with its own exception."""
+    with pytest.raises(error, match=match) as e:
+        refused(rng)
+    assert e.type is error
 
 
 def test_respond_leaves_the_breach_block_to_justice(rng):
@@ -639,12 +705,14 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
     for o in ch.closed_outputs:
         assert ledger.utxo(o.outpoint).amount == o.amount
 
-    justice = txid(ch.punish_breach(honest))
+    justice = ch.punish_breach(honest)
     block, = ledger.mine_blocks(1)
     ch.process_block(block)
     revocable = ch.closed_outputs
     assert revocable
-    assert block.spent == tuple((o.outpoint, justice) for o in revocable)
+    assert block.txids == (txid(justice),)
+    assert [txin.outpoint for txin in justice.inputs] == [o.outpoint for o in revocable]
+    assert not any(ledger.is_unspent(o.outpoint) for o in revocable)
     assert ch.phase is ChannelPhase.SETTLED
     assert wallet(ledger, honest) == before + theirs + sum(o.amount for o in revocable) - fee
     assert conserved(ledger)
@@ -800,7 +868,7 @@ class ChannelMachine(RuleBasedStateMachine):
         self.preimages = {}  # htlc id -> preimage
         self.start = {side: wallet(self.ledger, self.ch.party(side)) for side in "ab"}
         self.fees = {"a": 0, "b": 0}  # fees of the transactions each side built
-        self.built = {}  # txid -> (side, Spend kind)
+        self.built = {}  # txid -> (side, Spend kind, transaction)
         self.entitled = None  # side -> entitlement at close
         self.cheater = None
         self.taken = 0  # revoked-state HTLC outputs the cheater's spends confirmed
@@ -830,7 +898,7 @@ class ChannelMachine(RuleBasedStateMachine):
         tx = build(*args)
         spent = sum(self.ledger.utxo(i.outpoint).amount for i in tx.inputs)
         self.fees[side] += spent - sum(o.amount for o in tx.outputs)
-        self.built[txid(tx)] = (side, kind)
+        self.built[txid(tx)] = (side, kind, tx)
         if kind == "close":
             s = self.ch.state
             self.entitled = {"a": s.balance_a, "b": s.balance_b}
@@ -914,9 +982,11 @@ class ChannelMachine(RuleBasedStateMachine):
     def mine(self):
         block, = self.ledger.mine_blocks(1)
         self.ch.process_block(block)
-        for outpoint, spender in block.spent:
-            if self.built.get(spender) in ((self.cheater, "claim"), (self.cheater, "refund")):
-                self.taken += next(o.amount for o in self.ch.closed_outputs if o.outpoint == outpoint)
+        for tx_id in block.txids:
+            side, kind, tx = self.built[tx_id]
+            if side == self.cheater and kind in ("claim", "refund"):
+                amounts = {o.outpoint: o.amount for o in self.ch.closed_outputs}
+                self.taken += sum(amounts[txin.outpoint] for txin in tx.inputs)
         quiet = not self.changed and not block.txids
         for party in self.order:
             side = self.ch.side_of(party)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from comit.chainlab import (
+    MAX_AMOUNT,
     ChainParams,
     HashFnId,
+    HashLock,
     HtlcScript,
     KeyPair,
     Ledger,
@@ -16,15 +18,18 @@ from comit.chainlab import (
     Outpoint,
     PayToKey,
     Reject,
-    TimeLockAbs,
     TimeLockRel,
     Transaction,
     TxIn,
     TxOut,
     TxRejected,
+    UnknownHashFunction,
     Witness,
+    hash_digest,
+    script_bytes,
     txid,
 )
+from comit.chainlab.script import evaluate
 
 PARAMS = ChainParams("main", "COIN", frozenset({HashFnId.SHA256}))
 
@@ -33,19 +38,17 @@ def params(fee=0):
     return ChainParams("main", "COIN", frozenset({HashFnId.SHA256}), tx_fee=fee)
 
 
-def spend(owner: KeyPair, outpoints, outputs, locktime=0, selector=None):
+def spend(owner: KeyPair, outpoints, outputs, selector=None):
     """Build a tx spending PayToKey outputs all owned by `owner`."""
     skeleton = Transaction(
         inputs=tuple(TxIn(op) for op in outpoints),
         outputs=tuple(TxOut(a, s) for a, s in outputs),
-        locktime=locktime,
     )
     digest = txid(skeleton)
     w = Witness(signatures=(owner.sign(digest),), branch_selector=selector)
     return Transaction(
         inputs=tuple(TxIn(op, w) for op in outpoints),
         outputs=skeleton.outputs,
-        locktime=locktime,
     )
 
 
@@ -163,44 +166,6 @@ def test_block_fees_sum_to_its_rise_in_burned(rng):
     assert conserved(ledger)
 
 
-def test_locktime_checked_at_submission(world):
-    ledger, alice, bob = world
-    (op, _), = ledger.spendable_by(alice.pubkey)
-    tx = spend(alice, [op], [(1_000, PayToKey(bob.pubkey))], locktime=3)
-    for _ in range(2):  # heights 0 and 1: the next block is below the locktime
-        with pytest.raises(TxRejected) as e:
-            ledger.submit_tx(tx)
-        assert e.value.reason == Reject.PREMATURE
-        ledger.mine_blocks(1)
-    assert ledger.is_spendable(op)
-    ledger.submit_tx(tx)  # height 2: the next block reaches the locktime
-    summary, = ledger.mine_blocks(1)
-    assert summary.height == 3 and summary.txids == (txid(tx),)
-    assert sum(a for _, a in ledger.spendable_by(bob.pubkey)) == 1_500
-    assert conserved(ledger)
-
-
-def test_absolute_timelock_script_refused_until_mature(world):
-    ledger, alice, _ = world
-    (op, _), = ledger.spendable_by(alice.pubkey)
-    locked = spend(alice, [op], [(1_000, TimeLockAbs(4, alice.pubkey))])
-    ledger.submit_tx(locked)
-    ledger.mine_blocks(1)
-    lop = Outpoint(txid(locked), 0)
-    claim = spend(alice, [lop], [(1_000, PayToKey(alice.pubkey))])
-    for _ in range(2):  # heights 1 and 2: the next block is still locked
-        with pytest.raises(TxRejected) as e:
-            ledger.submit_tx(claim)
-        assert e.value.reason == Reject.PREMATURE
-        ledger.mine_blocks(1)
-    assert ledger.is_spendable(lop)
-    ledger.submit_tx(claim)  # height 3: block 4 reaches the lock
-    summary, = ledger.mine_blocks(1)
-    assert summary.height == 4 and summary.txids == (txid(claim),)
-    assert not ledger.is_unspent(lop)
-    assert conserved(ledger)
-
-
 @pytest.mark.parametrize("delta", [0, 1, 5])
 def test_relative_lock_confirms_exactly_at_maturity(world, delta):
     # Oracle: submit the parent, then at every height try the child and mine
@@ -281,7 +246,8 @@ def test_block_summary_reports_confirmed_spends(world):
     tx = spend(alice, [op], [(1_000, PayToKey(bob.pubkey))])
     ledger.submit_tx(tx)
     summary, = ledger.mine_blocks(1)
-    assert summary.spent == ((op, txid(tx)),)
+    assert summary.txids == (txid(tx),)
+    assert not any(ledger.is_unspent(txin.outpoint) for txin in tx.inputs)
     with pytest.raises(TxRejected) as e:
         ledger.submit_tx(spend(alice, [op], [(1_000, PayToKey(alice.pubkey))]))
     assert e.value.reason == Reject.UNKNOWN_OUTPOINT
@@ -334,6 +300,47 @@ def test_outpoint_is_a_checked_tuple():
             Outpoint(*bad)
     with pytest.raises(AttributeError):
         op.index = 2
+
+
+KEY = KeyPair.from_secret(bytes(32))
+SHA = frozenset({HashFnId.SHA256})
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: ChainParams("", "COIN", SHA), ValueError, "chain_id"),
+    (lambda: ChainParams("main", "", SHA), ValueError, "asset_id"),
+    (lambda: ChainParams("main", "COIN", frozenset()), ValueError, "hash_fns"),
+    (lambda: ChainParams("main", "COIN", SHA, block_interval=0), ValueError, "block_interval"),
+    (lambda: ChainParams("main", "COIN", SHA, tx_fee=-1), ValueError, "tx_fee"),
+    (lambda: Ledger(PARAMS, [(KEY.pubkey, 0)]), ValueError, "genesis amount"),
+    (lambda: Ledger(PARAMS, [(KEY.pubkey, MAX_AMOUNT)] * 2), ValueError, "genesis total"),
+    (lambda: Ledger(PARAMS, []).mine_blocks(-1), ValueError, "count"),
+    (lambda: KeyPair(bytes(31), KEY.pubkey), ValueError, "secret must be 32"),
+    (lambda: KeyPair(bytes(32), bytes(32)), ValueError, "does not match"),
+    (lambda: HashLock(HashFnId.SHA256, bytes(31), KEY.pubkey), ValueError, "hash must be 32"),
+    (lambda: HtlcScript(HashFnId.SHA256, bytes(31), KEY.pubkey, KEY.pubkey, 1),
+     ValueError, "hash must be 32"),
+    (lambda: TimeLockRel(-1, KEY.pubkey), ValueError, "delta_blocks"),
+    (lambda: HtlcScript(HashFnId.SHA256, bytes(32), KEY.pubkey, KEY.pubkey, -1),
+     ValueError, "refund_height"),
+    (lambda: evaluate(KEY, Witness(), None), TypeError, "not a script"),
+    (lambda: script_bytes(KEY), TypeError, "not a script"),
+    (lambda: TxOut(-1, PayToKey(KEY.pubkey)), ValueError, "amount out of range"),
+    (lambda: TxOut(MAX_AMOUNT + 1, PayToKey(KEY.pubkey)), ValueError, "amount out of range"),
+    (lambda: Transaction((), (TxOut(1, PayToKey(KEY.pubkey)),)), ValueError, "input"),
+    (lambda: Transaction((TxIn(Outpoint(bytes(32), 0)),), ()), ValueError, "output"),
+    (lambda: hash_digest("SHA256", b""), UnknownHashFunction, "unknown hash function"),
+], ids=["params-chain-id", "params-asset-id", "params-hash-fns", "params-block-interval",
+        "params-tx-fee", "genesis-amount", "genesis-total", "mine-negative-count",
+        "key-secret-length", "key-pubkey-mismatch", "hashlock-hash-length",
+        "htlc-hash-length", "timelock-negative-delay", "htlc-negative-refund-height",
+        "evaluate-non-script", "script-bytes-non-script", "txout-negative-amount",
+        "txout-amount-over-max", "tx-no-inputs", "tx-no-outputs", "hash-fn-not-an-id"])
+def test_chainlab_refuses_malformed_values(refused, error, match):
+    """Each value check of the chain layer refuses with its own exception."""
+    with pytest.raises(error, match=match) as e:
+        refused()
+    assert e.type is error
 
 
 def test_a_transaction_is_serialized_once(world, monkeypatch):
@@ -522,8 +529,6 @@ PAYMENT_HASH = b"\x11" * 32
 def matures_at(script, conf: int) -> int:
     """First height at which the owner's spend of `script`, confirmed at
     `conf`, is valid: the model's own reading of each time lock."""
-    if isinstance(script, TimeLockAbs):
-        return script.unlock_height
     if isinstance(script, TimeLockRel):
         return conf + script.delta_blocks
     if isinstance(script, HtlcScript):
@@ -534,9 +539,9 @@ def matures_at(script, conf: int) -> int:
 class LedgerMachine(RuleBasedStateMachine):
     """One ledger against a model that tracks every output it has seen.
     Submits spend confirmed, mempool-claimed, confirmed-spent, unconfirmed
-    and unknown outputs to time-locked, HTLC and key scripts, with and
-    without locktimes; every refusal must carry the reason the model
-    predicts, and every block must confirm exactly what was admitted."""
+    and unknown outputs to time-locked, HTLC and key scripts; every refusal
+    must carry the reason the model predicts, and every block must confirm
+    exactly what was admitted."""
 
     def __init__(self):
         super().__init__()
@@ -562,8 +567,6 @@ class LedgerMachine(RuleBasedStateMachine):
         ops = [txin.outpoint for txin in tx.inputs]
         if len(set(ops)) != len(ops):
             return Reject.MALFORMED
-        if tx.locktime > height + 1:
-            return Reject.PREMATURE
         for op, signer in zip(ops, signers):
             if op in self.claimed:
                 return Reject.CONFLICT
@@ -580,7 +583,7 @@ class LedgerMachine(RuleBasedStateMachine):
         return None
 
     def _submit(self, data, ops, forge=False, fee=1):
-        """Build and submit a spend of `ops` to a drawn script and locktime;
+        """Build and submit a spend of `ops` to a drawn script;
         the ledger must admit it or refuse it with the model's reason."""
         height = self.ledger.height
         signers = [self.known[op].owner for op in ops]
@@ -590,18 +593,15 @@ class LedgerMachine(RuleBasedStateMachine):
         delay = data.draw(st.integers(0, 3), label="delay")
         script = data.draw(st.sampled_from([
             TimeLockRel(delay, to),
-            TimeLockAbs(height + delay, to),
             HtlcScript(HashFnId.SHA256, PAYMENT_HASH, MALLORY.pubkey, to, height + delay),
             PayToKey(to),
         ]), label="script")
-        locktime = data.draw(st.sampled_from([0, height, height + 1, height + 2]), label="lock")
         amount = max(sum(self.known[op].amount for op in ops) - fee, 0)
-        skeleton = Transaction(tuple(TxIn(op) for op in ops), (TxOut(amount, script),), locktime)
+        skeleton = Transaction(tuple(TxIn(op) for op in ops), (TxOut(amount, script),))
         digest = txid(skeleton)
         tx = Transaction(
             tuple(TxIn(op, Witness(signatures=(k.sign(digest),))) for op, k in zip(ops, signers)),
             skeleton.outputs,
-            locktime,
         )
         expected = self._expected(tx, signers, height)
         if expected is not None:
@@ -648,9 +648,8 @@ class LedgerMachine(RuleBasedStateMachine):
             - sum(o.amount for o in tx.outputs) for tx in self.pending.values()
         )
         assert sum(block.fees) == self.ledger.burned - burned
-        assert block.spent == tuple(
-            (txin.outpoint, tx_id) for tx_id, tx in self.pending.items() for txin in tx.inputs
-        )
+        assert not any(self.ledger.is_unspent(txin.outpoint)
+                       for tx in self.pending.values() for txin in tx.inputs)
         assert not self.ledger._mempool and not self.ledger._mempool_spends
         for tx_id, tx in self.pending.items():
             for txin in tx.inputs:

@@ -32,6 +32,15 @@ from comit.crp import (
     make_advert,
 )
 import comit.crp.graph as graph_mod
+from comit.crp.onion import (
+    BLOB_SIZE,
+    VERSION,
+    InvalidPacket,
+    OnionPacket,
+    decode_payload,
+    onion_create,
+    onion_peel,
+)
 from comit.crp.graph import MAX_ROUTE_HOPS, price_vector
 from comit.swap import ladder_delta, make_invoice, prepare_attempt
 
@@ -246,6 +255,34 @@ def test_argument_validation():
         find_route(g, nid("S"), nid("R"), 0, "coin")
     with pytest.raises(NoRouteFound):
         find_route(g, nid("S"), nid("GHOST"), 100, "coin")
+
+
+PEER = NodeKey(bytes(32)).pubkey
+ONE_HOP = Route(nid("S"), (HopSpec(nid("R"), "main", "coin", 1, 0,
+                                   RateQuote("coin", "coin", 1, 1)),))
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: ChannelEndpoint("main", bytes(31), 1), ValueError, "peer pubkey"),
+    (lambda: ChannelEndpoint("main", PEER, -1), ValueError, "capacity"),
+    (lambda: make_advert(NodeKey(bytes(32)), [ChannelEndpoint("c" * 256, PEER, 1)], [], 0),
+     ValueError, "identifier too long"),
+    (lambda: Route(nid("S"), ()), ValueError, "at least one hop"),
+    (lambda: compute_hop_amounts(ONE_HOP, 0), ValueError, "amount_out"),
+    (lambda: NodeKey(bytes(31)), ValueError, "seed"),
+    (lambda: decode_payload(bytes(1)), InvalidPacket, "payload size"),
+    (lambda: onion_create([], random.Random(0), []), ValueError, "at least one hop"),
+    (lambda: onion_create([PEER], random.Random(0), []), ValueError, "one payload per hop"),
+    (lambda: onion_peel(OnionPacket(VERSION, bytes(31), bytes(BLOB_SIZE), bytes(32)),
+                        NodeKey(bytes(32))), InvalidPacket, "malformed packet"),
+], ids=["endpoint-peer-length", "endpoint-negative-capacity", "advert-id-too-long",
+        "route-no-hops", "hop-amounts-of-0", "node-seed-length", "payload-size",
+        "onion-no-hops", "onion-payload-count", "peel-malformed-packet"])
+def test_crp_refuses_malformed_values(refused, error, match):
+    """Each value check of the routing layer refuses with its own exception."""
+    with pytest.raises(error, match=match) as e:
+        refused()
+    assert e.type is error
 
 
 # --- randomized comparison against a brute-force enumerator -----------------

@@ -12,7 +12,6 @@ from comit.chainlab import (
     Or,
     PayToKey,
     ScriptContext,
-    TimeLockAbs,
     TimeLockRel,
     Witness,
     hash_digest,
@@ -111,16 +110,6 @@ def test_hashlock(keys):
         assert not verify_script(script, bad_signer, ctx())
 
 
-def test_timelock_abs(keys):
-    a, _, _ = keys
-    script = TimeLockAbs(150, a.pubkey)
-    w = Witness(signatures=(a.sign(DIGEST),))
-    assert not verify_script(script, w, ctx(height=149))
-    assert verify_script(script, w, ctx(height=150))
-    assert verify_script(script, w, ctx(height=151))
-    assert not verify_script(script, Witness(), ctx(height=200))
-
-
 def test_timelock_rel(keys):
     a, _, _ = keys
     script = TimeLockRel(10, a.pubkey)
@@ -184,7 +173,7 @@ def test_evaluation_is_pure(rng):
     preimage = rng.randbytes(32)
     scripts = [
         PayToKey(keys[0].pubkey),
-        TimeLockAbs(50, keys[1].pubkey),
+        TimeLockRel(50, keys[1].pubkey),
         HtlcScript(
             HashFnId.SHA3_256,
             hash_digest(HashFnId.SHA3_256, preimage),
@@ -221,7 +210,6 @@ def test_script_bytes_injective_for_distinct_scripts(rng):
         Multisig2of2(keys[0].pubkey, keys[1].pubkey),
         HashLock(HashFnId.SHA256, h, keys[0].pubkey),
         HashLock(HashFnId.SHA3_256, h, keys[0].pubkey),
-        TimeLockAbs(7, keys[0].pubkey),
         TimeLockRel(7, keys[0].pubkey),
         HtlcScript(HashFnId.SHA256, h, keys[0].pubkey, keys[1].pubkey, 7),
         Or(PayToKey(keys[0].pubkey), PayToKey(keys[1].pubkey)),

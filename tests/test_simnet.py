@@ -1305,6 +1305,20 @@ def test_cli_run_exits_nonzero_on_violations(tmp_path, capsys):
     assert report["violations"]
 
 
+@pytest.mark.parametrize("where, error", [
+    (lambda tmp: tmp, "Is a directory"),
+    (lambda tmp: tmp / "missing" / "report.json", "No such file or directory"),
+])
+def test_cli_report_path_that_cannot_be_written(tmp_path, capsys, where, error):
+    """An unwritable `--report` path exits 2, the code for what the run
+    cannot act on, with one diagnostic line and nothing on stdout."""
+    path = where(tmp_path)
+    assert main(["demo", "single-hop", "--report", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cannot write report {path}: {error}\n"
+
+
 def test_cli_demo_lists_available_on_unknown(capsys):
     assert main(["demo", "no-such-demo"]) == 2
     err = capsys.readouterr().err

@@ -25,6 +25,7 @@ from comit.crp import (
 from comit.simnet import run_scenario, validate_scenario
 from comit.swap import (
     HOP_DELTA,
+    Invoice,
     SETTLED,
     ForwardRejected,
     RouteMismatch,
@@ -127,6 +128,21 @@ def net_flows(report):
 
 def flat(base_fee):
     return RateQuote("coin", "coin", 1, 1, base_fee=base_fee)
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(recipient=bytes(31)), "recipient"),
+    (dict(amount=0), "amount"),
+    (dict(payment_hash=bytes(31)), "payment_hash"),
+    (dict(asset=""), "asset"),
+], ids=["recipient-length", "amount-0", "hash-length", "empty-asset"])
+def test_invoice_refuses_malformed_fields(fields, match):
+    """Each check of `Invoice` refuses with ValueError."""
+    good = dict(recipient=bytes(32), amount=1, asset="coin", hash_fn=S256,
+                payment_hash=bytes(32))
+    with pytest.raises(ValueError, match=match) as e:
+        Invoice(**{**good, **fields})
+    assert e.type is ValueError
 
 
 def test_make_invoice_binds_secret(rng):
