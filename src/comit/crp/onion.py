@@ -2,15 +2,17 @@
 
 Every packet, at every hop, is exactly PACKET_SIZE bytes:
 
-    version (1) | ephemeral X25519 pubkey (32) | blob (20*168) | hmac (32)
+    version (1) | ephemeral X25519 pubkey (32) | blob (20*200) | hmac (32)
 
-The blob holds 20 fixed slots of 168 bytes: a 136-byte hop payload plus
-the 32-byte MAC the next hop must see. Peeling verifies the MAC over the
-blob with the hop's shared secret, decrypts one slot off the front,
-shifts the blob left, and re-blinds the ephemeral key, so consecutive
-packets share no recognizable bytes and their length never changes. The
-MAC chain means a single flipped bit anywhere in the packet is caught by
-the next processor. `onion_create` takes hop keys, `onion_peel` a packet.
+The blob holds 20 fixed slots of 200 bytes: a 136-byte hop payload, the
+32-byte ephemeral public key the next hop will see, and the 32-byte MAC
+the next hop must see. Peeling verifies the MAC over the blob with the
+hop's shared secret, decrypts one slot off the front, shifts the blob
+left, and takes the next ephemeral key from the decrypted slot, so
+consecutive packets share no recognizable bytes and their length never
+changes. The MAC chain means a single flipped bit anywhere in the packet,
+or an ephemeral key swapped for any other, is caught by the next
+processor. `onion_create` takes hop keys, `onion_peel` a packet.
 
 Hop payload layout (136 bytes, little-endian):
 
@@ -21,30 +23,19 @@ Hop payload layout (136 bytes, little-endian):
     expiry_delta      (u32)
     quote echo: rate_num (u64) rate_den (u64) base_fee (u64) fee_ppm (u32)
 
-Key agreement is X25519 with per-hop blinding b = SHA256(alpha || secret);
-slot encryption is the ChaCha20 stream under HMAC(b"rho", secret), packet
-authentication HMAC-SHA256 under HMAC(b"mu", secret).
-
-Key schedule. Hop i sees the ephemeral alpha_i = k_i*G and shares the
-secret s_i = k_i*P_i, with k_i = clamp(x) * clamp(b_0) * ... * clamp(b_{i-1})
-for the session scalar x. The sender keeps that product as one running
-scalar mod L, the order of the subgroup that G and every hop key P_i lie
-in, instead of re-blinding every secret by every earlier factor. That is
-exact: a clamped scalar is a multiple of 8, so X25519(c, P) depends only
-on c mod L for those points, and since X25519 outputs only the
-x-coordinate, -c gives the same bytes as c. `_as_key` turns k_i into a
-32-byte key whose clamp is k_i or -k_i mod L; one key then yields alpha_i
-as its public key and s_i by one exchange. About 2**-125 of residues have
-no such key; a hop that meets one keeps the previous key and re-blinds by
-the pending factors, as the schedule did before.
+Key agreement is X25519 with a fresh ephemeral key per hop: the sender
+draws hop i's private key from the session rng, in route order, and hop i
+shares the secret s_i = X25519(k_i, P_i) with it. Hop i's slot seals
+alpha_{i+1}, the next hop's ephemeral public key; the terminal slot holds
+zeros there and in its next MAC. Unlike Sphinx, no hop re-blinds the
+ephemeral: a slot spends 32 bytes on it, which a fixed 20-slot packet can
+afford. Slot encryption is the ChaCha20 stream under HMAC(b"rho", s_i),
+packet authentication HMAC-SHA256 under HMAC(b"mu", s_i), and the blob's
+initial padding the stream under HMAC(b"pad", k_0).
 
 Cost. An h-hop create makes 2h X25519 operations: per hop one
 `from_private_bytes`, which derives alpha_i, and one exchange. A peel
-makes 1 at the last hop (the exchange) and 3 when it forwards: the
-exchange, then `_mul` re-blinds the ephemeral with `from_private_bytes`
-and an exchange. Re-blinding needs only the exchange, but the library
-has no scalar multiplication that skips the public key
-`from_private_bytes` always derives, so 3 is the floor. Every keystream
+makes 1, the hop's exchange, whether it forwards or not. Every keystream
 is applied inside its ChaCha20 context, as encryption (`_crypt`): a peel
 makes 1 context, and a create makes 2h, one for the pad, one per hop to
 wrap its layer and one per hop but the last for its share of the
@@ -75,7 +66,7 @@ ID_CAP = 31  # bytes of a chain or asset id in a payload
 # amount_to_forward, expiry_delta, and the quote echo.
 _PAYLOAD = struct.Struct(f"<32sB{ID_CAP}sB{ID_CAP}sQIQQQI")
 PAYLOAD_SIZE = _PAYLOAD.size  # 136
-SLOT_SIZE = PAYLOAD_SIZE + 32
+SLOT_SIZE = PAYLOAD_SIZE + 32 + 32  # payload, next ephemeral, next MAC
 BLOB_SIZE = MAX_ROUTE_HOPS * SLOT_SIZE
 PACKET_SIZE = 1 + 32 + BLOB_SIZE + 32
 VERSION = 0
@@ -190,11 +181,6 @@ def decode_payload(data: bytes) -> HopPayload:
 # --- crypto ------------------------------------------------------------------
 
 
-def _mul(scalar: bytes, point: bytes) -> bytes:
-    """X25519 scalar multiplication via the key-exchange primitive."""
-    return _exchange(X25519PrivateKey.from_private_bytes(scalar), point)
-
-
 def _exchange(key: X25519PrivateKey, point: bytes) -> bytes:
     return key.exchange(X25519PublicKey.from_public_bytes(point))
 
@@ -208,64 +194,9 @@ def _crypt(key: bytes, data: bytes) -> bytes:
     return Cipher(ChaCha20(key, _NONCE), None).encryptor().update(data)
 
 
-# The order of the subgroup generated by the X25519 base point.
-_L = 2**252 + 27742317777372353535851937790883648493
-_INV8 = pow(8, -1, _L)
-
-
-def _clamp(key: bytes) -> int:
-    """The scalar X25519 multiplies by for the 32-byte key `key`."""
-    return int.from_bytes(key, "little") & (2**254 - 8) | 2**254
-
-
-def _as_key(k: int) -> Optional[bytes]:
-    """A 32-byte key whose clamp is k or -k mod L, or None when neither
-    residue is 2**254 + 8m with m < 2**251 (about 2**-125 of them)."""
-    for r in (k, _L - k):
-        m = (r - 2**254) * _INV8 % _L
-        if m < 2**251:
-            return (2**254 + 8 * m).to_bytes(32, "little")
-    return None
-
-
-def _hop_secrets(
-    session_key: bytes, hop_pubkeys: Sequence[bytes]
-) -> tuple[list[bytes], list[bytes]]:
-    """The ephemeral key each hop sees and the secret it shares, by the
-    running scalar of the module's key schedule. No hop after the last
-    needs an ephemeral, so a one-hop route computes no product."""
-    key = X25519PrivateKey.from_private_bytes(session_key)
-    alpha = key.public_key().public_bytes_raw()
-    k = _clamp(session_key)
-    pending: list[bytes] = []  # blinds since the last k that had a key
-    ephemerals, secrets = [], []
-    for i, hop_pub in enumerate(hop_pubkeys):
-        s = _exchange(key, hop_pub)
-        for b in pending:
-            s = _mul(b, s)
-        ephemerals.append(alpha)
-        secrets.append(s)
-        if i + 1 == len(hop_pubkeys):
-            break
-        b = hashlib.sha256(alpha + s).digest()
-        k = k * _clamp(b) % _L
-        raw = _as_key(k)
-        if raw is None:
-            pending.append(b)
-            alpha = _mul(b, alpha)
-        else:
-            pending = []
-            key = X25519PrivateKey.from_private_bytes(raw)
-            alpha = key.public_key().public_bytes_raw()
-    return ephemerals, secrets
-
-
 def onion_create(hop_pubkeys: Sequence[bytes], session_rng,
                  payloads: Sequence[HopPayload]) -> OnionPacket:
-    """Wrap per-hop payloads for the hop keys, in route order (`Route.nodes()`).
-
-    Every hop key must be an X25519 public key, as every NodeKey.pubkey
-    is: the key schedule relies on it lying in the order-L subgroup."""
+    """Wrap per-hop payloads for the hop keys, in route order (`Route.nodes()`)."""
     count = len(hop_pubkeys)
     if count == 0:
         raise ValueError("route must have at least one hop")
@@ -274,8 +205,12 @@ def onion_create(hop_pubkeys: Sequence[bytes], session_rng,
     if len(payloads) != count:
         raise ValueError("one payload per hop required")
 
-    session_key = session_rng.randbytes(32)
-    ephemerals, secrets = _hop_secrets(session_key, hop_pubkeys)
+    hop_keys = [session_rng.randbytes(32) for _ in range(count)]
+    ephemerals, secrets = [], []
+    for raw, hop_pub in zip(hop_keys, hop_pubkeys):
+        key = X25519PrivateKey.from_private_bytes(raw)
+        ephemerals.append(key.public_key().public_bytes_raw())
+        secrets.append(_exchange(key, hop_pub))
     rhos = [_kdf(b"rho", s) for s in secrets]
 
     # Filler: the garbage that peeling shifts into the tail at each hop,
@@ -286,16 +221,18 @@ def onion_create(hop_pubkeys: Sequence[bytes], session_rng,
         skip = BLOB_SIZE - len(filler)
         filler = _crypt(rho, bytes(skip) + filler + _ZERO_SLOT)[skip:]
 
-    blob = _crypt(_kdf(b"pad", session_key), bytes(BLOB_SIZE))
-    tag = _ZERO32  # terminal marker: the last hop sees an all-zero next MAC
+    blob = _crypt(_kdf(b"pad", hop_keys[0]), bytes(BLOB_SIZE))
+    # Terminal marker: the last hop sees an all-zero next ephemeral and MAC.
+    alpha, tag = _ZERO32, _ZERO32
     for i in reversed(range(count)):
-        slot = encode_payload(payloads[i]) + tag
+        slot = encode_payload(payloads[i]) + alpha + tag
         blob = _crypt(rhos[i], slot + blob[: BLOB_SIZE - SLOT_SIZE])
         if i == count - 1 and filler:
             blob = blob[: BLOB_SIZE - len(filler)] + filler
+        alpha = ephemerals[i]
         tag = hmac.new(_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
 
-    return OnionPacket(version=VERSION, ephemeral=ephemerals[0], blob=blob, tag=tag)
+    return OnionPacket(version=VERSION, ephemeral=alpha, blob=blob, tag=tag)
 
 
 def onion_peel(packet: OnionPacket, node_key: NodeKey) -> tuple[HopPayload, Optional[OnionPacket]]:
@@ -318,13 +255,12 @@ def onion_peel(packet: OnionPacket, node_key: NodeKey) -> tuple[HopPayload, Opti
         raise HmacFailure("packet authentication failed")
     clear = _crypt(_kdf(b"rho", secret), packet.blob + _ZERO_SLOT)
     payload = decode_payload(clear[:PAYLOAD_SIZE])
-    next_tag = clear[PAYLOAD_SIZE:SLOT_SIZE]
+    next_tag = clear[SLOT_SIZE - 32 : SLOT_SIZE]
     if next_tag == _ZERO32:
         return payload, None
-    blind = hashlib.sha256(packet.ephemeral + secret).digest()
     next_packet = OnionPacket(
         version=VERSION,
-        ephemeral=_mul(blind, packet.ephemeral),
+        ephemeral=clear[PAYLOAD_SIZE : SLOT_SIZE - 32],
         blob=clear[SLOT_SIZE:],
         tag=next_tag,
     )

@@ -1,6 +1,6 @@
 """Layered routing packets: round trips, size invariance, tamper detection,
-the sender's key schedule against the re-blinding one it replaced, and
-create and peel against the bytewise-XOR onion they replaced."""
+the X25519 work of create and peel, and create and peel against a bytewise
+reference that derives every hop key itself."""
 
 import hashlib
 import hmac
@@ -8,7 +8,10 @@ import random
 import struct
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from comit.chainlab import HashFnId
@@ -36,13 +39,6 @@ from comit.crp.onion import (
     PAYLOAD_SIZE,
     SLOT_SIZE,
     VERSION,
-    _L,
-    _as_key,
-    _clamp,
-    _exchange,
-    _hop_secrets,
-    _kdf,
-    _mul,
     decode_payload,
     encode_payload,
 )
@@ -312,14 +308,25 @@ def reference_xor(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
 
 
+def reference_kdf(kind, secret):
+    return hmac.new(kind, secret, hashlib.sha256).digest()
+
+
+def reference_hop_key(raw, hop_pub):
+    """(The public key of private key `raw`, the secret it shares with `hop_pub`)."""
+    key = X25519PrivateKey.from_private_bytes(raw)
+    peer = X25519PublicKey.from_public_bytes(hop_pub)
+    return key.public_key().public_bytes_raw(), key.exchange(peer)
+
+
 def reference_onion_create(hop_pubkeys, session_rng, payloads):
     """Materialise each hop's keystream and XOR it in byte by byte."""
     count = len(hop_pubkeys)
-    session_key = session_rng.randbytes(32)
-    ephemerals, secrets = _hop_secrets(session_key, hop_pubkeys)
+    hop_keys = [session_rng.randbytes(32) for _ in hop_pubkeys]  # in route order
+    ephemerals, secrets = zip(*map(reference_hop_key, hop_keys, hop_pubkeys))
     streams = [
         reference_stream(
-            _kdf(b"rho", s), BLOB_SIZE + SLOT_SIZE if i + 1 < count else BLOB_SIZE
+            reference_kdf(b"rho", s), BLOB_SIZE + SLOT_SIZE if i + 1 < count else BLOB_SIZE
         )
         for i, s in enumerate(secrets)
     ]
@@ -327,15 +334,17 @@ def reference_onion_create(hop_pubkeys, session_rng, payloads):
     for stream in streams[:-1]:
         filler += b"\x00" * SLOT_SIZE
         filler = reference_xor(filler, stream[-len(filler) :])
-    blob = reference_stream(_kdf(b"pad", session_key), BLOB_SIZE)
-    tag = b"\x00" * 32
+    blob = reference_stream(reference_kdf(b"pad", hop_keys[0]), BLOB_SIZE)
+    next_ephemeral, tag = b"\x00" * 32, b"\x00" * 32
     for i in reversed(range(count)):
-        slot = reference_encode_payload(payloads[i]) + tag
+        slot = reference_encode_payload(payloads[i]) + next_ephemeral + tag
+        assert len(slot) == SLOT_SIZE
         shifted = slot + blob[: BLOB_SIZE - SLOT_SIZE]
         blob = reference_xor(shifted, streams[i][:BLOB_SIZE])
         if i == count - 1 and filler:
             blob = blob[: BLOB_SIZE - len(filler)] + filler
-        tag = hmac.new(_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
+        next_ephemeral = ephemerals[i]
+        tag = hmac.new(reference_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
     return OnionPacket(VERSION, ephemerals[0], blob, tag)
 
 
@@ -346,19 +355,17 @@ def reference_onion_peel(packet, node_key):
         secret = node_key.exchange(packet.ephemeral)
     except ValueError as e:
         raise InvalidPacket(str(e)) from None
-    want = hmac.new(_kdf(b"mu", secret), packet.blob, hashlib.sha256).digest()
+    want = hmac.new(reference_kdf(b"mu", secret), packet.blob, hashlib.sha256).digest()
     if not hmac.compare_digest(want, packet.tag):
         raise HmacFailure("packet authentication failed")
-    stream = reference_stream(_kdf(b"rho", secret), BLOB_SIZE + SLOT_SIZE)
+    stream = reference_stream(reference_kdf(b"rho", secret), BLOB_SIZE + SLOT_SIZE)
     clear = reference_xor(packet.blob + b"\x00" * SLOT_SIZE, stream)
     payload = reference_decode_payload(clear[:PAYLOAD_SIZE])
-    next_tag = clear[PAYLOAD_SIZE:SLOT_SIZE]
+    next_ephemeral = clear[PAYLOAD_SIZE : PAYLOAD_SIZE + 32]
+    next_tag = clear[PAYLOAD_SIZE + 32 : SLOT_SIZE]
     if next_tag == b"\x00" * 32:
         return payload, None
-    blind = hashlib.sha256(packet.ephemeral + secret).digest()
-    return payload, OnionPacket(
-        VERSION, _mul(blind, packet.ephemeral), clear[SLOT_SIZE:], next_tag
-    )
+    return payload, OnionPacket(VERSION, next_ephemeral, clear[SLOT_SIZE:], next_tag)
 
 
 @pytest.mark.parametrize("seed", [0xB17E, 0xB17F, 0xB180])
@@ -433,87 +440,15 @@ def test_chacha20_contexts_per_create_and_peel(monkeypatch, hops, seeded):
     assert packet is None
 
 
-# --- key schedule ------------------------------------------------------------
+# --- X25519 work ----------------------------------------------------------
 
 
-def reference_hop_secrets(session, alpha, hop_pubkeys):
-    """The shared secret of each hop. `alpha` is the session's public key;
-    hop i sees it blinded by the factors of hops 0..i-1, so no hop after the
-    last needs one."""
-    secrets = []
-    blinds: list[bytes] = []
-    for i, hop_pub in enumerate(hop_pubkeys):
-        s = _exchange(session, hop_pub)
-        for b in blinds:
-            s = _mul(b, s)
-        secrets.append(s)
-        if i + 1 < len(hop_pubkeys):
-            b = hashlib.sha256(alpha + s).digest()
-            blinds.append(b)
-            alpha = _mul(b, alpha)
-    return secrets
-
-
-def reference_schedule(session_key, hop_pubkeys):
-    """Ephemerals and secrets by re-blinding every secret, the oracle of the
-    running-scalar schedule. Each ephemeral after the first is the one
-    before it blinded as a forwarding hop blinds it."""
-    session = X25519PrivateKey.from_private_bytes(session_key)
-    alpha = session.public_key().public_bytes_raw()
-    secrets = reference_hop_secrets(session, alpha, hop_pubkeys)
-    ephemerals = [alpha]
-    for s in secrets[:-1]:
-        ephemerals.append(_mul(hashlib.sha256(ephemerals[-1] + s).digest(), ephemerals[-1]))
-    return ephemerals, secrets
-
-
-def schedules(seed):
-    """(session key, hop keys) for 1..20 hops, fresh keys for each length."""
-    rng = random.Random(seed)
-    for hops in range(1, 21):
-        keys = [NodeKey.generate(rng).pubkey for _ in range(hops)]
-        yield rng.randbytes(32), keys
-
-
-@pytest.mark.parametrize("seed", [0x5C4, 0x5C5, 0x5C6])
-def test_key_schedule_matches_reblinding_reference(seed):
-    for session_key, keys in schedules(seed):
-        assert _hop_secrets(session_key, keys) == reference_schedule(session_key, keys)
-
-
-@pytest.mark.parametrize("keyless", ["every", "alternate"])
-def test_fallback_for_a_scalar_with_no_key_matches_reference(monkeypatch, keyless):
-    """Residues with no key are about 2**-125 of all, so force them: at
-    every hop the schedule is the reference's own; at alternate hops the
-    pending blinds are applied and then dropped once a key is found."""
-    calls = []
-
-    def as_key(k):
-        calls.append(k)
-        return None if keyless == "every" or len(calls) % 2 else _as_key(k)
-
-    monkeypatch.setattr(onion_mod, "_as_key", as_key)
-    for session_key, keys in schedules(0xFA11):
-        assert _hop_secrets(session_key, keys) == reference_schedule(session_key, keys)
-    assert calls
-
-
-def test_as_key_gives_a_key_for_either_sign_of_the_residue(seeded):
-    assert _as_key(2**255 % _L) is None
-    rng = seeded(0xA5)
-    for _ in range(2000):
-        r = rng.randrange(1, _L)
-        key = _as_key(r)
-        assert key is not None and len(key) == 32
-        assert _clamp(key) % _L in (r, _L - r)
-        assert _clamp(key) == int.from_bytes(key, "little")
-
-
-@pytest.mark.parametrize("hops", range(1, 7))
-def test_onion_create_makes_one_key_and_one_exchange_per_hop(monkeypatch, hops, seeded):
-    rng = seeded(0x0C + hops)
-    keys = [NodeKey.generate(rng) for _ in range(hops)]
-    counts = {"from_private_bytes": 0, "exchange": 0}
+@pytest.fixture
+def x25519_counts(monkeypatch):
+    """Counts of the X25519 operations the onion module makes: keys it
+    builds from private bytes, exchanges on those keys, and exchanges
+    through `NodeKey.exchange`."""
+    counts = {"from_private_bytes": 0, "exchange": 0, "node_exchange": 0}
 
     class CountedKey:
         def __init__(self, key):
@@ -532,9 +467,54 @@ def test_onion_create_makes_one_key_and_one_exchange_per_hop(monkeypatch, hops, 
             counts["from_private_bytes"] += 1
             return CountedKey(X25519PrivateKey.from_private_bytes(data))
 
+    node_exchange = NodeKey.exchange
+
+    def counted_node_exchange(key, peer):
+        counts["node_exchange"] += 1
+        return node_exchange(key, peer)
+
     monkeypatch.setattr(onion_mod, "X25519PrivateKey", CountedPrivateKey)
+    monkeypatch.setattr(NodeKey, "exchange", counted_node_exchange)
+    return counts
+
+
+@pytest.mark.parametrize("hops", range(1, 7))
+def test_onion_create_makes_one_key_and_one_exchange_per_hop(x25519_counts, hops, seeded):
+    rng = seeded(0x0C + hops)
+    keys = [NodeKey.generate(rng) for _ in range(hops)]
     payloads = flat_payloads(keys)
     packet = onion_create([k.pubkey for k in keys], rng, payloads)
-    assert counts == {"from_private_bytes": hops, "exchange": hops}
-    monkeypatch.undo()
+    assert x25519_counts == {"from_private_bytes": hops, "exchange": hops, "node_exchange": 0}
     assert peel_all(packet, keys) == payloads
+
+
+@pytest.mark.parametrize("hops", [1, 2, 5, 20])
+def test_every_peel_makes_one_node_exchange_and_no_key(x25519_counts, hops, seeded):
+    """A forwarding peel and a final peel alike: the hop's own exchange."""
+    rng = seeded(0x9E + hops)
+    keys = [NodeKey.generate(rng) for _ in range(hops)]
+    payloads = flat_payloads(keys)
+    packet = onion_create([k.pubkey for k in keys], rng, payloads)
+    for key, payload in zip(keys, payloads):
+        x25519_counts.update(from_private_bytes=0, exchange=0, node_exchange=0)
+        got, packet = onion_peel(packet, key)
+        assert got == payload
+        assert x25519_counts == {"from_private_bytes": 0, "exchange": 0, "node_exchange": 1}
+    assert packet is None
+
+
+def test_substituted_ephemeral_is_refused(seeded):
+    """Each forwarded ephemeral is sealed in the slot before it: it never
+    shows in the previous wire, and another valid key in its place, the
+    previous hop's or a fresh one, fails the next peel's MAC."""
+    rng = seeded(0xE9)
+    keys = [NodeKey.generate(rng) for _ in range(6)]
+    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    for key, next_key in zip(keys, keys[1:]):
+        _, forwarded = onion_peel(packet, key)
+        assert forwarded.ephemeral not in packet.serialize()
+        for other in (packet.ephemeral, NodeKey.generate(rng).pubkey):
+            swapped = OnionPacket(forwarded.version, other, forwarded.blob, forwarded.tag)
+            with pytest.raises(HmacFailure):
+                onion_peel(swapped, next_key)
+        packet = forwarded
