@@ -14,10 +14,10 @@ each one:
     or refund of one first keeps it (the strict xfail
     test_cheater_cannot_outrun_justice_on_a_revoked_htlc, ROADMAP item 5).
 
-Updates are two-phase: propose_update records state n+1 once both
-commitments of it would have an output, then commit_update reveals both
-parties' invalidation keys for n. A crash between the phases leaves both n
-and n+1 broadcastable and neither punishable, so no funds are stranded.
+An update is one step: `update` records state n+1 once both commitments
+of it would have an output and makes it current, which reveals both
+parties' invalidation keys for n. Both parties share this one object and
+the engine's faults act between events, so no half-updated state is kept.
 
 The per-state invalidation key is HMAC(party revocation seed, n); its hash
 goes into the revocation branches of that party's commitment n. Keys for
@@ -28,7 +28,7 @@ A Channel retains the current state, the record of every signed state
 flight. The record keeps per commitment number n only what n's state
 cannot derive: its `balance_a`, in one `array("Q")`, and its HTLC tuple,
 in one list. n is the index, and `balance_b` is the capacity less
-`balance_a` and the HTLC amounts, as `propose_update` enforces;
+`balance_a` and the HTLC amounts, as `update` enforces;
 `recorded_states` and `unilateral_close` rebuild a `CommitmentState` from
 them on demand. A balance never exceeds the capacity, which the funding
 output, like every output, holds to the ledger's MAX_AMOUNT (2**64 - 1),
@@ -283,9 +283,9 @@ def open_channel(
 
 class Channel:
     __slots__ = ("ledger", "party_a", "party_b", "funding_outpoint", "capacity", "csv_delay",
-                 "dust_limit", "phase", "revocation_fn", "state", "_htlc_seq", "_pending_state",
-                 "_balances_a", "_htlc_sets", "_closing", "closed_by", "closed_commitment",
-                 "closed_height", "closed_outputs", "close_fees")
+                 "dust_limit", "phase", "revocation_fn", "state", "_htlc_seq", "_balances_a",
+                 "_htlc_sets", "_closing", "closed_by", "closed_commitment", "closed_height",
+                 "closed_outputs", "close_fees")
 
     def __init__(
         self,
@@ -310,7 +310,6 @@ class Channel:
         self.revocation_fn = sorted(ledger.params.hash_fns, key=lambda f: f.value)[0]
         self.state = CommitmentState(0, initial_balance_a, initial_balance_b, ())
         self._htlc_seq = 0
-        self._pending_state: Optional[CommitmentState] = None
         # balance_a and the HTLC tuple of every recorded state, indexed by
         # its commitment number (see `_recorded`)
         self._balances_a = array("Q")
@@ -369,7 +368,7 @@ class Channel:
     def recorded_states(self) -> tuple[CommitmentState, ...]:
         """Every commitment state this channel has signed, indexed by number,
         each rebuilt from its recorded balance and HTLC tuple: equal to the
-        state that was proposed, holding the same `Htlc` objects.
+        state passed to `update`, holding the same `Htlc` objects.
 
         States below the current commitment number are revoked; broadcasting
         one of them is a breach the counterparty can punish."""
@@ -447,9 +446,8 @@ class Channel:
         then record it; nothing is built or signed. A commitment is empty
         only with no HTLCs and one balance at 0, when the other balance
         (which is then the capacity) is at most two fees: the commitment's
-        fee and a trimmed delayed output. Numbers advance by one and an
-        update is proposed once, so `state` is the next entry of the
-        record."""
+        fee and a trimmed delayed output. Numbers advance by one, so
+        `state` is the next entry of the record."""
         if (
             not state.htlcs
             and min(state.balance_a, state.balance_b) == 0
@@ -459,13 +457,12 @@ class Channel:
         self._balances_a.append(state.balance_a)
         self._htlc_sets.append(state.htlcs)
 
-    # --- two-phase update ---------------------------------------------------
+    # --- update ---------------------------------------------------------------
 
-    def propose_update(self, new_state: CommitmentState) -> None:
-        """Phase one: both parties agree on the next commitment."""
+    def update(self, new_state: CommitmentState) -> None:
+        """Both parties sign the next commitment and reveal their
+        invalidation keys for the one it replaces, which is now revoked."""
         self._require_open()
-        if self._pending_state is not None:
-            raise StalePhase("an update is already proposed")
         if new_state.commitment_number != self.state.commitment_number + 1:
             raise ValueError("commitment numbers must advance by exactly 1")
         total = (
@@ -478,27 +475,18 @@ class Channel:
         if new_state.balance_a < 0 or new_state.balance_b < 0:
             raise ValueError("negative balance")
         self._record_state(new_state)
-        self._pending_state = new_state
-
-    def commit_update(self) -> None:
-        """Phase two: both parties reveal invalidation keys for the state
-        being replaced. Only now is the old state revoked."""
-        if self._pending_state is None:
-            raise StalePhase("no update proposed")
-        self.state = self._pending_state
-        self._pending_state = None
+        self.state = new_state
 
     def _update(self, side: str, amount: int, htlcs: tuple[Htlc, ...]) -> None:
-        """Propose and commit the next state: `amount` moved into `side`'s
-        balance (out of it if negative), holding `htlcs`."""
+        """`update` to the next state: `amount` moved into `side`'s balance
+        (out of it if negative), holding `htlcs`."""
         st = self.state
-        self.propose_update(CommitmentState(
+        self.update(CommitmentState(
             commitment_number=st.commitment_number + 1,
             balance_a=st.balance_a + (amount if side == "a" else 0),
             balance_b=st.balance_b + (amount if side == "b" else 0),
             htlcs=htlcs,
         ))
-        self.commit_update()
 
     def _require_open(self) -> None:
         if self.phase is not ChannelPhase.OPEN or self.closing:

@@ -172,7 +172,7 @@ def test_states_at_the_amount_bound_are_recorded_and_closed(rng):
         assert (ledger.height, wallet(ledger, alice)) == (0, MAX_AMOUNT)
     ch = open_channel(ledger, alice, bob, MAX_AMOUNT, 0)
     with pytest.raises(ValueError, match="negative balance"):
-        ch.propose_update(CommitmentState(1, MAX_AMOUNT + 1, -1, ()))
+        ch.update(CommitmentState(1, MAX_AMOUNT + 1, -1, ()))
     assert ch.recorded_states() == (ch.state,)
 
 
@@ -215,7 +215,7 @@ def test_htlc_validation_errors(rng):
         with pytest.raises(ValueError):
             ch.add_htlc(alice, 100, HashFnId.SHA256, b"h" * size, 50)
     assert ch.state == CommitmentState(0, 10_000, 5_000, ())
-    with pytest.raises(ValueError):  # nor can a directly proposed state hold one
+    with pytest.raises(ValueError):  # nor can a state passed to update hold one
         Htlc(1, "a", -5, HashFnId.SHA256, b"h" * 32, 50)
     hid, secret = add(ch, alice, 100)
     with pytest.raises(BadPreimage):
@@ -239,21 +239,17 @@ def noop(ch, alice, bob):
 
 
 @pytest.mark.parametrize("world, setup, refused, error, match", [
-    ({}, lambda ch, a, b: ch.propose_update(next_state(ch)),
-     lambda ch, a, b: ch.propose_update(next_state(ch)), StalePhase, "already proposed"),
-    ({}, noop, lambda ch, a, b: ch.propose_update(next_state(ch, skip=1)),
+    ({}, noop, lambda ch, a, b: ch.update(next_state(ch, skip=1)),
      ValueError, "exactly 1"),
-    ({}, noop, lambda ch, a, b: ch.propose_update(next_state(ch, extra=1)),
+    ({}, noop, lambda ch, a, b: ch.update(next_state(ch, extra=1)),
      ValueError, "capacity"),
-    ({}, noop, lambda ch, a, b: ch.commit_update(), StalePhase, "no update proposed"),
     ({}, noop, lambda ch, a, b: add(ch, a, 0), ValueError, ">= 1"),
     ({"fee": 2, "fund_a": 1, "fund_b": 1}, noop, lambda ch, a, b: ch.cooperative_close(),
      ChannelError, "no outputs"),
     ({}, lambda ch, a, b: add(ch, a, 100),
      lambda ch, a, b: ch.build_htlc_claim(b, 1, b"s" * 32), StalePhase, "^open$"),
-], ids=["propose-twice", "propose-skipping-a-number", "propose-breaking-capacity",
-        "commit-with-nothing-proposed", "htlc-of-zero", "close-with-no-outputs",
-        "claim-on-open-channel"])
+], ids=["update-skipping-a-number", "update-breaking-capacity", "htlc-of-zero",
+        "close-with-no-outputs", "claim-on-open-channel"])
 def test_refused_updates_and_spends_change_nothing(rng, world, setup, refused, error, match):
     """Each refusal raises exactly `error` and leaves the channel's states,
     its phase and the ledger's mempool as they were."""
@@ -261,7 +257,7 @@ def test_refused_updates_and_spends_change_nothing(rng, world, setup, refused, e
     setup(ch, alice, bob)
 
     def seen():
-        return (ch.phase, ch.state, ch._pending_state, ch.recorded_states(),
+        return (ch.phase, ch.state, ch.recorded_states(),
                 dict(ledger._mempool))
 
     before = seen()
@@ -454,29 +450,6 @@ def test_breach_window_expires_after_cheater_sweep(rng):
     assert ch.phase is ChannelPhase.SETTLED
     with pytest.raises(WindowExpired):
         ch.punish_breach(bob)
-
-
-def test_crash_between_update_phases_strands_nothing(rng):
-    # Sign-new happened, reveal-old did not: both states broadcastable,
-    # neither punishable.
-    for newer in (0, 1):
-        ledger, ch, alice, bob = make_world(rng)
-        hid, secret = add(ch, alice, 1_000)
-        ch.fulfill_htlc(hid, secret)  # state 2
-        n = ch.commitment_number
-        new_state = CommitmentState(
-            commitment_number=n + 1,
-            balance_a=ch.state.balance_a - 500,
-            balance_b=ch.state.balance_b + 500,
-            htlcs=(),
-        )
-        ch.propose_update(new_state)  # phase one only; "crash" here
-        # broadcasting either signed state works and is not a breach
-        ch.unilateral_close(bob, commitment_number=n + newer)
-        mine_and_watch(ledger, ch)
-        assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
-        with pytest.raises(StalePhase):
-            ch.punish_breach(alice)
 
 
 def test_capacity_conserved_across_random_history(rng):
@@ -775,23 +748,22 @@ UPDATES = st.lists(
 def test_update_refused_exactly_when_a_commitment_has_no_outputs(
     fund_a, fund_b, fee_over_capacity, steps, keep_htlcs, data
 ):
-    # Oracle: the commitment builder itself, which propose_update does not run.
+    # Oracle: the commitment builder itself, which update does not run.
     # The fee is drawn around the capacity, where refusals start.
     fee = max(0, fund_a + fund_b + fee_over_capacity)
     _, ch, _, _ = make_world(random.Random(0x5161), fee=fee, fund_a=fund_a, fund_b=fund_b)
     payment_hash = hash_digest(HashFnId.SHA256, b"s" * 32)
     next_id = 0
 
-    def propose(state):
+    def update(state):
         refused = refused_by_builder(ch, state)
         try:
-            ch.propose_update(state)
+            ch.update(state)
         except ChannelError:
             assert refused
             assert ch.commitment_number == state.commitment_number - 1
             return
         assert not refused
-        ch.commit_update()
         assert ch.state == state
 
     for kind, by_a, quarters, pick in steps:
@@ -804,7 +776,7 @@ def test_update_refused_exactly_when_a_commitment_has_no_outputs(
             amount = max(1, balance * quarters // 4)
             next_id += 1
             h = Htlc(next_id, side, amount, HashFnId.SHA256, payment_hash, 50)
-            propose(CommitmentState(
+            update(CommitmentState(
                 s.commitment_number + 1,
                 s.balance_a - (amount if by_a else 0),
                 s.balance_b - (0 if by_a else amount),
@@ -813,7 +785,7 @@ def test_update_refused_exactly_when_a_commitment_has_no_outputs(
         elif s.htlcs:
             h = s.htlcs[pick % len(s.htlcs)]
             to_a = (h.offerer_side == "a") == (kind == "fail")
-            propose(CommitmentState(
+            update(CommitmentState(
                 s.commitment_number + 1,
                 s.balance_a + (h.amount if to_a else 0),
                 s.balance_b + (0 if to_a else h.amount),
@@ -823,7 +795,7 @@ def test_update_refused_exactly_when_a_commitment_has_no_outputs(
     htlcs = s.htlcs if keep_htlcs else ()
     pool = ch.capacity - sum(h.amount for h in htlcs)
     to_a = data.draw(st.sampled_from([0, pool]) | st.integers(0, pool), label="final balance_a")
-    propose(CommitmentState(s.commitment_number + 1, to_a, pool - to_a, htlcs))
+    update(CommitmentState(s.commitment_number + 1, to_a, pool - to_a, htlcs))
 
 
 class ChannelMachine(RuleBasedStateMachine):
