@@ -21,7 +21,7 @@ from .script import (
     script_bytes,
     verify_script,
 )
-from .tx import MAX_AMOUNT, Outpoint, Transaction, TxIn, TxOut, txid
+from .tx import MAX_AMOUNT, Outpoint, Transaction, TxIn, TxOut, txid, txid_of
 from .ledger import BlockSummary, ChainParams, Ledger, Reject, TxRejected
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "TxIn",
     "Transaction",
     "txid",
+    "txid_of",
     "MAX_AMOUNT",
     "ChainParams",
     "Ledger",

@@ -1,15 +1,16 @@
 """Simulated transaction signing.
 
-Signatures here are HMAC-SHA256 tags over the witness-free transaction
-digest. An HMAC is not publicly verifiable, so each Signature privately
-carries the key that made it (a KeyPair, or a routing node's NodeKey), and
-verification recomputes the tag with that key's `mac` after checking that
-its pubkey is the one the script names. A KeyPair's pubkey is derived
-from its secret, so a signature for a pubkey can only come from someone
-holding that pubkey's secret. That keeps the property the channel
-protocols actually rely on: producing a signature requires holding the
-KeyPair object, while any code can check one. No key state outlives the
-objects that hold it.
+Signatures here are keyed-BLAKE2b tags (BLAKE2's MAC mode, RFC 7693) over
+the witness-free transaction digest, keyed by the signer's secret. A MAC is
+not publicly verifiable, so each Signature privately carries the key that
+made it (a KeyPair, or a routing node's NodeKey), and verification
+recomputes the tag with that key's `mac` after checking that its pubkey is
+the one the script names. A KeyPair derives its pubkey from its secret when
+it is built, so a signature for a pubkey can only come from someone holding
+that pubkey's secret. That keeps the property the channel protocols
+actually rely on: producing a signature requires holding the KeyPair
+object, while any code can check one. No key state outlives the objects
+that hold it.
 """
 
 from __future__ import annotations
@@ -22,31 +23,22 @@ from typing import Any
 _KEY_TAG = b"comit/key/v1"
 
 
-def _derive_pubkey(secret: bytes) -> bytes:
-    return hashlib.sha256(_KEY_TAG + secret).digest()
-
-
 @dataclass(frozen=True, slots=True)
 class KeyPair:
     secret: bytes
-    pubkey: bytes
+    pubkey: bytes = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.secret) != 32:
             raise ValueError("key secret must be 32 bytes")
-        if self.pubkey != _derive_pubkey(self.secret):
-            raise ValueError("pubkey does not match secret")
-
-    @classmethod
-    def from_secret(cls, secret: bytes) -> "KeyPair":
-        return cls(secret=secret, pubkey=_derive_pubkey(secret))
+        object.__setattr__(self, "pubkey", hashlib.sha256(_KEY_TAG + self.secret).digest())
 
     @classmethod
     def generate(cls, rng) -> "KeyPair":
-        return cls.from_secret(rng.randbytes(32))
+        return cls(rng.randbytes(32))
 
     def mac(self, data: bytes) -> bytes:
-        return hmac.new(self.secret, data, hashlib.sha256).digest()
+        return hashlib.blake2b(data, key=self.secret, digest_size=32).digest()
 
     def sign(self, digest: bytes) -> "Signature":
         return Signature(pubkey=self.pubkey, mac=self.mac(digest), _signer=self)

@@ -68,22 +68,31 @@ class Transaction:
             raise ValueError("transaction needs at least one output")
 
 
-def serialize_without_witness(tx: Transaction) -> bytes:
-    parts = [struct.pack("<I", len(tx.inputs))]
-    for txin in tx.inputs:
-        parts.append(txin.outpoint.txid)
-        parts.append(struct.pack("<I", txin.outpoint.index))
-    parts.append(struct.pack("<I", len(tx.outputs)))
-    for txout in tx.outputs:
+def serialize_without_witness(outpoints, outputs: tuple[TxOut, ...]) -> bytes:
+    """The serialization of a transaction spending `outpoints` into
+    `outputs`, without its witnesses."""
+    parts = [struct.pack("<I", len(outpoints))]
+    for outpoint in outpoints:
+        parts.append(outpoint.txid)
+        parts.append(struct.pack("<I", outpoint.index))
+    parts.append(struct.pack("<I", len(outputs)))
+    for txout in outputs:
         sb = script_bytes(txout.script)
         parts.append(struct.pack("<QI", txout.amount, len(sb)))
         parts.append(sb)
     return b"".join(parts)
 
 
+def txid_of(outpoints, outputs: tuple[TxOut, ...]) -> bytes:
+    """The txid of any transaction spending `outpoints` into `outputs`,
+    whatever its witnesses: what its signatures sign."""
+    return hashlib.sha256(serialize_without_witness(outpoints, outputs)).digest()
+
+
 def txid(tx: Transaction) -> bytes:
     """Witness-free transaction digest; doubles as the signing digest.
     Computed once per transaction and kept on it."""
     if tx._txid is None:
-        object.__setattr__(tx, "_txid", hashlib.sha256(serialize_without_witness(tx)).digest())
+        outpoints = [txin.outpoint for txin in tx.inputs]
+        object.__setattr__(tx, "_txid", txid_of(outpoints, tx.outputs))
     return tx._txid

@@ -19,9 +19,10 @@ of it would have an output and makes it current, which reveals both
 parties' invalidation keys for n. Both parties share this one object and
 the engine's faults act between events, so no half-updated state is kept.
 
-The per-state invalidation key is HMAC(party revocation seed, n); its hash
-goes into the revocation branches of that party's commitment n. Keys for
-the current state are never revealed, and every key below it is.
+The per-state invalidation key is the keyed BLAKE2b of n under the party's
+revocation seed (BLAKE2's MAC mode, RFC 7693); its hash goes into the
+revocation branches of that party's commitment n. Keys for the current
+state are never revealed, and every key below it is.
 
 A Channel retains the current state, the record of every signed state
 (which breach handling needs) and the one close transaction it has put in
@@ -43,9 +44,9 @@ of the close it submitted. So process_block must see each block that
 confirms one of the channel's transactions, right after that block is
 mined; a block that confirms none of them changes nothing on the
 channel. A transaction is built and signed only when it is broadcast:
-signing is a deterministic HMAC and the ledger checks signatures on
-submission, so building commitment n from state n in unilateral_close
-gives the transaction both parties agreed on.
+signing is a deterministic keyed-BLAKE2b MAC and the ledger checks
+signatures on submission, so building commitment n from state n in
+unilateral_close gives the transaction both parties agreed on.
 
 `respond` is the honest on-chain policy, after BOLT #5
 (https://github.com/lightning/bolts/blob/master/05-onchain.md): from the
@@ -56,7 +57,6 @@ that party makes now. Each one is a bound builder above and its arguments.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -80,6 +80,7 @@ from ..chainlab import (
     Witness,
     hash_digest,
     txid,
+    txid_of,
 )
 from ..chainlab.ledger import BlockSummary
 
@@ -198,19 +199,15 @@ def _signed(
     """The transaction spending `outpoints` into `outputs`, every input
     carrying one witness: each key's signature over the txid, the
     preimages and the Or branch."""
-    skeleton = Transaction(
-        inputs=tuple(TxIn(op) for op in outpoints), outputs=tuple(outputs)
-    )
-    digest = txid(skeleton)
+    outputs = tuple(outputs)
+    digest = txid_of(outpoints, outputs)
     witness = Witness(
         signatures=tuple(key.sign(digest) for key in keys),
         preimages=tuple(preimages),
         branch_selector=branch,
     )
-    tx = Transaction(
-        inputs=tuple(TxIn(op, witness) for op in outpoints), outputs=skeleton.outputs
-    )
-    # witnesses are outside the txid, so the skeleton's is the transaction's
+    tx = Transaction(inputs=tuple(TxIn(op, witness) for op in outpoints), outputs=outputs)
+    # witnesses are outside the txid, so the signed digest is the transaction's
     object.__setattr__(tx, "_txid", digest)
     return tx
 
@@ -395,7 +392,7 @@ class Channel:
 
     def revocation_key(self, side: str, n: int) -> bytes:
         seed = self.party(side).revocation_seed
-        return hmac.new(seed, n.to_bytes(8, "little"), hashlib.sha256).digest()
+        return hashlib.blake2b(n.to_bytes(8, "little"), key=seed, digest_size=32).digest()
 
     def revocation_hash(self, side: str, n: int) -> bytes:
         return hash_digest(self.revocation_fn, self.revocation_key(side, n))

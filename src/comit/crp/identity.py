@@ -3,9 +3,10 @@
 A node's identity is its X25519 public key (32 bytes): it both names the
 node in gossip and routes and serves as the Diffie-Hellman key the onion
 shares secrets against. Adverts are signed with the ledger's simulated
-`Signature`: its tag is an HMAC keyed by the node's seed, and it carries
-the NodeKey that made it, so `Signature.verifies` recomputes the tag with
-that key once it has checked that the key's pubkey is the advert's.
+`Signature`: its tag is a keyed-BLAKE2b MAC keyed by the node's seed, and
+it carries the NodeKey that made it, so `Signature.verifies` recomputes
+the tag with that key once it has checked that the key's pubkey is the
+advert's.
 The pubkey is derived from the seed, so only a holder of that pubkey's
 private key can sign for it. Two seeds that differ only in bits X25519
 clamps away share a pubkey, and each still verifies its own adverts.
@@ -14,7 +15,6 @@ clamps away share a pubkey, and each still verifies its own adverts.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -46,7 +46,7 @@ class NodeKey:
         return self._private.exchange(X25519PublicKey.from_public_bytes(peer_public))
 
     def mac(self, data: bytes) -> bytes:
-        return hmac.new(self.seed, data, hashlib.sha256).digest()
+        return hashlib.blake2b(data, key=self.seed, digest_size=32).digest()
 
     def sign(self, data: bytes) -> Signature:
         return Signature(pubkey=self.pubkey, mac=self.mac(data), _signer=self)

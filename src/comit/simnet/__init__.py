@@ -8,7 +8,7 @@ pure function of the scenario. The `comit-sim` command line wraps this with
 `run`, `validate`, and `demo` subcommands.
 """
 
-from .engine import Engine, derived_rng, run_scenario
+from .engine import Engine, derived_bytes, derived_rng, run_scenario
 from .report import build_report, render_text, report_json
 from .scenario import (
     ActorSpec,
@@ -34,6 +34,7 @@ __all__ = [
     "QuoteSpec",
     "Scenario",
     "build_report",
+    "derived_bytes",
     "derived_rng",
     "load_scenario",
     "render_text",

@@ -154,11 +154,17 @@ HOP_ENDS = {"claim": ("claimed", "claimed-on-chain"), "refund": ("refunded", "")
 UNPUNISHED = ("refunded", "breach-unpunished")
 
 
+def derived_bytes(seed: int, *parts) -> bytes:
+    """A 32-byte secret for a labelled single use: the SHA-256 of the
+    label. Stable under unrelated scenario edits because the label, not
+    draw order, selects it."""
+    return hashlib.sha256("/".join([str(seed), *map(str, parts)]).encode()).digest()
+
+
 def derived_rng(seed: int, *parts) -> random.Random:
-    """Independent stream for a labelled purpose; stable under unrelated
-    scenario edits because the label, not draw order, selects the stream."""
-    material = "/".join([str(seed), *map(str, parts)]).encode()
-    return random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+    """A Mersenne Twister stream for a labelled purpose that draws more
+    than one value, seeded by `derived_bytes` of the same label."""
+    return random.Random(int.from_bytes(derived_bytes(seed, *parts), "big"))
 
 
 @dataclass(slots=True)
@@ -326,11 +332,11 @@ class Engine:
             # per channel.
             pa = ChannelParty(
                 keypair=self.actors[spec.party_a].wallet[spec.chain_id],
-                revocation_seed=derived_rng(sc.seed, "chan", idx, spec.party_a).randbytes(32),
+                revocation_seed=derived_bytes(sc.seed, "chan", idx, spec.party_a),
             )
             pb = ChannelParty(
                 keypair=self.actors[spec.party_b].wallet[spec.chain_id],
-                revocation_seed=derived_rng(sc.seed, "chan", idx, spec.party_b).randbytes(32),
+                revocation_seed=derived_bytes(sc.seed, "chan", idx, spec.party_b),
             )
             ledger = self.ledgers[spec.chain_id]
             channel = open_channel(

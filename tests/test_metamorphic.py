@@ -7,7 +7,13 @@ documents without changing their worlds and compares the reports:
 - disjoint union: document A with a renamed copy B' of another document
   appended gives each payment and actor row of A and of B' run alone;
 - channel order: reversing `channels`, with channel indices remapped,
-  gives the same payment and actor rows.
+  gives the same payment and actor rows;
+- same-tick order: events due on the same tick run in a seeded random
+  order instead of the order they were scheduled in. Outcomes may move,
+  so this relation checks invariants, not rows: the run ends, every
+  payment is terminal, nothing is violated, every chain conserves its
+  coins and no honest forwarder pays out unpaid (`test_small_scope.audit`),
+  for each of TIE_KEYS.
 
 Tier-1 runs every 10th document of the acceptance corpus (for the union,
 each paired with the next document). Every document, with each failing one
@@ -17,12 +23,16 @@ listed:
 """
 
 import copy
+import heapq
+import random
 import sys
 
 import pytest
 
 from comit.simnet import run_scenario, validate_scenario
 from test_acceptance import workloads
+from test_simnet import KeepingEngine
+from test_small_scope import audit
 
 CORPUS_SIZE = 500
 SLICE = 10
@@ -33,6 +43,8 @@ CHANNEL_ORDER_DOCS = (3, 60, 233, 399)
 # shared: a payment naming no hash function takes its default from every
 # chain carrying its asset (ROADMAP item 22).
 SHARED_ASSET_PAIR = (400, 401)
+# The seeds of the same-tick relation's random tie orders.
+TIE_KEYS = (0, 1, 2, 3)
 
 
 def run_doc(doc):
@@ -126,10 +138,33 @@ def channel_order_holds(doc) -> bool:
     return outcomes(got) == outcomes(want) and got["actors"] == want["actors"]
 
 
+class ShuffledTiesEngine(KeepingEngine):
+    """KeepingEngine whose queue breaks same-tick ties by a random key
+    drawn from a generator seeded with `key`, instead of by `_seq`."""
+
+    def __init__(self, scenario, key: int):
+        self.ties = random.Random(key)
+        super().__init__(scenario)
+
+    def _schedule(self, tick, handler, *args):
+        tie = (self.ties.random(), self._seq)
+        heapq.heappush(self.queue, (max(tick, self.tick + 1), tie, handler, args))
+        self._seq += 1
+
+
+def same_tick_order_holds(doc) -> bool:
+    """Under every key of TIE_KEYS, a run with same-tick ties broken at
+    random passes the per-hop audit."""
+    scenario, errors = validate_scenario(doc)
+    assert errors == []
+    return all(audit(ShuffledTiesEngine(scenario, key)) == [] for key in TIE_KEYS)
+
+
 RELATIONS = {
     "actor order": lambda docs, i: actor_order_holds(docs[i]),
     "union": lambda docs, i: union_holds(docs[i], docs[(i + 1) % len(docs)]),
     "channel order": lambda docs, i: channel_order_holds(docs[i]),
+    "same-tick order": lambda docs, i: same_tick_order_holds(docs[i]),
 }
 PINNED = {"channel order": CHANNEL_ORDER_DOCS}  # strict xfails below
 
@@ -163,6 +198,10 @@ def test_disjoint_union_with_shared_asset_names(corpus):
 
 def test_channel_order_changes_no_outcome(corpus):
     assert slice_failures(corpus, "channel order") == []
+
+
+def test_same_tick_order_keeps_every_invariant(corpus):
+    assert slice_failures(corpus, "same-tick order") == []
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 20: gossip crosses channels "

@@ -112,13 +112,11 @@ def no_slower_outgoing(intervals: tuple[int, ...]) -> bool:
     return all(out <= inc for inc, out in zip(intervals, intervals[1:]))
 
 
-def problems(intervals: tuple[int, ...], faults: tuple[dict, ...]) -> list[str]:
-    """What goes wrong in one run: its violations, payments left pending,
-    chains that do not conserve their coins, and honest forwarders paid
-    out unpaid."""
-    scenario, errors = validate_scenario(line_doc(intervals, list(faults)))
-    assert errors == [], errors
-    engine = KeepingEngine(scenario)
+def audit(engine) -> list[str]:
+    """Run `engine`, a KeepingEngine so that every hop is still there to
+    audit, and say what goes wrong: its violations, payments left
+    pending, chains that do not conserve their coins, and honest
+    forwarders paid out unpaid."""
     engine.run()
     report = build_report(engine)
     found = list(report["violations"])
@@ -133,6 +131,13 @@ def problems(intervals: tuple[int, ...], faults: tuple[dict, ...]) -> list[str]:
                 found.append(f"{outgoing.offerer} paid out unpaid: outgoing "
                              f"{outgoing.resolved}, incoming {incoming.resolved or 'open'}")
     return found
+
+
+def problems(intervals: tuple[int, ...], faults: tuple[dict, ...]) -> list[str]:
+    """What goes wrong in one run of the grid."""
+    scenario, errors = validate_scenario(line_doc(intervals, list(faults)))
+    assert errors == [], errors
+    return audit(KeepingEngine(scenario))
 
 
 def failures(runs) -> list[tuple[tuple[int, ...], str]]:
