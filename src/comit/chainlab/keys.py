@@ -3,14 +3,14 @@
 Signatures here are keyed-BLAKE2b tags (BLAKE2's MAC mode, RFC 7693) over
 the witness-free transaction digest, keyed by the signer's secret. A MAC is
 not publicly verifiable, so each Signature privately carries the key that
-made it (a KeyPair, or a routing node's NodeKey), and verification
-recomputes the tag with that key's `mac` after checking that its pubkey is
-the one the script names. A KeyPair derives its pubkey from its secret when
-it is built, so a signature for a pubkey can only come from someone holding
-that pubkey's secret. That keeps the property the channel protocols
-actually rely on: producing a signature requires holding the KeyPair
-object, while any code can check one. No key state outlives the objects
-that hold it.
+made it (a KeyPair, or a routing node's NodeKey, a KeyPair subclass with
+an X25519 pubkey), and verification recomputes the tag with that key's
+`mac` after checking that its pubkey is the one the script names. A KeyPair
+derives its pubkey from its secret when it is built, so a signature for a
+pubkey can only come from someone holding that pubkey's secret. That keeps
+the property the channel protocols actually rely on: producing a signature
+requires holding the KeyPair object, while any code can check one. No key
+state outlives the objects that hold it.
 """
 
 from __future__ import annotations

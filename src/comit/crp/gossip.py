@@ -1,33 +1,34 @@
 """Liquidity-provider gossip.
 
 LPs advertise their channel endpoints and rate quotes in signed adverts;
-everyone else relays them. Merging is per-origin freshest-timestamp-wins,
-and invalid signatures are dropped (and counted). On a connected topology
+everyone else relays them. Each node's store is a grow-only set holding
+one advert per origin (a G-Set: Shapiro et al., INRIA RR-7506, 2011): the
+first validly signed advert a node sees from an origin is the one it
+keeps, and invalid signatures are dropped (and counted). An LP signs its
+one advert once, so two valid adverts from one origin never compete and
+no timestamp is needed to choose between them. On a connected topology
 every origin reaches every node in at most diameter rounds.
 
 `GossipState.exchange` is one push-pull round of anti-entropy between two
 peers over whole stores (Demers et al., PODC 1987): this node pushes its
 store into the peer's `gossip_step` and pulls the peer's store back, so
-both end up holding the union at the freshest timestamps.
-`GossipState.version` counts the adverts a node has installed: it rises
-exactly when the store changes, on a fresher advert, and never on a stale,
-duplicate or badly signed one, so a driver reads it to see which nodes an
-exchange taught something.
+both end up holding the union. A store only grows, so its size changes
+exactly when it learns something, and a driver reads `len(adverts)` to
+see which nodes an exchange taught something.
 
-The version memo is what ends flooding. Two peers that have just exchanged
-hold nothing the other lacks: while neither version moves, another
-exchange would change neither store, so each state keeps, per peer, the
-two versions of their last exchange, and `exchange` returns at once while
-both still hold. An exchange that does run skips, by identity, every
-advert the receiver already holds as that very object, so relaying a
-store costs no signature check for what is already there; any other
-copy, a forged one at the held timestamp included, is verified and
-counted.
+The memo of store sizes is what ends flooding. Two peers that have just
+exchanged hold nothing the other lacks: while neither store grows,
+another exchange would change neither, so each state keeps, per peer, the
+two store sizes of their last exchange, and `exchange` returns at once
+while both still hold. An exchange that does run skips, by identity,
+every advert the receiver already holds as that very object, so relaying
+a store costs no signature check for what is already there; any other
+copy is verified, and a forged one is counted.
 
 The memo only matters while adverts still spread. Once every store holds
 every advert, `forget_peers` releases it (the simulator's engine calls it
 at convergence). An exchange after that is still correct: it sends each
-store once, moves no version, and sets the memo for that peer again.
+store once, grows neither, and sets the memo for that peer again.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ class LpAdvert:
     node_pubkey: bytes
     endpoints: tuple[ChannelEndpoint, ...]
     quotes: tuple[RateQuote, ...]
-    timestamp: int
     signature: Signature  # node_pubkey's signature over signing_bytes
     # What the signature covers, built once per advert, so that the many
     # nodes verifying one advert object do not each rebuild it.
     signing_bytes: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        body = advert_signing_bytes(self.node_pubkey, self.endpoints, self.quotes, self.timestamp)
+        body = advert_signing_bytes(self.node_pubkey, self.endpoints, self.quotes)
         object.__setattr__(self, "signing_bytes", body)
 
 
@@ -81,9 +81,8 @@ def advert_signing_bytes(
     node_pubkey: bytes,
     endpoints: Sequence[ChannelEndpoint],
     quotes: Sequence[RateQuote],
-    timestamp: int,
 ) -> bytes:
-    parts = [node_pubkey, struct.pack("<Q", timestamp), struct.pack("<I", len(endpoints))]
+    parts = [node_pubkey, struct.pack("<I", len(endpoints))]
     for ep in endpoints:
         parts.append(_short_str(ep.chain_id))
         parts.append(ep.peer)
@@ -100,14 +99,12 @@ def make_advert(
     node_key: NodeKey,
     endpoints: Sequence[ChannelEndpoint],
     quotes: Sequence[RateQuote],
-    timestamp: int,
 ) -> LpAdvert:
-    body = advert_signing_bytes(node_key.pubkey, endpoints, quotes, timestamp)
+    body = advert_signing_bytes(node_key.pubkey, endpoints, quotes)
     return LpAdvert(
         node_pubkey=node_key.pubkey,
         endpoints=tuple(endpoints),
         quotes=tuple(quotes),
-        timestamp=timestamp,
         signature=node_key.sign(body),
     )
 
@@ -117,16 +114,16 @@ def verify_advert(advert: LpAdvert) -> bool:
 
 
 class GossipState:
-    """One node's advert store plus a per-peer memo of their last exchange."""
+    """One node's grow-only advert store plus a per-peer memo of their last
+    exchange."""
 
-    __slots__ = ("own_pubkey", "adverts", "invalid_dropped", "version", "_exchanged")
+    __slots__ = ("own_pubkey", "adverts", "invalid_dropped", "_exchanged")
 
     def __init__(self, own_pubkey: bytes):
         self.own_pubkey = own_pubkey
         self.adverts: dict[bytes, LpAdvert] = {}
         self.invalid_dropped = 0
-        self.version = 0  # adverts installed so far
-        # peer id -> (own version, peer's version) after their last exchange
+        # peer id -> (own store size, peer's store size) after their last exchange
         self._exchanged: dict[bytes, tuple[int, int]] = {}
 
     def insert_local(self, advert: LpAdvert) -> None:
@@ -145,7 +142,7 @@ class GossipState:
 
         An advert that is the very object held for its origin is skipped.
         Any other is verified: a bad signature is dropped and counted, and a
-        valid advert fresher than the held one replaces it."""
+        valid advert is installed only if its origin has none held yet."""
         installed = []
         for advert in incoming:
             have = self.adverts.get(advert.node_pubkey)
@@ -153,19 +150,18 @@ class GossipState:
                 continue
             if not verify_advert(advert):
                 self.invalid_dropped += 1
-            elif have is None or advert.timestamp > have.timestamp:
+            elif have is None:
                 self.adverts[advert.node_pubkey] = advert
-                self.version += 1
                 installed.append(advert)
         return installed
 
     def exchange(self, peer: "GossipState") -> None:
         """Push this node's store to `peer` and pull the peer's back, so
-        both stores end up holding the union at the freshest timestamps.
-        A no-op while neither version has moved since their last exchange."""
-        if self._exchanged.get(peer.own_pubkey) == (self.version, peer.version):
+        both stores end up holding the union. A no-op while neither store
+        has grown since their last exchange."""
+        if self._exchanged.get(peer.own_pubkey) == (len(self.adverts), len(peer.adverts)):
             return
         peer.gossip_step(self.adverts.values())
         self.gossip_step(peer.adverts.values())
-        self._exchanged[peer.own_pubkey] = (self.version, peer.version)
-        peer._exchanged[self.own_pubkey] = (peer.version, self.version)
+        self._exchanged[peer.own_pubkey] = (len(self.adverts), len(peer.adverts))
+        peer._exchanged[self.own_pubkey] = (len(peer.adverts), len(self.adverts))

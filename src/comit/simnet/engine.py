@@ -397,9 +397,12 @@ class Engine:
         faults = self.sc.faults
         return [i for i in mine if faults[i].at_tick <= t < faults[i].until_tick]
 
-    def _hit_faults(self, name: str, kind: str) -> None:
-        for i in self._active(name, kind):
+    def _hit(self, name: str, kind: str) -> list[int]:
+        """`_active(name, kind)` now, counting one hit on each fault."""
+        active = self._active(name, kind)
+        for i in active:
             self.fault_hits[i] += 1
+        return active
 
     def _online(self, name: str, tick: Optional[int] = None) -> bool:
         return not self._active(name, "crash", tick)
@@ -418,8 +421,7 @@ class Engine:
         take HTLCs, forward, fail back, and sign closes."""
         retry = None
         for n in names:
-            if not self._online(n):
-                self._hit_faults(n, "crash")
+            if self._hit(n, "crash"):
                 self._note("crash_requeues")
                 retry = max(retry or 0, self._recovery(n))
         return retry
@@ -434,9 +436,8 @@ class Engine:
         if retry is not None:
             return retry
         for n in names:
-            stalls = self._active(n, "stall-secret")
+            stalls = self._hit(n, "stall-secret")
             if stalls:
-                self._hit_faults(n, "stall-secret")
                 self._note("stall_blocks")
                 until = min(self.sc.faults[i].until_tick for i in stalls)
                 if until >= self.sc.max_ticks:
@@ -641,25 +642,25 @@ class Engine:
                 self.quote_table[name][pair]
                 for pair in sorted(self.quote_table.get(name, {}))
             ]
-            advert = make_advert(actor.node_key, endpoints, quotes, timestamp=0)
+            advert = make_advert(actor.node_key, endpoints, quotes)
             actor.gossip.insert_local(advert)
 
     def _gossip_round(self) -> None:
         """`_gossip_channel` on every channel in channel-index order until
-        gossip converges. Adverts are issued once, at tick 0, so a converged
-        store never changes again, and the round is a no-op from then on
-        (`_count_drops` counts the drops). An exchange that moves the
-        version of an end with an earlier channel leaves news for a channel
-        this round has passed."""
+        gossip converges. Adverts are issued once, at tick 0, and a store
+        only grows, so a converged store never changes again, and the round
+        is a no-op from then on (`_count_drops` counts the drops). An
+        exchange that grows the store of an end with an earlier channel
+        leaves news for a channel this round has passed."""
         self.gossip_moving = False
         if self.gossip_converged_tick >= 0:
             return
         for rt in self.channels:
             ends = [self.actors[n] for n in rt.names]
-            before = [a.gossip.version for a in ends]
+            before = [len(a.gossip.adverts) for a in ends]
             self._gossip_channel(rt)
-            if any(a.gossip.version != v and a.channels[0] is not rt
-                   for a, v in zip(ends, before)):
+            if any(len(a.gossip.adverts) != size and a.channels[0] is not rt
+                   for a, size in zip(ends, before)):
                 self.gossip_moving = True
         self._note_convergence()
 
@@ -671,12 +672,12 @@ class Engine:
             self.actors[a].gossip.exchange(self.actors[b].gossip)
 
     def _note_convergence(self) -> None:
-        """Every LP's advert is issued at timestamp 0 and installed once, so
-        gossip has converged when every actor has installed one per LP. No
-        exchange runs after that, so each actor then drops its per-peer
-        exchange memo."""
+        """Every LP issues one advert, at tick 0, and a store holds one
+        advert per origin, so gossip has converged when every actor's store
+        holds one per LP. No exchange runs after that, so each actor then
+        drops its per-peer exchange memo."""
         lps = sum(a.kind == "lp" for a in self.actors.values())
-        if all(a.gossip.version == lps for a in self.actors.values()):
+        if all(len(a.gossip.adverts) == lps for a in self.actors.values()):
             self.gossip_converged_tick = self.tick
             for a in self.actors.values():
                 a.gossip.forget_peers()
@@ -825,8 +826,7 @@ class Engine:
         sender = self.actors[spec.sender]
         recipient = self.actors[spec.recipient]
         for name in (spec.sender, spec.recipient):
-            if not self._online(name):
-                self._hit_faults(name, "crash")
+            if self._hit(name, "crash"):
                 self._schedule(self._recovery(name), self._ev_payment_start, pidx)
                 return
         p.started_tick = self.tick
@@ -886,8 +886,9 @@ class Engine:
 
     def _graph(self, adverts: list[LpAdvert]) -> ChannelGraph:
         """The public graph of an advert set, built once and shared by every
-        sender holding that set. Keyed on the adverts' origins: each LP
-        issues its one advert at tick 0, so the origins name the set."""
+        sender holding that set. Keyed on the adverts' origins: a gossip
+        store holds one advert per origin and never replaces it, so the
+        origins name the set."""
         key = tuple(a.node_pubkey for a in adverts)
         if key not in self.graphs:
             self.graphs[key] = ChannelGraph.from_adverts(
@@ -902,8 +903,7 @@ class Engine:
         hop = p.hops[i]
         if hop.chan.channel.phase is not ChannelPhase.OPEN:
             return  # on-chain resolution has taken over
-        if not self._online(hop.receiver):
-            self._hit_faults(hop.receiver, "crash")
+        if self._hit(hop.receiver, "crash"):
             self._schedule(self._recovery(hop.receiver), self._ev_hop_offer, pidx, i, packet)
             return
         recv = self.actors[hop.receiver]
@@ -917,8 +917,7 @@ class Engine:
                 self._queue_hop(p, i, True, self.tick + 1)
                 return
             # forward
-            if self._active(hop.receiver, "refuse-forward"):
-                self._hit_faults(hop.receiver, "refuse-forward")
+            if self._hit(hop.receiver, "refuse-forward"):
                 self._note("refusals")
                 raise ForwardRejected("refused-forward")
             next_name = self.actor_by_pub.get(payload.next_node)
@@ -1135,8 +1134,7 @@ class Engine:
         except that it withholds each HTLC claim while it stalls, one
         `stall-secret` hit per claim withheld."""
         for spend in respond(rt.channel, rt.party(name), self._knows(name)):
-            if spend.kind == "claim" and self._active(name, "stall-secret"):
-                self._hit_faults(name, "stall-secret")
+            if spend.kind == "claim" and self._hit(name, "stall-secret"):
                 self.withholding.add(rt.idx)
                 continue
             self._broadcast(rt, name, spend)

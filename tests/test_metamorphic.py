@@ -29,9 +29,9 @@ import sys
 
 import pytest
 
-from comit.simnet import run_scenario, validate_scenario
+from comit.simnet import validate_scenario
 from test_acceptance import workloads
-from test_simnet import KeepingEngine
+from test_simnet import KeepingEngine, run_doc
 from test_small_scope import audit
 
 CORPUS_SIZE = 500
@@ -45,12 +45,6 @@ CHANNEL_ORDER_DOCS = (3, 60, 233, 399)
 SHARED_ASSET_PAIR = (400, 401)
 # The seeds of the same-tick relation's random tie orders.
 TIE_KEYS = (0, 1, 2, 3)
-
-
-def run_doc(doc):
-    scenario, errors = validate_scenario(doc)
-    assert errors == []
-    return run_scenario(scenario)
 
 
 def outcomes(report):

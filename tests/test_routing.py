@@ -265,7 +265,7 @@ ONE_HOP = Route(nid("S"), (HopSpec(nid("R"), "main", "coin", 1, 0,
 @pytest.mark.parametrize("refused, error, match", [
     (lambda: ChannelEndpoint("main", bytes(31), 1), ValueError, "peer pubkey"),
     (lambda: ChannelEndpoint("main", PEER, -1), ValueError, "capacity"),
-    (lambda: make_advert(NodeKey(bytes(32)), [ChannelEndpoint("c" * 256, PEER, 1)], [], 0),
+    (lambda: make_advert(NodeKey(bytes(32)), [ChannelEndpoint("c" * 256, PEER, 1)], []),
      ValueError, "identifier too long"),
     (lambda: Route(nid("S"), ()), ValueError, "at least one hop"),
     (lambda: compute_hop_amounts(ONE_HOP, 0), ValueError, "amount_out"),
@@ -435,9 +435,8 @@ def test_graph_from_adverts(rng):
                 ChannelEndpoint("ghostchain", user.pubkey, 999),
             ],
             [RateQuote("coin", "coin", 1, 1, base_fee=2)],
-            timestamp=4,
         ),
-        make_advert(lp2, [ChannelEndpoint("main", lp1.pubkey, 600)], [], timestamp=4),
+        make_advert(lp2, [ChannelEndpoint("main", lp1.pubkey, 600)], []),
     ]
     g = ChannelGraph.from_adverts(adverts, chain_fns, chain_assets)
 

@@ -67,7 +67,7 @@ def test_signature_neither_shows_nor_compares_its_signer(keys, rng):
     carrying another signer compares and hashes equal, and still fails."""
     a, b, _ = keys
     na, nb = NodeKey.generate(rng), NodeKey.generate(rng)
-    for signer, other, secret in ((a, b, a.secret), (na, nb, na.seed)):
+    for signer, other, secret in ((a, b, a.secret), (na, nb, na.secret)):
         sig = signer.sign(DIGEST)
         for text in (repr(sig), repr(Witness(signatures=(sig,)))):
             assert repr(secret) not in text and secret.hex() not in text, text
