@@ -25,7 +25,7 @@ _KEY_TAG = b"comit/key/v1"
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    secret: bytes
+    secret: bytes = field(repr=False)  # kept out of reprs, as is a NodeKey's
     pubkey: bytes = field(init=False)
 
     def __post_init__(self) -> None:

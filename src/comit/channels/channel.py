@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -140,7 +140,7 @@ CLOSED_ON_CHAIN = (ChannelPhase.UNILATERAL_CLOSED, ChannelPhase.BREACHED)
 @dataclass(frozen=True, slots=True)
 class ChannelParty:
     keypair: KeyPair
-    revocation_seed: bytes
+    revocation_seed: bytes = field(repr=False)  # secret: kept out of reprs
 
     def __post_init__(self) -> None:
         if len(self.revocation_seed) != 32:

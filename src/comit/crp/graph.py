@@ -216,6 +216,8 @@ class ChannelGraph:
         for node, quote in quotes:
             self.quotes.setdefault(node, {})[(quote.asset_in, quote.asset_out)] = quote
         self._forwarders: Optional[_Forwarders] = None  # set by forwarders()
+        # asset -> its free 1:1 self-quote, built on first use by self_quote()
+        self._identity: dict[str, RateQuote] = {}
 
     def forwarders(self) -> "_Forwarders":
         """The prices and the forwarders' fees and links find_route bounds
@@ -257,6 +259,16 @@ class ChannelGraph:
 
     def node_quote(self, node: bytes, asset_in: str, asset_out: str) -> Optional[RateQuote]:
         return self.quotes.get(node, {}).get((asset_in, asset_out))
+
+    def self_quote(self, node: bytes, asset: str) -> RateQuote:
+        """What delivery to `node` in `asset` costs: its self-pair quote,
+        else the identity, built once per asset."""
+        quote = self.node_quote(node, asset, asset)
+        if quote is None:
+            quote = self._identity.get(asset)
+            if quote is None:
+                quote = self._identity[asset] = RateQuote.identity(asset)
+        return quote
 
     @classmethod
     def from_adverts(
@@ -389,9 +401,7 @@ def find_route(
     firsts = _first_hops(graph, sender, recipient, own_edges)
     hops_to, fee_to = _potentials(fw, sender, firsts)
 
-    self_quote = graph.node_quote(recipient, asset_out, asset_out) or RateQuote.identity(
-        asset_out
-    )
+    self_quote = graph.self_quote(recipient, asset_out)
 
     def priced(path: _Partial, asset: str) -> Optional[tuple[RateQuote, int, int]]:
         """The quote, amount and fee of one more hop in `asset` in front of

@@ -12,7 +12,7 @@ left, and takes the next ephemeral key from the decrypted slot, so
 consecutive packets share no recognizable bytes and their length never
 changes. The MAC chain means a single flipped bit anywhere in the packet,
 or an ephemeral key swapped for any other, is caught by the next
-processor. `onion_create` takes hop keys, `onion_peel` a packet.
+processor. `onion_create` takes hop keys and secrets, `onion_peel` a packet.
 
 Hop payload layout (136 bytes, little-endian):
 
@@ -23,23 +23,28 @@ Hop payload layout (136 bytes, little-endian):
     expiry_delta      (u32)
     quote echo: rate_num (u64) rate_den (u64) base_fee (u64) fee_ppm (u32)
 
-Key agreement is X25519 with a fresh ephemeral key per hop: the sender
-draws hop i's private key from the session rng, in route order, and hop i
-shares the secret s_i = X25519(k_i, P_i) with it. Hop i's slot seals
-alpha_{i+1}, the next hop's ephemeral public key; the terminal slot holds
-zeros there and in its next MAC. Unlike Sphinx, no hop re-blinds the
-ephemeral: a slot spends 32 bytes on it, which a fixed 20-slot packet can
-afford. Slot encryption is the ChaCha20 stream under HMAC(b"rho", s_i),
-packet authentication HMAC-SHA256 under HMAC(b"mu", s_i), and the blob's
-initial padding the stream under HMAC(b"pad", k_0).
+Key agreement is X25519 with a fresh ephemeral key per hop: the caller
+passes hop i's 32-byte private key k_i, in route order (the engine derives
+each from its own label), and hop i shares the secret s_i = X25519(k_i, P_i)
+with it. Hop i's slot seals alpha_{i+1}, the next hop's ephemeral public
+key; the terminal slot holds zeros there and in its next MAC. Unlike
+Sphinx, no hop re-blinds the ephemeral: a slot spends 32 bytes on it, which
+a fixed 20-slot packet can afford. Each shared secret is keyed by one
+personalised BLAKE2b-512 call (RFC 7693), whose first 32 bytes are the
+slot's ChaCha20 key and last 32 the HMAC-SHA256 key that authenticates the
+blob; the blob's initial padding is the stream under the BLAKE2b-256 of
+k_0, under a personalisation of its own. BLAKE2b only derives 32-byte keys:
+the MAC over the 4,000-byte blob stays HMAC-SHA256.
 
 Cost. An h-hop create makes 2h X25519 operations: per hop one
 `from_private_bytes`, which derives alpha_i, and one exchange. A peel
-makes 1, the hop's exchange, whether it forwards or not. Every keystream
-is applied inside its ChaCha20 context, as encryption (`_crypt`): a peel
-makes 1 context, and a create makes 2h, one for the pad, one per hop to
-wrap its layer and one per hop but the last for its share of the
-filler. No blob is ever converted to an int.
+makes 1, the hop's exchange, whether it forwards or not. A create makes
+h + 1 BLAKE2b key derivations (one per hop and the pad's) and a peel 1.
+Every keystream is applied inside its ChaCha20 context, as encryption
+(`_crypt`): a peel makes 1 context, and a create makes 2h, one for the
+pad, one per hop to wrap its layer and one per hop but the last for its
+share of the filler. A create computes h HMACs and a peel 1. No blob is
+ever converted to an int.
 """
 
 from __future__ import annotations
@@ -74,6 +79,9 @@ VERSION = 0
 _ZERO32 = b"\x00" * 32
 _ZERO_SLOT = b"\x00" * SLOT_SIZE
 _NONCE = b"\x00" * 16  # counter 0, nonce 0: each key names one stream
+# BLAKE2b personalisations: a shared secret's stream and MAC keys, the pad key
+_KEYS = b"comit/onion/keys"
+_PAD = b"comit/onion/pad"
 
 
 class OnionError(Exception):
@@ -185,8 +193,19 @@ def _exchange(key: X25519PrivateKey, point: bytes) -> bytes:
     return key.exchange(X25519PublicKey.from_public_bytes(point))
 
 
-def _kdf(kind: bytes, secret: bytes) -> bytes:
-    return hmac.new(kind, secret, hashlib.sha256).digest()
+def _derive(secret: bytes, person: bytes, size: int) -> bytes:
+    """The `size`-byte BLAKE2b of `secret` under personalisation `person`."""
+    return hashlib.blake2b(secret, digest_size=size, person=person).digest()
+
+
+def _keys(secret: bytes) -> tuple[bytes, bytes]:
+    """A shared secret's (ChaCha20 key, HMAC key), from one BLAKE2b-512."""
+    keys = _derive(secret, _KEYS, 64)
+    return keys[:32], keys[32:]
+
+
+def _mac(key: bytes, blob: bytes) -> bytes:
+    return hmac.digest(key, blob, "sha256")
 
 
 def _crypt(key: bytes, data: bytes) -> bytes:
@@ -194,9 +213,13 @@ def _crypt(key: bytes, data: bytes) -> bytes:
     return Cipher(ChaCha20(key, _NONCE), None).encryptor().update(data)
 
 
-def onion_create(hop_pubkeys: Sequence[bytes], session_rng,
+def onion_create(hop_pubkeys: Sequence[bytes], hop_secrets: Sequence[bytes],
                  payloads: Sequence[HopPayload]) -> OnionPacket:
-    """Wrap per-hop payloads for the hop keys, in route order (`Route.nodes()`)."""
+    """Wrap per-hop payloads for the hop keys, in route order (`Route.nodes()`).
+
+    `hop_secrets[i]` is hop i's 32-byte ephemeral private key (X25519
+    refuses any other length); each must be fresh and kept secret, as
+    whoever knows one can peel that hop's layer."""
     count = len(hop_pubkeys)
     if count == 0:
         raise ValueError("route must have at least one hop")
@@ -204,33 +227,34 @@ def onion_create(hop_pubkeys: Sequence[bytes], session_rng,
         raise RouteTooLong(f"{count} hops > {MAX_ROUTE_HOPS}")
     if len(payloads) != count:
         raise ValueError("one payload per hop required")
+    if len(hop_secrets) != count:
+        raise ValueError("one secret per hop required")
 
-    hop_keys = [session_rng.randbytes(32) for _ in range(count)]
-    ephemerals, secrets = [], []
-    for raw, hop_pub in zip(hop_keys, hop_pubkeys):
+    ephemerals, keys = [], []
+    for raw, hop_pub in zip(hop_secrets, hop_pubkeys):
         key = X25519PrivateKey.from_private_bytes(raw)
         ephemerals.append(key.public_key().public_bytes_raw())
-        secrets.append(_exchange(key, hop_pub))
-    rhos = [_kdf(b"rho", s) for s in secrets]
+        keys.append(_keys(_exchange(key, hop_pub)))
 
     # Filler: the garbage that peeling shifts into the tail at each hop,
     # precomputed so the final hop's MAC still verifies. A hop's peel
     # crypts BLOB_SIZE + SLOT_SIZE bytes; the filler meets the end of it.
     filler = b""
-    for rho in rhos[:-1]:
+    for rho, _ in keys[:-1]:
         skip = BLOB_SIZE - len(filler)
         filler = _crypt(rho, bytes(skip) + filler + _ZERO_SLOT)[skip:]
 
-    blob = _crypt(_kdf(b"pad", hop_keys[0]), bytes(BLOB_SIZE))
+    blob = _crypt(_derive(hop_secrets[0], _PAD, 32), bytes(BLOB_SIZE))
     # Terminal marker: the last hop sees an all-zero next ephemeral and MAC.
     alpha, tag = _ZERO32, _ZERO32
     for i in reversed(range(count)):
+        rho, mu = keys[i]
         slot = encode_payload(payloads[i]) + alpha + tag
-        blob = _crypt(rhos[i], slot + blob[: BLOB_SIZE - SLOT_SIZE])
+        blob = _crypt(rho, slot + blob[: BLOB_SIZE - SLOT_SIZE])
         if i == count - 1 and filler:
             blob = blob[: BLOB_SIZE - len(filler)] + filler
         alpha = ephemerals[i]
-        tag = hmac.new(_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
+        tag = _mac(mu, blob)
 
     return OnionPacket(version=VERSION, ephemeral=alpha, blob=blob, tag=tag)
 
@@ -250,10 +274,10 @@ def onion_peel(packet: OnionPacket, node_key: NodeKey) -> tuple[HopPayload, Opti
         secret = node_key.exchange(packet.ephemeral)
     except ValueError as e:
         raise InvalidPacket(str(e)) from None
-    want = hmac.new(_kdf(b"mu", secret), packet.blob, hashlib.sha256).digest()
-    if not hmac.compare_digest(want, packet.tag):
+    rho, mu = _keys(secret)
+    if not hmac.compare_digest(_mac(mu, packet.blob), packet.tag):
         raise HmacFailure("packet authentication failed")
-    clear = _crypt(_kdf(b"rho", secret), packet.blob + _ZERO_SLOT)
+    clear = _crypt(rho, packet.blob + _ZERO_SLOT)
     payload = decode_payload(clear[:PAYLOAD_SIZE])
     next_tag = clear[SLOT_SIZE - 32 : SLOT_SIZE]
     if next_tag == _ZERO32:

@@ -119,7 +119,6 @@ from ..crp import (
     ChannelGraph,
     Edge,
     GossipState,
-    LpAdvert,
     NoRouteFound,
     NodeKey,
     OnionPacket,
@@ -263,6 +262,9 @@ class Engine:
         # the origin pubkeys of an advert set -> its ChannelGraph; see _graph.
         # `run` empties it once the tick loop ends.
         self.graphs: dict[tuple[bytes, ...], ChannelGraph] = {}
+        # asset -> the hash function its invoices use unless a payment names
+        # one; see _default_hash_fn
+        self.hash_fn_of: dict[str, HashFnId] = {}
         # The channels closed on-chain and not yet settled.
         self.closed: set[int] = set()
         # The due index, a heap of (tick, channel index): the channel is
@@ -812,11 +814,16 @@ class Engine:
             handler(*args)
 
     def _default_hash_fn(self, asset: str) -> HashFnId:
-        sets = [led.params.hash_fns for led in self.ledgers.values()
-                if led.params.asset_id == asset]
-        common = frozenset.intersection(*sets) if sets else frozenset()
-        pool = common or frozenset().union(*sets)
-        return min(pool, key=lambda f: f.value)
+        """The least hash function every chain of `asset` offers (else any
+        of them offers), worked out on the asset's first payment."""
+        fn = self.hash_fn_of.get(asset)
+        if fn is None:
+            sets = [led.params.hash_fns for led in self.ledgers.values()
+                    if led.params.asset_id == asset]
+            common = frozenset.intersection(*sets) if sets else frozenset()
+            pool = common or frozenset().union(*sets)
+            fn = self.hash_fn_of[asset] = min(pool, key=lambda f: f.value)
+        return fn
 
     def _ev_payment_start(self, pidx: int) -> None:
         """Invoice, route and offer payment `pidx`. `find_route` ends its route at
@@ -852,7 +859,7 @@ class Engine:
         ]
         try:
             route = find_route(
-                self._graph(sender.gossip.advert_set()),
+                self._graph(sender.gossip),
                 sender.node_key.pubkey,
                 recipient.node_key.pubkey,
                 spec.amount,
@@ -871,9 +878,12 @@ class Engine:
                 f"first hop is {first_hop_actor!r}, not a liquidity provider"
             )
 
-        attempt = prepare_attempt(
-            invoice, route, self._heights(), derived_rng(self.sc.seed, "payment", pidx)
-        )
+        # One single-use ephemeral secret per hop. A payment makes one
+        # attempt; a retry must add its attempt number to the label, or it
+        # would reuse the secrets of the attempt before it.
+        hop_secrets = [derived_bytes(self.sc.seed, "payment", pidx, "hop", i)
+                       for i in range(len(route.hops))]
+        attempt = prepare_attempt(invoice, route, self._heights(), hop_secrets)
         p.cost = attempt.cost
         p.invoice = invoice
         reason = self._offer(
@@ -884,17 +894,19 @@ class Engine:
             self._finish(p, "refunded", reason)
             p.invoice = None  # it never went live
 
-    def _graph(self, adverts: list[LpAdvert]) -> ChannelGraph:
-        """The public graph of an advert set, built once and shared by every
-        sender holding that set. Keyed on the adverts' origins: a gossip
-        store holds one advert per origin and never replaces it, so the
-        origins name the set."""
-        key = tuple(a.node_pubkey for a in adverts)
-        if key not in self.graphs:
-            self.graphs[key] = ChannelGraph.from_adverts(
-                adverts, {cid: led.params.hash_fns for cid, led in self.ledgers.items()},
+    def _graph(self, gossip: GossipState) -> ChannelGraph:
+        """The public graph of a gossip store's advert set, built once and
+        shared by every sender holding that set. Keyed on the store's
+        origins: a store holds one advert per origin and never replaces it,
+        so the origins name the set."""
+        key = tuple(sorted(gossip.adverts))
+        graph = self.graphs.get(key)
+        if graph is None:
+            graph = self.graphs[key] = ChannelGraph.from_adverts(
+                gossip.advert_set(),
+                {cid: led.params.hash_fns for cid, led in self.ledgers.items()},
                 {cid: led.params.asset_id for cid, led in self.ledgers.items()})
-        return self.graphs[key]
+        return graph
 
     def _ev_hop_offer(self, pidx: int, i: int, packet: OnionPacket) -> None:
         p = self.payments[pidx]

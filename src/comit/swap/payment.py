@@ -18,7 +18,7 @@ absolute block heights on each hop's own chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..crp import (
     HopPayload,
@@ -110,8 +110,12 @@ def prepare_attempt(
     invoice: Invoice,
     route: Route,
     chain_heights: Mapping[str, int],
-    session_rng,
+    hop_secrets: Sequence[bytes],
 ) -> PaymentAttempt:
+    """The attempt that pays `invoice` along `route`: its first HTLC's
+    expiry on the first hop's chain, at that chain's height in
+    `chain_heights`, and its onion, built with one fresh 32-byte ephemeral
+    secret per hop (`hop_secrets`, in route order)."""
     if route.recipient != invoice.recipient:
         raise RouteMismatch("route does not end at the invoice recipient")
     if route.hops[-1].asset != invoice.asset:
@@ -125,7 +129,7 @@ def prepare_attempt(
             chain_heights[route.hops[0].chain_id], ladder_delta(len(route.hops) - 1)
         ),
         payloads=tuple(payloads),
-        packet=onion_create(route.nodes(), session_rng, payloads),
+        packet=onion_create(route.nodes(), hop_secrets, payloads),
     )
 
 

@@ -8,6 +8,12 @@ GOLDEN = Path(__file__).parent / "golden"
 _criterion_lines = []
 
 
+def hop_secrets(rng: random.Random, count: int) -> list[bytes]:
+    """`count` 32-byte onion ephemeral secrets drawn from `rng`, one per hop
+    in route order."""
+    return [rng.randbytes(32) for _ in range(count)]
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0211)

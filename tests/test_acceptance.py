@@ -40,6 +40,7 @@ from comit.crp.quotes import backward_apply
 from comit.simnet import run_scenario, validate_scenario
 from comit.simnet.report import report_json
 
+from conftest import hop_secrets
 from test_onion import flat_payloads
 from test_routing import nid, oracle_enumerate
 
@@ -306,7 +307,7 @@ def test_criterion_6_onion_round_trips_and_tamper_detection(criterion):
         rng = random.Random(1000 + hops)
         keys = [NodeKey.generate(rng) for _ in range(hops)]
         payloads = flat_payloads(keys)
-        packet = onion_create([k.pubkey for k in keys], rng, payloads)
+        packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, hops), payloads)
         seen = []
         for key in keys:
             if len(packet.serialize()) != PACKET_SIZE:
@@ -318,7 +319,7 @@ def test_criterion_6_onion_round_trips_and_tamper_detection(criterion):
 
     rng = random.Random(0x7A3)
     keys = [NodeKey.generate(rng) for _ in range(5)]
-    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys))
     wire = packet.serialize()
     detected = 0
     for _ in range(1000):

@@ -44,7 +44,7 @@ from comit.crp.onion import (
 )
 from comit.swap import payloads_for_route
 
-from conftest import GOLDEN
+from conftest import GOLDEN, hop_secrets
 
 
 def flat_payloads(keys, base_amount=1000):
@@ -94,7 +94,7 @@ def test_round_trip(hops, seeded):
     rng = seeded(hops)
     keys = [NodeKey.generate(rng) for _ in range(hops)]
     payloads = flat_payloads(keys)
-    packet = onion_create([k.pubkey for k in keys], rng, payloads)
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), payloads)
     assert len(packet.serialize()) == PACKET_SIZE
     assert peel_all(packet, keys) == payloads
 
@@ -102,7 +102,7 @@ def test_round_trip(hops, seeded):
 def test_packet_size_constant_at_every_hop(seeded):
     rng = seeded(99)
     keys = [NodeKey.generate(rng) for _ in range(8)]
-    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys))
     wires = []
     for key in keys:
         wires.append(packet.serialize())
@@ -159,7 +159,7 @@ def test_decode_rejects_corrupt_identifiers(monkeypatch, seeded):
     rng = seeded(0x0FF)
     key = NodeKey.generate(rng)
     monkeypatch.setattr(onion_mod, "encode_payload", lambda p: not_utf8)
-    packet = onion_create([key.pubkey], rng, flat_payloads([key]))
+    packet = onion_create([key.pubkey], hop_secrets(rng, 1), flat_payloads([key]))
     with pytest.raises(InvalidPacket):
         onion_peel(packet, key)
 
@@ -168,13 +168,13 @@ def test_route_length_cap(seeded):
     rng = seeded(21)
     keys = [NodeKey.generate(rng) for _ in range(21)]
     with pytest.raises(RouteTooLong):
-        onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+        onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys))
 
 
 def test_single_bit_tampering_always_detected(seeded):
     rng = seeded(1234)
     keys = [NodeKey.generate(rng) for _ in range(5)]
-    wire = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys)).serialize()
+    wire = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys)).serialize()
     for _ in range(1000):
         pos = rng.randrange(PACKET_SIZE)
         bit = 1 << rng.randrange(8)
@@ -187,7 +187,7 @@ def test_single_bit_tampering_always_detected(seeded):
 def test_wrong_node_cannot_peel(seeded):
     rng = seeded(55)
     keys = [NodeKey.generate(rng) for _ in range(3)]
-    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys))
     with pytest.raises(HmacFailure):
         onion_peel(packet, keys[1])
     with pytest.raises(HmacFailure):
@@ -197,7 +197,7 @@ def test_wrong_node_cannot_peel(seeded):
 def test_malformed_wire_rejected(seeded):
     rng = seeded(66)
     keys = [NodeKey.generate(rng)]
-    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys))
     wire = packet.serialize()
     with pytest.raises(InvalidPacket):
         OnionPacket.parse(wire[:-1])
@@ -235,7 +235,7 @@ def test_payloads_follow_route_amounts():
     assert payloads[1].echo == QuoteEcho(1, 1, 0, 0)
 
     rng = random.Random(0xABCD)
-    packet = onion_create(route.nodes(), rng, payloads)
+    packet = onion_create(route.nodes(), hop_secrets(rng, len(route.hops)), payloads)
     got_lp, packet = onion_peel(packet, lp)
     assert got_lp == payloads[0]
     got_r, end = onion_peel(packet, r)
@@ -251,8 +251,8 @@ def test_frozen_wire_vectors():
         if ln and not ln.startswith("#")
     ]
     keys = [NodeKey(bytes([0x41 + i]) * 32) for i in range(3)]
-    rng = random.Random(0x0111)
-    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    secrets = hop_secrets(random.Random(0x0111), len(keys))
+    packet = onion_create([k.pubkey for k in keys], secrets, flat_payloads(keys))
     wires = [packet.serialize().hex()]
     for key in keys[:-1]:
         _, packet = onion_peel(packet, key)
@@ -308,8 +308,17 @@ def reference_xor(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def reference_kdf(kind, secret):
-    return hmac.new(kind, secret, hashlib.sha256).digest()
+def reference_keys(secret):
+    """A shared secret's (ChaCha20 key, HMAC key): the two halves of its
+    BLAKE2b-512 under the personalisation b"comit/onion/keys"."""
+    keys = hashlib.blake2b(secret, digest_size=64, person=b"comit/onion/keys").digest()
+    return keys[:32], keys[32:]
+
+
+def reference_pad_key(hop_secret):
+    """The pad's ChaCha20 key: the BLAKE2b-256 of hop 0's ephemeral secret
+    under the personalisation b"comit/onion/pad"."""
+    return hashlib.blake2b(hop_secret, digest_size=32, person=b"comit/onion/pad").digest()
 
 
 def reference_hop_key(raw, hop_pub):
@@ -319,14 +328,13 @@ def reference_hop_key(raw, hop_pub):
     return key.public_key().public_bytes_raw(), key.exchange(peer)
 
 
-def reference_onion_create(hop_pubkeys, session_rng, payloads):
+def reference_onion_create(hop_pubkeys, hop_keys, payloads):
     """Materialise each hop's keystream and XOR it in byte by byte."""
     count = len(hop_pubkeys)
-    hop_keys = [session_rng.randbytes(32) for _ in hop_pubkeys]  # in route order
     ephemerals, secrets = zip(*map(reference_hop_key, hop_keys, hop_pubkeys))
     streams = [
         reference_stream(
-            reference_kdf(b"rho", s), BLOB_SIZE + SLOT_SIZE if i + 1 < count else BLOB_SIZE
+            reference_keys(s)[0], BLOB_SIZE + SLOT_SIZE if i + 1 < count else BLOB_SIZE
         )
         for i, s in enumerate(secrets)
     ]
@@ -334,7 +342,7 @@ def reference_onion_create(hop_pubkeys, session_rng, payloads):
     for stream in streams[:-1]:
         filler += b"\x00" * SLOT_SIZE
         filler = reference_xor(filler, stream[-len(filler) :])
-    blob = reference_stream(reference_kdf(b"pad", hop_keys[0]), BLOB_SIZE)
+    blob = reference_stream(reference_pad_key(hop_keys[0]), BLOB_SIZE)
     next_ephemeral, tag = b"\x00" * 32, b"\x00" * 32
     for i in reversed(range(count)):
         slot = reference_encode_payload(payloads[i]) + next_ephemeral + tag
@@ -344,7 +352,7 @@ def reference_onion_create(hop_pubkeys, session_rng, payloads):
         if i == count - 1 and filler:
             blob = blob[: BLOB_SIZE - len(filler)] + filler
         next_ephemeral = ephemerals[i]
-        tag = hmac.new(reference_kdf(b"mu", secrets[i]), blob, hashlib.sha256).digest()
+        tag = hmac.new(reference_keys(secrets[i])[1], blob, hashlib.sha256).digest()
     return OnionPacket(VERSION, ephemerals[0], blob, tag)
 
 
@@ -355,10 +363,11 @@ def reference_onion_peel(packet, node_key):
         secret = node_key.exchange(packet.ephemeral)
     except ValueError as e:
         raise InvalidPacket(str(e)) from None
-    want = hmac.new(reference_kdf(b"mu", secret), packet.blob, hashlib.sha256).digest()
+    rho, mu = reference_keys(secret)
+    want = hmac.new(mu, packet.blob, hashlib.sha256).digest()
     if not hmac.compare_digest(want, packet.tag):
         raise HmacFailure("packet authentication failed")
-    stream = reference_stream(reference_kdf(b"rho", secret), BLOB_SIZE + SLOT_SIZE)
+    stream = reference_stream(rho, BLOB_SIZE + SLOT_SIZE)
     clear = reference_xor(packet.blob + b"\x00" * SLOT_SIZE, stream)
     payload = reference_decode_payload(clear[:PAYLOAD_SIZE])
     next_ephemeral = clear[PAYLOAD_SIZE : PAYLOAD_SIZE + 32]
@@ -378,10 +387,9 @@ def test_onion_matches_bytewise_reference(seed):
             random_payload(rng, keys[i + 1].pubkey if i + 1 < hops else None)
             for i in range(hops)
         ]
-        state = rng.getstate()
-        packet = onion_create([k.pubkey for k in keys], rng, payloads)
-        rng.setstate(state)
-        assert packet == reference_onion_create([k.pubkey for k in keys], rng, payloads)
+        secrets = hop_secrets(rng, hops)
+        packet = onion_create([k.pubkey for k in keys], secrets, payloads)
+        assert packet == reference_onion_create([k.pubkey for k in keys], secrets, payloads)
         for key, payload in zip(keys, payloads):
             peeled = onion_peel(packet, key)
             assert peeled == reference_onion_peel(packet, key)
@@ -403,7 +411,7 @@ def assert_fails_as_reference(wire, key):
 def test_tampered_and_misdelivered_packets_fail_as_the_reference_does(seeded):
     rng = seeded(0x7A3)
     keys = [NodeKey.generate(rng) for _ in range(4)]
-    wire = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys)).serialize()
+    wire = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys)).serialize()
     for key in (*keys[1:], NodeKey.generate(rng)):
         assert assert_fails_as_reference(wire, key) is HmacFailure
     assert assert_fails_as_reference(b"\x01" + wire[1:], keys[0]) is InvalidPacket
@@ -431,7 +439,7 @@ def test_chacha20_contexts_per_create_and_peel(monkeypatch, hops, seeded):
 
     monkeypatch.setattr(onion_mod, "Cipher", counted_cipher)
     payloads = flat_payloads(keys)
-    packet = onion_create([k.pubkey for k in keys], rng, payloads)
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), payloads)
     assert contexts == 2 * hops
     for key, payload in zip(keys, payloads):
         contexts = 0
@@ -447,8 +455,8 @@ def test_chacha20_contexts_per_create_and_peel(monkeypatch, hops, seeded):
 def x25519_counts(monkeypatch):
     """Counts of the X25519 operations the onion module makes: keys it
     builds from private bytes, exchanges on those keys, and exchanges
-    through `NodeKey.exchange`."""
-    counts = {"from_private_bytes": 0, "exchange": 0, "node_exchange": 0}
+    through `NodeKey.exchange`; and of its BLAKE2b key derivations."""
+    counts = {"from_private_bytes": 0, "exchange": 0, "node_exchange": 0, "derive": 0}
 
     class CountedKey:
         def __init__(self, key):
@@ -473,33 +481,45 @@ def x25519_counts(monkeypatch):
         counts["node_exchange"] += 1
         return node_exchange(key, peer)
 
+    derive = onion_mod._derive
+
+    def counted_derive(*args):
+        counts["derive"] += 1
+        return derive(*args)
+
     monkeypatch.setattr(onion_mod, "X25519PrivateKey", CountedPrivateKey)
     monkeypatch.setattr(NodeKey, "exchange", counted_node_exchange)
+    monkeypatch.setattr(onion_mod, "_derive", counted_derive)
     return counts
 
 
 @pytest.mark.parametrize("hops", range(1, 7))
 def test_onion_create_makes_one_key_and_one_exchange_per_hop(x25519_counts, hops, seeded):
+    """Per hop one key and one exchange, and h + 1 BLAKE2b key derivations:
+    one per shared secret and the pad's."""
     rng = seeded(0x0C + hops)
     keys = [NodeKey.generate(rng) for _ in range(hops)]
     payloads = flat_payloads(keys)
-    packet = onion_create([k.pubkey for k in keys], rng, payloads)
-    assert x25519_counts == {"from_private_bytes": hops, "exchange": hops, "node_exchange": 0}
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), payloads)
+    assert x25519_counts == {"from_private_bytes": hops, "exchange": hops, "node_exchange": 0,
+                             "derive": hops + 1}
     assert peel_all(packet, keys) == payloads
 
 
 @pytest.mark.parametrize("hops", [1, 2, 5, 20])
 def test_every_peel_makes_one_node_exchange_and_no_key(x25519_counts, hops, seeded):
-    """A forwarding peel and a final peel alike: the hop's own exchange."""
+    """A forwarding peel and a final peel alike: the hop's own exchange
+    and one BLAKE2b key derivation."""
     rng = seeded(0x9E + hops)
     keys = [NodeKey.generate(rng) for _ in range(hops)]
     payloads = flat_payloads(keys)
-    packet = onion_create([k.pubkey for k in keys], rng, payloads)
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), payloads)
     for key, payload in zip(keys, payloads):
-        x25519_counts.update(from_private_bytes=0, exchange=0, node_exchange=0)
+        x25519_counts.update(from_private_bytes=0, exchange=0, node_exchange=0, derive=0)
         got, packet = onion_peel(packet, key)
         assert got == payload
-        assert x25519_counts == {"from_private_bytes": 0, "exchange": 0, "node_exchange": 1}
+        assert x25519_counts == {"from_private_bytes": 0, "exchange": 0, "node_exchange": 1,
+                                 "derive": 1}
     assert packet is None
 
 
@@ -509,7 +529,7 @@ def test_substituted_ephemeral_is_refused(seeded):
     previous hop's or a fresh one, fails the next peel's MAC."""
     rng = seeded(0xE9)
     keys = [NodeKey.generate(rng) for _ in range(6)]
-    packet = onion_create([k.pubkey for k in keys], rng, flat_payloads(keys))
+    packet = onion_create([k.pubkey for k in keys], hop_secrets(rng, len(keys)), flat_payloads(keys))
     for key, next_key in zip(keys, keys[1:]):
         _, forwarded = onion_peel(packet, key)
         assert forwarded.ephemeral not in packet.serialize()

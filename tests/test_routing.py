@@ -35,14 +35,18 @@ import comit.crp.graph as graph_mod
 from comit.crp.onion import (
     BLOB_SIZE,
     VERSION,
+    HopPayload,
     InvalidPacket,
     OnionPacket,
+    QuoteEcho,
     decode_payload,
     onion_create,
     onion_peel,
 )
 from comit.crp.graph import MAX_ROUTE_HOPS, price_vector
 from comit.swap import ladder_delta, make_invoice, prepare_attempt
+
+from conftest import hop_secrets
 
 MAX = 2**64 - 1
 S256 = HashFnId.SHA256
@@ -81,7 +85,7 @@ def test_expiry_ladder_decreases_toward_recipient(rng):
     count = len(route.hops)
     assert [ladder_delta(count - 1 - i) for i in range(count)] == [18, 12, 6]
     invoice, _ = make_invoice(rng, nid("R"), 1000, "coin", S256)
-    attempt = prepare_attempt(invoice, route, {"main": 0}, rng)
+    attempt = prepare_attempt(invoice, route, {"main": 0}, hop_secrets(rng, count))
     assert attempt.expiry == 18 + 1
     # each forwarder learns the step of the HTLC it offers; the payee its own
     assert [p.expiry_delta for p in attempt.payloads] == [12, 6, 6]
@@ -260,6 +264,7 @@ def test_argument_validation():
 PEER = NodeKey(bytes(32)).pubkey
 ONE_HOP = Route(nid("S"), (HopSpec(nid("R"), "main", "coin", 1, 0,
                                    RateQuote("coin", "coin", 1, 1)),))
+ONION_PAYLOAD = HopPayload(None, "main", "coin", 1, 6, QuoteEcho(1, 1, 0, 0))
 
 
 @pytest.mark.parametrize("refused, error, match", [
@@ -271,13 +276,17 @@ ONE_HOP = Route(nid("S"), (HopSpec(nid("R"), "main", "coin", 1, 0,
     (lambda: compute_hop_amounts(ONE_HOP, 0), ValueError, "amount_out"),
     (lambda: NodeKey(bytes(31)), ValueError, "seed"),
     (lambda: decode_payload(bytes(1)), InvalidPacket, "payload size"),
-    (lambda: onion_create([], random.Random(0), []), ValueError, "at least one hop"),
-    (lambda: onion_create([PEER], random.Random(0), []), ValueError, "one payload per hop"),
+    (lambda: onion_create([], [], []), ValueError, "at least one hop"),
+    (lambda: onion_create([PEER], [bytes(32)], []), ValueError, "one payload per hop"),
+    (lambda: onion_create([PEER, PEER], [bytes(32)], [ONION_PAYLOAD] * 2), ValueError,
+     "one secret per hop"),
+    (lambda: onion_create([PEER], [bytes(31)], [ONION_PAYLOAD]), ValueError, "32 bytes"),
     (lambda: onion_peel(OnionPacket(VERSION, bytes(31), bytes(BLOB_SIZE), bytes(32)),
                         NodeKey(bytes(32))), InvalidPacket, "malformed packet"),
 ], ids=["endpoint-peer-length", "endpoint-negative-capacity", "advert-id-too-long",
         "route-no-hops", "hop-amounts-of-0", "node-seed-length", "payload-size",
-        "onion-no-hops", "onion-payload-count", "peel-malformed-packet"])
+        "onion-no-hops", "onion-payload-count", "onion-secret-count", "onion-secret-length",
+        "peel-malformed-packet"])
 def test_crp_refuses_malformed_values(refused, error, match):
     """Each value check of the routing layer refuses with its own exception."""
     with pytest.raises(error, match=match) as e:

@@ -18,6 +18,7 @@ from comit.chainlab import (
     script_bytes,
     verify_script,
 )
+from comit.channels import ChannelParty
 from comit.crp import NodeKey
 
 DIGEST = b"\x11" * 32
@@ -76,6 +77,19 @@ def test_signature_neither_shows_nor_compares_its_signer(keys, rng):
         assert borrowed == sig and hash(borrowed) == hash(sig)
         assert sig.verifies(signer.pubkey, DIGEST)
         assert not borrowed.verifies(signer.pubkey, DIGEST)
+
+
+def test_keys_and_channel_parties_keep_their_secrets_out_of_their_reprs(keys, rng):
+    """A wallet key, a node key and a channel party show their pubkeys in
+    their reprs, but neither the bytes nor the hex of any secret."""
+    wallet, node = keys[0], NodeKey.generate(rng)
+    party = ChannelParty(wallet, rng.randbytes(32))
+    for held, secrets in ((wallet, [wallet.secret]), (node, [node.secret]),
+                          (party, [wallet.secret, party.revocation_seed])):
+        text = repr(held)
+        assert held.pubkey.hex() in text or repr(held.pubkey) in text, text
+        for secret in secrets:
+            assert repr(secret) not in text and secret.hex() not in text, text
 
 
 def test_multisig_needs_both(keys):

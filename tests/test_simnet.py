@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 import comit.crp.graph as graph_mod
 import comit.simnet.engine as engine_mod
@@ -37,6 +38,8 @@ from comit.simnet.cli import main
 from comit.simnet.report import build_report, render_text, report_json
 from test_acceptance import random_scenario, workloads
 from test_mesh_faults import CORPUS_SEED, MESHES, mesh_doc
+
+from conftest import hop_secrets
 
 
 def minimal_doc() -> dict:
@@ -549,6 +552,26 @@ def _signatures_stay_with_their_key(engine):
     return True
 
 
+def _hop_ephemerals_are_their_labels(engine):
+    """Each packet offered for payment 0 carries as its ephemeral the X25519
+    public key of that hop's labelled secret: hop i's is
+    `derived_bytes(seed, "payment", 0, "hop", i)`."""
+    packets = []
+    offer = engine._offer
+
+    def recording(p, *args):
+        if p.idx == 0:
+            packets.append(args[-1])
+        return offer(p, *args)
+
+    engine._offer = recording
+    engine.run()
+    secrets = [derived_bytes(engine.sc.seed, "payment", 0, "hop", i) for i in range(len(packets))]
+    want = [X25519PrivateKey.from_private_bytes(raw).public_key().public_bytes_raw()
+            for raw in secrets]
+    return len(packets) == 3 and [packet.ephemeral for packet in packets] == want
+
+
 @pytest.mark.parametrize("holds", [
     lambda e: e.actors["lp1"].node_key.pubkey.hex() == DEMO_LP1_NODE_PUBKEY,
     lambda e: e.actors["ana"].wallet["alpha"].pubkey.hex() == DEMO_ANA_ALPHA_PUBKEY,
@@ -556,10 +579,11 @@ def _signatures_stay_with_their_key(engine):
                   for rt in e.channels for name in rt.names),
     lambda e: all(derived_rng(e.sc.seed, *parts).randbytes(64)
                   == random.Random(int.from_bytes(derived_bytes(e.sc.seed, *parts), "big")).randbytes(64)
-                  for parts in (("actor", "ana", "keys"), ("payment", 0))),
+                  for parts in (("actor", "ana", "keys"), ("actor", "bo", "invoices"))),
     _signatures_stay_with_their_key,
+    _hop_ephemerals_are_their_labels,
 ], ids=["node-pubkey", "wallet-pubkey", "revocation-seed-is-a-hash", "stream-is-seeded-by-the-hash",
-        "signature-under-another-pubkey"])
+        "signature-under-another-pubkey", "hop-ephemeral-is-a-hash"])
 def test_world_derivation_is_pinned(holds):
     assert holds(engine_mod.Engine(demo_scenario(DERIVATION_DEMO)))
 
@@ -1214,7 +1238,7 @@ class StrangerEngine(TamperingEngine):
         payload, _ = onion_peel(packet, lp)
         stranger = NodeKey.generate(random.Random(1)).pubkey
         assert stranger not in self.actor_by_pub
-        return onion_create([lp.pubkey, stranger], random.Random(2),
+        return onion_create([lp.pubkey, stranger], hop_secrets(random.Random(2), 2),
                             [dataclasses.replace(payload, next_node=stranger),
                              dataclasses.replace(payload, next_node=None)])
 
@@ -1226,7 +1250,7 @@ class TerminalEngine(TamperingEngine):
         lp = self.actors["lp"].node_key
         payload, _ = onion_peel(packet, lp)
         assert payload.next_node == self.actors["beth"].node_key.pubkey
-        return onion_create([lp.pubkey], random.Random(2), [payload])
+        return onion_create([lp.pubkey], hop_secrets(random.Random(2), 1), [payload])
 
 
 @pytest.mark.parametrize("cls, reason", [

@@ -37,6 +37,8 @@ from comit.swap import (
     upstream,
 )
 
+from conftest import hop_secrets
+
 S256 = HashFnId.SHA256
 S3 = HashFnId.SHA3_256
 
@@ -164,7 +166,7 @@ def test_prepare_attempt_reads_each_hops_own_chain_height(rng):
     invoice, _ = make_invoice(rng, line.recipient, 100, "zc", S256)
     route = find_route(line.graph, line.sender, line.recipient, 100, "zc")
     heights = {"x": 40, "y": 90, "z": 100}
-    attempt = prepare_attempt(invoice, route, heights, line.rng)
+    attempt = prepare_attempt(invoice, route, heights, hop_secrets(line.rng, len(route.hops)))
     # the first HTLC takes the top step over its own chain's height, plus
     # one block of propagation allowance
     assert attempt.expiry == offer_expiry(40, 18) == 59
@@ -174,7 +176,8 @@ def test_prepare_attempt_reads_each_hops_own_chain_height(rng):
     ]
     assert offered == [90 + 12 + 1, 100 + 6 + 1]
     with pytest.raises(KeyError):
-        prepare_attempt(invoice, route, {"y": 90, "z": 100}, line.rng)
+        prepare_attempt(invoice, route, {"y": 90, "z": 100},
+                        hop_secrets(line.rng, len(route.hops)))
 
 
 def test_three_hops_pay_each_forwarder_its_fee():
@@ -198,10 +201,12 @@ def test_prepare_rejects_wrong_route(rng):
     invoice, _ = make_invoice(rng, other, 500, "coin", S256)
     route = find_route(line.graph, line.sender, line.recipient, 500, "coin")
     with pytest.raises(RouteMismatch):
-        prepare_attempt(invoice, route, line.heights(), line.rng)
+        prepare_attempt(invoice, route, line.heights(),
+                        hop_secrets(line.rng, len(route.hops)))
     invoice2, _ = make_invoice(rng, line.recipient, 500, "btc", S256)
     with pytest.raises(RouteMismatch):
-        prepare_attempt(invoice2, route, line.heights(), line.rng)
+        prepare_attempt(invoice2, route, line.heights(),
+                        hop_secrets(line.rng, len(route.hops)))
 
 
 def test_recipient_self_quote_margin_lands_with_recipient():
@@ -237,7 +242,8 @@ def cross_chain_attempt(rng, quote, amount):
     line = Line(rng, [("x", "xcoin", quote), ("y", "ycoin", None)])
     invoice, _ = make_invoice(rng, line.recipient, amount, "ycoin", S256)
     route = find_route(line.graph, line.sender, line.recipient, amount, "ycoin")
-    return prepare_attempt(invoice, route, line.heights(), line.rng)
+    return prepare_attempt(invoice, route, line.heights(),
+                           hop_secrets(line.rng, len(route.hops)))
 
 
 def test_requoted_forwarder_rejects(rng):
@@ -272,7 +278,8 @@ def test_check_helpers_reject_misuse(rng):
     line = Line(rng, [("main", "coin", quote), ("main", "coin", None)])
     invoice, _ = make_invoice(rng, line.recipient, 1000, "coin", S256)
     route = find_route(line.graph, line.sender, line.recipient, 1000, "coin")
-    attempt = prepare_attempt(invoice, route, line.heights(), line.rng)
+    attempt = prepare_attempt(invoice, route, line.heights(),
+                              hop_secrets(line.rng, len(route.hops)))
     forward, terminal = attempt.payloads
     due, _ = backward_apply(quote, forward.amount_to_forward)
     need = forward.expiry_delta + HOP_DELTA
@@ -440,7 +447,8 @@ class RouteMachine(RuleBasedStateMachine):
         self.secrets[-1][self.invoice.payment_hash] = secret
         route = find_route(graph, ids[0], ids[-1], self.amount, asset)
         heights = {cid: led.height for cid, led in self.ledgers.items()}
-        attempt = prepare_attempt(self.invoice, route, heights, random.Random(2))
+        attempt = prepare_attempt(self.invoice, route, heights,
+                                  hop_secrets(random.Random(2), len(route.hops)))
         self._add(0, attempt.cost, attempt.expiry, attempt.packet)
         self._respond_all()
 
