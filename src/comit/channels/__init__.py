@@ -28,6 +28,7 @@ from .channel import (
     UnsupportedHashFunction,
     URGENT_BLOCKS,
     WindowExpired,
+    empty_commitment,
     may_respond,
     open_channel,
     respond,
@@ -41,6 +42,7 @@ __all__ = [
     "ChannelPhase",
     "Htlc",
     "open_channel",
+    "empty_commitment",
     "respond",
     "may_respond",
     "urgent_height",

@@ -25,11 +25,11 @@ revocation branches of that party's commitment n. Keys for the current
 state are never revealed, and every key below it is.
 
 A Channel retains the current state, the record of every signed state
-(which breach handling needs) and the one close transaction it has put in
-flight. The record keeps per commitment number n only what n's state
-cannot derive: its `balance_a`, in one `array("Q")`, and its HTLC tuple,
-in one list. n is the index, and `balance_b` is the capacity less
-`balance_a` and the HTLC amounts, as `update` enforces;
+(which breach handling needs) and its one `Close`, from the close's
+broadcast to its settlement. The record keeps per commitment number n
+only what n's state cannot derive: its `balance_a`, in one `array("Q")`,
+and its HTLC tuple, in one list. n is the index, and `balance_b` is the
+capacity less `balance_a` and the HTLC amounts, as `update` enforces;
 `recorded_states` and `unilateral_close` rebuild a `CommitmentState` from
 them on demand. A balance never exceeds the capacity, which the funding
 output, like every output, holds to the ledger's MAX_AMOUNT (2**64 - 1),
@@ -193,6 +193,26 @@ class ClosedOutput:
     htlc: Optional[Htlc]
 
 
+@dataclass(slots=True)
+class Close:
+    """The one close a channel submits. `side` is the broadcaster's, None for
+    the cooperative close, which has no `outputs` and charges (party_a,
+    party_b) `fees`. The confirming block stamps its `height`."""
+
+    txid: bytes
+    side: Optional[str]
+    commitment: int
+    outputs: list[ClosedOutput]
+    fees: Optional[tuple[int, int]] = None
+    height: Optional[int] = None
+
+
+def empty_commitment(balance_a: int, balance_b: int, tx_fee: int, htlcs: tuple = ()) -> bool:
+    """Whether a commitment would have no output: with no HTLCs and one balance
+    at 0, its fee and a trimmed delayed output take up to two fees."""
+    return not htlcs and min(balance_a, balance_b) == 0 and max(balance_a, balance_b) <= 2 * tx_fee
+
+
 def _signed(
     outpoints, outputs, keys, preimages=(), branch: Optional[int] = None
 ) -> Transaction:
@@ -280,9 +300,8 @@ def open_channel(
 
 class Channel:
     __slots__ = ("ledger", "party_a", "party_b", "funding_outpoint", "capacity", "csv_delay",
-                 "dust_limit", "phase", "revocation_fn", "state", "_htlc_seq", "_balances_a",
-                 "_htlc_sets", "_closing", "closed_by", "closed_commitment", "closed_height",
-                 "closed_outputs", "close_fees")
+                 "dust_limit", "phase", "revocation_fn", "state", "_balances_a", "_htlc_sets",
+                 "close")
 
     def __init__(
         self,
@@ -306,21 +325,12 @@ class Channel:
         # Revocation hashes use one fixed function of the chain's set.
         self.revocation_fn = sorted(ledger.params.hash_fns, key=lambda f: f.value)[0]
         self.state = CommitmentState(0, initial_balance_a, initial_balance_b, ())
-        self._htlc_seq = 0
         # balance_a and the HTLC tuple of every recorded state, indexed by
         # its commitment number (see `_recorded`)
         self._balances_a = array("Q")
         self._htlc_sets: list[tuple[Htlc, ...]] = []
-        # (txid, broadcaster side, commitment number, its ClosedOutputs) of
-        # the close tx in flight; the side is None for the cooperative close.
-        self._closing: Optional[tuple[bytes, Optional[str], int, list[ClosedOutput]]] = None
-        self.closed_by: Optional[str] = None
-        self.closed_commitment: Optional[int] = None
-        self.closed_height: Optional[int] = None
-        self.closed_outputs: list[ClosedOutput] = []
-        # (party_a's, party_b's) share of the fee of the cooperative close
-        # once it is in flight
-        self.close_fees: Optional[tuple[int, int]] = None
+        # only the channel spends its funding outpoint
+        self.close: Optional[Close] = None
         self._record_state(self.state)
 
     # --- identity helpers ----------------------------------------------------
@@ -348,13 +358,6 @@ class Channel:
     @property
     def pending_htlcs(self) -> tuple[Htlc, ...]:
         return self.state.htlcs
-
-    @property
-    def closing(self) -> bool:
-        """A close of the channel is in flight or confirmed: only the
-        channel spends its funding outpoint, and it records each close it
-        submits."""
-        return self._closing is not None
 
     def htlc(self, htlc_id: int) -> Htlc:
         for h in self.state.htlcs:
@@ -439,17 +442,12 @@ class Channel:
         return tx, [ClosedOutput(Outpoint(tx_id, i), outputs[i].amount, h) for i, h in kept]
 
     def _record_state(self, state: CommitmentState) -> None:
-        """Refuse `state` exactly when `_commitment` would for either side,
-        then record it; nothing is built or signed. A commitment is empty
-        only with no HTLCs and one balance at 0, when the other balance
-        (which is then the capacity) is at most two fees: the commitment's
-        fee and a trimmed delayed output. Numbers advance by one, so
-        `state` is the next entry of the record."""
-        if (
-            not state.htlcs
-            and min(state.balance_a, state.balance_b) == 0
-            and max(state.balance_a, state.balance_b) <= 2 * self.ledger.params.tx_fee
-        ):
+        """Refuse `state` exactly when `_commitment` would for either side
+        (`empty_commitment`), then record it; nothing is built or signed.
+        Numbers advance by one, so `state` is the next entry of the
+        record."""
+        if empty_commitment(state.balance_a, state.balance_b, self.ledger.params.tx_fee,
+                            state.htlcs):
             raise ChannelError("commitment would have no outputs")
         self._balances_a.append(state.balance_a)
         self._htlc_sets.append(state.htlcs)
@@ -486,7 +484,8 @@ class Channel:
         ))
 
     def _require_open(self) -> None:
-        if self.phase is not ChannelPhase.OPEN or self.closing:
+        # every phase but OPEN follows a close
+        if self.close is not None:
             raise StalePhase(f"channel is {self.phase.value}")
 
     # --- HTLC operations -------------------------------------------------------
@@ -514,15 +513,16 @@ class Channel:
         balance = self.state.balance_a if side == "a" else self.state.balance_b
         if balance < amount:
             raise InsufficientBalance(f"balance {balance} < htlc {amount}")
+        # the number of the commitment adding it: unique, and rising in
+        # commitment output order
         h = Htlc(
-            htlc_id=self._htlc_seq + 1,
+            htlc_id=self.state.commitment_number + 1,
             offerer_side=side,
             amount=amount,
             hash_fn=hash_fn,
             payment_hash=payment_hash,
             expiry_height=expiry_height,
         )
-        self._htlc_seq = h.htlc_id
         self._update(side, -amount, self.state.htlcs + (h,))
         return h.htlc_id
 
@@ -559,8 +559,7 @@ class Channel:
             (self.funding_outpoint,), outputs, (self.party_a.keypair, self.party_b.keypair)
         )
         self.ledger.submit_tx(tx)
-        self.close_fees = (fee_a, fee_b)
-        self._closing = (txid(tx), None, self.state.commitment_number, [])
+        self.close = Close(txid(tx), None, self.state.commitment_number, [], (fee_a, fee_b))
         self.phase = ChannelPhase.COOPERATIVE_CLOSING
         return tx
 
@@ -575,7 +574,7 @@ class Channel:
             raise ValueError(f"no commitment {n} for side {side}")
         tx, outs = self._commitment(side, self._recorded(n))
         self.ledger.submit_tx(tx)
-        self._closing = (txid(tx), side, n, outs)
+        self.close = Close(txid(tx), side, n, outs)
         return tx
 
     # --- on-chain observation -------------------------------------------------
@@ -585,16 +584,12 @@ class Channel:
         of the channel is built and submitted by it, one at a time, and
         confirms in the next block, so the close in flight is the one spend
         of the funding outpoint a block can hold."""
-        if self._closing is not None and self._closing[0] in summary.txids:
-            _, side, n, outs = self._closing
-            if side is None:
+        close = self.close
+        if close is not None and close.txid in summary.txids:
+            close.height = summary.height
+            if close.side is None:
                 self.phase = ChannelPhase.SETTLED
-                return
-            self.closed_by = side
-            self.closed_commitment = n
-            self.closed_height = summary.height
-            self.closed_outputs = outs
-            if n < self.state.commitment_number:
+            elif close.commitment < self.state.commitment_number:
                 self.phase = ChannelPhase.BREACHED
             else:
                 self.phase = ChannelPhase.UNILATERAL_CLOSED
@@ -605,8 +600,8 @@ class Channel:
             self.phase = ChannelPhase.SETTLED
 
     def _spendable_outputs(self) -> list[ClosedOutput]:
-        """The closed outputs the ledger still offers as spendable."""
-        return [o for o in self.closed_outputs if self.ledger.is_spendable(o.outpoint)]
+        """The close's outputs the ledger still offers as spendable."""
+        return [o for o in self.close.outputs if self.ledger.is_spendable(o.outpoint)]
 
     # --- post-close spends ------------------------------------------------------
 
@@ -615,7 +610,7 @@ class Channel:
         delayed output when `htlc_id` is None."""
         if self.phase not in (*CLOSED_ON_CHAIN, ChannelPhase.SETTLED):
             raise StalePhase(self.phase.value)
-        for o in self.closed_outputs:
+        for o in self.close.outputs:
             if (None if o.htlc is None else o.htlc.htlc_id) == htlc_id:
                 return o
         kind = "delayed" if htlc_id is None else "htlc"
@@ -648,7 +643,7 @@ class Channel:
         than csv_delay blocks after the commitment; the ledger refuses it as
         premature until then."""
         out = self._closed_output()
-        if self.side_of(party) != self.closed_by:
+        if self.side_of(party) != self.close.side:
             raise ChannelError("only the broadcaster has a delayed output")
         return self._claim(party, [out])
 
@@ -676,20 +671,17 @@ class Channel:
     def punish_breach(self, honest_party: ChannelParty) -> Transaction:
         """Claim every revocable output of the cheater's stale commitment
         (their delayed balance plus all HTLC outputs) in one justice tx."""
+        close = self.close
         if self.phase is not ChannelPhase.BREACHED:
-            if (
-                self.phase is ChannelPhase.SETTLED
-                and self.closed_commitment is not None
-                and self.closed_commitment < self.state.commitment_number
-            ):
+            if self.phase is ChannelPhase.SETTLED and close.commitment < self.commitment_number:
                 raise WindowExpired("revocable outputs already swept")
             raise StalePhase(self.phase.value)
-        if self.side_of(honest_party) == self.closed_by:
+        if self.side_of(honest_party) == close.side:
             raise ChannelError("the cheater cannot punish itself")
         targets = self._spendable_outputs()
         if not targets:
             raise WindowExpired("revocable outputs already swept")
-        key = self.revocation_key(self.closed_by, self.closed_commitment)
+        key = self.revocation_key(close.side, close.commitment)
         return self._claim(honest_party, targets, (key,), branch=1)
 
 
@@ -705,13 +697,16 @@ def urgent_height(expiry_height: int) -> int:
 def _maturity(channel: Channel, out: ClosedOutput) -> int:
     """The height from which `respond` spends a closed output with no
     preimage: delayed, csv_delay blocks after the close; HTLC, its expiry."""
-    return channel.closed_height + channel.csv_delay if out.htlc is None else out.htlc.expiry_height
+    return channel.close.height + channel.csv_delay if out.htlc is None else out.htlc.expiry_height
 
 
 def wake_heights(channel: Channel) -> list[int]:
-    """Each closed output's `_maturity`: the heights at which `respond` may
-    first name a spend on a closed channel for height alone."""
-    return [_maturity(channel, o) for o in channel.closed_outputs]
+    """The `_maturity` of each output of a confirmed close: the heights at
+    which `respond` may first name a spend on a closed channel for height
+    alone."""
+    if channel.phase is ChannelPhase.OPEN:  # no close has confirmed
+        return []
+    return [_maturity(channel, o) for o in channel.close.outputs]
 
 
 def may_respond(channel: Channel, height: int) -> bool:
@@ -750,7 +745,7 @@ def respond(
     side = channel.side_of(party)
     height = channel.ledger.height
     if channel.phase is ChannelPhase.OPEN:
-        if not channel.closing and any(
+        if channel.close is None and any(
             height >= urgent_height(h.expiry_height)
             and (h.offerer_side == side or h.payment_hash in secrets)
             for h in channel.pending_htlcs
@@ -758,13 +753,13 @@ def respond(
             return [Spend("close", channel.unilateral_close, (party,))]
         return []
     outputs = channel._spendable_outputs()
-    if channel.phase is ChannelPhase.BREACHED and side != channel.closed_by:
+    if channel.phase is ChannelPhase.BREACHED and side != channel.close.side:
         return [Spend("justice", channel.punish_breach, (party,))] if outputs else []
     spends = []
     for out in outputs:
         h = out.htlc
         if h is None:  # the broadcaster's delayed output
-            if side == channel.closed_by and height >= _maturity(channel, out):
+            if side == channel.close.side and height >= _maturity(channel, out):
                 spends.append(Spend("sweep", channel.build_delayed_sweep, (party,)))
         elif h.offerer_side != side and h.payment_hash in secrets:
             preimage = secrets[h.payment_hash]

@@ -739,7 +739,7 @@ class Engine:
         spend ends."""
         if name is None:
             rt = self.channels[chan_idx]
-            shares = zip(rt.names, rt.channel.close_fees)
+            shares = zip(rt.names, rt.channel.close.fees)
         else:
             shares = ((name, fee),)
         for payer, share in shares:
@@ -1049,7 +1049,7 @@ class Engine:
         candidates = mine if fault.channel is None else [self.channels[fault.channel]]
         best: Optional[tuple[int, ChanRt, int]] = None
         for rt in candidates:
-            if rt.channel.closing:
+            if rt.channel.close is not None:
                 continue
             revoked = rt.channel.revoked_balances(rt.channel.side_of(rt.party(cheater)))
             top = max(revoked, default=0)

@@ -63,7 +63,8 @@ class _ChannelRow:
         self.party_a, self.party_b = rt.names
         self.phase = channel.phase.value
         self.updates = channel.commitment_number
-        self.closed_by = channel.closed_by or ""
+        close = channel.close  # its broadcaster, once a unilateral close confirms
+        self.closed_by = (close.side or "") if close and close.height is not None else ""
 
 
 class _ActorRow:

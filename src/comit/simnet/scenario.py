@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Union, get_type_hints
 
 from ..chainlab import MAX_AMOUNT, HashFnId
+from ..channels import empty_commitment
 from ..crp.onion import ID_CAP
 from ..crp.quotes import PPM
 
@@ -498,9 +499,8 @@ def validate_scenario(source: Union[str, bytes, dict]) -> tuple[Optional[Scenari
             fee = fee_of.get(cid, 0)
             if total <= 0:
                 d.constraint(f"{where}.fund_a", "channel capacity must be positive")
-            elif min(fund_a, fund_b) == 0 and total <= 2 * fee:
-                # Commitment 0 would have no output: its fee and a trimmed
-                # delayed output take everything (`Channel._record_state`).
+            elif empty_commitment(fund_a, fund_b, fee):
+                # `open_channel` refuses a commitment 0 with no output
                 d.constraint(
                     f"{where}.fund_a",
                     "a channel funded by one side must hold more than twice its chain's "

@@ -148,7 +148,7 @@ def test_criterion_3_justice_always_wins(criterion):
         for s in ledger.mine_blocks(1):
             ch.process_block(s)
         assert ch.phase is ChannelPhase.BREACHED
-        breach_height = ch.closed_height
+        breach_height = ch.close.height
         ch.punish_breach(victim)
         settle_height = None
         for _ in range(csv + 1):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -153,7 +154,7 @@ def test_states_at_the_amount_bound_are_recorded_and_closed(rng):
     ch.unilateral_close(alice, commitment_number=1)
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.BREACHED
-    assert [(o.amount, o.htlc) for o in ch.closed_outputs] == [
+    assert [(o.amount, o.htlc) for o in ch.close.outputs] == [
         (MAX_AMOUNT - 1_000, None), (1_000, h)]
     ch.punish_breach(bob)
     mine_and_watch(ledger, ch)
@@ -313,8 +314,8 @@ def test_unilateral_close_honest_with_csv_sweep(rng):
     ch.unilateral_close(alice)
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
-    assert ch.closed_by == "a"
-    close_height = ch.closed_height
+    assert ch.close.side == "a"
+    close_height = ch.close.height
     # bob's direct output is already spendable
     assert wallet(ledger, bob) == before_b + 7_000
     # alice sweeps her delayed output once the next block can confirm it
@@ -346,8 +347,8 @@ def test_a_block_changes_only_the_channels_whose_spends_it_confirms(rng):
     add(first, alice, 1_000)  # an HTLC output keeps `first` unsettled once closed
 
     def seen(ch):
-        return (ch.phase, ch.closing, ch.closed_by, ch.closed_commitment,
-                ch.closed_height, tuple(ch.closed_outputs))
+        # a copy, since the block that confirms a close stamps its record
+        return ch.phase, ch.close and replace(ch.close)
 
     untouched = seen(second)
     first.unilateral_close(alice)
@@ -355,7 +356,7 @@ def test_a_block_changes_only_the_channels_whose_spends_it_confirms(rng):
     for ch in (first, second):
         ch.process_block(block)
     assert first.phase is ChannelPhase.UNILATERAL_CLOSED
-    assert (first.closed_by, first.closed_height) == ("a", block.height)
+    assert (first.close.side, first.close.height) == ("a", block.height)
     assert seen(second) == untouched
 
     closed = seen(first)
@@ -386,7 +387,7 @@ def test_htlc_resolution_on_chain_after_force_close(rng):
     assert ch.phase is ChannelPhase.UNILATERAL_CLOSED
     # alice's balance (8300) was the counterparty output: spendable at once
     assert wallet(ledger, alice) == before_a + 8_300
-    close_height = ch.closed_height
+    close_height = ch.close.height
     claim = ch.build_htlc_claim(bob, claim_hid, claim_secret)
     assert submit_when_mature(ledger, ch, ch.build_htlc_refund, alice, refund_hid) == 8 - 1
     assert submit_when_mature(ledger, ch, ch.build_delayed_sweep, bob) == close_height + ch.csv_delay - 1
@@ -407,7 +408,7 @@ def test_breach_punished_within_csv_and_full_balance_claimed(rng):
     ch.unilateral_close(alice, commitment_number=1)  # cheat: stale state
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.BREACHED
-    breach_height = ch.closed_height
+    breach_height = ch.close.height
     ch.punish_breach(bob)
     justice_height = None
     for _ in range(csv):
@@ -444,7 +445,7 @@ def test_breach_window_expires_after_cheater_sweep(rng):
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.BREACHED
     # bob sleeps; alice sweeps her delayed output after the csv delay
-    breach_height = ch.closed_height
+    breach_height = ch.close.height
     assert submit_when_mature(ledger, ch, ch.build_delayed_sweep, alice) == breach_height + csv - 1
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.SETTLED
@@ -486,7 +487,7 @@ def test_justice_takes_what_a_mempool_claim_leaves(rng):
     assert ch.phase is ChannelPhase.BREACHED
     ch.build_htlc_claim(bob, hid, secret)
     justice = ch.punish_breach(alice)
-    delayed = next(o for o in ch.closed_outputs if o.htlc is None)
+    delayed = next(o for o in ch.close.outputs if o.htlc is None)
     assert [i.outpoint for i in justice.inputs] == [delayed.outpoint]
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.SETTLED
@@ -604,7 +605,7 @@ def test_builders_refuse_what_a_role_may_not_spend(rng, breach, refused, match):
     with pytest.raises(ChannelError, match=match):
         refused(ch, alice, bob, to_bob, to_alice, secret)
     assert ledger.mempool_empty()
-    assert all(ledger.is_spendable(o.outpoint) for o in ch.closed_outputs)
+    assert all(ledger.is_spendable(o.outpoint) for o in ch.close.outputs)
 
 
 def test_fees_accounted_on_close_paths(rng):
@@ -667,21 +668,21 @@ def test_any_revoked_state_is_rebuilt_closed_and_punished(steps, fee, data):
     ch.unilateral_close(cheater, commitment_number=n)
     mine_and_watch(ledger, ch)
     assert ch.phase is ChannelPhase.BREACHED
-    assert (ch.closed_by, ch.closed_commitment) == (side, n)
+    assert (ch.close.side, ch.close.commitment) == (side, n)
     # The honest side's direct output is resolved by the commitment itself:
     # only the delayed and HTLC outputs are kept, at their output indices.
     expected = []
     if mine - fee > fee:  # a smaller delayed output is trimmed into the fee
         expected.append((mine - fee, None))
     expected += [(h.amount, h) for h in state.htlcs]
-    assert [(o.amount, o.htlc) for o in ch.closed_outputs] == expected
-    for o in ch.closed_outputs:
+    assert [(o.amount, o.htlc) for o in ch.close.outputs] == expected
+    for o in ch.close.outputs:
         assert ledger.utxo(o.outpoint).amount == o.amount
 
     justice = ch.punish_breach(honest)
     block, = ledger.mine_blocks(1)
     ch.process_block(block)
-    revocable = ch.closed_outputs
+    revocable = ch.close.outputs
     assert revocable
     assert block.txids == (txid(justice),)
     assert [txin.outpoint for txin in justice.inputs] == [o.outpoint for o in revocable]
@@ -830,7 +831,8 @@ class ChannelMachine(RuleBasedStateMachine):
     objects, and each close broadcasts the commitment `_commitment` builds
     from the oracle's state. After every step, `revoked_balances(side)`
     gives, for each side, that side's balance in each of the list's revoked
-    states."""
+    states. After every block, a close the channel submitted carries a
+    height exactly when the funding output is spent."""
 
     @initialize(fee=st.integers(0, 3), csv=st.integers(1, 6), alice_first=st.booleans())
     def open(self, fee, csv, alice_first):
@@ -849,7 +851,7 @@ class ChannelMachine(RuleBasedStateMachine):
         self.states = [self.ch.state]  # the oracle: every signed state, by number
 
     def _open(self):
-        return self.ch.phase is ChannelPhase.OPEN and not self.ch.closing
+        return self.ch.close is None
 
     def _check_record(self):
         """The channel's record rebuilds the oracle's states exactly."""
@@ -954,10 +956,13 @@ class ChannelMachine(RuleBasedStateMachine):
     def mine(self):
         block, = self.ledger.mine_blocks(1)
         self.ch.process_block(block)
+        close = self.ch.close
+        assert close is None or (close.height is None) == self.ledger.is_unspent(
+            self.ch.funding_outpoint)
         for tx_id in block.txids:
             side, kind, tx = self.built[tx_id]
             if side == self.cheater and kind in ("claim", "refund"):
-                amounts = {o.outpoint: o.amount for o in self.ch.closed_outputs}
+                amounts = {o.outpoint: o.amount for o in self.ch.close.outputs}
                 self.taken += sum(amounts[txin.outpoint] for txin in tx.inputs)
         quiet = not self.changed and not block.txids
         for party in self.order:
@@ -969,7 +974,7 @@ class ChannelMachine(RuleBasedStateMachine):
         self.changed = False
         if self.ch.phase is ChannelPhase.BREACHED:
             # justice leaves the cheater nothing to take later
-            assert not any(self.ledger.is_spendable(o.outpoint) for o in self.ch.closed_outputs)
+            assert not any(self.ledger.is_spendable(o.outpoint) for o in self.ch.close.outputs)
 
     def _check_wake(self, side, spends, quiet):
         """The wake contract (see the class docstring) for `side`'s spends."""

@@ -883,6 +883,23 @@ def test_unfinished_run_reports_pending_htlcs_as_their_offerers():
         assert info["no_loss"]
 
 
+@pytest.mark.parametrize("extra, phase", [
+    ({"faults": [{"kind": "broadcast-revoked", "actor": "ann", "at_tick": 55}]}, "open"),
+    ({"closes": [{"at_tick": 55, "channel": 0}]}, "cooperative-closing"),
+], ids=["revoked", "cooperative"])
+def test_a_close_still_in_the_mempool_at_max_ticks_names_no_broadcaster(extra, phase):
+    """max_ticks cuts the run between a close's broadcast at tick 55 and the
+    next block at tick 100: the channel row keeps the phase the channel was
+    in, and names a broadcaster only for a close that confirmed."""
+    doc = minimal_doc()
+    doc["chains"][0]["block_interval"] = 50
+    doc.update(extra)
+    report = run_doc(doc)
+    assert report["payments"][0]["status"] == "settled"
+    assert report["violations"] == ["non-termination: run still active at max_ticks=60"]
+    assert [(c["phase"], c["closed_by"]) for c in report["channels"]] == [(phase, "")]
+
+
 @pytest.mark.parametrize("variant, reason", [
     ("first-dust", "first-hop: 2001 < dust limit 5000"),
     ("forward-dust", "forward: 2000 < dust limit 5000"),
@@ -1570,6 +1587,15 @@ def test_star_routing_work_does_not_grow_with_users(monkeypatch):
     assert per_route[0] == per_route[1], per_route
 
 
+def test_mesh_senders_share_one_graph_per_advert_set(monkeypatch):
+    """On a fault-free mesh every sender holds the same advert set once
+    gossip converges, and the engine builds one graph per distinct set: a
+    cache keyed on each store's own advert order would build one per
+    sender."""
+    counts = routing_counts(monkeypatch, {**mesh_doc(random.Random(5)), "faults": []})
+    assert counts["builds"] == len(counts["sets"])
+
+
 def gossip_work(monkeypatch, doc: dict) -> tuple[Counter, int, int]:
     """Run `doc` and count its gossip work: the (tick, channel index) of
     each _gossip_channel visit, the gossip_step calls, and the tick gossip
@@ -1798,7 +1824,7 @@ class ScanningEngine(SteppingEngine):
         candidates = mine if fault.channel is None else [self.channels[fault.channel]]
         best = None
         for rt in candidates:
-            if rt.channel.closing:
+            if rt.channel.close is not None:
                 continue
             side = rt.channel.side_of(rt.party(cheater))
             current = rt.channel.balance_of(rt.party(cheater))

@@ -470,7 +470,7 @@ class RouteMachine(RuleBasedStateMachine):
 
     def _open(self, k):
         ch = self.channels[k]
-        return ch.phase is ChannelPhase.OPEN and not ch.closing
+        return ch.close is None
 
     def _add(self, k, amount, expiry, packet):
         """Actor k offers the payment's HTLC on channel k; actor k + 1 peels
